@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -36,13 +36,13 @@ void Run() {
   for (double delta : {0.0, 0.05, 0.1, 0.2, 0.3, paper_delta}) {
     // Fixed *small* repetition count isolates the per-repetition success
     // probability, which is what delta buys.
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = alpha;
     options.repetitions = 2;
     options.delta = delta;
-    if (!index.Build(&data, &dist, options).ok()) continue;
+    if (!index.Build(&data, &dist, {options, 1}).ok()) continue;
 
     CorrelatedQuerySampler sampler(&dist, alpha);
     Rng qrng(0x9999);

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/estimate.h"
 #include "data/generators.h"
@@ -53,13 +53,13 @@ void Run() {
     auto estimated = EstimateFrequencies(data);
     if (!estimated.ok()) continue;
 
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = alpha;
     options.repetitions = 8;
     options.delta = 0.1;
-    if (!index.Build(&data, &*estimated, options).ok()) continue;
+    if (!index.Build(&data, &*estimated, {options, 1}).ok()) continue;
 
     // Queries correlated with stored vectors via the bit-copy definition
     // (applied to the *empirical* data, not the generating model).

@@ -9,7 +9,7 @@
 
 #include "bench_util.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/estimate.h"
 #include "data/generators.h"
@@ -40,14 +40,14 @@ void Run() {
 
     auto measure = [&](const ProductDistribution& dist, uint64_t seed,
                        double* recall, double* cost) {
-      SkewedPathIndex index;
+      ShardedIndex index;
       SkewedIndexOptions options;
       options.mode = IndexMode::kCorrelated;
       options.alpha = alpha;
       options.repetitions = 8;
       options.delta = 0.1;
       options.seed = seed;
-      if (!index.Build(&data, &dist, options).ok()) {
+      if (!index.Build(&data, &dist, {options, 1}).ok()) {
         *recall = -1;
         *cost = -1;
         return;

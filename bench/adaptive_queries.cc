@@ -13,7 +13,7 @@
 
 #include "bench_util.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/generators.h"
 #include "stats/summary.h"
 #include "util/random.h"
@@ -31,12 +31,12 @@ void Run() {
   Rng rng(0xada9);
   Dataset data = GenerateDataset(dist, n, &rng);
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = b1;
   options.repetitions = 6;
-  if (!index.Build(&data, &dist, options).ok()) {
+  if (!index.Build(&data, &dist, {options, 1}).ok()) {
     std::printf("build failed\n");
     return;
   }

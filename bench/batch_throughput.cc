@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -106,13 +106,13 @@ int Run(int argc, char** argv) {
     queries.Add(q.span());
   }
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = config.alpha;
   options.build_threads = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
-  Status built = index.Build(&data, &dist, options);
+  Status built = index.Build(&data, &dist, {options, 1});
   if (!built.ok()) {
     std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
     return 1;

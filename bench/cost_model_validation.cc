@@ -8,7 +8,7 @@
 
 #include "bench_util.h"
 #include "core/cost_model.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/generators.h"
 #include "util/random.h"
 
@@ -56,8 +56,8 @@ void Run() {
       options.repetitions = 6;
       Rng rng(0xc057 + n);
       Dataset data = GenerateDataset(scenario.dist, n, &rng);
-      SkewedPathIndex index;
-      if (!index.Build(&data, &scenario.dist, options).ok()) continue;
+      ShardedIndex index;
+      if (!index.Build(&data, &scenario.dist, {options, 1}).ok()) continue;
       double measured = index.build_stats().avg_filters_per_element;
       auto predicted =
           PredictFiltersPerElement(scenario.dist, options, n);

@@ -11,7 +11,7 @@
 #include "baselines/chosen_path.h"
 #include "baselines/prefix_filter.h"
 #include "bench_util.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -28,13 +28,13 @@ int Run(int argc, char** argv) {
   Dataset data = GenerateDataset(dist, 2048, &rng);
   CorrelatedQuerySampler sampler(&dist, 0.7);
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.7;
   options.repetitions = 8;
   options.delta = 0.1;
-  if (!index.Build(&data, &dist, options).ok()) {
+  if (!index.Build(&data, &dist, {options, 1}).ok()) {
     std::fprintf(stderr, "index build failed\n");
     return 1;
   }
@@ -56,7 +56,7 @@ int Run(int argc, char** argv) {
   SparseVector q = sampler.SampleCorrelated(data.Get(17), &query_rng);
   const double query_ns = bench::NsPerOp(
       [&] { bench::DoNotOptimize(index.Query(q.span())); }, 5, 0.02);
-  table.AddRow({"SkewedPathIndex::Query", bench::Fmt(query_ns, 1)});
+  table.AddRow({"ShardedIndex::Query", bench::Fmt(query_ns, 1)});
   reporter.Metric("query_ns", query_ns, /*stable=*/false, "ns");
 
   {
@@ -70,9 +70,9 @@ int Run(int argc, char** argv) {
     build_options.delta = 0.1;
     const double build_ns = bench::NsPerOp(
         [&] {
-          SkewedPathIndex fresh;
+          ShardedIndex fresh;
           bench::DoNotOptimize(fresh.Build(&small, &small_dist,
-                                           build_options));
+                                           {build_options, 1}));
         },
         3, 0.05);
     table.AddRow({"Build(n=1024)", bench::Fmt(build_ns, 0)});

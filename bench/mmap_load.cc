@@ -1,9 +1,11 @@
 // Copyright 2026 The skewsearch Authors.
-// Frozen-shard load bench: heap Load() (deserialize the posting table
-// into owned vectors) vs MapFrozen() (mmap the SKF1 file and serve the
-// table zero-copy). The claim under test is the tentpole's: map time is
-// O(1) in the index size — metadata validation only — while heap load
-// is O(index), and the mapped index answers queries identically.
+// Frozen-shard load bench: a heap load (MapFrozen with force_heap and
+// verify_payload: read the SKF1 file into memory and validate every
+// posting) vs a plain MapFrozen() (mmap the file and serve the table
+// zero-copy). The claim under test: map time is O(1) in the index size
+// — metadata validation only — while the heap load is O(index), and
+// the mapped index answers queries exactly like the index that was
+// frozen.
 //
 // Flags: --json FILE   write metrics JSON (see bench_util.h)
 
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/frozen_shard.h"
 #include "core/sharded_index.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -93,19 +96,21 @@ LoadTimes RunCase(const std::string& tag, size_t n,
   const std::string stem = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
                            "/skewsearch_mmap_bench_" +
                            std::to_string(::getpid()) + "_" + tag;
-  const std::string heap_path = stem + ".skidx";
   const std::string frozen_path = stem + ".skf";
   LoadTimes times;
-  if (!built.Save(heap_path).ok() || !built.Freeze(frozen_path).ok()) {
-    std::fprintf(stderr, "persist failed (n=%zu)\n", n);
+  if (!built.Freeze(frozen_path).ok()) {
+    std::fprintf(stderr, "freeze failed (n=%zu)\n", n);
     return {};
   }
   times.frozen_bytes = FileBytes(frozen_path);
   times.entries = built.build_stats().total_filters;
 
+  FrozenMapOptions heap;
+  heap.force_heap = true;
+  heap.verify_payload = true;
   times.heap_ms = BestMs([&] {
     ShardedIndex loaded;
-    bench::DoNotOptimize(loaded.Load(heap_path, &data, &dist));
+    bench::DoNotOptimize(loaded.MapFrozen(frozen_path, &data, &dist, heap));
   });
   times.map_ms = BestMs([&] {
     ShardedIndex mapped;
@@ -113,33 +118,30 @@ LoadTimes RunCase(const std::string& tag, size_t n,
   });
 
   // Identity spot check: the mapped index must answer queries exactly
-  // like the heap-loaded one (the full differential is in the tests;
-  // here it guards the bench against measuring a broken mapping).
-  ShardedIndex loaded;
+  // like the index it was frozen from (the full differential is in the
+  // tests; here it guards the bench against measuring a broken mapping).
   ShardedIndex mapped;
-  if (!loaded.Load(heap_path, &data, &dist).ok() ||
-      !mapped.MapFrozen(frozen_path, &data, &dist).ok()) {
-    std::fprintf(stderr, "reload failed (n=%zu)\n", n);
+  if (!mapped.MapFrozen(frozen_path, &data, &dist).ok()) {
+    std::fprintf(stderr, "map failed (n=%zu)\n", n);
     return times;
   }
   Rng query_rng(7);
   for (int q = 0; q < 50; ++q) {
     auto probe = data.Get(
         static_cast<VectorId>(query_rng.NextBounded(data.size())));
-    QueryStats heap_stats, map_stats;
-    auto heap_hit = loaded.Query(probe, &heap_stats);
+    QueryStats built_stats, map_stats;
+    auto built_hit = built.Query(probe, &built_stats);
     auto map_hit = mapped.Query(probe, &map_stats);
     const bool same_hit =
-        heap_hit.has_value() == map_hit.has_value() &&
-        (!heap_hit.has_value() || (heap_hit->id == map_hit->id &&
-                                   heap_hit->similarity ==
-                                       map_hit->similarity));
-    if (!same_hit || heap_stats.candidates != map_stats.candidates) {
+        built_hit.has_value() == map_hit.has_value() &&
+        (!built_hit.has_value() || (built_hit->id == map_hit->id &&
+                                    built_hit->similarity ==
+                                        map_hit->similarity));
+    if (!same_hit || built_stats.candidates != map_stats.candidates) {
       times.query_mismatches++;
     }
   }
 
-  std::remove(heap_path.c_str());
   std::remove(frozen_path.c_str());
   return times;
 }

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "core/split_search.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -79,12 +79,12 @@ void MeasuredPart() {
     split_options.index.repetitions = 8;
     if (!split.Build(&data, &dist, split_options).ok()) continue;
 
-    SkewedPathIndex unsplit;
+    ShardedIndex unsplit;
     SkewedIndexOptions unsplit_options;
     unsplit_options.mode = IndexMode::kAdversarial;
     unsplit_options.b1 = b1;
     unsplit_options.repetitions = 8;
-    if (!unsplit.Build(&data, &dist, unsplit_options).ok()) continue;
+    if (!unsplit.Build(&data, &dist, {unsplit_options, 1}).ok()) continue;
 
     const int kQueries = 40;
     double sc = 0, uc = 0;

@@ -14,7 +14,7 @@
 #include "baselines/prefix_filter.h"
 #include "bench_util.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "sim/measures.h"
@@ -73,13 +73,13 @@ void Run() {
     Rng rng(0x5ca1e + n);
     Dataset data = GenerateDataset(dist, n, &rng);
 
-    SkewedPathIndex ours;
+    ShardedIndex ours;
     SkewedIndexOptions our_options;
     our_options.mode = IndexMode::kCorrelated;
     our_options.alpha = alpha;
     our_options.repetitions = 8;
     our_options.delta = 0.05;
-    if (!ours.Build(&data, &dist, our_options).ok()) continue;
+    if (!ours.Build(&data, &dist, {our_options, 1}).ok()) continue;
 
     ChosenPathIndex cp;
     ChosenPathOptions cp_options;

@@ -23,7 +23,7 @@
 #include "baselines/prefix_filter.h"
 #include "bench_util.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/generators.h"
 #include "stats/exponent_fit.h"
 #include "util/random.h"
@@ -122,12 +122,12 @@ void MeasuredPart(double b1, const char* label) {
     Rng rng(0x5ec7a + n);
     Workload w = MakeWorkload(n, &rng);
 
-    SkewedPathIndex ours;
+    ShardedIndex ours;
     SkewedIndexOptions our_options;
     our_options.mode = IndexMode::kAdversarial;
     our_options.b1 = b1;
     our_options.repetitions = 6;
-    if (!ours.Build(&w.data, &w.dist, our_options).ok()) continue;
+    if (!ours.Build(&w.data, &w.dist, {our_options, 1}).ok()) continue;
 
     PrefixFilterIndex prefix;
     PrefixFilterOptions prefix_options;

@@ -15,7 +15,7 @@
 #include "baselines/prefix_filter.h"
 #include "bench_util.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "stats/exponent_fit.h"
@@ -76,13 +76,13 @@ void MeasuredExtreme() {
     Rng rng(0xc077 + n);
     Dataset data = GenerateDataset(dist, n, &rng);
 
-    SkewedPathIndex ours;
+    ShardedIndex ours;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = alpha;
     options.repetitions = 8;
     options.delta = 0.1;
-    if (!ours.Build(&data, &dist, options).ok()) continue;
+    if (!ours.Build(&data, &dist, {options, 1}).ok()) continue;
 
     PrefixFilterIndex prefix;
     PrefixFilterOptions prefix_options;
@@ -139,13 +139,13 @@ void MeasuredTheta() {
     Rng rng(0x7e7a + n);
     Dataset data = GenerateDataset(dist, n, &rng);
 
-    SkewedPathIndex ours;
+    ShardedIndex ours;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = alpha;
     options.repetitions = 8;
     options.delta = 0.05;
-    if (!ours.Build(&data, &dist, options).ok()) continue;
+    if (!ours.Build(&data, &dist, {options, 1}).ok()) continue;
 
     ChosenPathIndex cp;
     ChosenPathOptions cp_options;

@@ -5,8 +5,8 @@
 // Part 1 builds a ShardedIndex at increasing shard counts K and answers
 // the same correlated query batch with BatchQuery() at several worker
 // counts, verifying along the way that every configuration returns
-// results byte-identical to the unsharded SkewedPathIndex (the engine's
-// core determinism contract). Part 2 builds a DynamicIndex and measures
+// results byte-identical to the one-shard index (the engine's core
+// determinism contract). Part 2 builds a DynamicIndex and measures
 // Insert() throughput at increasing writer counts, then verifies the
 // inserted vectors are findable.
 //
@@ -27,7 +27,6 @@
 #include "bench_util.h"
 #include "core/dynamic_index.h"
 #include "core/sharded_index.h"
-#include "core/skewed_index.h"
 #include "data/correlated.h"
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -122,9 +121,9 @@ int Run(int argc, char** argv) {
   index_options.build_threads = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
 
-  // Unsharded baseline: the answer sheet every sharded run must match.
-  SkewedPathIndex baseline_index;
-  Status built = baseline_index.Build(&data, &dist, index_options);
+  // One-shard baseline: the answer sheet every sharded run must match.
+  ShardedIndex baseline_index;
+  Status built = baseline_index.Build(&data, &dist, {index_options, 1});
   if (!built.ok()) {
     std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
     return 1;

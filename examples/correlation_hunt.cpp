@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/generators.h"
 #include "sim/measures.h"
 #include "util/random.h"
@@ -28,12 +28,12 @@ int main() {
 
   // Index once, then query every vector with itself — the planted partner
   // is the only other vector expected above the verification threshold.
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = alpha;
   Timer build_timer;
-  Status status = index.Build(&instance.data, &dist, options);
+  Status status = index.Build(&instance.data, &dist, {options, 1});
   if (!status.ok()) {
     std::printf("build failed: %s\n", status.ToString().c_str());
     return 1;

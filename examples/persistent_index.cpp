@@ -1,12 +1,12 @@
 // Production workflow: ingest data with arbitrary token ids, relabel by
 // frequency (faster sampling / tighter layout), estimate the distribution
-// from the data, build the index once, persist it, and reload it in a
-// "fresh process" without paying the build again.
+// from the data, build the index once, freeze it to an SKF1 file, and
+// map it in a "fresh process" without paying the build again.
 
 #include <cstdio>
 #include <string>
 
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/estimate.h"
 #include "data/generators.h"
@@ -39,36 +39,37 @@ int main() {
               "frequency)\n",
               dist.NumSamplingBlocks());
 
-  // Build once, persist.
+  // Build once, freeze.
   const double alpha = 0.75;
-  const std::string path = "/tmp/skewsearch_demo.skidx";
+  const std::string path = "/tmp/skewsearch_demo.skf";
   {
-    SkewedPathIndex index;
-    SkewedIndexOptions options;
-    options.mode = IndexMode::kCorrelated;
-    options.alpha = alpha;
-    options.build_threads = 2;
+    ShardedIndex index;
+    ShardedIndexOptions options;
+    options.index.mode = IndexMode::kCorrelated;
+    options.index.alpha = alpha;
+    options.index.build_threads = 2;
+    options.num_shards = 1;
     Timer timer;
     if (Status s = index.Build(&data, &dist, options); !s.ok()) {
       std::printf("build failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("built in %.2fs (%zu filter entries), saving...\n",
+    std::printf("built in %.2fs (%zu filter entries), freezing...\n",
                 timer.ElapsedSeconds(), index.build_stats().total_filters);
-    if (Status s = index.Save(path); !s.ok()) {
-      std::printf("save failed: %s\n", s.ToString().c_str());
+    if (Status s = index.Freeze(path); !s.ok()) {
+      std::printf("freeze failed: %s\n", s.ToString().c_str());
       return 1;
     }
   }
 
-  // "New process": reload and serve.
-  SkewedPathIndex index;
+  // "New process": map the frozen file and serve straight out of it.
+  ShardedIndex index;
   Timer load_timer;
-  if (Status s = index.Load(path, &data, &dist); !s.ok()) {
-    std::printf("load failed: %s\n", s.ToString().c_str());
+  if (Status s = index.MapFrozen(path, &data, &dist); !s.ok()) {
+    std::printf("map failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("reloaded in %.3fs (vs rebuild)\n",
+  std::printf("mapped in %.3fs (vs rebuild)\n",
               load_timer.ElapsedSeconds());
 
   CorrelatedQuerySampler sampler(&dist, alpha);
@@ -80,7 +81,7 @@ int main() {
     auto hit = index.Query(q.span());
     found += (hit && hit->id == target);
   }
-  std::printf("served %d queries from the reloaded index, recall %d/%d\n",
+  std::printf("served %d queries from the mapped index, recall %d/%d\n",
               kQueries, found, kQueries);
   std::remove(path.c_str());
   return 0;

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -27,11 +27,11 @@ int main() {
 
   // 3. Build the index for alpha-correlated queries.
   const double alpha = 0.7;
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = alpha;
-  Status status = index.Build(&data, &dist, options);
+  Status status = index.Build(&data, &dist, {options, 1});
   if (!status.ok()) {
     std::printf("build failed: %s\n", status.ToString().c_str());
     return 1;

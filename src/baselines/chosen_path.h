@@ -22,6 +22,7 @@
 #include "core/inverted_index.h"
 #include "core/path_engine.h"
 #include "core/path_policy.h"
+#include "core/query_stats.h"
 #include "core/skewed_index.h"
 #include "data/dataset.h"
 #include "data/distribution.h"
@@ -30,6 +31,8 @@
 #include "util/status.h"
 
 namespace skewsearch {
+
+class ThreadPool;  // util/thread_pool.h
 
 /// \brief Options for the Chosen Path baseline.
 struct ChosenPathOptions {

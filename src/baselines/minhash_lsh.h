@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/inverted_index.h"
+#include "core/query_stats.h"
 #include "core/skewed_index.h"
 #include "data/dataset.h"
 #include "sim/brute_force.h"
@@ -22,6 +23,8 @@
 #include "util/status.h"
 
 namespace skewsearch {
+
+class ThreadPool;  // util/thread_pool.h
 
 /// \brief Options for the MinHash LSH baseline.
 struct MinHashOptions {

@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "core/skewed_index.h"
+#include "core/query_stats.h"
 #include "data/dataset.h"
 #include "sim/brute_force.h"
 #include "util/status.h"

@@ -603,50 +603,35 @@ int CmdQueryBench(const Flags& flags) {
     return CmdQueryBenchOnline(flags, *data, *dist, alpha);
   }
 
-  const int shards = static_cast<int>(flags.GetUint("shards", 1));
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = alpha;
-  options.seed = flags.GetUint("seed", 1);
-  SkewedPathIndex index;
-  ShardedIndex sharded;
-  const bool use_shards = shards > 1;
-  if (use_shards) {
-    ShardedIndexOptions sharded_options;
-    sharded_options.index = options;
-    sharded_options.num_shards = shards;
-    Status s = sharded.Build(&*data, &*dist, sharded_options);
-    if (!s.ok()) return Fail(s);
-  } else {
-    Status s = index.Build(&*data, &*dist, options);
-    if (!s.ok()) return Fail(s);
-  }
-  const IndexView& view = use_shards ? static_cast<const IndexView&>(sharded)
-                                     : static_cast<const IndexView&>(index);
-  const IndexBuildStats& build_stats = view.build_stats();
+  ShardedIndexOptions options;
+  options.index.mode = IndexMode::kCorrelated;
+  options.index.alpha = alpha;
+  options.index.seed = flags.GetUint("seed", 1);
+  options.num_shards =
+      std::max(1, static_cast<int>(flags.GetUint("shards", 1)));
+  ShardedIndex index;
+  Status built = index.Build(&*data, &*dist, options);
+  if (!built.ok()) return Fail(built);
+  const IndexBuildStats& build_stats = index.build_stats();
   std::printf("index: %d shard(s), %d repetitions, %.1f filters/element, "
               "%.1f MB, built in %.2fs\n",
-              use_shards ? shards : 1, build_stats.repetitions,
+              index.num_shards(), build_stats.repetitions,
               build_stats.avg_filters_per_element,
-              static_cast<double>(view.MemoryBytes()) / 1e6,
+              static_cast<double>(index.MemoryBytes()) / 1e6,
               build_stats.build_seconds);
 
   // --mmap: freeze the just-built index and serve the bench from a
   // zero-copy mapping of the file instead. Queries are byte-identical
   // (same recall/candidates); only the load path differs.
-  SkewedPathIndex mapped_index;
-  ShardedIndex mapped_sharded;
+  ShardedIndex mapped_index;
   const bool use_mmap = flags.Has("mmap");
   if (use_mmap) {
     const std::string frozen_path =
         flags.Get("freeze", flags.Get("in", "index") + ".skf");
-    Status frozen =
-        use_shards ? sharded.Freeze(frozen_path) : index.Freeze(frozen_path);
+    Status frozen = index.Freeze(frozen_path);
     if (!frozen.ok()) return Fail(frozen);
     const auto map_start = std::chrono::steady_clock::now();
-    Status mapped =
-        use_shards ? mapped_sharded.MapFrozen(frozen_path, &*data, &*dist)
-                   : mapped_index.MapFrozen(frozen_path, &*data, &*dist);
+    Status mapped = mapped_index.MapFrozen(frozen_path, &*data, &*dist);
     if (!mapped.ok()) return Fail(mapped);
     const double map_ms =
         std::chrono::duration<double, std::milli>(
@@ -656,8 +641,7 @@ int CmdQueryBench(const Flags& flags) {
                 "(heap build took %.2fs)\n",
                 frozen_path.c_str(), map_ms, build_stats.build_seconds);
   }
-  const SkewedPathIndex& query_index = use_mmap ? mapped_index : index;
-  const ShardedIndex& query_sharded = use_mmap ? mapped_sharded : sharded;
+  const ShardedIndex& query_index = use_mmap ? mapped_index : index;
 
   CorrelatedQuerySampler sampler(&*dist, alpha);
   Rng rng(flags.GetUint("seed", 1) ^ 0xabcdef);
@@ -668,8 +652,7 @@ int CmdQueryBench(const Flags& flags) {
     VectorId target = static_cast<VectorId>(rng.NextBounded(data->size()));
     SparseVector q = sampler.SampleCorrelated(data->Get(target), &rng);
     QueryStats stats;
-    auto hit = use_shards ? query_sharded.Query(q.span(), &stats)
-                          : query_index.Query(q.span(), &stats);
+    auto hit = query_index.Query(q.span(), &stats);
     found += (hit && hit->id == target);
     candidates += stats.candidates;
     seconds += stats.seconds;
@@ -684,8 +667,7 @@ int CmdQueryBench(const Flags& flags) {
       VectorId target = static_cast<VectorId>(rng.NextBounded(data->size()));
       SparseVector q = sampler.SampleCorrelated(data->Get(target), &rng);
       QueryStats stats;
-      auto hit = use_shards ? query_sharded.Query(q.span(), &stats)
-                            : query_index.Query(q.span(), &stats);
+      auto hit = query_index.Query(q.span(), &stats);
       (void)hit;
     });
   }
@@ -702,34 +684,24 @@ int CmdFreeze(const Flags& flags) {
   }
   auto dist = EstimateFrequencies(*data);
   if (!dist.ok()) return Fail(dist.status());
-  SkewedIndexOptions options;
+  ShardedIndexOptions options;
   if (flags.Has("b1")) {
-    options.mode = IndexMode::kAdversarial;
-    options.b1 = flags.GetDouble("b1", 0.7);
+    options.index.mode = IndexMode::kAdversarial;
+    options.index.b1 = flags.GetDouble("b1", 0.7);
   } else {
-    options.mode = IndexMode::kCorrelated;
-    options.alpha = flags.GetDouble("alpha", 0.7);
+    options.index.mode = IndexMode::kCorrelated;
+    options.index.alpha = flags.GetDouble("alpha", 0.7);
   }
-  options.seed = flags.GetUint("seed", 1);
-  const int shards = static_cast<int>(flags.GetUint("shards", 1));
-  Status frozen;
-  if (shards > 1) {
-    ShardedIndexOptions sharded_options;
-    sharded_options.index = options;
-    sharded_options.num_shards = shards;
-    ShardedIndex index;
-    Status built = index.Build(&*data, &*dist, sharded_options);
-    if (!built.ok()) return Fail(built);
-    frozen = index.Freeze(out);
-  } else {
-    SkewedPathIndex index;
-    Status built = index.Build(&*data, &*dist, options);
-    if (!built.ok()) return Fail(built);
-    frozen = index.Freeze(out);
-  }
+  options.index.seed = flags.GetUint("seed", 1);
+  options.num_shards =
+      std::max(1, static_cast<int>(flags.GetUint("shards", 1)));
+  ShardedIndex index;
+  Status built = index.Build(&*data, &*dist, options);
+  if (!built.ok()) return Fail(built);
+  Status frozen = index.Freeze(out);
   if (!frozen.ok()) return Fail(frozen);
   std::printf("froze %zu vectors into %d shard(s) at %s\n", data->size(),
-              std::max(shards, 1), out.c_str());
+              index.num_shards(), out.c_str());
   return 0;
 }
 

@@ -1,7 +1,7 @@
 // Copyright 2026 The skewsearch Authors.
 // Internal driver shared by the BatchQuery() implementations of
-// SkewedPathIndex, ChosenPathIndex and MinHashLsh. Not part of the
-// public API.
+// ShardedIndex, DynamicIndex, ChosenPathIndex and MinHashLsh. Not part
+// of the public API.
 //
 // The batch is sharded over a ThreadPool in dynamically scheduled chunks
 // (skewed data means skewed per-query cost, so static splits strand

@@ -217,7 +217,7 @@ class DynamicIndex : public IndexView {
 
   /// All distinct live matches with similarity >= \p threshold, sorted
   /// by descending similarity (ties by id). On a freshly built index
-  /// this is byte-identical to the unsharded SkewedPathIndex::QueryAll.
+  /// this is byte-identical to the static ShardedIndex::QueryAll.
   std::vector<Match> QueryAll(std::span<const ItemId> query, double threshold,
                               QueryStats* stats = nullptr) const;
 

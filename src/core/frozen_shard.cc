@@ -31,7 +31,7 @@ using frozen_internal::kSectionAlign;
 using frozen_internal::kShardEntrySize;
 
 constexpr char kFrozenMagic[4] = {'S', 'K', 'F', '1'};
-constexpr uint32_t kMaxFileShards = 1u << 12;  // matches kMaxShards (SKS1)
+constexpr uint32_t kMaxFileShards = 1u << 12;  // matches ShardedIndex's cap
 
 /// The fixed 64-byte SKF1 header (normative layout; docs/FILE_FORMATS.md).
 /// The meta checksum covers bytes [0, 56) of this struct plus the param

@@ -2,15 +2,16 @@
 // FrozenShardFile: the "SKF1" page-aligned on-disk layout for frozen
 // posting tables, designed to be mmap'd PROT_READ and served zero-copy.
 //
-// The heap formats (SKI1/SKS1/SKD2) stream length-prefixed vectors and
-// materialize them on Load — O(index) start time and a full RAM copy.
+// The online index's SKD2 format streams length-prefixed vectors and
+// materializes them on Load — O(index) start time and a full RAM copy.
 // SKF1 instead lays each shard's frozen CSR arrays (keys, offsets, ids)
 // out offset-based, 64-byte aligned, behind a fixed-size header and a
 // shard section table, so Map() only validates O(num_shards) metadata
 // and then adopts spans straight into the mapped bytes: warm start is
 // O(1) in the index size, residency is the OS page cache's problem, and
-// query results are byte-identical to a heap Load by construction (both
-// back the same offset-based lookup). docs/FILE_FORMATS.md specifies
+// query results are byte-identical to the heap-built index by
+// construction (both back the same offset-based lookup). SKF1 is the
+// static index's only file format. docs/FILE_FORMATS.md specifies
 // the layout normatively; tests/core_frozen_shard_fuzz_test.cc holds
 // Map() to clean rejection of every corrupted byte it can reach.
 //
@@ -87,8 +88,8 @@ class FrozenShardFile {
     return shards_[static_cast<size_t>(s)];
   }
 
-  /// The parameter block the file was frozen with (same fields the heap
-  /// formats embed).
+  /// The parameter block the file was frozen with (same fields the
+  /// online SKD2 format embeds).
   const index_io_internal::ParamHeader& params() const { return params_; }
 
   /// Fingerprint of the dataset the index was built over; callers check

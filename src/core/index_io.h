@@ -1,8 +1,9 @@
 // Copyright 2026 The skewsearch Authors.
-// Internal shared pieces of the persisted-index formats — the single
-// ("SKI1"), sharded ("SKS1") and dynamic ("SKD1") files all embed the
-// same parameter block and dataset fingerprint, so the encoding and the
-// corruption checks live here exactly once. Not part of the public API.
+// Internal shared pieces of the persisted-index formats — the frozen
+// static index ("SKF1", core/frozen_shard.h) and the online index
+// ("SKD2", core/dynamic_index.h) both embed the same parameter block and
+// dataset fingerprint, so the encoding and the corruption checks live
+// here exactly once. Not part of the public API.
 
 #ifndef SKEWSEARCH_CORE_INDEX_IO_H_
 #define SKEWSEARCH_CORE_INDEX_IO_H_

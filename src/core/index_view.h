@@ -1,7 +1,7 @@
 // Copyright 2026 The skewsearch Authors.
-// IndexView: the shared read-only surface of every index flavour.
+// IndexView: the shared read-only surface of both index flavours.
 //
-// SkewedPathIndex (monolithic), ShardedIndex (hash-partitioned) and
+// ShardedIndex (static; one shard is the unsharded case) and
 // DynamicIndex (online) expose the same read-only accessors — the
 // parameters a consumer needs to interpret results without caring which
 // flavour produced them. Before this interface existed each class
@@ -26,7 +26,7 @@ namespace skewsearch {
 class FilterFamily;      // core/skewed_index.h
 struct IndexBuildStats;  // core/skewed_index.h
 
-/// \brief Read-only parameter surface shared by all index flavours.
+/// \brief Read-only parameter surface shared by both index flavours.
 ///
 /// For a DynamicIndex the values describe the *current* edition and may
 /// change across rebuilds; for the static flavours they are fixed after

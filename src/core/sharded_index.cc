@@ -1,14 +1,15 @@
 #include "core/sharded_index.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 
 #include "core/batch.h"
 #include "core/frozen_shard.h"
 #include "core/index_io.h"
 #include "hashing/mix.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "sim/measures.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -16,7 +17,6 @@ namespace skewsearch {
 
 namespace {
 
-constexpr char kShardedMagic[4] = {'S', 'K', 'S', '1'};
 constexpr int kMaxShards = 1 << 12;
 
 }  // namespace
@@ -58,6 +58,12 @@ Status ShardedIndex::Build(const Dataset* data,
   SKEWSEARCH_RETURN_NOT_OK(sharded_internal::BuildShardTables(
       *data, family_, options.num_shards, options.index.build_threads,
       &build_stats_, &shards_));
+  if (build_stats_.cap_hits > 0) {
+    SKEWSEARCH_LOG(kWarning)
+        << "path cap hit for " << build_stats_.cap_hits
+        << " (element, repetition) pairs; consider raising "
+           "max_paths_per_element";
+  }
   build_stats_.build_seconds = timer.ElapsedSeconds();
   return Status::OK();
 }
@@ -202,20 +208,52 @@ std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
                                              ThreadPool* pool,
                                              QueryStats* stats,
                                              QueryScratch* scratch) const {
+  // The query path's metrics (docs/OBSERVABILITY.md, "query.*"), the
+  // same at every shard count. Function-local statics so the registry
+  // mutex is taken once per process; per query this adds a handful of
+  // relaxed atomic adds and two clock reads per repetition (the
+  // filter/verify phase split).
+  static obs::Counter* const queries_metric =
+      obs::MetricsRegistry::Global().GetCounter("query.count");
+  static obs::Counter* const hits_metric =
+      obs::MetricsRegistry::Global().GetCounter("query.hits");
+  static obs::Counter* const candidates_metric =
+      obs::MetricsRegistry::Global().GetCounter("query.candidates");
+  static obs::Counter* const verifications_metric =
+      obs::MetricsRegistry::Global().GetCounter("query.verifications");
+  static obs::Histogram* const latency_metric =
+      obs::MetricsRegistry::Global().GetHistogram("query.latency_ns");
+  static obs::Histogram* const repetitions_metric =
+      obs::MetricsRegistry::Global().GetHistogram("query.repetitions_probed");
+  static obs::Histogram* const fanout_metric =
+      obs::MetricsRegistry::Global().GetHistogram("query.rep_fanout");
+  static obs::Histogram* const filters_span_metric =
+      obs::MetricsRegistry::Global().GetHistogram("span.query.filters");
+  static obs::Histogram* const verify_span_metric =
+      obs::MetricsRegistry::Global().GetHistogram("span.query.verify");
+
   Timer timer;
   QueryStats local;
   std::optional<Match> found;
+  uint64_t reps_probed = 0;
+  int64_t filter_ns = 0;
+  int64_t phase_mark = 0;
   if (built() && !query.empty()) {
     const int num = num_shards();
     scratch->seen.resize(static_cast<size_t>(num));
     for (auto& seen : scratch->seen) seen.clear();
     for (int rep = 0; rep < family_.repetitions() && !found; ++rep) {
+      reps_probed++;
+      const uint64_t rep_candidates_before = local.candidates;
       scratch->keys.clear();
       PathGenStats gen;
       family_.ComputeFilters(query, static_cast<uint32_t>(rep),
                              &scratch->keys, &gen);
       AddPathGenStats(&scratch->path_gen, gen);
       local.filters += scratch->keys.size();
+      // Everything between phase_mark and here was filter generation;
+      // the rest of the repetition is lookup + verification.
+      filter_ns += timer.ElapsedNanos() - phase_mark;
       scratch->hits.assign(static_cast<size_t>(num), RepHit{});
       scratch->shard_stats.assign(static_cast<size_t>(num), QueryStats{});
       auto scan_shard = [&](size_t s) {
@@ -233,7 +271,7 @@ std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
       } else {
         for (size_t s = 0; s < static_cast<size_t>(num); ++s) scan_shard(s);
       }
-      // Merge by scan coordinate: the unsharded index checks candidates
+      // Merge by scan coordinate: the one-shard index checks candidates
       // in (key position, id-within-posting-list) order, so the minimal
       // (key_idx, id) over the shard winners is exactly its first hit.
       const RepHit* best = nullptr;
@@ -249,12 +287,29 @@ std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
         local.verifications += qs.verifications;
       }
       if (best != nullptr) found = Match{best->id, best->similarity};
+      phase_mark = timer.ElapsedNanos();
+      fanout_metric->Record(local.candidates - rep_candidates_before);
     }
     size_t distinct = 0;
     for (const auto& seen : scratch->seen) distinct += seen.size();
     local.distinct_candidates = distinct;
   }
-  local.seconds = timer.ElapsedSeconds();
+  const int64_t total_ns = timer.ElapsedNanos();
+  const int64_t verify_ns = phase_mark - filter_ns;
+  local.seconds = static_cast<double>(total_ns) * 1e-9;
+  queries_metric->Increment();
+  if (found) hits_metric->Increment();
+  candidates_metric->Increment(local.candidates);
+  verifications_metric->Increment(local.verifications);
+  latency_metric->Record(static_cast<uint64_t>(total_ns));
+  repetitions_metric->Record(reps_probed);
+  filters_span_metric->Record(static_cast<uint64_t>(filter_ns));
+  verify_span_metric->Record(static_cast<uint64_t>(verify_ns));
+  if (obs::ScopedTrace* trace = obs::ScopedTrace::Current()) {
+    trace->Add("span.query.filters", static_cast<uint64_t>(filter_ns));
+    trace->Add("span.query.verify", static_cast<uint64_t>(verify_ns));
+    trace->Add("query.latency_ns", static_cast<uint64_t>(total_ns));
+  }
   if (stats != nullptr) *stats = local;
   return found;
 }
@@ -262,6 +317,7 @@ std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
 std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
                                           double threshold, QueryStats* stats,
                                           ThreadPool* pool) const {
+  SKEWSEARCH_SPAN("query.all");
   Timer timer;
   QueryStats local;
   std::vector<Match> out;
@@ -357,104 +413,6 @@ size_t ShardedIndex::MemoryBytes() const {
   return total;
 }
 
-Status ShardedIndex::Save(const std::string& path) const {
-  namespace io = index_io_internal;
-  if (!built()) {
-    return Status::InvalidArgument("cannot save an unbuilt index");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  out.write(kShardedMagic, sizeof(kShardedMagic));
-  uint32_t num_shards = static_cast<uint32_t>(shards_.size());
-  bool ok = io::WriteParams(out, options_.index, family_.verify_threshold(),
-                            build_stats_) &&
-            io::WritePod(out, io::Fingerprint(*data_)) &&
-            io::WritePod(out, num_shards);
-  if (!ok) return Status::IOError("header write to '" + path + "' failed");
-  for (const FilterTable& shard : shards_) {
-    SKEWSEARCH_RETURN_NOT_OK(shard.WriteTo(&out));
-  }
-  out.flush();
-  if (!out) return Status::IOError("flush of '" + path + "' failed");
-  return Status::OK();
-}
-
-Status ShardedIndex::Load(const std::string& path, const Dataset* data,
-                          const ProductDistribution* dist) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kShardedMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument(
-        "'" + path + "' is not a skewsearch sharded index file");
-  }
-  io::ParamHeader header;
-  Status params = io::ReadParams(in, &header);
-  if (!params.ok()) {
-    return Status::InvalidArgument(params.message() + " in '" + path + "'");
-  }
-  uint64_t fingerprint = 0;
-  uint32_t num_shards = 0;
-  if (!io::ReadPod(in, &fingerprint) || !io::ReadPod(in, &num_shards)) {
-    return Status::InvalidArgument("truncated index header in '" + path +
-                                   "'");
-  }
-  if (fingerprint != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-  if (num_shards < 1 || num_shards > kMaxShards) {
-    return Status::InvalidArgument("corrupt shard count in '" + path + "'");
-  }
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-
-  std::vector<FilterTable> shards(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    SKEWSEARCH_RETURN_NOT_OK(shards[s].ReadFrom(&in));
-    // Every posting must reference the dataset *and* live in the shard
-    // its id hashes to; anything else is corruption.
-    for (size_t k = 0; k < shards[s].num_keys(); ++k) {
-      for (VectorId id : shards[s].postings_at(k)) {
-        if (id >= data->size() ||
-            ShardOf(id, static_cast<int>(num_shards)) !=
-                static_cast<int>(s)) {
-          return Status::InvalidArgument(
-              "shard table references out-of-place vector ids");
-        }
-      }
-    }
-  }
-
-  data_ = data;
-  dist_ = dist;
-  options_.index = header.options;
-  options_.num_shards = static_cast<int>(num_shards);
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  shards_ = std::move(shards);
-  frozen_.reset();
-  return Status::OK();
-}
-
 Status ShardedIndex::Freeze(const std::string& path) const {
   namespace io = index_io_internal;
   if (!built()) {
@@ -519,8 +477,8 @@ Status ShardedIndex::MapFrozen(const std::string& path, const Dataset* data,
     views[static_cast<size_t>(s)] = std::move(view).value();
   }
   if (options.verify_payload) {
-    // Mirror Load's placement validation: every posting must live in the
-    // shard its id hashes to. O(index), gated like the payload checksums.
+    // Placement validation: every posting must live in the shard its id
+    // hashes to. O(index), gated like the payload checksums.
     for (int s = 0; s < num_shards; ++s) {
       const FilterTable& table = views[static_cast<size_t>(s)];
       for (size_t k = 0; k < table.num_keys(); ++k) {

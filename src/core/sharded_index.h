@@ -1,18 +1,18 @@
 // Copyright 2026 The skewsearch Authors.
-// ShardedIndex: the paper's index, hash-partitioned across K shards.
+// ShardedIndex: the paper's static index, its posting lists
+// hash-partitioned across K >= 1 shards. K = 1 is the unsharded index.
 //
 // The L-repetition filter family is a deterministic function of
 // (seed, repetition, vector) alone — it never looks at which vectors are
-// stored. A sharded build therefore runs the *same* family as a
-// monolithic build and only splits the posting lists: shard s holds the
-// (filter key, id) pairs of the vectors with ShardOf(id) == s. A query
-// computes its filter keys once per repetition, fans the table lookups
-// out over the shards (optionally on a ThreadPool), and merges by the
-// scan coordinate (repetition, key position, id) — which makes the
-// result *byte-identical* to an unsharded SkewedPathIndex for every
-// shard count and thread count. Per-query work counters differ (shards
-// other than the winning one scan to the end of the repetition), but
-// results never do.
+// stored. Every shard count therefore runs the *same* family and only
+// splits the posting lists: shard s holds the (filter key, id) pairs of
+// the vectors with ShardOf(id) == s. A query computes its filter keys
+// once per repetition, fans the table lookups out over the shards
+// (optionally on a ThreadPool), and merges by the scan coordinate
+// (repetition, key position, id) — which makes the result
+// *byte-identical* to the one-shard index for every shard count and
+// thread count. Per-query work counters differ (shards other than the
+// winning one scan to the end of the repetition), but results never do.
 //
 // This is the skew-aware analogue of LSF-Join's partitioning insight:
 // the repetition structure is naturally shard-friendly because each
@@ -38,7 +38,9 @@
 
 namespace skewsearch {
 
-class ThreadPool;  // util/thread_pool.h
+class ThreadPool;       // util/thread_pool.h
+class FrozenShardFile;  // core/frozen_shard.h
+struct FrozenMapOptions;
 
 /// \brief Configuration of a sharded build.
 struct ShardedIndexOptions {
@@ -59,15 +61,19 @@ class ShardedIndex : public IndexView {
   ShardedIndex() = default;
 
   /// Stable hash partition of vector ids (same for every build with the
-  /// same K, so Save/Load and incremental layers agree on placement).
+  /// same K, so frozen files and the dynamic layer agree on placement).
   static int ShardOf(VectorId id, int num_shards);
 
-  /// Builds the K per-shard posting tables over \p data.
+  /// Builds the K per-shard posting tables over \p data. Build
+  /// parallelism (options.index.build_threads) never changes the tables.
   Status Build(const Dataset* data, const ProductDistribution* dist,
                const ShardedIndexOptions& options);
 
-  /// Returns the same match an unsharded SkewedPathIndex::Query would,
-  /// scanning shards serially on the calling thread.
+  /// Returns some vector with similarity >= verify_threshold(): the
+  /// first hit in scan order (repetition, key position, id), stopping
+  /// at the first repetition that has one (the paper's query
+  /// semantics), or nullopt. Scans shards serially on the calling
+  /// thread. Records the query.* metrics (docs/OBSERVABILITY.md).
   std::optional<Match> Query(std::span<const ItemId> query,
                              QueryStats* stats = nullptr) const;
 
@@ -76,9 +82,10 @@ class ShardedIndex : public IndexView {
   std::optional<Match> Query(std::span<const ItemId> query, ThreadPool* pool,
                              QueryStats* stats = nullptr) const;
 
-  /// All distinct matches with similarity >= \p threshold, sorted by
-  /// descending similarity (ties by id) — identical to the unsharded
-  /// QueryAll. Shard scans fan out over \p pool when given.
+  /// All distinct candidates with similarity >= \p threshold, sorted by
+  /// descending similarity (ties by id); exhausts every filter, so a
+  /// threshold of 0 ranks every candidate the filters surface. Shard
+  /// scans fan out over \p pool when given.
   std::vector<Match> QueryAll(std::span<const ItemId> query, double threshold,
                               QueryStats* stats = nullptr,
                               ThreadPool* pool = nullptr) const;
@@ -97,25 +104,20 @@ class ShardedIndex : public IndexView {
       std::vector<QueryStats>* stats = nullptr,
       BatchQueryStats* batch_stats = nullptr) const;
 
-  /// Persists the sharded index (parameters + K posting tables + dataset
-  /// fingerprint). Only valid after Build().
-  Status Save(const std::string& path) const;
-
-  /// Restores an index saved with Save(); the caller re-supplies the same
-  /// dataset and distribution (fingerprint-checked).
-  Status Load(const std::string& path, const Dataset* data,
-              const ProductDistribution* dist);
-
-  /// Persists the built index as a K-shard SKF1 frozen file
-  /// (core/frozen_shard.h). Only valid after Build()/Load().
+  /// Persists the built index (parameters + K posting tables + dataset
+  /// fingerprint) as a K-shard SKF1 frozen file (core/frozen_shard.h).
+  /// Only valid after Build()/MapFrozen().
   Status Freeze(const std::string& path) const;
 
   /// Restores an index from a file written by Freeze(), serving every
-  /// shard table zero-copy out of the mapped bytes: start time is O(1)
-  /// in the index size and queries are byte-identical to a heap Load().
-  /// The shard count comes from the file. When the map options request
-  /// payload verification, shard placement is re-validated like Load
-  /// does (O(index)); the default trusts the checksummed metadata.
+  /// shard table zero-copy out of the mapped bytes (or out of a heap
+  /// copy with FrozenMapOptions::force_heap): start time is O(1) in the
+  /// index size and queries are byte-identical to the index that was
+  /// frozen. The caller re-supplies the same dataset and distribution
+  /// (fingerprint-checked); the shard count comes from the file. When
+  /// the map options request payload verification, shard placement is
+  /// re-validated too (O(index)); the default trusts the checksummed
+  /// metadata.
   Status MapFrozen(const std::string& path, const Dataset* data,
                    const ProductDistribution* dist);
   Status MapFrozen(const std::string& path, const Dataset* data,

@@ -130,15 +130,13 @@ Result<std::vector<JoinPair>> JoinImpl(const Dataset& left,
   }
   JoinStats local;
   Timer build_timer;
-  // Every build side answers QueryAll identically; the sharded one
-  // splits the posting lists across num_shards partitions, the online
-  // one additionally runs the maintenance subsystem while probing.
-  SkewedPathIndex index;
+  // Both build sides answer QueryAll identically for every shard count;
+  // the online one additionally runs the maintenance subsystem while
+  // probing.
   ShardedIndex sharded;
   DynamicIndex dynamic;
   MaintenanceService service;
   const bool use_online = options.online;
-  const bool use_shards = !use_online && options.num_shards > 1;
   if (use_online) {
     DynamicIndexOptions dynamic_options;
     dynamic_options.index = options.index;
@@ -169,26 +167,22 @@ Result<std::vector<JoinPair>> JoinImpl(const Dataset& left,
         }
       }
     }
-  } else if (use_shards) {
+  } else {
     ShardedIndexOptions sharded_options;
     sharded_options.index = options.index;
-    sharded_options.num_shards = options.num_shards;
+    sharded_options.num_shards = std::max(1, options.num_shards);
     SKEWSEARCH_RETURN_NOT_OK(sharded.Build(&right, &dist, sharded_options));
-  } else {
-    SKEWSEARCH_RETURN_NOT_OK(index.Build(&right, &dist, options.index));
   }
   local.build_seconds = build_timer.ElapsedSeconds();
 
-  // The flavours share their read-only parameter surface (IndexView);
+  // The two indexes share their read-only parameter surface (IndexView);
   // only the QueryAll dispatch still needs to know the concrete type.
   const IndexView& view = use_online ? static_cast<const IndexView&>(dynamic)
-                          : use_shards ? static_cast<const IndexView&>(sharded)
-                                       : static_cast<const IndexView&>(index);
+                                     : static_cast<const IndexView&>(sharded);
   auto query_all = [&](std::span<const ItemId> query, double thresh,
                        QueryStats* query_stats) {
-    if (use_online) return dynamic.QueryAll(query, thresh, query_stats);
-    return use_shards ? sharded.QueryAll(query, thresh, query_stats)
-                      : index.QueryAll(query, thresh, query_stats);
+    return use_online ? dynamic.QueryAll(query, thresh, query_stats)
+                      : sharded.QueryAll(query, thresh, query_stats);
   };
   double threshold = options.threshold >= 0.0 ? options.threshold
                                               : view.verify_threshold();

@@ -38,10 +38,10 @@ struct JoinOptions {
   /// Probe-side parallelism (<= 1 = serial). Probes are independent; the
   /// output is identical to a serial join.
   int probe_threads = 0;
-  /// When > 1, the build side is a ShardedIndex with this many hash
-  /// partitions instead of a monolithic SkewedPathIndex. Shard probes
-  /// are byte-identical to unsharded ones, so the join output does not
-  /// depend on this knob — only memory layout and parallelism do.
+  /// Hash partitions of the build side's ShardedIndex (<= 1 = one
+  /// shard). Shard probes are byte-identical at every shard count, so
+  /// the join output does not depend on this knob — only memory layout
+  /// and parallelism do.
   int num_shards = 0;
   /// When true, the build side is the *online* DynamicIndex with a
   /// MaintenanceService attached for the duration of the join (the

@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 
-#include "core/batch.h"
-#include "core/frozen_shard.h"
-#include "core/index_io.h"
 #include "core/rho.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
-#include "sim/measures.h"
+#include "util/containers.h"
 #include "util/logging.h"
-#include "util/math.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace skewsearch {
 
@@ -170,307 +160,18 @@ void FilterFamily::ComputeAllFilters(std::span<const ItemId> x,
                                  keys, offsets, stats, capped_reps);
 }
 
-Status SkewedPathIndex::Build(const Dataset* data,
-                              const ProductDistribution* dist,
-                              const SkewedIndexOptions& options) {
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  if (data->size() < 2) {
-    return Status::InvalidArgument("dataset needs at least 2 vectors");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-  Result<FilterFamily> family = FilterFamily::Create(dist, options,
-                                                     data->size());
-  if (!family.ok()) return family.status();
-
-  Timer timer;
-  data_ = data;
-  dist_ = dist;
-  options_ = options;
-  family_ = std::move(family).value();
-
-  const size_t n = data->size();
-  const int reps = family_.repetitions();
-
-  // Populate the inverted index -----------------------------------------
-  build_stats_ = IndexBuildStats{};
-  build_stats_.repetitions = reps;
-  build_stats_.delta_used = family_.delta();
-  table_ = FilterTable();
-  frozen_.reset();
-
-  int threads = options.build_threads;
-  if (threads <= 1) {
-    // The fused all-repetitions pass amortizes the per-level policy
-    // thresholds across repetitions; its per-rep key groups are
-    // byte-identical to per-rep ComputeFilters calls.
-    std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
-    for (VectorId id = 0; id < n; ++id) {
-      auto x = data->Get(id);
-      PathGenStats gen;
-      size_t capped = 0;
-      family_.ComputeAllFilters(x, &keys, &offsets, &gen, &capped);
-      build_stats_.nodes_expanded += gen.nodes_expanded;
-      build_stats_.cap_hits += capped;
-      for (uint64_t key : keys) table_.Add(key, id);
-      build_stats_.total_filters += keys.size();
-    }
-  } else {
-    // Filter keys are deterministic given (seed, rep, x) and Freeze()
-    // sorts pairs by (key, id), so workers can emit into per-slot
-    // buffers in any schedule; the frozen table is identical to a
-    // serial build's.
-    struct Shard {
-      std::vector<std::pair<uint64_t, VectorId>> pairs;
-      std::vector<uint64_t> keys;     // reused across this slot's vectors
-      std::vector<size_t> offsets;    // likewise
-      size_t nodes_expanded = 0;
-      size_t cap_hits = 0;
-    };
-    ThreadPool pool(threads);
-    std::vector<Shard> shards(static_cast<size_t>(pool.num_threads()));
-    pool.ParallelFor(n, /*grain=*/64,
-                     [&](size_t begin, size_t end, int slot) {
-      Shard& shard = shards[static_cast<size_t>(slot)];
-      for (size_t id = begin; id < end; ++id) {
-        auto x = data->Get(static_cast<VectorId>(id));
-        PathGenStats gen;
-        size_t capped = 0;
-        family_.ComputeAllFilters(x, &shard.keys, &shard.offsets, &gen,
-                                  &capped);
-        shard.nodes_expanded += gen.nodes_expanded;
-        shard.cap_hits += capped;
-        for (uint64_t key : shard.keys) {
-          shard.pairs.push_back({key, static_cast<VectorId>(id)});
-        }
-      }
-    });
-    size_t total_pairs = 0;
-    for (const Shard& shard : shards) total_pairs += shard.pairs.size();
-    table_.Reserve(total_pairs);
-    for (const Shard& shard : shards) {
-      build_stats_.nodes_expanded += shard.nodes_expanded;
-      build_stats_.cap_hits += shard.cap_hits;
-      for (const auto& [key, id] : shard.pairs) table_.Add(key, id);
-      build_stats_.total_filters += shard.pairs.size();
-    }
-  }
-  table_.Freeze();
-  build_stats_.distinct_keys = table_.num_keys();
-  build_stats_.avg_filters_per_element =
-      static_cast<double>(build_stats_.total_filters) /
-      (static_cast<double>(n) * std::max(1, reps));
-  if (build_stats_.cap_hits > 0) {
-    SKEWSEARCH_LOG(kWarning)
-        << "path cap hit for " << build_stats_.cap_hits
-        << " (element, repetition) pairs; consider raising "
-           "max_paths_per_element";
-  }
-  build_stats_.build_seconds = timer.ElapsedSeconds();
-  return Status::OK();
-}
-
-std::vector<uint64_t> SkewedPathIndex::ComputeFilterKeys(
-    std::span<const ItemId> query) const {
-  std::vector<uint64_t> keys;
-  if (!family_.valid()) return keys;
-  // Fused pass; groups are already in repetition order, matching the
-  // per-rep concatenation exactly.
-  std::vector<size_t> offsets;
-  family_.ComputeAllFilters(query, &keys, &offsets);
-  return keys;
-}
-
-// Reusable per-thread query workspace: the filter-key and dedup buffers
-// keep their heap allocations across the (possibly many) queries one
-// worker slot answers, and path-generation counters accumulate here so a
-// batch can report them without touching shared state.
-struct SkewedPathIndex::QueryScratch {
-  std::vector<uint64_t> keys;
-  PostingSet<VectorId> seen;
-  PathGenStats path_gen;
-};
-
-std::optional<Match> SkewedPathIndex::Query(std::span<const ItemId> query,
-                                            QueryStats* stats) const {
-  QueryScratch scratch;
-  return QueryImpl(query, stats, &scratch);
-}
-
-std::optional<Match> SkewedPathIndex::QueryImpl(std::span<const ItemId> query,
-                                                QueryStats* stats,
-                                                QueryScratch* scratch) const {
-  // The query path's metrics (docs/OBSERVABILITY.md, "query.*").
-  // Function-local statics so the registry mutex is taken once per
-  // process; per query this adds a handful of relaxed atomic adds and
-  // two clock reads per repetition (the filter/verify phase split).
-  static obs::Counter* const queries_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.count");
-  static obs::Counter* const hits_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.hits");
-  static obs::Counter* const candidates_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.candidates");
-  static obs::Counter* const verifications_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.verifications");
-  static obs::Histogram* const latency_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_ns");
-  static obs::Histogram* const repetitions_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.repetitions_probed");
-  static obs::Histogram* const fanout_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.rep_fanout");
-  static obs::Histogram* const filters_span_metric =
-      obs::MetricsRegistry::Global().GetHistogram("span.query.filters");
-  static obs::Histogram* const verify_span_metric =
-      obs::MetricsRegistry::Global().GetHistogram("span.query.verify");
-
-  Timer timer;
-  QueryStats local;
-  std::optional<Match> found;
-  uint64_t reps_probed = 0;
-  int64_t filter_ns = 0;
-  int64_t phase_mark = 0;
-  if (family_.valid() && !query.empty()) {
-    const double threshold = family_.verify_threshold();
-    std::vector<uint64_t>& keys = scratch->keys;
-    PostingSet<VectorId>& seen = scratch->seen;
-    seen.clear();
-    for (int rep = 0; rep < build_stats_.repetitions && !found; ++rep) {
-      reps_probed++;
-      const uint64_t rep_candidates_before = local.candidates;
-      keys.clear();
-      PathGenStats gen;
-      family_.ComputeFilters(query, static_cast<uint32_t>(rep), &keys, &gen);
-      AddPathGenStats(&scratch->path_gen, gen);
-      local.filters += keys.size();
-      // Everything between phase_mark and here was filter generation;
-      // the rest of the repetition is lookup + verification.
-      const int64_t after_filters = timer.ElapsedNanos();
-      filter_ns += after_filters - phase_mark;
-      for (uint64_t key : keys) {
-        auto postings = table_.Lookup(key);
-        local.candidates += postings.size();
-        for (VectorId id : postings) {
-          if (!seen.insert(id).second) continue;
-          local.verifications++;
-          double sim =
-              Similarity(options_.verify_measure, query, data_->Get(id));
-          if (sim >= threshold) {
-            found = Match{id, sim};
-            break;
-          }
-        }
-        if (found) break;
-      }
-      phase_mark = timer.ElapsedNanos();
-      fanout_metric->Record(local.candidates - rep_candidates_before);
-    }
-    local.distinct_candidates = seen.size();
-  }
-  const int64_t total_ns = timer.ElapsedNanos();
-  const int64_t verify_ns = phase_mark - filter_ns;
-  local.seconds = static_cast<double>(total_ns) * 1e-9;
-  queries_metric->Increment();
-  if (found) hits_metric->Increment();
-  candidates_metric->Increment(local.candidates);
-  verifications_metric->Increment(local.verifications);
-  latency_metric->Record(static_cast<uint64_t>(total_ns));
-  repetitions_metric->Record(reps_probed);
-  filters_span_metric->Record(static_cast<uint64_t>(filter_ns));
-  verify_span_metric->Record(static_cast<uint64_t>(verify_ns));
-  if (obs::ScopedTrace* trace = obs::ScopedTrace::Current()) {
-    trace->Add("span.query.filters", static_cast<uint64_t>(filter_ns));
-    trace->Add("span.query.verify", static_cast<uint64_t>(verify_ns));
-    trace->Add("query.latency_ns", static_cast<uint64_t>(total_ns));
-  }
-  if (stats != nullptr) *stats = local;
-  return found;
-}
-
-std::vector<Match> SkewedPathIndex::QueryAll(std::span<const ItemId> query,
-                                             double threshold,
-                                             QueryStats* stats) const {
-  SKEWSEARCH_SPAN("query.all");
-  Timer timer;
-  QueryStats local;
-  std::vector<Match> out;
-  if (family_.valid() && !query.empty()) {
-    // QueryAll exhausts every repetition (no early exit), so the fused
-    // all-repetitions pass applies; key order matches the per-rep loop.
-    std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
-    family_.ComputeAllFilters(query, &keys, &offsets);
-    local.filters += keys.size();
-    PostingSet<VectorId> seen;
-    for (uint64_t key : keys) {
-      auto postings = table_.Lookup(key);
-      local.candidates += postings.size();
-      for (VectorId id : postings) {
-        if (!seen.insert(id).second) continue;
-        local.verifications++;
-        double sim =
-            Similarity(options_.verify_measure, query, data_->Get(id));
-        if (sim >= threshold) out.push_back({id, sim});
-      }
-    }
-    local.distinct_candidates = seen.size();
-  }
-  std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<Match> SkewedPathIndex::QueryTopK(std::span<const ItemId> query,
-                                              size_t k,
-                                              QueryStats* stats) const {
-  // Rank every surfaced candidate (threshold 0 keeps them all), truncate.
-  std::vector<Match> all = QueryAll(query, 0.0, stats);
-  if (all.size() > k) all.resize(k);
-  return all;
-}
-
-std::vector<std::optional<Match>> SkewedPathIndex::BatchQuery(
-    const Dataset& queries, int threads, std::vector<QueryStats>* stats,
-    BatchQueryStats* batch_stats) const {
-  return batch_internal::RunWithTransientPool(threads, [&](ThreadPool* pool) {
-    return BatchQuery(queries, pool, stats, batch_stats);
-  });
-}
-
-std::vector<std::optional<Match>> SkewedPathIndex::BatchQuery(
-    const Dataset& queries, ThreadPool* pool, std::vector<QueryStats>* stats,
-    BatchQueryStats* batch_stats) const {
-  return batch_internal::Run<QueryScratch>(
-      queries, pool, stats, batch_stats,
-      [&](size_t i, QueryScratch* scratch, QueryStats* query_stats) {
-        return QueryImpl(queries.Get(static_cast<VectorId>(i)), query_stats,
-                         scratch);
-      },
-      [](const QueryScratch& scratch, BatchQueryStats* agg) {
-        AddPathGenStats(&agg->path_gen, scratch.path_gen);
-      });
-}
-
-double SkewedPathIndex::EstimateCollisionRate(
-    std::span<const ItemId> a, std::span<const ItemId> b) const {
-  if (!family_.valid() || build_stats_.repetitions == 0) return 0.0;
+double FilterFamily::EstimateCollisionRate(std::span<const ItemId> a,
+                                           std::span<const ItemId> b) const {
+  if (!valid() || repetitions_ == 0) return 0.0;
   // One fused pass per vector; repetition r's keys are the
   // offsets[r]..offsets[r+1] slice of each buffer.
   std::vector<uint64_t> keys_a, keys_b;
   std::vector<size_t> offs_a, offs_b;
-  family_.ComputeAllFilters(a, &keys_a, &offs_a);
-  family_.ComputeAllFilters(b, &keys_b, &offs_b);
+  ComputeAllFilters(a, &keys_a, &offs_a);
+  ComputeAllFilters(b, &keys_b, &offs_b);
   int collisions = 0;
   PostingSet<uint64_t> set_a;
-  for (int rep = 0; rep < build_stats_.repetitions; ++rep) {
+  for (int rep = 0; rep < repetitions_; ++rep) {
     const size_t r = static_cast<size_t>(rep);
     set_a.clear();
     for (size_t i = offs_a[r]; i < offs_a[r + 1]; ++i) {
@@ -485,14 +186,13 @@ double SkewedPathIndex::EstimateCollisionRate(
     }
     collisions += hit;
   }
-  return static_cast<double>(collisions) /
-         static_cast<double>(build_stats_.repetitions);
+  return static_cast<double>(collisions) / static_cast<double>(repetitions_);
 }
 
-Result<double> SkewedPathIndex::PredictQueryExponent(
+Result<double> FilterFamily::PredictQueryExponent(
     std::span<const ItemId> query) const {
-  if (!family_.valid()) {
-    return Status::InvalidArgument("index not built");
+  if (!valid()) {
+    return Status::InvalidArgument("filter family not initialized");
   }
   if (options_.mode == IndexMode::kCorrelated) {
     return CorrelatedRho(*dist_, options_.alpha);
@@ -506,169 +206,6 @@ Result<double> SkewedPathIndex::PredictQueryExponent(
     probs.push_back(dist_->p(item));
   }
   return AdversarialQueryRho(probs, options_.b1);
-}
-
-namespace {
-
-constexpr char kIndexMagic[4] = {'S', 'K', 'I', '1'};
-
-}  // namespace
-
-Status SkewedPathIndex::Save(const std::string& path) const {
-  namespace io = index_io_internal;
-  if (!family_.valid()) {
-    return Status::InvalidArgument("cannot save an unbuilt index");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  out.write(kIndexMagic, sizeof(kIndexMagic));
-  bool ok = io::WriteParams(out, options_, family_.verify_threshold(),
-                            build_stats_) &&
-            io::WritePod(out, io::Fingerprint(*data_));
-  if (!ok) return Status::IOError("header write to '" + path + "' failed");
-  SKEWSEARCH_RETURN_NOT_OK(table_.WriteTo(&out));
-  out.flush();
-  if (!out) return Status::IOError("flush of '" + path + "' failed");
-  return Status::OK();
-}
-
-Status SkewedPathIndex::Load(const std::string& path, const Dataset* data,
-                             const ProductDistribution* dist) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kIndexMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a skewsearch index file");
-  }
-  io::ParamHeader header;
-  Status params = io::ReadParams(in, &header);
-  if (!params.ok()) {
-    return Status::InvalidArgument(params.message() + " in '" + path + "'");
-  }
-  uint64_t fingerprint = 0;
-  if (!io::ReadPod(in, &fingerprint)) {
-    return Status::InvalidArgument("truncated index header in '" + path +
-                                   "'");
-  }
-  if (fingerprint != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-
-  FilterTable table;
-  SKEWSEARCH_RETURN_NOT_OK(table.ReadFrom(&in));
-  // Posting ids must reference the supplied dataset; a corrupt table that
-  // passed the structural checks would otherwise crash the first query.
-  for (size_t k = 0; k < table.num_keys(); ++k) {
-    for (VectorId id : table.postings_at(k)) {
-      if (id >= data->size()) {
-        return Status::InvalidArgument(
-            "filter table references vector ids beyond the dataset");
-      }
-    }
-  }
-
-  data_ = data;
-  dist_ = dist;
-  options_ = header.options;
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  table_ = std::move(table);
-  frozen_.reset();
-  return Status::OK();
-}
-
-Status SkewedPathIndex::Freeze(const std::string& path) const {
-  namespace io = index_io_internal;
-  if (!family_.valid()) {
-    return Status::InvalidArgument("cannot freeze an unbuilt index");
-  }
-  const FilterTable* shard = &table_;
-  return WriteFrozenShards(path, options_, family_.verify_threshold(),
-                           build_stats_, io::Fingerprint(*data_),
-                           std::span<const FilterTable* const>(&shard, 1));
-}
-
-Status SkewedPathIndex::MapFrozen(const std::string& path,
-                                  const Dataset* data,
-                                  const ProductDistribution* dist) {
-  return MapFrozen(path, data, dist, FrozenMapOptions{});
-}
-
-Status SkewedPathIndex::MapFrozen(const std::string& path,
-                                  const Dataset* data,
-                                  const ProductDistribution* dist,
-                                  const FrozenMapOptions& options) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  Result<std::shared_ptr<const FrozenShardFile>> mapped =
-      FrozenShardFile::Map(path, options);
-  if (!mapped.ok()) return mapped.status();
-  std::shared_ptr<const FrozenShardFile> file = std::move(mapped).value();
-  if (file->num_shards() != 1) {
-    return Status::InvalidArgument(
-        "'" + path + "' holds " + std::to_string(file->num_shards()) +
-        " shards; expected an unsharded frozen index");
-  }
-  if (file->fingerprint() != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-  // The checksummed metadata bounds every posting id, so rejecting ids
-  // beyond the dataset needs no O(index) scan (unlike Load).
-  const FrozenShardFile::ShardInfo& info = file->shard_info(0);
-  if (info.ids_count > 0 && info.max_id >= data->size()) {
-    return Status::InvalidArgument(
-        "filter table references vector ids beyond the dataset");
-  }
-
-  const index_io_internal::ParamHeader& header = file->params();
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-  Result<FilterTable> view = file->MakeShardView(0);
-  if (!view.ok()) return view.status();
-
-  data_ = data;
-  dist_ = dist;
-  options_ = header.options;
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  table_ = std::move(view).value();
-  frozen_ = std::move(file);
-  return Status::OK();
 }
 
 }  // namespace skewsearch

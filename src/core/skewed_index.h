@@ -1,7 +1,7 @@
 // Copyright 2026 The skewsearch Authors.
-// SkewedPathIndex — the paper's primary contribution.
+// The paper's primary contribution: the skew-adaptive path-filter family.
 //
-// A recursive, data-dependent locality-sensitive-filtering index over
+// A recursive, data-dependent locality-sensitive-filtering structure over
 // sparse boolean vectors drawn from a known product distribution
 // D[p_1..p_d]. Two modes:
 //
@@ -13,36 +13,28 @@
 //     with some dataset vector (Definition 3); thresholds are weighted by
 //     the conditional probabilities p_hat_i = p_i(1-alpha) + alpha.
 //
-// One build performs L independent repetitions (fresh hash functions per
+// One family holds L independent repetitions (fresh hash functions per
 // repetition) to boost the per-repetition success probability of
 // Lemma 5 (>= 1/ln n) to a constant; queries probe all repetitions.
+// The static index over it is core/sharded_index.h (one shard is the
+// unsharded case) and the online one is core/dynamic_index.h.
 
 #ifndef SKEWSEARCH_CORE_SKEWED_INDEX_H_
 #define SKEWSEARCH_CORE_SKEWED_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "core/index_view.h"
-#include "core/inverted_index.h"
 #include "core/path_engine.h"
 #include "core/path_policy.h"
-#include "core/query_stats.h"
-#include "data/dataset.h"
 #include "data/distribution.h"
 #include "hashing/path_hasher.h"
-#include "sim/brute_force.h"
 #include "sim/measures.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace skewsearch {
-
-class ThreadPool;       // util/thread_pool.h
-class FrozenShardFile;  // core/frozen_shard.h
-struct FrozenMapOptions;
 
 /// Which of the paper's two analyses the index instantiates.
 enum class IndexMode {
@@ -114,8 +106,8 @@ struct IndexBuildStats {
   double build_seconds = 0.0;
 };
 
-/// \brief The L-repetition path-filter family shared by every index
-/// flavor (single, sharded, dynamic).
+/// \brief The L-repetition path-filter family shared by the static
+/// (ShardedIndex) and online (DynamicIndex) indexes.
 ///
 /// Bundles parameter derivation (repetitions, delta, verify threshold,
 /// depth bound) with the per-repetition filter computation F_r(x), i.e.
@@ -140,7 +132,7 @@ class FilterFamily {
                                      const SkewedIndexOptions& options,
                                      size_t n);
 
-  /// Rebuilds a family from persisted parameters (the Load path):
+  /// Rebuilds a family from persisted parameters (the load paths):
   /// validation and engine construction as in Create, but repetitions /
   /// delta / verify threshold are taken as stored instead of re-derived.
   static Result<FilterFamily> Restore(const ProductDistribution* dist,
@@ -168,6 +160,19 @@ class FilterFamily {
                          PathGenStats* stats = nullptr,
                          size_t* capped_reps = nullptr) const;
 
+  /// Lemma 5 diagnostic: the fraction of repetitions in which F(a) and
+  /// F(b) share at least one filter. For a b1-similar (or alpha-
+  /// correlated) pair this is the per-repetition success probability the
+  /// repetition count is provisioned against (>= 1/ln n per Lemma 5).
+  /// Returns 0 for an invalid family.
+  double EstimateCollisionRate(std::span<const ItemId> a,
+                               std::span<const ItemId> b) const;
+
+  /// Analytic per-query cost exponent (Lemma 8): solves
+  /// sum_{i in q} p_i^rho = b1 |q| for this family's b1. Only meaningful
+  /// in kAdversarial mode; kCorrelated returns the global Theorem 1 rho.
+  Result<double> PredictQueryExponent(std::span<const ItemId> query) const;
+
   /// True once Create()/Restore() succeeded.
   bool valid() const { return engine_ != nullptr; }
 
@@ -187,149 +192,6 @@ class FilterFamily {
   std::unique_ptr<ThresholdPolicy> policy_;
   std::unique_ptr<PathHasher> hasher_;
   std::unique_ptr<PathEngine> engine_;
-};
-
-/// \brief The skew-adaptive chosen-path index.
-///
-/// Usage:
-/// \code
-///   SkewedPathIndex index;
-///   SkewedIndexOptions opt;
-///   opt.mode = IndexMode::kCorrelated;
-///   opt.alpha = 0.7;
-///   SKEWSEARCH_RETURN_NOT_OK(index.Build(&data, &dist, opt));
-///   if (auto hit = index.Query(q.span())) { ... }
-/// \endcode
-///
-/// The dataset and distribution are borrowed and must outlive the index.
-/// Queries are const and safe to issue from multiple threads.
-class SkewedPathIndex : public IndexView {
- public:
-  SkewedPathIndex() = default;
-
-  /// Builds the inverted filter index over \p data.
-  Status Build(const Dataset* data, const ProductDistribution* dist,
-               const SkewedIndexOptions& options);
-
-  /// Returns some vector with similarity >= verify_threshold(), scanning
-  /// candidates in filter order and stopping at the first hit (the paper's
-  /// query semantics), or nullopt.
-  std::optional<Match> Query(std::span<const ItemId> query,
-                             QueryStats* stats = nullptr) const;
-
-  /// Returns all distinct candidates with similarity >= \p threshold,
-  /// sorted by descending similarity (ties by id). Exhausts all filters.
-  std::vector<Match> QueryAll(std::span<const ItemId> query, double threshold,
-                              QueryStats* stats = nullptr) const;
-
-  /// Returns the k most similar *candidates* (approximate top-k: ranking
-  /// is exact among the vectors the filters surface, which under the
-  /// paper's guarantees include every sufficiently similar vector w.h.p.).
-  std::vector<Match> QueryTopK(std::span<const ItemId> query, size_t k,
-                               QueryStats* stats = nullptr) const;
-
-  /// Answers every vector of \p queries as a Query(), using \p threads
-  /// workers from a transient pool (<= 1 = serial). Results align
-  /// positionally with queries; \p stats (if non-null) is resized
-  /// likewise and \p batch_stats (if non-null) receives batch-level
-  /// aggregates including the summed PathGenStats. Queries are
-  /// independent and the index is immutable, so results are identical
-  /// to the serial ones for every thread count.
-  std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, int threads = 0,
-      std::vector<QueryStats>* stats = nullptr,
-      BatchQueryStats* batch_stats = nullptr) const;
-
-  /// Same, but shards onto caller-owned \p pool (null = serial), so one
-  /// pool can be reused across many batches. Worker slots reuse their
-  /// filter/candidate buffers across the queries they answer.
-  std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, ThreadPool* pool,
-      std::vector<QueryStats>* stats = nullptr,
-      BatchQueryStats* batch_stats = nullptr) const;
-
-  /// Lemma 5 diagnostic: the fraction of repetitions in which F(a) and
-  /// F(b) share at least one filter. For a b1-similar (or alpha-
-  /// correlated) pair this is the per-repetition success probability the
-  /// repetition count is provisioned against (>= 1/ln n per Lemma 5).
-  double EstimateCollisionRate(std::span<const ItemId> a,
-                               std::span<const ItemId> b) const;
-
-  /// Analytic per-query cost exponent (Lemma 8): solves
-  /// sum_{i in q} p_i^rho = b1 |q| for this index's b1. Only meaningful in
-  /// kAdversarial mode; kCorrelated returns the global Theorem 1 rho.
-  Result<double> PredictQueryExponent(std::span<const ItemId> query) const;
-
-  /// The filter keys F(q) the index would probe for \p query
-  /// (diagnostics / tests).
-  std::vector<uint64_t> ComputeFilterKeys(std::span<const ItemId> query) const;
-
-  // Shared read-only surface (documented on core/index_view.h).
-  bool built() const override { return family_.valid(); }
-  const IndexBuildStats& build_stats() const override { return build_stats_; }
-  const FilterFamily& family() const override { return family_; }
-  double verify_threshold() const override {
-    return family_.verify_threshold();
-  }
-  int repetitions() const override { return build_stats_.repetitions; }
-  size_t MemoryBytes() const override { return table_.MemoryBytes(); }
-
-  const SkewedIndexOptions& options() const { return options_; }
-
-  /// The frozen posting lists (diagnostics/tests).
-  const FilterTable& filter_table() const { return table_; }
-
-  /// Persists the built index (configuration + inverted filter table +
-  /// a fingerprint of the dataset) so it can be reloaded without paying
-  /// the build again. Only valid after Build().
-  Status Save(const std::string& path) const;
-
-  /// Restores an index saved with Save(). The caller re-supplies the
-  /// *same* dataset and distribution (both are borrowed, not serialized);
-  /// a fingerprint check rejects mismatched data. Queries on the loaded
-  /// index behave identically to the original (the hash functions are
-  /// reconstructed deterministically from the stored seed).
-  Status Load(const std::string& path, const Dataset* data,
-              const ProductDistribution* dist);
-
-  /// Persists the built index as a single-shard SKF1 frozen file
-  /// (core/frozen_shard.h) — the layout MapFrozen() serves zero-copy.
-  /// Only valid after Build()/Load().
-  Status Freeze(const std::string& path) const;
-
-  /// Restores an index from a file written by Freeze(), serving the
-  /// posting table zero-copy out of the mapped bytes: start time is
-  /// O(1) in the index size (metadata validation only) and queries are
-  /// byte-identical to a heap Load() of the same index. The caller
-  /// re-supplies the same dataset and distribution (fingerprint-checked,
-  /// as in Load).
-  Status MapFrozen(const std::string& path, const Dataset* data,
-                   const ProductDistribution* dist);
-  Status MapFrozen(const std::string& path, const Dataset* data,
-                   const ProductDistribution* dist,
-                   const FrozenMapOptions& options);
-
-  /// The mapped frozen file backing this index, or null when heap-built
-  /// (diagnostics: `mapped()`, `file_bytes()`).
-  const FrozenShardFile* frozen_file() const { return frozen_.get(); }
-
- private:
-  /// Per-thread reusable query workspace (defined in skewed_index.cc).
-  struct QueryScratch;
-
-  /// Query() against caller-provided scratch buffers; accumulates the
-  /// engine's PathGenStats into the scratch.
-  std::optional<Match> QueryImpl(std::span<const ItemId> query,
-                                 QueryStats* stats,
-                                 QueryScratch* scratch) const;
-
-  const Dataset* data_ = nullptr;
-  const ProductDistribution* dist_ = nullptr;
-  SkewedIndexOptions options_;
-  FilterFamily family_;
-  FilterTable table_;  // a zero-copy view into frozen_ when mapped
-  IndexBuildStats build_stats_;
-  std::shared_ptr<const FrozenShardFile> frozen_;  // keeps views alive
 };
 
 }  // namespace skewsearch

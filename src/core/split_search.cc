@@ -165,15 +165,15 @@ Status SplitSearcher::Build(const Dataset* data,
   SkewedIndexOptions sub = options.index;
   sub.mode = IndexMode::kAdversarial;
   sub.b1 = b_f;
-  frequent_index_ = std::make_unique<SkewedPathIndex>();
+  frequent_index_ = std::make_unique<ShardedIndex>();
   SKEWSEARCH_RETURN_NOT_OK(
-      frequent_index_->Build(&frequent_data_, &frequent_dist_, sub));
+      frequent_index_->Build(&frequent_data_, &frequent_dist_, {sub, 1}));
 
   sub.b1 = b_r;
   sub.seed = options.index.seed ^ 0x9e3779b97f4a7c15ULL;
-  rare_index_ = std::make_unique<SkewedPathIndex>();
+  rare_index_ = std::make_unique<ShardedIndex>();
   SKEWSEARCH_RETURN_NOT_OK(
-      rare_index_->Build(&rare_data_, &rare_dist_, sub));
+      rare_index_->Build(&rare_data_, &rare_dist_, {sub, 1}));
   return Status::OK();
 }
 
@@ -190,7 +190,7 @@ std::optional<Match> SplitSearcher::Query(std::span<const ItemId> query,
     // Candidates from either half; verification is always on the *full*
     // vectors against the overall threshold b1.
     for (int side = 0; side < 2 && !found; ++side) {
-      const SkewedPathIndex& index =
+      const ShardedIndex& index =
           side == 0 ? *frequent_index_ : *rare_index_;
       const SparseVector& sub_query = side == 0 ? qf : qr;
       if (sub_query.empty()) continue;

@@ -14,7 +14,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/dataset.h"
 #include "data/distribution.h"
 #include "sim/brute_force.h"
@@ -82,8 +82,8 @@ class SplitSearcher {
   Dataset rare_data_;
   ProductDistribution frequent_dist_;
   ProductDistribution rare_dist_;
-  std::unique_ptr<SkewedPathIndex> frequent_index_;
-  std::unique_ptr<SkewedPathIndex> rare_index_;
+  std::unique_ptr<ShardedIndex> frequent_index_;
+  std::unique_ptr<ShardedIndex> rare_index_;
 };
 
 }  // namespace skewsearch

@@ -453,7 +453,6 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   const size_t num_sessions = sessions_.size();
   std::vector<std::vector<ProbeResponse>> responses(worker_count);
   std::vector<double> worker_seconds(worker_count, 0.0);
-  std::vector<Status> worker_status(worker_count);
   std::vector<Status> session_status(num_sessions);
   std::vector<size_t> exposed_trips(worker_count, 0);
   std::vector<size_t> batches_sent(worker_count, 0);
@@ -547,10 +546,6 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
                         for (size_t u = begin; u < end; ++u) serve_unit(u);
                       });
   }
-  for (const Status& status : worker_status) {
-    SKEWSEARCH_RETURN_NOT_OK(status);
-  }
-
   // Phase 2b — recovery (remote only). A failed session means its
   // worker died mid-join: close it out, re-derive every slice it held
   // (BuildAssignment is a pure function of the deterministic plan and

@@ -39,12 +39,11 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stop_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
+      // Counted at dequeue, under the same lock: the count is in place
+      // before task() can make the caller's future ready.
       tasks_executed_++;
     }
+    task();
   }
 }
 

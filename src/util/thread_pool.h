@@ -66,7 +66,9 @@ class ThreadPool {
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t, int)>& fn);
 
-  /// Total tasks fully executed by the workers (diagnostics/tests).
+  /// Total tasks a worker has dequeued to run (diagnostics/tests). A
+  /// task is counted before it runs, so once its future is ready the
+  /// count already includes it; a task still running is counted too.
   size_t tasks_executed() const;
 
  private:

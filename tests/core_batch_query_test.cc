@@ -7,7 +7,7 @@
 
 #include "baselines/chosen_path.h"
 #include "baselines/minhash_lsh.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -51,11 +51,11 @@ void ExpectSameResults(const std::vector<std::optional<Match>>& a,
 
 TEST(BatchQueryDeterminismTest, SkewedIndexMatchesSerialAcrossThreadCounts) {
   BatchFixture f = MakeFixture();
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.8;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, options).ok());
+  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   const auto serial = index.BatchQuery(f.queries, 1);
   for (int threads : {2, 8}) {
@@ -89,11 +89,11 @@ TEST(BatchQueryDeterminismTest, MinHashMatchesSerialAcrossThreadCounts) {
 
 TEST(BatchQueryDeterminismTest, BatchAgreesWithIndividualQueries) {
   BatchFixture f = MakeFixture();
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.8;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, options).ok());
+  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   std::vector<QueryStats> per_query;
   const auto batch = index.BatchQuery(f.queries, 8, &per_query);
@@ -119,9 +119,9 @@ TEST(BatchQueryEdgeTest, EmptyBatchOnEveryEngine) {
   BatchFixture f = MakeFixture(100, 0);
   ASSERT_TRUE(f.queries.empty());
 
-  SkewedPathIndex skewed;
+  ShardedIndex skewed;
   SkewedIndexOptions skewed_options;
-  ASSERT_TRUE(skewed.Build(&f.data, &f.dist, skewed_options).ok());
+  ASSERT_TRUE(skewed.Build(&f.data, &f.dist, {skewed_options, 1}).ok());
   std::vector<QueryStats> stats{QueryStats{}};  // stale entry must be cleared
   BatchQueryStats batch_stats;
   EXPECT_TRUE(skewed.BatchQuery(f.queries, 4, &stats, &batch_stats).empty());
@@ -147,9 +147,9 @@ TEST(BatchQueryEdgeTest, BatchLargerThanPoolAndQueriesWithEmptyVectors) {
     queries.Add(f.queries.Get(static_cast<VectorId>(i)));
     if (i % 7 == 0) queries.Add(std::span<const ItemId>{});
   }
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, options).ok());
+  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   ThreadPool pool(3);  // batch of ~73 on 3 workers
   const auto serial = index.BatchQuery(queries, 1);
@@ -164,11 +164,11 @@ TEST(BatchQueryEdgeTest, BatchLargerThanPoolAndQueriesWithEmptyVectors) {
 
 TEST(BatchQueryStatsTest, AggregatesEqualPerQuerySums) {
   BatchFixture f = MakeFixture();
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.8;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, options).ok());
+  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   for (int threads : {1, 2, 8}) {
     std::vector<QueryStats> per_query;
@@ -195,9 +195,9 @@ TEST(BatchQueryStatsTest, AggregatesEqualPerQuerySums) {
 
 TEST(BatchQueryStatsTest, ReusedPoolServesManyBatchesConsistently) {
   BatchFixture f = MakeFixture();
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, options).ok());
+  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   ThreadPool pool(4);
   const auto serial = index.BatchQuery(f.queries, 1);
@@ -206,6 +206,41 @@ TEST(BatchQueryStatsTest, ReusedPoolServesManyBatchesConsistently) {
   }
   // A null pool means serial execution through the same code path.
   ExpectSameResults(serial, index.BatchQuery(f.queries, nullptr));
+}
+
+TEST(BatchQueryTest, MatchesSerialQueries) {
+  auto dist = TwoBlockProbabilities(120, 0.25, 6000, 0.005).value();
+  Rng rng(14);
+  Dataset data = GenerateDataset(dist, 200, &rng);
+  ShardedIndex index;
+  SkewedIndexOptions options;
+  options.mode = IndexMode::kCorrelated;
+  options.alpha = 0.7;
+  options.repetitions = 8;
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
+
+  CorrelatedQuerySampler sampler(&dist, 0.7);
+  Dataset queries;
+  for (int t = 0; t < 40; ++t) {
+    queries.Add(sampler.SampleCorrelated(data.Get(t % data.size()), &rng));
+  }
+  std::vector<QueryStats> batch_stats;
+  auto parallel = index.BatchQuery(queries, 4, &batch_stats);
+  ASSERT_EQ(batch_stats.size(), queries.size());
+  ExpectSameResults(parallel, index.BatchQuery(queries, 1));
+}
+
+TEST(BatchQueryTest, EmptyBatch) {
+  auto dist = UniformProbabilities(100, 0.1).value();
+  Rng rng(15);
+  Dataset data = GenerateDataset(dist, 50, &rng);
+  ShardedIndex index;
+  SkewedIndexOptions options;
+  options.mode = IndexMode::kAdversarial;
+  options.b1 = 0.5;
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
+  Dataset empty;
+  EXPECT_TRUE(index.BatchQuery(empty, 4).empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/dynamic_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -91,8 +92,8 @@ TEST(CostModelTest, MatchesMeasuredBuildWithinBand) {
   options.alpha = 0.7;
   options.delta = 0.1;
   options.repetitions = 6;
-  SkewedPathIndex index;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ShardedIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   double measured = index.build_stats().avg_filters_per_element;
   double predicted = PredictFiltersPerElement(dist, options, n).value();
   EXPECT_GT(predicted, measured / 2.5);
@@ -108,8 +109,8 @@ TEST(CostModelTest, AdversarialModeMatchesMeasuredBand) {
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
   options.repetitions = 6;
-  SkewedPathIndex index;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ShardedIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   double measured = index.build_stats().avg_filters_per_element;
   double predicted = PredictFiltersPerElement(dist, options, n).value();
   EXPECT_GT(predicted, measured / 3.0);

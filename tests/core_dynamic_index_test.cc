@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/dynamic_index.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "maintenance/service.h"
@@ -82,8 +82,8 @@ bool ContainsId(const std::vector<Match>& matches, VectorId id) {
 }
 
 TEST_F(DynamicIndexTest, FreshBuildMatchesUnshardedQueryAll) {
-  SkewedPathIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, Options().index).ok());
+  ShardedIndex reference;
+  ASSERT_TRUE(reference.Build(&data_, &dist_, {Options().index, 1}).ok());
   DynamicIndex dynamic;
   ASSERT_TRUE(dynamic.Build(&data_, &dist_, Options()).ok());
   EXPECT_EQ(dynamic.size(), data_.size());

@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "core/sharded_index.h"
-#include "core/skewed_index.h"
 #include "data/generators.h"
+#include "frozen_test_util.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -274,27 +274,6 @@ TEST_F(FrozenShardFuzzTest, FieldCorruptionsWithRecomputedChecksum) {
   // metadata checksum so only the deeper validation can object. The
   // per-field O(1) checks (bounds, alignment, bracketing) must still
   // reject — or the payload pass must — without ever crashing.
-  auto recompute = [](std::string* bytes) {
-    uint64_t param_size = 0, table_offset = 0;
-    uint32_t num_shards = 0;
-    std::memcpy(&param_size, bytes->data() + 40, 8);
-    std::memcpy(&table_offset, bytes->data() + 48, 8);
-    std::memcpy(&num_shards, bytes->data() + 24, 4);
-    const uint64_t table_bytes = uint64_t{64} * num_shards;
-    if (64 + param_size > bytes->size() ||
-        table_offset > bytes->size() ||
-        table_bytes > bytes->size() - table_offset) {
-      return false;  // cannot even locate the checksummed regions
-    }
-    frozen_internal::Checksum64 sum;
-    sum.Update(bytes->data(), 56);
-    sum.Update(bytes->data() + 64, param_size);
-    sum.Update(bytes->data() + table_offset, table_bytes);
-    const uint64_t digest = sum.digest();
-    std::memcpy(bytes->data() + 56, &digest, 8);
-    return true;
-  };
-
   uint64_t table_offset = 0;
   std::memcpy(&table_offset, pristine_.data() + 48, 8);
   struct FieldMutation {
@@ -333,9 +312,40 @@ TEST_F(FrozenShardFuzzTest, FieldCorruptionsWithRecomputedChecksum) {
   for (const FieldMutation& m : mutations) {
     std::string mutant = pristine_;
     std::memcpy(mutant.data() + m.offset, &m.value, m.width);
-    if (!recompute(&mutant)) continue;
+    if (!test::RecomputeFrozenMetaChecksum(&mutant)) continue;
     if (mutant == pristine_) continue;
     ExpectCleanOutcome(mutant, m.label);
+  }
+
+  // Fields only the parameter and id-range validation can judge: enum
+  // bytes no IndexMode / HashEngine / Measure has (ReadParams), repetition
+  // counts FilterFamily::Restore refuses, and a posting-id bound beyond
+  // the dataset. A clean outcome is not enough: each must be rejected.
+  uint64_t param_offset = 0;
+  std::memcpy(&param_offset, pristine_.data() + 32, 8);
+  const size_t mode =
+      static_cast<size_t>(param_offset) + test::kFrozenParamModeOffset;
+  const size_t repetitions = static_cast<size_t>(param_offset) +
+                             test::kFrozenParamRepetitionsOffset;
+  const std::vector<FieldMutation> rejected = {
+      {mode, 17, 1, "mode 17"},
+      {mode + 1, 17, 1, "hash engine 17"},
+      {mode + 2, 17, 1, "measure 17"},
+      {repetitions, 0, 4, "repetitions 0"},
+      {repetitions, static_cast<uint32_t>(-5), 4, "repetitions -5"},
+      {repetitions, uint64_t{1} << 24, 4, "repetitions 2^24"},
+      {static_cast<size_t>(table_offset) + 48, data_.size(), 8,
+       "max_id beyond the dataset"},
+  };
+  for (const FieldMutation& m : rejected) {
+    std::string mutant = pristine_;
+    std::memcpy(mutant.data() + m.offset, &m.value, m.width);
+    ASSERT_TRUE(test::RecomputeFrozenMetaChecksum(&mutant)) << m.label;
+    ASSERT_NE(mutant, pristine_) << m.label;
+    WriteMutant(mutant);
+    ShardedIndex mapped;
+    Status s = mapped.MapFrozen(mutant_path_, &data_, &dist_);
+    EXPECT_TRUE(s.IsInvalidArgument()) << m.label << ": " << s.ToString();
   }
 }
 

@@ -1,8 +1,9 @@
 // Differential identity suite for the SKF1 frozen-shard path: a mapped
 // index (MapFrozen) must answer every query byte-identically to the heap
-// index it was frozen from (and to a heap Load of the same build),
-// across dataset shapes, seeds, sharded and unsharded — plus committed
-// save -> freeze -> map round-trip goldens that pin the format bytes.
+// index it was frozen from (and to a heap read of the same file,
+// FrozenMapOptions::force_heap), across dataset shapes, seeds, one shard
+// and several — plus committed build -> freeze -> map round-trip goldens
+// that pin the format bytes.
 // Regenerate goldens with SKEWSEARCH_REGEN_GOLDEN=1 after a deliberate
 // format change (and update docs/FILE_FORMATS.md accordingly).
 
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "core/sharded_index.h"
-#include "core/skewed_index.h"
 #include "data/generators.h"
 #include "data/mann_profiles.h"
 #include "test_paths.h"
@@ -63,29 +63,32 @@ Shape MannShape(uint64_t seed) {
   return {"Mann", std::move(inst.distribution), inst.data.size()};
 }
 
-SkewedIndexOptions Options(uint64_t seed) {
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.7;
-  options.repetitions = 6;
-  options.seed = seed * 1000003 + 17;
+ShardedIndexOptions Options(uint64_t seed, int num_shards = 1) {
+  ShardedIndexOptions options;
+  options.index.mode = IndexMode::kCorrelated;
+  options.index.alpha = 0.7;
+  options.index.repetitions = 6;
+  options.index.seed = seed * 1000003 + 17;
+  options.num_shards = num_shards;
+  return options;
+}
+
+/// Full validation (payload checksums + shard placement) of a mapping.
+FrozenMapOptions Verified() {
+  FrozenMapOptions options;
+  options.verify_payload = true;
+  return options;
+}
+
+/// The fully validated heap read of a frozen file.
+FrozenMapOptions HeapRead() {
+  FrozenMapOptions options = Verified();
+  options.force_heap = true;
   return options;
 }
 
 /// Exhaustive self-join sweep through QueryAll: the canonical pair list
-/// both index flavors must agree on byte-for-byte.
-std::vector<std::pair<VectorId, Match>> JoinSweep(const Dataset& data,
-                                                  const SkewedPathIndex& a) {
-  std::vector<std::pair<VectorId, Match>> pairs;
-  for (VectorId id = 0; id < data.size(); ++id) {
-    for (const Match& m :
-         a.QueryAll(data.Get(id), a.verify_threshold())) {
-      if (m.id != id) pairs.emplace_back(id, m);
-    }
-  }
-  return pairs;
-}
-
+/// the heap and mapped indexes must agree on byte-for-byte.
 std::vector<std::pair<VectorId, Match>> JoinSweep(const Dataset& data,
                                                   const ShardedIndex& a) {
   std::vector<std::pair<VectorId, Match>> pairs;
@@ -98,9 +101,8 @@ std::vector<std::pair<VectorId, Match>> JoinSweep(const Dataset& data,
   return pairs;
 }
 
-template <typename Index>
-void ExpectIdenticalQueries(const Dataset& data, const Index& heap,
-                            const Index& mapped) {
+void ExpectIdenticalQueries(const Dataset& data, const ShardedIndex& heap,
+                            const ShardedIndex& mapped) {
   size_t hits = 0;
   for (VectorId id = 0; id < data.size(); ++id) {
     auto query = data.Get(id);
@@ -147,22 +149,20 @@ TEST_F(FrozenShardTest, MapMatchesHeapLoadAcrossShapesAndSeeds) {
       Rng rng(seed);
       Dataset data = GenerateDataset(shape.dist, shape.n, &rng);
 
-      SkewedPathIndex built;
+      ShardedIndex built;
       ASSERT_TRUE(built.Build(&data, &shape.dist, Options(seed)).ok());
-      std::string saved = Track(Tmp(".skidx"));
       std::string frozen = Track(Tmp(".skf"));
-      ASSERT_TRUE(built.Save(saved).ok());
       ASSERT_TRUE(built.Freeze(frozen).ok());
 
-      SkewedPathIndex heap;
-      ASSERT_TRUE(heap.Load(saved, &data, &shape.dist).ok());
-      SkewedPathIndex mapped;
+      ShardedIndex heap;
+      ASSERT_TRUE(heap.MapFrozen(frozen, &data, &shape.dist, HeapRead()).ok());
+      ShardedIndex mapped;
       ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &shape.dist).ok());
       ASSERT_TRUE(mapped.built());
       ASSERT_NE(mapped.frozen_file(), nullptr);
-      EXPECT_TRUE(mapped.filter_table().is_view());
+      EXPECT_TRUE(mapped.shard_table(0).is_view());
       // The view holds no posting heap of its own.
-      EXPECT_LT(mapped.MemoryBytes(), heap.MemoryBytes() / 4 + 1024);
+      EXPECT_LT(mapped.MemoryBytes(), built.MemoryBytes() / 4 + 1024);
 
       ExpectIdenticalQueries(data, heap, mapped);
       ExpectIdenticalQueries(data, built, mapped);
@@ -177,18 +177,13 @@ TEST_F(FrozenShardTest, ShardedMapMatchesHeapLoad) {
     Rng rng(seed);
     Dataset data = GenerateDataset(dist, 220, &rng);
 
-    ShardedIndexOptions options;
-    options.index = Options(seed);
-    options.num_shards = 3;
     ShardedIndex built;
-    ASSERT_TRUE(built.Build(&data, &dist, options).ok());
-    std::string saved = Track(Tmp(".skidx"));
+    ASSERT_TRUE(built.Build(&data, &dist, Options(seed, 3)).ok());
     std::string frozen = Track(Tmp(".skf"));
-    ASSERT_TRUE(built.Save(saved).ok());
     ASSERT_TRUE(built.Freeze(frozen).ok());
 
     ShardedIndex heap;
-    ASSERT_TRUE(heap.Load(saved, &data, &dist).ok());
+    ASSERT_TRUE(heap.MapFrozen(frozen, &data, &dist, HeapRead()).ok());
     ShardedIndex mapped;
     ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &dist).ok());
     ASSERT_EQ(mapped.num_shards(), 3);
@@ -199,10 +194,8 @@ TEST_F(FrozenShardTest, ShardedMapMatchesHeapLoad) {
 
     // The full-validation map (payload checksums + shard placement) must
     // accept a well-formed file and serve the same results.
-    FrozenMapOptions verify;
-    verify.verify_payload = true;
     ShardedIndex verified;
-    ASSERT_TRUE(verified.MapFrozen(frozen, &data, &dist, verify).ok());
+    ASSERT_TRUE(verified.MapFrozen(frozen, &data, &dist, Verified()).ok());
     ExpectIdenticalQueries(data, heap, verified);
   }
 }
@@ -211,15 +204,13 @@ TEST_F(FrozenShardTest, HeapFallbackServesIdenticalResults) {
   auto dist = TwoBlockProbabilities(100, 0.25, 4000, 0.008).value();
   Rng rng(5);
   Dataset data = GenerateDataset(dist, 180, &rng);
-  SkewedPathIndex built;
+  ShardedIndex built;
   ASSERT_TRUE(built.Build(&data, &dist, Options(5)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
 
-  FrozenMapOptions heap_options;
-  heap_options.force_heap = true;
-  SkewedPathIndex mapped;
-  ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &dist, heap_options).ok());
+  ShardedIndex mapped;
+  ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &dist, HeapRead()).ok());
   ASSERT_NE(mapped.frozen_file(), nullptr);
   EXPECT_FALSE(mapped.frozen_file()->mapped());
   ExpectIdenticalQueries(data, built, mapped);
@@ -229,11 +220,11 @@ TEST_F(FrozenShardTest, BatchQueriesMatchAcrossThreadCounts) {
   auto dist = TwoBlockProbabilities(100, 0.25, 4000, 0.008).value();
   Rng rng(9);
   Dataset data = GenerateDataset(dist, 180, &rng);
-  SkewedPathIndex built;
+  ShardedIndex built;
   ASSERT_TRUE(built.Build(&data, &dist, Options(9)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
-  SkewedPathIndex mapped;
+  ShardedIndex mapped;
   ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &dist).ok());
 
   auto serial = built.BatchQuery(data, 0);
@@ -255,10 +246,10 @@ TEST_F(FrozenShardTest, ApiErrors) {
   Rng rng(2);
   Dataset data = GenerateDataset(dist, 120, &rng);
 
-  SkewedPathIndex unbuilt;
+  ShardedIndex unbuilt;
   EXPECT_TRUE(unbuilt.Freeze(Tmp(".skf")).IsInvalidArgument());
 
-  SkewedPathIndex built;
+  ShardedIndex built;
   ASSERT_TRUE(built.Build(&data, &dist, Options(2)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
@@ -266,25 +257,17 @@ TEST_F(FrozenShardTest, ApiErrors) {
   // Wrong dataset: rejected by the fingerprint before any view exists.
   Rng other_rng(3);
   Dataset other = GenerateDataset(dist, 120, &other_rng);
-  SkewedPathIndex mapped;
+  ShardedIndex mapped;
   EXPECT_TRUE(mapped.MapFrozen(frozen, &other, &dist).IsInvalidArgument());
+  EXPECT_FALSE(mapped.built());
 
-  // A heap-format file is not a frozen file.
-  std::string saved = Track(Tmp(".skidx"));
-  ASSERT_TRUE(built.Save(saved).ok());
-  EXPECT_TRUE(mapped.MapFrozen(saved, &data, &dist).IsInvalidArgument());
-
-  // A sharded frozen file cannot back an unsharded index (and vice
-  // versa the shard count always comes from the file).
-  ShardedIndexOptions sharded_options;
-  sharded_options.index = Options(2);
-  sharded_options.num_shards = 2;
+  // The shard count always comes from the file.
   ShardedIndex sharded;
-  ASSERT_TRUE(sharded.Build(&data, &dist, sharded_options).ok());
+  ASSERT_TRUE(sharded.Build(&data, &dist, Options(2, 2)).ok());
   std::string sharded_frozen = Track(Tmp("_sharded.skf"));
   ASSERT_TRUE(sharded.Freeze(sharded_frozen).ok());
-  EXPECT_TRUE(
-      mapped.MapFrozen(sharded_frozen, &data, &dist).IsInvalidArgument());
+  ASSERT_TRUE(mapped.MapFrozen(sharded_frozen, &data, &dist).ok());
+  EXPECT_EQ(mapped.num_shards(), 2);
 
   EXPECT_TRUE(
       mapped.MapFrozen(Tmp("_missing.skf"), &data, &dist).IsIOError());
@@ -343,15 +326,15 @@ TEST_F(FrozenGoldenTest, SingleShardRoundTrip) {
   Dataset data;
   ProductDistribution dist;
   MakeFixedInstance(&data, &dist);
-  SkewedPathIndex built;
+  ShardedIndex built;
   ASSERT_TRUE(built.Build(&data, &dist, Options(777)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
   CheckGolden(frozen, "frozen_single_v1.skf");
 
   // The committed golden itself must map and serve the same answers as
-  // the fresh build (save -> freeze -> map round trip).
-  SkewedPathIndex mapped;
+  // the fresh build (build -> freeze -> map round trip).
+  ShardedIndex mapped;
   ASSERT_TRUE(
       mapped.MapFrozen(GoldenDir() + "/frozen_single_v1.skf", &data, &dist)
           .ok());
@@ -362,21 +345,16 @@ TEST_F(FrozenGoldenTest, ShardedRoundTrip) {
   Dataset data;
   ProductDistribution dist;
   MakeFixedInstance(&data, &dist);
-  ShardedIndexOptions options;
-  options.index = Options(777);
-  options.num_shards = 3;
   ShardedIndex built;
-  ASSERT_TRUE(built.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(built.Build(&data, &dist, Options(777, 3)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
   CheckGolden(frozen, "frozen_sharded_v1.skf");
 
   ShardedIndex mapped;
-  FrozenMapOptions verify;
-  verify.verify_payload = true;
   ASSERT_TRUE(mapped
                   .MapFrozen(GoldenDir() + "/frozen_sharded_v1.skf", &data,
-                             &dist, verify)
+                             &dist, Verified())
                   .ok());
   ExpectIdenticalQueries(data, built, mapped);
 }

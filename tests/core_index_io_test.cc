@@ -1,19 +1,25 @@
-// Save/Load of a built SkewedPathIndex plus the batch-query and
-// parallel-probe APIs.
+// Persistence of a built index through its only file format, SKF1
+// (ShardedIndex::Freeze / MapFrozen), at one shard: round trips, and
+// clean rejection of wrong datasets, foreign and damaged files. In the
+// test names "Save" means Freeze and "Load" means MapFrozen. The
+// two-shard, default-map counterpart of the field corruptions here is
+// FrozenShardFuzzTest.FieldCorruptionsWithRecomputedChecksum.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/similarity_join.h"
-#include "core/skewed_index.h"
+#include "core/frozen_shard.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
+#include "frozen_test_util.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -23,20 +29,30 @@ namespace {
 class IndexIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = test::TempPath("index_io", this, ".skidx");
+    path_ = test::TempPath("index_io", this, ".skf");
     dist_ = TwoBlockProbabilities(150, 0.25, 8000, 0.005).value();
     Rng rng(11);
     data_ = GenerateDataset(dist_, 250, &rng);
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  SkewedIndexOptions Options() const {
-    SkewedIndexOptions options;
-    options.mode = IndexMode::kCorrelated;
-    options.alpha = 0.7;
-    options.repetitions = 8;
-    options.seed = 4242;
+  ShardedIndexOptions Options() const {
+    ShardedIndexOptions options;
+    options.index.mode = IndexMode::kCorrelated;
+    options.index.alpha = 0.7;
+    options.index.repetitions = 8;
+    options.index.seed = 4242;
+    options.num_shards = 1;
     return options;
+  }
+
+  /// Maps path_ onto the heap with every posting validated (the
+  /// strictest read).
+  Status HeapLoad(ShardedIndex* index, const Dataset* data) const {
+    FrozenMapOptions heap;
+    heap.force_heap = true;
+    heap.verify_payload = true;
+    return index->MapFrozen(path_, data, &dist_, heap);
   }
 
   std::string path_;
@@ -45,17 +61,17 @@ class IndexIoTest : public ::testing::Test {
 };
 
 TEST_F(IndexIoTest, SaveRequiresBuiltIndex) {
-  SkewedPathIndex index;
-  EXPECT_TRUE(index.Save(path_).IsInvalidArgument());
+  ShardedIndex index;
+  EXPECT_TRUE(index.Freeze(path_).IsInvalidArgument());
 }
 
 TEST_F(IndexIoTest, RoundTripPreservesQueries) {
-  SkewedPathIndex original;
+  ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
 
-  SkewedPathIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
+  ShardedIndex loaded;
+  ASSERT_TRUE(HeapLoad(&loaded, &data_).ok());
   EXPECT_TRUE(loaded.built());
   EXPECT_EQ(loaded.repetitions(), original.repetitions());
   EXPECT_EQ(loaded.build_stats().total_filters,
@@ -72,25 +88,20 @@ TEST_F(IndexIoTest, RoundTripPreservesQueries) {
     // Identical filter computation and identical results.
     EXPECT_EQ(original.ComputeFilterKeys(q.span()),
               loaded.ComputeFilterKeys(q.span()));
-    auto a = original.QueryAll(q.span(), 0.0);
-    auto b = loaded.QueryAll(q.span(), 0.0);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].similarity, b[i].similarity);
-    }
+    EXPECT_EQ(original.QueryAll(q.span(), 0.0),
+              loaded.QueryAll(q.span(), 0.0));
   }
 }
 
 TEST_F(IndexIoTest, LoadRejectsDifferentDataset) {
-  SkewedPathIndex original;
+  ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
 
   Rng rng(13);
   Dataset other = GenerateDataset(dist_, 250, &rng);
-  SkewedPathIndex loaded;
-  Status s = loaded.Load(path_, &other, &dist_);
+  ShardedIndex loaded;
+  Status s = HeapLoad(&loaded, &other);
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("does not match"), std::string::npos);
 }
@@ -99,14 +110,14 @@ TEST_F(IndexIoTest, LoadRejectsGarbageFile) {
   std::ofstream out(path_, std::ios::binary);
   out << "this is not an index";
   out.close();
-  SkewedPathIndex loaded;
-  EXPECT_TRUE(loaded.Load(path_, &data_, &dist_).IsInvalidArgument());
+  ShardedIndex loaded;
+  EXPECT_TRUE(HeapLoad(&loaded, &data_).IsInvalidArgument());
 }
 
 TEST_F(IndexIoTest, LoadRejectsTruncatedFile) {
-  SkewedPathIndex original;
+  ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   std::ifstream in(path_, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -115,14 +126,31 @@ TEST_F(IndexIoTest, LoadRejectsTruncatedFile) {
   out.write(contents.data(),
             static_cast<std::streamsize>(contents.size() / 2));
   out.close();
-  SkewedPathIndex loaded;
-  EXPECT_FALSE(loaded.Load(path_, &data_, &dist_).ok());
+  ShardedIndex loaded;
+  EXPECT_FALSE(HeapLoad(&loaded, &data_).ok());
 }
 
 TEST_F(IndexIoTest, LoadMissingFileIsIOError) {
-  SkewedPathIndex loaded;
+  ShardedIndex loaded;
   EXPECT_TRUE(
-      loaded.Load("/nonexistent/index.skidx", &data_, &dist_).IsIOError());
+      loaded.MapFrozen("/nonexistent/index.skf", &data_, &dist_).IsIOError());
+}
+
+TEST_F(IndexIoTest, AdversarialRoundTrip) {
+  ShardedIndexOptions options;
+  options.index.mode = IndexMode::kAdversarial;
+  options.index.b1 = 0.6;
+  options.index.repetitions = 6;
+  options.num_shards = 1;
+  ShardedIndex original;
+  ASSERT_TRUE(original.Build(&data_, &dist_, options).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
+  ShardedIndex loaded;
+  ASSERT_TRUE(HeapLoad(&loaded, &data_).ok());
+  EXPECT_EQ(loaded.options().index.mode, IndexMode::kAdversarial);
+  auto hit = loaded.Query(data_.Get(0));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->id, 0u);
 }
 
 // ---- Negative paths: corruption must produce clean errors, not crashes.
@@ -130,9 +158,9 @@ TEST_F(IndexIoTest, LoadMissingFileIsIOError) {
 class IndexIoCorruptionTest : public IndexIoTest {
  protected:
   std::string SaveValidIndex() {
-    SkewedPathIndex original;
+    ShardedIndex original;
     EXPECT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-    EXPECT_TRUE(original.Save(path_).ok());
+    EXPECT_TRUE(original.Freeze(path_).ok());
     std::ifstream in(path_, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -145,13 +173,16 @@ class IndexIoCorruptionTest : public IndexIoTest {
   }
 
   Status TryLoad() {
-    SkewedPathIndex loaded;
-    return loaded.Load(path_, &data_, &dist_);
+    ShardedIndex loaded;
+    return HeapLoad(&loaded, &data_);
   }
 
-  // Byte offsets into the fixed-width header (magic is bytes 0..3).
-  static constexpr size_t kModeOffset = 4;
-  static constexpr size_t kRepetitionsOffset = 51;
+  /// Byte offset of \p field within the file's parameter block.
+  static size_t ParamField(const std::string& contents, size_t field) {
+    uint64_t param_offset = 0;
+    std::memcpy(&param_offset, contents.data() + 32, sizeof(param_offset));
+    return static_cast<size_t>(param_offset) + field;
+  }
 };
 
 TEST_F(IndexIoCorruptionTest, RejectsCorruptedMagicVersion) {
@@ -162,7 +193,7 @@ TEST_F(IndexIoCorruptionTest, RejectsCorruptedMagicVersion) {
     WriteFile(mutated);
     Status s = TryLoad();
     EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-    EXPECT_NE(s.message().find("not a skewsearch index"), std::string::npos);
+    EXPECT_NE(s.message().find("not a frozen shard file"), std::string::npos);
   }
 }
 
@@ -171,8 +202,8 @@ TEST_F(IndexIoCorruptionTest, RejectsWrongDatasetSize) {
   for (size_t other_n : {data_.size() / 2, data_.size() + 7}) {
     Rng rng(404 + other_n);
     Dataset other = GenerateDataset(dist_, other_n, &rng);
-    SkewedPathIndex loaded;
-    Status s = loaded.Load(path_, &other, &dist_);
+    ShardedIndex loaded;
+    Status s = HeapLoad(&loaded, &other);
     EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
     EXPECT_NE(s.message().find("does not match"), std::string::npos);
     EXPECT_FALSE(loaded.built());
@@ -181,36 +212,61 @@ TEST_F(IndexIoCorruptionTest, RejectsWrongDatasetSize) {
 
 TEST_F(IndexIoCorruptionTest, RejectsBadEnumFields) {
   std::string contents = SaveValidIndex();
-  for (size_t offset : {kModeOffset, kModeOffset + 1, kModeOffset + 2}) {
+  const size_t mode = ParamField(contents, test::kFrozenParamModeOffset);
+  for (size_t offset : {mode, mode + 1, mode + 2}) {
     std::string mutated = contents;
     mutated[offset] = 17;  // no IndexMode/HashEngine/Measure has this value
+    ASSERT_TRUE(test::RecomputeFrozenMetaChecksum(&mutated));
     WriteFile(mutated);
     Status s = TryLoad();
     EXPECT_TRUE(s.IsInvalidArgument()) << "offset " << offset;
+    // The parameter validation objects, not the checksum.
+    EXPECT_EQ(s.message().find("checksum"), std::string::npos)
+        << s.ToString();
   }
 }
 
 TEST_F(IndexIoCorruptionTest, RejectsInsaneRepetitionCounts) {
   std::string contents = SaveValidIndex();
+  const size_t offset =
+      ParamField(contents, test::kFrozenParamRepetitionsOffset);
   for (int32_t bad : {0, -5, 1 << 24}) {
     std::string mutated = contents;
-    std::memcpy(&mutated[kRepetitionsOffset], &bad, sizeof(bad));
+    std::memcpy(&mutated[offset], &bad, sizeof(bad));
+    ASSERT_TRUE(test::RecomputeFrozenMetaChecksum(&mutated));
     WriteFile(mutated);
     Status s = TryLoad();
     EXPECT_TRUE(s.IsInvalidArgument()) << "repetitions=" << bad << ": "
                                        << s.ToString();
+    EXPECT_EQ(s.message().find("checksum"), std::string::npos)
+        << s.ToString();
   }
 }
 
 TEST_F(IndexIoCorruptionTest, RejectsOutOfRangePostingIds) {
   std::string contents = SaveValidIndex();
-  // The posting-id array is the last vector in the file; smash its final
-  // entry to an id far beyond the dataset. Structural checks can't see
-  // this — only the id-range validation can.
-  ASSERT_GE(contents.size(), sizeof(uint32_t));
-  uint32_t bad_id = 0xfffffff0u;
-  std::memcpy(&contents[contents.size() - sizeof(bad_id)], &bad_id,
-              sizeof(bad_id));
+  // Smash the shard's last posting id to one far beyond the dataset and
+  // fix up everything that records it (the shard's max_id, its payload
+  // checksum, the metadata checksum). Structural and checksum checks
+  // can't see this; only the id-range validation can.
+  uint64_t table_offset = 0;
+  std::memcpy(&table_offset, contents.data() + 48, sizeof(table_offset));
+  // Shard entry: keys, offsets and ids as (offset, count) pairs, then
+  // max_id and payload_checksum.
+  uint64_t entry[8];
+  std::memcpy(entry, contents.data() + table_offset, sizeof(entry));
+  ASSERT_GT(entry[5], 0u);
+  const VectorId bad_id = 0xfffffff0u;
+  std::memcpy(contents.data() + entry[4] + (entry[5] - 1) * sizeof(VectorId),
+              &bad_id, sizeof(bad_id));
+  entry[6] = bad_id;
+  frozen_internal::Checksum64 payload;
+  payload.Update(contents.data() + entry[0], entry[1] * sizeof(uint64_t));
+  payload.Update(contents.data() + entry[2], entry[3] * sizeof(uint32_t));
+  payload.Update(contents.data() + entry[4], entry[5] * sizeof(VectorId));
+  entry[7] = payload.digest();
+  std::memcpy(contents.data() + table_offset, entry, sizeof(entry));
+  ASSERT_TRUE(test::RecomputeFrozenMetaChecksum(&contents));
   WriteFile(contents);
   Status s = TryLoad();
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
@@ -219,7 +275,7 @@ TEST_F(IndexIoCorruptionTest, RejectsOutOfRangePostingIds) {
 
 TEST_F(IndexIoCorruptionTest, TruncationSweepNeverCrashes) {
   std::string contents = SaveValidIndex();
-  // Every header prefix, then strides through the table region.
+  // Every header prefix, then strides through the rest of the file.
   std::vector<size_t> cuts;
   for (size_t k = 0; k < std::min<size_t>(80, contents.size()); ++k) {
     cuts.push_back(k);
@@ -231,89 +287,6 @@ TEST_F(IndexIoCorruptionTest, TruncationSweepNeverCrashes) {
   for (size_t keep : cuts) {
     WriteFile(contents.substr(0, keep));
     EXPECT_FALSE(TryLoad().ok()) << "prefix of " << keep << " bytes";
-  }
-}
-
-TEST_F(IndexIoTest, AdversarialRoundTrip) {
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kAdversarial;
-  options.b1 = 0.6;
-  options.repetitions = 6;
-  SkewedPathIndex original;
-  ASSERT_TRUE(original.Build(&data_, &dist_, options).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
-  SkewedPathIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
-  auto hit = loaded.Query(data_.Get(0));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->id, 0u);
-}
-
-TEST(BatchQueryTest, MatchesSerialQueries) {
-  auto dist = TwoBlockProbabilities(120, 0.25, 6000, 0.005).value();
-  Rng rng(14);
-  Dataset data = GenerateDataset(dist, 200, &rng);
-  SkewedPathIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.7;
-  options.repetitions = 8;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
-
-  CorrelatedQuerySampler sampler(&dist, 0.7);
-  Dataset queries;
-  for (int t = 0; t < 40; ++t) {
-    queries.Add(sampler.SampleCorrelated(data.Get(t % data.size()), &rng));
-  }
-  std::vector<QueryStats> batch_stats;
-  auto parallel = index.BatchQuery(queries, 4, &batch_stats);
-  auto serial = index.BatchQuery(queries, 1);
-  ASSERT_EQ(parallel.size(), queries.size());
-  ASSERT_EQ(batch_stats.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(parallel[i].has_value(), serial[i].has_value()) << i;
-    if (parallel[i]) {
-      EXPECT_EQ(parallel[i]->id, serial[i]->id);
-      EXPECT_EQ(parallel[i]->similarity, serial[i]->similarity);
-    }
-  }
-}
-
-TEST(BatchQueryTest, EmptyBatch) {
-  auto dist = UniformProbabilities(100, 0.1).value();
-  Rng rng(15);
-  Dataset data = GenerateDataset(dist, 50, &rng);
-  SkewedPathIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kAdversarial;
-  options.b1 = 0.5;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
-  Dataset empty;
-  EXPECT_TRUE(index.BatchQuery(empty, 4).empty());
-}
-
-TEST(ParallelJoinTest, MatchesSerialJoin) {
-  auto dist = UniformProbabilities(1000, 0.04).value();
-  Rng rng(16);
-  Dataset data;
-  for (int i = 0; i < 120; ++i) data.Add(dist.Sample(&rng));
-  for (int i = 0; i < 8; ++i) data.Add(data.GetVector(i * 5));  // dups
-  ASSERT_TRUE(data.SetDimension(1000).ok());
-
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = 0.9;
-  options.index.repetition_boost = 3.0;
-  options.threshold = 0.9;
-
-  auto serial = SelfSimilarityJoin(data, dist, options).value();
-  options.probe_threads = 4;
-  auto parallel = SelfSimilarityJoin(data, dist, options).value();
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].left, parallel[i].left);
-    EXPECT_EQ(serial[i].right, parallel[i].right);
-    EXPECT_DOUBLE_EQ(serial[i].similarity, parallel[i].similarity);
   }
 }
 

@@ -1,7 +1,9 @@
-// ShardedIndex: serial equivalence with the unsharded SkewedPathIndex
-// across shard counts and thread counts (the core contract: sharding is
-// a layout decision, never a semantics decision), partition stability,
-// and Save/Load.
+// ShardedIndex: serial equivalence with the one-shard index across
+// shard counts and thread counts (the core contract: sharding is a
+// layout decision, never a semantics decision), one instrumented query
+// path at every shard count, partition stability, and the Freeze/
+// MapFrozen round trip (in the ShardedIndexIoTest names "Save" means
+// Freeze and "Load" means MapFrozen).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,13 +11,16 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/frozen_shard.h"
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
-#include "core/skewed_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "test_paths.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -82,13 +87,14 @@ void ExpectSameMatches(const std::vector<Match>& a,
   }
 }
 
-// The acceptance contract: byte-identical results for K in {1, 2, 7},
-// with and without a thread pool fanning out the shard scans.
+// The acceptance contract: byte-identical results for K in {2, 7}
+// against K = 1, with and without a thread pool fanning out the shard
+// scans.
 TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
-  SkewedPathIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, IndexOptions()).ok());
+  ShardedIndex reference;
+  ASSERT_TRUE(reference.Build(&data_, &dist_, ShardedOptions(1)).ok());
 
-  for (int num_shards : {1, 2, 7}) {
+  for (int num_shards : {2, 7}) {
     ShardedIndex sharded;
     ASSERT_TRUE(
         sharded.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
@@ -119,9 +125,40 @@ TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
   }
 }
 
+// Every shard count records the same query metrics from the same query
+// driver: one query.count per query and the three per-query phase
+// entries in the calling thread's trace, even when a pool scans the
+// shards on other threads.
+TEST_F(ShardedIndexTest, QueryRecordsMetricsAtEveryShardCount) {
+  const std::vector<std::string_view> per_query = {
+      "span.query.filters", "span.query.verify", "query.latency_ns"};
+  obs::Counter* const queries =
+      obs::MetricsRegistry::Global().GetCounter("query.count");
+  ThreadPool pool(3);
+  for (int num_shards : {1, 4}) {
+    ShardedIndex index;
+    ASSERT_TRUE(index.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
+    for (ThreadPool* query_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE("K=" + std::to_string(num_shards) +
+                   (query_pool != nullptr ? " pooled" : " serial"));
+      for (VectorId i = 0; i < 5; ++i) {
+        obs::ScopedTrace trace;
+        const uint64_t before = queries->Value();
+        index.Query(queries_.Get(i), query_pool);
+        EXPECT_EQ(queries->Value(), before + 1);
+        std::vector<std::string_view> names;
+        for (const obs::TraceEntry& entry : trace.entries()) {
+          names.push_back(entry.name);
+        }
+        EXPECT_EQ(names, per_query);
+      }
+    }
+  }
+}
+
 TEST_F(ShardedIndexTest, BatchQueryMatchesUnshardedForAnyThreadCount) {
-  SkewedPathIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, IndexOptions()).ok());
+  ShardedIndex reference;
+  ASSERT_TRUE(reference.Build(&data_, &dist_, ShardedOptions(1)).ok());
   auto expected = reference.BatchQuery(queries_, 1);
 
   ShardedIndex sharded;
@@ -148,14 +185,10 @@ TEST_F(ShardedIndexTest, AdversarialModeEquivalence) {
   options.b1 = 0.6;
   options.repetitions = 6;
   options.seed = 99;
-  SkewedPathIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, options).ok());
-
-  ShardedIndexOptions sharded_options;
-  sharded_options.index = options;
-  sharded_options.num_shards = 5;
+  ShardedIndex reference;
+  ASSERT_TRUE(reference.Build(&data_, &dist_, {options, 1}).ok());
   ShardedIndex sharded;
-  ASSERT_TRUE(sharded.Build(&data_, &dist_, sharded_options).ok());
+  ASSERT_TRUE(sharded.Build(&data_, &dist_, {options, 5}).ok());
 
   for (VectorId id = 0; id < 60; ++id) {
     auto query = data_.Get(id);
@@ -219,7 +252,7 @@ class ShardedIndexIoTest : public ShardedIndexTest {
  protected:
   void SetUp() override {
     ShardedIndexTest::SetUp();
-    path_ = test::TempPath("sharded_io", this, ".skidx");
+    path_ = test::TempPath("sharded_io", this, ".skf");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -229,10 +262,15 @@ class ShardedIndexIoTest : public ShardedIndexTest {
 TEST_F(ShardedIndexIoTest, SaveLoadRoundTrip) {
   ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(5)).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
 
+  // The fully validated heap read: every posting is re-checked for
+  // placement in the shard its id hashes to.
+  FrozenMapOptions heap;
+  heap.force_heap = true;
+  heap.verify_payload = true;
   ShardedIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
+  ASSERT_TRUE(loaded.MapFrozen(path_, &data_, &dist_, heap).ok());
   EXPECT_TRUE(loaded.built());
   EXPECT_EQ(loaded.num_shards(), 5);
   EXPECT_EQ(loaded.repetitions(), original.repetitions());
@@ -250,11 +288,11 @@ TEST_F(ShardedIndexIoTest, SaveLoadRoundTrip) {
 TEST_F(ShardedIndexIoTest, LoadRejectsDifferentDataset) {
   ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(3)).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   Rng rng(77);
   Dataset other = GenerateDataset(dist_, 300, &rng);
   ShardedIndex loaded;
-  EXPECT_TRUE(loaded.Load(path_, &other, &dist_).IsInvalidArgument());
+  EXPECT_TRUE(loaded.MapFrozen(path_, &other, &dist_).IsInvalidArgument());
 }
 
 TEST_F(ShardedIndexIoTest, LoadRejectsGarbageAndTruncation) {
@@ -263,11 +301,11 @@ TEST_F(ShardedIndexIoTest, LoadRejectsGarbageAndTruncation) {
     out << "not an index";
   }
   ShardedIndex loaded;
-  EXPECT_TRUE(loaded.Load(path_, &data_, &dist_).IsInvalidArgument());
+  EXPECT_TRUE(loaded.MapFrozen(path_, &data_, &dist_).IsInvalidArgument());
 
   ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(3)).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   std::ifstream in(path_, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -278,7 +316,7 @@ TEST_F(ShardedIndexIoTest, LoadRejectsGarbageAndTruncation) {
     out.write(contents.data(), static_cast<std::streamsize>(keep));
     out.close();
     ShardedIndex truncated;
-    EXPECT_FALSE(truncated.Load(path_, &data_, &dist_).ok())
+    EXPECT_FALSE(truncated.MapFrozen(path_, &data_, &dist_).ok())
         << "prefix of " << keep << " bytes";
   }
 }

@@ -162,5 +162,25 @@ TEST(SimilarityJoinTest, OutputSortedByLeftThenRight) {
   }
 }
 
+TEST(ParallelJoinTest, MatchesSerialJoin) {
+  auto dist = UniformProbabilities(1000, 0.04).value();
+  Rng rng(16);
+  Dataset data;
+  for (int i = 0; i < 120; ++i) data.Add(dist.Sample(&rng));
+  for (int i = 0; i < 8; ++i) data.Add(data.GetVector(i * 5));  // dups
+  ASSERT_TRUE(data.SetDimension(1000).ok());
+
+  JoinOptions options = AdversarialJoinOptions(0.9);
+  auto serial = SelfSimilarityJoin(data, dist, options).value();
+  options.probe_threads = 4;
+  auto parallel = SelfSimilarityJoin(data, dist, options).value();
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].left, parallel[i].left);
+    EXPECT_EQ(serial[i].right, parallel[i].right);
+    EXPECT_DOUBLE_EQ(serial[i].similarity, parallel[i].similarity);
+  }
+}
+
 }  // namespace
 }  // namespace skewsearch

@@ -1,4 +1,7 @@
-#include "core/skewed_index.h"
+// The paper's index (the filter family behind a one-shard ShardedIndex):
+// build validation, recall, verification and the Lemma 5/8 diagnostics.
+
+#include "core/sharded_index.h"
 
 #include <gtest/gtest.h>
 
@@ -14,41 +17,41 @@ namespace skewsearch {
 namespace {
 
 TEST(SkewedIndexTest, BuildValidatesArguments) {
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   auto dist = UniformProbabilities(10, 0.2).value();
   Dataset data;
-  EXPECT_TRUE(index.Build(nullptr, &dist, options).IsInvalidArgument());
-  EXPECT_TRUE(index.Build(&data, nullptr, options).IsInvalidArgument());
-  EXPECT_TRUE(index.Build(&data, &dist, options).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(nullptr, &dist, {options, 1}).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, nullptr, {options, 1}).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).IsInvalidArgument());
 
   data.Add(SparseVector::Of({1}));
   data.Add(SparseVector::Of({2}));
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.0;
-  EXPECT_TRUE(index.Build(&data, &dist, options).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).IsInvalidArgument());
   options.b1 = 1.0;
-  EXPECT_TRUE(index.Build(&data, &dist, options).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).IsInvalidArgument());
 
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.0;
-  EXPECT_TRUE(index.Build(&data, &dist, options).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).IsInvalidArgument());
   options.alpha = 1.2;
-  EXPECT_TRUE(index.Build(&data, &dist, options).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).IsInvalidArgument());
 }
 
 TEST(SkewedIndexTest, BuildRejectsDimensionMismatch) {
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   auto dist = UniformProbabilities(5, 0.2).value();
   Dataset data;
   data.Add(SparseVector::Of({100}));
   data.Add(SparseVector::Of({1}));
-  EXPECT_TRUE(index.Build(&data, &dist, options).IsInvalidArgument());
+  EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).IsInvalidArgument());
 }
 
 TEST(SkewedIndexTest, NotBuiltQueriesReturnNothing) {
-  SkewedPathIndex index;
+  ShardedIndex index;
   EXPECT_FALSE(index.built());
   SparseVector q = SparseVector::Of({1, 2});
   EXPECT_FALSE(index.Query(q.span()).has_value());
@@ -60,11 +63,11 @@ TEST(SkewedIndexTest, DerivedParametersPopulated) {
   auto dist = UniformProbabilities(2000, 0.05).value();  // m = 100
   Rng rng(1);
   Dataset data = GenerateDataset(dist, 256, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.8;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   EXPECT_TRUE(index.built());
   EXPECT_GT(index.repetitions(), 0);
   EXPECT_NEAR(index.verify_threshold(), 0.8 / 1.3, 1e-12);
@@ -77,12 +80,12 @@ TEST(SkewedIndexTest, ExplicitRepetitionsHonored) {
   auto dist = UniformProbabilities(500, 0.1).value();
   Rng rng(2);
   Dataset data = GenerateDataset(dist, 64, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
   options.repetitions = 7;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   EXPECT_EQ(index.repetitions(), 7);
 }
 
@@ -90,11 +93,11 @@ TEST(SkewedIndexTest, FindsExactDuplicateAdversarial) {
   auto dist = UniformProbabilities(3000, 0.03).value();  // E|x| = 90
   Rng rng(3);
   Dataset data = GenerateDataset(dist, 300, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.7;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   // Query with an exact copy of a stored vector: B = 1 >= b1; Lemma 5
   // across ~2 ln n repetitions should find it virtually always.
   int found = 0;
@@ -110,11 +113,11 @@ TEST(SkewedIndexTest, CorrelatedQueriesRecallPlantedTarget) {
   auto dist = TwoBlockProbabilities(400, 0.25, 30000, 0.004).value();
   Rng rng(4);
   Dataset data = GenerateDataset(dist, 512, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = alpha;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
   CorrelatedQuerySampler sampler(&dist, alpha);
   int found = 0;
@@ -134,11 +137,11 @@ TEST(SkewedIndexTest, ReturnedMatchesMeetThreshold) {
   auto dist = UniformProbabilities(1500, 0.05).value();
   Rng rng(5);
   Dataset data = GenerateDataset(dist, 200, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.6;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   for (VectorId id = 0; id < 20; ++id) {
     auto hit = index.Query(data.Get(id));
     if (hit) {
@@ -166,12 +169,12 @@ TEST(SkewedIndexTest, QueryAllFindsAllNearDuplicates) {
   for (int i = 0; i < 200; ++i) data.Add(dist.Sample(&rng));
   ASSERT_TRUE(data.SetDimension(4000).ok());
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.8;
   options.repetition_boost = 3.0;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   auto matches = index.QueryAll(base.span(), 0.8);
   // Expect to see ids 0, 1, 2.
   std::set<VectorId> ids;
@@ -184,11 +187,11 @@ TEST(SkewedIndexTest, QueryStatsAreConsistent) {
   auto dist = UniformProbabilities(1000, 0.05).value();
   Rng rng(7);
   Dataset data = GenerateDataset(dist, 128, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.7;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   CorrelatedQuerySampler sampler(&dist, 0.7);
   QueryStats stats;
   SparseVector q = sampler.SampleCorrelated(data.Get(0), &rng);
@@ -206,9 +209,9 @@ TEST(SkewedIndexTest, DeterministicForFixedSeed) {
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
   options.seed = 1234;
-  SkewedPathIndex a, b;
-  ASSERT_TRUE(a.Build(&data, &dist, options).ok());
-  ASSERT_TRUE(b.Build(&data, &dist, options).ok());
+  ShardedIndex a, b;
+  ASSERT_TRUE(a.Build(&data, &dist, {options, 1}).ok());
+  ASSERT_TRUE(b.Build(&data, &dist, {options, 1}).ok());
   SparseVector q = data.GetVector(3);
   EXPECT_EQ(a.ComputeFilterKeys(q.span()), b.ComputeFilterKeys(q.span()));
   EXPECT_EQ(a.build_stats().total_filters, b.build_stats().total_filters);
@@ -221,11 +224,11 @@ TEST(SkewedIndexTest, DifferentSeedsChangeFilters) {
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
-  SkewedPathIndex a, b;
+  ShardedIndex a, b;
   options.seed = 1;
-  ASSERT_TRUE(a.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(a.Build(&data, &dist, {options, 1}).ok());
   options.seed = 2;
-  ASSERT_TRUE(b.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(b.Build(&data, &dist, {options, 1}).ok());
   SparseVector q = data.GetVector(3);
   EXPECT_NE(a.ComputeFilterKeys(q.span()), b.ComputeFilterKeys(q.span()));
 }
@@ -234,12 +237,12 @@ TEST(SkewedIndexTest, PairwiseHashEngineWorks) {
   auto dist = UniformProbabilities(1000, 0.05).value();
   Rng rng(10);
   Dataset data = GenerateDataset(dist, 128, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.7;
   options.hash_engine = HashEngine::kPairwise;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   int found = 0;
   for (VectorId id = 0; id < 30; ++id) {
     auto hit = index.Query(data.Get(id));
@@ -252,11 +255,11 @@ TEST(SkewedIndexTest, EmptyQueryReturnsNothing) {
   auto dist = UniformProbabilities(100, 0.1).value();
   Rng rng(11);
   Dataset data = GenerateDataset(dist, 50, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   QueryStats stats;
   EXPECT_FALSE(index.Query({}, &stats).has_value());
   EXPECT_EQ(stats.candidates, 0u);
@@ -272,11 +275,11 @@ TEST(SkewedIndexTest, ParallelBuildIdenticalToSerial) {
   options.repetitions = 6;
   options.seed = 777;
 
-  SkewedPathIndex serial, parallel;
+  ShardedIndex serial, parallel;
   options.build_threads = 0;
-  ASSERT_TRUE(serial.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(serial.Build(&data, &dist, {options, 1}).ok());
   options.build_threads = 4;
-  ASSERT_TRUE(parallel.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(parallel.Build(&data, &dist, {options, 1}).ok());
 
   EXPECT_EQ(serial.build_stats().total_filters,
             parallel.build_stats().total_filters);
@@ -310,22 +313,22 @@ TEST(SkewedIndexTest, QueryTopKRanksAndTruncates) {
   for (int i = 0; i < 100; ++i) data.Add(dist.Sample(&rng));
   ASSERT_TRUE(data.SetDimension(2000).ok());
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.8;
   options.repetition_boost = 3.0;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
-  auto top2 = index.QueryTopK(base.span(), 2);
-  ASSERT_EQ(top2.size(), 2u);
-  EXPECT_EQ(top2[0].id, 0u);  // exact duplicate first
-  EXPECT_DOUBLE_EQ(top2[0].similarity, 1.0);
-  EXPECT_GE(top2[0].similarity, top2[1].similarity);
-
-  auto top_many = index.QueryTopK(base.span(), 1000);
-  for (size_t i = 1; i < top_many.size(); ++i) {
-    EXPECT_GE(top_many[i - 1].similarity, top_many[i].similarity);
+  // Threshold 0 ranks every candidate the filters surface (approximate
+  // top-k: exact among the candidates); the top k is the prefix.
+  auto ranked = index.QueryAll(base.span(), 0.0);
+  ASSERT_GE(ranked.size(), 2u);
+  EXPECT_EQ(ranked[0].id, 0u);  // exact duplicate first
+  EXPECT_DOUBLE_EQ(ranked[0].similarity, 1.0);
+  EXPECT_GE(ranked[0].similarity, ranked[1].similarity);
+  for (size_t i = 1; i < ranked.size(); ++i) {
+    EXPECT_GE(ranked[i - 1].similarity, ranked[i].similarity);
   }
 }
 
@@ -333,25 +336,26 @@ TEST(SkewedIndexTest, CollisionRateSeparatesCloseAndFar) {
   auto dist = TwoBlockProbabilities(200, 0.25, 10000, 0.005).value();
   Rng rng(22);
   Dataset data = GenerateDataset(dist, 200, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.8;
   options.repetitions = 30;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
   CorrelatedQuerySampler sampler(&dist, 0.8);
   SparseVector x = data.GetVector(0);
   SparseVector close = sampler.SampleCorrelated(x.span(), &rng);
   SparseVector far = dist.Sample(&rng);
-  double close_rate = index.EstimateCollisionRate(x.span(), close.span());
-  double far_rate = index.EstimateCollisionRate(x.span(), far.span());
+  const FilterFamily& family = index.family();
+  double close_rate = family.EstimateCollisionRate(x.span(), close.span());
+  double far_rate = family.EstimateCollisionRate(x.span(), far.span());
   EXPECT_GT(close_rate, 0.2);  // Lemma 5: >= 1/ln n per repetition
   EXPECT_LT(far_rate, close_rate);
   // Identity collides whenever F(x) is non-empty, so it upper-bounds every
   // other collision rate (F(x) may legitimately be empty in repetitions
   // where the near-critical branching dies out).
-  double self_rate = index.EstimateCollisionRate(x.span(), x.span());
+  double self_rate = family.EstimateCollisionRate(x.span(), x.span());
   EXPECT_GE(self_rate, close_rate);
   EXPECT_GT(self_rate, 0.5);
 }
@@ -360,11 +364,11 @@ TEST(SkewedIndexTest, PredictQueryExponentAdversarial) {
   auto dist = TwoBlockProbabilities(100, 0.3, 10000, 0.002).value();
   Rng rng(23);
   Dataset data = GenerateDataset(dist, 100, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
   // All-frequent query is predicted more expensive than all-rare.
   std::vector<ItemId> freq_ids, rare_ids;
@@ -372,33 +376,31 @@ TEST(SkewedIndexTest, PredictQueryExponentAdversarial) {
     freq_ids.push_back(i);
     rare_ids.push_back(100 + i);
   }
-  double rho_freq = index
-                        .PredictQueryExponent(
-                            SparseVector::FromSorted(freq_ids).span())
-                        .value();
-  double rho_rare = index
-                        .PredictQueryExponent(
-                            SparseVector::FromSorted(rare_ids).span())
-                        .value();
+  const FilterFamily& family = index.family();
+  const SparseVector freq = SparseVector::FromSorted(freq_ids);
+  const SparseVector rare = SparseVector::FromSorted(rare_ids);
+  double rho_freq = family.PredictQueryExponent(freq.span()).value();
+  double rho_rare = family.PredictQueryExponent(rare.span()).value();
   EXPECT_GT(rho_freq, rho_rare);
   // Unbuilt index and out-of-universe items are rejected.
-  SkewedPathIndex empty;
-  EXPECT_FALSE(empty.PredictQueryExponent(SparseVector::Of({1}).span()).ok());
+  ShardedIndex empty;
+  const FilterFamily& unbuilt = empty.family();
+  EXPECT_FALSE(unbuilt.PredictQueryExponent(SparseVector::Of({1}).span()).ok());
   EXPECT_FALSE(
-      index.PredictQueryExponent(SparseVector::Of({999999}).span()).ok());
+      family.PredictQueryExponent(SparseVector::Of({999999}).span()).ok());
 }
 
 TEST(SkewedIndexTest, JaccardVerificationMeasure) {
   auto dist = UniformProbabilities(1000, 0.05).value();
   Rng rng(24);
   Dataset data = GenerateDataset(dist, 150, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.8;
   options.verify_measure = Measure::kJaccard;
   options.verify_threshold = 0.9;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   auto hit = index.Query(data.Get(0));
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->similarity, 1.0);  // Jaccard of the duplicate
@@ -419,11 +421,11 @@ TEST(SkewedIndexTest, ToleratesEmptyAndTinyVectors) {
   data.Add(SparseVector::Of({}));            // empty at the end too
   ASSERT_TRUE(data.SetDimension(500).ok());
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.6;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   // A normal query still finds its duplicate.
   auto hit = index.Query(data.Get(5));
   ASSERT_TRUE(hit.has_value());
@@ -440,12 +442,12 @@ TEST(SkewedIndexTest, QueryConsistentWithQueryAll) {
   auto dist = TwoBlockProbabilities(150, 0.25, 8000, 0.005).value();
   Rng rng(26);
   Dataset data = GenerateDataset(dist, 150, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.75;
   options.repetitions = 8;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   CorrelatedQuerySampler sampler(&dist, 0.75);
   for (int t = 0; t < 20; ++t) {
     SparseVector q = sampler.SampleCorrelated(data.Get(t), &rng);
@@ -470,10 +472,10 @@ TEST(SkewedIndexTest, StrictPaperDeltaIsLarger) {
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.5;
-  SkewedPathIndex relaxed, strict;
-  ASSERT_TRUE(relaxed.Build(&data, &dist, options).ok());
+  ShardedIndex relaxed, strict;
+  ASSERT_TRUE(relaxed.Build(&data, &dist, {options, 1}).ok());
   options.strict_paper_delta = true;
-  ASSERT_TRUE(strict.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(strict.Build(&data, &dist, {options, 1}).ok());
   EXPECT_GE(strict.build_stats().delta_used,
             relaxed.build_stats().delta_used);
   // Larger delta => more filters per element.

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/sharded_index.h"
 #include "core/similarity_join.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -294,9 +295,9 @@ TEST(DistributedJoinTest, WorkerLoadsAccountForEveryEntry) {
   Dataset data = ZipfDataWithDuplicates(71, 120, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 71);
 
-  SkewedPathIndex index;
-  ASSERT_TRUE(index.Build(&data, &dist, options.index).ok());
-  const size_t expected_entries = index.filter_table().num_pairs();
+  ShardedIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist, {options.index, 1}).ok());
+  const size_t expected_entries = index.shard_table(0).num_pairs();
 
   for (size_t heavy_threshold : {size_t{1}, size_t{0}, size_t{1000000}}) {
     SCOPED_TRACE("heavy_threshold = " + std::to_string(heavy_threshold));

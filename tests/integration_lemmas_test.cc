@@ -8,7 +8,7 @@
 
 #include "core/path_policy.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "sim/intersect.h"
@@ -72,19 +72,19 @@ TEST(Lemma5Test, CollisionRateAtLeastInverseLogN) {
   for (auto& c : cases) {
     const size_t n = 256;
     Dataset data = GenerateDataset(c.dist, n, &rng);
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = c.alpha;
     options.repetitions = 40;
-    ASSERT_TRUE(index.Build(&data, &c.dist, options).ok());
+    ASSERT_TRUE(index.Build(&data, &c.dist, {options, 1}).ok());
     CorrelatedQuerySampler sampler(&c.dist, c.alpha);
     double total_rate = 0.0;
     const int kPairs = 15;
     for (int t = 0; t < kPairs; ++t) {
       SparseVector x = data.GetVector(static_cast<VectorId>(t));
       SparseVector q = sampler.SampleCorrelated(x.span(), &rng);
-      total_rate += index.EstimateCollisionRate(x.span(), q.span());
+      total_rate += index.family().EstimateCollisionRate(x.span(), q.span());
     }
     double bound = 1.0 / std::log(static_cast<double>(n));  // ~0.18
     EXPECT_GE(total_rate / kPairs, bound)
@@ -101,13 +101,13 @@ TEST(Lemma7Test, FarCollisionsBoundedByFilterCount) {
   Rng rng(33);
   const size_t n = 1000;
   Dataset data = GenerateDataset(dist, n, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.7;
   options.repetitions = 8;
   options.delta = 0.1;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   double candidates = 0, filters = 0;
   for (int t = 0; t < 40; ++t) {
     SparseVector q = dist.Sample(&rng);
@@ -129,13 +129,13 @@ TEST(HashEngineParityTest, PairwiseAndMixerReachSameRecall) {
   CorrelatedQuerySampler sampler(&dist, 0.75);
 
   auto recall_with = [&](HashEngine engine) {
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = 0.75;
     options.repetitions = 12;
     options.hash_engine = engine;
-    EXPECT_TRUE(index.Build(&data, &dist, options).ok());
+    EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
     Rng qrng(35);
     int found = 0;
     const int kQueries = 60;
@@ -161,13 +161,13 @@ TEST(FailureInjectionTest, PathCapDegradesGracefully) {
   Rng rng(36);
   Dataset data = GenerateDataset(dist, 200, &rng);
   SetLogLevel(LogLevel::kError);  // silence the expected cap warning
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.8;
   options.repetitions = 4;
   options.max_paths_per_element = 4;  // absurdly small
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   SetLogLevel(LogLevel::kWarning);
   EXPECT_GT(index.build_stats().cap_hits, 0u);
   // Queries still execute and return verified results only.
@@ -187,11 +187,11 @@ TEST(FailureInjectionTest, QueryWithForeignItemsIsSafe) {
   auto dist = UniformProbabilities(100, 0.1).value();
   Rng rng(37);
   Dataset data = GenerateDataset(dist, 50, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   // All query items inside the universe but absent from the data are fine;
   // the engine consults dist.LogInvP(i) for items on paths, so the query
   // must stay within the declared universe — verify the documented

@@ -8,7 +8,7 @@
 
 #include "core/rho.h"
 #include "core/similarity_join.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/estimate.h"
 #include "data/generators.h"
@@ -38,12 +38,12 @@ TEST(PipelineTest, PersistReloadEstimateBuildQuery) {
   auto estimated = EstimateFrequencies(*loaded);
   ASSERT_TRUE(estimated.ok());
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = alpha;
   options.repetition_boost = 2.5;
-  ASSERT_TRUE(index.Build(&*loaded, &*estimated, options).ok());
+  ASSERT_TRUE(index.Build(&*loaded, &*estimated, {options, 1}).ok());
 
   CorrelatedQuerySampler sampler(&truth, alpha);
   int found = 0;

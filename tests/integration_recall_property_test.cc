@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "data/mann_profiles.h"
@@ -109,8 +109,8 @@ TEST_P(RecallPropertyTest, RecallStaysAboveLemma5Bound) {
     options.b1 = kB1;
     options.repetition_boost = kRepetitionBoost;
     options.seed = seed ^ 0x5eed;
-    SkewedPathIndex index;
-    ASSERT_TRUE(index.Build(&inst.data, &inst.dist, options).ok());
+    ShardedIndex index;
+    ASSERT_TRUE(index.Build(&inst.data, &inst.dist, {options, 1}).ok());
 
     const double bound =
         Lemma5Bound(inst.data.size(), index.repetitions()) - kSlack;

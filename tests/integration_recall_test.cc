@@ -7,7 +7,7 @@
 #include <cmath>
 #include <string>
 
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -51,12 +51,12 @@ TEST_P(CorrelatedRecallTest, RecallAboveEightyPercent) {
           static_cast<uint64_t>(param.alpha * 100));
   Dataset data = GenerateDataset(dist, 400, &rng);
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = param.alpha;
   options.repetition_boost = 2.5;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
   CorrelatedQuerySampler sampler(&dist, param.alpha);
   const int kQueries = 50;
@@ -91,12 +91,12 @@ TEST_P(AdversarialRecallTest, NearDuplicatesFound) {
   Rng rng(0xabcd + static_cast<uint64_t>(param.shape) * 17);
   Dataset data = GenerateDataset(dist, 400, &rng);
 
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.7;
   options.repetition_boost = 2.5;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
   // Queries: stored vectors with ~20% of their items replaced — similarity
   // ~0.8 > b1, adversarially constructed rather than distribution-drawn.
@@ -135,12 +135,12 @@ TEST(RecallBoostTest, MoreRepetitionsMonotonicallyHelp) {
   CorrelatedQuerySampler sampler(&dist, 0.6);
 
   auto recall_with_reps = [&](int reps) {
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = 0.6;
     options.repetitions = reps;
-    EXPECT_TRUE(index.Build(&data, &dist, options).ok());
+    EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
     Rng qrng(0x7777);
     int found = 0;
     const int kQueries = 60;

@@ -8,7 +8,7 @@
 
 #include "baselines/chosen_path.h"
 #include "core/rho.h"
-#include "core/skewed_index.h"
+#include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "sim/measures.h"
@@ -50,13 +50,13 @@ TEST(FilterScalingTest, FilterCountTracksRhoEquation) {
   for (size_t n : {128, 256, 512, 1024}) {
     Rng rng(100 + n);
     Dataset data = GenerateDataset(dist, n, &rng);
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = alpha;
     options.repetitions = 4;  // fixed so filters/element is comparable
     options.delta = 0.1;
-    ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+    ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
     ns.push_back(static_cast<double>(n));
     filters.push_back(index.build_stats().avg_filters_per_element + 1.0);
   }
@@ -88,13 +88,13 @@ TEST(SkewAdvantageTest, SkewReducesOurFilterWork) {
   auto measure = [&](const ProductDistribution& dist, uint64_t seed) {
     Rng rng(seed);
     Dataset data = GenerateDataset(dist, n, &rng);
-    SkewedPathIndex index;
+    ShardedIndex index;
     SkewedIndexOptions options;
     options.mode = IndexMode::kCorrelated;
     options.alpha = alpha;
     options.repetitions = 10;
     options.delta = 0.1;
-    EXPECT_TRUE(index.Build(&data, &dist, options).ok());
+    EXPECT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
     CorrelatedQuerySampler sampler(&dist, alpha);
     size_t candidates = 0, filters = 0;
     int found = 0;
@@ -126,12 +126,12 @@ TEST(AdaptiveQueryTest, EasyQueriesTouchFewerCandidates) {
   Rng rng(9);
   const size_t n = 500;
   Dataset data = GenerateDataset(dist, n, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kAdversarial;
   options.b1 = 0.5;
   options.repetitions = 8;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
 
   // Frequent-only queries vs mixed queries of the same size.
   size_t frequent_cands = 0, mixed_cands = 0;
@@ -160,13 +160,13 @@ TEST(StopRuleTest, FarPairsRarelyCollide) {
   Rng rng(11);
   const size_t n = 800;
   Dataset data = GenerateDataset(dist, n, &rng);
-  SkewedPathIndex index;
+  ShardedIndex index;
   SkewedIndexOptions options;
   options.mode = IndexMode::kCorrelated;
   options.alpha = 0.7;
   options.repetitions = 6;
   options.delta = 0.1;
-  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   double total_candidates = 0, total_filters = 0;
   const int kQueries = 30;
   for (int t = 0; t < kQueries; ++t) {

@@ -81,7 +81,7 @@ Status ChosenPathIndex::Build(const Dataset* data,
   return Status::OK();
 }
 
-// Reusable per-thread query workspace; see ShardedIndex::QueryScratch.
+// Reusable per-thread query workspace; see query_internal::Scratch.
 struct ChosenPathIndex::QueryScratch {
   std::vector<uint64_t> keys;
   std::unordered_set<VectorId> seen;

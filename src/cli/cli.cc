@@ -7,8 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
+#include <utility>
 
 #include <memory>
 
@@ -395,6 +398,27 @@ void PrintWalLine(const WalWriter& wal, size_t checkpoints) {
               SyncPolicyName(wal.options().sync_policy).data());
 }
 
+/// Creates \p path, hands it to `write(out)` and closes it. Returns
+/// false, after printing the error, when the file cannot be opened or
+/// any write (including the final flush on close) failed.
+template <typename WriteFn>
+bool WriteFileChecked(const std::string& path, WriteFn&& write) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                 path.c_str());
+    return false;
+  }
+  write(out);
+  const bool written = std::ferror(out) == 0;
+  const bool closed = std::fclose(out) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "error: write to '%s' failed\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// --dump-matches FILE: QueryAll answers for a probe set derived only
 /// from the dataset's distribution and --seed (never from index
 /// layout), written with round-tripping precision — two dumps are
@@ -403,25 +427,21 @@ void PrintWalLine(const WalWriter& wal, size_t checkpoints) {
 int DumpMatches(const Flags& flags, const DynamicIndex& index,
                 const ProductDistribution& dist) {
   const std::string path = flags.Get("dump-matches", "");
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 path.c_str());
-    return 1;
-  }
   constexpr double kDumpThreshold = 0.25;
   Rng rng(flags.GetUint("seed", 1) ^ 0x9e3779b97f4a7c15ull);
   const size_t probes = flags.GetUint("probes", 64);
   size_t matches = 0;
-  for (size_t p = 0; p < probes; ++p) {
-    SparseVector q = dist.Sample(&rng);
-    if (q.span().empty()) continue;
-    for (const Match& m : index.QueryAll(q.span(), kDumpThreshold)) {
-      std::fprintf(out, "q%zu %u %.17g\n", p, m.id, m.similarity);
-      ++matches;
+  const bool written = WriteFileChecked(path, [&](std::FILE* out) {
+    for (size_t p = 0; p < probes; ++p) {
+      SparseVector q = dist.Sample(&rng);
+      if (q.span().empty()) continue;
+      for (const Match& m : index.QueryAll(q.span(), kDumpThreshold)) {
+        std::fprintf(out, "q%zu %u %.17g\n", p, m.id, m.similarity);
+        ++matches;
+      }
     }
-  }
-  std::fclose(out);
+  });
+  if (!written) return 1;
   std::printf("wrote %zu match(es) over %zu probe(s) to %s\n", matches,
               probes, path.c_str());
   return 0;
@@ -436,12 +456,41 @@ MaintenanceOptions MaintenanceFromFlags(const Flags& flags) {
   return options;
 }
 
-/// --trace: runs one extra query inside a ScopedTrace and prints the
-/// spans the observability layer recorded for it, innermost first.
-template <typename QueryFn>
-void PrintQueryTrace(QueryFn&& run_query) {
+/// The query-bench loop both index types share: --queries queries
+/// alpha-correlated with targets drawn from \p targets, the recall /
+/// candidates / latency line, then with --trace one extra query inside
+/// a ScopedTrace and the spans the observability layer recorded for
+/// it, innermost first.
+template <typename Index>
+void RunQueryBench(const Flags& flags, const Index& index,
+                   const Dataset& data, const ProductDistribution& dist,
+                   double alpha, std::span<const VectorId> targets) {
+  CorrelatedQuerySampler sampler(&dist, alpha);
+  Rng rng(flags.GetUint("seed", 1) ^ 0xabcdef);
+  auto sample = [&] {
+    const VectorId target =
+        targets[static_cast<size_t>(rng.NextBounded(targets.size()))];
+    return std::pair{target, sampler.SampleCorrelated(data.Get(target), &rng)};
+  };
+  const size_t queries = flags.GetUint("queries", 100);
+  size_t found = 0, candidates = 0;
+  double seconds = 0;
+  for (size_t t = 0; t < queries; ++t) {
+    const auto [target, q] = sample();
+    QueryStats stats;
+    auto hit = index.Query(q.span(), &stats);
+    found += (hit && hit->id == target);
+    candidates += stats.candidates;
+    seconds += stats.seconds;
+  }
+  std::printf("queries: %zu, recall %.2f, %.1f candidates/query, "
+              "%.1f us/query\n",
+              queries, static_cast<double>(found) / queries,
+              static_cast<double>(candidates) / queries,
+              1e6 * seconds / queries);
+  if (!flags.Has("trace")) return;
   obs::ScopedTrace trace;
-  run_query();
+  index.Query(sample().second.span());
   std::printf("trace of one query (%zu span(s)):\n", trace.entries().size());
   for (const obs::TraceEntry& entry : trace.entries()) {
     std::printf("  %-24.*s %12.1f us\n",
@@ -554,37 +603,8 @@ int CmdQueryBenchOnline(const Flags& flags, const Dataset& data,
     std::printf("queries: skipped (churn removed every base vector)\n");
     return finish();
   }
-  CorrelatedQuerySampler sampler(&dist, alpha);
-  Rng rng(flags.GetUint("seed", 1) ^ 0xabcdef);
-  const size_t queries = flags.GetUint("queries", 100);
-  size_t found = 0, candidates = 0;
-  double seconds = 0;
-  for (size_t t = 0; t < queries; ++t) {
-    VectorId target = live_targets[static_cast<size_t>(
-        rng.NextBounded(live_targets.size()))];
-    SparseVector q = sampler.SampleCorrelated(data.Get(target), &rng);
-    QueryStats stats;
-    auto hit = index.Query(q.span(), &stats);
-    found += (hit && hit->id == target);
-    candidates += stats.candidates;
-    seconds += stats.seconds;
-  }
+  RunQueryBench(flags, index, data, dist, alpha, live_targets);
   service.Detach();
-  std::printf("queries: %zu, recall %.2f, %.1f candidates/query, "
-              "%.1f us/query\n",
-              queries, static_cast<double>(found) / queries,
-              static_cast<double>(candidates) / queries,
-              1e6 * seconds / queries);
-  if (flags.Has("trace")) {
-    PrintQueryTrace([&] {
-      VectorId target = live_targets[static_cast<size_t>(
-          rng.NextBounded(live_targets.size()))];
-      SparseVector q = sampler.SampleCorrelated(data.Get(target), &rng);
-      QueryStats stats;
-      auto hit = index.Query(q.span(), &stats);
-      (void)hit;
-    });
-  }
   return finish();
 }
 
@@ -643,34 +663,9 @@ int CmdQueryBench(const Flags& flags) {
   }
   const ShardedIndex& query_index = use_mmap ? mapped_index : index;
 
-  CorrelatedQuerySampler sampler(&*dist, alpha);
-  Rng rng(flags.GetUint("seed", 1) ^ 0xabcdef);
-  const size_t queries = flags.GetUint("queries", 100);
-  size_t found = 0, candidates = 0;
-  double seconds = 0;
-  for (size_t t = 0; t < queries; ++t) {
-    VectorId target = static_cast<VectorId>(rng.NextBounded(data->size()));
-    SparseVector q = sampler.SampleCorrelated(data->Get(target), &rng);
-    QueryStats stats;
-    auto hit = query_index.Query(q.span(), &stats);
-    found += (hit && hit->id == target);
-    candidates += stats.candidates;
-    seconds += stats.seconds;
-  }
-  std::printf("queries: %zu, recall %.2f, %.1f candidates/query, "
-              "%.1f us/query\n",
-              queries, static_cast<double>(found) / queries,
-              static_cast<double>(candidates) / queries,
-              1e6 * seconds / queries);
-  if (flags.Has("trace")) {
-    PrintQueryTrace([&] {
-      VectorId target = static_cast<VectorId>(rng.NextBounded(data->size()));
-      SparseVector q = sampler.SampleCorrelated(data->Get(target), &rng);
-      QueryStats stats;
-      auto hit = query_index.Query(q.span(), &stats);
-      (void)hit;
-    });
-  }
+  std::vector<VectorId> targets(data->size());
+  std::iota(targets.begin(), targets.end(), VectorId{0});
+  RunQueryBench(flags, query_index, *data, *dist, alpha, targets);
   return 0;
 }
 
@@ -778,18 +773,15 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
   }
   if (flags.Has("dump-pairs")) {
     const std::string path = flags.Get("dump-pairs", "");
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                   path.c_str());
-      return 1;
-    }
     // %.17g round-trips every double exactly, so two dumps are equal
     // iff the pair lists are byte-identical.
-    for (const JoinPair& pr : pairs) {
-      std::fprintf(out, "%u %u %.17g\n", pr.left, pr.right, pr.similarity);
-    }
-    std::fclose(out);
+    const bool written = WriteFileChecked(path, [&](std::FILE* out) {
+      for (const JoinPair& pr : pairs) {
+        std::fprintf(out, "%u %u %.17g\n", pr.left, pr.right,
+                     pr.similarity);
+      }
+    });
+    if (!written) return 1;
     std::printf("wrote %zu pairs to %s\n", pairs.size(), path.c_str());
   }
   return 0;
@@ -932,15 +924,9 @@ extern "C" void HandleDumpSignal(int /*signum*/) {
 /// --metrics-dump format, same as the benches' "obs" block).
 bool WriteMetricsDump(const std::string& path) {
   const std::string json = obs::MetricsRegistry::Global().JsonExposition();
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s' for metrics dump\n",
-                 path.c_str());
-    return false;
-  }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  return true;
+  return WriteFileChecked(path, [&](std::FILE* out) {
+    std::fwrite(json.data(), 1, json.size(), out);
+  });
 }
 
 /// The --summary-interval one-liner: cumulative served work from the
@@ -1092,7 +1078,7 @@ int CmdJoinWorker(const Flags& flags) {
   g_drain_target.store(nullptr, std::memory_order_release);
   stop_watcher.store(true, std::memory_order_release);
   if (watcher.joinable()) watcher.join();
-  if (!dump_path.empty()) WriteMetricsDump(dump_path);
+  const bool dumped = dump_path.empty() || WriteMetricsDump(dump_path);
   if (!served.ok()) return Fail(served);
   const WorkerServerStats totals = server.stats();
   std::printf("join-worker drained%s: %llu session(s) accepted, %llu ok, "
@@ -1101,7 +1087,7 @@ int CmdJoinWorker(const Flags& flags) {
               static_cast<unsigned long long>(totals.sessions_accepted),
               static_cast<unsigned long long>(totals.sessions_ok),
               static_cast<unsigned long long>(totals.sessions_failed));
-  return 0;
+  return dumped ? 0 : 1;
 }
 
 int CmdJoinStats(const Flags& flags) {

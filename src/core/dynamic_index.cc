@@ -10,7 +10,7 @@
 
 #include "core/batch.h"
 #include "core/index_io.h"
-#include "sim/measures.h"
+#include "core/query_driver.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -888,211 +888,60 @@ Status DynamicIndex::RebuildForSize(size_t target_n) {
   return Status::OK();
 }
 
-std::span<const ItemId> DynamicIndex::ItemsOf(const ShardState& state,
-                                              VectorId id) const {
-  if (id < base_n_) return data_->Get(id);
-  const ShardState::InsertedVector* record = state.FindInserted(id);
-  if (record == nullptr) return {};
-  return {record->items.data(), record->items.size()};
-}
+/// The query driver's view of one pinned shard snapshot
+/// (core/query_driver.h): a key's base postings, then its delta
+/// postings; a tombstoned id has no items.
+struct DynamicIndex::ShardView {
+  const DynamicIndex* index;
+  const ShardState* state;
 
-// Per-query workspace reused across a batch. Editions are keyed by
-// pointer; almost every query sees exactly one.
-struct DynamicIndex::QueryScratch {
-  struct EditionKeys {
-    const Edition* edition = nullptr;
-    std::vector<uint64_t> keys;
-  };
-  std::vector<EditionKeys> editions;
-  std::vector<PostingSet<VectorId>> seen;
-  PathGenStats path_gen;
+  const FilterFamily& family() const { return state->edition->family; }
 
-  EditionKeys& KeysFor(const Edition* edition) {
-    for (EditionKeys& entry : editions) {
-      if (entry.edition == edition) return entry;
+  template <typename Fn>
+  bool Scan(uint64_t key, QueryStats* stats, Fn&& fn) const {
+    const std::span<const VectorId> postings = state->base->Lookup(key);
+    stats->candidates += postings.size();
+    for (VectorId id : postings) {
+      if (fn(uint8_t{0}, id)) return true;
     }
-    editions.push_back(EditionKeys{edition, {}});
-    return editions.back();
+    const std::vector<VectorId>* delta = state->FindDelta(key);
+    if (delta == nullptr) return false;
+    stats->candidates += delta->size();
+    for (VectorId id : *delta) {
+      if (fn(uint8_t{1}, id)) return true;
+    }
+    return false;
+  }
+
+  std::span<const ItemId> Items(VectorId id) const {
+    if (state->IsTombstoned(id)) return {};
+    if (id < index->base_n_) return index->data_->Get(id);
+    const ShardState::InsertedVector* record = state->FindInserted(id);
+    if (record == nullptr) return {};
+    return {record->items.data(), record->items.size()};
   }
 };
 
-DynamicIndex::RepHit DynamicIndex::ScanShardRep(
-    const ShardState& state, std::span<const ItemId> query,
-    const std::vector<uint64_t>& keys, PostingSet<VectorId>* seen,
-    QueryStats* stats) const {
-  RepHit hit;
-  const double threshold = state.edition->family.verify_threshold();
-  auto consider = [&](size_t key_idx, uint8_t phase, VectorId id) {
-    if (!seen->insert(id).second) return false;
-    if (state.IsTombstoned(id)) return false;
-    auto items = ItemsOf(state, id);
-    if (items.empty()) return false;
-    stats->verifications++;
-    double sim = Similarity(options_.index.verify_measure, query, items);
-    if (sim >= threshold) {
-      hit.found = true;
-      hit.key_idx = key_idx;
-      hit.phase = phase;
-      hit.id = id;
-      hit.similarity = sim;
-      return true;
-    }
-    return false;
-  };
-  for (size_t ki = 0; ki < keys.size(); ++ki) {
-    auto postings = state.base->Lookup(keys[ki]);
-    stats->candidates += postings.size();
-    for (VectorId id : postings) {
-      if (consider(ki, 0, id)) return hit;
-    }
-    const std::vector<VectorId>* extra = state.FindDelta(keys[ki]);
-    if (extra != nullptr) {
-      stats->candidates += extra->size();
-      for (VectorId id : *extra) {
-        if (consider(ki, 1, id)) return hit;
-      }
-    }
-  }
-  return hit;
-}
-
 std::optional<Match> DynamicIndex::QueryImpl(
     const std::vector<const void*>& states, std::span<const ItemId> query,
-    QueryStats* stats, QueryScratch* scratch) const {
-  Timer timer;
-  QueryStats local;
-  std::optional<Match> found;
-  if (!states.empty() && !query.empty()) {
-    const size_t num = states.size();
-    scratch->seen.resize(num);
-    for (auto& seen : scratch->seen) seen.clear();
-    // Editions referenced by this view (usually one; two mid-rebuild).
-    scratch->editions.clear();
-    int max_reps = 0;
-    for (const void* raw : states) {
-      const auto* state = static_cast<const ShardState*>(raw);
-      scratch->KeysFor(state->edition.get());
-      max_reps = std::max(max_reps, state->edition->family.repetitions());
-    }
-    std::vector<RepHit> hits(num);
-    for (int rep = 0; rep < max_reps && !found; ++rep) {
-      for (auto& entry : scratch->editions) {
-        if (rep >= entry.edition->family.repetitions()) continue;
-        entry.keys.clear();
-        PathGenStats gen;
-        entry.edition->family.ComputeFilters(
-            query, static_cast<uint32_t>(rep), &entry.keys, &gen);
-        AddPathGenStats(&scratch->path_gen, gen);
-        local.filters += entry.keys.size();
-      }
-      const RepHit* best = nullptr;
-      for (size_t s = 0; s < num; ++s) {
-        const auto* state = static_cast<const ShardState*>(states[s]);
-        if (rep >= state->edition->family.repetitions()) continue;
-        QueryStats shard_stats;
-        hits[s] = ScanShardRep(*state, query,
-                               scratch->KeysFor(state->edition.get()).keys,
-                               &scratch->seen[s], &shard_stats);
-        local.candidates += shard_stats.candidates;
-        local.verifications += shard_stats.verifications;
-        const RepHit& hit = hits[s];
-        if (!hit.found) continue;
-        if (best == nullptr || hit.key_idx < best->key_idx ||
-            (hit.key_idx == best->key_idx &&
-             (hit.phase < best->phase ||
-              (hit.phase == best->phase && hit.id < best->id)))) {
-          best = &hits[s];
-        }
-      }
-      if (best != nullptr) found = Match{best->id, best->similarity};
-    }
-    size_t distinct = 0;
-    for (const auto& seen : scratch->seen) distinct += seen.size();
-    local.distinct_candidates = distinct;
-  }
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return found;
-}
-
-std::vector<Match> DynamicIndex::QueryAllImpl(
-    const std::vector<const void*>& states, std::span<const ItemId> query,
-    double threshold, QueryStats* stats) const {
-  Timer timer;
-  QueryStats local;
-  std::vector<Match> out;
-  if (!states.empty() && !query.empty()) {
-    // Full key lists (all repetitions) per referenced edition.
-    std::vector<std::pair<const Edition*, std::vector<uint64_t>>> keys;
-    auto keys_for = [&](const Edition* edition)
-        -> const std::vector<uint64_t>& {
-      for (auto& entry : keys) {
-        if (entry.first == edition) return entry.second;
-      }
-      keys.emplace_back(edition, std::vector<uint64_t>());
-      std::vector<uint64_t>& fresh = keys.back().second;
-      // All repetitions probed (no early exit): one fused pass.
-      std::vector<size_t> offsets;
-      edition->family.ComputeAllFilters(query, &fresh, &offsets);
-      local.filters += fresh.size();
-      return fresh;
-    };
-    for (const void* raw : states) {
-      const auto* state = static_cast<const ShardState*>(raw);
-      const std::vector<uint64_t>& shard_keys =
-          keys_for(state->edition.get());
-      PostingSet<VectorId> seen;
-      auto consider = [&](VectorId id) {
-        if (!seen.insert(id).second) return;
-        if (state->IsTombstoned(id)) return;
-        auto items = ItemsOf(*state, id);
-        if (items.empty()) return;
-        local.verifications++;
-        double sim = Similarity(options_.index.verify_measure, query, items);
-        if (sim >= threshold) out.push_back({id, sim});
-      };
-      for (uint64_t key : shard_keys) {
-        auto postings = state->base->Lookup(key);
-        local.candidates += postings.size();
-        for (VectorId id : postings) consider(id);
-        const std::vector<VectorId>* extra = state->FindDelta(key);
-        if (extra != nullptr) {
-          local.candidates += extra->size();
-          for (VectorId id : *extra) consider(id);
-        }
-      }
-      local.distinct_candidates += seen.size();
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return out;
+    QueryStats* stats, query_internal::Scratch* scratch) const {
+  return query_internal::FirstMatch(
+      query, states.size(),
+      [&](size_t s) {
+        return ShardView{this, static_cast<const ShardState*>(states[s])};
+      },
+      /*pool=*/nullptr, stats, scratch);
 }
 
 std::optional<Match> DynamicIndex::Query(std::span<const ItemId> query,
                                          QueryStats* stats) const {
-  if (!built()) {
-    if (stats != nullptr) *stats = QueryStats{};
-    return std::nullopt;
-  }
-  Snapshot snapshot = GetSnapshot();
-  QueryScratch scratch;
-  return QueryImpl(snapshot.states_, query, stats, &scratch);
+  return GetSnapshot().Query(query, stats);
 }
 
 std::vector<Match> DynamicIndex::QueryAll(std::span<const ItemId> query,
                                           double threshold,
                                           QueryStats* stats) const {
-  if (!built()) {
-    if (stats != nullptr) *stats = QueryStats{};
-    return {};
-  }
-  Snapshot snapshot = GetSnapshot();
-  return QueryAllImpl(snapshot.states_, query, threshold, stats);
+  return GetSnapshot().QueryAll(query, threshold, stats);
 }
 
 DynamicIndex::Snapshot DynamicIndex::GetSnapshot() const {
@@ -1114,7 +963,7 @@ std::optional<Match> DynamicIndex::Snapshot::Query(
     if (stats != nullptr) *stats = QueryStats{};
     return std::nullopt;
   }
-  QueryScratch scratch;
+  query_internal::Scratch scratch;
   return index_->QueryImpl(states_, query, stats, &scratch);
 }
 
@@ -1125,7 +974,12 @@ std::vector<Match> DynamicIndex::Snapshot::QueryAll(
     if (stats != nullptr) *stats = QueryStats{};
     return {};
   }
-  return index_->QueryAllImpl(states_, query, threshold, stats);
+  return query_internal::AllMatches(
+      query, threshold, states_.size(),
+      [this](size_t s) {
+        return ShardView{index_, static_cast<const ShardState*>(states_[s])};
+      },
+      /*pool=*/nullptr, stats);
 }
 
 size_t DynamicIndex::Snapshot::size() const {
@@ -1153,14 +1007,15 @@ std::vector<std::optional<Match>> DynamicIndex::BatchQuery(
   // One pinned snapshot for the whole batch: a consistent cross-shard
   // cut, unaffected by concurrent writers, compaction or rebuild.
   Snapshot snapshot = GetSnapshot();
-  return batch_internal::Run<QueryScratch>(
+  return batch_internal::Run<query_internal::Scratch>(
       queries, pool, stats, batch_stats,
-      [&](size_t i, QueryScratch* scratch, QueryStats* query_stats) {
+      [&](size_t i, query_internal::Scratch* scratch,
+          QueryStats* query_stats) {
         return QueryImpl(snapshot.states_,
                          queries.Get(static_cast<VectorId>(i)), query_stats,
                          scratch);
       },
-      [](const QueryScratch& scratch, BatchQueryStats* agg) {
+      [](const query_internal::Scratch& scratch, BatchQueryStats* agg) {
         AddPathGenStats(&agg->path_gen, scratch.path_gen);
       });
 }

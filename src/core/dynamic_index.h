@@ -39,6 +39,13 @@
 // results no matter how many mutations, compactions or rebuilds happen
 // concurrently. BatchQuery() answers the whole batch against one such
 // snapshot, giving a batch a consistent cross-shard cut.
+//
+// Queries run through the query driver ShardedIndex uses
+// (core/query_driver.h): a pinned shard is one more shard view, whose
+// scan visits a key's base postings, then its delta postings, and skips
+// tombstoned ids. Answers on a fresh build therefore equal the static
+// index's at the same shard count, and every query records the same
+// query.* metrics and trace spans (docs/OBSERVABILITY.md).
 
 #ifndef SKEWSEARCH_CORE_DYNAMIC_INDEX_H_
 #define SKEWSEARCH_CORE_DYNAMIC_INDEX_H_
@@ -249,7 +256,8 @@ class DynamicIndex : public IndexView {
   /// into a fresh frozen table. The expensive table build runs against a
   /// pinned snapshot with no locks held; only a short merge section
   /// (bounded by the mutations that raced the build) takes the shard's
-  /// writer mutex. No-op when the shard has no tombstones.
+  /// writer mutex. No-op only when the shard has neither tombstones nor
+  /// delta postings.
   Status CompactShard(int s);
 
   /// Re-derives the filter-family parameters for a live count of
@@ -368,33 +376,15 @@ class DynamicIndex : public IndexView {
   size_t MemoryBytes() const override;
 
  private:
-  struct Edition;       // parameter edition (filter family + derivation)
-  struct Shard;         // atomic snapshot slot + writer mutex
-  struct ShardState;    // immutable published snapshot
-  struct QueryScratch;  // defined in dynamic_index.cc
-
-  /// First passing candidate of one (repetition, shard) scan; the
-  /// coordinate orders base postings before delta postings of a key.
-  struct RepHit {
-    bool found = false;
-    size_t key_idx = 0;
-    uint8_t phase = 0;  ///< 0 = base table, 1 = delta
-    VectorId id = 0;
-    double similarity = 0.0;
-  };
+  struct Edition;     // parameter edition (filter family + derivation)
+  struct Shard;       // atomic snapshot slot + writer mutex
+  struct ShardState;  // immutable published snapshot
+  struct ShardView;   // the query driver's view of a pinned ShardState
 
   std::optional<Match> QueryImpl(const std::vector<const void*>& states,
                                  std::span<const ItemId> query,
                                  QueryStats* stats,
-                                 QueryScratch* scratch) const;
-  std::vector<Match> QueryAllImpl(const std::vector<const void*>& states,
-                                  std::span<const ItemId> query,
-                                  double threshold, QueryStats* stats) const;
-  RepHit ScanShardRep(const ShardState& state, std::span<const ItemId> query,
-                      const std::vector<uint64_t>& keys,
-                      PostingSet<VectorId>* seen,
-                      QueryStats* stats) const;
-  std::span<const ItemId> ItemsOf(const ShardState& state, VectorId id) const;
+                                 query_internal::Scratch* scratch) const;
 
   /// Swaps \p next in as \p shard's snapshot and retires the old one.
   /// Caller holds the shard's writer mutex. Returns true when the limbo

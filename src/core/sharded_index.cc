@@ -5,10 +5,8 @@
 #include "core/batch.h"
 #include "core/frozen_shard.h"
 #include "core/index_io.h"
+#include "core/query_driver.h"
 #include "hashing/mix.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
-#include "sim/measures.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -18,6 +16,28 @@ namespace skewsearch {
 namespace {
 
 constexpr int kMaxShards = 1 << 12;
+
+/// The query driver's view of one static shard (core/query_driver.h):
+/// one posting table, and every posted id is live.
+struct ShardView {
+  const FilterTable* table;
+  const FilterFamily* filter_family;
+  const Dataset* data;
+
+  const FilterFamily& family() const { return *filter_family; }
+
+  template <typename Fn>
+  bool Scan(uint64_t key, QueryStats* stats, Fn&& fn) const {
+    const std::span<const VectorId> postings = table->Lookup(key);
+    stats->candidates += postings.size();
+    for (VectorId id : postings) {
+      if (fn(uint8_t{0}, id)) return true;
+    }
+    return false;
+  }
+
+  std::span<const ItemId> Items(VectorId id) const { return data->Get(id); }
+};
 
 }  // namespace
 
@@ -155,43 +175,6 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
 
 }  // namespace sharded_internal
 
-// Per-query workspace reused across a batch: key buffer, one dedup set
-// per shard, the per-(rep, shard) hit/stat slots, and path-generation
-// counters for batch aggregation.
-struct ShardedIndex::QueryScratch {
-  std::vector<uint64_t> keys;
-  std::vector<PostingSet<VectorId>> seen;
-  std::vector<RepHit> hits;
-  std::vector<QueryStats> shard_stats;
-  PathGenStats path_gen;
-};
-
-ShardedIndex::RepHit ShardedIndex::ScanShardRep(
-    const FilterTable& table, std::span<const ItemId> query,
-    const std::vector<uint64_t>& keys, PostingSet<VectorId>* seen,
-    QueryStats* stats) const {
-  RepHit hit;
-  const double threshold = family_.verify_threshold();
-  for (size_t ki = 0; ki < keys.size(); ++ki) {
-    auto postings = table.Lookup(keys[ki]);
-    stats->candidates += postings.size();
-    for (VectorId id : postings) {
-      if (!seen->insert(id).second) continue;
-      stats->verifications++;
-      double sim = Similarity(options_.index.verify_measure, query,
-                              data_->Get(id));
-      if (sim >= threshold) {
-        hit.found = true;
-        hit.key_idx = ki;
-        hit.id = id;
-        hit.similarity = sim;
-        return hit;
-      }
-    }
-  }
-  return hit;
-}
-
 std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
                                          QueryStats* stats) const {
   return Query(query, nullptr, stats);
@@ -200,175 +183,26 @@ std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
 std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
                                          ThreadPool* pool,
                                          QueryStats* stats) const {
-  QueryScratch scratch;
+  query_internal::Scratch scratch;
   return QueryImpl(query, pool, stats, &scratch);
 }
 
-std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
-                                             ThreadPool* pool,
-                                             QueryStats* stats,
-                                             QueryScratch* scratch) const {
-  // The query path's metrics (docs/OBSERVABILITY.md, "query.*"), the
-  // same at every shard count. Function-local statics so the registry
-  // mutex is taken once per process; per query this adds a handful of
-  // relaxed atomic adds and two clock reads per repetition (the
-  // filter/verify phase split).
-  static obs::Counter* const queries_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.count");
-  static obs::Counter* const hits_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.hits");
-  static obs::Counter* const candidates_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.candidates");
-  static obs::Counter* const verifications_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.verifications");
-  static obs::Histogram* const latency_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_ns");
-  static obs::Histogram* const repetitions_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.repetitions_probed");
-  static obs::Histogram* const fanout_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.rep_fanout");
-  static obs::Histogram* const filters_span_metric =
-      obs::MetricsRegistry::Global().GetHistogram("span.query.filters");
-  static obs::Histogram* const verify_span_metric =
-      obs::MetricsRegistry::Global().GetHistogram("span.query.verify");
-
-  Timer timer;
-  QueryStats local;
-  std::optional<Match> found;
-  uint64_t reps_probed = 0;
-  int64_t filter_ns = 0;
-  int64_t phase_mark = 0;
-  if (built() && !query.empty()) {
-    const int num = num_shards();
-    scratch->seen.resize(static_cast<size_t>(num));
-    for (auto& seen : scratch->seen) seen.clear();
-    for (int rep = 0; rep < family_.repetitions() && !found; ++rep) {
-      reps_probed++;
-      const uint64_t rep_candidates_before = local.candidates;
-      scratch->keys.clear();
-      PathGenStats gen;
-      family_.ComputeFilters(query, static_cast<uint32_t>(rep),
-                             &scratch->keys, &gen);
-      AddPathGenStats(&scratch->path_gen, gen);
-      local.filters += scratch->keys.size();
-      // Everything between phase_mark and here was filter generation;
-      // the rest of the repetition is lookup + verification.
-      filter_ns += timer.ElapsedNanos() - phase_mark;
-      scratch->hits.assign(static_cast<size_t>(num), RepHit{});
-      scratch->shard_stats.assign(static_cast<size_t>(num), QueryStats{});
-      auto scan_shard = [&](size_t s) {
-        scratch->hits[s] =
-            ScanShardRep(shards_[s], query, scratch->keys,
-                         &scratch->seen[s], &scratch->shard_stats[s]);
-      };
-      if (pool != nullptr && num > 1) {
-        pool->ParallelFor(static_cast<size_t>(num), /*grain=*/1,
-                          [&](size_t begin, size_t end, int) {
-                            for (size_t s = begin; s < end; ++s) {
-                              scan_shard(s);
-                            }
-                          });
-      } else {
-        for (size_t s = 0; s < static_cast<size_t>(num); ++s) scan_shard(s);
-      }
-      // Merge by scan coordinate: the one-shard index checks candidates
-      // in (key position, id-within-posting-list) order, so the minimal
-      // (key_idx, id) over the shard winners is exactly its first hit.
-      const RepHit* best = nullptr;
-      for (const RepHit& hit : scratch->hits) {
-        if (!hit.found) continue;
-        if (best == nullptr || hit.key_idx < best->key_idx ||
-            (hit.key_idx == best->key_idx && hit.id < best->id)) {
-          best = &hit;
-        }
-      }
-      for (const QueryStats& qs : scratch->shard_stats) {
-        local.candidates += qs.candidates;
-        local.verifications += qs.verifications;
-      }
-      if (best != nullptr) found = Match{best->id, best->similarity};
-      phase_mark = timer.ElapsedNanos();
-      fanout_metric->Record(local.candidates - rep_candidates_before);
-    }
-    size_t distinct = 0;
-    for (const auto& seen : scratch->seen) distinct += seen.size();
-    local.distinct_candidates = distinct;
-  }
-  const int64_t total_ns = timer.ElapsedNanos();
-  const int64_t verify_ns = phase_mark - filter_ns;
-  local.seconds = static_cast<double>(total_ns) * 1e-9;
-  queries_metric->Increment();
-  if (found) hits_metric->Increment();
-  candidates_metric->Increment(local.candidates);
-  verifications_metric->Increment(local.verifications);
-  latency_metric->Record(static_cast<uint64_t>(total_ns));
-  repetitions_metric->Record(reps_probed);
-  filters_span_metric->Record(static_cast<uint64_t>(filter_ns));
-  verify_span_metric->Record(static_cast<uint64_t>(verify_ns));
-  if (obs::ScopedTrace* trace = obs::ScopedTrace::Current()) {
-    trace->Add("span.query.filters", static_cast<uint64_t>(filter_ns));
-    trace->Add("span.query.verify", static_cast<uint64_t>(verify_ns));
-    trace->Add("query.latency_ns", static_cast<uint64_t>(total_ns));
-  }
-  if (stats != nullptr) *stats = local;
-  return found;
+std::optional<Match> ShardedIndex::QueryImpl(
+    std::span<const ItemId> query, ThreadPool* pool, QueryStats* stats,
+    query_internal::Scratch* scratch) const {
+  return query_internal::FirstMatch(
+      query, shards_.size(),
+      [this](size_t s) { return ShardView{&shards_[s], &family_, data_}; },
+      pool, stats, scratch);
 }
 
 std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
                                           double threshold, QueryStats* stats,
                                           ThreadPool* pool) const {
-  SKEWSEARCH_SPAN("query.all");
-  Timer timer;
-  QueryStats local;
-  std::vector<Match> out;
-  if (built() && !query.empty()) {
-    // QueryAll exhausts every repetition, so all keys can be computed up
-    // front (one fused pass) and each shard scanned exactly once.
-    std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
-    family_.ComputeAllFilters(query, &keys, &offsets);
-    local.filters = keys.size();
-    const size_t num = shards_.size();
-    std::vector<std::vector<Match>> matches(num);
-    std::vector<QueryStats> shard_stats(num);
-    std::vector<size_t> distinct(num, 0);
-    auto scan_shard = [&](size_t s) {
-      PostingSet<VectorId> seen;
-      for (uint64_t key : keys) {
-        auto postings = shards_[s].Lookup(key);
-        shard_stats[s].candidates += postings.size();
-        for (VectorId id : postings) {
-          if (!seen.insert(id).second) continue;
-          shard_stats[s].verifications++;
-          double sim = Similarity(options_.index.verify_measure, query,
-                                  data_->Get(id));
-          if (sim >= threshold) matches[s].push_back({id, sim});
-        }
-      }
-      distinct[s] = seen.size();
-    };
-    if (pool != nullptr && num > 1) {
-      pool->ParallelFor(num, /*grain=*/1,
-                        [&](size_t begin, size_t end, int) {
-                          for (size_t s = begin; s < end; ++s) scan_shard(s);
-                        });
-    } else {
-      for (size_t s = 0; s < num; ++s) scan_shard(s);
-    }
-    for (size_t s = 0; s < num; ++s) {
-      local.candidates += shard_stats[s].candidates;
-      local.verifications += shard_stats[s].verifications;
-      local.distinct_candidates += distinct[s];
-      out.insert(out.end(), matches[s].begin(), matches[s].end());
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return query_internal::AllMatches(
+      query, threshold, shards_.size(),
+      [this](size_t s) { return ShardView{&shards_[s], &family_, data_}; },
+      pool, stats);
 }
 
 std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
@@ -385,13 +219,14 @@ std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
   // The batch is parallelized over queries; each query scans its shards
   // serially (fanning a query's shards onto the same pool would deadlock
   // a worker waiting on its own pool).
-  return batch_internal::Run<QueryScratch>(
+  return batch_internal::Run<query_internal::Scratch>(
       queries, pool, stats, batch_stats,
-      [&](size_t i, QueryScratch* scratch, QueryStats* query_stats) {
+      [&](size_t i, query_internal::Scratch* scratch,
+          QueryStats* query_stats) {
         return QueryImpl(queries.Get(static_cast<VectorId>(i)), nullptr,
                          query_stats, scratch);
       },
-      [](const QueryScratch& scratch, BatchQueryStats* agg) {
+      [](const query_internal::Scratch& scratch, BatchQueryStats* agg) {
         AddPathGenStats(&agg->path_gen, scratch.path_gen);
       });
 }

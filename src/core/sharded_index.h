@@ -13,6 +13,8 @@
 // *byte-identical* to the one-shard index for every shard count and
 // thread count. Per-query work counters differ (shards other than the
 // winning one scan to the end of the repetition), but results never do.
+// The query driver doing this lives in core/query_driver.h and also
+// serves the online DynamicIndex.
 //
 // This is the skew-aware analogue of LSF-Join's partitioning insight:
 // the repetition structure is naturally shard-friendly because each
@@ -41,6 +43,9 @@ namespace skewsearch {
 class ThreadPool;       // util/thread_pool.h
 class FrozenShardFile;  // core/frozen_shard.h
 struct FrozenMapOptions;
+namespace query_internal {
+struct Scratch;  // core/query_driver.h
+}  // namespace query_internal
 
 /// \brief Configuration of a sharded build.
 struct ShardedIndexOptions {
@@ -161,24 +166,9 @@ class ShardedIndex : public IndexView {
   size_t MemoryBytes() const override;
 
  private:
-  struct QueryScratch;  // defined in sharded_index.cc
-
-  /// First passing candidate of one (repetition, shard) scan, tagged
-  /// with its scan coordinate for the cross-shard merge.
-  struct RepHit {
-    bool found = false;
-    size_t key_idx = 0;
-    VectorId id = 0;
-    double similarity = 0.0;
-  };
-
-  RepHit ScanShardRep(const FilterTable& table, std::span<const ItemId> query,
-                      const std::vector<uint64_t>& keys,
-                      PostingSet<VectorId>* seen, QueryStats* stats) const;
-
   std::optional<Match> QueryImpl(std::span<const ItemId> query,
                                  ThreadPool* pool, QueryStats* stats,
-                                 QueryScratch* scratch) const;
+                                 query_internal::Scratch* scratch) const;
 
   const Dataset* data_ = nullptr;
   const ProductDistribution* dist_ = nullptr;

@@ -141,6 +141,22 @@ TEST_F(CliTest, SelfJoinOnlineRuns) {
             0);
 }
 
+TEST_F(CliTest, DumpsThatFailToWriteFail) {
+  // /dev/full accepts the open and refuses the bytes: a dump the smoke
+  // scripts would diff must not report success when nothing landed.
+  ASSERT_EQ(RunCli({"generate", "--kind", "zipf", "--n", "300", "--d",
+                    "300", "--p", "0.9", "--exp", "1.2", "--avg", "8",
+                    "--seed", "7", "--out", text_}),
+            0);
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6",
+                    "--dump-pairs", "/dev/full"}),
+            1);
+  EXPECT_EQ(RunCli({"query-bench", "--in", text_, "--alpha", "0.8",
+                    "--queries", "10", "--online", "--maintenance", "0",
+                    "--dump-matches", "/dev/full"}),
+            1);
+}
+
 TEST_F(CliTest, MannStandInWorks) {
   EXPECT_EQ(RunCli({"mann", "--name", "DBLP", "--n", "300", "--out", text_}),
             0);

@@ -1,7 +1,8 @@
 // DynamicIndex: online inserts/removes on top of the sharded layout —
-// fresh-build equivalence with the unsharded index, insert-then-query
-// recall, remove-then-query absence, compaction transparency, and
-// Save/Load round-trips including tombstone state.
+// fresh-build equivalence with the static index, the shared query
+// driver's metrics, insert-then-query recall, remove-then-query
+// absence, compaction transparency, and Save/Load round-trips including
+// tombstone state.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dynamic_index.h"
@@ -16,6 +18,8 @@
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "maintenance/service.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -82,20 +86,105 @@ bool ContainsId(const std::vector<Match>& matches, VectorId id) {
 }
 
 TEST_F(DynamicIndexTest, FreshBuildMatchesUnshardedQueryAll) {
-  ShardedIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, {Options().index, 1}).ok());
-  DynamicIndex dynamic;
-  ASSERT_TRUE(dynamic.Build(&data_, &dist_, Options()).ok());
-  EXPECT_EQ(dynamic.size(), data_.size());
+  // QueryAll equals the unsharded static index's. The first-match Query
+  // equals the static index's at the same shard count, work counters
+  // included: a fresh build has no delta and no tombstones, so the
+  // online scan visits exactly the static postings in the same order.
+  ShardedIndex unsharded;
+  ASSERT_TRUE(unsharded.Build(&data_, &dist_, {Options().index, 1}).ok());
+  for (int num_shards : {1, 4}) {
+    SCOPED_TRACE("K=" + std::to_string(num_shards));
+    ShardedIndex reference;
+    ASSERT_TRUE(
+        reference.Build(&data_, &dist_, {Options().index, num_shards}).ok());
+    DynamicIndex dynamic;
+    ASSERT_TRUE(dynamic.Build(&data_, &dist_, Options(num_shards)).ok());
+    EXPECT_EQ(dynamic.size(), data_.size());
 
+    CorrelatedQuerySampler sampler(&dist_, 0.7);
+    Rng rng(32);
+    for (int t = 0; t < 30; ++t) {
+      VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
+      SparseVector q = sampler.SampleCorrelated(data_.Get(target), &rng);
+      const std::string ctx = "query " + std::to_string(t);
+      ExpectSameMatches(dynamic.QueryAll(q.span(), 0.0),
+                        unsharded.QueryAll(q.span(), 0.0), ctx);
+      QueryStats got, want;
+      auto hit = dynamic.Query(q.span(), &got);
+      auto expected = reference.Query(q.span(), &want);
+      ASSERT_EQ(hit.has_value(), expected.has_value()) << ctx;
+      if (hit) {
+        EXPECT_EQ(hit->id, expected->id) << ctx;
+        EXPECT_EQ(hit->similarity, expected->similarity) << ctx;
+      }
+      EXPECT_EQ(got.filters, want.filters) << ctx;
+      EXPECT_EQ(got.candidates, want.candidates) << ctx;
+      EXPECT_EQ(got.distinct_candidates, want.distinct_candidates) << ctx;
+      EXPECT_EQ(got.verifications, want.verifications) << ctx;
+    }
+  }
+}
+
+TEST_F(DynamicIndexTest, QueryRecordsMetrics) {
+  // Every online entry point records the static index's query.*
+  // vocabulary, at every shard count.
+  const std::vector<std::string_view> per_query = {
+      "span.query.filters", "span.query.verify", "query.latency_ns"};
+  obs::Counter* const queries =
+      obs::MetricsRegistry::Global().GetCounter("query.count");
+  auto names_of = [](const obs::ScopedTrace& trace) {
+    std::vector<std::string_view> names;
+    for (const obs::TraceEntry& entry : trace.entries()) {
+      names.push_back(entry.name);
+    }
+    return names;
+  };
   CorrelatedQuerySampler sampler(&dist_, 0.7);
-  Rng rng(32);
-  for (int t = 0; t < 30; ++t) {
+  Rng rng(41);
+  Dataset batch;
+  for (int t = 0; t < 5; ++t) {
     VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
-    SparseVector q = sampler.SampleCorrelated(data_.Get(target), &rng);
-    ExpectSameMatches(dynamic.QueryAll(q.span(), 0.0),
-                      reference.QueryAll(q.span(), 0.0),
-                      "query " + std::to_string(t));
+    batch.Add(sampler.SampleCorrelated(data_.Get(target), &rng).span());
+  }
+  for (int num_shards : {1, 4}) {
+    SCOPED_TRACE("K=" + std::to_string(num_shards));
+    DynamicIndex index;
+    ASSERT_TRUE(index.Build(&data_, &dist_, Options(num_shards)).ok());
+    // Delta postings and a tombstone, so the scans cover both.
+    for (const SparseVector& v : FreshVectors(index, 5, 42)) {
+      ASSERT_TRUE(index.Insert(v.span()).ok());
+    }
+    ASSERT_TRUE(index.Remove(7).ok());
+    DynamicIndex::Snapshot snapshot = index.GetSnapshot();
+    for (VectorId i = 0; i < batch.size(); ++i) {
+      for (bool pinned : {false, true}) {
+        obs::ScopedTrace trace;
+        const uint64_t before = queries->Value();
+        if (pinned) {
+          snapshot.Query(batch.Get(i));
+        } else {
+          index.Query(batch.Get(i));
+        }
+        EXPECT_EQ(queries->Value(), before + 1);
+        EXPECT_EQ(names_of(trace), per_query);
+      }
+    }
+    {
+      obs::ScopedTrace trace;
+      const uint64_t before = queries->Value();
+      index.BatchQuery(batch, 1);  // serial: every query on this thread
+      EXPECT_EQ(queries->Value(), before + batch.size());
+      std::vector<std::string_view> expected;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        expected.insert(expected.end(), per_query.begin(), per_query.end());
+      }
+      EXPECT_EQ(names_of(trace), expected);
+    }
+    obs::ScopedTrace trace;
+    index.QueryAll(batch.Get(0), 0.0);
+    snapshot.QueryAll(batch.Get(0), 0.0);
+    EXPECT_EQ(names_of(trace), (std::vector<std::string_view>{
+                                   "span.query.all", "span.query.all"}));
   }
 }
 

@@ -123,7 +123,7 @@ the full metrics registry as JSON to FILE on exit and again whenever
 the process receives SIGUSR1.
 
 join-stats scrapes a live join-worker's metrics registry over the wire
-(a protocol-v2 scrape-only session: Hello, StatsRequest, Shutdown) and
+(a scrape-only session: Hello, StatsRequest, Shutdown) and
 prints every counter, gauge, and latency histogram as text — or as
 JSON with --json. It works mid-join: batch and byte counters advance
 while probe streams are being served. docs/OBSERVABILITY.md has the
@@ -147,7 +147,7 @@ assignment per worker instead of O(index) posting slices. The pair
 output is byte-identical to every other backend.
 
 join-worker --shard-file FILE --data FILE pre-maps a frozen file (and
-loads the dataset it was frozen from) so protocol-v3 coordinators can
+loads the dataset it was frozen from) so --frozen coordinators can
 open frozen-shard sessions against it; classic ship-everything
 sessions still work on the same worker.
 
@@ -1000,7 +1000,7 @@ int CmdJoinWorker(const Flags& flags) {
   };
 
   // --shard-file: pre-map a frozen SKF1 file (and load the dataset it
-  // was frozen from) so version >= 3 coordinators can open frozen-shard
+  // was frozen from) so --frozen coordinators can open frozen-shard
   // sessions with a tiny ShardAssignment instead of shipping slices.
   // Both live here, above the server, for the whole Serve() lifetime.
   std::shared_ptr<const FrozenShardFile> frozen_file;
@@ -1096,23 +1096,7 @@ int CmdJoinStats(const Flags& flags) {
     std::fprintf(stderr, "join-stats needs --connect HOST:PORT\n");
     return 1;
   }
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    std::fprintf(stderr, "--connect '%s' is not HOST:PORT\n",
-                 endpoint.c_str());
-    return 1;
-  }
-  char* end = nullptr;
-  const unsigned long port =
-      std::strtoul(endpoint.c_str() + colon + 1, &end, 10);
-  if (*end != '\0' || port == 0 || port > 65535) {
-    std::fprintf(stderr, "--connect '%s' has an invalid port\n",
-                 endpoint.c_str());
-    return 1;
-  }
-  auto connection =
-      TcpConnect(endpoint.substr(0, colon), static_cast<uint16_t>(port));
+  auto connection = ConnectEndpoint(endpoint);
   if (!connection.ok()) return Fail(connection.status());
   auto stats = ScrapeWorkerStats(connection->get());
   if (!stats.ok()) return Fail(stats.status());

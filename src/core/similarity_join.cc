@@ -1,7 +1,6 @@
 #include "core/similarity_join.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -14,28 +13,6 @@
 namespace skewsearch {
 
 namespace {
-
-/// Splits "host:port" (the last ':' separates the port, so numeric
-/// hosts with dots are fine) and connects over TCP.
-Result<std::unique_ptr<FrameConnection>> ConnectEndpoint(
-    const std::string& endpoint) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    return Status::InvalidArgument("remote worker endpoint '" + endpoint +
-                                   "' is not host:port");
-  }
-  const std::string host = endpoint.substr(0, colon);
-  const std::string port_text = endpoint.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-  if (end == port_text.c_str() || *end != '\0' || port == 0 ||
-      port > 65535) {
-    return Status::InvalidArgument("remote worker endpoint '" + endpoint +
-                                   "' has an invalid port");
-  }
-  return TcpConnect(host, static_cast<uint16_t>(port));
-}
 
 /// The distributed pair-emission backend: plan a skew-aware key
 /// partition, fan the probes out over in-process workers, merge. Output
@@ -74,7 +51,7 @@ Result<std::vector<JoinPair>> DistributedBackend(const Dataset& left,
   DistributedJoin join;
   if (frozen) {
     // The worker count is the file's shard count; endpoints (if any)
-    // must match it, which BuildFromFrozen + AttachRemoteFrozen check.
+    // must match it, which AttachRemote checks.
     SKEWSEARCH_RETURN_NOT_OK(join.BuildFromFrozen(
         &right, &dist, options.frozen_shards, distributed));
   } else {
@@ -89,9 +66,7 @@ Result<std::vector<JoinPair>> DistributedBackend(const Dataset& left,
       SKEWSEARCH_RETURN_NOT_OK(connection.status());
       connections.push_back(std::move(connection).value());
     }
-    SKEWSEARCH_RETURN_NOT_OK(
-        frozen ? join.AttachRemoteFrozen(std::move(connections))
-               : join.AttachRemote(std::move(connections)));
+    SKEWSEARCH_RETURN_NOT_OK(join.AttachRemote(std::move(connections)));
   }
   DistributedJoinStats distributed_stats;
   Result<std::vector<JoinPair>> pairs =

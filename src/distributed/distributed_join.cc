@@ -59,7 +59,7 @@ Status DistributedJoin::AttachRemote(
     std::vector<std::unique_ptr<FrameConnection>> connections) {
   if (!built()) {
     return Status::InvalidArgument(
-        "AttachRemote requires a successful Build");
+        "AttachRemote requires a successful Build or BuildFromFrozen");
   }
   if (remote()) {
     return Status::InvalidArgument(
@@ -71,6 +71,34 @@ Status DistributedJoin::AttachRemote(
         std::to_string(workers_.size()) + " workers, " +
         std::to_string(connections.size()) + " connections)");
   }
+  const uint32_t num_workers = static_cast<uint32_t>(workers_.size());
+  // A built coordinator ships each worker its slices. A frozen one sends
+  // a ShardAssignment naming the shard instead — the worker pre-mapped
+  // the byte-identical file — and expects the ack to carry what this
+  // coordinator's own mapping records for that shard.
+  auto start = [&](size_t w) -> Result<RemoteWorkerSession> {
+    const uint32_t worker_id = static_cast<uint32_t>(w);
+    if (!frozen()) {
+      return RemoteWorkerSession::Start(std::move(connections[w]), worker_id,
+                                        num_workers,
+                                        BuildAssignment(static_cast<int>(w)));
+    }
+    wire::ShardAssignmentFrame shard;
+    shard.num_shards = num_workers;
+    shard.shard_index = worker_id;
+    shard.fingerprint = frozen_->fingerprint();
+    shard.threshold = threshold_;
+    shard.measure = options_.index.verify_measure;
+    const FrozenShardFile::ShardInfo& info =
+        frozen_->shard_info(static_cast<int>(w));
+    wire::AssignmentAckFrame expected;
+    expected.num_keys = info.keys_count;
+    expected.num_entries = info.ids_count;
+    expected.distinct_vectors = data_->size();
+    return RemoteWorkerSession::StartFrozen(std::move(connections[w]),
+                                            worker_id, num_workers, shard,
+                                            expected);
+  };
   std::vector<RemoteWorkerSession> sessions;
   sessions.reserve(connections.size());
   for (size_t w = 0; w < connections.size(); ++w) {
@@ -78,64 +106,7 @@ Status DistributedJoin::AttachRemote(
       for (auto& session : sessions) (void)session.Shutdown();
       return Status::InvalidArgument("AttachRemote got a null connection");
     }
-    Result<RemoteWorkerSession> session = RemoteWorkerSession::Start(
-        std::move(connections[w]), static_cast<uint32_t>(w),
-        static_cast<uint32_t>(workers_.size()),
-        BuildAssignment(static_cast<int>(w)));
-    if (!session.ok()) {
-      for (auto& started : sessions) (void)started.Shutdown();
-      return session.status();
-    }
-    sessions.push_back(std::move(session).value());
-  }
-  sessions_ = std::move(sessions);
-  session_of_worker_.resize(workers_.size());
-  for (size_t w = 0; w < workers_.size(); ++w) session_of_worker_[w] = w;
-  session_alive_.assign(sessions_.size(), true);
-  return Status::OK();
-}
-
-Status DistributedJoin::AttachRemoteFrozen(
-    std::vector<std::unique_ptr<FrameConnection>> connections) {
-  if (!built() || frozen_ == nullptr) {
-    return Status::InvalidArgument(
-        "AttachRemoteFrozen requires a successful BuildFromFrozen");
-  }
-  if (remote()) {
-    return Status::InvalidArgument(
-        "remote workers already attached; DetachRemote first");
-  }
-  if (connections.size() != workers_.size()) {
-    return Status::InvalidArgument(
-        "AttachRemoteFrozen needs exactly one connection per shard (" +
-        std::to_string(workers_.size()) + " shards, " +
-        std::to_string(connections.size()) + " connections)");
-  }
-  std::vector<RemoteWorkerSession> sessions;
-  sessions.reserve(connections.size());
-  for (size_t w = 0; w < connections.size(); ++w) {
-    if (connections[w] == nullptr) {
-      for (auto& session : sessions) (void)session.Shutdown();
-      return Status::InvalidArgument(
-          "AttachRemoteFrozen got a null connection");
-    }
-    wire::ShardAssignmentFrame shard;
-    shard.num_shards = static_cast<uint32_t>(workers_.size());
-    shard.shard_index = static_cast<uint32_t>(w);
-    shard.fingerprint = frozen_->fingerprint();
-    shard.threshold = threshold_;
-    shard.measure = options_.index.verify_measure;
-    // The expected ack: what this coordinator's own mapping records for
-    // the shard. The worker mapped a byte-identical file or it fails.
-    const FrozenShardFile::ShardInfo& info =
-        frozen_->shard_info(static_cast<int>(w));
-    wire::AssignmentAckFrame expected;
-    expected.num_keys = info.keys_count;
-    expected.num_entries = info.ids_count;
-    expected.distinct_vectors = data_->size();
-    Result<RemoteWorkerSession> session = RemoteWorkerSession::StartFrozen(
-        std::move(connections[w]), static_cast<uint32_t>(w),
-        static_cast<uint32_t>(workers_.size()), shard, expected);
+    Result<RemoteWorkerSession> session = start(w);
     if (!session.ok()) {
       for (auto& started : sessions) (void)started.Shutdown();
       return session.status();
@@ -467,10 +438,11 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     }
   }
   const size_t window = std::max<size_t>(1, options_.pipeline);
-  // Ships worker w's queue over `session`, keeping up to `window`
-  // batches in flight. ReceiveResponses validates arrival order, so
-  // responses[w] is always the answered prefix of queues[w] — exactly
-  // what recovery needs to know where a replay must resume.
+  // Ships worker w's queue over `session` from its first unanswered
+  // request on, keeping up to `window` batches in flight.
+  // ReceiveResponses validates arrival order, so responses[w] is always
+  // the answered prefix of queues[w] — which is where a recovery replay
+  // on a survivor resumes, through this same drain.
   auto serve_worker_queue = [&](RemoteWorkerSession& session,
                                 size_t w) -> Status {
     Timer timer;
@@ -480,7 +452,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     const size_t batch =
         options_.probe_batch == 0 ? std::max<size_t>(queue.size(), 1)
                                   : options_.probe_batch;
-    size_t next = 0;
+    size_t next = out.size();
     while (next < queue.size() || session.in_flight() > 0) {
       while (session.in_flight() < window && next < queue.size()) {
         const size_t count = std::min(batch, queue.size() - next);
@@ -500,7 +472,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
         out.push_back(std::move(response));
       }
     }
-    worker_seconds[w] = timer.ElapsedSeconds();
+    worker_seconds[w] += timer.ElapsedSeconds();
     return Status::OK();
   };
   auto serve_session = [&](size_t s) {
@@ -550,12 +522,13 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   // worker died mid-join: close it out, re-derive every slice it held
   // (BuildAssignment is a pure function of the deterministic plan and
   // the build-side data — nothing about the dead worker is needed),
-  // re-ship them to the lowest-id surviving version >= 2 session, and
-  // replay each transferred queue's unanswered suffix. The merge's
-  // global dedup + canonical sort make replayed and merged-table
-  // responses invisible in the output, so a recovered join stays
-  // byte-identical. Runs strictly after the fan-out: a session is
-  // driven by one thread at a time.
+  // re-ship them to the lowest-id surviving session, and drain each
+  // transferred queue's unanswered suffix there through the same
+  // pipelined serve_worker_queue as the first pass. The merge's global
+  // dedup + canonical sort make replayed and merged-table responses
+  // invisible in the output, so a recovered join stays byte-identical.
+  // Runs strictly after the fan-out: a session is driven by one thread
+  // at a time.
   size_t worker_recoveries = 0;
   size_t replayed_batches = 0;
   if (serve_remote) {
@@ -582,64 +555,38 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
           "re-shipped (first failure: " +
           first_failure.ToString() + ")");
     }
-    while (!orphaned.empty()) {
-      size_t survivor = num_sessions;
-      for (size_t s = 0; s < num_sessions; ++s) {
-        if (session_alive_[s] && sessions_[s].negotiated_version() >= 2) {
-          survivor = s;
-          break;
-        }
-      }
-      if (survivor == num_sessions) {
-        return Status::IOError(
-            "distributed join: " + std::to_string(orphaned.size()) +
-            " worker(s) lost and no surviving version >= 2 session can "
-            "take their slices (first failure: " +
-            first_failure.ToString() + ")");
-      }
-      RemoteWorkerSession& session = sessions_[survivor];
-      bool survivor_alive = true;
-      while (!orphaned.empty() && survivor_alive) {
-        const size_t w = orphaned.front();
-        Status reassigned =
+    // If a survivor dies too, its remaining orphans move on to the next
+    // survivor, which resumes from the new answered prefix.
+    size_t next_orphan = 0;
+    for (size_t s = 0; s < num_sessions && next_orphan < orphaned.size();
+         ++s) {
+      if (!session_alive_[s]) continue;
+      RemoteWorkerSession& session = sessions_[s];
+      for (; next_orphan < orphaned.size(); ++next_orphan) {
+        const size_t w = orphaned[next_orphan];
+        const size_t sent_before = batches_sent[w];
+        Status recovered =
             session.Reassign(BuildAssignment(static_cast<int>(w)));
-        if (!reassigned.ok()) {
-          session_alive_[survivor] = false;
+        if (recovered.ok()) {
+          session_of_worker_[w] = s;
+          recovered = serve_worker_queue(session, w);
+        }
+        replayed_batches += batches_sent[w] - sent_before;
+        if (!recovered.ok()) {
+          session_alive_[s] = false;
           (void)session.Shutdown();
-          survivor_alive = false;
           break;
         }
-        session_of_worker_[w] = survivor;
-        const auto& queue = queues[w];
-        auto& out = responses[w];
-        const size_t batch =
-            options_.probe_batch == 0 ? std::max<size_t>(queue.size(), 1)
-                                      : options_.probe_batch;
-        // Resume exactly where the dead session's acknowledged prefix
-        // ends. If this survivor dies too, the worker stays orphaned
-        // and the next survivor continues from the new prefix.
-        bool replay_failed = false;
-        while (out.size() < queue.size()) {
-          const size_t begin = out.size();
-          const size_t count = std::min(batch, queue.size() - begin);
-          Result<std::vector<ProbeResponse>> answered = session.Probe(
-              std::span<const ProbeRequest>(queue.data() + begin, count));
-          if (!answered.ok()) {
-            session_alive_[survivor] = false;
-            (void)session.Shutdown();
-            survivor_alive = false;
-            replay_failed = true;
-            break;
-          }
-          replayed_batches++;
-          for (ProbeResponse& response : *answered) {
-            out.push_back(std::move(response));
-          }
-        }
-        if (replay_failed) break;
         worker_recoveries++;
-        orphaned.erase(orphaned.begin());
       }
+    }
+    if (next_orphan < orphaned.size()) {
+      return Status::IOError(
+          "distributed join: " +
+          std::to_string(orphaned.size() - next_orphan) +
+          " worker(s) lost and no surviving session can take their "
+          "slices (first failure: " +
+          first_failure.ToString() + ")");
     }
   }
 
@@ -692,10 +639,6 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       local.probe_round_trips += exposed_trips[w];
       local.probe_batches_sent += batches_sent[w];
     }
-    // A replay is a synchronous Probe: one more frame, one more
-    // exposed trip.
-    local.probe_round_trips += replayed_batches;
-    local.probe_batches_sent += replayed_batches;
     local.worker_recoveries = worker_recoveries;
     local.replayed_batches = replayed_batches;
   }

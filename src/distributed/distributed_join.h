@@ -123,7 +123,8 @@ struct DistributedJoinStats {
   /// other batch in flight behind them, i.e. waits whose latency the
   /// pipeline could not hide. With pipeline = 1 every batch is exposed
   /// (this equals probe_batches_sent); with a window of 2 only each
-  /// worker's final drain is.
+  /// worker's final drain is — a recovered worker's replay drain
+  /// included, since replays go through the same pipelined drain.
   size_t probe_round_trips = 0;
   /// Remote serving only: ProbeBatch frames shipped, replays included.
   size_t probe_batches_sent = 0;
@@ -187,33 +188,28 @@ class DistributedJoin {
       DistributedJoinStats* stats = nullptr) const;
 
   /// Switches Join()/SelfJoin() from in-process serving to remote
-  /// workers: one connection per plan slot, in worker order. Runs the
-  /// handshake + assignment session (transport/session.h) on each
-  /// connection, shipping that worker's posting slices and the build
-  /// vectors they reference, and cross-checks the reconstruction acks.
-  /// Requires a successful Build(); on any failure every already-started
-  /// session is shut down and the coordinator stays in-process. The
-  /// probe phase then ships batches of at most `probe_batch` requests
-  /// per frame, up to `pipeline` of them in flight per worker, and
-  /// merges exactly as in-process serving does — the output stays
-  /// byte-identical across transports. If a session dies mid-join the
-  /// coordinator re-derives the lost worker's slices (BuildAssignment
-  /// is a pure function of the deterministic plan), re-ships them to a
-  /// surviving version >= 2 session, replays the unacknowledged
-  /// batches, and still completes with byte-identical output.
+  /// workers: one connection per plan slot (per shard after
+  /// BuildFromFrozen), in worker order. Runs the handshake + assignment
+  /// session (transport/session.h) on each connection and cross-checks
+  /// the acks. After Build() it ships each worker its posting slices and
+  /// the build vectors they reference. After BuildFromFrozen() it sends
+  /// a tiny ShardAssignment naming the shard instead — the workers must
+  /// have pre-mapped the byte-identical SKF1 file (`join-worker
+  /// --shard-file`) — and checks the acked counters against this
+  /// coordinator's own mapping. Requires a successful build; on any
+  /// failure every already-started session is shut down and the
+  /// coordinator stays in-process. The probe phase then ships batches
+  /// of at most `probe_batch` requests per frame, up to `pipeline` of
+  /// them in flight per worker, and merges exactly as in-process serving
+  /// does — the output stays byte-identical across transports. If a
+  /// slice session dies mid-join the coordinator re-derives the lost
+  /// worker's slices (BuildAssignment is a pure function of the
+  /// deterministic plan), re-ships them to a surviving session, drains
+  /// the unacknowledged suffix of the lost queue there through the same
+  /// pipelined drain, and still completes with byte-identical output. A
+  /// mapped shard is not re-shippable state, so a frozen join whose
+  /// session dies fails cleanly instead.
   Status AttachRemote(
-      std::vector<std::unique_ptr<FrameConnection>> connections);
-
-  /// Remote serving for the frozen mode: one connection per shard, in
-  /// shard order. Instead of shipping slices, sends each worker a tiny
-  /// ShardAssignment frame naming the shard it serves — the workers
-  /// must have pre-mapped the byte-identical SKF1 file (`join-worker
-  /// --shard-file`) — and cross-checks the acked counters against this
-  /// coordinator's own mapping. Requires BuildFromFrozen and version
-  /// >= 3 workers. A mapped shard is not re-shippable state, so there
-  /// is no mid-join recovery in this mode: a died session fails the
-  /// join cleanly instead of degrading onto survivors.
-  Status AttachRemoteFrozen(
       std::vector<std::unique_ptr<FrameConnection>> connections);
 
   /// Sends Shutdown to every attached worker and returns to in-process

@@ -45,6 +45,69 @@ wire::AssignmentAckFrame SliceCounters(
   return ack;
 }
 
+/// The coordinator half of the handshake, shared by every session a
+/// coordinator or scraper opens: sends Hello as worker \p worker_id of
+/// \p num_workers and checks the HelloAck. A version outside
+/// [kVersionMin, kVersionMax] fails with NotSupported, a wrong
+/// worker-id echo with IOError.
+Status Handshake(FrameConnection* connection, uint32_t worker_id,
+                 uint32_t num_workers) {
+  wire::HelloFrame hello;
+  hello.worker_id = worker_id;
+  hello.num_workers = num_workers;
+  SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeHello(hello)));
+  wire::Frame frame;
+  SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
+  wire::HelloAckFrame ack;
+  SKEWSEARCH_RETURN_NOT_OK(wire::DecodeHelloAck(frame, &ack));
+  if (ack.version < wire::kVersionMin || ack.version > wire::kVersionMax) {
+    return Status::NotSupported(
+        "session: worker chose protocol version " +
+        std::to_string(ack.version) + ", this coordinator speaks " +
+        std::to_string(wire::kVersionMin) + ".." +
+        std::to_string(wire::kVersionMax));
+  }
+  if (ack.worker_id != worker_id) {
+    return Status::IOError("session: handshake ack echoes worker " +
+                           std::to_string(ack.worker_id) + ", expected " +
+                           std::to_string(worker_id));
+  }
+  connection->set_frame_version(ack.version);
+  return Status::OK();
+}
+
+/// Phases 1 and 2 of a coordinator session: the handshake, then the
+/// \p assignment frame (an Assignment or a ShardAssignment), answered
+/// by an AssignmentAck that must carry exactly the \p expected
+/// counters. Closes the connection on failure.
+Status OpenSession(FrameConnection* connection, uint32_t worker_id,
+                   uint32_t num_workers, const wire::Frame& assignment,
+                   const wire::AssignmentAckFrame& expected) {
+  Status status = [&]() -> Status {
+    SKEWSEARCH_RETURN_NOT_OK(Handshake(connection, worker_id, num_workers));
+    SKEWSEARCH_RETURN_NOT_OK(connection->Send(assignment));
+    wire::Frame frame;
+    SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
+    wire::AssignmentAckFrame ack;
+    SKEWSEARCH_RETURN_NOT_OK(wire::DecodeAssignmentAck(frame, &ack));
+    if (ack.num_keys != expected.num_keys ||
+        ack.num_entries != expected.num_entries ||
+        ack.distinct_vectors != expected.distinct_vectors) {
+      return Status::Internal(
+          "session: worker acknowledged a different assignment than was "
+          "sent (keys " + std::to_string(ack.num_keys) + "/" +
+          std::to_string(expected.num_keys) + ", entries " +
+          std::to_string(ack.num_entries) + "/" +
+          std::to_string(expected.num_entries) + ", vectors " +
+          std::to_string(ack.distinct_vectors) + "/" +
+          std::to_string(expected.distinct_vectors) + ")");
+    }
+    return Status::OK();
+  }();
+  if (!status.ok()) connection->Close();
+  return status;
+}
+
 /// \brief The worker's live serving state: the shipped vectors stored
 /// densely, the id map, and the JoinWorker answering probes.
 ///
@@ -127,144 +190,22 @@ struct WorkerState {
 Result<RemoteWorkerSession> RemoteWorkerSession::Start(
     std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
     uint32_t num_workers, const wire::WorkerAssignment& assignment) {
-  wire::HelloFrame hello;
-  hello.min_version = wire::kVersionMin;
-  hello.max_version = wire::kVersionMax;
-  hello.worker_id = worker_id;
-  hello.num_workers = num_workers;
-  Status sent = connection->Send(wire::EncodeHello(hello));
-  if (!sent.ok()) {
-    connection->Close();
-    return sent;
-  }
-  wire::Frame frame;
-  Status received = ReceiveChecked(connection.get(), &frame);
-  if (!received.ok()) {
-    connection->Close();
-    return received;
-  }
-  wire::HelloAckFrame ack;
-  Status decoded = wire::DecodeHelloAck(frame, &ack);
-  if (!decoded.ok()) {
-    connection->Close();
-    return decoded;
-  }
-  if (ack.version < wire::kVersionMin || ack.version > wire::kVersionMax ||
-      ack.worker_id != worker_id) {
-    connection->Close();
-    return Status::IOError("session: handshake ack does not match (version " +
-                           std::to_string(ack.version) + ", worker " +
-                           std::to_string(ack.worker_id) + ")");
-  }
-  // From here on every frame is stamped with (and interpreted under)
-  // the negotiated version; the Hello above went out under kVersionMin
-  // so the oldest peer could parse it.
-  connection->set_frame_version(ack.version);
-
-  sent = connection->Send(wire::EncodeAssignment(assignment));
-  if (!sent.ok()) {
-    connection->Close();
-    return sent;
-  }
-  received = ReceiveChecked(connection.get(), &frame);
-  if (!received.ok()) {
-    connection->Close();
-    return received;
-  }
-  wire::AssignmentAckFrame assignment_ack;
-  decoded = wire::DecodeAssignmentAck(frame, &assignment_ack);
-  if (!decoded.ok()) {
-    connection->Close();
-    return decoded;
-  }
-  const wire::AssignmentAckFrame shipped = SliceCounters(assignment);
-  if (assignment_ack.num_keys != shipped.num_keys ||
-      assignment_ack.num_entries != shipped.num_entries ||
-      assignment_ack.distinct_vectors != shipped.distinct_vectors) {
-    connection->Close();
-    return Status::Internal(
-        "session: worker reconstructed a different slice than was "
-        "shipped (keys " +
-        std::to_string(assignment_ack.num_keys) + "/" +
-        std::to_string(shipped.num_keys) + ", entries " +
-        std::to_string(assignment_ack.num_entries) + "/" +
-        std::to_string(shipped.num_entries) + ")");
-  }
-  return RemoteWorkerSession(std::move(connection), worker_id, ack.version);
+  SKEWSEARCH_RETURN_NOT_OK(OpenSession(connection.get(), worker_id,
+                                       num_workers,
+                                       wire::EncodeAssignment(assignment),
+                                       SliceCounters(assignment)));
+  return RemoteWorkerSession(std::move(connection), worker_id);
 }
 
 Result<RemoteWorkerSession> RemoteWorkerSession::StartFrozen(
     std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
     uint32_t num_workers, const wire::ShardAssignmentFrame& shard,
     const wire::AssignmentAckFrame& expected) {
-  wire::HelloFrame hello;
-  hello.min_version = wire::kVersionMin;
-  hello.max_version = wire::kVersionMax;
-  hello.worker_id = worker_id;
-  hello.num_workers = num_workers;
-  Status sent = connection->Send(wire::EncodeHello(hello));
-  if (!sent.ok()) {
-    connection->Close();
-    return sent;
-  }
-  wire::Frame frame;
-  Status received = ReceiveChecked(connection.get(), &frame);
-  if (!received.ok()) {
-    connection->Close();
-    return received;
-  }
-  wire::HelloAckFrame ack;
-  Status decoded = wire::DecodeHelloAck(frame, &ack);
-  if (!decoded.ok()) {
-    connection->Close();
-    return decoded;
-  }
-  if (ack.version < wire::kVersionMin || ack.version > wire::kVersionMax ||
-      ack.worker_id != worker_id) {
-    connection->Close();
-    return Status::IOError("session: handshake ack does not match (version " +
-                           std::to_string(ack.version) + ", worker " +
-                           std::to_string(ack.worker_id) + ")");
-  }
-  if (ack.version < 3) {
-    (void)connection->Send(wire::EncodeShutdown());
-    connection->Close();
-    return Status::NotSupported(
-        "session: frozen-shard serving needs protocol version 3, worker "
-        "chose " + std::to_string(ack.version));
-  }
-  connection->set_frame_version(ack.version);
-
-  sent = connection->Send(wire::EncodeShardAssignment(shard));
-  if (!sent.ok()) {
-    connection->Close();
-    return sent;
-  }
-  received = ReceiveChecked(connection.get(), &frame);
-  if (!received.ok()) {
-    connection->Close();
-    return received;
-  }
-  wire::AssignmentAckFrame shard_ack;
-  decoded = wire::DecodeAssignmentAck(frame, &shard_ack);
-  if (!decoded.ok()) {
-    connection->Close();
-    return decoded;
-  }
-  if (shard_ack.num_keys != expected.num_keys ||
-      shard_ack.num_entries != expected.num_entries ||
-      shard_ack.distinct_vectors != expected.distinct_vectors) {
-    connection->Close();
-    return Status::Internal(
-        "session: worker's mapped shard does not match the coordinator's "
-        "(keys " + std::to_string(shard_ack.num_keys) + "/" +
-        std::to_string(expected.num_keys) + ", entries " +
-        std::to_string(shard_ack.num_entries) + "/" +
-        std::to_string(expected.num_entries) + ", vectors " +
-        std::to_string(shard_ack.distinct_vectors) + "/" +
-        std::to_string(expected.distinct_vectors) + ")");
-  }
-  return RemoteWorkerSession(std::move(connection), worker_id, ack.version);
+  SKEWSEARCH_RETURN_NOT_OK(OpenSession(connection.get(), worker_id,
+                                       num_workers,
+                                       wire::EncodeShardAssignment(shard),
+                                       expected));
+  return RemoteWorkerSession(std::move(connection), worker_id);
 }
 
 Status RemoteWorkerSession::SendProbeBatch(
@@ -276,8 +217,8 @@ Status RemoteWorkerSession::SendProbeBatch(
   for (const ProbeRequest& request : batch) {
     record.lefts.push_back(request.left);
   }
-  SKEWSEARCH_RETURN_NOT_OK(connection_->Send(
-      wire::EncodeProbeBatch(batch, version_, epoch_, next_seq_)));
+  SKEWSEARCH_RETURN_NOT_OK(
+      connection_->Send(wire::EncodeProbeBatch(batch, epoch_, next_seq_)));
   next_seq_++;
   in_flight_.push_back(std::move(record));
   return Status::OK();
@@ -293,8 +234,7 @@ Result<std::vector<ProbeResponse>> RemoteWorkerSession::ReceiveResponses() {
   SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection_.get(), &frame));
   wire::ResponseBatch responses;
   SKEWSEARCH_RETURN_NOT_OK(wire::DecodeResponseBatch(frame, &responses));
-  if (version_ >= 2 &&
-      (responses.epoch != epoch_ || responses.seq != oldest.seq)) {
+  if (responses.epoch != epoch_ || responses.seq != oldest.seq) {
     return Status::IOError(
         "session: response echoes (epoch " + std::to_string(responses.epoch) +
         ", seq " + std::to_string(responses.seq) + ") but batch (epoch " +
@@ -315,23 +255,8 @@ Result<std::vector<ProbeResponse>> RemoteWorkerSession::ReceiveResponses() {
   return std::move(responses.responses);
 }
 
-Result<std::vector<ProbeResponse>> RemoteWorkerSession::Probe(
-    std::span<const ProbeRequest> batch) {
-  if (!in_flight_.empty()) {
-    return Status::InvalidArgument(
-        "session: Probe requires no pipelined batch in flight");
-  }
-  SKEWSEARCH_RETURN_NOT_OK(SendProbeBatch(batch));
-  return ReceiveResponses();
-}
-
 Result<wire::StatsFrame> RemoteWorkerSession::QueryStats() {
   if (shut_down_) return Status::InvalidArgument("session: already shut down");
-  if (version_ < 2) {
-    return Status::NotSupported(
-        "session: stats scrape needs protocol version 2, negotiated " +
-        std::to_string(version_));
-  }
   if (!in_flight_.empty()) {
     return Status::InvalidArgument(
         "session: stats scrape requires no batch in flight");
@@ -347,11 +272,6 @@ Result<wire::StatsFrame> RemoteWorkerSession::QueryStats() {
 Status RemoteWorkerSession::Reassign(
     const wire::WorkerAssignment& assignment) {
   if (shut_down_) return Status::InvalidArgument("session: already shut down");
-  if (version_ < 2) {
-    return Status::NotSupported(
-        "session: reassignment needs protocol version 2, negotiated " +
-        std::to_string(version_));
-  }
   if (!in_flight_.empty()) {
     return Status::InvalidArgument(
         "session: reassignment requires no batch in flight");
@@ -471,22 +391,16 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
 
   // Phase 2 — assignment: reconstruct the posting slices and the
   // shipped vectors into exactly what the in-process JoinWorker holds.
-  // Under version >= 2 the peer may instead be a scraper: StatsRequest
-  // frames are answered in place, and a Shutdown before any Assignment
-  // ends the (scrape-only) session cleanly. Under version >= 3 a
-  // ShardAssignment may replace the Assignment when this worker
-  // pre-mapped a frozen shard file: the session then serves the named
-  // shard zero-copy out of the mapping instead of a shipped slice.
+  // The peer may instead be a scraper: StatsRequest frames are answered
+  // in place, and a Shutdown before any Assignment ends the
+  // (scrape-only) session cleanly. A ShardAssignment may replace the
+  // Assignment when this worker pre-mapped a frozen shard file: the
+  // session then serves the named shard zero-copy out of the mapping
+  // instead of a shipped slice.
   wire::WorkerAssignment assignment;
   for (;;) {
     SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
     if (frame.type == wire::FrameType::kStatsRequest) {
-      if (ack.version < 2) {
-        return FailSession(connection,
-                           Status::NotSupported(
-                               "session: StatsRequest frame on a version " +
-                               std::to_string(ack.version) + " session"));
-      }
       SKEWSEARCH_RETURN_NOT_OK(answer_stats_request());
       continue;
     }
@@ -498,12 +412,6 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   state.worker_id = static_cast<int>(hello.worker_id);
   bool shard_mode = false;
   if (frame.type == wire::FrameType::kShardAssignment) {
-    if (ack.version < 3) {
-      return FailSession(connection,
-                         Status::NotSupported(
-                             "session: ShardAssignment frame on a version " +
-                             std::to_string(ack.version) + " session"));
-    }
     if (options.frozen_file == nullptr || options.frozen_data == nullptr) {
       return FailSession(
           connection,
@@ -578,22 +486,10 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
     if (frame.type == wire::FrameType::kShutdown) break;
     if (frame.type == wire::FrameType::kStatsRequest) {
-      if (ack.version < 2) {
-        return FailSession(connection,
-                           Status::NotSupported(
-                               "session: StatsRequest frame on a version " +
-                               std::to_string(ack.version) + " session"));
-      }
       SKEWSEARCH_RETURN_NOT_OK(answer_stats_request());
       continue;
     }
     if (frame.type == wire::FrameType::kReassignment) {
-      if (ack.version < 2) {
-        return FailSession(connection,
-                           Status::NotSupported(
-                               "session: Reassignment frame on a version " +
-                               std::to_string(ack.version) + " session"));
-      }
       if (shard_mode) {
         // A mapped shard is not re-shippable state: its postings live in
         // the file, disjoint from every other shard's, so adopting a
@@ -633,7 +529,7 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     wire::ProbeBatch batch;
     decoded = wire::DecodeProbeBatch(frame, &batch);
     if (!decoded.ok()) return FailSession(connection, decoded);
-    if (ack.version >= 2 && batch.epoch != epoch) {
+    if (batch.epoch != epoch) {
       return FailSession(
           connection,
           Status::InvalidArgument(
@@ -652,8 +548,8 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     local.matches += batch_matches;
     local.batches++;
     local.probes += batch.probes.size();
-    SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeResponseBatch(
-        responses, ack.version, batch.epoch, batch.seq)));
+    SKEWSEARCH_RETURN_NOT_OK(connection->Send(
+        wire::EncodeResponseBatch(responses, batch.epoch, batch.seq)));
     batch_time_metric->Record(
         static_cast<uint64_t>(batch_timer.ElapsedNanos()));
     batches_metric->Increment();
@@ -674,29 +570,18 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
 Result<wire::StatsFrame> ScrapeWorkerStats(FrameConnection* connection) {
   // Scrape-only sessions identify as worker 0 of 1 — the slot is never
   // used because no Assignment follows.
-  wire::HelloFrame hello;
-  hello.min_version = wire::kVersionMin;
-  hello.max_version = wire::kVersionMax;
-  hello.worker_id = 0;
-  hello.num_workers = 1;
-  SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeHello(hello)));
-  wire::Frame frame;
-  SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
-  wire::HelloAckFrame ack;
-  SKEWSEARCH_RETURN_NOT_OK(wire::DecodeHelloAck(frame, &ack));
-  if (ack.version < 2) {
-    connection->Close();
-    return Status::NotSupported(
-        "session: stats scrape needs protocol version 2, worker chose " +
-        std::to_string(ack.version));
-  }
-  connection->set_frame_version(ack.version);
-  SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeStatsRequest()));
-  SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
   wire::StatsFrame stats;
-  SKEWSEARCH_RETURN_NOT_OK(wire::DecodeStatsResponse(frame, &stats));
-  (void)connection->Send(wire::EncodeShutdown());
+  const Status scraped = [&]() -> Status {
+    SKEWSEARCH_RETURN_NOT_OK(Handshake(connection, 0, 1));
+    SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeStatsRequest()));
+    wire::Frame frame;
+    SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
+    SKEWSEARCH_RETURN_NOT_OK(wire::DecodeStatsResponse(frame, &stats));
+    (void)connection->Send(wire::EncodeShutdown());
+    return Status::OK();
+  }();
   connection->Close();
+  SKEWSEARCH_RETURN_NOT_OK(scraped);
   return stats;
 }
 

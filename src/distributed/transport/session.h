@@ -9,25 +9,26 @@
 //      version both sides support, or an Error frame when the ranges
 //      are disjoint.
 //   2. Assignment — the coordinator ships the worker's posting slices
-//      and the build-side vectors those slices reference; the worker
-//      reconstructs its frozen table and answers AssignmentAck with
-//      reconstruction counters the coordinator cross-checks, so a
-//      corrupted or misrouted assignment fails the attach instead of
-//      silently dropping pairs.
+//      and the build-side vectors those slices reference (or, to a
+//      worker that pre-mapped a frozen shard file, a ShardAssignment
+//      naming the shard to serve); the worker reconstructs its table
+//      and answers AssignmentAck with counters the coordinator
+//      cross-checks, so a corrupted or misrouted assignment fails the
+//      attach instead of silently dropping pairs.
 //   3. Probe loop — ProbeBatch frames answered by ResponseBatch frames
 //      (responses in request order, one per request), until Shutdown
-//      ends the session in an orderly way. Under protocol version >= 2
-//      the probe stream is pipelined: the coordinator may have several
-//      batches in flight (SendProbeBatch / ReceiveResponses below),
-//      each stamped with the session epoch and a sequence number the
-//      worker echoes, and the coordinator may interpose a Reassignment
-//      frame (when no batch is in flight) that merges a lost worker's
-//      slices into this worker's table and bumps the epoch.
+//      ends the session in an orderly way. The probe stream is
+//      pipelined: the coordinator may have several batches in flight
+//      (SendProbeBatch / ReceiveResponses below), each stamped with the
+//      session epoch and a sequence number the worker echoes, and the
+//      coordinator may interpose a Reassignment frame (when no batch is
+//      in flight) that merges a lost worker's slices into this worker's
+//      table and bumps the epoch.
 //
-// Under version >= 2 a StatsRequest frame may additionally arrive in
-// place of the Assignment (a scrape-only session — what `join-stats`
-// opens via ScrapeWorkerStats below) or interleaved with probe batches;
-// the worker answers with a StatsResponse carrying its metrics-registry
+// A StatsRequest frame may additionally arrive in place of the
+// Assignment (a scrape-only session — what `join-stats` opens via
+// ScrapeWorkerStats below) or interleaved with probe batches; the
+// worker answers with a StatsResponse carrying its metrics-registry
 // snapshot and the session continues.
 //
 // Either side may send Error at any point and close; the other side
@@ -55,28 +56,30 @@ class FrozenShardFile;
 
 /// \brief Coordinator-side handle on one remote worker.
 ///
-/// Created by Start(), which runs the handshake and ships the
-/// assignment; afterwards the probe loop is driven either synchronously
-/// (Probe()) or pipelined (SendProbeBatch() / ReceiveResponses(), up to
-/// a caller-chosen window of batches in flight so the round trip of one
-/// batch is hidden behind the service time of the previous one). One
-/// driver thread per session (matching FrameConnection's contract).
+/// Created by Start() or StartFrozen(), which run the handshake and
+/// send the assignment; afterwards the probe loop is pipelined
+/// (SendProbeBatch() / ReceiveResponses(), up to a caller-chosen window
+/// of batches in flight so the round trip of one batch is hidden behind
+/// the service time of the previous one). One driver thread per session
+/// (matching FrameConnection's contract).
 class RemoteWorkerSession {
  public:
   /// Runs phases 1 and 2: handshake as worker \p worker_id of
   /// \p num_workers, then ships \p assignment and cross-checks the ack.
-  /// On failure the connection is closed and the error returned.
+  /// On failure the connection is closed and the error returned: a
+  /// HelloAck choosing a version outside [kVersionMin, kVersionMax]
+  /// fails with NotSupported, one echoing another worker id with
+  /// IOError.
   static Result<RemoteWorkerSession> Start(
       std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
       uint32_t num_workers, const wire::WorkerAssignment& assignment);
 
-  /// The frozen-shard variant of Start (protocol version >= 3): instead
-  /// of shipping posting slices, sends a ShardAssignment naming the
-  /// shard of the worker's pre-mapped SKF1 file this session serves,
-  /// and cross-checks the worker's AssignmentAck counters against
-  /// \p expected — the keys/entries the coordinator's own mapping of
-  /// the same file records for that shard, plus the dataset size. Fails
-  /// with NotSupported when the worker cannot speak version 3.
+  /// The frozen-shard variant of Start: instead of shipping posting
+  /// slices, sends a ShardAssignment naming the shard of the worker's
+  /// pre-mapped SKF1 file this session serves, and cross-checks the
+  /// worker's AssignmentAck counters against \p expected — the
+  /// keys/entries the coordinator's own mapping of the same file
+  /// records for that shard, plus the dataset size.
   static Result<RemoteWorkerSession> StartFrozen(
       std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
       uint32_t num_workers, const wire::ShardAssignmentFrame& shard,
@@ -85,12 +88,6 @@ class RemoteWorkerSession {
   RemoteWorkerSession(RemoteWorkerSession&&) = default;
   RemoteWorkerSession& operator=(RemoteWorkerSession&&) = default;
 
-  /// Ships one ProbeBatch and blocks for the ResponseBatch; responses
-  /// come back in request order, one per request (validated). Requires
-  /// no pipelined batch in flight.
-  Result<std::vector<ProbeResponse>> Probe(
-      std::span<const ProbeRequest> batch);
-
   /// Pipelined send half: ships one ProbeBatch stamped with the current
   /// epoch and the next sequence number without waiting for its
   /// response. The caller bounds how many are outstanding.
@@ -98,24 +95,22 @@ class RemoteWorkerSession {
 
   /// Pipelined receive half: blocks for the response of the *oldest*
   /// in-flight batch (responses arrive in send order) and validates the
-  /// count, per-response probe echo and — under version >= 2 — the
-  /// epoch/sequence echo.
+  /// count, the per-response probe echo and the epoch/sequence echo.
   Result<std::vector<ProbeResponse>> ReceiveResponses();
 
   /// ProbeBatches sent whose responses have not been received yet.
   size_t in_flight() const { return in_flight_.size(); }
 
   /// Scrapes the worker's metrics registry: sends a StatsRequest and
-  /// blocks for the StatsResponse. Requires a version >= 2 session and
-  /// no batch in flight (the response would be mistaken for a batch
-  /// answer otherwise).
+  /// blocks for the StatsResponse. Requires no batch in flight (the
+  /// response would be mistaken for a batch answer otherwise).
   Result<wire::StatsFrame> QueryStats();
 
   /// Re-ships a lost worker's slices to this (surviving) worker:
   /// sends a Reassignment frame carrying \p assignment under the next
   /// epoch, waits for the ReassignmentAck and cross-checks its
-  /// counters. Requires a version >= 2 session and no batch in flight.
-  /// After success every later batch is stamped with the new epoch.
+  /// counters. Requires no batch in flight. After success every later
+  /// batch is stamped with the new epoch.
   Status Reassign(const wire::WorkerAssignment& assignment);
 
   /// Sends Shutdown and closes; idempotent. The session is unusable
@@ -127,18 +122,13 @@ class RemoteWorkerSession {
 
   uint32_t worker_id() const { return worker_id_; }
 
-  /// The protocol version the handshake negotiated.
-  uint8_t negotiated_version() const { return version_; }
-
   /// The current session epoch (0 until the first Reassign succeeds).
   uint32_t epoch() const { return epoch_; }
 
  private:
   RemoteWorkerSession(std::unique_ptr<FrameConnection> connection,
-                      uint32_t worker_id, uint8_t version)
-      : connection_(std::move(connection)),
-        worker_id_(worker_id),
-        version_(version) {}
+                      uint32_t worker_id)
+      : connection_(std::move(connection)), worker_id_(worker_id) {}
 
   /// What ReceiveResponses needs to validate one outstanding batch.
   struct InFlightBatch {
@@ -148,7 +138,6 @@ class RemoteWorkerSession {
 
   std::unique_ptr<FrameConnection> connection_;
   uint32_t worker_id_ = 0;
-  uint8_t version_ = 0;
   uint32_t epoch_ = 0;
   uint64_t next_seq_ = 0;
   std::deque<InFlightBatch> in_flight_;
@@ -182,11 +171,11 @@ struct ServeOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// \name Frozen-shard serving (`join-worker --shard-file`).
-  /// When both are set, a version >= 3 session may open with a
-  /// ShardAssignment frame instead of an Assignment: the worker then
-  /// serves the named shard zero-copy out of `frozen_file` (an SKF1
-  /// mapping shared read-only by every session) and verifies candidates
-  /// against `frozen_data`, the full build-side dataset the file was
+  /// When both are set, a session may open with a ShardAssignment
+  /// frame instead of an Assignment: the worker then serves the named
+  /// shard zero-copy out of `frozen_file` (an SKF1 mapping shared
+  /// read-only by every session) and verifies candidates against
+  /// `frozen_data`, the full build-side dataset the file was
   /// frozen from. Classic Assignment sessions still work on the same
   /// worker. Both null = ship-everything serving only.
   /// @{
@@ -197,21 +186,22 @@ struct ServeOptions {
 
 /// Serves one coordinator session on \p connection: accepts the
 /// handshake, reconstructs the assigned posting slices and shipped
-/// vectors into a local JoinWorker, then answers probe batches — and,
-/// under version >= 2, applies Reassignment frames by merging the
-/// re-shipped slices into its live table — until a Shutdown frame
-/// arrives (returns OK) or the session fails (returns the error after
-/// sending a best-effort Error frame). This is the per-connection body
-/// of the `join-worker` server (distributed/server.h).
+/// vectors into a local JoinWorker, then answers probe batches — and
+/// applies Reassignment frames by merging the re-shipped slices into
+/// its live table — until a Shutdown frame arrives (returns OK) or the
+/// session fails (returns the error after sending a best-effort Error
+/// frame). This is the per-connection body of the `join-worker` server
+/// (distributed/server.h).
 Status ServeConnection(FrameConnection* connection,
                        WorkerServeStats* stats = nullptr,
                        const ServeOptions& options = {});
 
 /// Opens a scrape-only session on \p connection and returns the
-/// worker's metrics snapshot: Hello handshake (requiring a negotiated
-/// version >= 2 — a v1-only worker fails with NotSupported), one
-/// StatsRequest/StatsResponse exchange, then Shutdown. This is what
-/// the `join-stats` CLI command runs against a live `join-worker`; the
+/// worker's metrics snapshot: the same Hello handshake as Start (a
+/// worker acking a version outside this build's range fails with
+/// NotSupported), one StatsRequest/StatsResponse exchange, then
+/// Shutdown; the connection is closed either way. This is what the
+/// `join-stats` CLI command runs against a live `join-worker`; the
 /// worker serves it as just another session, concurrently with any
 /// joins in flight.
 Result<wire::StatsFrame> ScrapeWorkerStats(FrameConnection* connection);

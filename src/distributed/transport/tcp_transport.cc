@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -170,7 +171,6 @@ class TcpConnection : public FrameConnection {
       return header_ok;
     }
     frame->type = decoded.type;
-    frame->version = decoded.version;
     frame->payload.resize(decoded.payload_length);
     if (decoded.payload_length > 0) {
       consumed_any = false;
@@ -277,6 +277,25 @@ Result<std::unique_ptr<FrameConnection>> TcpConnect(
   }
   freeaddrinfo(resolved);
   return last;
+}
+
+Result<std::unique_ptr<FrameConnection>> ConnectEndpoint(
+    const std::string& endpoint) {
+  const size_t colon = endpoint.rfind(':');
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 == endpoint.size()) {
+    return Status::InvalidArgument("endpoint '" + endpoint +
+                                   "' is not host:port");
+  }
+  const std::string port_text = endpoint.substr(colon + 1);
+  char* end = nullptr;
+  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
+  if (end == port_text.c_str() || *end != '\0' || port == 0 ||
+      port > 65535) {
+    return Status::InvalidArgument("endpoint '" + endpoint +
+                                   "' has an invalid port");
+  }
+  return TcpConnect(endpoint.substr(0, colon), static_cast<uint16_t>(port));
 }
 
 TcpListener::TcpListener(TcpListener&& other) noexcept

@@ -38,6 +38,14 @@ struct TcpOptions {
 Result<std::unique_ptr<FrameConnection>> TcpConnect(
     const std::string& host, uint16_t port, const TcpOptions& options = {});
 
+/// TcpConnect for an endpoint written `host:port` (the last ':' splits,
+/// so numeric hosts with dots are fine) — what `--connect` and
+/// JoinOptions::remote_workers take. A missing ':', an empty host or
+/// port, or a port that is not a number in 1..65535 fails with
+/// InvalidArgument before anything is resolved or connected.
+Result<std::unique_ptr<FrameConnection>> ConnectEndpoint(
+    const std::string& endpoint);
+
 /// \brief A listening TCP socket accepting frame connections.
 ///
 /// Movable, not copyable; the socket closes with the object. Listen on

@@ -28,18 +28,12 @@ class LoopbackConnection : public FrameConnection {
   Status Send(const wire::Frame& frame) override {
     const uint64_t frame_bytes =
         wire::kFrameHeaderBytes + frame.payload.size();
-    // The queued copy carries this endpoint's frame version, exactly as
-    // the TCP transport stamps it into the header (and the receiver
-    // reads it back out) — so version-dependent payload layouts decode
-    // identically across transports.
-    wire::Frame queued = frame;
-    queued.version = frame_version();
     {
       std::lock_guard<std::mutex> lock(core_->mu);
       if (core_->closed[side_] || core_->closed[1 - side_]) {
         return Status::IOError("loopback: connection closed");
       }
-      core_->queue[1 - side_].push_back(std::move(queued));
+      core_->queue[1 - side_].push_back(frame);
     }
     core_->cv.notify_all();
     stats_.frames_sent++;

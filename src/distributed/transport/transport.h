@@ -57,14 +57,13 @@ class FrameConnection {
   virtual void Close() = 0;
 
   /// The protocol version stamped on outgoing frame headers. Starts at
-  /// wire::kVersionMin — the oldest version this build speaks, which
-  /// maximizes the chance an older peer can parse the pre-negotiation
-  /// Hello — and is raised to the negotiated version by the session
-  /// layer once the handshake has chosen one (the spec requires every
-  /// post-handshake frame to be stamped with and interpreted under the
-  /// chosen version).
-  void set_frame_version(uint8_t version) { frame_version_ = version; }
-  uint8_t frame_version() const { return frame_version_; }
+  /// wire::kVersionMin — the oldest version this build speaks, so the
+  /// pre-negotiation Hello stays parseable by the oldest peer the range
+  /// admits — and is set to the negotiated version by the session layer
+  /// once the handshake has chosen one (the spec requires every
+  /// post-handshake frame to be stamped with the chosen version).
+  void set_frame_version(uint8_t version) { version_byte_ = version; }
+  uint8_t frame_version() const { return version_byte_; }
 
   /// Traffic counters of this endpoint.
   const WireStats& stats() const { return stats_; }
@@ -72,7 +71,7 @@ class FrameConnection {
  protected:
   FrameConnection() = default;
   WireStats stats_;
-  uint8_t frame_version_ = wire::kVersionMin;
+  uint8_t version_byte_ = wire::kVersionMin;
 };
 
 /// Creates a connected in-process pair: frames sent on one endpoint are

@@ -146,7 +146,7 @@ Frame EncodeHello(const HelloFrame& hello) {
   writer.U8(hello.max_version);
   writer.U32(hello.worker_id);
   writer.U32(hello.num_workers);
-  return {FrameType::kHello, kVersionMin, std::move(writer).Take()};
+  return {FrameType::kHello, std::move(writer).Take()};
 }
 
 Status DecodeHello(const Frame& frame, HelloFrame* out) {
@@ -172,7 +172,7 @@ Frame EncodeHelloAck(const HelloAckFrame& ack) {
   PayloadWriter writer;
   writer.U8(ack.version);
   writer.U32(ack.worker_id);
-  return {FrameType::kHelloAck, kVersionMin, std::move(writer).Take()};
+  return {FrameType::kHelloAck, std::move(writer).Take()};
 }
 
 Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out) {
@@ -217,7 +217,7 @@ Status ReadAssignmentBody(PayloadReader* in, WorkerAssignment* out);
 Frame EncodeAssignment(const WorkerAssignment& assignment) {
   PayloadWriter writer;
   AppendAssignmentBody(assignment, &writer);
-  return {FrameType::kAssignment, kVersionMin, std::move(writer).Take()};
+  return {FrameType::kAssignment, std::move(writer).Take()};
 }
 
 Status DecodeAssignment(const Frame& frame, WorkerAssignment* out) {
@@ -305,7 +305,7 @@ Frame EncodeAssignmentAck(const AssignmentAckFrame& ack) {
   writer.U64(ack.num_keys);
   writer.U64(ack.num_entries);
   writer.U64(ack.distinct_vectors);
-  return {FrameType::kAssignmentAck, kVersionMin, std::move(writer).Take()};
+  return {FrameType::kAssignmentAck, std::move(writer).Take()};
 }
 
 Status DecodeAssignmentAck(const Frame& frame, AssignmentAckFrame* out) {
@@ -321,13 +321,11 @@ Status DecodeAssignmentAck(const Frame& frame, AssignmentAckFrame* out) {
   return Status::OK();
 }
 
-Frame EncodeProbeBatch(std::span<const ProbeRequest> batch, uint8_t version,
-                       uint32_t epoch, uint64_t seq) {
+Frame EncodeProbeBatch(std::span<const ProbeRequest> batch, uint32_t epoch,
+                       uint64_t seq) {
   PayloadWriter writer;
-  if (version >= 2) {
-    writer.U32(epoch);
-    writer.U64(seq);
-  }
+  writer.U32(epoch);
+  writer.U64(seq);
   writer.U32(static_cast<uint32_t>(batch.size()));
   for (const ProbeRequest& request : batch) {
     writer.U32(request.left);
@@ -337,7 +335,7 @@ Frame EncodeProbeBatch(std::span<const ProbeRequest> batch, uint8_t version,
     writer.U32(static_cast<uint32_t>(request.keys.size()));
     writer.Bytes(request.keys.data(), request.keys.size() * sizeof(uint64_t));
   }
-  return {FrameType::kProbeBatch, version, std::move(writer).Take()};
+  return {FrameType::kProbeBatch, std::move(writer).Take()};
 }
 
 Status DecodeProbeBatch(const Frame& frame, ProbeBatch* out) {
@@ -345,10 +343,8 @@ Status DecodeProbeBatch(const Frame& frame, ProbeBatch* out) {
       ExpectType(frame, FrameType::kProbeBatch, "ProbeBatch"));
   PayloadReader reader(frame.payload);
   ProbeBatch batch;
-  if (frame.version >= 2) {
-    SKEWSEARCH_RETURN_NOT_OK(reader.U32(&batch.epoch));
-    SKEWSEARCH_RETURN_NOT_OK(reader.U64(&batch.seq));
-  }
+  SKEWSEARCH_RETURN_NOT_OK(reader.U32(&batch.epoch));
+  SKEWSEARCH_RETURN_NOT_OK(reader.U64(&batch.seq));
   uint32_t count = 0;
   SKEWSEARCH_RETURN_NOT_OK(
       BoundedCount(&reader, kMinProbeBytes, "ProbeBatch probe", &count));
@@ -384,12 +380,10 @@ Status DecodeProbeBatch(const Frame& frame, ProbeBatch* out) {
 }
 
 Frame EncodeResponseBatch(std::span<const ProbeResponse> batch,
-                          uint8_t version, uint32_t epoch, uint64_t seq) {
+                          uint32_t epoch, uint64_t seq) {
   PayloadWriter writer;
-  if (version >= 2) {
-    writer.U32(epoch);
-    writer.U64(seq);
-  }
+  writer.U32(epoch);
+  writer.U64(seq);
   writer.U32(static_cast<uint32_t>(batch.size()));
   for (const ProbeResponse& response : batch) {
     writer.U32(response.left);
@@ -401,7 +395,7 @@ Frame EncodeResponseBatch(std::span<const ProbeResponse> batch,
       writer.F64(match.similarity);
     }
   }
-  return {FrameType::kResponseBatch, version, std::move(writer).Take()};
+  return {FrameType::kResponseBatch, std::move(writer).Take()};
 }
 
 Status DecodeResponseBatch(const Frame& frame, ResponseBatch* out) {
@@ -409,10 +403,8 @@ Status DecodeResponseBatch(const Frame& frame, ResponseBatch* out) {
       ExpectType(frame, FrameType::kResponseBatch, "ResponseBatch"));
   PayloadReader reader(frame.payload);
   ResponseBatch batch;
-  if (frame.version >= 2) {
-    SKEWSEARCH_RETURN_NOT_OK(reader.U32(&batch.epoch));
-    SKEWSEARCH_RETURN_NOT_OK(reader.U64(&batch.seq));
-  }
+  SKEWSEARCH_RETURN_NOT_OK(reader.U32(&batch.epoch));
+  SKEWSEARCH_RETURN_NOT_OK(reader.U64(&batch.seq));
   uint32_t count = 0;
   SKEWSEARCH_RETURN_NOT_OK(BoundedCount(&reader, kMinResponseBytes,
                                         "ResponseBatch response", &count));
@@ -445,7 +437,7 @@ Frame EncodeReassignment(const ReassignmentFrame& reassignment) {
   PayloadWriter writer;
   writer.U32(reassignment.epoch);
   AppendAssignmentBody(reassignment.assignment, &writer);
-  return {FrameType::kReassignment, /*version=*/2, std::move(writer).Take()};
+  return {FrameType::kReassignment, std::move(writer).Take()};
 }
 
 Status DecodeReassignment(const Frame& frame, ReassignmentFrame* out) {
@@ -470,8 +462,7 @@ Frame EncodeReassignmentAck(const ReassignmentAckFrame& ack) {
   writer.U64(ack.counters.num_keys);
   writer.U64(ack.counters.num_entries);
   writer.U64(ack.counters.distinct_vectors);
-  return {FrameType::kReassignmentAck, /*version=*/2,
-          std::move(writer).Take()};
+  return {FrameType::kReassignmentAck, std::move(writer).Take()};
 }
 
 Status DecodeReassignmentAck(const Frame& frame, ReassignmentAckFrame* out) {
@@ -488,9 +479,7 @@ Status DecodeReassignmentAck(const Frame& frame, ReassignmentAckFrame* out) {
   return Status::OK();
 }
 
-Frame EncodeStatsRequest() {
-  return {FrameType::kStatsRequest, /*version=*/2, {}};
-}
+Frame EncodeStatsRequest() { return {FrameType::kStatsRequest, {}}; }
 
 Frame EncodeStatsResponse(const StatsFrame& stats) {
   PayloadWriter writer;
@@ -520,7 +509,7 @@ Frame EncodeStatsResponse(const StatsFrame& stats) {
       }
     }
   }
-  return {FrameType::kStatsResponse, /*version=*/2, std::move(writer).Take()};
+  return {FrameType::kStatsResponse, std::move(writer).Take()};
 }
 
 Status DecodeStatsResponse(const Frame& frame, StatsFrame* out) {
@@ -610,8 +599,7 @@ Frame EncodeShardAssignment(const ShardAssignmentFrame& shard) {
   writer.U64(shard.fingerprint);
   writer.F64(shard.threshold);
   writer.U8(static_cast<uint8_t>(shard.measure));
-  return {FrameType::kShardAssignment, /*version=*/3,
-          std::move(writer).Take()};
+  return {FrameType::kShardAssignment, std::move(writer).Take()};
 }
 
 Status DecodeShardAssignment(const Frame& frame, ShardAssignmentFrame* out) {
@@ -640,7 +628,7 @@ Status DecodeShardAssignment(const Frame& frame, ShardAssignmentFrame* out) {
   return Status::OK();
 }
 
-Frame EncodeShutdown() { return {FrameType::kShutdown, kVersionMin, {}}; }
+Frame EncodeShutdown() { return {FrameType::kShutdown, {}}; }
 
 Frame EncodeError(const Status& status) {
   PayloadWriter writer;
@@ -649,7 +637,7 @@ Frame EncodeError(const Status& status) {
   const std::string& message = status.message();
   writer.U32(static_cast<uint32_t>(message.size()));
   writer.Bytes(message.data(), message.size());
-  return {FrameType::kError, kVersionMin, std::move(writer).Take()};
+  return {FrameType::kError, std::move(writer).Take()};
 }
 
 Status DecodeError(const Frame& frame, ErrorFrame* out) {

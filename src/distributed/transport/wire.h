@@ -52,22 +52,12 @@ inline constexpr uint32_t kMagic = 0x4A574B53u;
 /// \name Protocol versions this build can speak.
 /// The Hello frame carries the coordinator's [min, max] range; the
 /// worker's HelloAck picks the highest version both sides support (see
-/// docs/WIRE_PROTOCOL.md, "Version negotiation").
-///
-/// Version 2 adds the recovery surface: a session epoch + batch
-/// sequence number on every ProbeBatch/ResponseBatch (the response
-/// echo is the coordinator's acknowledgement) and the Reassignment/
-/// ReassignmentAck frames that re-ship a lost worker's slices to a
-/// survivor mid-session.
-///
-/// Version 3 adds the frozen-shard serving mode: a tiny ShardAssignment
-/// frame that names a shard of a pre-mapped SKF1 file (core/
-/// frozen_shard.h) in place of the O(index) Assignment, for workers
-/// started with `--shard-file`. The worker serves the shard zero-copy
-/// from its own mapping; only the fingerprint, shard coordinates and
-/// verification parameters cross the wire.
+/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 3 is the only
+/// one: versions 1 and 2 are retired, so a header stamped with either
+/// is rejected and a Hello whose range excludes 3 is refused. The range
+/// and the negotiation stay so a later version can be added.
 /// @{
-inline constexpr uint8_t kVersionMin = 1;
+inline constexpr uint8_t kVersionMin = 3;
 inline constexpr uint8_t kVersionMax = 3;
 /// @}
 
@@ -89,34 +79,24 @@ enum class FrameType : uint8_t {
   kResponseBatch = 6,  ///< worker -> coordinator: batched ProbeResponses
   kShutdown = 7,       ///< coordinator -> worker: orderly end of session
   kError = 8,          ///< either direction: fatal error, then close
-  /// \name Version >= 2 only (sent strictly after a >= 2 handshake).
-  /// @{
   kReassignment = 9,     ///< coordinator -> worker: adopt a lost
                          ///< worker's slices, bump the session epoch
   kReassignmentAck = 10, ///< worker -> coordinator: epoch + counters
   kStatsRequest = 11,    ///< scraper -> worker: ask for a metrics
                          ///< snapshot (empty payload)
   kStatsResponse = 12,   ///< worker -> scraper: the registry snapshot
-  /// @}
-  /// \name Version >= 3 only.
-  /// @{
   kShardAssignment = 13, ///< coordinator -> worker: serve a shard of
                          ///< the worker's pre-mapped frozen file
-  /// @}
 };
 
 /// True iff \p type is one of the FrameType enumerators.
 bool IsValidFrameType(uint8_t type);
 
-/// \brief One decoded frame: its type plus the raw payload bytes.
-///
-/// `version` is the protocol version the payload is laid out under:
-/// transports fill it from the frame header on Receive, and encoders
-/// stamp the version they were asked to encode for, so decoders always
-/// know which layout to read without consulting connection state.
+/// \brief One decoded frame: its type plus the raw payload bytes. The
+/// header's version byte is the connection's business (stamped from
+/// FrameConnection::frame_version(), checked by DecodeFrameHeader).
 struct Frame {
   FrameType type = FrameType::kError;
-  uint8_t version = kVersionMin;
   std::vector<uint8_t> payload;
 };
 
@@ -239,12 +219,11 @@ struct OwnedProbe {
 
 /// \brief A decoded ProbeBatch frame.
 ///
-/// Under version >= 2 every batch carries the coordinator's current
-/// session epoch and a per-session strictly increasing sequence number;
-/// the worker rejects an epoch it has not reached (a stale coordinator
-/// after a reassignment) and echoes both on the ResponseBatch — that
-/// echo is the acknowledgement the coordinator's recovery replays
-/// against. Version 1 peers carry neither (both decode as zero).
+/// Every batch carries the coordinator's current session epoch and a
+/// per-session strictly increasing sequence number; the worker rejects
+/// an epoch it has not reached (a stale coordinator after a
+/// reassignment) and echoes both on the ResponseBatch — that echo is
+/// the acknowledgement the coordinator's recovery replays against.
 struct ProbeBatch {
   uint32_t epoch = 0;
   uint64_t seq = 0;
@@ -253,12 +232,12 @@ struct ProbeBatch {
 
 /// \brief A decoded ResponseBatch frame.
 struct ResponseBatch {
-  uint32_t epoch = 0;  ///< echo of the answered ProbeBatch (v2)
-  uint64_t seq = 0;    ///< echo of the answered ProbeBatch (v2)
+  uint32_t epoch = 0;  ///< echo of the answered ProbeBatch
+  uint64_t seq = 0;    ///< echo of the answered ProbeBatch
   std::vector<ProbeResponse> responses;
 };
 
-/// \brief Reassignment (v2): a survivor adopts a lost worker's slices.
+/// \brief Reassignment: a survivor adopts a lost worker's slices.
 ///
 /// The assignment body is exactly what the dead worker was shipped at
 /// attach time — the partition plan is a pure function of its inputs,
@@ -270,7 +249,7 @@ struct ReassignmentFrame {
   WorkerAssignment assignment;
 };
 
-/// \brief ReassignmentAck (v2): counters of the decoded reassignment.
+/// \brief ReassignmentAck: counters of the decoded reassignment.
 ///
 /// The counters describe the re-shipped slice itself (not the merged
 /// table), so the coordinator cross-checks transmission integrity the
@@ -280,7 +259,7 @@ struct ReassignmentAckFrame {
   AssignmentAckFrame counters;
 };
 
-/// \brief ShardAssignment (v3): serve a shard of a pre-mapped file.
+/// \brief ShardAssignment: serve a shard of a pre-mapped file.
 ///
 /// Replaces the Assignment for a worker that mapped an SKF1 frozen
 /// file (`join-worker --shard-file`): instead of shipping posting
@@ -300,14 +279,13 @@ struct ShardAssignmentFrame {
   Measure measure = Measure::kBraunBlanquet;
 };
 
-/// \brief StatsResponse (v2): a worker's metrics-registry snapshot.
+/// \brief StatsResponse: a worker's metrics-registry snapshot.
 ///
 /// The request (kStatsRequest, empty payload) may arrive in place of an
 /// Assignment — a scrape-only session, what `join-stats` opens — or
 /// interleaved with ProbeBatches on a serving session; either way the
 /// worker answers with its whole obs registry and the session
-/// continues. Both frames require a negotiated version >= 2: a v1
-/// session sending one is rejected with NotSupported.
+/// continues.
 struct StatsFrame {
   /// The scraped registry, sorted by metric name (the order
   /// MetricsRegistry::Snapshot() produces; the decoder enforces it).
@@ -321,20 +299,17 @@ struct ErrorFrame {
 };
 
 /// \name Frame encoders. Each returns a complete Frame (type + payload).
-/// The probe/response encoders take the negotiated \p version: under
-/// version >= 2 the epoch/seq prefix is written, under version 1 the
-/// layout is byte-identical to what this codec has always produced.
+/// The probe/response encoders write the session \p epoch and batch
+/// \p seq ahead of the batch.
 /// @{
 Frame EncodeHello(const HelloFrame& hello);
 Frame EncodeHelloAck(const HelloAckFrame& ack);
 Frame EncodeAssignment(const WorkerAssignment& assignment);
 Frame EncodeAssignmentAck(const AssignmentAckFrame& ack);
 Frame EncodeProbeBatch(std::span<const ProbeRequest> batch,
-                       uint8_t version = kVersionMin, uint32_t epoch = 0,
-                       uint64_t seq = 0);
+                       uint32_t epoch = 0, uint64_t seq = 0);
 Frame EncodeResponseBatch(std::span<const ProbeResponse> batch,
-                          uint8_t version = kVersionMin, uint32_t epoch = 0,
-                          uint64_t seq = 0);
+                          uint32_t epoch = 0, uint64_t seq = 0);
 Frame EncodeReassignment(const ReassignmentFrame& reassignment);
 Frame EncodeReassignmentAck(const ReassignmentAckFrame& ack);
 Frame EncodeStatsRequest();
@@ -345,8 +320,7 @@ Frame EncodeError(const Status& status);
 /// @}
 
 /// \name Frame decoders. Each checks the frame type, every field range
-/// and bound, and that the payload is consumed exactly. The probe and
-/// response decoders read the layout Frame::version announces.
+/// and bound, and that the payload is consumed exactly.
 /// @{
 Status DecodeHello(const Frame& frame, HelloFrame* out);
 Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out);

@@ -216,7 +216,7 @@ TEST(DistributedFrozenTest, FrozenJoinOverLoopbackMatchesInProcess) {
     workers[static_cast<size_t>(w)].Serve(std::move(worker_end), serve);
     connections.push_back(std::move(coordinator_end));
   }
-  ASSERT_TRUE(join.AttachRemoteFrozen(std::move(connections)).ok());
+  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
   EXPECT_TRUE(join.remote());
 
   DistributedJoinStats stats;
@@ -256,27 +256,6 @@ TEST(DistributedFrozenTest, BuildFromFrozenRejectsWrongDataset) {
   EXPECT_FALSE(join.built());
 }
 
-TEST(DistributedFrozenTest, AttachRemoteFrozenRequiresFrozenBuild) {
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(47, 150, &dist);
-  const JoinOptions options = AdversarialJoinOptions(0.6, 19);
-  DistributedJoinOptions distributed;
-  distributed.index = options.index;
-  distributed.threshold = options.threshold;
-  distributed.workers = 2;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-
-  std::vector<std::unique_ptr<FrameConnection>> connections;
-  auto [a, b] = LoopbackPair();
-  connections.push_back(std::move(a));
-  connections.push_back(std::move(b));
-  Status attached = join.AttachRemoteFrozen(std::move(connections));
-  EXPECT_FALSE(attached.ok());
-  EXPECT_TRUE(attached.IsInvalidArgument()) << attached.ToString();
-  EXPECT_FALSE(join.remote());
-}
-
 TEST(DistributedFrozenTest, FrozenAttachFailsAgainstUnpreloadedWorker) {
   // A worker started without --shard-file answers the ShardAssignment
   // with an Error frame; the coordinator surfaces it and no session is
@@ -300,7 +279,7 @@ TEST(DistributedFrozenTest, FrozenAttachFailsAgainstUnpreloadedWorker) {
     workers[static_cast<size_t>(w)].Serve(std::move(worker_end));  // no file
     connections.push_back(std::move(coordinator_end));
   }
-  Status attached = join.AttachRemoteFrozen(std::move(connections));
+  Status attached = join.AttachRemote(std::move(connections));
   EXPECT_FALSE(attached.ok());
   EXPECT_FALSE(join.remote());
   for (auto& worker : workers) worker.Join();
@@ -337,7 +316,7 @@ TEST(DistributedFrozenTest, FrozenAttachRejectsMismatchedFile) {
   auto [coordinator_end, worker_end] = LoopbackPair();
   worker.Serve(std::move(worker_end), serve);
   connections.push_back(std::move(coordinator_end));
-  Status attached = join.AttachRemoteFrozen(std::move(connections));
+  Status attached = join.AttachRemote(std::move(connections));
   EXPECT_FALSE(attached.ok());
   EXPECT_FALSE(join.remote());
   worker.Join();
@@ -378,7 +357,7 @@ TEST(DistributedFrozenTest, FrozenWorkerLossFailsCleanlyWithoutRecovery) {
                                           w == 0 ? dying : healthy);
     connections.push_back(std::move(coordinator_end));
   }
-  ASSERT_TRUE(join.AttachRemoteFrozen(std::move(connections)).ok());
+  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
 
   auto got = join.SelfJoin();
   ASSERT_FALSE(got.ok());

@@ -107,6 +107,12 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
   ExpectIdentical(*expected, *got);
   EXPECT_EQ(stats.worker_recoveries, 1u);
   EXPECT_GE(stats.replayed_batches, 1u);
+  // The replay goes through the same pipelined drain as the first pass:
+  // one exposed round trip per worker drain plus one for the replay on
+  // the survivor, not one per replayed batch.
+  EXPECT_LE(stats.probe_round_trips,
+            static_cast<size_t>(options.workers) + 1);
+  EXPECT_GE(stats.probe_batches_sent, stats.replayed_batches);
 
   // The remap persists: the next join on the reduced pool (worker 1's
   // slices now merged into a survivor) is still byte-identical, with
@@ -155,7 +161,6 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
       RemoteWorkerSession::Start(std::move(client), /*worker_id=*/0,
                                  /*num_workers=*/1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_EQ(session->negotiated_version(), wire::kVersionMax);
 
   const std::vector<ItemId> items = {2, 3, 4};
   ProbeRequest probe;
@@ -273,7 +278,7 @@ TEST(DistributedPoisonTest, CleanTimeoutBetweenFramesDoesNotPoison) {
   std::vector<uint8_t> bytes;
   wire::AppendFrameHeader(shutdown.type,
                           static_cast<uint32_t>(shutdown.payload.size()),
-                          shutdown.version, &bytes);
+                          wire::kVersionMax, &bytes);
   bytes.insert(bytes.end(), shutdown.payload.begin(),
                shutdown.payload.end());
   ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),

@@ -212,14 +212,14 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   auto session =
       RemoteWorkerSession::Start(std::move(coordinator), 0, 1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_GE(session->negotiated_version(), 2);
 
   const std::vector<ItemId> probe_items = {3, 5};
   std::vector<ProbeRequest> batch(1);
   batch[0].left = 0;
   batch[0].items = probe_items;
   batch[0].keys = {42};
-  auto responses = session->Probe(batch);
+  ASSERT_TRUE(session->SendProbeBatch(batch).ok());
+  auto responses = session->ReceiveResponses();
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   ASSERT_EQ(responses->size(), 1u);
   EXPECT_EQ((*responses)[0].matches.size(), 1u);
@@ -237,40 +237,13 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   EXPECT_TRUE(saw_batches);
 
   // The session keeps serving probes after the scrape.
-  responses = session->Probe(batch);
+  ASSERT_TRUE(session->SendProbeBatch(batch).ok());
+  responses = session->ReceiveResponses();
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   EXPECT_TRUE(session->Shutdown().ok());
   worker.Join();
   EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
   EXPECT_EQ(worker.stats.batches, 2u);
-}
-
-TEST(DistributedStatsTest, V1SessionRejectsStatsRequest) {
-  // A coordinator that negotiated version 1 must get NotSupported for a
-  // StatsRequest — the frame does not exist under v1.
-  auto [coordinator, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end), ServeOptions{});
-  wire::HelloFrame hello;
-  hello.min_version = 1;
-  hello.max_version = 1;
-  hello.worker_id = 0;
-  hello.num_workers = 1;
-  ASSERT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
-  wire::Frame frame;
-  ASSERT_TRUE(coordinator->Receive(&frame).ok());
-  wire::HelloAckFrame ack;
-  ASSERT_TRUE(wire::DecodeHelloAck(frame, &ack).ok());
-  ASSERT_EQ(ack.version, 1);
-
-  ASSERT_TRUE(coordinator->Send(wire::EncodeStatsRequest()).ok());
-  ASSERT_TRUE(coordinator->Receive(&frame).ok());
-  ASSERT_EQ(frame.type, wire::FrameType::kError);
-  wire::ErrorFrame error;
-  ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
-  EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
-  worker.Join();
-  EXPECT_FALSE(worker.status.ok());
 }
 
 TEST(DistributedStatsTest, ScrapeRejectsV1OnlyWorker) {

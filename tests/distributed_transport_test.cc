@@ -116,11 +116,11 @@ TEST(DistributedTransportTest, LoopbackCloseUnblocksAndFailsCleanly) {
 }
 
 TEST(DistributedTransportTest, FrameVersionDefaultsToMinAndIsSettable) {
-  // Pre-negotiation frames (the Hello) must go out under kVersionMin so
-  // the oldest peer can parse the header; the session layer raises the
-  // connection to the negotiated version afterwards. If the default
-  // were kVersionMax, bumping the protocol would break the handshake
-  // against every older worker.
+  // Pre-negotiation frames (the Hello) go out under kVersionMin so the
+  // oldest peer the range admits can parse the header; the session
+  // layer sets the negotiated version afterwards. If the default were
+  // kVersionMax, adding a version would break the handshake against
+  // every worker that does not speak it yet.
   auto [a, b] = LoopbackPair();
   EXPECT_EQ(a->frame_version(), wire::kVersionMin);
   a->set_frame_version(wire::kVersionMax);
@@ -191,23 +191,43 @@ TEST(DistributedTransportTest, ConnectToClosedPortFails) {
 }
 
 TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
-  auto [coordinator, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end));
-  wire::HelloFrame hello;
-  hello.min_version = wire::kVersionMax + 1;  // future coordinator
-  hello.max_version = wire::kVersionMax + 9;
-  hello.worker_id = 0;
-  hello.num_workers = 1;
-  ASSERT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
-  wire::Frame frame;
-  ASSERT_TRUE(coordinator->Receive(&frame).ok());
-  ASSERT_EQ(frame.type, wire::FrameType::kError);
-  wire::ErrorFrame error;
-  ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
-  EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
-  worker.Join();
-  EXPECT_FALSE(worker.status.ok());
+  // A future coordinator, and old peers: versions 1 and 2 are retired,
+  // so a range that stops below 3 has nothing in common with a worker.
+  const std::pair<uint8_t, uint8_t> ranges[] = {
+      {wire::kVersionMax + 1, wire::kVersionMax + 9}, {1, 1}, {1, 2}};
+  for (const auto& [min_version, max_version] : ranges) {
+    SCOPED_TRACE("range " + std::to_string(min_version) + ".." +
+                 std::to_string(max_version));
+    auto [coordinator, worker_end] = LoopbackPair();
+    HostedWorker worker;
+    worker.Serve(std::move(worker_end));
+    wire::HelloFrame hello;
+    hello.min_version = min_version;
+    hello.max_version = max_version;
+    hello.worker_id = 0;
+    hello.num_workers = 1;
+    ASSERT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
+    wire::Frame frame;
+    ASSERT_TRUE(coordinator->Receive(&frame).ok());
+    ASSERT_EQ(frame.type, wire::FrameType::kError);
+    wire::ErrorFrame error;
+    ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
+    EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
+    worker.Join();
+    EXPECT_FALSE(worker.status.ok());
+  }
+}
+
+TEST(DistributedTransportTest, ConnectEndpointRejectsMalformedEndpoints) {
+  // Each is refused by the parser itself: InvalidArgument, where a
+  // resolve or connect attempt would have failed with IOError.
+  const char* const malformed[] = {"h", ":1", "h:", "h:0", "h:65536", "h:1x"};
+  for (const char* endpoint : malformed) {
+    auto connection = ConnectEndpoint(endpoint);
+    EXPECT_FALSE(connection.ok()) << endpoint;
+    EXPECT_TRUE(connection.status().IsInvalidArgument())
+        << endpoint << ": " << connection.status().ToString();
+  }
 }
 
 TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {

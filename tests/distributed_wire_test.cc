@@ -46,13 +46,17 @@ TEST(DistributedWireTest, FrameHeaderRejectsCorruptMagic) {
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsBadVersion) {
-  FrameHeader header;
-  EXPECT_FALSE(
-      DecodeFrameHeader(HeaderBytes(FrameType::kHello, 0, 0), &header).ok());
-  EXPECT_FALSE(
-      DecodeFrameHeader(HeaderBytes(FrameType::kHello, 0, kVersionMax + 1),
-                        &header)
-          .ok());
+  // 0 was never a version, 1 and 2 are retired, and anything above
+  // kVersionMax is a future peer.
+  const uint8_t rejected[] = {0, 1, 2, kVersionMax + 1};
+  for (uint8_t version : rejected) {
+    FrameHeader header;
+    Status status = DecodeFrameHeader(
+        HeaderBytes(FrameType::kHello, 0, version), &header);
+    EXPECT_FALSE(status.ok()) << "version " << int{version};
+    EXPECT_NE(status.ToString().find("version"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsUnknownTypeAndReservedBits) {
@@ -243,14 +247,24 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
   // by comparing the count against the remaining payload, so a 30-byte
   // frame can never make it resize a vector to 2^32 elements. (Run
   // under ASan in CI, an actual oversized allocation would abort.)
+  //
+  // Each row must fail on its count check, not on some earlier field:
+  // the error names the count that exceeds the payload.
+  auto expect_count_error = [](const Status& status, const char* field) {
+    EXPECT_FALSE(status.ok()) << field;
+    EXPECT_NE(status.ToString().find(std::string(field) +
+                                     " count exceeds"),
+              std::string::npos)
+        << status.ToString();
+  };
   {
     PayloadWriter writer;
     writer.F64(0.5);
     writer.U8(0);
     writer.U32(0xFFFFFFFFu);  // posting-key count
-    Frame frame{FrameType::kAssignment, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kAssignment, std::move(writer).Take()};
     WorkerAssignment decoded;
-    EXPECT_FALSE(DecodeAssignment(frame, &decoded).ok());
+    expect_count_error(DecodeAssignment(frame, &decoded), "Assignment key");
   }
   {
     PayloadWriter writer;
@@ -259,44 +273,56 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
     writer.U32(1);            // one key...
     writer.U64(7);            // key
     writer.U32(0xFFFFFFFFu);  // ...claiming 4G posting ids
-    Frame frame{FrameType::kAssignment, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kAssignment, std::move(writer).Take()};
     WorkerAssignment decoded;
-    EXPECT_FALSE(DecodeAssignment(frame, &decoded).ok());
+    expect_count_error(DecodeAssignment(frame, &decoded),
+                       "Assignment posting");
   }
   {
     PayloadWriter writer;
+    writer.U32(0);            // epoch
+    writer.U64(0);            // seq
     writer.U32(0xFFFFFFFFu);  // probe count
-    Frame frame{FrameType::kProbeBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kProbeBatch, std::move(writer).Take()};
     ProbeBatch decoded;
-    EXPECT_FALSE(DecodeProbeBatch(frame, &decoded).ok());
+    expect_count_error(DecodeProbeBatch(frame, &decoded), "ProbeBatch probe");
   }
   {
     PayloadWriter writer;
+    writer.U32(0);            // epoch
+    writer.U64(0);            // seq
     writer.U32(1);            // one probe...
     writer.U32(3);            // left
     writer.U8(0);             // flags
     writer.U32(0xFFFFFFFFu);  // ...claiming 4G items
-    Frame frame{FrameType::kProbeBatch, kVersionMin, std::move(writer).Take()};
+    writer.U32(0);            // key count: the probe's minimum size
+    Frame frame{FrameType::kProbeBatch, std::move(writer).Take()};
     ProbeBatch decoded;
-    EXPECT_FALSE(DecodeProbeBatch(frame, &decoded).ok());
+    expect_count_error(DecodeProbeBatch(frame, &decoded), "ProbeBatch item");
   }
   {
     PayloadWriter writer;
+    writer.U32(0);            // epoch
+    writer.U64(0);            // seq
     writer.U32(0xFFFFFFFFu);  // response count
-    Frame frame{FrameType::kResponseBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kResponseBatch, std::move(writer).Take()};
     ResponseBatch decoded;
-    EXPECT_FALSE(DecodeResponseBatch(frame, &decoded).ok());
+    expect_count_error(DecodeResponseBatch(frame, &decoded),
+                       "ResponseBatch response");
   }
   {
     PayloadWriter writer;
+    writer.U32(0);            // epoch
+    writer.U64(0);            // seq
     writer.U32(1);            // one response...
     writer.U32(3);            // left
     writer.U64(0);            // candidates
     writer.U64(0);            // verifications
     writer.U32(0xFFFFFFFFu);  // ...claiming 4G matches
-    Frame frame{FrameType::kResponseBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kResponseBatch, std::move(writer).Take()};
     ResponseBatch decoded;
-    EXPECT_FALSE(DecodeResponseBatch(frame, &decoded).ok());
+    expect_count_error(DecodeResponseBatch(frame, &decoded),
+                       "ResponseBatch match");
   }
 }
 
@@ -351,10 +377,15 @@ TEST(DistributedWireTest, ProbeBatchRejectsUnknownFlags) {
   ProbeRequest request;
   request.left = 1;
   Frame frame = EncodeProbeBatch(std::span<const ProbeRequest>(&request, 1));
-  // flags byte sits right after the count (u32) and left (u32).
-  frame.payload[8] = 0x02;
+  // The flags byte sits after the epoch (u32), seq (u64), count (u32)
+  // and left (u32).
+  ASSERT_EQ(frame.payload[20], 0x00);
+  frame.payload[20] = 0x02;
   ProbeBatch decoded;
-  EXPECT_FALSE(DecodeProbeBatch(frame, &decoded).ok());
+  Status status = DecodeProbeBatch(frame, &decoded);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("flag"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(DistributedWireTest, ResponseBatchRandomizedRoundTrip) {
@@ -436,26 +467,21 @@ TEST(DistributedWireTest, ProbeBatchV2CarriesEpochAndSeq) {
   request.keys = {11, 12};
   const std::span<const ProbeRequest> batch(&request, 1);
 
-  Frame v2 = EncodeProbeBatch(batch, /*version=*/2, /*epoch=*/3, /*seq=*/9);
-  EXPECT_EQ(v2.version, 2);
+  Frame frame = EncodeProbeBatch(batch, /*epoch=*/3, /*seq=*/9);
   ProbeBatch decoded;
-  ASSERT_TRUE(DecodeProbeBatch(v2, &decoded).ok());
+  ASSERT_TRUE(DecodeProbeBatch(frame, &decoded).ok());
   EXPECT_EQ(decoded.epoch, 3u);
   EXPECT_EQ(decoded.seq, 9u);
   ASSERT_EQ(decoded.probes.size(), 1u);
   EXPECT_EQ(decoded.probes[0].left, 42u);
+  EXPECT_EQ(decoded.probes[0].keys, request.keys);
 
-  // A v1 frame has no epoch/seq prefix; the decoder must leave the
-  // defaults and read the same body.
-  Frame v1 = EncodeProbeBatch(batch);
-  EXPECT_EQ(v1.version, kVersionMin);
-  EXPECT_EQ(v1.payload.size() + 12, v2.payload.size());
-  ProbeBatch old;
-  ASSERT_TRUE(DecodeProbeBatch(v1, &old).ok());
-  EXPECT_EQ(old.epoch, 0u);
-  EXPECT_EQ(old.seq, 0u);
-  ASSERT_EQ(old.probes.size(), 1u);
-  EXPECT_EQ(old.probes[0].keys, request.keys);
+  // The 12-byte epoch/seq prefix is always present: an empty batch is
+  // exactly prefix + count, and dropping the prefix is truncation.
+  Frame empty = EncodeProbeBatch({}, /*epoch=*/3, /*seq=*/9);
+  EXPECT_EQ(empty.payload.size(), 16u);
+  empty.payload.erase(empty.payload.begin(), empty.payload.begin() + 12);
+  EXPECT_FALSE(DecodeProbeBatch(empty, &decoded).ok());
 }
 
 TEST(DistributedWireTest, ResponseBatchV2CarriesEpochAndSeq) {
@@ -466,11 +492,9 @@ TEST(DistributedWireTest, ResponseBatchV2CarriesEpochAndSeq) {
   response.verifications = 2;
   const std::span<const ProbeResponse> batch(&response, 1);
 
-  Frame v2 =
-      EncodeResponseBatch(batch, /*version=*/2, /*epoch=*/1, /*seq=*/4);
-  EXPECT_EQ(v2.version, 2);
+  Frame frame = EncodeResponseBatch(batch, /*epoch=*/1, /*seq=*/4);
   ResponseBatch decoded;
-  ASSERT_TRUE(DecodeResponseBatch(v2, &decoded).ok());
+  ASSERT_TRUE(DecodeResponseBatch(frame, &decoded).ok());
   EXPECT_EQ(decoded.epoch, 1u);
   EXPECT_EQ(decoded.seq, 4u);
   ASSERT_EQ(decoded.responses.size(), 1u);
@@ -478,11 +502,10 @@ TEST(DistributedWireTest, ResponseBatchV2CarriesEpochAndSeq) {
   ASSERT_EQ(decoded.responses[0].matches.size(), 1u);
   EXPECT_EQ(decoded.responses[0].matches[0].id, 3u);
 
-  Frame v1 = EncodeResponseBatch(batch);
-  ResponseBatch old;
-  ASSERT_TRUE(DecodeResponseBatch(v1, &old).ok());
-  EXPECT_EQ(old.epoch, 0u);
-  EXPECT_EQ(old.seq, 0u);
+  Frame empty = EncodeResponseBatch({}, /*epoch=*/1, /*seq=*/4);
+  EXPECT_EQ(empty.payload.size(), 16u);
+  empty.payload.erase(empty.payload.begin(), empty.payload.begin() + 12);
+  EXPECT_FALSE(DecodeResponseBatch(empty, &decoded).ok());
 }
 
 TEST(DistributedWireTest, ReassignmentRandomizedRoundTrip) {
@@ -494,7 +517,6 @@ TEST(DistributedWireTest, ReassignmentRandomizedRoundTrip) {
     reassignment.assignment = RandomAssignment(&rng);
     Frame frame = EncodeReassignment(reassignment);
     EXPECT_EQ(frame.type, FrameType::kReassignment);
-    EXPECT_EQ(frame.version, 2);
     ReassignmentFrame decoded;
     ASSERT_TRUE(DecodeReassignment(frame, &decoded).ok());
     EXPECT_EQ(decoded.epoch, reassignment.epoch);

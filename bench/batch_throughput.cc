@@ -7,6 +7,12 @@
 // A final verification pass asserts the parallel results are identical
 // to the serial ones (the engine's core determinism contract).
 //
+// The path engine's work is exported as stable counts — the build's
+// expanded nodes and filters, and the one-thread batch's draws, nodes and
+// filters — so a change to the filter kernel that moves any key or
+// counter fails the baseline comparison. path_ns_per_draw (advisory)
+// times one ComputeAllFilters pass over the query batch.
+//
 // Flags: --n <dataset> --queries <batch> --alpha <corr> --threads <list>
 //        --rounds <timed repetitions> --json <file> (see bench_util.h)
 
@@ -128,6 +134,12 @@ int Run(int argc, char** argv) {
     if (m.has_value()) ++matches;
   }
   reporter.Metric("repetitions", index.repetitions(), /*stable=*/true, "reps");
+  reporter.Metric("build_nodes_expanded",
+                  static_cast<double>(index.build_stats().nodes_expanded),
+                  /*stable=*/true, "nodes");
+  reporter.Metric("build_filters",
+                  static_cast<double>(index.build_stats().total_filters),
+                  /*stable=*/true, "filters");
   reporter.Metric("matches", static_cast<double>(matches), /*stable=*/true,
                   "queries");
   double serial_qps = 0.0;
@@ -163,6 +175,14 @@ int Run(int argc, char** argv) {
       reporter.Metric("candidates_total",
                       static_cast<double>(agg.totals.candidates),
                       /*stable=*/true, "candidates");
+      reporter.Metric("path_draws", static_cast<double>(agg.path_gen.draws),
+                      /*stable=*/true, "draws");
+      reporter.Metric("path_nodes",
+                      static_cast<double>(agg.path_gen.nodes_expanded),
+                      /*stable=*/true, "nodes");
+      reporter.Metric("path_filters",
+                      static_cast<double>(agg.path_gen.filters_emitted),
+                      /*stable=*/true, "filters");
     }
     reporter.Metric("qps_t" + std::to_string(threads), qps, /*stable=*/false,
                     "queries/s");
@@ -182,6 +202,32 @@ int Run(int argc, char** argv) {
                   identical ? "yes" : "NO"});
   }
   table.Print();
+
+  // The kernel alone: every repetition of every query, best round.
+  std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
+  double best_kernel_seconds = 0.0;
+  size_t kernel_draws = 0;
+  for (int round = 0; round < std::max(1, config.rounds); ++round) {
+    kernel_draws = 0;
+    Timer timer;
+    for (VectorId id = 0; id < queries.size(); ++id) {
+      PathGenStats gen;
+      index.family().ComputeAllFilters(queries.Get(id), &keys, &offsets, &gen);
+      kernel_draws += gen.draws;
+    }
+    const double seconds = timer.ElapsedSeconds();
+    if (round == 0 || seconds < best_kernel_seconds) {
+      best_kernel_seconds = seconds;
+    }
+  }
+  const double ns_per_draw =
+      kernel_draws > 0
+          ? best_kernel_seconds * 1e9 / static_cast<double>(kernel_draws)
+          : 0.0;
+  bench::Note("filter kernel: " + bench::Fmt(ns_per_draw, 2) +
+              " ns/draw over " + std::to_string(kernel_draws) + " draws");
+  reporter.Metric("path_ns_per_draw", ns_per_draw, /*stable=*/false, "ns");
   bench::Note(all_identical
                   ? "parallel results byte-identical to serial: OK"
                   : "DETERMINISM VIOLATION: parallel results differ!");

@@ -13,6 +13,19 @@
 // The engine is deterministic given the PathHasher, so running it on a
 // data vector and on a query produces consistent decisions on shared path
 // prefixes — the property Lemma 5's collision argument relies on.
+//
+// One kernel serves both entry points: it grows the trees of a range of
+// repetitions (one repetition for ComputeFilters, all of them for
+// ComputeFiltersAllReps). Everything that does not depend on the path is
+// computed outside the per-draw loop: each item's hash halves and ln(1/p)
+// once per call, the thresholds once per level (shared by every
+// repetition of the call), the level's salt at the start of each level,
+// and the path half of the draw once per node. An item at or above
+// dist.dimension() occurs in no vector the distribution describes, so no
+// path through it can collide; it is never put on a path (no draw is made
+// or counted for it) but still counts toward |x|.
+// tests/core_path_engine_test.cc keeps a plain per-draw recursion as the
+// kernel's reference.
 
 #ifndef SKEWSEARCH_CORE_PATH_ENGINE_H_
 #define SKEWSEARCH_CORE_PATH_ENGINE_H_
@@ -73,22 +86,14 @@ class PathEngine {
   void ComputeFilters(std::span<const ItemId> x, uint32_t rep,
                       std::vector<uint64_t>* out, PathGenStats* stats) const;
 
-  /// Computes F_r(x) for every repetition r in [0, reps) in ONE fused
-  /// level-synchronous pass (the fast-similarity-sketching idea applied
-  /// to the chosen-path recursion: all repetitions' coordinates in one
-  /// walk). All L recursion trees advance through one shared arena, so
-  /// the per-level policy thresholds and ln(1/p) terms — which depend on
-  /// (|x|, depth, item) but NOT on the repetition — are computed once per
-  /// level instead of L times, and the arena/frontier allocations are
-  /// shared.
-  ///
-  /// \p keys receives repetition 0's filter keys, then repetition 1's,
-  /// ...; \p offsets receives reps + 1 entries bracketing each
-  /// repetition's group. Each group is byte-identical to what
-  /// ComputeFilters(x, r, ...) appends (asserted by tests). \p stats
-  /// (may be null) receives counters summed over repetitions with
-  /// cap_hit = "any repetition truncated"; \p capped_reps (may be null)
-  /// receives the number of truncated repetitions.
+  /// Computes F_r(x) for every repetition r in [0, reps). \p keys receives
+  /// repetition 0's filter keys, then repetition 1's, ...; \p offsets
+  /// receives reps + 1 entries bracketing each repetition's group. Each
+  /// group is byte-identical to what ComputeFilters(x, r, ...) appends:
+  /// both run the same kernel. \p stats (may be null) receives counters
+  /// summed over repetitions with cap_hit = "any repetition truncated";
+  /// \p capped_reps (may be null) receives the number of truncated
+  /// repetitions.
   void ComputeFiltersAllReps(std::span<const ItemId> x, uint32_t reps,
                              std::vector<uint64_t>* keys,
                              std::vector<size_t>* offsets,
@@ -98,6 +103,16 @@ class PathEngine {
   const PathEngineOptions& options() const { return options_; }
 
  private:
+  // The one filter kernel. Grows the trees of repetitions
+  // [first_rep, end_rep) level by level, appending each repetition's keys
+  // to \p out and, when \p offsets is non-null, out->size() after each.
+  // Sets \p stats to the counters summed over the range and
+  // \p capped_reps to the number of truncated repetitions (either may be
+  // null).
+  void Grow(std::span<const ItemId> x, uint32_t first_rep, uint32_t end_rep,
+            std::vector<uint64_t>* out, std::vector<size_t>* offsets,
+            PathGenStats* stats, size_t* capped_reps) const;
+
   const ProductDistribution* dist_;
   const ThresholdPolicy* policy_;
   const PathHasher* hasher_;

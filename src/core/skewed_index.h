@@ -142,18 +142,26 @@ class FilterFamily {
 
   /// Appends the filter keys F_r(\p x) of repetition \p rep to \p keys.
   /// \p stats may be null. Safe to call concurrently.
+  ///
+  /// An item of \p x at or above the distribution's dimension() occurs in
+  /// no indexed vector, so no filter through it could collide: it is
+  /// never put on a path and makes no draw, but it still counts toward
+  /// |x| (which the kAdversarial threshold reads). Such items are
+  /// therefore safe in queries and join probes.
   void ComputeFilters(std::span<const ItemId> x, uint32_t rep,
                       std::vector<uint64_t>* keys,
                       PathGenStats* stats = nullptr) const;
 
-  /// Computes F_r(\p x) for ALL repetitions in one fused pass (the
-  /// fast-similarity-sketching idea: per-level thresholds are shared
-  /// across repetitions, so one walk replaces repetitions() independent
-  /// ones). \p keys holds repetition 0's keys, then repetition 1's, ...;
-  /// \p offsets gets repetitions() + 1 group boundaries. Each group is
-  /// byte-identical to the corresponding ComputeFilters(x, rep) output.
-  /// \p stats sums counters over repetitions; \p capped_reps (may be
-  /// null) counts truncated repetitions. Safe to call concurrently.
+  /// Computes F_r(\p x) for ALL repetitions in one call: the same kernel
+  /// as ComputeFilters, run over the repetition range, so per-level
+  /// thresholds are computed once and shared across repetitions (the
+  /// fast-similarity-sketching idea). \p keys holds repetition 0's keys,
+  /// then repetition 1's, ...; \p offsets gets repetitions() + 1 group
+  /// boundaries. Each group equals, key for key, what ComputeFilters(x,
+  /// rep) appends. \p stats sums counters over repetitions;
+  /// \p capped_reps (may be null) counts truncated repetitions. Items
+  /// outside the universe are handled as in ComputeFilters. Safe to call
+  /// concurrently.
   void ComputeAllFilters(std::span<const ItemId> x,
                          std::vector<uint64_t>* keys,
                          std::vector<size_t>* offsets,

@@ -1,6 +1,5 @@
 #include "hashing/path_hasher.h"
 
-#include "hashing/mix.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -22,23 +21,6 @@ PathHasher::PathHasher(uint64_t seed, int max_level, HashEngine engine)
 
 uint64_t PathHasher::RootKey(uint32_t rep) const {
   return MixPair(Mix64(seed_), Mix64(0xabcdef12345678ULL + rep));
-}
-
-uint64_t PathHasher::ExtendKey(uint64_t path_key, uint32_t item) const {
-  return MixPair(path_key, Mix64(0x1234567890abcdefULL ^ item));
-}
-
-double PathHasher::LevelDraw(int level, uint64_t path_key,
-                             uint32_t item) const {
-  size_t idx = static_cast<size_t>(level - 1) % level_salts_.size();
-  // The draw must identify the *child* path (v o i); combining the parent
-  // key with the item gives exactly that identity.
-  uint64_t child = MixPair(path_key ^ level_salts_[idx],
-                           Mix64(0x9e3779b97f4a7c15ULL ^ item));
-  if (engine_ == HashEngine::kPairwise) {
-    return level_hashes_[idx].HashUnit(child);
-  }
-  return ToUnitInterval(Avalanche64(child));
 }
 
 }  // namespace skewsearch

@@ -20,6 +20,7 @@
 #include "maintenance/service.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "sim/measures.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -337,6 +338,32 @@ TEST_F(DynamicIndexTest, BatchQueryMatchesSerial) {
       EXPECT_EQ(serial[i]->similarity, parallel[i]->similarity) << i;
     }
   }
+}
+
+TEST_F(DynamicIndexTest, QueriesWithItemsOutsideTheUniverseVerify) {
+  // Query and QueryAll accept items the distribution does not cover (the
+  // filter kernel never puts them on a path); every match re-verifies.
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data_, &dist_, Options()).ok());
+  const Measure measure = index.family().options().verify_measure;
+  int hits = 0;
+  for (VectorId id = 0; id < 40; ++id) {
+    const std::span<const ItemId> x = data_.Get(id);
+    std::vector<ItemId> q(x.begin(), x.end());
+    q.push_back(1000000);
+    q.push_back(1000007);
+    auto hit = index.Query(q);
+    if (hit) {
+      ++hits;
+      EXPECT_GE(hit->similarity, index.family().verify_threshold());
+      EXPECT_EQ(hit->similarity, Similarity(measure, q, data_.Get(hit->id)));
+    }
+    for (const Match& m : index.QueryAll(q, 0.3)) {
+      EXPECT_GE(m.similarity, 0.3);
+      EXPECT_EQ(m.similarity, Similarity(measure, q, data_.Get(m.id)));
+    }
+  }
+  EXPECT_GT(hits, 0);
 }
 
 TEST_F(DynamicIndexTest, InsertValidation) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "data/generators.h"
 #include "util/random.h"
@@ -21,6 +23,150 @@ class FixedPolicy : public ThresholdPolicy {
  private:
   double s_;
 };
+
+// The plain recursion the filter kernel must reproduce, one repetition at
+// a time: a Threshold call, a LevelDraw and (on acceptance) an ExtendKey
+// per draw, and a full ancestor walk per item for sampling without
+// replacement. An item at or above dist.dimension() is never put on a
+// path and makes no draw, but still counts toward |x|.
+struct RefNode {
+  uint64_t key;
+  double log_inv_prod;
+  int32_t parent;
+  ItemId item;
+  int32_t depth;
+};
+
+bool RefPathContains(const std::vector<RefNode>& arena, int32_t node,
+                     ItemId item) {
+  while (node >= 0 && arena[static_cast<size_t>(node)].depth > 0) {
+    if (arena[static_cast<size_t>(node)].item == item) return true;
+    node = arena[static_cast<size_t>(node)].parent;
+  }
+  return false;
+}
+
+void ReferenceFilters(const ProductDistribution& dist,
+                      const ThresholdPolicy& policy, const PathHasher& hasher,
+                      const PathEngineOptions& options,
+                      std::span<const ItemId> x, uint32_t rep,
+                      std::vector<uint64_t>* out, PathGenStats* stats) {
+  PathGenStats local;
+  if (!x.empty()) {
+    std::vector<RefNode> arena;
+    std::vector<int32_t> frontier;
+    std::vector<int32_t> next;
+    arena.push_back(RefNode{hasher.RootKey(rep), 0.0, -1, 0, 0});
+    frontier.push_back(0);
+    bool done = false;
+    while (!frontier.empty() && !done) {
+      next.clear();
+      for (int32_t node_idx : frontier) {
+        const RefNode node = arena[static_cast<size_t>(node_idx)];
+        if (node.depth >= options.max_depth) continue;
+        local.nodes_expanded++;
+        const int level = node.depth + 1;
+        for (ItemId item : x) {
+          if (item >= dist.dimension()) continue;
+          if (options.without_replacement &&
+              RefPathContains(arena, node_idx, item)) {
+            continue;
+          }
+          local.draws++;
+          const double threshold = policy.Threshold(x.size(), node.depth, item);
+          if (threshold < 1.0 &&
+              hasher.LevelDraw(level, node.key, item) >= threshold) {
+            continue;
+          }
+          RefNode child;
+          child.key = hasher.ExtendKey(node.key, item);
+          child.log_inv_prod = node.log_inv_prod + dist.LogInvP(item);
+          child.parent = node_idx;
+          child.item = item;
+          child.depth = level;
+          const bool is_filter =
+              options.stop_rule == StopRule::kProbability
+                  ? child.log_inv_prod >= options.log_n
+                  : child.depth >= options.fixed_depth;
+          if (is_filter) {
+            out->push_back(child.key);
+            local.filters_emitted++;
+          } else {
+            arena.push_back(child);
+            next.push_back(static_cast<int32_t>(arena.size() - 1));
+          }
+          if (arena.size() + local.filters_emitted >= options.max_paths) {
+            local.cap_hit = true;
+            done = true;
+            break;
+          }
+        }
+        if (done) break;
+      }
+      frontier.swap(next);
+    }
+  }
+  *stats = local;
+}
+
+void ExpectSameStats(const PathGenStats& got, const PathGenStats& want) {
+  EXPECT_EQ(got.filters_emitted, want.filters_emitted);
+  EXPECT_EQ(got.nodes_expanded, want.nodes_expanded);
+  EXPECT_EQ(got.draws, want.draws);
+  EXPECT_EQ(got.cap_hit, want.cap_hit);
+}
+
+// Runs both entry points of the kernel on \p x for repetitions [0, reps)
+// and checks every key (in order) and every counter against
+// ReferenceFilters. ComputeFilters appends after a sentinel key, which
+// must survive. Returns the reference's summed counters.
+PathGenStats ExpectKernelMatchesReference(const ProductDistribution& dist,
+                                          const ThresholdPolicy& policy,
+                                          const PathHasher& hasher,
+                                          const PathEngineOptions& options,
+                                          std::span<const ItemId> x,
+                                          uint32_t reps) {
+  PathEngine engine(&dist, &policy, &hasher, options);
+  std::vector<uint64_t> all;
+  std::vector<size_t> offsets;
+  PathGenStats all_stats;
+  size_t capped = 0;
+  engine.ComputeFiltersAllReps(x, reps, &all, &offsets, &all_stats, &capped);
+  EXPECT_EQ(offsets.size(), reps + 1);
+  if (offsets.size() != reps + 1) return {};
+
+  PathGenStats sum;
+  size_t ref_capped = 0;
+  for (uint32_t rep = 0; rep < reps; ++rep) {
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    std::vector<uint64_t> want;
+    PathGenStats want_stats;
+    ReferenceFilters(dist, policy, hasher, options, x, rep, &want,
+                     &want_stats);
+    sum.filters_emitted += want_stats.filters_emitted;
+    sum.nodes_expanded += want_stats.nodes_expanded;
+    sum.draws += want_stats.draws;
+    sum.cap_hit = sum.cap_hit || want_stats.cap_hit;
+    ref_capped += want_stats.cap_hit;
+
+    constexpr uint64_t kSentinel = 0xfeedfacecafebeefULL;
+    std::vector<uint64_t> single = {kSentinel};
+    PathGenStats single_stats;
+    engine.ComputeFilters(x, rep, &single, &single_stats);
+    EXPECT_EQ(single.front(), kSentinel);
+    single.erase(single.begin());
+    EXPECT_EQ(single, want);
+    ExpectSameStats(single_stats, want_stats);
+
+    const std::vector<uint64_t> group(all.begin() + offsets[rep],
+                                      all.begin() + offsets[rep + 1]);
+    EXPECT_EQ(group, want);
+  }
+  EXPECT_EQ(offsets.back(), all.size());
+  ExpectSameStats(all_stats, sum);
+  EXPECT_EQ(capped, ref_capped);
+  return sum;
+}
 
 // Engine variant that records full paths by re-running the recursion
 // manually — used to validate invariants. We reconstruct paths by walking
@@ -332,6 +478,178 @@ TEST(PathEngineTest, FusedAllRepsHandlesEmptyVectorAndZeroReps) {
   engine.ComputeFiltersAllReps(x.span(), 0, &keys, &offsets, nullptr);
   EXPECT_TRUE(keys.empty());
   ASSERT_EQ(offsets.size(), 1u);
+}
+
+TEST(PathEngineTest, KernelMatchesReferenceAcrossEnginesAndRules) {
+  // Seeded vectors under the item- and depth-dependent correlated policy,
+  // for both hash engines, both stop rules and both sampling modes.
+  auto dist = TwoBlockProbabilities(20, 0.3, 300, 0.01).value();
+  CorrelatedPolicy policy(&dist, 0.8, 0.3);
+  for (HashEngine hash : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    SCOPED_TRACE(hash == HashEngine::kMixer ? "mixer" : "pairwise");
+    PathHasher hasher(11, 12, hash);
+    for (StopRule rule : {StopRule::kProbability, StopRule::kFixedDepth}) {
+      SCOPED_TRACE(rule == StopRule::kProbability ? "probability" : "fixed");
+      for (bool without_replacement : {true, false}) {
+        SCOPED_TRACE(without_replacement ? "no replacement" : "replacement");
+        PathEngineOptions options;
+        options.stop_rule = rule;
+        options.log_n = std::log(2000.0);
+        options.fixed_depth = 3;
+        options.max_depth = 10;
+        options.without_replacement = without_replacement;
+        Rng rng(55);
+        size_t draws = 0;
+        for (uint32_t trial = 0; trial < 12; ++trial) {
+          SCOPED_TRACE("trial " + std::to_string(trial));
+          SparseVector x = dist.Sample(&rng);
+          const PathGenStats sum = ExpectKernelMatchesReference(
+              dist, policy, hasher, options, x.span(), 1 + trial % 5);
+          draws += sum.draws;
+        }
+        EXPECT_GT(draws, 0u);
+      }
+    }
+  }
+}
+
+TEST(PathEngineTest, KernelMatchesReferenceAtEdgeThresholds) {
+  // Thresholds at and beyond the ends of [0, 1], and NaN, which accepts
+  // like a threshold >= 1 (the recursion only rejects when s < 1).
+  auto dist = UniformProbabilities(12, 0.3).value();
+  const double kThresholds[] = {
+      0.0,
+      -0.0,
+      -0.5,
+      std::numeric_limits<double>::denorm_min(),
+      0x1.0p-53,
+      0.05,
+      0.3,
+      0.5,
+      std::nextafter(1.0, 0.0),  // 1 - 2^-53
+      1.0,
+      1.5,
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  SparseVector x = SparseVector::Of({0, 2, 3, 5, 7, 8, 11});
+  for (HashEngine hash : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    SCOPED_TRACE(hash == HashEngine::kMixer ? "mixer" : "pairwise");
+    PathHasher hasher(5, 8, hash);
+    for (double s : kThresholds) {
+      SCOPED_TRACE("s = " + std::to_string(s));
+      FixedPolicy policy(s);
+      PathEngineOptions options;
+      options.log_n = std::log(2000.0);
+      ExpectKernelMatchesReference(dist, policy, hasher, options, x.span(), 2);
+      options.stop_rule = StopRule::kFixedDepth;
+      options.fixed_depth = 3;
+      options.without_replacement = false;
+      ExpectKernelMatchesReference(dist, policy, hasher, options, x.span(), 2);
+    }
+  }
+}
+
+TEST(PathEngineTest, KernelMatchesReferenceWhenCapped) {
+  auto dist = UniformProbabilities(50, 0.5).value();
+  FixedPolicy policy(0.4);
+  PathHasher hasher(29, 8);
+  PathEngineOptions options;
+  options.stop_rule = StopRule::kFixedDepth;
+  options.fixed_depth = 4;
+  options.without_replacement = false;
+  options.max_paths = 700;
+  std::vector<ItemId> ids(50);
+  for (ItemId i = 0; i < 50; ++i) ids[i] = i;
+  const PathGenStats sum =
+      ExpectKernelMatchesReference(dist, policy, hasher, options, ids, 3);
+  EXPECT_TRUE(sum.cap_hit);
+}
+
+// Accepts exactly item j at depth j: one path, 0 o 1 o 2 o ..., grows until
+// the stop rule ends it.
+class ChainPolicy : public ThresholdPolicy {
+ public:
+  double Threshold(size_t, int depth, ItemId item) const override {
+    return item == static_cast<ItemId>(depth) ? 1.0 : 0.0;
+  }
+};
+
+TEST(PathEngineTest, KernelMatchesReferenceBeyondOneMaskWord) {
+  // |x| = 240 and a 227-item path: the one-word Bloom mask of the path's
+  // items saturates, so the ancestor walk decides for almost every item.
+  auto dist = UniformProbabilities(256, 0.97).value();
+  ChainPolicy policy;
+  PathHasher hasher(41, 64);
+  PathEngineOptions options;
+  options.log_n = std::log(1000.0);
+  options.max_depth = 250;
+  std::vector<ItemId> ids(240);
+  for (ItemId i = 0; i < 240; ++i) ids[i] = i;
+  const PathGenStats sum =
+      ExpectKernelMatchesReference(dist, policy, hasher, options, ids, 2);
+  // ln(1000) / ln(1 / 0.97) = 226.8: the path stops at length 227.
+  EXPECT_EQ(sum.filters_emitted, 2u);
+  EXPECT_EQ(sum.nodes_expanded, 2u * 227u);
+}
+
+TEST(PathEngineTest, KernelMatchesReferenceWithDuplicateItems) {
+  // A span need not be a SparseVector: unsorted, with repeats. Without
+  // replacement, an item on the path is skipped at every position it
+  // occupies in x.
+  auto dist = UniformProbabilities(20, 0.4).value();
+  CorrelatedPolicy correlated(&dist, 0.8, 0.3);
+  FixedPolicy fixed(0.45);
+  const std::vector<ItemId> x = {3, 5, 5, 9, 3, 12, 7, 5, 0, 19};
+  PathHasher hasher(61, 12);
+  for (const ThresholdPolicy* policy :
+       {static_cast<const ThresholdPolicy*>(&correlated),
+        static_cast<const ThresholdPolicy*>(&fixed)}) {
+    for (bool without_replacement : {true, false}) {
+      SCOPED_TRACE(without_replacement ? "no replacement" : "replacement");
+      PathEngineOptions options;
+      options.log_n = std::log(500.0);
+      options.max_depth = 8;
+      options.without_replacement = without_replacement;
+      ExpectKernelMatchesReference(dist, *policy, hasher, options, x, 4);
+    }
+  }
+}
+
+TEST(PathEngineTest, KernelSkipsItemsOutsideTheUniverse) {
+  // An item the distribution does not cover occurs in no indexed vector:
+  // it is never drawn or put on a path. With a policy that ignores |x|,
+  // F(x) is then exactly F of x's in-universe items, counters included.
+  auto dist = UniformProbabilities(50, 0.3).value();
+  FixedPolicy policy(0.4);
+  PathHasher hasher(71, 12);
+  PathEngineOptions options;
+  options.log_n = std::log(1000.0);
+  const std::vector<ItemId> inside = {1, 4, 9, 17, 23, 31, 42, 49};
+  std::vector<ItemId> widened = inside;
+  widened.insert(widened.end(), {50, 57, 1000000});
+  const PathGenStats want =
+      ExpectKernelMatchesReference(dist, policy, hasher, options, inside, 3);
+  const PathGenStats got =
+      ExpectKernelMatchesReference(dist, policy, hasher, options, widened, 3);
+  ExpectSameStats(got, want);
+  PathEngine engine(&dist, &policy, &hasher, options);
+  std::vector<uint64_t> keys_inside, keys_widened;
+  std::vector<size_t> offsets_inside, offsets_widened;
+  engine.ComputeFiltersAllReps(inside, 3, &keys_inside, &offsets_inside,
+                               nullptr);
+  engine.ComputeFiltersAllReps(widened, 3, &keys_widened, &offsets_widened,
+                               nullptr);
+  EXPECT_FALSE(keys_inside.empty());
+  EXPECT_EQ(keys_widened, keys_inside);
+  EXPECT_EQ(offsets_widened, offsets_inside);
+
+  // A vector of out-of-universe items only: the root of each repetition
+  // is expanded, but nothing is drawn.
+  const std::vector<ItemId> outside = {50, 60};
+  const PathGenStats none =
+      ExpectKernelMatchesReference(dist, policy, hasher, options, outside, 2);
+  EXPECT_EQ(none.draws, 0u);
+  EXPECT_EQ(none.filters_emitted, 0u);
 }
 
 }  // namespace

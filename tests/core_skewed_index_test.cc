@@ -483,5 +483,85 @@ TEST(SkewedIndexTest, StrictPaperDeltaIsLarger) {
             relaxed.build_stats().avg_filters_per_element);
 }
 
+// q with two items the distribution does not cover appended (they sort
+// after every covered item).
+std::vector<ItemId> WidenPastUniverse(std::span<const ItemId> q, size_t d) {
+  std::vector<ItemId> widened(q.begin(), q.end());
+  widened.push_back(static_cast<ItemId>(d));
+  widened.push_back(static_cast<ItemId>(d + 7));
+  return widened;
+}
+
+TEST(FilterFamilyTest, ItemsOutsideTheUniverseLeaveFiltersUnchanged) {
+  // An item at or above dist.dimension() occurs in no indexed vector, so
+  // the family never puts it on a path. The correlated policy ignores |x|,
+  // so F(q u {d, d+7}) = F(q) exactly, through both entry points.
+  auto dist = ZipfProbabilities(2000, 1.0, 0.3).value();
+  SkewedIndexOptions options;
+  options.mode = IndexMode::kCorrelated;
+  options.alpha = 0.8;
+  auto family = FilterFamily::Create(&dist, options, 2000);
+  ASSERT_TRUE(family.ok());
+  Rng rng(17);
+  size_t total_keys = 0;
+  for (int t = 0; t < 50; ++t) {
+    SparseVector q = dist.Sample(&rng);
+    const std::vector<ItemId> widened =
+        WidenPastUniverse(q.span(), dist.dimension());
+    std::vector<uint64_t> keys, widened_keys;
+    std::vector<size_t> offsets, widened_offsets;
+    PathGenStats stats, widened_stats;
+    family->ComputeAllFilters(q.span(), &keys, &offsets, &stats);
+    family->ComputeAllFilters(widened, &widened_keys, &widened_offsets,
+                              &widened_stats);
+    EXPECT_EQ(widened_keys, keys) << "query " << t;
+    EXPECT_EQ(widened_offsets, offsets) << "query " << t;
+    EXPECT_EQ(widened_stats.draws, stats.draws) << "query " << t;
+    total_keys += keys.size();
+    for (int rep = 0; rep < family->repetitions(); ++rep) {
+      std::vector<uint64_t> one, widened_one;
+      family->ComputeFilters(q.span(), static_cast<uint32_t>(rep), &one);
+      family->ComputeFilters(widened, static_cast<uint32_t>(rep),
+                             &widened_one);
+      EXPECT_EQ(widened_one, one) << "query " << t << " rep " << rep;
+    }
+  }
+  EXPECT_GT(total_keys, 0u);
+}
+
+TEST(SkewedIndexTest, QueriesWithItemsOutsideTheUniverseVerify) {
+  // Query and QueryAll accept items the distribution does not cover, in
+  // both modes; every match they return re-verifies against the query.
+  auto dist = ZipfProbabilities(2000, 1.0, 0.3).value();
+  Rng rng(19);
+  Dataset data = GenerateDataset(dist, 600, &rng);
+  for (IndexMode mode : {IndexMode::kAdversarial, IndexMode::kCorrelated}) {
+    SCOPED_TRACE(mode == IndexMode::kAdversarial ? "adversarial"
+                                                 : "correlated");
+    SkewedIndexOptions options;
+    options.mode = mode;
+    options.b1 = 0.5;
+    options.alpha = 0.8;
+    ShardedIndex index;
+    ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
+    const Measure measure = index.family().options().verify_measure;
+    int hits = 0;
+    for (VectorId id = 0; id < 40; ++id) {
+      std::vector<ItemId> q = WidenPastUniverse(data.Get(id), 1000000);
+      auto hit = index.Query(q);
+      if (hit) {
+        ++hits;
+        EXPECT_GE(hit->similarity, index.verify_threshold());
+        EXPECT_EQ(hit->similarity, Similarity(measure, q, data.Get(hit->id)));
+      }
+      for (const Match& m : index.QueryAll(q, 0.3)) {
+        EXPECT_GE(m.similarity, 0.3);
+        EXPECT_EQ(m.similarity, Similarity(measure, q, data.Get(m.id)));
+      }
+    }
+    EXPECT_GT(hits, 0);
+  }
+}
+
 }  // namespace
 }  // namespace skewsearch

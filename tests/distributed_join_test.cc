@@ -7,6 +7,7 @@
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
 #include "data/generators.h"
+#include "sim/measures.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -191,6 +192,41 @@ TEST(DistributedJoinTest, RSJoinIdenticalToSingleProcess) {
     ASSERT_TRUE(got.ok());
     ExpectIdentical(*expected, *got);
   }
+}
+
+TEST(DistributedJoinTest, RSJoinWithItemsOutsideTheUniverse) {
+  // The probe side may carry items the build side's distribution does not
+  // cover. The join finishes, equals the single-process join, and every
+  // pair re-verifies.
+  ProductDistribution dist;
+  Dataset right = ZipfDataWithDuplicates(43, 100, &dist);
+  Rng rng(44);
+  Dataset left;
+  for (VectorId id = 0; id < 20; ++id) {
+    const std::span<const ItemId> x = right.Get(id * 2);
+    std::vector<ItemId> widened(x.begin(), x.end());
+    widened.push_back(2000);
+    widened.push_back(1000000);
+    left.Add(widened);
+  }
+  for (int i = 0; i < 20; ++i) left.Add(dist.Sample(&rng));
+
+  JoinOptions options = AdversarialJoinOptions(0.6, 43);
+  auto expected = SimilarityJoin(left, right, dist, options);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(expected->size(), 0u);
+  const Measure measure = options.index.verify_measure;
+  for (const JoinPair& pair : *expected) {
+    const double sim =
+        Similarity(measure, left.Get(pair.left), right.Get(pair.right));
+    EXPECT_GE(sim, options.threshold);
+    EXPECT_EQ(pair.similarity, sim);
+  }
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&right, &dist, DistributedFrom(options, 2)).ok());
+  auto got = join.Join(left);
+  ASSERT_TRUE(got.ok());
+  ExpectIdentical(*expected, *got);
 }
 
 TEST(DistributedJoinParallelIdentityTest, ThreadsDoNotChangeOutput) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
+
+#include "util/random.h"
 
 namespace skewsearch {
 namespace {
@@ -134,6 +138,106 @@ TEST(PathHasherTest, SharedPrefixConsistency) {
   EXPECT_EQ(path_of_x, path_of_q);
   EXPECT_DOUBLE_EQ(hasher.LevelDraw(2, path_of_x, 99),
                    hasher.LevelDraw(2, path_of_q, 99));
+}
+
+// The draw decision the kernel's integer bound must reproduce: a
+// threshold below 1 rejects a draw at or above it.
+bool UnitIntervalAccepts(uint64_t bits, double s) {
+  return !(s < 1.0) || ToUnitInterval(bits) < s;
+}
+
+TEST(MixerAcceptBoundTest, MatchesUnitIntervalCompareAtTheBoundary) {
+  // For each threshold, the mantissas just below, at and just above
+  // ceil(s * 2^53) — where the two forms could first disagree — must get
+  // the same decision, whatever the 11 low bits the draw drops.
+  constexpr uint64_t kOne = uint64_t{1} << 53;
+  std::vector<double> thresholds;
+  for (uint64_t k : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{1000},
+                     (uint64_t{1} << 52) - 1, uint64_t{1} << 52,
+                     (uint64_t{1} << 52) + 1, kOne - 2, kOne - 1}) {
+    const double s = std::ldexp(static_cast<double>(k), -53);  // k * 2^-53
+    thresholds.push_back(s);
+    thresholds.push_back(std::nextafter(s, 0.0));
+    thresholds.push_back(std::nextafter(s, 2.0));
+  }
+  const double min_normal = std::numeric_limits<double>::min();
+  for (double s : {std::numeric_limits<double>::denorm_min(),
+                   2 * std::numeric_limits<double>::denorm_min(),
+                   std::nextafter(min_normal, 0.0), min_normal,
+                   std::nextafter(1.0, 0.0), 0.1, 0.25, 1.0 / 3.0, 0.5}) {
+    thresholds.push_back(s);
+  }
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) thresholds.push_back(rng.NextDouble());
+
+  for (double s : thresholds) {
+    ASSERT_GT(s, 0.0);
+    const uint64_t bound = MixerAcceptBound(s);
+    const uint64_t ceiling =
+        s < 1.0 ? static_cast<uint64_t>(std::ceil(s * 0x1.0p53)) : kOne;
+    EXPECT_EQ(bound, ceiling) << s;
+    for (uint64_t mantissa : {ceiling - 1, ceiling, ceiling + 1}) {
+      if (mantissa >= kOne) continue;  // not a 53-bit draw
+      for (uint64_t low : {uint64_t{0}, uint64_t{0x7ff}}) {
+        const uint64_t bits = (mantissa << 11) | low;
+        EXPECT_EQ(MixerAccepts(bits, bound), UnitIntervalAccepts(bits, s))
+            << "s=" << s << " mantissa=" << mantissa;
+      }
+    }
+  }
+}
+
+TEST(MixerAcceptBoundTest, ThresholdsOutsideTheOpenUnitInterval) {
+  // s >= 1 and NaN accept every draw; s <= 0, -0.0 included, none.
+  const uint64_t kDraws[] = {0, 1, uint64_t{1} << 63, ~uint64_t{0}};
+  for (double s : {1.0, 1.5, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(MixerAcceptBound(s), uint64_t{1} << 53) << s;
+    for (uint64_t bits : kDraws) {
+      EXPECT_TRUE(MixerAccepts(bits, MixerAcceptBound(s))) << s;
+      EXPECT_TRUE(UnitIntervalAccepts(bits, s)) << s;
+    }
+  }
+  for (double s : {0.0, -0.0, -0.5, -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(MixerAcceptBound(s), 0u) << s;
+    for (uint64_t bits : kDraws) {
+      EXPECT_FALSE(MixerAccepts(bits, MixerAcceptBound(s))) << s;
+      EXPECT_FALSE(UnitIntervalAccepts(bits, s)) << s;
+    }
+  }
+}
+
+TEST(PathHasherTest, DrawHalvesRecombineToTheComposedDraw) {
+  // The per-level, per-item and per-node halves the kernel hoists give
+  // exactly the draw and key written as one composition: h_level(v o i)
+  // hashes MixPair(key(v) ^ salt_level, Mix64(c ^ i)), and key(v o i) is
+  // MixPair(key(v), Mix64(c' ^ i)).
+  for (HashEngine engine : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    PathHasher hasher(99, 6, engine);
+    for (int level = 1; level <= 9; ++level) {  // wraps past max_level
+      const PathHasher::Level half = hasher.LevelHalf(level);
+      for (uint32_t item : {0u, 7u, 123456u}) {
+        const uint64_t key = hasher.ExtendKey(hasher.RootKey(3), item + 1);
+        const uint64_t child =
+            MixPair(key ^ half.salt, Mix64(0x9e3779b97f4a7c15ULL ^ item));
+        const double composed = engine == HashEngine::kMixer
+                                    ? ToUnitInterval(Avalanche64(child))
+                                    : half.pairwise->HashUnit(child);
+        EXPECT_EQ(hasher.LevelDraw(level, key, item), composed);
+        const uint64_t path = PathHasher::DrawPathHalf(key, half);
+        const MixPairRight item_half = PathHasher::DrawItemHalf(item);
+        if (engine == HashEngine::kMixer) {
+          EXPECT_EQ(PathHasher::MixerDrawBits(path, item_half),
+                    Avalanche64(child));
+        } else {
+          EXPECT_EQ(PathHasher::PairwiseDraw(half, path, item_half),
+                    composed);
+        }
+        EXPECT_EQ(hasher.ExtendKey(key, item),
+                  MixPair(key, Mix64(0x1234567890abcdefULL ^ item)));
+      }
+    }
+  }
 }
 
 }  // namespace

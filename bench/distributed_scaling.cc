@@ -24,7 +24,8 @@
 // same frames, fewer synchronous waits.
 //
 // With --json FILE the headline counts (pairs, exposed trips per
-// variant, bytes shipped/on-wire) are written as a bench JSON document
+// variant, bytes shipped/on-wire, probe keys and route-phase kernel
+// draws) are written as a bench JSON document
 // for tools/bench_compare.py; they are deterministic for a fixed seed,
 // so CI gates them against BENCH_baseline.json.
 //
@@ -354,6 +355,8 @@ int Run(int argc, char** argv) {
       uint64_t wire_kb = 0;
       size_t round_trips = 0;
       size_t batches_sent = 0;
+      size_t probe_keys = 0;
+      size_t route_draws = 0;
       uint64_t ship_kb = 0;
       double best_seconds = 1e9;
       size_t pairs = 0;
@@ -400,6 +403,8 @@ int Run(int argc, char** argv) {
               (stats.wire_bytes_sent + stats.wire_bytes_received) / 1000;
           run.round_trips = stats.probe_round_trips;
           run.batches_sent = stats.probe_batches_sent;
+          run.probe_keys = stats.probe_keys;
+          run.route_draws = stats.route_draws;
           run.pairs = pairs->size();
           run.identical = SamePairs(*baseline, *pairs);
         }
@@ -446,6 +451,13 @@ int Run(int argc, char** argv) {
                     /*stable=*/true, "KB");
     reporter.Metric("wire_kb", static_cast<double>(last[0].wire_kb),
                     /*stable=*/true, "KB");
+    // The self-join reads its probes' keys back from the slices, so the
+    // route phase makes no filter-kernel draws; a route that regrows
+    // F(x) per probe shows up here.
+    reporter.Metric("probe_keys", static_cast<double>(last[0].probe_keys),
+                    /*stable=*/true, "keys");
+    reporter.Metric("route_draws", static_cast<double>(last[0].route_draws),
+                    /*stable=*/true, "draws");
     reporter.Metric("pairs_per_sec_pipelined",
                     static_cast<double>(last[0].pairs) /
                         std::max(1e-9, last[0].best_seconds),

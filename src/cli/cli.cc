@@ -739,13 +739,11 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
                 options.remote_workers.empty() ? ""
                                                : " (workers pre-mapped)");
   }
-  if (options.workers > 1 || !options.remote_workers.empty()) {
-    const int workers = options.remote_workers.empty()
-                            ? options.workers
-                            : static_cast<int>(options.remote_workers.size());
-    std::printf("distributed backend: %d workers%s, duplication factor "
+  if (stats.workers > 0) {
+    std::printf("distributed backend: %zu workers%s, duplication factor "
                 "%.2f, probe fan-out %.2f\n",
-                workers, options.remote_workers.empty() ? "" : " (remote)",
+                stats.workers,
+                options.remote_workers.empty() ? "" : " (remote)",
                 stats.duplication_factor, stats.probe_fanout);
   }
   if (!options.remote_workers.empty()) {

@@ -81,6 +81,7 @@ Result<std::vector<JoinPair>> DistributedBackend(const Dataset& left,
     local.build_seconds =
         distributed_stats.build_seconds + distributed_stats.plan_seconds;
     local.probe_seconds = distributed_stats.probe_seconds;
+    local.workers = distributed_stats.workers.size();
     local.duplication_factor = distributed_stats.duplication_factor;
     local.probe_fanout = distributed_stats.probe_fanout;
     local.wire_bytes_sent = distributed_stats.wire_bytes_sent;

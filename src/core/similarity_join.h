@@ -117,6 +117,10 @@ struct JoinStats {
   double probe_seconds = 0.0;
   size_t compactions = 0;      ///< online build side only
   size_t rebuilds = 0;         ///< online build side only
+  /// Workers the distributed backend ran (0 = single-process): the
+  /// `workers` option, the endpoint count, or a frozen file's shard
+  /// count, which overrides both.
+  size_t workers = 0;
   /// Distributed backend only: data shipped to workers over one dataset
   /// copy (1.0 elsewhere), and the average workers contacted per probe.
   double duplication_factor = 1.0;

@@ -23,6 +23,152 @@ uint64_t PairKey(VectorId left, VectorId right) {
   return (static_cast<uint64_t>(left) << 32) | right;
 }
 
+/// The route phase's output: one ProbeRequest queue per worker, each
+/// sorted by probe id, and the route's work counters.
+struct RoutedProbes {
+  std::vector<std::vector<ProbeRequest>> queues;
+  size_t probes = 0;  ///< non-empty probe vectors
+  size_t keys = 0;    ///< keys over all requests
+  size_t draws = 0;   ///< PathGenStats::draws of the filter kernel
+};
+
+/// R-S route: computes each probe's filter keys with the filter kernel,
+/// splits them by owner in repetition-major order, and enqueues one
+/// ProbeRequest per touched worker. Parallelizes over probes; each
+/// queue is sorted by probe id afterwards, so the queues are independent
+/// of the schedule.
+RoutedProbes RouteThroughKernel(const Dataset& left,
+                                const FilterFamily& family,
+                                const PartitionPlan& plan,
+                                size_t worker_count, ThreadPool* pool) {
+  struct RouteSlot {
+    RoutedProbes routed;
+    std::vector<uint64_t> keys;
+    std::vector<size_t> key_offsets;
+    std::vector<std::vector<uint64_t>> worker_keys;
+    std::vector<int> owners;
+  };
+  std::vector<RouteSlot> slots(
+      static_cast<size_t>(pool != nullptr ? pool->num_threads() : 1));
+  for (RouteSlot& slot : slots) {
+    slot.routed.queues.resize(worker_count);
+    slot.worker_keys.resize(worker_count);
+  }
+  auto route_range = [&](size_t begin, size_t end, int slot_id) {
+    RouteSlot& slot = slots[static_cast<size_t>(slot_id)];
+    RoutedProbes& routed = slot.routed;
+    for (size_t i = begin; i < end; ++i) {
+      const VectorId lid = static_cast<VectorId>(i);
+      auto query = left.Get(lid);
+      if (query.empty()) continue;  // QueryAll answers empty probes empty
+      routed.probes++;
+      PathGenStats gen;
+      family.ComputeAllFilters(query, &slot.keys, &slot.key_offsets, &gen);
+      routed.draws += gen.draws;
+      for (uint64_t key : slot.keys) {
+        slot.owners.clear();
+        plan.RouteKey(key, &slot.owners);
+        for (int owner : slot.owners) {
+          slot.worker_keys[static_cast<size_t>(owner)].push_back(key);
+        }
+      }
+      for (size_t w = 0; w < worker_count; ++w) {
+        if (slot.worker_keys[w].empty()) continue;
+        ProbeRequest request;
+        request.left = lid;
+        request.items = query;
+        request.keys = std::move(slot.worker_keys[w]);
+        slot.worker_keys[w].clear();
+        routed.keys += request.keys.size();
+        routed.queues[w].push_back(std::move(request));
+      }
+    }
+  };
+  if (pool == nullptr) {
+    route_range(0, left.size(), 0);
+  } else {
+    pool->ParallelFor(left.size(), /*grain=*/64, route_range);
+  }
+  RoutedProbes routed;
+  routed.queues.resize(worker_count);
+  for (RouteSlot& slot : slots) {
+    routed.probes += slot.routed.probes;
+    routed.keys += slot.routed.keys;
+    routed.draws += slot.routed.draws;
+    for (size_t w = 0; w < worker_count; ++w) {
+      auto& queue = routed.queues[w];
+      queue.insert(queue.end(),
+                   std::make_move_iterator(slot.routed.queues[w].begin()),
+                   std::make_move_iterator(slot.routed.queues[w].end()));
+    }
+  }
+  for (auto& queue : routed.queues) {
+    std::sort(queue.begin(), queue.end(),
+              [](const ProbeRequest& a, const ProbeRequest& b) {
+                return a.left < b.left;
+              });
+  }
+  return routed;
+}
+
+/// Self-join route: F(x) is a pure function of (seed, repetition, x),
+/// so every probe's keys already sit in the build's posting slices.
+/// Inverting the slices replaces the filter kernel. The slices are a
+/// disjoint cover of the monolithic table, and Freeze keeps duplicate
+/// (key, id) pairs, so each (probe, owner) request gets exactly the key
+/// multiset RouteThroughKernel sends it. Only the order differs: slice
+/// order (worker by worker, ascending key within each slice) instead of
+/// repetition-major. One pass over the postings counts each request's
+/// keys; a second fills them into exactly sized vectors.
+RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
+                             const std::vector<JoinWorker>& workers) {
+  const size_t worker_count = workers.size();
+  std::vector<int> owners;
+  auto for_each_routed_posting = [&](auto&& visit) {
+    for (const JoinWorker& worker : workers) {
+      const FilterTable& table = worker.table();
+      for (size_t k = 0; k < table.num_keys(); ++k) {
+        const uint64_t key = table.key_at(k);
+        owners.clear();
+        plan.RouteKey(key, &owners);
+        for (VectorId id : table.postings_at(k)) {
+          for (int owner : owners) visit(key, id, static_cast<size_t>(owner));
+        }
+      }
+    }
+  };
+  // count[id * W + w]: the keys probe id sends worker w. cursor: where
+  // that request's next key goes. A request's key buffer stays put when
+  // the request moves, so the cursors outlive the queues' growth.
+  std::vector<uint32_t> count(data.size() * worker_count, 0);
+  for_each_routed_posting([&](uint64_t, VectorId id, size_t owner) {
+    count[id * worker_count + owner]++;
+  });
+  std::vector<uint64_t*> cursor(count.size(), nullptr);
+  RoutedProbes routed;
+  routed.queues.resize(worker_count);
+  for (VectorId id = 0; id < data.size(); ++id) {
+    auto items = data.Get(id);
+    if (!items.empty()) routed.probes++;
+    for (size_t w = 0; w < worker_count; ++w) {
+      const size_t s = id * worker_count + w;
+      if (count[s] == 0) continue;
+      ProbeRequest request;
+      request.left = id;
+      request.items = items;
+      request.exclude_left_and_below = true;
+      request.keys.resize(count[s]);
+      cursor[s] = request.keys.data();
+      routed.keys += count[s];
+      routed.queues[w].push_back(std::move(request));
+    }
+  }
+  for_each_routed_posting([&](uint64_t key, VectorId id, size_t owner) {
+    *cursor[id * worker_count + owner]++ = key;
+  });
+  return routed;
+}
+
 }  // namespace
 
 DistributedJoin::~DistributedJoin() { DetachRemote(); }
@@ -332,82 +478,17 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   const int num_workers = this->num_workers();
   const size_t worker_count = static_cast<size_t>(num_workers);
 
-  // Phase 1 — route: compute each probe's filter keys once, split them
-  // by owner, and enqueue one ProbeRequest per touched worker. Routing
-  // parallelizes over probes; each worker's queue is sorted by probe id
-  // afterwards, so the queues are independent of the schedule.
-  struct RouteSlot {
-    std::vector<std::vector<ProbeRequest>> queues;
-    std::vector<uint64_t> keys;
-    std::vector<size_t> key_offsets;
-    std::vector<std::vector<uint64_t>> worker_keys;
-    std::vector<int> owners;
-    size_t fanout_sum = 0;
-    size_t routed_probes = 0;
-  };
-  const int threads = options_.threads;
+  // Phase 1 — route: one ProbeRequest per (probe, worker) that the
+  // probe's filter keys reach, each worker's queue in probe id order. A
+  // self-join reads the keys back from the slices; an R-S join's probes
+  // are not in the table, so it runs the filter kernel.
   std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  std::vector<RouteSlot> slots(
-      static_cast<size_t>(pool ? pool->num_threads() : 1));
-  for (RouteSlot& slot : slots) {
-    slot.queues.resize(worker_count);
-    slot.worker_keys.resize(worker_count);
-  }
-  auto route_range = [&](size_t begin, size_t end, int slot_id) {
-    RouteSlot& slot = slots[static_cast<size_t>(slot_id)];
-    for (size_t i = begin; i < end; ++i) {
-      const VectorId lid = static_cast<VectorId>(i);
-      auto query = left.Get(lid);
-      if (query.empty()) continue;  // QueryAll answers empty probes empty
-      slot.routed_probes++;
-      // Fused all-repetitions pass; key order matches per-rep calls.
-      family_.ComputeAllFilters(query, &slot.keys, &slot.key_offsets);
-      for (auto& keys : slot.worker_keys) keys.clear();
-      for (uint64_t key : slot.keys) {
-        slot.owners.clear();
-        plan_.RouteKey(key, &slot.owners);
-        for (int owner : slot.owners) {
-          slot.worker_keys[static_cast<size_t>(owner)].push_back(key);
-        }
-      }
-      for (size_t w = 0; w < worker_count; ++w) {
-        if (slot.worker_keys[w].empty()) continue;
-        ProbeRequest request;
-        request.left = lid;
-        request.items = query;
-        request.exclude_left_and_below = self_join;
-        request.keys = std::move(slot.worker_keys[w]);
-        slot.worker_keys[w].clear();
-        slot.queues[w].push_back(std::move(request));
-        slot.fanout_sum++;
-      }
-    }
-  };
-  if (!pool) {
-    route_range(0, left.size(), 0);
-  } else {
-    pool->ParallelFor(left.size(), /*grain=*/64, route_range);
-  }
-  std::vector<std::vector<ProbeRequest>> queues(worker_count);
-  size_t fanout_sum = 0;
-  size_t routed_probes = 0;
-  for (RouteSlot& slot : slots) {
-    fanout_sum += slot.fanout_sum;
-    routed_probes += slot.routed_probes;
-    for (size_t w = 0; w < worker_count; ++w) {
-      auto& queue = queues[w];
-      queue.insert(queue.end(),
-                   std::make_move_iterator(slot.queues[w].begin()),
-                   std::make_move_iterator(slot.queues[w].end()));
-    }
-  }
-  for (auto& queue : queues) {
-    std::sort(queue.begin(), queue.end(),
-              [](const ProbeRequest& a, const ProbeRequest& b) {
-                return a.left < b.left;
-              });
-  }
+  if (options_.threads > 1) pool.emplace(options_.threads);
+  const RoutedProbes routed =
+      self_join ? RouteFromSlices(left, plan_, workers_)
+                : RouteThroughKernel(left, family_, plan_, worker_count,
+                                     pool ? &*pool : nullptr);
+  const auto& queues = routed.queues;
   const int64_t route_mark = probe_timer.ElapsedNanos();
 
   // Phase 2 — serve: each worker drains its queue independently; the
@@ -646,10 +727,14 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   local.heavy_keys = plan_.num_heavy_keys();
   local.replicated_slices = plan_.replicated_slices();
   local.duplication_factor = DuplicationFactor();
-  local.probe_fanout =
-      routed_probes > 0
-          ? static_cast<double>(fanout_sum) / static_cast<double>(routed_probes)
-          : 0.0;
+  size_t requests = 0;
+  for (const auto& queue : queues) requests += queue.size();
+  local.probe_fanout = routed.probes > 0
+                           ? static_cast<double>(requests) /
+                                 static_cast<double>(routed.probes)
+                           : 0.0;
+  local.probe_keys = routed.keys;
+  local.route_draws = routed.draws;
   local.build_seconds = build_seconds_;
   local.plan_seconds = plan_seconds_;
   local.probe_seconds = probe_timer.ElapsedSeconds();
@@ -663,6 +748,10 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   static obs::Counter* const pairs_metric = registry.GetCounter("join.pairs");
   static obs::Counter* const candidates_metric =
       registry.GetCounter("join.candidates");
+  static obs::Counter* const probe_keys_metric =
+      registry.GetCounter("join.probe_keys");
+  static obs::Counter* const route_draws_metric =
+      registry.GetCounter("join.route_draws");
   static obs::Counter* const batches_metric =
       registry.GetCounter("join.probe_batches");
   static obs::Counter* const trips_metric =
@@ -690,6 +779,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   joins_metric->Increment();
   pairs_metric->Increment(local.pairs);
   candidates_metric->Increment(local.candidates);
+  probe_keys_metric->Increment(local.probe_keys);
+  route_draws_metric->Increment(local.route_draws);
   batches_metric->Increment(local.probe_batches_sent);
   trips_metric->Increment(local.probe_round_trips);
   recoveries_metric->Increment(local.worker_recoveries);

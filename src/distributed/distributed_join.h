@@ -5,11 +5,14 @@
 // The coordinator builds the read-only filter family, asks the
 // PartitionPlanner for a skew-aware key partition, hands each JoinWorker
 // its posting slices, and then drives the join as pure message passing:
-// for every probe it computes the filter keys once (they are a pure
-// function of seed x repetition x vector), routes each key to its
-// owners, fans the per-worker ProbeRequests out over a thread pool, and
-// merges the ProbeResponses — deduplicating pairs that surfaced on more
-// than one worker.
+// it gathers every probe's filter keys, routes each key to its owners,
+// fans the per-worker ProbeRequests out over a thread pool, and merges
+// the ProbeResponses — deduplicating pairs that surfaced on more than
+// one worker. Filter keys are a pure function of seed x repetition x
+// vector, so a self-join reads each probe's keys back from the posting
+// slices the build already made, in slice order; an R-S join's probes
+// are not in the table, and the filter kernel computes their keys once
+// each.
 //
 // Output contract: the emitted pair list is byte-identical to the
 // single-process SimilarityJoin/SelfSimilarityJoin for every worker
@@ -111,6 +114,12 @@ struct DistributedJoinStats {
   double duplication_factor = 1.0;
   /// Average number of workers a probe contacts.
   double probe_fanout = 0.0;
+  /// Filter keys shipped over every ProbeRequest; a key routed to k
+  /// owners counts k times.
+  size_t probe_keys = 0;
+  /// PathGenStats::draws of the route phase's filter-kernel calls: 0
+  /// for SelfJoin, which reads its probes' keys back from the slices.
+  size_t route_draws = 0;
   double build_seconds = 0.0;  ///< family + full posting table
   double plan_seconds = 0.0;   ///< planner + worker table partitioning
   double probe_seconds = 0.0;  ///< route + serve + merge
@@ -183,7 +192,8 @@ class DistributedJoin {
       const;
 
   /// Self join over the build side: all pairs (i < j) with similarity >=
-  /// the threshold. Byte-identical to SelfSimilarityJoin.
+  /// the threshold. Byte-identical to SelfSimilarityJoin. Runs no
+  /// filter kernel: each probe's keys are its postings in the slices.
   Result<std::vector<JoinPair>> SelfJoin(
       DistributedJoinStats* stats = nullptr) const;
 

@@ -37,10 +37,13 @@ struct ProbeRequest {
   /// so each unordered pair is reported once and self-matches never.
   bool exclude_left_and_below = false;
 
-  /// The filter keys of F(left) this worker owns under the plan, in the
-  /// coordinator's computation order (repetition-major). May contain
-  /// repeats when distinct repetitions emit the same key; the worker
-  /// dedups candidates, so repeats are harmless.
+  /// The filter keys of F(left) this worker owns under the plan. A
+  /// self-join reads them back from the build's posting slices, in slice
+  /// order (the holding worker's slices in turn, ascending key within
+  /// each); an R-S join computes them with the filter kernel, in
+  /// repetition-major order. Either way it is the same multiset. May
+  /// contain repeats when distinct repetitions emit the same key; the
+  /// worker dedups candidates, so repeats are harmless.
   std::vector<uint64_t> keys;
 };
 

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "data/io.h"
 #include "test_paths.h"
@@ -106,6 +107,33 @@ TEST_F(CliTest, SelfJoinRuns) {
                     "400", "--p", "0.05", "--out", text_}),
             0);
   EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.8"}), 0);
+}
+
+TEST_F(CliTest, SelfJoinFrozenReportsTheWorkersThatRan) {
+  // --frozen serves one worker per stored shard, whatever --workers says.
+  ASSERT_EQ(RunCli({"generate", "--kind", "uniform", "--n", "120", "--d",
+                    "400", "--p", "0.05", "--out", text_}),
+            0);
+  const std::string frozen = path_ + ".skf";
+  ASSERT_EQ(RunCli({"freeze", "--in", text_, "--out", frozen, "--b1", "0.8",
+                    "--shards", "3"}),
+            0);
+  auto stdout_of = [](const std::vector<std::string>& args) {
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(RunCli(args), 0);
+    return ::testing::internal::GetCapturedStdout();
+  };
+  const std::string plain =
+      stdout_of({"selfjoin", "--in", text_, "--b1", "0.8", "--frozen", frozen});
+  const std::string with_workers =
+      stdout_of({"selfjoin", "--in", text_, "--b1", "0.8", "--frozen", frozen,
+                 "--workers", "5"});
+  EXPECT_NE(plain.find("distributed backend: 3 workers"), std::string::npos)
+      << plain;
+  EXPECT_NE(with_workers.find("distributed backend: 3 workers"),
+            std::string::npos)
+      << with_workers;
+  std::remove(frozen.c_str());
 }
 
 TEST_F(CliTest, QueryBenchOnlineWithMaintenanceRuns) {

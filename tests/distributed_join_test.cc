@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
 #include "data/generators.h"
+#include "distributed/transport/session.h"
+#include "distributed/transport/transport.h"
 #include "sim/measures.h"
+#include "test_paths.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -264,6 +270,7 @@ TEST(DistributedJoinTest, JoinOptionsWorkersRouteThroughBackend) {
   ASSERT_TRUE(got.ok());
   ExpectIdentical(*expected, *got);
   EXPECT_EQ(stats.pairs, got->size());
+  EXPECT_EQ(stats.workers, 3u);
   EXPECT_GE(stats.duplication_factor, 1.0);
   EXPECT_GE(stats.probe_fanout, 1.0);
 }
@@ -346,6 +353,146 @@ TEST(DistributedJoinTest, WorkerLoadsAccountForEveryEntry) {
       total += join.worker(w).num_entries();
     }
     EXPECT_EQ(total, expected_entries);
+  }
+}
+
+/// SelfJoin() routes from the posting slices, Join() through the filter
+/// kernel. On one coordinator, with Join() probing the build side, the
+/// two must ship the same keys to the same workers: equal work counters,
+/// no kernel draws for the self-join, and Join()'s pairs with left <
+/// right equal to SelfJoin()'s.
+void ExpectSelfJoinRoutesKernelKeys(const DistributedJoin& join,
+                                    const Dataset& data) {
+  DistributedJoinStats self_stats;
+  DistributedJoinStats rs_stats;
+  auto self = join.SelfJoin(&self_stats);
+  auto rs = join.Join(data, &rs_stats);
+  ASSERT_TRUE(self.ok());
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(self_stats.candidates, rs_stats.candidates);
+  EXPECT_EQ(self_stats.probe_fanout, rs_stats.probe_fanout);
+  EXPECT_EQ(self_stats.probe_keys, rs_stats.probe_keys);
+  EXPECT_GT(self_stats.probe_keys, 0u);
+  EXPECT_EQ(self_stats.route_draws, 0u);
+  EXPECT_GT(rs_stats.route_draws, 0u);
+  EXPECT_EQ(self_stats.wire_bytes_sent, rs_stats.wire_bytes_sent);
+  EXPECT_EQ(self_stats.probe_batches_sent, rs_stats.probe_batches_sent);
+  ASSERT_EQ(self_stats.workers.size(), rs_stats.workers.size());
+  for (size_t w = 0; w < self_stats.workers.size(); ++w) {
+    SCOPED_TRACE("worker " + std::to_string(w));
+    EXPECT_EQ(self_stats.workers[w].probes, rs_stats.workers[w].probes);
+    EXPECT_EQ(self_stats.workers[w].candidates,
+              rs_stats.workers[w].candidates);
+  }
+  std::vector<JoinPair> upper;
+  for (const JoinPair& pair : *rs) {
+    if (pair.left < pair.right) upper.push_back(pair);
+  }
+  ASSERT_FALSE(self->empty()) << "the rows need a non-trivial output";
+  ExpectIdentical(upper, *self);
+}
+
+/// One loopback worker thread; joined on destruction, after the
+/// coordinator declared below it has shut its session down.
+struct HostedWorker {
+  HostedWorker() = default;
+  HostedWorker(const HostedWorker&) = delete;
+  HostedWorker& operator=(const HostedWorker&) = delete;
+  ~HostedWorker() {
+    if (thread.joinable()) thread.join();
+  }
+
+  std::thread thread;
+  Status status;
+  WorkerServeStats stats;
+};
+
+TEST(DistributedJoinTest, SelfJoinRoutesTheKeysJoinComputes) {
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(91, 120, &dist);
+  const JoinOptions options = AdversarialJoinOptions(0.8, 91);
+
+  // Heap slices after Build: every key heavy, the automatic split, and
+  // nothing heavy, at one, two and five workers.
+  for (size_t heavy_threshold : {size_t{1}, size_t{0}, size_t{1000000}}) {
+    for (int workers : {1, 2, 5}) {
+      SCOPED_TRACE("heavy_threshold = " + std::to_string(heavy_threshold) +
+                   ", workers = " + std::to_string(workers));
+      DistributedJoinOptions distributed = DistributedFrom(options, workers);
+      distributed.heavy_threshold = heavy_threshold;
+      DistributedJoin join;
+      ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
+      ExpectSelfJoinRoutesKernelKeys(join, data);
+    }
+  }
+
+  {
+    // Mapped shard views after BuildFromFrozen, under broadcast routing.
+    SCOPED_TRACE("frozen, 3 shards");
+    const std::string path = test::TempPath("selfjoin_route", this, ".skf");
+    ShardedIndexOptions sharded;
+    sharded.index = options.index;
+    sharded.num_shards = 3;
+    ShardedIndex index;
+    ASSERT_TRUE(index.Build(&data, &dist, sharded).ok());
+    ASSERT_TRUE(index.Freeze(path).ok());
+    DistributedJoinOptions distributed;
+    distributed.threshold = options.threshold;
+    DistributedJoin join;
+    const Status built = join.BuildFromFrozen(&data, &dist, path, distributed);
+    std::remove(path.c_str());
+    ASSERT_TRUE(built.ok());
+    ASSERT_EQ(join.num_workers(), 3);
+    ExpectSelfJoinRoutesKernelKeys(join, data);
+  }
+
+  {
+    // A path cap small enough to truncate F(x): the build stores the
+    // truncated sets, and they invert to the keys the kernel computes.
+    SCOPED_TRACE("truncated filter sets");
+    DistributedJoinOptions distributed = DistributedFrom(options, 2);
+    distributed.index.max_paths_per_element = 2;
+    DistributedJoin join;
+    ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
+    size_t capped_reps = 0;
+    std::vector<uint64_t> keys;
+    std::vector<size_t> offsets;
+    for (VectorId id = 0; id < data.size(); ++id) {
+      size_t capped = 0;
+      join.family().ComputeAllFilters(data.Get(id), &keys, &offsets, nullptr,
+                                      &capped);
+      capped_reps += capped;
+    }
+    ASSERT_GT(capped_reps, 0u);
+    ExpectSelfJoinRoutesKernelKeys(join, data);
+  }
+
+  {
+    // Loopback workers: the same requests make the same frames.
+    SCOPED_TRACE("loopback");
+    DistributedJoinOptions distributed = DistributedFrom(options, 2);
+    distributed.probe_batch = 16;
+    std::vector<std::unique_ptr<HostedWorker>> hosts;
+    DistributedJoin join;
+    ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
+    std::vector<std::unique_ptr<FrameConnection>> connections;
+    for (int w = 0; w < join.num_workers(); ++w) {
+      auto [coordinator_end, worker_end] = LoopbackPair();
+      auto host = std::make_unique<HostedWorker>();
+      host->thread = std::thread(
+          [host = host.get(), conn = std::move(worker_end)]() mutable {
+            host->status = ServeConnection(conn.get(), &host->stats);
+          });
+      connections.push_back(std::move(coordinator_end));
+      hosts.push_back(std::move(host));
+    }
+    ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+    ExpectSelfJoinRoutesKernelKeys(join, data);
+    join.DetachRemote();
+    for (auto& host : hosts) {
+      host->thread.join();
+      EXPECT_TRUE(host->status.ok()) << host->status.ToString();
+    }
   }
 }
 

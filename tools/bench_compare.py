@@ -24,10 +24,24 @@ Comparison policy (the perf-regression contract, see docs/BENCHMARKS.md):
   * metrics new in the current run are reported as such; commit a
     refreshed baseline to start tracking them.
 
+``--trend FILE`` prints the perfbench trajectory instead: one series per
+(workload, metric) over the lines of ``BENCH_history.jsonl``, each line
+one change measured against its parent (see docs/BENCHMARKS.md):
+
+    {"pr": 18, "base": "<parent commit>", "nproc": 4, "host": "...",
+     "groups": [{"workload": "join-topics", "trace": 0, "seconds": 25,
+                 "seeds": "301-310", "pairs": 10,
+                 "parent": {"<metric>": <median>, ...},
+                 "change": {"<metric>": <median>, ...},
+                 "parent_iqr": {"<metric>": <iqr>, ...}}, ...]}
+
+``parent_iqr`` is optional.
+
 Usage:
     tools/bench_compare.py --baseline BENCH_baseline.json \
         BENCH_micro_intersect.json BENCH_batch_throughput.json
     tools/bench_compare.py --update-baseline BENCH_baseline.json *.json
+    tools/bench_compare.py --trend BENCH_history.jsonl
 
 Exit status: 0 clean, 1 stable-metric regression or missing metric,
 2 usage/parse error.
@@ -53,6 +67,10 @@ def rel_diff(old, new):
         return 0.0
     denom = max(abs(old), abs(new))
     return abs(new - old) / denom if denom > 0 else float("inf")
+
+
+def rel_gain(old, new):
+    return "n/a" if old == 0 else f"{(new - old) / abs(old):+.1%}"
 
 
 def compare(baseline, runs, tolerance):
@@ -110,10 +128,54 @@ def update_baseline(path, runs):
     print(f"baseline written: {path} ({len(benches)} benches)")
 
 
+def load_history(path):
+    """Loads BENCH_history.jsonl into {(workload, metric): [rows]} in file
+    order, each row (label, parent, change, parent_iqr); change and
+    parent_iqr may be None."""
+    def number(value):
+        return None if value is None else float(value)
+
+    series = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                for group in entry["groups"]:
+                    kind = "traced" if group.get("trace") else "untraced"
+                    label = (f"PR {entry['pr']:>3} on {entry['base']:<8} "
+                             f"nproc {entry['nproc']}  {group['pairs']:>2} x "
+                             f"{kind} (seeds {group['seeds']})")
+                    iqr = group.get("parent_iqr", {})
+                    for metric, parent in group["parent"].items():
+                        row = (label, float(parent),
+                               number(group["change"].get(metric)),
+                               number(iqr.get(metric)))
+                        key = (group["workload"], metric)
+                        series.setdefault(key, []).append(row)
+            except (ValueError, KeyError, TypeError, AttributeError) as err:
+                raise ValueError(f"{path}:{lineno}: malformed history line "
+                                 f"({err!r})") from err
+    return series
+
+
+def print_trend(series):
+    for (workload, metric), rows in sorted(series.items()):
+        print(f"\n== {workload} {metric} ==")
+        for label, parent, change, iqr in rows:
+            if change is None:
+                print(f"  {label}  {parent:g} -> (not recorded)")
+                continue
+            spread = "" if iqr is None else f", parent IQR {iqr:g}"
+            print(f"  {label}  {parent:g} -> {change:g} "
+                  f"({rel_gain(parent, change)}{spread})")
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Diff bench JSON runs against a committed baseline.")
-    parser.add_argument("runs", nargs="+", help="bench --json output files")
+    parser.add_argument("runs", nargs="*", help="bench --json output files")
     parser.add_argument("--baseline", help="committed baseline to enforce")
     parser.add_argument("--update-baseline", metavar="PATH",
                         help="write/refresh a baseline from the runs instead "
@@ -121,7 +183,21 @@ def main(argv):
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="max relative drift for stable metrics "
                              "(default 0.10)")
+    parser.add_argument("--trend", metavar="FILE",
+                        help="print each (workload, metric) series of a "
+                             "BENCH_history.jsonl trajectory and exit")
     args = parser.parse_args(argv)
+
+    if args.trend:
+        try:
+            print_trend(load_history(args.trend))
+        except (OSError, ValueError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        return 0
+    if not args.runs:
+        print("error: need bench --json output files", file=sys.stderr)
+        return 2
 
     try:
         runs = [load_run(path) for path in args.runs]

@@ -1,11 +1,12 @@
 // Copyright 2026 The skewsearch Authors.
 // Frozen-shard load bench: a heap load (MapFrozen with force_heap and
-// verify_payload: read the SKF1 file into memory and validate every
+// verify_payload: read the SKF2 file into memory and validate every
 // posting) vs a plain MapFrozen() (mmap the file and serve the table
 // zero-copy). The claim under test: map time is O(1) in the index size
 // — metadata validation only — while the heap load is O(index), and
 // the mapped index answers queries exactly like the index that was
-// frozen.
+// frozen. It also gates the posting layout's size: heap bytes per
+// posting of the built index and file bytes per posting of its freeze.
 //
 // Flags: --json FILE   write metrics JSON (see bench_util.h)
 
@@ -70,6 +71,7 @@ struct LoadTimes {
   double heap_ms = 0.0;
   double map_ms = 0.0;
   double frozen_bytes = 0.0;
+  double heap_bytes = 0.0;
   size_t entries = 0;
   size_t query_mismatches = 0;
 };
@@ -103,6 +105,7 @@ LoadTimes RunCase(const std::string& tag, size_t n,
     return {};
   }
   times.frozen_bytes = FileBytes(frozen_path);
+  times.heap_bytes = static_cast<double>(built.MemoryBytes());
   times.entries = built.build_stats().total_filters;
 
   FrozenMapOptions heap;
@@ -147,14 +150,15 @@ LoadTimes RunCase(const std::string& tag, size_t n,
 }
 
 int Run(int argc, char** argv) {
-  bench::Banner("Zero-copy mmap load vs heap load (SKF1 frozen shards)");
+  bench::Banner("Zero-copy mmap load vs heap load (SKF2 frozen shards)");
   bench::JsonReporter reporter("mmap_load");
 
   auto dist = ZipfProbabilities(5000, 1.0, 0.4).value();
   const double rss_before = RssKb();
 
-  bench::Table table({"n", "entries", "frozen MB", "heap load ms",
-                      "mmap ms", "speedup"});
+  bench::Table table({"n", "entries", "frozen MB", "heap B/posting",
+                      "file B/posting", "heap load ms", "mmap ms",
+                      "speedup"});
   struct Case {
     const char* tag;
     size_t n;
@@ -165,8 +169,11 @@ int Run(int argc, char** argv) {
     LoadTimes t = RunCase(c.tag, c.n, dist);
     results.push_back(t);
     const double speedup = t.map_ms > 0.0 ? t.heap_ms / t.map_ms : 0.0;
+    const double entries = static_cast<double>(t.entries);
     table.AddRow({bench::Fmt(c.n), bench::Fmt(t.entries),
                   bench::Fmt(t.frozen_bytes / 1e6, 2),
+                  bench::Fmt(t.heap_bytes / entries, 2),
+                  bench::Fmt(t.frozen_bytes / entries, 2),
                   bench::Fmt(t.heap_ms, 3), bench::Fmt(t.map_ms, 3),
                   bench::Fmt(speedup, 1)});
     const std::string tag = c.tag;
@@ -175,6 +182,10 @@ int Run(int argc, char** argv) {
     reporter.Metric("posting_entries_" + tag,
                     static_cast<double>(t.entries), /*stable=*/true,
                     "entries");
+    reporter.Metric("heap_bytes_per_posting_" + tag, t.heap_bytes / entries,
+                    /*stable=*/true, "B");
+    reporter.Metric("file_bytes_per_posting_" + tag,
+                    t.frozen_bytes / entries, /*stable=*/true, "B");
     reporter.Metric("query_mismatches_" + tag,
                     static_cast<double>(t.query_mismatches),
                     /*stable=*/true, "queries");

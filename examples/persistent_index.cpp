@@ -1,6 +1,6 @@
 // Production workflow: ingest data with arbitrary token ids, relabel by
 // frequency (faster sampling / tighter layout), estimate the distribution
-// from the data, build the index once, freeze it to an SKF1 file, and
+// from the data, build the index once, freeze it to an SKF2 file, and
 // map it in a "fresh process" without paying the build again.
 
 #include <cstdio>

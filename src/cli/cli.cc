@@ -129,7 +129,7 @@ JSON with --json. It works mid-join: batch and byte counters advance
 while probe streams are being served. docs/OBSERVABILITY.md has the
 metric catalog.
 
-freeze builds the index over --in and persists it as an SKF1
+freeze builds the index over --in and persists it as an SKF2
 frozen-shard file (docs/FILE_FORMATS.md): page-aligned, checksummed,
 and served zero-copy by mmap. --b1 X builds the adversarial-mode
 index the joins use (selfjoin's defaults); --alpha A (default) the
@@ -997,7 +997,7 @@ int CmdJoinWorker(const Flags& flags) {
     }
   };
 
-  // --shard-file: pre-map a frozen SKF1 file (and load the dataset it
+  // --shard-file: pre-map a frozen SKF2 file (and load the dataset it
   // was frozen from) so --frozen coordinators can open frozen-shard
   // sessions with a tiny ShardAssignment instead of shipping slices.
   // Both live here, above the server, for the whole Serve() lifetime.

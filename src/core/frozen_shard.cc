@@ -1,6 +1,8 @@
 #include "core/frozen_shard.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -30,10 +32,10 @@ using frozen_internal::kHeaderSize;
 using frozen_internal::kSectionAlign;
 using frozen_internal::kShardEntrySize;
 
-constexpr char kFrozenMagic[4] = {'S', 'K', 'F', '1'};
+constexpr char kFrozenMagic[4] = {'S', 'K', 'F', '2'};
 constexpr uint32_t kMaxFileShards = 1u << 12;  // matches ShardedIndex's cap
 
-/// The fixed 64-byte SKF1 header (normative layout; docs/FILE_FORMATS.md).
+/// The fixed 64-byte SKF2 header (normative layout; docs/FILE_FORMATS.md).
 /// The meta checksum covers bytes [0, 56) of this struct plus the param
 /// block plus the shard entry table.
 struct FileHeader {
@@ -42,7 +44,7 @@ struct FileHeader {
   uint64_t file_size;
   uint64_t fingerprint;
   uint32_t num_shards;
-  uint32_t section_count;  // always 3 * num_shards
+  uint32_t section_count;  // always 4 * num_shards
   uint64_t param_offset;   // always kHeaderSize
   uint64_t param_size;
   uint64_t table_offset;   // kSectionAlign-aligned
@@ -79,22 +81,33 @@ bool WritePadding(std::ostream& out, uint64_t from, uint64_t to) {
   return static_cast<bool>(out);
 }
 
-bool WriteSection(std::ostream& out, const void* bytes, uint64_t size,
+bool WriteSection(std::ostream& out, std::span<const std::byte> section,
                   uint64_t offset) {
-  out.write(static_cast<const char*>(bytes),
-            static_cast<std::streamsize>(size));
-  return WritePadding(out, offset + size, AlignUp(offset + size,
-                                                  kSectionAlign));
+  out.write(reinterpret_cast<const char*>(section.data()),
+            static_cast<std::streamsize>(section.size()));
+  const uint64_t end = offset + section.size();
+  return WritePadding(out, end, AlignUp(end, kSectionAlign));
+}
+
+/// A table's four payload sections, in file order.
+std::array<std::span<const std::byte>, 4> Sections(const FilterTable& table) {
+  return {std::as_bytes(table.keys_span()),
+          std::as_bytes(table.offsets_span()),
+          std::as_bytes(table.ids_span()),
+          std::as_bytes(table.directory_span())};
+}
+
+/// The fields of \p e that record where each of those sections starts.
+std::array<uint64_t*, 4> SectionOffsets(FrozenShardFile::ShardInfo* e) {
+  return {&e->keys_offset, &e->offsets_offset, &e->ids_offset,
+          &e->directory_offset};
 }
 
 uint64_t PayloadChecksum(const FilterTable& table) {
   Checksum64 sum;
-  sum.Update(table.keys_span().data(),
-             table.keys_span().size() * sizeof(uint64_t));
-  sum.Update(table.offsets_span().data(),
-             table.offsets_span().size() * sizeof(uint32_t));
-  sum.Update(table.ids_span().data(),
-             table.ids_span().size() * sizeof(VectorId));
+  for (std::span<const std::byte> section : Sections(table)) {
+    sum.Update(section.data(), section.size());
+  }
   return sum.digest();
 }
 
@@ -128,7 +141,7 @@ Status WriteFrozenShards(const std::string& path,
   std::memcpy(header.magic, kFrozenMagic, sizeof(kFrozenMagic));
   header.fingerprint = fingerprint;
   header.num_shards = static_cast<uint32_t>(shards.size());
-  header.section_count = 3 * header.num_shards;
+  header.section_count = 4 * header.num_shards;
   header.param_offset = kHeaderSize;
   header.param_size = params.size();
   header.table_offset = AlignUp(kHeaderSize + params.size(), kSectionAlign);
@@ -139,18 +152,14 @@ Status WriteFrozenShards(const std::string& path,
   for (size_t s = 0; s < shards.size(); ++s) {
     const FilterTable& table = *shards[s];
     FrozenShardFile::ShardInfo& e = entries[s];
-    e.keys_count = table.keys_span().size();
-    e.offsets_count = table.offsets_span().size();
-    e.ids_count = table.ids_span().size();
-    e.keys_offset = cursor;
-    cursor = AlignUp(cursor + e.keys_count * sizeof(uint64_t),
-                     kSectionAlign);
-    e.offsets_offset = cursor;
-    cursor = AlignUp(cursor + e.offsets_count * sizeof(uint32_t),
-                     kSectionAlign);
-    e.ids_offset = cursor;
-    cursor = AlignUp(cursor + e.ids_count * sizeof(VectorId),
-                     kSectionAlign);
+    e.keys_count = table.num_keys();
+    e.ids_count = table.num_pairs();
+    const auto sections = Sections(table);
+    const auto offsets = SectionOffsets(&e);
+    for (size_t i = 0; i < sections.size(); ++i) {
+      *offsets[i] = cursor;
+      cursor = AlignUp(cursor + sections[i].size(), kSectionAlign);
+    }
     for (VectorId id : table.ids_span()) {
       e.max_id = std::max<uint64_t>(e.max_id, id);
     }
@@ -177,15 +186,12 @@ Status WriteFrozenShards(const std::string& path,
   out.write(reinterpret_cast<const char*>(entries.data()),
             static_cast<std::streamsize>(entries.size() * kShardEntrySize));
   for (size_t s = 0; s < shards.size(); ++s) {
-    const FilterTable& table = *shards[s];
-    const FrozenShardFile::ShardInfo& e = entries[s];
-    bool ok =
-        WriteSection(out, table.keys_span().data(),
-                     e.keys_count * sizeof(uint64_t), e.keys_offset) &&
-        WriteSection(out, table.offsets_span().data(),
-                     e.offsets_count * sizeof(uint32_t), e.offsets_offset) &&
-        WriteSection(out, table.ids_span().data(),
-                     e.ids_count * sizeof(VectorId), e.ids_offset);
+    const auto sections = Sections(*shards[s]);
+    const auto offsets = SectionOffsets(&entries[s]);
+    bool ok = true;
+    for (size_t i = 0; ok && i < sections.size(); ++i) {
+      ok = WriteSection(out, sections[i], *offsets[i]);
+    }
     if (!ok) {
       return Status::IOError("section write to '" + path + "' failed");
     }
@@ -231,7 +237,7 @@ Result<std::shared_ptr<const FrozenShardFile>> FrozenShardFile::Map(
                                    "' size mismatch (truncated?)");
   }
   if (header.num_shards < 1 || header.num_shards > kMaxFileShards ||
-      header.section_count != 3 * header.num_shards) {
+      header.section_count != 4 * header.num_shards) {
     return Status::InvalidArgument("corrupt shard count in '" + path + "'");
   }
   if (header.param_offset != kHeaderSize ||
@@ -274,9 +280,10 @@ Result<std::shared_ptr<const FrozenShardFile>> FrozenShardFile::Map(
   }
   file->fingerprint_ = header.fingerprint;
 
-  for (uint32_t s = 0; s < header.num_shards; ++s) {
-    const ShardInfo& e = entries[s];
-    if (e.offsets_count != e.keys_count + 1 ||
+  file->shards_ = std::move(entries);
+  for (int s = 0; s < file->num_shards(); ++s) {
+    const ShardInfo& e = file->shards_[static_cast<size_t>(s)];
+    if (e.keys_count > std::numeric_limits<uint32_t>::max() ||
         e.ids_count > std::numeric_limits<uint32_t>::max() ||
         (e.ids_count == 0 && e.max_id != 0) ||
         e.max_id > std::numeric_limits<VectorId>::max()) {
@@ -285,68 +292,37 @@ Result<std::shared_ptr<const FrozenShardFile>> FrozenShardFile::Map(
     }
     if (!SectionInBounds(e.keys_offset, e.keys_count, sizeof(uint64_t),
                          size) ||
-        !SectionInBounds(e.offsets_offset, e.offsets_count,
+        !SectionInBounds(e.offsets_offset, e.keys_count + 1,
                          sizeof(uint32_t), size) ||
         !SectionInBounds(e.ids_offset, e.ids_count, sizeof(VectorId),
-                         size)) {
+                         size) ||
+        !SectionInBounds(e.directory_offset, KeyDirectorySize(e.keys_count),
+                         sizeof(uint32_t), size)) {
       return Status::InvalidArgument("shard section out of bounds in '" +
                                      path + "'");
     }
-    // O(1) bracket check on the offsets array (its interior is covered
-    // by the payload checksum).
-    uint32_t first = 0, last = 0;
-    std::memcpy(&first, base + e.offsets_offset, sizeof(first));
-    std::memcpy(&last,
-                base + e.offsets_offset +
-                    (e.offsets_count - 1) * sizeof(uint32_t),
-                sizeof(last));
-    if (first != 0 || last != e.ids_count) {
-      return Status::InvalidArgument(
-          "shard offsets do not bracket the ids in '" + path + "'");
-    }
-  }
-  file->shards_ = std::move(entries);
-
-  if (options.verify_payload) {
-    for (int s = 0; s < file->num_shards(); ++s) {
-      const ShardInfo& e = file->shards_[static_cast<size_t>(s)];
-      Checksum64 sum;
-      sum.Update(base + e.keys_offset, e.keys_count * sizeof(uint64_t));
-      sum.Update(base + e.offsets_offset,
-                 e.offsets_count * sizeof(uint32_t));
-      sum.Update(base + e.ids_offset, e.ids_count * sizeof(VectorId));
-      if (sum.digest() != e.payload_checksum) {
-        return Status::InvalidArgument("shard " + std::to_string(s) +
-                                       " payload checksum mismatch in '" +
-                                       path + "'");
-      }
-      const uint64_t* keys =
-          reinterpret_cast<const uint64_t*>(base + e.keys_offset);
-      const uint32_t* offsets =
-          reinterpret_cast<const uint32_t*>(base + e.offsets_offset);
-      const VectorId* ids =
-          reinterpret_cast<const VectorId*>(base + e.ids_offset);
-      for (uint64_t k = 1; k < e.keys_count; ++k) {
-        if (keys[k - 1] >= keys[k]) {
-          return Status::InvalidArgument("shard keys not sorted in '" +
-                                         path + "'");
-        }
-      }
-      for (uint64_t k = 1; k < e.offsets_count; ++k) {
-        if (offsets[k] < offsets[k - 1]) {
-          return Status::InvalidArgument(
-              "shard offsets not monotone in '" + path + "'");
-        }
-      }
-      for (uint64_t i = 0; i < e.ids_count; ++i) {
-        if (ids[i] > e.max_id) {
-          return Status::InvalidArgument(
-              "shard posting id exceeds recorded max in '" + path + "'");
-        }
+    // Adopting the view checks the brackets of the offsets and of the
+    // directory in O(1); their interiors are covered by the payload
+    // checksum.
+    Result<FilterTable> view = file->MakeShardView(s);
+    Status payload = view.status();
+    if (payload.ok() && options.verify_payload) {
+      const std::span<const VectorId> ids = view->ids_span();
+      if (PayloadChecksum(*view) != e.payload_checksum) {
+        payload = Status::InvalidArgument("payload checksum mismatch");
+      } else if (std::any_of(ids.begin(), ids.end(),
+                             [&](VectorId id) { return id > e.max_id; })) {
+        payload = Status::InvalidArgument("posting id exceeds recorded max");
+      } else {
+        payload = view->Validate();
       }
     }
+    if (!payload.ok()) {
+      return Status::InvalidArgument("shard " + std::to_string(s) + ": " +
+                                     payload.message() + " in '" + path +
+                                     "'");
+    }
   }
-
   return std::shared_ptr<const FrozenShardFile>(std::move(file));
 }
 
@@ -358,12 +334,15 @@ Result<FilterTable> FrozenShardFile::MakeShardView(int s) const {
   const uint8_t* base = file_.data();
   FilterTable table;
   Status adopted = table.AdoptFrozenView(
+      shared_from_this(),
       {reinterpret_cast<const uint64_t*>(base + e.keys_offset),
        static_cast<size_t>(e.keys_count)},
       {reinterpret_cast<const uint32_t*>(base + e.offsets_offset),
-       static_cast<size_t>(e.offsets_count)},
+       static_cast<size_t>(e.keys_count + 1)},
       {reinterpret_cast<const VectorId*>(base + e.ids_offset),
-       static_cast<size_t>(e.ids_count)});
+       static_cast<size_t>(e.ids_count)},
+      {reinterpret_cast<const uint32_t*>(base + e.directory_offset),
+       static_cast<size_t>(KeyDirectorySize(e.keys_count))});
   if (!adopted.ok()) return adopted;
   return table;
 }

@@ -1,19 +1,19 @@
 // Copyright 2026 The skewsearch Authors.
-// FrozenShardFile: the "SKF1" page-aligned on-disk layout for frozen
+// FrozenShardFile: the "SKF2" page-aligned on-disk layout for frozen
 // posting tables, designed to be mmap'd PROT_READ and served zero-copy.
 //
 // The online index's SKD2 format streams length-prefixed vectors and
 // materializes them on Load — O(index) start time and a full RAM copy.
-// SKF1 instead lays each shard's frozen CSR arrays (keys, offsets, ids)
-// out offset-based, 64-byte aligned, behind a fixed-size header and a
-// shard section table, so Map() only validates O(num_shards) metadata
-// and then adopts spans straight into the mapped bytes: warm start is
-// O(1) in the index size, residency is the OS page cache's problem, and
-// query results are byte-identical to the heap-built index by
-// construction (both back the same offset-based lookup). SKF1 is the
-// static index's only file format. docs/FILE_FORMATS.md specifies
-// the layout normatively; tests/core_frozen_shard_fuzz_test.cc holds
-// Map() to clean rejection of every corrupted byte it can reach.
+// SKF2 instead lays each shard's frozen arrays (keys, offsets, ids and
+// the key directory) out offset-based, 64-byte aligned, behind a
+// fixed-size header and a shard section table, so Map() only validates
+// O(num_shards) metadata and then adopts spans straight into the mapped
+// bytes: warm start is O(1) in the index size, residency is the OS page
+// cache's problem, and a mapped table has the same layout and the same
+// Lookup as the heap table it was frozen from. SKF2 is the static
+// index's only file format. docs/FILE_FORMATS.md specifies the layout
+// normatively; tests/core_frozen_shard_fuzz_test.cc holds Map() to clean
+// rejection of every corrupted byte it can reach.
 //
 // Integrity model: the header, parameter block and shard section table
 // are covered by an always-verified metadata checksum, so Map() never
@@ -50,27 +50,28 @@ struct FrozenMapOptions {
 
   /// Also verify the per-shard payload checksums and the structural
   /// invariants of every posting array (sorted keys, monotone offsets,
-  /// ids bounded by the recorded max). O(index) — deliberately not the
-  /// default, which validates metadata only and stays O(1).
+  /// ids bounded by the recorded max, the directory equal to one rebuilt
+  /// from the keys). O(index) — deliberately not the default, which
+  /// validates metadata only and stays O(1).
   bool verify_payload = false;
 };
 
-/// \brief A mapped (or heap-read) SKF1 file serving zero-copy shard views.
+/// \brief A mapped (or heap-read) SKF2 file serving zero-copy shard views.
 ///
 /// Immutable and thread-safe after Map(). Shard views returned by
-/// MakeShardView alias the file's bytes; callers keep the file alive for
-/// as long as any view exists (the index-level MapFrozen wrappers hold a
-/// shared_ptr for exactly this reason).
-class FrozenShardFile {
+/// MakeShardView alias the file's bytes and keep the file alive.
+class FrozenShardFile
+    : public std::enable_shared_from_this<FrozenShardFile> {
  public:
   /// One shard's section metadata, as recorded in the file (covered by
   /// the metadata checksum). Offsets are absolute file offsets; counts
-  /// are element counts.
+  /// are element counts. The offsets section holds keys_count + 1
+  /// entries and the directory KeyDirectorySize(keys_count).
   struct ShardInfo {
     uint64_t keys_offset = 0;
     uint64_t keys_count = 0;
     uint64_t offsets_offset = 0;
-    uint64_t offsets_count = 0;  ///< always keys_count + 1
+    uint64_t directory_offset = 0;
     uint64_t ids_offset = 0;
     uint64_t ids_count = 0;
     uint64_t max_id = 0;  ///< largest posting id (0 when ids_count == 0)
@@ -103,7 +104,7 @@ class FrozenShardFile {
   size_t file_bytes() const { return file_.size(); }
 
   /// A zero-copy FilterTable view over shard \p s. The view (and any
-  /// copy of it) aliases this file's bytes.
+  /// copy of it) aliases this file's bytes and keeps the file alive.
   Result<FilterTable> MakeShardView(int s) const;
 
   /// Applies an access-pattern hint to the whole mapping (advisory).
@@ -120,7 +121,7 @@ class FrozenShardFile {
   std::vector<ShardInfo> shards_;
 };
 
-/// Writes the frozen tables \p shards to \p path in SKF1 form. Shard s
+/// Writes the frozen tables \p shards to \p path in SKF2 form. Shard s
 /// of the file is written from shards[s]; every table must be frozen.
 /// The parameter fields mirror what the heap formats persist, so a
 /// mapped file restores the identical FilterFamily.
@@ -132,7 +133,7 @@ Status WriteFrozenShards(const std::string& path,
 
 namespace frozen_internal {
 
-/// The 64-bit FNV-1a the SKF1 checksums use (normative; see
+/// The 64-bit FNV-1a the SKF2 checksums use (normative; see
 /// docs/FILE_FORMATS.md).
 class Checksum64 {
  public:

@@ -1,6 +1,6 @@
 // Copyright 2026 The skewsearch Authors.
 // Internal shared pieces of the persisted-index formats — the frozen
-// static index ("SKF1", core/frozen_shard.h) and the online index
+// static index ("SKF2", core/frozen_shard.h) and the online index
 // ("SKD2", core/dynamic_index.h) both embed the same parameter block and
 // dataset fingerprint, so the encoding and the corruption checks live
 // here exactly once. Not part of the public API.

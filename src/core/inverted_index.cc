@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "core/index_io.h"
 
@@ -11,17 +12,12 @@ namespace skewsearch {
 namespace {
 
 template <typename T>
-bool WriteVector(std::ostream* out, const std::vector<T>& values) {
-  return index_io_internal::WriteVector(*out, values);
-}
-
-template <typename T>
 bool ReadVector(std::istream* in, std::vector<T>* values) {
   return index_io_internal::ReadVector(*in, values);
 }
 
 // Span flavour of the vec<T> encoding (u64 count + raw elements), so a
-// view table serializes byte-identically to the owning table it mirrors.
+// table writes the same bytes whatever backs it.
 template <typename T>
 bool WriteSpan(std::ostream* out, std::span<const T> values) {
   uint64_t count = values.size();
@@ -34,6 +30,14 @@ bool WriteSpan(std::ostream* out, std::span<const T> values) {
 
 }  // namespace
 
+/// The heap backing of a table frozen in memory.
+struct FilterTable::OwnedArrays {
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> offsets;
+  std::vector<VectorId> ids;
+  std::vector<uint32_t> directory;
+};
+
 void FilterTable::Reserve(size_t expected_pairs) {
   arena_.Reserve(expected_pairs);
 }
@@ -41,82 +45,69 @@ void FilterTable::Reserve(size_t expected_pairs) {
 void FilterTable::Add(uint64_t key, VectorId id) { arena_.Add(key, id); }
 
 void FilterTable::Freeze() {
-  arena_.Freeze(&keys_, &offsets_, &ids_);
+  auto arrays = std::make_shared<OwnedArrays>();
+  arena_.Freeze(&arrays->keys, &arrays->offsets, &arrays->ids);
   // Drop growth slack so MemoryBytes() reports the same frozen footprint
   // as a ReadFrom() of this table (which allocates exactly).
-  keys_.shrink_to_fit();
-  offsets_.shrink_to_fit();
-  ids_.shrink_to_fit();
-  key_index_ = BuildPostingKeyIndex(keys_);
-  frozen_ = true;
-  view_ = false;
-  RepointViewsAtOwned();
+  arrays->keys.shrink_to_fit();
+  arrays->offsets.shrink_to_fit();
+  arrays->ids.shrink_to_fit();
+  Status s = AdoptOwned(std::move(arrays));
+  (void)s;  // the arena's offsets always bracket its ids
 }
 
-void FilterTable::RepointViewsAtOwned() {
-  keys_view_ = keys_;
-  offsets_view_ = offsets_;
-  ids_view_ = ids_;
+Status FilterTable::AdoptOwned(std::shared_ptr<OwnedArrays> arrays) {
+  arrays->directory = BuildKeyDirectory(arrays->keys);
+  const size_t heap_bytes = arrays->keys.capacity() * sizeof(uint64_t) +
+                            arrays->offsets.capacity() * sizeof(uint32_t) +
+                            arrays->ids.capacity() * sizeof(VectorId) +
+                            arrays->directory.capacity() * sizeof(uint32_t);
+  Status adopted = AdoptFrozenView(arrays, arrays->keys, arrays->offsets,
+                                   arrays->ids, arrays->directory);
+  if (adopted.ok()) heap_bytes_ = heap_bytes;
+  return adopted;
 }
 
-void FilterTable::CopyFrom(const FilterTable& other) {
-  arena_ = other.arena_;
-  keys_ = other.keys_;
-  offsets_ = other.offsets_;
-  ids_ = other.ids_;
-  key_index_ = other.key_index_;
-  frozen_ = other.frozen_;
-  view_ = other.view_;
-  if (view_) {
-    // Both copies alias the same external memory.
-    keys_view_ = other.keys_view_;
-    offsets_view_ = other.offsets_view_;
-    ids_view_ = other.ids_view_;
-  } else {
-    RepointViewsAtOwned();
-  }
-}
-
-Status FilterTable::AdoptFrozenView(std::span<const uint64_t> keys,
+Status FilterTable::AdoptFrozenView(std::shared_ptr<const void> backing,
+                                    std::span<const uint64_t> keys,
                                     std::span<const uint32_t> offsets,
-                                    std::span<const VectorId> ids) {
+                                    std::span<const VectorId> ids,
+                                    std::span<const uint32_t> directory) {
   if (offsets.size() != keys.size() + 1) {
     return Status::InvalidArgument("frozen view offset/key count mismatch");
   }
   if (offsets.front() != 0 || offsets.back() != ids.size()) {
     return Status::InvalidArgument("frozen view offsets do not bracket ids");
   }
+  if (directory.size() != KeyDirectorySize(keys.size()) ||
+      directory.front() != 0 || directory.back() != keys.size()) {
+    return Status::InvalidArgument(
+        "frozen view directory does not bracket the keys");
+  }
   FilterTable fresh;
-  fresh.keys_view_ = keys;
-  fresh.offsets_view_ = offsets;
-  fresh.ids_view_ = ids;
-  fresh.frozen_ = true;
-  fresh.view_ = true;
+  fresh.backing_ = std::move(backing);
+  fresh.keys_ = keys;
+  fresh.offsets_ = offsets;
+  fresh.ids_ = ids;
+  fresh.directory_ = directory;
+  fresh.directory_bits_ = KeyDirectoryBits(keys.size());
   *this = std::move(fresh);
   return Status::OK();
 }
 
 std::span<const VectorId> FilterTable::Lookup(uint64_t key) const {
-  size_t idx;
-  if (view_) {
-    // Views have no probe index; the keys are sorted and distinct, so a
-    // binary search finds the position in O(log K) with zero heap.
-    auto it = std::lower_bound(keys_view_.begin(), keys_view_.end(), key);
-    if (it == keys_view_.end() || *it != key) return {};
-    idx = static_cast<size_t>(it - keys_view_.begin());
-  } else {
-    auto it = key_index_.find(key);
-    if (it == key_index_.end()) return {};
-    idx = it->second;
+  const size_t bucket = KeyBucket(key, directory_bits_);
+  const uint32_t end = directory_[bucket + 1];
+  for (uint32_t i = directory_[bucket]; i < end; ++i) {
+    if (keys_[i] == key) return postings_at(i);
   }
-  return {ids_view_.data() + offsets_view_[idx],
-          static_cast<size_t>(offsets_view_[idx + 1] - offsets_view_[idx])};
+  return {};
 }
 
 Status FilterTable::WriteTo(std::ostream* out) const {
   if (out == nullptr) return Status::InvalidArgument("null stream");
-  if (!WriteSpan(out, keys_view_) || !WriteSpan(out, offsets_view_) ||
-      !WriteSpan(out, ids_view_)) {
+  if (!WriteSpan(out, keys_) || !WriteSpan(out, offsets_) ||
+      !WriteSpan(out, ids_)) {
     return Status::IOError("filter table write failed");
   }
   return Status::OK();
@@ -124,40 +115,42 @@ Status FilterTable::WriteTo(std::ostream* out) const {
 
 Status FilterTable::ReadFrom(std::istream* in) {
   if (in == nullptr) return Status::InvalidArgument("null stream");
-  FilterTable fresh;
-  if (!ReadVector(in, &fresh.keys_) || !ReadVector(in, &fresh.offsets_) ||
-      !ReadVector(in, &fresh.ids_)) {
+  auto arrays = std::make_shared<OwnedArrays>();
+  if (!ReadVector(in, &arrays->keys) || !ReadVector(in, &arrays->offsets) ||
+      !ReadVector(in, &arrays->ids)) {
     return Status::InvalidArgument("truncated or corrupt filter table");
   }
-  // Structural validation: offsets bracket ids_, keys sorted.
-  if (fresh.offsets_.size() != fresh.keys_.size() + 1 ||
-      (fresh.offsets_.empty() && !fresh.keys_.empty())) {
-    return Status::InvalidArgument("filter table offset/key mismatch");
-  }
-  if (!fresh.offsets_.empty() &&
-      (fresh.offsets_.front() != 0 ||
-       fresh.offsets_.back() != fresh.ids_.size())) {
-    return Status::InvalidArgument("filter table offsets out of range");
-  }
-  for (size_t i = 1; i < fresh.keys_.size(); ++i) {
-    if (fresh.keys_[i - 1] >= fresh.keys_[i]) {
-      return Status::InvalidArgument("filter table keys not sorted");
-    }
-    if (fresh.offsets_[i] < fresh.offsets_[i - 1]) {
-      return Status::InvalidArgument("filter table offsets not monotone");
-    }
-  }
-  fresh.key_index_ = BuildPostingKeyIndex(fresh.keys_);
-  fresh.frozen_ = true;
-  fresh.RepointViewsAtOwned();
+  // Adoption checks that the offsets run from 0 to the id count and
+  // Validate() that they never fall, so every list lies inside the ids.
+  FilterTable fresh;
+  SKEWSEARCH_RETURN_NOT_OK(fresh.AdoptOwned(std::move(arrays)));
+  SKEWSEARCH_RETURN_NOT_OK(fresh.Validate());
   *this = std::move(fresh);
   return Status::OK();
 }
 
+Status FilterTable::Validate() const {
+  for (size_t i = 1; i < keys_.size(); ++i) {
+    if (keys_[i - 1] >= keys_[i]) {
+      return Status::InvalidArgument("filter table keys not sorted");
+    }
+  }
+  for (size_t i = 1; i < offsets_.size(); ++i) {
+    if (offsets_[i] < offsets_[i - 1]) {
+      return Status::InvalidArgument("filter table offsets not monotone");
+    }
+  }
+  const std::vector<uint32_t> rebuilt = BuildKeyDirectory(keys_);
+  if (!std::equal(rebuilt.begin(), rebuilt.end(), directory_.begin(),
+                  directory_.end())) {
+    return Status::InvalidArgument(
+        "filter table directory does not match its keys");
+  }
+  return Status::OK();
+}
+
 size_t FilterTable::MemoryBytes() const {
-  return arena_.MemoryBytes() + keys_.capacity() * sizeof(uint64_t) +
-         offsets_.capacity() * sizeof(uint32_t) +
-         ids_.capacity() * sizeof(VectorId) + key_index_.MemoryBytes();
+  return arena_.MemoryBytes() + heap_bytes_;
 }
 
 }  // namespace skewsearch

@@ -6,26 +6,27 @@
 // Built by staging (key, id) pairs into a PostingArena (grouped by key as
 // they arrive) and freezing into unique keys + offsets + ids. Compared to
 // a per-key hash map of vectors this halves memory and is cache-friendly
-// to build; lookups are one O(1) probe of a flat key -> position index
-// (core/posting_table.h) over the (typically few million) distinct keys.
+// to build.
 //
-// A table can alternatively be a zero-copy *view* over externally owned
-// frozen CSR arrays (AdoptFrozenView) — the accessor seam the mmap'd
-// SKF1 shard files (core/frozen_shard.h) serve queries through. Views
-// skip the O(num_keys) probe-index build so mapping stays O(1) in the
-// index size; Lookup binary-searches the sorted key array instead.
+// A frozen table is one layout however it came to exist: sorted keys,
+// offsets, ids and the radix key directory over the keys' top bits
+// (core/posting_table.h), held as spans over a shared immutable backing.
+// The backing is the heap arrays of Freeze()/ReadFrom() or an mmap'd
+// frozen-shard file (core/frozen_shard.h, AdoptFrozenView), which stores
+// the directory, so mapping stays O(1) in the index size. Lookup reads
+// the key's bucket from the directory and scans it. Copies share the
+// backing; that is safe because a frozen table never changes.
 
 #ifndef SKEWSEARCH_CORE_INVERTED_INDEX_H_
 #define SKEWSEARCH_CORE_INVERTED_INDEX_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/posting_table.h"
 #include "data/dataset.h"
-#include "util/containers.h"
 #include "util/status.h"
 
 namespace skewsearch {
@@ -33,20 +34,6 @@ namespace skewsearch {
 /// \brief Frozen multimap from 64-bit filter keys to vector ids.
 class FilterTable {
  public:
-  FilterTable() = default;
-  /// Copies preserve semantics per mode: an owning table deep-copies its
-  /// arrays (and re-points the internal views at the copies); a view
-  /// table copies the spans, i.e. both alias the same external memory.
-  FilterTable(const FilterTable& other) { CopyFrom(other); }
-  FilterTable& operator=(const FilterTable& other) {
-    if (this != &other) CopyFrom(other);
-    return *this;
-  }
-  /// Moves are always safe: vector moves transfer their heap buffers, so
-  /// views into them stay valid.
-  FilterTable(FilterTable&&) = default;
-  FilterTable& operator=(FilterTable&&) = default;
-
   /// Pre-allocates for \p expected_pairs (optional).
   void Reserve(size_t expected_pairs);
 
@@ -57,18 +44,20 @@ class FilterTable {
   /// called exactly once, after which Add is illegal.
   void Freeze();
 
-  /// Replaces this table with a zero-copy view over externally owned
-  /// frozen CSR arrays — typically sections of an mmap'd SKF1 file. The
-  /// backing memory must stay valid and unchanged for the view's whole
-  /// lifetime (copies included). Validates only the O(1) bracketing
-  /// invariants (offsets.size() == keys.size() + 1, offsets[0] == 0,
-  /// offsets.back() == ids.size()); key sortedness and id ranges are the
-  /// caller's contract (the frozen-shard mapper checks them via its
-  /// metadata checksum and, on request, a full payload verification).
-  /// No probe index is built: Lookup binary-searches the keys.
-  Status AdoptFrozenView(std::span<const uint64_t> keys,
+  /// Replaces this table with a zero-copy view over frozen arrays that
+  /// \p backing keeps alive (for the frozen-shard mapper, the mapped
+  /// file). Validates only the O(1) bracketing invariants:
+  /// offsets.size() == keys.size() + 1, offsets[0] == 0, offsets.back() ==
+  /// ids.size(), \p directory has KeyDirectorySize(keys.size()) entries,
+  /// directory[0] == 0 and directory.back() == keys.size(). Key
+  /// sortedness, the directory's interior and id ranges are the caller's
+  /// contract (the frozen-shard mapper checks them via its checksums and,
+  /// on request, a full payload verification).
+  Status AdoptFrozenView(std::shared_ptr<const void> backing,
+                         std::span<const uint64_t> keys,
                          std::span<const uint32_t> offsets,
-                         std::span<const VectorId> ids);
+                         std::span<const VectorId> ids,
+                         std::span<const uint32_t> directory);
 
   /// Posting list for \p key (empty when absent). Only valid after
   /// Freeze().
@@ -78,11 +67,9 @@ class FilterTable {
   /// ascending key). Used by compaction, serialization and validation.
   /// Only valid after Freeze(); \p idx must be < num_keys().
   /// @{
-  uint64_t key_at(size_t idx) const { return keys_view_[idx]; }
+  uint64_t key_at(size_t idx) const { return keys_[idx]; }
   std::span<const VectorId> postings_at(size_t idx) const {
-    return {ids_view_.data() + offsets_view_[idx],
-            static_cast<size_t>(offsets_view_[idx + 1] -
-                                offsets_view_[idx])};
+    return ids_.subspan(offsets_[idx], offsets_[idx + 1] - offsets_[idx]);
   }
   /// @}
 
@@ -90,60 +77,61 @@ class FilterTable {
   /// after Freeze(): the staging arena while building, the frozen posting
   /// lists afterwards (Freeze neither adds nor drops pairs).
   size_t num_pairs() const {
-    return frozen_ ? ids_view_.size() : arena_.num_pairs();
+    return frozen() ? ids_.size() : arena_.num_pairs();
   }
 
   /// Number of distinct keys (0 before Freeze()).
-  size_t num_keys() const { return keys_view_.size(); }
+  size_t num_keys() const { return keys_.size(); }
 
   /// True once Freeze() (or ReadFrom()/AdoptFrozenView()) has produced
   /// posting lists.
-  bool frozen() const { return frozen_; }
+  bool frozen() const { return backing_ != nullptr; }
 
-  /// True when this table is a non-owning view over external memory.
-  bool is_view() const { return view_; }
-
-  /// \name Raw frozen CSR arrays (serialization / the frozen-shard
-  /// writer). Only valid after Freeze().
+  /// \name Raw frozen arrays (serialization / the frozen-shard writer).
+  /// Only valid after Freeze().
   /// @{
-  std::span<const uint64_t> keys_span() const { return keys_view_; }
-  std::span<const uint32_t> offsets_span() const { return offsets_view_; }
-  std::span<const VectorId> ids_span() const { return ids_view_; }
+  std::span<const uint64_t> keys_span() const { return keys_; }
+  std::span<const uint32_t> offsets_span() const { return offsets_; }
+  std::span<const VectorId> ids_span() const { return ids_; }
+  std::span<const uint32_t> directory_span() const { return directory_; }
   /// @}
 
-  /// Approximate heap usage in bytes.
+  /// Approximate heap usage in bytes: the staging arena, or the arrays a
+  /// Freeze()/ReadFrom() allocated (0 for a view over a mapped file).
   size_t MemoryBytes() const;
 
-  /// Serializes the frozen table (keys, offsets, ids) to \p out.
-  /// Only valid after Freeze().
+  /// Serializes the frozen table (keys, offsets, ids; the directory is
+  /// rebuilt on read) to \p out. Only valid after Freeze().
   Status WriteTo(std::ostream* out) const;
 
   /// Replaces this table with one read from \p in (already frozen).
   Status ReadFrom(std::istream* in);
 
+  /// Checks the O(size) invariants AdoptFrozenView trusts: keys strictly
+  /// ascending, offsets non-decreasing, and the directory equal to one
+  /// rebuilt from the keys. Only valid after Freeze().
+  Status Validate() const;
+
  private:
-  /// Deep-copies \p other; for owning tables the views are re-pointed at
-  /// this table's own arrays, for view tables the spans are aliased.
-  void CopyFrom(const FilterTable& other);
+  struct OwnedArrays;
 
-  /// Points the view spans at the owning arrays (after Freeze/ReadFrom
-  /// or a deep copy mutated them).
-  void RepointViewsAtOwned();
+  /// Builds the directory over \p arrays and makes them this table's
+  /// backing (the end of Freeze() and ReadFrom()).
+  Status AdoptOwned(std::shared_ptr<OwnedArrays> arrays);
 
-  PostingArena arena_;            // staging; drained by Freeze()
-  std::vector<uint64_t> keys_;    // sorted distinct keys (empty in views)
-  std::vector<uint32_t> offsets_; // keys_.size() + 1 offsets into ids_
-  std::vector<VectorId> ids_;
-  // All frozen accessors read through these spans. Owning tables point
-  // them at keys_/offsets_/ids_; views point at external (mmap'd) memory.
-  std::span<const uint64_t> keys_view_;
-  std::span<const uint32_t> offsets_view_;
-  std::span<const VectorId> ids_view_;
-  // O(1) key -> position probe index; rebuilt by Freeze()/ReadFrom().
-  // Left empty by AdoptFrozenView: views Lookup by binary search.
-  PostingMap<uint64_t, uint32_t> key_index_;
-  bool frozen_ = false;
-  bool view_ = false;
+  PostingArena arena_;  // staging; drained by Freeze()
+  // Keeps the frozen arrays alive; null until frozen.
+  std::shared_ptr<const void> backing_;
+  std::span<const uint64_t> keys_;     // sorted distinct keys
+  std::span<const uint32_t> offsets_;  // keys_.size() + 1 offsets into ids_
+  std::span<const VectorId> ids_;
+  // 2^directory_bits_ + 1 key positions; an unfrozen table's is {0, 0},
+  // so a Lookup before Freeze() finds nothing.
+  std::span<const uint32_t> directory_ = kEmptyDirectory;
+  int directory_bits_ = 0;
+  size_t heap_bytes_ = 0;  // bytes of an owned backing
+
+  static constexpr uint32_t kEmptyDirectory[2] = {0, 0};
 };
 
 }  // namespace skewsearch

@@ -60,14 +60,17 @@ void PostingArena::Clear() {
   nodes_.shrink_to_fit();
 }
 
-PostingMap<uint64_t, uint32_t> BuildPostingKeyIndex(
-    const std::vector<uint64_t>& keys) {
-  PostingMap<uint64_t, uint32_t> index;
-  index.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    index.emplace(keys[i], static_cast<uint32_t>(i));
+std::vector<uint32_t> BuildKeyDirectory(std::span<const uint64_t> keys) {
+  const int bits = KeyDirectoryBits(keys.size());
+  std::vector<uint32_t> dir(KeyDirectorySize(keys.size()));
+  const size_t buckets = dir.size() - 1;
+  size_t k = 0;
+  for (size_t i = 0; i < buckets; ++i) {
+    while (k < keys.size() && KeyBucket(keys[k], bits) < i) ++k;
+    dir[i] = static_cast<uint32_t>(k);
   }
-  return index;
+  dir[buckets] = static_cast<uint32_t>(keys.size());
+  return dir;
 }
 
 }  // namespace skewsearch

@@ -1,6 +1,7 @@
 // Copyright 2026 The skewsearch Authors.
 // PostingArena: arena-allocated staging for (filter key, vector id)
-// posting pairs, the build-side half of the flat posting-table seam.
+// posting pairs, the build-side half of the flat posting-table seam; and
+// the radix key directory, its lookup half.
 //
 // The old FilterTable staged into one std::vector<Pair> and paid a global
 // O(P log P) sort at Freeze(). The arena instead groups pairs by key as
@@ -11,11 +12,19 @@
 // per-pair allocation anywhere. The frozen CSR output (sorted distinct
 // keys, offsets, per-key ascending ids with duplicate pairs preserved) is
 // byte-identical to the old sort-based Freeze, which tests assert.
+//
+// Filter keys are uniform 64-bit hashes, so a frozen table's sorted keys
+// are spread evenly over the key space and their top bits say where each
+// one sits. The key directory over those top bits turns a lookup into one
+// bucket read plus a scan of the (on average one or two) keys in it. It
+// is a flat array of 32-bit positions, so a mapped file stores it as is.
 
 #ifndef SKEWSEARCH_CORE_POSTING_TABLE_H_
 #define SKEWSEARCH_CORE_POSTING_TABLE_H_
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -71,11 +80,28 @@ class PostingArena {
   std::vector<Node> nodes_;
 };
 
-/// Builds an O(1) probe index over the \p keys of a frozen posting table:
-/// key -> position, usable with FilterTable-style positional accessors.
-/// Keys must be distinct (the frozen-table invariant).
-PostingMap<uint64_t, uint32_t> BuildPostingKeyIndex(
-    const std::vector<uint64_t>& keys);
+/// Bits b of the key directory over \p num_keys sorted keys:
+/// floor(log2(num_keys)), and 0 when num_keys <= 1.
+inline int KeyDirectoryBits(size_t num_keys) {
+  return num_keys <= 1 ? 0 : static_cast<int>(std::bit_width(num_keys)) - 1;
+}
+
+/// Entries of the key directory over \p num_keys keys: 2^b + 1.
+inline size_t KeyDirectorySize(size_t num_keys) {
+  return (size_t{1} << KeyDirectoryBits(num_keys)) + 1;
+}
+
+/// Directory bucket of \p key: its top \p bits bits. Shifting twice keeps
+/// bits == 0 (every key in bucket 0) clear of an undefined 64-bit shift.
+inline size_t KeyBucket(uint64_t key, int bits) {
+  return static_cast<size_t>((key >> 1) >> (63 - bits));
+}
+
+/// Builds the key directory over the sorted distinct \p keys: for
+/// b = KeyDirectoryBits(keys.size()), entry i of its 2^b + 1 entries is
+/// the position of the first key whose bucket is >= i, so bucket i's keys
+/// are [dir[i], dir[i + 1]), dir[0] == 0 and dir[2^b] == keys.size().
+std::vector<uint32_t> BuildKeyDirectory(std::span<const uint64_t> keys);
 
 }  // namespace skewsearch
 

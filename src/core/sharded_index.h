@@ -110,7 +110,7 @@ class ShardedIndex : public IndexView {
       BatchQueryStats* batch_stats = nullptr) const;
 
   /// Persists the built index (parameters + K posting tables + dataset
-  /// fingerprint) as a K-shard SKF1 frozen file (core/frozen_shard.h).
+  /// fingerprint) as a K-shard SKF2 frozen file (core/frozen_shard.h).
   /// Only valid after Build()/MapFrozen().
   Status Freeze(const std::string& path) const;
 
@@ -176,7 +176,7 @@ class ShardedIndex : public IndexView {
   FilterFamily family_;
   std::vector<FilterTable> shards_;  // zero-copy views when mapped
   IndexBuildStats build_stats_;
-  std::shared_ptr<const FrozenShardFile> frozen_;  // keeps views alive
+  std::shared_ptr<const FrozenShardFile> frozen_;
 };
 
 namespace sharded_internal {

@@ -94,7 +94,7 @@ struct JoinOptions {
   /// batch's service time; 1 = strict send-then-wait). Never changes
   /// the output.
   size_t pipeline = 2;
-  /// When non-empty, the path of an SKF1 frozen-shard file
+  /// When non-empty, the path of an SKF2 frozen-shard file
   /// (core/frozen_shard.h) previously written by Freeze() over the
   /// build-side dataset. Implies the distributed backend: instead of
   /// rebuilding the posting table, the coordinator maps the file

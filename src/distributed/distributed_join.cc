@@ -374,7 +374,7 @@ Status DistributedJoin::Build(const Dataset* data,
   threshold_ = threshold;
   plan_ = std::move(plan).value();
   workers_ = std::move(workers);
-  frozen_.reset();  // the old views died with the old workers_ above
+  frozen_.reset();
   build_seconds_ = build_seconds;
   plan_seconds_ = plan_timer.ElapsedSeconds();
   return Status::OK();
@@ -440,8 +440,7 @@ Status DistributedJoin::BuildFromFrozen(const Dataset* data,
                          header.options.verify_measure);
   }
 
-  // Commit only after every fallible step, as in Build(). Old views (if
-  // any) must drop before their mapping: clear workers_ first.
+  // Commit only after every fallible step, as in Build().
   DetachRemote();
   data_ = data;
   dist_ = dist;
@@ -451,7 +450,6 @@ Status DistributedJoin::BuildFromFrozen(const Dataset* data,
   family_ = std::move(family).value();
   threshold_ = threshold;
   plan_ = PartitionPlan::Broadcast(num_shards);
-  workers_.clear();
   workers_ = std::move(workers);
   frozen_ = std::move(file);
   build_seconds_ = build_timer.ElapsedSeconds();

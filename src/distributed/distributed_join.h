@@ -165,7 +165,7 @@ class DistributedJoin {
   Status Build(const Dataset* data, const ProductDistribution* dist,
                const DistributedJoinOptions& options);
 
-  /// The zero-build alternative: maps an SKF1 frozen-shard file
+  /// The zero-build alternative: maps an SKF2 frozen-shard file
   /// (core/frozen_shard.h) previously written by Freeze() over \p data,
   /// restores the filter family from its parameter block, and serves
   /// each shard through a zero-copy JoinWorker view — no posting table
@@ -204,7 +204,7 @@ class DistributedJoin {
   /// the acks. After Build() it ships each worker its posting slices and
   /// the build vectors they reference. After BuildFromFrozen() it sends
   /// a tiny ShardAssignment naming the shard instead — the workers must
-  /// have pre-mapped the byte-identical SKF1 file (`join-worker
+  /// have pre-mapped the byte-identical SKF2 file (`join-worker
   /// --shard-file`) — and checks the acked counters against this
   /// coordinator's own mapping. Requires a successful build; on any
   /// failure every already-started session is shut down and the
@@ -260,9 +260,8 @@ class DistributedJoin {
   DistributedJoinOptions options_;
   FilterFamily family_;
   PartitionPlan plan_;
-  /// The mapped SKF1 file when built by BuildFromFrozen (null after a
-  /// classic Build). Declared before workers_ so the mapping outlives
-  /// the zero-copy views the workers hold into it.
+  /// The mapped SKF2 file when built by BuildFromFrozen (null after a
+  /// classic Build).
   std::shared_ptr<const FrozenShardFile> frozen_;
   std::vector<JoinWorker> workers_;
   /// Remote sessions, one per worker when attached. Mutable because

@@ -101,7 +101,7 @@ struct PartitionPlan {
 
   /// Broadcast routing: every key goes to every worker. This is the
   /// plan of the frozen-shard serving mode, where workers partition the
-  /// *id* space (ShardOf over a mapped SKF1 file) instead of the key
+  /// *id* space (ShardOf over a mapped SKF2 file) instead of the key
   /// space — a key's postings are spread across all shards, so every
   /// probe must visit every worker. `heavy` is empty under broadcast.
   bool broadcast = false;

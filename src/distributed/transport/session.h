@@ -76,7 +76,7 @@ class RemoteWorkerSession {
 
   /// The frozen-shard variant of Start: instead of shipping posting
   /// slices, sends a ShardAssignment naming the shard of the worker's
-  /// pre-mapped SKF1 file this session serves, and cross-checks the
+  /// pre-mapped SKF2 file this session serves, and cross-checks the
   /// worker's AssignmentAck counters against \p expected — the
   /// keys/entries the coordinator's own mapping of the same file
   /// records for that shard, plus the dataset size.
@@ -173,7 +173,7 @@ struct ServeOptions {
   /// \name Frozen-shard serving (`join-worker --shard-file`).
   /// When both are set, a session may open with a ShardAssignment
   /// frame instead of an Assignment: the worker then serves the named
-  /// shard zero-copy out of `frozen_file` (an SKF1 mapping shared
+  /// shard zero-copy out of `frozen_file` (an SKF2 mapping shared
   /// read-only by every session) and verifies candidates against
   /// `frozen_data`, the full build-side dataset the file was
   /// frozen from. Classic Assignment sessions still work on the same

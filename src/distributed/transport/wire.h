@@ -261,7 +261,7 @@ struct ReassignmentAckFrame {
 
 /// \brief ShardAssignment: serve a shard of a pre-mapped file.
 ///
-/// Replaces the Assignment for a worker that mapped an SKF1 frozen
+/// Replaces the Assignment for a worker that mapped an SKF2 frozen
 /// file (`join-worker --shard-file`): instead of shipping posting
 /// slices and vectors, the coordinator names the shard to serve and
 /// the verification parameters. The worker cross-checks num_shards and

@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -466,6 +468,34 @@ TEST_F(DynamicIndexIoTest, LoadRejectsDifferentDatasetAndCorruption) {
     EXPECT_FALSE(truncated.Load(path_, &data_, &dist_).ok())
         << "prefix of " << keep << " bytes";
   }
+
+  // A base table whose next-to-last offset points past its ids. The
+  // monotone check must see the last pair and reject the table before
+  // Load walks its posting lists. The static index over the same data
+  // and options freezes the same base tables, so the streamed bytes of
+  // its shard 0 locate that table in the file.
+  ShardedIndex reference;
+  ASSERT_TRUE(reference.Build(&data_, &dist_, {Options().index, 3}).ok());
+  const FilterTable& table = reference.shard_table(0);
+  ASSERT_GE(table.num_keys(), 2u);
+  std::stringstream streamed;
+  ASSERT_TRUE(table.WriteTo(&streamed).ok());
+  const size_t at = contents.find(streamed.str());
+  ASSERT_NE(at, std::string::npos);
+  // keys: u64 count + K u64; offsets: u64 count + (K + 1) u32.
+  const size_t keys = table.num_keys();
+  const size_t patch = at + 8 + keys * 8 + 8 + (keys - 1) * 4;
+  const uint32_t overrun = static_cast<uint32_t>(table.num_pairs() + 4);
+  std::string overrun_file = contents;
+  std::memcpy(overrun_file.data() + patch, &overrun, sizeof(overrun));
+  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+  out.write(overrun_file.data(),
+            static_cast<std::streamsize>(overrun_file.size()));
+  out.close();
+  DynamicIndex overrun_load;
+  Status s = overrun_load.Load(path_, &data_, &dist_);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("offsets"), std::string::npos) << s.ToString();
 }
 
 }  // namespace

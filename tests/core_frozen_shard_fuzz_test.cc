@@ -1,4 +1,4 @@
-// Structure-aware format fuzzer for the SKF1 frozen-shard layout
+// Structure-aware format fuzzer for the SKF2 frozen-shard layout
 // (core/frozen_shard.h), mirroring the wire-codec rejection suite: a
 // deterministic seeded corpus of corruptions — truncation at and around
 // every section boundary, bit- and byte-flips in every header, section
@@ -120,17 +120,19 @@ class FrozenShardFuzzTest : public ::testing::Test {
     cuts.push_back(static_cast<size_t>(64 + param_size));
     cuts.push_back(static_cast<size_t>(table_offset));
     for (uint32_t s = 0; s < num_shards; ++s) {
-      const size_t entry = table_offset + s * 64;
-      cuts.push_back(entry);
-      uint64_t fields[6];
-      std::memcpy(fields, pristine_.data() + entry, sizeof(fields));
-      // keys/offsets/ids section starts and ends.
-      cuts.push_back(static_cast<size_t>(fields[0]));
-      cuts.push_back(static_cast<size_t>(fields[0] + fields[1] * 8));
-      cuts.push_back(static_cast<size_t>(fields[2]));
-      cuts.push_back(static_cast<size_t>(fields[2] + fields[3] * 4));
-      cuts.push_back(static_cast<size_t>(fields[4]));
-      cuts.push_back(static_cast<size_t>(fields[4] + fields[5] * 4));
+      cuts.push_back(table_offset + s * 64);
+      const FrozenShardFile::ShardInfo e = test::FrozenShardEntry(pristine_, s);
+      // keys/offsets/ids/directory section starts and ends.
+      cuts.push_back(static_cast<size_t>(e.keys_offset));
+      cuts.push_back(static_cast<size_t>(e.keys_offset + e.keys_count * 8));
+      cuts.push_back(static_cast<size_t>(e.offsets_offset));
+      cuts.push_back(
+          static_cast<size_t>(e.offsets_offset + (e.keys_count + 1) * 4));
+      cuts.push_back(static_cast<size_t>(e.ids_offset));
+      cuts.push_back(static_cast<size_t>(e.ids_offset + e.ids_count * 4));
+      cuts.push_back(static_cast<size_t>(e.directory_offset));
+      cuts.push_back(static_cast<size_t>(
+          e.directory_offset + KeyDirectorySize(e.keys_count) * 4));
     }
     cuts.push_back(pristine_.size());
     return cuts;
@@ -249,9 +251,11 @@ TEST_F(FrozenShardFuzzTest, FieldTargetedCorruptions) {
        "keys_count huge"},
       {static_cast<size_t>(table_offset) + 8, 0, 8, "keys_count zero"},
       {static_cast<size_t>(table_offset) + 24, 0, 8,
-       "offsets_count zero"},
-      {static_cast<size_t>(table_offset) + 24, ~0ULL, 8,
-       "offsets_count huge"},
+       "directory_offset zero"},
+      {static_cast<size_t>(table_offset) + 24, ~0ULL & ~63ULL, 8,
+       "directory_offset huge"},
+      {static_cast<size_t>(table_offset) + 24, 65, 8,
+       "directory_offset misaligned"},
       {static_cast<size_t>(table_offset) + 40, ~0ULL, 8,
        "ids_count huge"},
       {static_cast<size_t>(table_offset) + 40, 0, 8, "ids_count zero"},
@@ -266,6 +270,26 @@ TEST_F(FrozenShardFuzzTest, FieldTargetedCorruptions) {
     std::memcpy(mutant.data() + m.offset, &m.value, m.width);
     if (mutant == pristine_) continue;
     ExpectCleanOutcome(mutant, m.label);
+  }
+
+  // The directory's brackets are payload bytes, but the default O(1) Map
+  // checks them like the offsets': a corrupt first or last entry must
+  // fail it.
+  const FrozenShardFile::ShardInfo e = test::FrozenShardEntry(pristine_, 0);
+  const size_t first = static_cast<size_t>(e.directory_offset);
+  const size_t last = first + (KeyDirectorySize(e.keys_count) - 1) * 4;
+  const std::vector<FieldMutation> brackets = {
+      {first, 1, 4, "dir[0] one"},
+      {last, e.keys_count - 1, 4, "dir[last] short"},
+      {last, e.keys_count + 1, 4, "dir[last] long"},
+  };
+  for (const FieldMutation& m : brackets) {
+    std::string mutant = pristine_;
+    std::memcpy(mutant.data() + m.offset, &m.value, m.width);
+    WriteMutant(mutant);
+    auto mapped = FrozenShardFile::Map(mutant_path_);
+    EXPECT_TRUE(mapped.status().IsInvalidArgument())
+        << m.label << ": " << mapped.status().ToString();
   }
 }
 
@@ -283,7 +307,7 @@ TEST_F(FrozenShardFuzzTest, FieldCorruptionsWithRecomputedChecksum) {
     const char* label;
   };
   // (Deliberately absent: a "shrink num_shards with fixed-up checksum"
-  // mutation. That file is a structurally valid 1-shard SKF1 with
+  // mutation. That file is a structurally valid 1-shard SKF2 with
   // different *content* — adversarial rewriting, which checksums are
   // not meant to defeat; the corruption model covers it via the
   // unfixed-checksum variant in FieldTargetedCorruptions.)
@@ -296,8 +320,11 @@ TEST_F(FrozenShardFuzzTest, FieldCorruptionsWithRecomputedChecksum) {
        "keys_offset misaligned, checksummed"},
       {static_cast<size_t>(table_offset) + 8, ~0ULL / 8, 8,
        "keys_count huge, checksummed"},
-      {static_cast<size_t>(table_offset) + 24, 1, 8,
-       "offsets_count mismatched, checksummed"},
+      {static_cast<size_t>(table_offset) + 24, ~0ULL & ~63ULL, 8,
+       "directory_offset huge, checksummed"},
+      {static_cast<size_t>(table_offset) + 24,
+       static_cast<size_t>(table_offset) + 32, 8,
+       "directory_offset misaligned, checksummed"},
       {static_cast<size_t>(table_offset) + 40, ~0ULL / 4, 8,
        "ids_count huge, checksummed"},
       {static_cast<size_t>(table_offset) + 40, 3, 8,
@@ -347,11 +374,37 @@ TEST_F(FrozenShardFuzzTest, FieldCorruptionsWithRecomputedChecksum) {
     Status s = mapped.MapFrozen(mutant_path_, &data_, &dist_);
     EXPECT_TRUE(s.IsInvalidArgument()) << m.label << ": " << s.ToString();
   }
+
+  // An interior directory entry with the payload checksum recomputed:
+  // the default Map checks only the directory's brackets, so it cannot
+  // see the damage; verify_payload rebuilds the directory from the keys
+  // and must reject.
+  const FrozenShardFile::ShardInfo e = test::FrozenShardEntry(pristine_, 0);
+  ASSERT_GE(KeyDirectorySize(e.keys_count), 3u);
+  const size_t middle = static_cast<size_t>(
+      e.directory_offset + KeyDirectorySize(e.keys_count) / 2 * 4);
+  std::string mutant = pristine_;
+  uint32_t entry = 0;
+  std::memcpy(&entry, mutant.data() + middle, sizeof(entry));
+  entry = entry < e.keys_count ? entry + 1 : entry - 1;
+  std::memcpy(mutant.data() + middle, &entry, sizeof(entry));
+  test::RecomputeFrozenPayloadChecksum(&mutant, 0);
+  ASSERT_TRUE(test::RecomputeFrozenMetaChecksum(&mutant));
+  WriteMutant(mutant);
+  EXPECT_TRUE(FrozenShardFile::Map(mutant_path_).ok());
+  FrozenMapOptions verify;
+  verify.verify_payload = true;
+  auto verified = FrozenShardFile::Map(mutant_path_, verify);
+  EXPECT_TRUE(verified.status().IsInvalidArgument())
+      << verified.status().ToString();
+  EXPECT_NE(verified.status().message().find("directory"), std::string::npos)
+      << verified.status().ToString();
 }
 
 TEST_F(FrozenShardFuzzTest, EmptyAndTinyFiles) {
   ExpectCleanOutcome(std::string(), "empty file");
-  ExpectCleanOutcome(std::string("SKF1"), "magic only");
+  ExpectCleanOutcome(std::string("SKF1"), "retired magic only");
+  ExpectCleanOutcome(std::string("SKF2"), "magic only");
   ExpectCleanOutcome(std::string(63, '\0'), "one byte short of a header");
   ExpectCleanOutcome(std::string(64, '\0'), "zeroed header");
   ExpectCleanOutcome(pristine_.substr(0, 64), "header only");

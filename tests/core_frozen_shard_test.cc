@@ -1,4 +1,4 @@
-// Differential identity suite for the SKF1 frozen-shard path: a mapped
+// Differential identity suite for the SKF2 frozen-shard path: a mapped
 // index (MapFrozen) must answer every query byte-identically to the heap
 // index it was frozen from (and to a heap read of the same file,
 // FrozenMapOptions::force_heap), across dataset shapes, seeds, one shard
@@ -160,8 +160,8 @@ TEST_F(FrozenShardTest, MapMatchesHeapLoadAcrossShapesAndSeeds) {
       ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &shape.dist).ok());
       ASSERT_TRUE(mapped.built());
       ASSERT_NE(mapped.frozen_file(), nullptr);
-      EXPECT_TRUE(mapped.shard_table(0).is_view());
       // The view holds no posting heap of its own.
+      EXPECT_EQ(mapped.shard_table(0).MemoryBytes(), 0u);
       EXPECT_LT(mapped.MemoryBytes(), built.MemoryBytes() / 4 + 1024);
 
       ExpectIdenticalQueries(data, heap, mapped);
@@ -275,7 +275,7 @@ TEST_F(FrozenShardTest, ApiErrors) {
 
 // ---------------------------------------------------------------------
 // Round-trip goldens: the exact bytes of a freeze of a fixed build are
-// pinned under tests/golden/. A mismatch means the SKF1 format changed;
+// pinned under tests/golden/. A mismatch means the SKF2 format changed;
 // that must be deliberate (bump the format notes in FILE_FORMATS.md and
 // regenerate with SKEWSEARCH_REGEN_GOLDEN=1).
 
@@ -330,13 +330,13 @@ TEST_F(FrozenGoldenTest, SingleShardRoundTrip) {
   ASSERT_TRUE(built.Build(&data, &dist, Options(777)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
-  CheckGolden(frozen, "frozen_single_v1.skf");
+  CheckGolden(frozen, "frozen_single_v2.skf");
 
   // The committed golden itself must map and serve the same answers as
   // the fresh build (build -> freeze -> map round trip).
   ShardedIndex mapped;
   ASSERT_TRUE(
-      mapped.MapFrozen(GoldenDir() + "/frozen_single_v1.skf", &data, &dist)
+      mapped.MapFrozen(GoldenDir() + "/frozen_single_v2.skf", &data, &dist)
           .ok());
   ExpectIdenticalQueries(data, built, mapped);
 }
@@ -349,11 +349,11 @@ TEST_F(FrozenGoldenTest, ShardedRoundTrip) {
   ASSERT_TRUE(built.Build(&data, &dist, Options(777, 3)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
-  CheckGolden(frozen, "frozen_sharded_v1.skf");
+  CheckGolden(frozen, "frozen_sharded_v2.skf");
 
   ShardedIndex mapped;
   ASSERT_TRUE(mapped
-                  .MapFrozen(GoldenDir() + "/frozen_sharded_v1.skf", &data,
+                  .MapFrozen(GoldenDir() + "/frozen_sharded_v2.skf", &data,
                              &dist, Verified())
                   .ok());
   ExpectIdenticalQueries(data, built, mapped);

@@ -1,4 +1,4 @@
-// Persistence of a built index through its only file format, SKF1
+// Persistence of a built index through its only file format, SKF2
 // (ShardedIndex::Freeze / MapFrozen), at one shard: round trips, and
 // clean rejection of wrong datasets, foreign and damaged files. In the
 // test names "Save" means Freeze and "Load" means MapFrozen. The
@@ -251,21 +251,15 @@ TEST_F(IndexIoCorruptionTest, RejectsOutOfRangePostingIds) {
   // can't see this; only the id-range validation can.
   uint64_t table_offset = 0;
   std::memcpy(&table_offset, contents.data() + 48, sizeof(table_offset));
-  // Shard entry: keys, offsets and ids as (offset, count) pairs, then
-  // max_id and payload_checksum.
-  uint64_t entry[8];
-  std::memcpy(entry, contents.data() + table_offset, sizeof(entry));
-  ASSERT_GT(entry[5], 0u);
+  FrozenShardFile::ShardInfo entry = test::FrozenShardEntry(contents, 0);
+  ASSERT_GT(entry.ids_count, 0u);
   const VectorId bad_id = 0xfffffff0u;
-  std::memcpy(contents.data() + entry[4] + (entry[5] - 1) * sizeof(VectorId),
+  std::memcpy(contents.data() + entry.ids_offset +
+                  (entry.ids_count - 1) * sizeof(VectorId),
               &bad_id, sizeof(bad_id));
-  entry[6] = bad_id;
-  frozen_internal::Checksum64 payload;
-  payload.Update(contents.data() + entry[0], entry[1] * sizeof(uint64_t));
-  payload.Update(contents.data() + entry[2], entry[3] * sizeof(uint32_t));
-  payload.Update(contents.data() + entry[4], entry[5] * sizeof(VectorId));
-  entry[7] = payload.digest();
-  std::memcpy(contents.data() + table_offset, entry, sizeof(entry));
+  entry.max_id = bad_id;
+  std::memcpy(contents.data() + table_offset, &entry, sizeof(entry));
+  test::RecomputeFrozenPayloadChecksum(&contents, 0);
   ASSERT_TRUE(test::RecomputeFrozenMetaChecksum(&contents));
   WriteFile(contents);
   Status s = TryLoad();

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <map>
-#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/frozen_shard.h"
+#include "hashing/mix.h"
+#include "test_paths.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -61,26 +68,176 @@ TEST(FilterTableTest, DuplicatePairsKept) {
   EXPECT_EQ(table.Lookup(9).size(), 2u);
 }
 
-TEST(FilterTableTest, PropertyMatchesReferenceMultimap) {
+// ---------------------------------------------------------------------
+// The table-level differential: every way a frozen table comes to exist
+// (rows) over every key shape must answer like a std::multimap.
+
+using Pairs = std::vector<std::pair<uint64_t, VectorId>>;
+
+struct KeyShape {
+  const char* name;
+  Pairs pairs;
+};
+
+std::vector<KeyShape> KeyShapes() {
+  std::vector<KeyShape> shapes;
   Rng rng(11);
-  FilterTable table;
-  std::map<uint64_t, std::multiset<VectorId>> reference;
+  Pairs uniform;
   for (int i = 0; i < 5000; ++i) {
-    uint64_t key = rng.NextBounded(500);
-    VectorId id = static_cast<VectorId>(rng.NextBounded(100));
-    table.Add(key, id);
-    reference[key].insert(id);
+    uniform.emplace_back(Mix64(rng.NextBounded(3000)),
+                         static_cast<VectorId>(rng.NextBounded(100)));
   }
-  table.Freeze();
-  EXPECT_EQ(table.num_keys(), reference.size());
-  for (const auto& [key, ids] : reference) {
-    auto postings = table.Lookup(key);
-    std::multiset<VectorId> got(postings.begin(), postings.end());
-    EXPECT_EQ(got, ids) << "key " << key;
+  shapes.push_back({"uniform Mix64 keys", std::move(uniform)});
+  Pairs small;  // every key's top bits are zero: one bucket holds all
+  for (uint64_t k = 0; k < 1000; ++k) {
+    small.emplace_back(k, static_cast<VectorId>(k % 97));
   }
-  // Absent keys.
-  for (uint64_t key = 500; key < 600; ++key) {
-    EXPECT_TRUE(table.Lookup(key).empty());
+  shapes.push_back({"keys 0..999", std::move(small)});
+  shapes.push_back({"0 and UINT64_MAX", {{0, 1}, {UINT64_MAX, 2}, {0, 3}}});
+  shapes.push_back({"duplicate pairs",
+                    {{Mix64(1), 4}, {Mix64(1), 4}, {Mix64(2), 5},
+                     {Mix64(2), 6}, {Mix64(2), 5}}});
+  shapes.push_back({"empty", {}});
+  shapes.push_back({"single key", {{Mix64(9), 7}}});
+  return shapes;
+}
+
+/// A table's posting list for \p key, per the multimap: ids ascending.
+std::vector<VectorId> Expected(const std::multimap<uint64_t, VectorId>& ref,
+                               uint64_t key) {
+  std::vector<VectorId> ids;
+  auto [first, last] = ref.equal_range(key);
+  for (auto it = first; it != last; ++it) ids.push_back(it->second);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void ExpectMatchesReference(const FilterTable& table,
+                            const std::multimap<uint64_t, VectorId>& ref) {
+  ASSERT_TRUE(table.frozen());
+  EXPECT_EQ(table.num_pairs(), ref.size());
+
+  // The positional walk: ascending distinct keys, each with its ids.
+  std::vector<uint64_t> keys;
+  for (auto it = ref.begin(); it != ref.end();
+       it = ref.upper_bound(it->first)) {
+    keys.push_back(it->first);
+  }
+  ASSERT_EQ(table.num_keys(), keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    ASSERT_EQ(table.key_at(k), keys[k]) << "position " << k;
+    auto postings = table.postings_at(k);
+    EXPECT_EQ(std::vector<VectorId>(postings.begin(), postings.end()),
+              Expected(ref, keys[k]))
+        << "position " << k;
+  }
+
+  // The directory: entry i is the first key whose top b bits are >= i.
+  const int bits = KeyDirectoryBits(keys.size());
+  auto directory = table.directory_span();
+  ASSERT_EQ(directory.size(), KeyDirectorySize(keys.size()));
+  for (size_t i = 0; i < directory.size(); ++i) {
+    const auto first = std::partition_point(
+        keys.begin(), keys.end(),
+        [&](uint64_t key) { return KeyBucket(key, bits) < i; });
+    EXPECT_EQ(directory[i], static_cast<size_t>(first - keys.begin()))
+        << "directory entry " << i;
+  }
+
+  // Lookups: every present key, its absent neighbours, a key in every
+  // empty bucket, and both ends of the key space.
+  std::vector<uint64_t> probes = {0, UINT64_MAX};
+  for (uint64_t key : keys) {
+    probes.insert(probes.end(), {key, key - 1, key + 1});
+  }
+  for (size_t i = 0; i + 1 < directory.size(); ++i) {
+    if (bits > 0 && directory[i] == directory[i + 1]) {
+      probes.push_back((uint64_t{i} << (64 - bits)) + 12345);
+    }
+  }
+  for (uint64_t probe : probes) {
+    auto postings = table.Lookup(probe);
+    EXPECT_EQ(std::vector<VectorId>(postings.begin(), postings.end()),
+              Expected(ref, probe))
+        << "lookup " << probe;
+  }
+}
+
+class FilterTableSources {
+ public:
+  explicit FilterTableSources(const void* self)
+      : path_(test::TempPath("filter_table", self, ".skf")) {}
+  ~FilterTableSources() { std::remove(path_.c_str()); }
+
+  /// The rows: \p built (a Freeze()d table) reached another way.
+  std::vector<std::pair<std::string, FilterTable>> Rows(
+      const FilterTable& built) {
+    std::vector<std::pair<std::string, FilterTable>> rows;
+    rows.emplace_back("Freeze", built);
+
+    std::stringstream buffer;
+    EXPECT_TRUE(built.WriteTo(&buffer).ok());
+    const std::string streamed = buffer.str();
+    FilterTable read;
+    EXPECT_TRUE(read.ReadFrom(&buffer).ok());
+    rows.emplace_back("WriteTo + ReadFrom", read);
+
+    rows.emplace_back("mapped", View(built, {}));
+    FrozenMapOptions heap;
+    heap.force_heap = true;
+    heap.verify_payload = true;
+    rows.emplace_back("force_heap", View(built, heap));
+
+    FilterTable copy;
+    {
+      FilterTable source;  // the only owner of its arrays
+      std::stringstream again(streamed);
+      EXPECT_TRUE(source.ReadFrom(&again).ok());
+      copy = source;
+    }
+    rows.emplace_back("copy of a dropped heap table", copy);
+    {
+      FilterTable view = View(built, {});
+      copy = view;
+    }
+    std::remove(path_.c_str());  // the mapping outlives the file's name
+    rows.emplace_back("copy of a dropped view", copy);
+    return rows;
+  }
+
+ private:
+  /// Writes \p built as a one-shard frozen file and returns a view of it
+  /// whose FrozenShardFile handle is already dropped.
+  FilterTable View(const FilterTable& built, const FrozenMapOptions& options) {
+    const FilterTable* shards[] = {&built};
+    EXPECT_TRUE(WriteFrozenShards(path_, SkewedIndexOptions{}, 0.5,
+                                  IndexBuildStats{}, 0, shards)
+                    .ok());
+    auto file = FrozenShardFile::Map(path_, options);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    if (!file.ok()) return FilterTable();
+    Result<FilterTable> view = (*file)->MakeShardView(0);
+    EXPECT_TRUE(view.ok());
+    return view.ok() ? std::move(view).value() : FilterTable();
+  }
+
+  std::string path_;
+};
+
+TEST(FilterTableTest, PropertyMatchesReferenceMultimap) {
+  FilterTableSources sources(this);
+  for (const KeyShape& shape : KeyShapes()) {
+    std::multimap<uint64_t, VectorId> reference;
+    FilterTable built;
+    for (const auto& [key, id] : shape.pairs) {
+      built.Add(key, id);
+      reference.emplace(key, id);
+    }
+    built.Freeze();
+    for (const auto& [row, table] : sources.Rows(built)) {
+      SCOPED_TRACE(std::string(shape.name) + " / " + row);
+      ExpectMatchesReference(table, reference);
+    }
   }
 }
 
@@ -206,6 +363,26 @@ TEST(FilterTableTest, SerializationRejectsCorruption) {
   // Null stream argument.
   EXPECT_TRUE(loaded.ReadFrom(nullptr).IsInvalidArgument());
   EXPECT_TRUE(table.WriteTo(nullptr).IsInvalidArgument());
+
+  // Offsets that overrun the ids: keys {10, 20}, offsets [0, 1, 3] and 3
+  // ids, with offsets[1] patched to 7. Only the last adjacent pair,
+  // offsets[1] > offsets[2], shows it.
+  FilterTable two;
+  two.Add(10, 1);
+  two.Add(20, 2);
+  two.Add(20, 3);
+  two.Freeze();
+  std::stringstream two_buffer;
+  ASSERT_TRUE(two.WriteTo(&two_buffer).ok());
+  std::string overrun = two_buffer.str();
+  const size_t offset1 = 8 + 2 * sizeof(uint64_t) + 8 + sizeof(uint32_t);
+  uint32_t patched = 0;
+  std::memcpy(&patched, overrun.data() + offset1, sizeof(patched));
+  ASSERT_EQ(patched, 1u);
+  patched = 7;
+  std::memcpy(overrun.data() + offset1, &patched, sizeof(patched));
+  std::stringstream overrun_stream(overrun);
+  EXPECT_TRUE(loaded.ReadFrom(&overrun_stream).IsInvalidArgument());
 }
 
 TEST(FilterTableTest, EmptyTableSerializationRoundTrip) {

@@ -1,5 +1,5 @@
 // Frozen-shard serving tests: a DistributedJoin built from a mapped
-// SKF1 file (zero posting-table rebuild, broadcast routing over the
+// SKF2 file (zero posting-table rebuild, broadcast routing over the
 // id-partitioned shards) must produce output byte-identical to the
 // single-process join — in-process and over the wire, where workers
 // pre-map the file and the coordinator ships only a tiny
@@ -66,7 +66,7 @@ void ExpectIdentical(const std::vector<JoinPair>& expected,
   }
 }
 
-/// Freezes the build side of \p options over \p data into an SKF1 file
+/// Freezes the build side of \p options over \p data into an SKF2 file
 /// at \p path, partitioned into \p shards id-shards.
 void FreezeBuildSide(const Dataset& data, const ProductDistribution& dist,
                      const JoinOptions& options, int shards,

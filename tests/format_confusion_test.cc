@@ -1,7 +1,7 @@
 // Cross-format confusion: every persisted artifact has its own magic
 // (docs/FILE_FORMATS.md, "Magic registry"), so every loader must reject
 // every other artifact with a clean non-OK Status — never crash, never
-// half-load. The artifacts are the SKS1 binary dataset, the SKF1 frozen
+// half-load. The artifacts are the SKS1 binary dataset, the SKF2 frozen
 // static index, the SKD2 online index, the SKW1 write-ahead log and an
 // SKWJ wire frame; the loaders are ReadBinary, ShardedIndex::MapFrozen,
 // DynamicIndex::Load, ReadWal and wire::DecodeFrameHeader.
@@ -26,7 +26,7 @@
 namespace skewsearch {
 namespace {
 
-const char* const kMagics[] = {"SKS1", "SKF1", "SKD2", "SKW1", "SKWJ"};
+const char* const kMagics[] = {"SKS1", "SKF2", "SKD2", "SKW1", "SKWJ"};
 
 class FormatConfusionTest : public ::testing::Test {
  protected:
@@ -44,7 +44,7 @@ class FormatConfusionTest : public ::testing::Test {
 
     ShardedIndex sharded;
     ASSERT_TRUE(sharded.Build(&data_, &dist_, {index, 2}).ok());
-    ASSERT_TRUE(sharded.Freeze(Path("SKF1")).ok());
+    ASSERT_TRUE(sharded.Freeze(Path("SKF2")).ok());
 
     DynamicIndex dynamic;
     ASSERT_TRUE(dynamic.Build(&data_, &dist_, {index, 2}).ok());
@@ -71,7 +71,7 @@ class FormatConfusionTest : public ::testing::Test {
   /// Reads \p path with the loader of the \p magic artifact.
   Status Load(const std::string& magic, const std::string& path) const {
     if (magic == "SKS1") return ReadBinary(path).status();
-    if (magic == "SKF1") {
+    if (magic == "SKF2") {
       ShardedIndex index;
       return index.MapFrozen(path, &data_, &dist_);
     }
@@ -109,6 +109,29 @@ TEST_F(FormatConfusionTest, EveryLoaderRejectsEveryOtherArtifact) {
       if (std::string(loader) == artifact) continue;
       EXPECT_FALSE(Load(loader, Path(artifact)).ok())
           << loader << " loader accepted an " << artifact << " artifact";
+    }
+  }
+}
+
+TEST_F(FormatConfusionTest, EveryLoaderRejectsRetiredFrozenFiles) {
+  // SKF1 (frozen shards without a key directory) is retired. Its
+  // committed goldens must be rejected by every loader; MapFrozen, given
+  // the dataset they were built over, must reject them by their magic.
+  const auto dist = TwoBlockProbabilities(90, 0.2, 2500, 0.01).value();
+  Rng rng(12345);
+  const Dataset golden_data = GenerateDataset(dist, 140, &rng);
+  for (const char* golden : {"frozen_single_v1.skf", "frozen_sharded_v1.skf"}) {
+    SCOPED_TRACE(golden);
+    const std::string path =
+        std::string(SKEWSEARCH_TEST_DIR) + "/golden/" + golden;
+    ShardedIndex index;
+    const Status s = index.MapFrozen(path, &golden_data, &dist);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("is not a frozen shard file"),
+              std::string::npos)
+        << s.ToString();
+    for (const char* loader : kMagics) {
+      EXPECT_FALSE(Load(loader, path).ok()) << loader << " loader";
     }
   }
 }

@@ -220,9 +220,9 @@ if [ "$w3_status" -ne 3 ]; then
   exit 1
 fi
 
-echo "--- round 3: frozen-shard workers (SKF1 pre-mapped, zero-copy serve)"
+echo "--- round 3: frozen-shard workers (SKF2 pre-mapped, zero-copy serve)"
 # Freeze the same dataset with the same index parameters (b1 0.6, seed
-# default) into a 2-shard SKF1 file, start two fresh workers that
+# default) into a 2-shard SKF2 file, start two fresh workers that
 # pre-map it via --shard-file, and run the self-join against them with
 # --frozen: the coordinator ships only tiny ShardAssignment frames (no
 # posting payload crosses the wire) yet the dumped pairs must still be
@@ -233,7 +233,7 @@ start_worker "$TMP/worker5.log" --shard-file "$TMP/data.skf" --data "$TMP/data.t
 PORT4="$(grep -o 'port [0-9]*' "$TMP/worker4.log" | cut -d' ' -f2)"
 PORT5="$(grep -o 'port [0-9]*' "$TMP/worker5.log" | cut -d' ' -f2)"
 if ! grep -q 'mapped 2 frozen shard(s)' "$TMP/worker4.log"; then
-  echo "FAIL: frozen worker did not report mapping the SKF1 file" >&2
+  echo "FAIL: frozen worker did not report mapping the SKF2 file" >&2
   cat "$TMP/worker4.log" >&2
   exit 1
 fi

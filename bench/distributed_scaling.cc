@@ -24,8 +24,9 @@
 // same frames, fewer synchronous waits.
 //
 // With --json FILE the headline counts (pairs, exposed trips per
-// variant, bytes shipped/on-wire, probe keys and route-phase kernel
-// draws) are written as a bench JSON document
+// variant, bytes shipped/on-wire, probe keys, route-phase kernel draws,
+// and the serve work: candidates, verifications and probe fan-out) are
+// written as a bench JSON document
 // for tools/bench_compare.py; they are deterministic for a fixed seed,
 // so CI gates them against BENCH_baseline.json.
 //
@@ -357,6 +358,9 @@ int Run(int argc, char** argv) {
       size_t batches_sent = 0;
       size_t probe_keys = 0;
       size_t route_draws = 0;
+      size_t candidates = 0;
+      size_t verifications = 0;
+      double probe_fanout = 0.0;
       uint64_t ship_kb = 0;
       double best_seconds = 1e9;
       size_t pairs = 0;
@@ -405,6 +409,9 @@ int Run(int argc, char** argv) {
           run.batches_sent = stats.probe_batches_sent;
           run.probe_keys = stats.probe_keys;
           run.route_draws = stats.route_draws;
+          run.candidates = stats.candidates;
+          run.verifications = stats.verifications;
+          run.probe_fanout = stats.probe_fanout;
           run.pairs = pairs->size();
           run.identical = SamePairs(*baseline, *pairs);
         }
@@ -458,6 +465,18 @@ int Run(int argc, char** argv) {
                     /*stable=*/true, "keys");
     reporter.Metric("route_draws", static_cast<double>(last[0].route_draws),
                     /*stable=*/true, "draws");
+    // The serve work the route hands the workers: posting entries
+    // scanned, similarity computations, and the average workers a probe
+    // contacts. A self-join ships a key only to owners whose slice holds
+    // an id above the probe, and every such id is still verified, so
+    // verifications must not move when the route ships fewer keys.
+    reporter.Metric("candidates", static_cast<double>(last[0].candidates),
+                    /*stable=*/true, "entries");
+    reporter.Metric("verifications",
+                    static_cast<double>(last[0].verifications),
+                    /*stable=*/true, "verifications");
+    reporter.Metric("probe_fanout", last[0].probe_fanout, /*stable=*/true,
+                    "workers");
     reporter.Metric("pairs_per_sec_pipelined",
                     static_cast<double>(last[0].pairs) /
                         std::max(1e-9, last[0].best_seconds),

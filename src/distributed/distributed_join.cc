@@ -115,24 +115,39 @@ RoutedProbes RouteThroughKernel(const Dataset& left,
 /// so every probe's keys already sit in the build's posting slices.
 /// Inverting the slices replaces the filter kernel. The slices are a
 /// disjoint cover of the monolithic table, and Freeze keeps duplicate
-/// (key, id) pairs, so each (probe, owner) request gets exactly the key
-/// multiset RouteThroughKernel sends it. Only the order differs: slice
-/// order (worker by worker, ascending key within each slice) instead of
-/// repetition-major. One pass over the postings counts each request's
-/// keys; a second fills them into exactly sized vectors.
+/// (key, id) pairs, so each probe x finds all of F(x) there.
+///
+/// A self-join worker verifies only ids above the probe, so key k of
+/// probe x goes to owner o only when o's slice of k holds an id above x:
+/// any other key would only make o scan a list and skip every entry.
+/// Each id above x that a key reaches is still reached by a kept key, in
+/// the same first-seen order, so the pairs and verifications do not
+/// move. Postings ascend within a key, so the probes a slice can still
+/// pair with are a prefix of the holder's postings: those below the
+/// slice's last id. A light key's one owner is its holder; every other
+/// owner costs one lookup. Keys go out in slice order (worker by worker,
+/// ascending key within each slice). One pass over the postings counts
+/// each request's keys; a second fills them into exactly sized vectors.
 RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
                              const std::vector<JoinWorker>& workers) {
   const size_t worker_count = workers.size();
   std::vector<int> owners;
   auto for_each_routed_posting = [&](auto&& visit) {
-    for (const JoinWorker& worker : workers) {
-      const FilterTable& table = worker.table();
+    for (size_t holder = 0; holder < worker_count; ++holder) {
+      const FilterTable& table = workers[holder].table();
       for (size_t k = 0; k < table.num_keys(); ++k) {
         const uint64_t key = table.key_at(k);
+        const std::span<const VectorId> postings = table.postings_at(k);
         owners.clear();
         plan.RouteKey(key, &owners);
-        for (VectorId id : table.postings_at(k)) {
-          for (int owner : owners) visit(key, id, static_cast<size_t>(owner));
+        for (int owner : owners) {
+          const size_t o = static_cast<size_t>(owner);
+          const std::span<const VectorId> slice =
+              o == holder ? postings : workers[o].table().Lookup(key);
+          if (slice.empty()) continue;
+          const auto end =
+              std::lower_bound(postings.begin(), postings.end(), slice.back());
+          for (auto id = postings.begin(); id != end; ++id) visit(key, *id, o);
         }
       }
     }
@@ -167,6 +182,31 @@ RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
     *cursor[id * worker_count + owner]++ = key;
   });
   return routed;
+}
+
+/// Checks a remote worker's answer against the join contract: every
+/// match names one of the \p build_size build vectors, and a self-join's
+/// lies above the probe. The merge emits whatever passes, so a match
+/// outside the contract would put a pair into the output that the
+/// single-process join never emits, or an id no dataset holds.
+Status CheckMatches(const ProbeRequest& request, const ProbeResponse& response,
+                    size_t build_size, size_t worker) {
+  for (const Match& match : response.matches) {
+    const char* broken = nullptr;
+    if (match.id >= build_size) {
+      broken = "beyond the build side";
+    } else if (request.exclude_left_and_below && match.id <= request.left) {
+      broken = "not above the probe in a self-join";
+    }
+    if (broken != nullptr) {
+      return Status::IOError(
+          "worker " + std::to_string(worker) + " answered probe " +
+          std::to_string(request.left) + " with id " +
+          std::to_string(match.id) + ", " + broken + " (" +
+          std::to_string(build_size) + " build vectors)");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -521,7 +561,9 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   // request on, keeping up to `window` batches in flight.
   // ReceiveResponses validates arrival order, so responses[w] is always
   // the answered prefix of queues[w] — which is where a recovery replay
-  // on a survivor resumes, through this same drain.
+  // on a survivor resumes, through this same drain. A response whose
+  // matches break the join contract fails the session like a lost
+  // connection, so recovery replays it on a survivor.
   auto serve_worker_queue = [&](RemoteWorkerSession& session,
                                 size_t w) -> Status {
     Timer timer;
@@ -548,6 +590,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
           session.ReceiveResponses();
       if (!answered.ok()) return answered.status();
       for (ProbeResponse& response : *answered) {
+        SKEWSEARCH_RETURN_NOT_OK(
+            CheckMatches(queue[out.size()], response, data_->size(), w));
         out.push_back(std::move(response));
       }
     }

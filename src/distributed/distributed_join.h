@@ -10,9 +10,11 @@
 // the ProbeResponses — deduplicating pairs that surfaced on more than
 // one worker. Filter keys are a pure function of seed x repetition x
 // vector, so a self-join reads each probe's keys back from the posting
-// slices the build already made, in slice order; an R-S join's probes
-// are not in the table, and the filter kernel computes their keys once
-// each.
+// slices the build already made, in slice order, and ships a key to an
+// owner only when that owner's slice of it holds an id above the probe
+// (a self-join keeps only pairs i < j, so no other key can pair). An
+// R-S join's probes are not in the table: the filter kernel computes
+// their keys once each, and every key goes to each of its owners.
 //
 // Output contract: the emitted pair list is byte-identical to the
 // single-process SimilarityJoin/SelfSimilarityJoin for every worker
@@ -112,10 +114,13 @@ struct DistributedJoinStats {
   /// Sum over workers of distinct build vectors referenced, over n: the
   /// data shipped to workers relative to one copy of the dataset.
   double duplication_factor = 1.0;
-  /// Average number of workers a probe contacts.
+  /// Average number of workers a probe contacts: requests over probes
+  /// with at least one item. A self-join sends no request where no key
+  /// can pair, so its fan-out can fall below 1.
   double probe_fanout = 0.0;
   /// Filter keys shipped over every ProbeRequest; a key routed to k
-  /// owners counts k times.
+  /// owners counts k times. A self-join ships only keys whose owner's
+  /// slice holds an id above the probe.
   size_t probe_keys = 0;
   /// PathGenStats::draws of the route phase's filter-kernel calls: 0
   /// for SelfJoin, which reads its probes' keys back from the slices.
@@ -170,10 +175,12 @@ class DistributedJoin {
   /// restores the filter family from its parameter block, and serves
   /// each shard through a zero-copy JoinWorker view — no posting table
   /// is ever rebuilt. Frozen shards partition the *id* space (ShardOf),
-  /// not the key space, so the routing plan broadcasts every probe's
-  /// keys to every worker; the per-shard candidate sets are disjoint
-  /// and their union is exactly the monolithic candidate set, which
-  /// keeps Join()/SelfJoin() byte-identical to the Build() path. The
+  /// not the key space, so the routing plan offers every key to every
+  /// worker: Join() broadcasts each probe's keys, and SelfJoin() sends a
+  /// key only to the shards whose slice of it holds an id above the
+  /// probe. The per-shard candidate sets are disjoint and their union is
+  /// exactly the monolithic candidate set, which keeps Join()/SelfJoin()
+  /// byte-identical to the Build() path. The
   /// worker count is the file's shard count (`options.workers` is
   /// ignored); `options.index` is replaced by the file's parameters.
   Status BuildFromFrozen(const Dataset* data,
@@ -194,6 +201,10 @@ class DistributedJoin {
   /// Self join over the build side: all pairs (i < j) with similarity >=
   /// the threshold. Byte-identical to SelfSimilarityJoin. Runs no
   /// filter kernel: each probe's keys are its postings in the slices.
+  /// Probe i sends key k to owner o only when o's slice of k holds an
+  /// id above i. A key left out could yield only ids the worker skips,
+  /// so the verifications and the pairs are those of sending every key,
+  /// and a probe with no larger neighbour sends nothing.
   Result<std::vector<JoinPair>> SelfJoin(
       DistributedJoinStats* stats = nullptr) const;
 
@@ -217,8 +228,10 @@ class DistributedJoin {
   /// deterministic plan), re-ships them to a surviving session, drains
   /// the unacknowledged suffix of the lost queue there through the same
   /// pipelined drain, and still completes with byte-identical output. A
-  /// mapped shard is not re-shippable state, so a frozen join whose
-  /// session dies fails cleanly instead.
+  /// response with a match outside the join contract (an id beyond the
+  /// build side, or one not above the probe in a self-join) fails its
+  /// session the same way. A mapped shard is not re-shippable state, so
+  /// a frozen join whose session dies fails cleanly instead.
   Status AttachRemote(
       std::vector<std::unique_ptr<FrameConnection>> connections);
 

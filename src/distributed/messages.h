@@ -37,13 +37,15 @@ struct ProbeRequest {
   /// so each unordered pair is reported once and self-matches never.
   bool exclude_left_and_below = false;
 
-  /// The filter keys of F(left) this worker owns under the plan. A
-  /// self-join reads them back from the build's posting slices, in slice
-  /// order (the holding worker's slices in turn, ascending key within
-  /// each); an R-S join computes them with the filter kernel, in
-  /// repetition-major order. Either way it is the same multiset. May
-  /// contain repeats when distinct repetitions emit the same key; the
-  /// worker dedups candidates, so repeats are harmless.
+  /// The filter keys of F(left) this worker owns under the plan. An R-S
+  /// join computes them with the filter kernel and sends all of them, in
+  /// repetition-major order. A self-join reads them back from the
+  /// build's posting slices, in slice order (the holding worker's slices
+  /// in turn, ascending key within each), and sends only the keys whose
+  /// slice on this worker holds an id above `left`: the others could
+  /// only yield entries the worker skips. May contain repeats when the
+  /// table holds a (key, id) pair twice; the worker dedups candidates,
+  /// so repeats are harmless.
   std::vector<uint64_t> keys;
 };
 

@@ -7,11 +7,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/frozen_shard.h"
+#include "core/index_io.h"
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
 #include "data/generators.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/transport.h"
+#include "reference_route.h"
 #include "sim/measures.h"
 #include "test_paths.h"
 #include "util/random.h"
@@ -269,10 +272,28 @@ TEST(DistributedJoinTest, JoinOptionsWorkersRouteThroughBackend) {
   auto got = SelfSimilarityJoin(data, dist, via_backend, &stats);
   ASSERT_TRUE(got.ok());
   ExpectIdentical(*expected, *got);
+
+  // The backend reports exactly what a coordinator built from the same
+  // options reports.
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist, DistributedFrom(options, 3)).ok());
+  DistributedJoinStats direct;
+  ASSERT_TRUE(join.SelfJoin(&direct).ok());
+  EXPECT_EQ(stats.pairs, direct.pairs);
+  EXPECT_EQ(stats.candidates, direct.candidates);
+  EXPECT_EQ(stats.verifications, direct.verifications);
+  EXPECT_EQ(stats.workers, direct.workers.size());
+  EXPECT_EQ(stats.duplication_factor, direct.duplication_factor);
+  EXPECT_EQ(stats.probe_fanout, direct.probe_fanout);
+  EXPECT_EQ(stats.wire_bytes_sent, direct.wire_bytes_sent);
+  EXPECT_EQ(stats.wire_bytes_received, direct.wire_bytes_received);
+  EXPECT_EQ(stats.probe_round_trips, direct.probe_round_trips);
+  EXPECT_EQ(stats.probe_batches_sent, direct.probe_batches_sent);
+  EXPECT_EQ(stats.worker_recoveries, direct.worker_recoveries);
+  EXPECT_EQ(stats.replayed_batches, direct.replayed_batches);
   EXPECT_EQ(stats.pairs, got->size());
   EXPECT_EQ(stats.workers, 3u);
   EXPECT_GE(stats.duplication_factor, 1.0);
-  EXPECT_GE(stats.probe_fanout, 1.0);
 }
 
 TEST(DistributedJoinTest, WorkersIncompatibleWithOnline) {
@@ -356,40 +377,50 @@ TEST(DistributedJoinTest, WorkerLoadsAccountForEveryEntry) {
   }
 }
 
-/// SelfJoin() routes from the posting slices, Join() through the filter
-/// kernel. On one coordinator, with Join() probing the build side, the
-/// two must ship the same keys to the same workers: equal work counters,
-/// no kernel draws for the self-join, and Join()'s pairs with left <
-/// right equal to SelfJoin()'s.
-void ExpectSelfJoinRoutesKernelKeys(const DistributedJoin& join,
-                                    const Dataset& data) {
-  DistributedJoinStats self_stats;
-  DistributedJoinStats rs_stats;
-  auto self = join.SelfJoin(&self_stats);
-  auto rs = join.Join(data, &rs_stats);
-  ASSERT_TRUE(self.ok());
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(self_stats.candidates, rs_stats.candidates);
-  EXPECT_EQ(self_stats.probe_fanout, rs_stats.probe_fanout);
-  EXPECT_EQ(self_stats.probe_keys, rs_stats.probe_keys);
-  EXPECT_GT(self_stats.probe_keys, 0u);
-  EXPECT_EQ(self_stats.route_draws, 0u);
-  EXPECT_GT(rs_stats.route_draws, 0u);
-  EXPECT_EQ(self_stats.wire_bytes_sent, rs_stats.wire_bytes_sent);
-  EXPECT_EQ(self_stats.probe_batches_sent, rs_stats.probe_batches_sent);
-  ASSERT_EQ(self_stats.workers.size(), rs_stats.workers.size());
-  for (size_t w = 0; w < self_stats.workers.size(); ++w) {
-    SCOPED_TRACE("worker " + std::to_string(w));
-    EXPECT_EQ(self_stats.workers[w].probes, rs_stats.workers[w].probes);
-    EXPECT_EQ(self_stats.workers[w].candidates,
-              rs_stats.workers[w].candidates);
+/// SelfJoin() routes from the posting slices and ships a key to an owner
+/// only when the owner's slice holds an id above the probe. Runs it on
+/// \p join, whose build side is \p data, and checks its work counters
+/// against the reference router (tests/reference_route.h), which derives
+/// the kept keys from the filter kernel instead: equal keys, fan-out and
+/// per-worker probes and candidates, verifications equal to the unpruned
+/// route's, no kernel draws, and Join()'s pairs with left < right.
+/// Returns the self-join's stats.
+DistributedJoinStats CheckSelfJoinAgainstReferenceRoute(
+    const DistributedJoin& join, const Dataset& data) {
+  const test::ReferenceRoute reference = test::RouteByReference(join, data);
+  EXPECT_GT(reference.unpruned_keys, 0u) << "the row needs kernel keys";
+  DistributedJoinStats stats;
+  auto self = join.SelfJoin(&stats);
+  auto rs = join.Join(data);
+  if (!self.ok() || !rs.ok()) {
+    ADD_FAILURE() << self.status().ToString() << " / "
+                  << rs.status().ToString();
+    return stats;
   }
+  EXPECT_EQ(stats.probe_keys, reference.keys);
+  EXPECT_EQ(stats.probe_fanout, reference.fanout());
+  EXPECT_EQ(stats.route_draws, 0u);
+  if (stats.workers.size() != reference.workers.size()) {
+    ADD_FAILURE() << stats.workers.size() << " worker loads, "
+                  << reference.workers.size() << " workers";
+    return stats;
+  }
+  size_t verifications = 0;
+  for (size_t w = 0; w < reference.workers.size(); ++w) {
+    SCOPED_TRACE("worker " + std::to_string(w));
+    EXPECT_EQ(stats.workers[w].probes, reference.workers[w].probes);
+    EXPECT_EQ(stats.workers[w].candidates, reference.workers[w].candidates);
+    EXPECT_EQ(stats.workers[w].verifications,
+              reference.workers[w].verifications);
+    verifications += reference.workers[w].verifications;
+  }
+  EXPECT_EQ(stats.verifications, verifications);
   std::vector<JoinPair> upper;
   for (const JoinPair& pair : *rs) {
     if (pair.left < pair.right) upper.push_back(pair);
   }
-  ASSERT_FALSE(self->empty()) << "the rows need a non-trivial output";
   ExpectIdentical(upper, *self);
+  return stats;
 }
 
 /// One loopback worker thread; joined on destruction, after the
@@ -407,7 +438,7 @@ struct HostedWorker {
   WorkerServeStats stats;
 };
 
-TEST(DistributedJoinTest, SelfJoinRoutesTheKeysJoinComputes) {
+TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(91, 120, &dist);
   const JoinOptions options = AdversarialJoinOptions(0.8, 91);
@@ -422,7 +453,7 @@ TEST(DistributedJoinTest, SelfJoinRoutesTheKeysJoinComputes) {
       distributed.heavy_threshold = heavy_threshold;
       DistributedJoin join;
       ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-      ExpectSelfJoinRoutesKernelKeys(join, data);
+      EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
     }
   }
 
@@ -443,7 +474,7 @@ TEST(DistributedJoinTest, SelfJoinRoutesTheKeysJoinComputes) {
     std::remove(path.c_str());
     ASSERT_TRUE(built.ok());
     ASSERT_EQ(join.num_workers(), 3);
-    ExpectSelfJoinRoutesKernelKeys(join, data);
+    EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
   }
 
   {
@@ -464,11 +495,11 @@ TEST(DistributedJoinTest, SelfJoinRoutesTheKeysJoinComputes) {
       capped_reps += capped;
     }
     ASSERT_GT(capped_reps, 0u);
-    ExpectSelfJoinRoutesKernelKeys(join, data);
+    EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
   }
 
   {
-    // Loopback workers: the same requests make the same frames.
+    // Loopback workers answer the pruned requests as in-process ones do.
     SCOPED_TRACE("loopback");
     DistributedJoinOptions distributed = DistributedFrom(options, 2);
     distributed.probe_batch = 16;
@@ -487,13 +518,125 @@ TEST(DistributedJoinTest, SelfJoinRoutesTheKeysJoinComputes) {
       hosts.push_back(std::move(host));
     }
     ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
-    ExpectSelfJoinRoutesKernelKeys(join, data);
+    EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
     join.DetachRemote();
     for (auto& host : hosts) {
       host->thread.join();
       EXPECT_TRUE(host->status.ok()) << host->status.ToString();
     }
   }
+}
+
+TEST(DistributedJoinTest, SelfJoinPrunesPerSliceOfAHeavyKey) {
+  // Nine copies of one vector of rare items, at the end of the id range:
+  // its keys hold the copies, and a heavy threshold of 3 cuts each into
+  // three slices of three on three workers. A copy in the first slice
+  // can still pair in every slice, one in the middle slice only in the
+  // middle and last, and the last copy nowhere.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(92, 60, &dist);
+  const VectorId first_copy = static_cast<VectorId>(data.size());
+  const SparseVector rare = SparseVector::Of({1990, 1992, 1994, 1996, 1998});
+  for (int copy = 0; copy < 9; ++copy) data.Add(rare);
+  ASSERT_TRUE(data.SetDimension(2000).ok());
+  const JoinOptions options = AdversarialJoinOptions(0.8, 92);
+  DistributedJoinOptions distributed = DistributedFrom(options, 3);
+  distributed.heavy_threshold = 3;
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
+
+  size_t straddling_keys = 0;
+  std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
+  std::vector<int> owners;
+  join.family().ComputeAllFilters(rare.span(), &keys, &offsets);
+  for (uint64_t key : keys) {
+    owners.clear();
+    join.plan().RouteKey(key, &owners);
+    if (owners.size() != 3) continue;
+    bool copies_in_order = true;
+    for (size_t j = 0; j < 3; ++j) {
+      const auto slice = join.worker(owners[j]).table().Lookup(key);
+      const VectorId begin = first_copy + static_cast<VectorId>(3 * j);
+      copies_in_order = copies_in_order && slice.size() == 3 &&
+                        slice.front() == begin && slice.back() == begin + 2;
+    }
+    if (copies_in_order) straddling_keys++;
+  }
+  ASSERT_GT(straddling_keys, 0u) << "the row needs a key sliced 3 ways";
+  EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+}
+
+TEST(DistributedJoinTest, SelfJoinRoutesAroundADuplicateAtAListsEnd) {
+  // Freeze keeps duplicate (key, id) pairs. Write a frozen file whose
+  // lists end in their largest id twice: that probe must ship the key to
+  // no owner, and every probe below it exactly once.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(93, 120, &dist);
+  const JoinOptions options = AdversarialJoinOptions(0.8, 93);
+  ShardedIndexOptions sharded;
+  sharded.index = options.index;
+  sharded.num_shards = 2;
+  ShardedIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist, sharded).ok());
+  std::vector<FilterTable> tables(2);
+  size_t duplicated = 0;
+  for (int s = 0; s < 2; ++s) {
+    const FilterTable& shard = index.shard_table(s);
+    const FilterTable& other = index.shard_table(1 - s);
+    FilterTable& table = tables[static_cast<size_t>(s)];
+    for (size_t k = 0; k < shard.num_keys(); ++k) {
+      const uint64_t key = shard.key_at(k);
+      const auto postings = shard.postings_at(k);
+      for (VectorId id : postings) table.Add(key, id);
+      const auto rest = other.Lookup(key);
+      if (postings.size() >= 2 &&
+          (rest.empty() || rest.back() < postings.back())) {
+        table.Add(key, postings.back());
+        duplicated++;
+      }
+    }
+    table.Freeze();
+  }
+  ASSERT_GT(duplicated, 0u);
+  const std::string path = test::TempPath("selfjoin_dup_end", this, ".skf");
+  const FilterTable* shards[] = {&tables[0], &tables[1]};
+  ASSERT_TRUE(WriteFrozenShards(path, options.index,
+                                index.family().verify_threshold(),
+                                index.build_stats(),
+                                index_io_internal::Fingerprint(data), shards)
+                  .ok());
+  DistributedJoinOptions frozen;
+  frozen.threshold = options.threshold;
+  DistributedJoin join;
+  const Status built = join.BuildFromFrozen(&data, &dist, path, frozen);
+  std::remove(path.c_str());
+  ASSERT_TRUE(built.ok()) << built.ToString();
+  EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+}
+
+TEST(DistributedJoinTest, ProbeWithNoLargerNeighbourSendsNoRequest) {
+  // Vectors with pairwise disjoint items share no filter key, so no probe
+  // has a larger neighbour: the kernel gives each probe keys, but the
+  // self-join sends no request at all.
+  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
+  Dataset data;
+  for (ItemId v = 0; v < 40; ++v) {
+    data.Add(SparseVector::Of({5 * v, 5 * v + 1, 5 * v + 2, 5 * v + 3,
+                               5 * v + 4}));
+  }
+  ASSERT_TRUE(data.SetDimension(2000).ok());
+  DistributedJoin join;
+  ASSERT_TRUE(
+      join.Build(&data, &dist,
+                 DistributedFrom(AdversarialJoinOptions(0.8, 94), 2))
+          .ok());
+  const DistributedJoinStats stats =
+      CheckSelfJoinAgainstReferenceRoute(join, data);
+  EXPECT_EQ(stats.pairs, 0u);
+  EXPECT_EQ(stats.probe_keys, 0u);
+  EXPECT_EQ(stats.probe_fanout, 0.0);
+  for (const WorkerLoad& load : stats.workers) EXPECT_EQ(load.probes, 0u);
 }
 
 }  // namespace

@@ -14,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/similarity_join.h"
 #include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
@@ -190,6 +193,126 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
   host.Join();
   EXPECT_TRUE(host.status.ok()) << host.status.ToString();
   EXPECT_EQ(host.stats.batches, 2u);
+}
+
+/// A coordinator-side connection that forwards every frame but rewrites
+/// the first ResponseBatch it receives: that batch's first response
+/// gains a match with the id \p bad_id picks for it, which a worker
+/// keeping the join contract never sends.
+class ContractBreakingConnection : public FrameConnection {
+ public:
+  ContractBreakingConnection(
+      std::unique_ptr<FrameConnection> inner,
+      std::function<VectorId(const ProbeResponse&)> bad_id)
+      : inner_(std::move(inner)), bad_id_(std::move(bad_id)) {}
+
+  Status Send(const wire::Frame& frame) override {
+    return inner_->Send(frame);
+  }
+  Status Receive(wire::Frame* frame) override {
+    SKEWSEARCH_RETURN_NOT_OK(inner_->Receive(frame));
+    if (rewritten_ || frame->type != wire::FrameType::kResponseBatch) {
+      return Status::OK();
+    }
+    wire::ResponseBatch batch;
+    SKEWSEARCH_RETURN_NOT_OK(wire::DecodeResponseBatch(*frame, &batch));
+    ProbeResponse& first = batch.responses.front();
+    first.matches.push_back({bad_id_(first), 1.0});
+    *frame = wire::EncodeResponseBatch(batch.responses, batch.epoch, batch.seq);
+    rewritten_ = true;
+    return Status::OK();
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<FrameConnection> inner_;
+  std::function<VectorId(const ProbeResponse&)> bad_id_;
+  bool rewritten_ = false;
+};
+
+TEST(DistributedRecoveryTest, MatchOutsideTheJoinContractFailsTheSession) {
+  // A match naming no build vector, or one at or below the probe in a
+  // self-join, fails its session like a lost connection: with a
+  // survivor, recovery replays the batch there and the output is the
+  // single-process join's; without one, the join fails and names the
+  // worker and the id.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(72, 120, &dist);
+  const VectorId n = static_cast<VectorId>(data.size());
+  DistributedJoinOptions options;
+  options.index.mode = IndexMode::kAdversarial;
+  options.index.b1 = 0.8;
+  options.index.repetition_boost = 3.0;
+  options.index.seed = 72;
+  options.probe_batch = 8;
+  JoinOptions single;
+  single.index = options.index;
+  single.threshold = options.index.b1;
+  auto expected = SelfSimilarityJoin(data, dist, single);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(expected->size(), 0u);
+
+  struct BadId {
+    const char* name;
+    std::function<VectorId(const ProbeResponse&)> pick;
+  };
+  const BadId bad_ids[] = {
+      {"beyond the build side", [n](const ProbeResponse&) { return n; }},
+      {"not above the probe",
+       [](const ProbeResponse& response) { return response.left; }},
+  };
+  for (const BadId& bad : bad_ids) {
+    for (int workers : {1, 2}) {
+      SCOPED_TRACE(std::string(bad.name) +
+                   ", workers = " + std::to_string(workers));
+      options.workers = workers;
+      std::vector<std::unique_ptr<HostedWorker>> hosts;
+      DistributedJoin join;
+      ASSERT_TRUE(join.Build(&data, &dist, options).ok());
+      std::vector<std::unique_ptr<FrameConnection>> connections;
+      for (int w = 0; w < workers; ++w) {
+        auto [client, server] = LoopbackPair();
+        auto host = std::make_unique<HostedWorker>();
+        host->thread = std::thread(
+            [host = host.get(), conn = std::move(server)]() mutable {
+              host->status = ServeConnection(conn.get(), &host->stats);
+            });
+        hosts.push_back(std::move(host));
+        if (w == 0) {
+          client = std::make_unique<ContractBreakingConnection>(
+              std::move(client), bad.pick);
+        }
+        connections.push_back(std::move(client));
+      }
+      ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+
+      DistributedJoinStats stats;
+      auto got = join.SelfJoin(&stats);
+      // Non-fatal checks: the hosts must be joined below either way.
+      const std::string message = got.status().ToString();
+      if (workers == 1) {
+        EXPECT_TRUE(got.status().IsIOError()) << message;
+        EXPECT_NE(message.find("worker 0 answered probe"), std::string::npos)
+            << message;
+        EXPECT_NE(message.find(bad.name), std::string::npos) << message;
+      } else if (got.ok()) {
+        ExpectIdentical(*expected, *got);
+        EXPECT_EQ(stats.worker_recoveries, 1u);
+      } else {
+        ADD_FAILURE() << message;
+      }
+      join.DetachRemote();
+      // Worker 0's session was closed with a batch possibly still in
+      // flight, so its host may fail sending that answer; the others
+      // end cleanly.
+      for (size_t w = 0; w < hosts.size(); ++w) {
+        hosts[w]->Join();
+        if (w > 0) {
+          EXPECT_TRUE(hosts[w]->status.ok()) << hosts[w]->status.ToString();
+        }
+      }
+    }
+  }
 }
 
 /// Connects a raw (non-frame) TCP client to \p port and returns the fd.

@@ -43,7 +43,7 @@ int main() {
   options.index.mode = IndexMode::kCorrelated;
   options.index.alpha = alpha;
   options.index.repetition_boost = 2.5;
-  JoinStats stats;
+  DistributedJoinStats stats;
   auto result = SimilarityJoin(listings, catalog, dist, options, &stats);
   if (!result.ok()) {
     std::printf("join failed: %s\n", result.status().ToString().c_str());
@@ -60,8 +60,8 @@ int main() {
   }
   std::printf(
       "join: %zu pairs (build %.2fs, probe %.2fs, %zu candidates)\n",
-      result->size(), stats.build_seconds, stats.probe_seconds,
-      stats.candidates);
+      result->size(), stats.build_seconds + stats.plan_seconds,
+      stats.probe_seconds, stats.candidates);
   std::printf("  real listings matched to their catalog entry: %zu/400\n",
               correct);
   std::printf("  junk listings matched to anything: %zu/200\n", junk_hits);

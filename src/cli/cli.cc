@@ -7,13 +7,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
-
-#include <memory>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/dynamic_index.h"
@@ -62,13 +64,11 @@ Commands:
            [--binary]
   freeze   --in FILE --out FILE [--b1 X | --alpha A] [--seed S]
            [--shards K] [--binary]
-  selfjoin --in FILE --b1 X [--seed S] [--shards K] [--online]
-           [--maintenance 0|1] [--drift-factor F] [--dead-ratio R]
-           [--churn N] [--workers W] [--heavy-threshold T]
+  selfjoin --in FILE --b1 X [--seed S] [--workers W] [--heavy-threshold T]
            [--frozen FILE] [--connect HOST:PORT,...] [--probe-batch N]
            [--pipeline N] [--dump-pairs FILE] [--wal DIR]
            [--sync-policy none|interval|group|always]
-           [--checkpoint-bytes N] [--binary]
+           [--checkpoint-bytes N] [--shards K] [--churn N] [--binary]
   join     --left FILE --right FILE --b1 X [--seed S] [--workers W]
            [--heavy-threshold T] [--frozen FILE]
            [--connect HOST:PORT,...] [--probe-batch N] [--pipeline N]
@@ -79,33 +79,36 @@ Commands:
   join-stats --connect HOST:PORT [--json]
   help
 
+A command takes only the flags listed for it; any other flag fails.
+
 --shards K > 1 builds the hash-sharded index instead of the monolithic
 one; results are identical, memory and parallelism differ.
 
---workers W > 1 (selfjoin) runs the distributed all-pairs backend: the
-filter-key space is partitioned across W in-process workers with
-skew-aware heavy-key splitting (--heavy-threshold T overrides the
-split point, default auto), and the coordinator merges the per-worker
-pair streams. The pair output is identical to the single-process join.
-Incompatible with --online.
+selfjoin and join run one join engine over W = max(1, --workers)
+in-process workers (default 1): the filter-key space is partitioned
+across the workers with skew-aware heavy-key splitting
+(--heavy-threshold T overrides the split point, default auto), and the
+coordinator merges the per-worker pair streams. The pair output is
+identical for every W.
 
 join runs the R-S join: --right is indexed, every --left vector
-probes it, and pairs are (left id, right id, similarity). It shares
-every distributed/remote flag with selfjoin; the estimated item
-universe is widened to cover both files.
+probes it, and pairs are (left id, right id, similarity). It takes
+every engine flag selfjoin takes; the estimated item universe is
+widened to cover both files.
 
---connect HOST:PORT,... (selfjoin, join) serves the distributed
-backend from remote join-worker processes instead of in-process
-workers: one endpoint per worker (--workers, if given, must match the
-endpoint count). The coordinator ships each worker its posting-slice
-assignment over the TCP transport, streams probe batches of
---probe-batch N requests per frame (default 256, 0 = one frame per
-worker) with up to --pipeline N frames in flight per worker (default
-2, 1 = send-then-wait), and merges — the pair output is still
-identical. If a worker dies mid-join the coordinator re-ships its
-slices to a survivor, replays the unacknowledged batches, and reports
-the recovery. See docs/WIRE_PROTOCOL.md for the wire format and the
-README for a walkthrough.
+--connect HOST:PORT,... (selfjoin, join) serves the join from remote
+join-worker processes instead of in-process workers: one endpoint per
+worker (--workers, if given, must match the endpoint count). The
+coordinator ships each worker its posting-slice assignment over the
+TCP transport, streams probe batches of --probe-batch N requests per
+frame (default 256, 0 = one frame per worker; join sends its probes
+4096 at a time) with up to --pipeline N frames in flight per worker
+(default 2, 1 = send-then-wait), and merges — the pair output is
+still identical. If a worker dies
+mid-join the coordinator re-ships its slices to a survivor, replays
+the unacknowledged batches, and reports the recovery. See
+docs/WIRE_PROTOCOL.md for the wire format and the README for a
+walkthrough.
 
 join-worker hosts workers of distributed joins: it listens on
 --listen PORT (default 0 = any free port, printed on stdout) and
@@ -138,13 +141,13 @@ shards inside the one file.
 
 --frozen FILE (selfjoin, join) serves the build side from a frozen
 file instead of rebuilding it: the coordinator maps FILE zero-copy
-and runs the distributed backend with one worker per stored shard
+and serves one worker per stored shard
 (the file's parameters override --b1/--seed; FILE must have been
 frozen from the --in/--right dataset). With --connect, the remote
 join-worker processes must have pre-mapped the byte-identical file
 via --shard-file — the coordinator then ships only a tiny shard
 assignment per worker instead of O(index) posting slices. The pair
-output is byte-identical to every other backend.
+output is byte-identical to the in-process join.
 
 join-worker --shard-file FILE --data FILE pre-maps a frozen file (and
 loads the dataset it was frozen from) so --frozen coordinators can
@@ -160,27 +163,31 @@ query-bench --trace runs one extra query after the bench inside a
 trace and prints the per-phase span timings (filters, verify, total)
 the observability layer recorded for that query.
 
---dump-pairs FILE (selfjoin) writes every emitted pair as one
+--dump-pairs FILE (selfjoin, join) writes every emitted pair as one
 "left right similarity" line — what the multi-process smoke test
-diffs across backends.
+diffs across worker setups.
 
---online (implied by any --maintenance/--drift-factor/--dead-ratio/
---churn flag) serves from the online DynamicIndex with the maintenance
-subsystem attached: --maintenance 1 (default) runs the background
-thread, --dead-ratio sets the compaction trigger, --drift-factor the
-live-rebuild trigger, and --churn N applies N remove+insert pairs before
-querying so compaction and drift actually fire. For selfjoin the churn
-is net no-op (insert a copy, tombstone it) so the pair output is
-unchanged while the service still gets real compaction work.
+query-bench --online (implied by any --maintenance/--drift-factor/
+--dead-ratio/--churn/--wal flag) serves from the online DynamicIndex
+with the maintenance subsystem attached: --maintenance 1 (default)
+runs the background thread, --dead-ratio sets the compaction trigger,
+--drift-factor the live-rebuild trigger, and --churn N applies N
+remove+insert pairs before querying so compaction and drift actually
+fire.
 
---wal DIR (query-bench, selfjoin; implies --online) makes the online
-index durable: DIR/snapshot.skd + DIR/wal.skw are recovered on open
-(a "recovery:" line reports what replayed) and every acknowledged
-Insert/Remove is journaled per --sync-policy (default group: shared
-fsync before ack; always: dedicated fsync per ack; interval: lazy;
-none: never) before the call returns. --checkpoint-bytes N (default
-8M) lets the maintenance thread fold the log into a fresh snapshot
-once it outgrows N. query-bench --dump-matches FILE writes the
+selfjoin --wal DIR runs a durable churn phase before the join: it
+opens an online index of --shards K shards over DIR, journals --churn N
+seeded inserts and removes, and closes it; the join then runs as
+without --wal. selfjoin takes --shards and --churn only with --wal.
+
+--wal DIR (query-bench, selfjoin) makes the online index durable:
+DIR/snapshot.skd + DIR/wal.skw are recovered on open (a "recovery:"
+line reports what replayed) and every acknowledged Insert/Remove is
+journaled per --sync-policy (default group: shared fsync before ack;
+always: dedicated fsync per ack; interval: lazy; none: never) before
+the call returns. --checkpoint-bytes N (default 8M) lets the
+maintenance thread fold the log into a fresh snapshot once it
+outgrows N. query-bench --dump-matches FILE writes the
 QueryAll answers of --probes N (default 64) seeded probe vectors in
 round-tripping precision — the crash smoke test diffs these dumps
 across killed and clean runs. See docs/FILE_FORMATS.md (SKW1) and
@@ -190,16 +197,23 @@ docs/ARCHITECTURE.md for the recovery contract.
 /// Parsed "--key value" flags.
 class Flags {
  public:
+  /// Parses the flags after args[0], the command, which takes only the
+  /// space-separated flags of \p allowed.
   static std::optional<Flags> Parse(const std::vector<std::string>& args,
-                                    size_t start) {
+                                    const std::string& allowed) {
     Flags flags;
-    for (size_t i = start; i < args.size(); ++i) {
+    for (size_t i = 1; i < args.size(); ++i) {
       const std::string& arg = args[i];
       if (arg.rfind("--", 0) != 0) {
         std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
         return std::nullopt;
       }
       std::string key = arg.substr(2);
+      if ((" " + allowed + " ").find(" " + key + " ") == std::string::npos) {
+        std::fprintf(stderr, "unknown flag --%s for %s\n", key.c_str(),
+                     args[0].c_str());
+        return std::nullopt;
+      }
       if (key == "binary" || key == "online" || key == "json" ||
           key == "trace" || key == "mmap") {  // boolean flags
         static const std::string kTrue = "1";
@@ -700,9 +714,9 @@ int CmdFreeze(const Flags& flags) {
   return 0;
 }
 
-/// The flags selfjoin and join share for the distributed/remote
-/// backend. Returns false (after printing) on a malformed --connect.
-bool ApplyJoinBackendFlags(const Flags& flags, JoinOptions* options) {
+/// The engine flags selfjoin and join share. Returns false (after
+/// printing) on a malformed --connect.
+bool ApplyJoinEngineFlags(const Flags& flags, JoinOptions* options) {
   options->workers = static_cast<int>(flags.GetUint("workers", 0));
   options->heavy_threshold = flags.GetUint("heavy-threshold", 0);
   options->probe_batch =
@@ -728,10 +742,10 @@ bool ApplyJoinBackendFlags(const Flags& flags, JoinOptions* options) {
   return true;
 }
 
-/// The report lines selfjoin and join share: distributed/wire/recovery
+/// The report lines selfjoin and join share: engine/wire/recovery
 /// counters, the first pairs, and the --dump-pairs file.
 int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
-                     const JoinStats& stats,
+                     const DistributedJoinStats& stats,
                      const std::vector<JoinPair>& pairs) {
   if (!options.frozen_shards.empty()) {
     std::printf("frozen shards: build side served zero-copy from %s%s\n",
@@ -739,13 +753,11 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
                 options.remote_workers.empty() ? ""
                                                : " (workers pre-mapped)");
   }
-  if (stats.workers > 0) {
-    std::printf("distributed backend: %zu workers%s, duplication factor "
-                "%.2f, probe fan-out %.2f\n",
-                stats.workers,
-                options.remote_workers.empty() ? "" : " (remote)",
-                stats.duplication_factor, stats.probe_fanout);
-  }
+  std::printf("join engine: %zu worker(s)%s, duplication factor %.2f, "
+              "probe fan-out %.2f\n",
+              stats.workers.size(),
+              options.remote_workers.empty() ? "" : " (remote)",
+              stats.duplication_factor, stats.probe_fanout);
   if (!options.remote_workers.empty()) {
     std::printf("wire: %.1f KB sent, %.1f KB received, %zu batches in "
                 "%zu exposed round trips (pipeline %zu)\n",
@@ -758,12 +770,6 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
       std::printf("recovered %zu worker(s), replayed %zu batch(es)\n",
                   stats.worker_recoveries, stats.replayed_batches);
     }
-  }
-  if (options.online) {
-    std::printf("online build side: maintenance thread %s, %zu "
-                "compactions, %zu rebuilds\n",
-                options.maintenance_thread ? "on" : "off",
-                stats.compactions, stats.rebuilds);
   }
   for (size_t k = 0; k < std::min<size_t>(10, pairs.size()); ++k) {
     const JoinPair& pr = pairs[k];
@@ -786,6 +792,11 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
 }
 
 int CmdSelfJoin(const Flags& flags) {
+  if (!flags.Has("wal") && (flags.Has("shards") || flags.Has("churn"))) {
+    std::fprintf(stderr, "--shards and --churn size selfjoin's --wal "
+                         "phase; they need --wal\n");
+    return 1;
+  }
   auto data = LoadDataset(flags);
   if (!data.ok()) return Fail(data.status());
   double b1 = flags.GetDouble("b1", 0.7);
@@ -797,27 +808,22 @@ int CmdSelfJoin(const Flags& flags) {
   options.index.b1 = b1;
   options.index.seed = flags.GetUint("seed", 1);
   options.threshold = b1;
-  options.num_shards = static_cast<int>(flags.GetUint("shards", 1));
-  if (!ApplyJoinBackendFlags(flags, &options)) return 1;
-  if (WantsOnline(flags)) {
-    options.online = true;
-    options.maintenance = MaintenanceFromFlags(flags);
-    options.maintenance_thread = flags.GetUint("maintenance", 1) != 0;
-    options.churn = flags.GetUint("churn", data->size() / 5);
-  }
+  if (!ApplyJoinEngineFlags(flags, &options)) return 1;
 
   // --wal DIR: a durable churn phase ahead of the join — open the
   // directory (recovering whatever an earlier run left), journal a
-  // deterministic seeded mutation stream, sync, close, and print the
-  // flushed "wal:" marker. The durability smoke test SIGKILLs the
-  // process after that marker (or mid-churn) and asserts a reopened
-  // index answers probes identically to an uninterrupted run.
+  // deterministic seeded mutation stream into an online index of
+  // --shards K shards, sync, close, and print the flushed "wal:"
+  // marker. The durability smoke test SIGKILLs the process after that
+  // marker (or mid-churn) and asserts a reopened index answers probes
+  // identically to an uninterrupted run.
   if (flags.Has("wal")) {
     Result<DurableOptions> dopts = DurableFromFlags(flags);
     if (!dopts.ok()) return Fail(dopts.status());
     DynamicIndexOptions ioptions;
     ioptions.index = options.index;
-    ioptions.num_shards = std::max(1, options.num_shards);
+    ioptions.num_shards =
+        std::max(1, static_cast<int>(flags.GetUint("shards", 1)));
     DurableIndex durable;
     RecoveryStats rstats;
     Status opened = durable.Open(&*data, &*dist, ioptions, *dopts, &rstats);
@@ -848,13 +854,13 @@ int CmdSelfJoin(const Flags& flags) {
     std::fflush(stdout);
   }
 
-  JoinStats stats;
+  DistributedJoinStats stats;
   auto pairs = SelfSimilarityJoin(*data, *dist, options, &stats);
   if (!pairs.ok()) return Fail(pairs.status());
   std::printf("self-join at B >= %.2f: %zu pairs (build %.2fs, probe "
               "%.2fs, %zu candidates)\n",
-              b1, pairs->size(), stats.build_seconds, stats.probe_seconds,
-              stats.candidates);
+              b1, pairs->size(), stats.build_seconds + stats.plan_seconds,
+              stats.probe_seconds, stats.candidates);
   return ReportJoinOutput(flags, options, stats, *pairs);
 }
 
@@ -889,14 +895,15 @@ int CmdJoin(const Flags& flags) {
   options.index.b1 = b1;
   options.index.seed = flags.GetUint("seed", 1);
   options.threshold = b1;
-  if (!ApplyJoinBackendFlags(flags, &options)) return 1;
-  JoinStats stats;
+  if (!ApplyJoinEngineFlags(flags, &options)) return 1;
+  DistributedJoinStats stats;
   auto pairs = SimilarityJoin(*left, *right, *dist, options, &stats);
   if (!pairs.ok()) return Fail(pairs.status());
   std::printf("R-S join at B >= %.2f: %zu probes x %zu indexed -> %zu "
               "pairs (build %.2fs, probe %.2fs, %zu candidates)\n",
               b1, left->size(), right->size(), pairs->size(),
-              stats.build_seconds, stats.probe_seconds, stats.candidates);
+              stats.build_seconds + stats.plan_seconds, stats.probe_seconds,
+              stats.candidates);
   return ReportJoinOutput(flags, options, stats, *pairs);
 }
 
@@ -1105,6 +1112,40 @@ int CmdJoinStats(const Flags& flags) {
   return 0;
 }
 
+/// A command, its entry point, and the flags it takes, separated by
+/// spaces.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&);
+  std::string flags;
+};
+
+std::vector<Command> Commands() {
+  // Flag groups that more than one command takes.
+  const std::string wal = " wal sync-policy checkpoint-bytes";
+  const std::string remote = " connect probe-batch pipeline";
+  const std::string frozen = " frozen";
+  const std::string join = " b1 seed workers heavy-threshold dump-pairs binary";
+  return {
+      {"generate", CmdGenerate, "kind n d p p2 d2 exp avg seed out binary"},
+      {"mann", CmdMann, "name n seed out binary"},
+      {"profile", CmdProfile, "in binary"},
+      {"independence", CmdIndependence, "in binary"},
+      {"query-bench", CmdQueryBench,
+       "in alpha queries seed shards mmap freeze online maintenance "
+       "drift-factor dead-ratio churn trace dump-matches probes binary" +
+           wal},
+      {"freeze", CmdFreeze, "in out b1 alpha seed shards binary"},
+      {"selfjoin", CmdSelfJoin,
+       "in shards churn" + join + remote + frozen + wal},
+      {"join", CmdJoin, "left right" + join + remote + frozen},
+      {"join-worker", CmdJoinWorker,
+       "listen max-sessions idle-timeout shard-file data die-after-batches "
+       "metrics-dump summary-interval binary"},
+      {"join-stats", CmdJoinStats, "connect json"},
+  };
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args) {
@@ -1112,20 +1153,12 @@ int RunCli(const std::vector<std::string>& args) {
     std::printf("%s", kUsage);
     return args.empty() ? 1 : 0;
   }
-  auto flags = Flags::Parse(args, 1);
-  if (!flags) return 1;
-  const std::string& command = args[0];
-  if (command == "generate") return CmdGenerate(*flags);
-  if (command == "mann") return CmdMann(*flags);
-  if (command == "profile") return CmdProfile(*flags);
-  if (command == "independence") return CmdIndependence(*flags);
-  if (command == "query-bench") return CmdQueryBench(*flags);
-  if (command == "freeze") return CmdFreeze(*flags);
-  if (command == "selfjoin") return CmdSelfJoin(*flags);
-  if (command == "join") return CmdJoin(*flags);
-  if (command == "join-worker") return CmdJoinWorker(*flags);
-  if (command == "join-stats") return CmdJoinStats(*flags);
-  std::fprintf(stderr, "unknown command '%s'\n%s", command.c_str(), kUsage);
+  for (const Command& command : Commands()) {
+    if (args[0] != command.name) continue;
+    auto flags = Flags::Parse(args, command.flags);
+    return flags ? command.run(*flags) : 1;
+  }
+  std::fprintf(stderr, "unknown command '%s'\n%s", args[0].c_str(), kUsage);
   return 1;
 }
 

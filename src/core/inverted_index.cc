@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "core/index_io.h"
@@ -45,18 +46,26 @@ void FilterTable::Reserve(size_t expected_pairs) {
 void FilterTable::Add(uint64_t key, VectorId id) { arena_.Add(key, id); }
 
 void FilterTable::Freeze() {
-  auto arrays = std::make_shared<OwnedArrays>();
-  arena_.Freeze(&arrays->keys, &arrays->offsets, &arrays->ids);
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> offsets;
+  std::vector<VectorId> ids;
+  arena_.Freeze(&keys, &offsets, &ids);
   // Drop growth slack so MemoryBytes() reports the same frozen footprint
   // as a ReadFrom() of this table (which allocates exactly).
-  arrays->keys.shrink_to_fit();
-  arrays->offsets.shrink_to_fit();
-  arrays->ids.shrink_to_fit();
-  Status s = AdoptOwned(std::move(arrays));
+  keys.shrink_to_fit();
+  offsets.shrink_to_fit();
+  ids.shrink_to_fit();
+  Status s = AdoptArrays(std::move(keys), std::move(offsets), std::move(ids));
   (void)s;  // the arena's offsets always bracket its ids
 }
 
-Status FilterTable::AdoptOwned(std::shared_ptr<OwnedArrays> arrays) {
+Status FilterTable::AdoptArrays(std::vector<uint64_t> keys,
+                                std::vector<uint32_t> offsets,
+                                std::vector<VectorId> ids) {
+  auto arrays = std::make_shared<OwnedArrays>();
+  arrays->keys = std::move(keys);
+  arrays->offsets = std::move(offsets);
+  arrays->ids = std::move(ids);
   arrays->directory = BuildKeyDirectory(arrays->keys);
   const size_t heap_bytes = arrays->keys.capacity() * sizeof(uint64_t) +
                             arrays->offsets.capacity() * sizeof(uint32_t) +
@@ -115,15 +124,19 @@ Status FilterTable::WriteTo(std::ostream* out) const {
 
 Status FilterTable::ReadFrom(std::istream* in) {
   if (in == nullptr) return Status::InvalidArgument("null stream");
-  auto arrays = std::make_shared<OwnedArrays>();
-  if (!ReadVector(in, &arrays->keys) || !ReadVector(in, &arrays->offsets) ||
-      !ReadVector(in, &arrays->ids)) {
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> offsets;
+  std::vector<VectorId> ids;
+  if (!ReadVector(in, &keys) || !ReadVector(in, &offsets) ||
+      !ReadVector(in, &ids)) {
     return Status::InvalidArgument("truncated or corrupt filter table");
   }
   // Adoption checks that the offsets run from 0 to the id count and
   // Validate() that they never fall, so every list lies inside the ids.
   FilterTable fresh;
-  SKEWSEARCH_RETURN_NOT_OK(fresh.AdoptOwned(std::move(arrays)));
+  SKEWSEARCH_RETURN_NOT_OK(fresh.AdoptArrays(std::move(keys),
+                                             std::move(offsets),
+                                             std::move(ids)));
   SKEWSEARCH_RETURN_NOT_OK(fresh.Validate());
   *this = std::move(fresh);
   return Status::OK();

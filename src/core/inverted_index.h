@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/posting_table.h"
 #include "data/dataset.h"
@@ -43,6 +44,14 @@ class FilterTable {
   /// Sorts and deduplicates keys, building the posting lists. Must be
   /// called exactly once, after which Add is illegal.
   void Freeze();
+
+  /// Replaces this table with frozen arrays it takes over and builds
+  /// their key directory: what Freeze() and ReadFrom() end in, and how
+  /// a join cuts its per-worker slices. Checks the bracketing
+  /// invariants AdoptFrozenView checks; key order is the caller's
+  /// contract (Validate() checks it).
+  Status AdoptArrays(std::vector<uint64_t> keys, std::vector<uint32_t> offsets,
+                     std::vector<VectorId> ids);
 
   /// Replaces this table with a zero-copy view over frozen arrays that
   /// \p backing keeps alive (for the frozen-shard mapper, the mapped
@@ -114,10 +123,6 @@ class FilterTable {
 
  private:
   struct OwnedArrays;
-
-  /// Builds the directory over \p arrays and makes them this table's
-  /// backing (the end of Freeze() and ReadFrom()).
-  Status AdoptOwned(std::shared_ptr<OwnedArrays> arrays);
 
   PostingArena arena_;  // staging; drained by Freeze()
   // Keeps the frozen arrays alive; null until frozen.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -32,13 +33,13 @@ struct RoutedProbes {
   size_t draws = 0;   ///< PathGenStats::draws of the filter kernel
 };
 
-/// R-S route: computes each probe's filter keys with the filter kernel,
-/// splits them by owner in repetition-major order, and enqueues one
-/// ProbeRequest per touched worker. Parallelizes over probes; each
-/// queue is sorted by probe id afterwards, so the queues are independent
-/// of the schedule.
-RoutedProbes RouteThroughKernel(const Dataset& left,
-                                const FilterFamily& family,
+/// R-S route of probes [begin, end) of \p left: computes each probe's
+/// filter keys with the filter kernel, splits them by owner in
+/// repetition-major order, and enqueues one ProbeRequest per touched
+/// worker. Parallelizes over probes; each queue is sorted by probe id
+/// afterwards, so the queues are independent of the schedule.
+RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
+                                size_t end, const FilterFamily& family,
                                 const PartitionPlan& plan,
                                 size_t worker_count, ThreadPool* pool) {
   struct RouteSlot {
@@ -54,10 +55,10 @@ RoutedProbes RouteThroughKernel(const Dataset& left,
     slot.routed.queues.resize(worker_count);
     slot.worker_keys.resize(worker_count);
   }
-  auto route_range = [&](size_t begin, size_t end, int slot_id) {
+  auto route_range = [&](size_t from, size_t to, int slot_id) {
     RouteSlot& slot = slots[static_cast<size_t>(slot_id)];
     RoutedProbes& routed = slot.routed;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = from; i < to; ++i) {
       const VectorId lid = static_cast<VectorId>(i);
       auto query = left.Get(lid);
       if (query.empty()) continue;  // QueryAll answers empty probes empty
@@ -85,9 +86,12 @@ RoutedProbes RouteThroughKernel(const Dataset& left,
     }
   };
   if (pool == nullptr) {
-    route_range(0, left.size(), 0);
+    route_range(begin, end, 0);
   } else {
-    pool->ParallelFor(left.size(), /*grain=*/64, route_range);
+    pool->ParallelFor(end - begin, /*grain=*/64,
+                      [&](size_t from, size_t to, int slot_id) {
+                        route_range(begin + from, begin + to, slot_id);
+                      });
   }
   RoutedProbes routed;
   routed.queues.resize(worker_count);
@@ -187,8 +191,8 @@ RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
 /// Checks a remote worker's answer against the join contract: every
 /// match names one of the \p build_size build vectors, and a self-join's
 /// lies above the probe. The merge emits whatever passes, so a match
-/// outside the contract would put a pair into the output that the
-/// single-process join never emits, or an id no dataset holds.
+/// outside the contract would put a pair into the output that an
+/// in-process worker never emits, or an id no dataset holds.
 Status CheckMatches(const ProbeRequest& request, const ProbeResponse& response,
                     size_t build_size, size_t worker) {
   for (const Match& match : response.matches) {
@@ -210,6 +214,68 @@ Status CheckMatches(const ProbeRequest& request, const ProbeResponse& response,
 }
 
 }  // namespace
+
+namespace distributed_internal {
+
+Result<std::vector<FilterTable>> CutSlices(const FilterTable& table,
+                                           const PartitionPlan& plan) {
+  const size_t worker_count = static_cast<size_t>(plan.workers);
+  if (worker_count == 1) return std::vector<FilterTable>{table};
+  // Visits every non-empty slice in table order: a light key whole, a
+  // heavy key as contiguous near-equal chunks, one per owner.
+  std::vector<int> owners;
+  auto for_each_slice = [&](auto&& visit) {
+    for (size_t k = 0; k < table.num_keys(); ++k) {
+      const std::span<const VectorId> postings = table.postings_at(k);
+      owners.clear();
+      plan.RouteKey(table.key_at(k), &owners);
+      const size_t chunks = owners.size();
+      for (size_t j = 0; j < chunks; ++j) {
+        const size_t begin = j * postings.size() / chunks;
+        const size_t end = (j + 1) * postings.size() / chunks;
+        if (begin == end) continue;
+        visit(static_cast<size_t>(owners[j]), table.key_at(k),
+              postings.subspan(begin, end - begin));
+      }
+    }
+  };
+  // One pass sizes each owner's arrays exactly; a second appends its
+  // slices. Both walk the table in key order, so no slice is re-sorted.
+  std::vector<size_t> key_counts(worker_count, 0);
+  std::vector<size_t> id_counts(worker_count, 0);
+  for_each_slice([&](size_t owner, uint64_t, std::span<const VectorId> ids) {
+    key_counts[owner]++;
+    id_counts[owner] += ids.size();
+  });
+  struct SliceArrays {
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> offsets;
+    std::vector<VectorId> ids;
+  };
+  std::vector<SliceArrays> arrays(worker_count);
+  for (size_t w = 0; w < worker_count; ++w) {
+    arrays[w].keys.reserve(key_counts[w]);
+    arrays[w].offsets.reserve(key_counts[w] + 1);
+    arrays[w].offsets.push_back(0);
+    arrays[w].ids.reserve(id_counts[w]);
+  }
+  for_each_slice(
+      [&](size_t owner, uint64_t key, std::span<const VectorId> ids) {
+        SliceArrays& slice = arrays[owner];
+        slice.keys.push_back(key);
+        slice.ids.insert(slice.ids.end(), ids.begin(), ids.end());
+        slice.offsets.push_back(static_cast<uint32_t>(slice.ids.size()));
+      });
+  std::vector<FilterTable> slices(worker_count);
+  for (size_t w = 0; w < worker_count; ++w) {
+    SKEWSEARCH_RETURN_NOT_OK(slices[w].AdoptArrays(
+        std::move(arrays[w].keys), std::move(arrays[w].offsets),
+        std::move(arrays[w].ids)));
+  }
+  return slices;
+}
+
+}  // namespace distributed_internal
 
 DistributedJoin::~DistributedJoin() { DetachRemote(); }
 
@@ -338,6 +404,11 @@ Status DistributedJoin::Build(const Dataset* data,
     return Status::InvalidArgument(
         "dataset items exceed the distribution's universe");
   }
+  if (options.index.build_threads != 0) {
+    return Status::InvalidArgument(
+        "the join does not read index.build_threads; threads sizes its "
+        "build");
+  }
   Result<FilterFamily> family =
       FilterFamily::Create(dist, options.index, data->size());
   if (!family.ok()) return family.status();
@@ -351,10 +422,9 @@ Status DistributedJoin::Build(const Dataset* data,
                                ? options.threshold
                                : family->verify_threshold();
 
-  // The monolithic posting table, built by the exact machinery the
-  // sharded index shares with the single index — so the slices the plan
-  // cuts from it are guaranteed to cover what a single-process join
-  // would scan.
+  // The monolithic posting table, built by the machinery of the K = 1
+  // ShardedIndex, so the slices cut from it cover exactly what that
+  // index's QueryAll would scan.
   IndexBuildStats build_stats;
   build_stats.repetitions = family->repetitions();
   build_stats.delta_used = family->delta();
@@ -376,31 +446,15 @@ Status DistributedJoin::Build(const Dataset* data,
           : PartitionPlanner::PlanFromData(*data, *family, planner);
   if (!plan.ok()) return plan.status();
 
-  // Cut the monolithic table into per-worker slices: light keys go
-  // whole to their hash home, heavy keys as contiguous near-equal
-  // chunks to their slice owners. Disjoint cover by construction.
-  std::vector<FilterTable> tables(static_cast<size_t>(options.workers));
-  std::vector<int> owners;
-  for (size_t k = 0; k < table.num_keys(); ++k) {
-    const uint64_t key = table.key_at(k);
-    auto postings = table.postings_at(k);
-    owners.clear();
-    plan->RouteKey(key, &owners);
-    const size_t slices = owners.size();
-    for (size_t j = 0; j < slices; ++j) {
-      const size_t begin = j * postings.size() / slices;
-      const size_t end = (j + 1) * postings.size() / slices;
-      FilterTable& target = tables[static_cast<size_t>(owners[j])];
-      for (size_t i = begin; i < end; ++i) target.Add(key, postings[i]);
-    }
-  }
+  // One worker serves the table itself; more take disjoint slices.
+  Result<std::vector<FilterTable>> slices =
+      distributed_internal::CutSlices(table, *plan);
+  if (!slices.ok()) return slices.status();
   std::vector<JoinWorker> workers;
-  workers.reserve(static_cast<size_t>(options.workers));
-  for (int w = 0; w < options.workers; ++w) {
-    FilterTable& slice = tables[static_cast<size_t>(w)];
-    slice.Freeze();
-    workers.emplace_back(w, std::move(slice), data, threshold,
-                         options.index.verify_measure);
+  workers.reserve(slices->size());
+  for (size_t w = 0; w < slices->size(); ++w) {
+    workers.emplace_back(static_cast<int>(w), std::move((*slices)[w]), data,
+                         threshold, options.index.verify_measure);
   }
 
   // A new build invalidates any shipped assignments; end those sessions
@@ -447,13 +501,6 @@ Status DistributedJoin::BuildFromFrozen(const Dataset* data,
         "' was frozen from");
   }
   const int num_shards = file->num_shards();
-  for (int s = 0; s < num_shards; ++s) {
-    const FrozenShardFile::ShardInfo& info = file->shard_info(s);
-    if (info.ids_count > 0 && info.max_id >= data->size()) {
-      return Status::InvalidArgument(
-          "'" + frozen_path + "' references vector ids beyond the dataset");
-    }
-  }
 
   const io::ParamHeader& header = file->params();
   Result<FilterFamily> family = FilterFamily::Restore(
@@ -471,11 +518,20 @@ Status DistributedJoin::BuildFromFrozen(const Dataset* data,
   // One JoinWorker per shard, each probing a zero-copy view into the
   // mapping. The workers index the full (shared, borrowed) dataset —
   // frozen shards reference original ids, so no dense remap is needed.
+  // The default Map checks the payload's brackets, not its ids, and the
+  // route and the workers read every id's vector, so each id is checked
+  // against the dataset here (the workers scan every id anyway).
   std::vector<JoinWorker> workers;
   workers.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     Result<FilterTable> view = file->MakeShardView(s);
     if (!view.ok()) return view.status();
+    const std::span<const VectorId> ids = view->ids_span();
+    if (std::any_of(ids.begin(), ids.end(),
+                    [&](VectorId id) { return id >= data->size(); })) {
+      return Status::InvalidArgument(
+          "'" + frozen_path + "' references vector ids beyond the dataset");
+    }
     workers.emplace_back(s, std::move(view).value(), data, threshold,
                          header.options.verify_measure);
   }
@@ -516,18 +572,15 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   const int num_workers = this->num_workers();
   const size_t worker_count = static_cast<size_t>(num_workers);
 
-  // Phase 1 — route: one ProbeRequest per (probe, worker) that the
-  // probe's filter keys reach, each worker's queue in probe id order. A
-  // self-join reads the keys back from the slices; an R-S join's probes
-  // are not in the table, so it runs the filter kernel.
   std::optional<ThreadPool> pool;
   if (options_.threads > 1) pool.emplace(options_.threads);
-  const RoutedProbes routed =
-      self_join ? RouteFromSlices(left, plan_, workers_)
-                : RouteThroughKernel(left, family_, plan_, worker_count,
-                                     pool ? &*pool : nullptr);
+  // The probes go through route, serve and merge a chunk at a time. A
+  // self-join's route holds no more keys than the slices it reads, so it
+  // takes one chunk; an R-S join takes kRouteChunk probes per chunk, so
+  // the keys it holds stay bounded however many probes it is given. The
+  // chunk being served:
+  RoutedProbes routed;
   const auto& queues = routed.queues;
-  const int64_t route_mark = probe_timer.ElapsedNanos();
 
   // Phase 2 — serve: each worker drains its queue independently; the
   // fan-out over the pool is the in-process stand-in for W machines.
@@ -548,13 +601,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   std::vector<size_t> batches_sent(worker_count, 0);
   std::vector<WireStats> wire_before(num_sessions);
   std::vector<std::vector<size_t>> session_workers(num_sessions);
-  if (serve_remote) {
-    for (size_t s = 0; s < num_sessions; ++s) {
-      wire_before[s] = sessions_[s].stats();
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      session_workers[session_of_worker_[w]].push_back(w);
-    }
+  for (size_t s = 0; s < num_sessions; ++s) {
+    wire_before[s] = sessions_[s].stats();
   }
   const size_t window = std::max<size_t>(1, options_.pipeline);
   // Ships worker w's queue over `session` from its first unanswered
@@ -623,7 +671,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     for (const ProbeRequest& request : queue) {
       out.push_back(worker.Probe(request));
     }
-    worker_seconds[w] = timer.ElapsedSeconds();
+    worker_seconds[w] += timer.ElapsedSeconds();
   };
   const size_t fanout_units = serve_remote ? num_sessions : worker_count;
   auto serve_unit = [&](size_t u) {
@@ -633,94 +681,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       serve_local(u);
     }
   };
-  if (!pool) {
-    for (size_t u = 0; u < fanout_units; ++u) serve_unit(u);
-  } else {
-    pool->ParallelFor(fanout_units, /*grain=*/1,
-                      [&](size_t begin, size_t end, int /*slot*/) {
-                        for (size_t u = begin; u < end; ++u) serve_unit(u);
-                      });
-  }
-  // Phase 2b — recovery (remote only). A failed session means its
-  // worker died mid-join: close it out, re-derive every slice it held
-  // (BuildAssignment is a pure function of the deterministic plan and
-  // the build-side data — nothing about the dead worker is needed),
-  // re-ship them to the lowest-id surviving session, and drain each
-  // transferred queue's unanswered suffix there through the same
-  // pipelined serve_worker_queue as the first pass. The merge's global
-  // dedup + canonical sort make replayed and merged-table responses
-  // invisible in the output, so a recovered join stays byte-identical.
-  // Runs strictly after the fan-out: a session is driven by one thread
-  // at a time.
-  size_t worker_recoveries = 0;
-  size_t replayed_batches = 0;
-  if (serve_remote) {
-    Status first_failure;
-    std::vector<size_t> orphaned;  // workers whose session died
-    for (size_t s = 0; s < num_sessions; ++s) {
-      if (session_status[s].ok()) continue;
-      if (first_failure.ok()) first_failure = session_status[s];
-      session_alive_[s] = false;
-      (void)sessions_[s].Shutdown();
-      orphaned.insert(orphaned.end(), session_workers[s].begin(),
-                      session_workers[s].end());
-    }
-    std::sort(orphaned.begin(), orphaned.end());
-    if (frozen_ != nullptr && !orphaned.empty()) {
-      // A frozen-shard session serves a pre-mapped file, not shipped
-      // state — there is nothing the coordinator can re-ship to a
-      // survivor (and the workers reject Reassignment in this mode).
-      // Fail the join cleanly instead of draining the survivor pool
-      // with doomed recovery attempts.
-      return Status::IOError(
-          "distributed join: " + std::to_string(orphaned.size()) +
-          " frozen-shard worker(s) lost and mapped shards cannot be "
-          "re-shipped (first failure: " +
-          first_failure.ToString() + ")");
-    }
-    // If a survivor dies too, its remaining orphans move on to the next
-    // survivor, which resumes from the new answered prefix.
-    size_t next_orphan = 0;
-    for (size_t s = 0; s < num_sessions && next_orphan < orphaned.size();
-         ++s) {
-      if (!session_alive_[s]) continue;
-      RemoteWorkerSession& session = sessions_[s];
-      for (; next_orphan < orphaned.size(); ++next_orphan) {
-        const size_t w = orphaned[next_orphan];
-        const size_t sent_before = batches_sent[w];
-        Status recovered =
-            session.Reassign(BuildAssignment(static_cast<int>(w)));
-        if (recovered.ok()) {
-          session_of_worker_[w] = s;
-          recovered = serve_worker_queue(session, w);
-        }
-        replayed_batches += batches_sent[w] - sent_before;
-        if (!recovered.ok()) {
-          session_alive_[s] = false;
-          (void)session.Shutdown();
-          break;
-        }
-        worker_recoveries++;
-      }
-    }
-    if (next_orphan < orphaned.size()) {
-      return Status::IOError(
-          "distributed join: " +
-          std::to_string(orphaned.size() - next_orphan) +
-          " worker(s) lost and no surviving session can take their "
-          "slices (first failure: " +
-          first_failure.ToString() + ")");
-    }
-  }
 
-  const int64_t serve_mark = probe_timer.ElapsedNanos();
-
-  // Phase 3 — merge: drop pairs that surfaced on more than one worker
-  // (the same build vector can sit behind different keys on different
-  // workers), then sort into the canonical (left, right) order the
-  // single-process join uses.
-  std::vector<JoinPair> out;
-  PostingSet<uint64_t> emitted;
   DistributedJoinStats local;
   local.workers.resize(worker_count);
   for (size_t w = 0; w < worker_count; ++w) {
@@ -729,20 +690,154 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     load.keys = workers_[w].num_keys();
     load.entries = workers_[w].num_entries();
     load.vectors = workers_[w].distinct_vectors();
-    load.probes = queues[w].size();
-    load.probe_seconds = worker_seconds[w];
-    for (const ProbeResponse& response : responses[w]) {
-      load.candidates += response.candidates;
-      load.verifications += response.verifications;
-      load.pairs += response.matches.size();
-      for (const Match& match : response.matches) {
-        if (!emitted.insert(PairKey(response.left, match.id)).second) {
-          local.cross_worker_duplicates++;
-          continue;
+  }
+  std::vector<JoinPair> out;
+  PostingSet<uint64_t> emitted;
+  size_t probes = 0;
+  size_t requests = 0;
+  size_t worker_recoveries = 0;
+  size_t replayed_batches = 0;
+  uint64_t route_ns = 0;
+  uint64_t serve_ns = 0;
+  uint64_t merge_ns = 0;
+  size_t begin = 0;
+  do {
+    // Phase 1 — route: one ProbeRequest per (probe, worker) that the
+    // probe's filter keys reach, each worker's queue in probe id order.
+    // A self-join reads the keys back from the slices; an R-S join's
+    // probes are not in the table, so it runs the filter kernel.
+    const int64_t chunk_mark = probe_timer.ElapsedNanos();
+    routed.queues.clear();  // the last chunk's requests and answers
+    for (auto& answered : responses) answered.clear();
+    const size_t end =
+        self_join ? left.size()
+                  : std::min(left.size(),
+                             begin + distributed_internal::kRouteChunk);
+    routed = self_join ? RouteFromSlices(left, plan_, workers_)
+                       : RouteThroughKernel(left, begin, end, family_, plan_,
+                                            worker_count,
+                                            pool ? &*pool : nullptr);
+    const int64_t route_mark = probe_timer.ElapsedNanos();
+
+    std::fill(session_status.begin(), session_status.end(), Status::OK());
+    for (auto& held : session_workers) held.clear();
+    for (size_t w = 0; serve_remote && w < worker_count; ++w) {
+      session_workers[session_of_worker_[w]].push_back(w);
+    }
+    if (!pool) {
+      for (size_t u = 0; u < fanout_units; ++u) serve_unit(u);
+    } else {
+      pool->ParallelFor(fanout_units, /*grain=*/1,
+                        [&](size_t from, size_t to, int /*slot*/) {
+                          for (size_t u = from; u < to; ++u) serve_unit(u);
+                        });
+    }
+    // Phase 2b — recovery (remote only). A failed session means its
+    // worker died mid-join: close it out, re-derive every slice it held
+    // (BuildAssignment is a pure function of the deterministic plan and
+    // the build-side data — nothing about the dead worker is needed),
+    // re-ship them to the lowest-id surviving session, and drain each
+    // transferred queue's unanswered suffix there through the same
+    // pipelined serve_worker_queue as the first pass. The merge's dedup
+    // and the canonical sort make replayed and merged-table responses
+    // invisible in the output, so a recovered join stays byte-identical.
+    // Runs strictly after the fan-out: a session is driven by one thread
+    // at a time.
+    if (serve_remote) {
+      Status first_failure;
+      std::vector<size_t> orphaned;  // workers whose session died
+      for (size_t s = 0; s < num_sessions; ++s) {
+        if (session_status[s].ok()) continue;
+        if (first_failure.ok()) first_failure = session_status[s];
+        session_alive_[s] = false;
+        (void)sessions_[s].Shutdown();
+        orphaned.insert(orphaned.end(), session_workers[s].begin(),
+                        session_workers[s].end());
+      }
+      std::sort(orphaned.begin(), orphaned.end());
+      if (frozen_ != nullptr && !orphaned.empty()) {
+        // A frozen-shard session serves a pre-mapped file, not shipped
+        // state — there is nothing the coordinator can re-ship to a
+        // survivor (and the workers reject Reassignment in this mode).
+        // Fail the join cleanly instead of draining the survivor pool
+        // with doomed recovery attempts.
+        return Status::IOError(
+            "distributed join: " + std::to_string(orphaned.size()) +
+            " frozen-shard worker(s) lost and mapped shards cannot be "
+            "re-shipped (first failure: " +
+            first_failure.ToString() + ")");
+      }
+      // If a survivor dies too, its remaining orphans move on to the next
+      // survivor, which resumes from the new answered prefix.
+      size_t next_orphan = 0;
+      for (size_t s = 0; s < num_sessions && next_orphan < orphaned.size();
+           ++s) {
+        if (!session_alive_[s]) continue;
+        RemoteWorkerSession& session = sessions_[s];
+        for (; next_orphan < orphaned.size(); ++next_orphan) {
+          const size_t w = orphaned[next_orphan];
+          const size_t sent_before = batches_sent[w];
+          Status recovered =
+              session.Reassign(BuildAssignment(static_cast<int>(w)));
+          if (recovered.ok()) {
+            session_of_worker_[w] = s;
+            recovered = serve_worker_queue(session, w);
+          }
+          replayed_batches += batches_sent[w] - sent_before;
+          if (!recovered.ok()) {
+            session_alive_[s] = false;
+            (void)session.Shutdown();
+            break;
+          }
+          worker_recoveries++;
         }
-        out.push_back({response.left, match.id, match.similarity});
+      }
+      if (next_orphan < orphaned.size()) {
+        return Status::IOError(
+            "distributed join: " +
+            std::to_string(orphaned.size() - next_orphan) +
+            " worker(s) lost and no surviving session can take their "
+            "slices (first failure: " +
+            first_failure.ToString() + ")");
       }
     }
+
+    const int64_t serve_mark = probe_timer.ElapsedNanos();
+
+    // Phase 3 — merge: drop pairs that surfaced on more than one worker
+    // (the same build vector can sit behind different keys on different
+    // workers). Chunks hold disjoint probes, so the dedup is per chunk.
+    emitted.clear();
+    for (size_t w = 0; w < worker_count; ++w) {
+      WorkerLoad& load = local.workers[w];
+      load.probes += queues[w].size();
+      requests += queues[w].size();
+      for (const ProbeResponse& response : responses[w]) {
+        load.candidates += response.candidates;
+        load.verifications += response.verifications;
+        load.pairs += response.matches.size();
+        for (const Match& match : response.matches) {
+          if (!emitted.insert(PairKey(response.left, match.id)).second) {
+            local.cross_worker_duplicates++;
+            continue;
+          }
+          out.push_back({response.left, match.id, match.similarity});
+        }
+      }
+    }
+    probes += routed.probes;
+    local.probe_keys += routed.keys;
+    local.route_draws += routed.draws;
+    route_ns += static_cast<uint64_t>(route_mark - chunk_mark);
+    serve_ns += static_cast<uint64_t>(serve_mark - route_mark);
+    merge_ns += static_cast<uint64_t>(probe_timer.ElapsedNanos() - serve_mark);
+    begin = end;
+  } while (begin < left.size());
+
+  // Sort into the canonical (left, right) order.
+  const int64_t sort_mark = probe_timer.ElapsedNanos();
+  for (WorkerLoad& load : local.workers) {
+    load.probe_seconds = worker_seconds[static_cast<size_t>(load.worker)];
     local.candidates += load.candidates;
     local.verifications += load.verifications;
   }
@@ -769,22 +864,17 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   local.heavy_keys = plan_.num_heavy_keys();
   local.replicated_slices = plan_.replicated_slices();
   local.duplication_factor = DuplicationFactor();
-  size_t requests = 0;
-  for (const auto& queue : queues) requests += queue.size();
-  local.probe_fanout = routed.probes > 0
-                           ? static_cast<double>(requests) /
-                                 static_cast<double>(routed.probes)
-                           : 0.0;
-  local.probe_keys = routed.keys;
-  local.route_draws = routed.draws;
+  local.probe_fanout = probes > 0 ? static_cast<double>(requests) /
+                                         static_cast<double>(probes)
+                                   : 0.0;
   local.build_seconds = build_seconds_;
   local.plan_seconds = plan_seconds_;
   local.probe_seconds = probe_timer.ElapsedSeconds();
 
   // `join.*` metrics (docs/OBSERVABILITY.md): per-join recording — a
   // join is a macro operation, so none of this touches the per-probe
-  // hot path. The phase spans reuse the marks taken above and feed any
-  // active ScopedTrace the same way SKEWSEARCH_SPAN would.
+  // hot path. The phase spans sum the marks taken above over the chunks
+  // and feed any active ScopedTrace the same way SKEWSEARCH_SPAN would.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter* const joins_metric = registry.GetCounter("join.count");
   static obs::Counter* const pairs_metric = registry.GetCounter("join.pairs");
@@ -846,10 +936,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     imbalance_metric->Set(
         static_cast<int64_t>(100.0 * static_cast<double>(max_probes) / mean));
   }
-  const int64_t merge_mark = probe_timer.ElapsedNanos();
-  const auto route_ns = static_cast<uint64_t>(route_mark);
-  const auto serve_ns = static_cast<uint64_t>(serve_mark - route_mark);
-  const auto merge_ns = static_cast<uint64_t>(merge_mark - serve_mark);
+  merge_ns += static_cast<uint64_t>(probe_timer.ElapsedNanos() - sort_mark);
   route_span_metric->Record(route_ns);
   serve_span_metric->Record(serve_ns);
   merge_span_metric->Record(merge_ns);

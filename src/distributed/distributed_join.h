@@ -16,17 +16,21 @@
 // R-S join's probes are not in the table: the filter kernel computes
 // their keys once each, and every key goes to each of its owners.
 //
-// Output contract: the emitted pair list is byte-identical to the
-// single-process SimilarityJoin/SelfSimilarityJoin for every worker
-// count and heavy threshold. The argument: the workers' posting slices
-// are a disjoint cover of the monolithic table (light keys whole, heavy
-// keys sliced), so the union over workers of a probe's candidates is
-// exactly the monolithic candidate set; verification is a deterministic
-// function of the two vectors; and the coordinator's dedup + (left,
-// right) sort produces the same canonical order the single-process join
-// sorts into. Both sides of the seam hold only the read-only family and
-// datasets, so a real RPC transport can replace the in-process fan-out
-// without changing results.
+// Output contract: the emitted pair list is byte-identical for every
+// worker count, heavy threshold, thread count and transport, and equals
+// the test reference join (tests/reference_join.h): a serial QueryAll
+// per probe against the K = 1 ShardedIndex, keeping only ids above the
+// probe in a self-join, sorted by (left, right). The argument: the
+// workers' posting slices are a disjoint cover of the monolithic table
+// (light keys whole, heavy keys sliced), so the union over workers of a
+// probe's candidates is exactly the monolithic candidate set;
+// verification is a deterministic function of the two vectors; and the
+// coordinator's dedup + (left, right) sort produces the canonical
+// order. The one-shot SimilarityJoin/SelfSimilarityJoin
+// (core/similarity_join.h) run this engine at W = max(1, workers). Both
+// sides of the seam hold only the read-only family and datasets, so a
+// real RPC transport can replace the in-process fan-out without
+// changing results.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_DISTRIBUTED_JOIN_H_
 #define SKEWSEARCH_DISTRIBUTED_DISTRIBUTED_JOIN_H_
@@ -52,10 +56,12 @@ namespace skewsearch {
 /// \brief Configuration of a distributed join.
 struct DistributedJoinOptions {
   /// Index configuration of the build side (mode, b1/alpha, seed, ...).
+  /// Its build_threads must stay 0 (Build rejects any other value):
+  /// `threads` sizes the build.
   SkewedIndexOptions index;
 
   /// Similarity pairs must reach; negative derives the family's verify
-  /// threshold (same default as the single-process join).
+  /// threshold.
   double threshold = -1.0;
 
   /// Number of simulated workers W (>= 1).
@@ -75,10 +81,11 @@ struct DistributedJoinOptions {
   int threads = 0;
 
   /// Remote serving only (AttachRemote): maximum ProbeRequests shipped
-  /// per ProbeBatch frame; 0 ships each worker's whole queue as one
-  /// batch. Batching amortizes the per-frame overhead and round trips
-  /// without affecting results (a worker answers probes independently,
-  /// so the batch boundaries are invisible in the output).
+  /// per ProbeBatch frame; 0 ships each worker's whole queue (an R-S
+  /// join's per chunk of probes) as one batch. Batching amortizes the
+  /// per-frame overhead and round trips without affecting results (a
+  /// worker answers probes independently, so the batch boundaries are
+  /// invisible in the output).
   size_t probe_batch = 256;
 
   /// Remote serving only: maximum ProbeBatch frames in flight per
@@ -137,8 +144,9 @@ struct DistributedJoinStats {
   /// other batch in flight behind them, i.e. waits whose latency the
   /// pipeline could not hide. With pipeline = 1 every batch is exposed
   /// (this equals probe_batches_sent); with a window of 2 only each
-  /// worker's final drain is — a recovered worker's replay drain
-  /// included, since replays go through the same pipelined drain.
+  /// worker's final drain is (one per chunk of an R-S join's probes) —
+  /// a recovered worker's replay drain included, since replays go
+  /// through the same pipelined drain.
   size_t probe_round_trips = 0;
   /// Remote serving only: ProbeBatch frames shipped, replays included.
   size_t probe_batches_sent = 0;
@@ -192,15 +200,16 @@ class DistributedJoin {
   bool frozen() const { return frozen_ != nullptr; }
 
   /// R-S join: probes with every vector of \p left; pairs are (left id,
-  /// build id, similarity), sorted by (left, right). Byte-identical to
-  /// SimilarityJoin over the same options.
+  /// build id, similarity), sorted by (left, right). The probes are
+  /// routed and served distributed_internal::kRouteChunk at a time, so
+  /// the routed keys held at once do not grow with |left|.
   Result<std::vector<JoinPair>> Join(const Dataset& left,
                                      DistributedJoinStats* stats = nullptr)
       const;
 
   /// Self join over the build side: all pairs (i < j) with similarity >=
-  /// the threshold. Byte-identical to SelfSimilarityJoin. Runs no
-  /// filter kernel: each probe's keys are its postings in the slices.
+  /// the threshold. Runs no filter kernel: each probe's keys are its
+  /// postings in the slices.
   /// Probe i sends key k to owner o only when o's slice of k holds an
   /// id above i. A key left out could yield only ids the worker skips,
   /// so the verifications and the pairs are those of sending every key,
@@ -293,6 +302,25 @@ class DistributedJoin {
   double build_seconds_ = 0.0;
   double plan_seconds_ = 0.0;
 };
+
+namespace distributed_internal {
+
+/// Probes an R-S join routes and serves at a time: it holds one chunk's
+/// routed keys (about 8 bytes per filter key a probe reaches), not the
+/// whole probe side's.
+inline constexpr size_t kRouteChunk = 4096;
+
+/// Cuts \p table, the monolithic posting table, into one slice per
+/// worker of \p plan: a light key whole to its home, a heavy key's list
+/// in contiguous near-equal chunks to its owners (a chunk left empty by
+/// a list shorter than its owner count is skipped). The slices are a
+/// disjoint cover of \p table in its key order, each counted before it
+/// is filled. At one worker the slice is \p table itself, sharing its
+/// backing.
+Result<std::vector<FilterTable>> CutSlices(const FilterTable& table,
+                                           const PartitionPlan& plan);
+
+}  // namespace distributed_internal
 
 }  // namespace skewsearch
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/frozen_shard.h"
@@ -438,20 +439,25 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
               "session: ShardAssignment fingerprint does not match the "
               "mapped shard file (different dataset or file)"));
     }
-    const FrozenShardFile::ShardInfo& info =
-        file.shard_info(static_cast<int>(shard.shard_index));
-    if (info.ids_count > 0 && info.max_id >= options.frozen_data->size()) {
+    Result<FilterTable> view =
+        file.MakeShardView(static_cast<int>(shard.shard_index));
+    if (!view.ok()) return FailSession(connection, view.status());
+    // The default Map does not check the payload's ids, and Probe reads
+    // every id's vector.
+    const std::span<const VectorId> ids = view->ids_span();
+    const auto beyond =
+        std::find_if(ids.begin(), ids.end(), [&](VectorId id) {
+          return id >= options.frozen_data->size();
+        });
+    if (beyond != ids.end()) {
       return FailSession(
           connection,
           Status::InvalidArgument(
               "session: mapped shard references id " +
-              std::to_string(info.max_id) + " but the worker's dataset "
+              std::to_string(*beyond) + " but the worker's dataset "
               "holds " + std::to_string(options.frozen_data->size()) +
               " vectors"));
     }
-    Result<FilterTable> view =
-        file.MakeShardView(static_cast<int>(shard.shard_index));
-    if (!view.ok()) return FailSession(connection, view.status());
     wire::AssignmentAckFrame shard_ack;
     shard_ack.num_keys = view->num_keys();
     shard_ack.num_entries = view->num_pairs();

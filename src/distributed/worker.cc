@@ -1,6 +1,7 @@
 #include "distributed/worker.h"
 
 #include <utility>
+#include <vector>
 
 namespace skewsearch {
 
@@ -14,23 +15,32 @@ JoinWorker::JoinWorker(
       threshold_(threshold),
       measure_(measure),
       dense_positions_(dense_positions) {
-  PostingSet<VectorId> distinct;
-  for (size_t k = 0; k < table_.num_keys(); ++k) {
-    for (VectorId id : table_.postings_at(k)) distinct.insert(id);
+  // A bitmap over build_data's positions counts the distinct vectors.
+  // A position beyond it (only a corrupt frozen payload holds one) is
+  // not counted.
+  std::vector<bool> seen(build_data_->size(), false);
+  for (VectorId id : table_.ids_span()) {
+    const VectorId stored = StoredPosition(id);
+    if (stored >= seen.size() || seen[stored]) continue;
+    seen[stored] = true;
+    distinct_vectors_++;
   }
-  distinct_vectors_ = distinct.size();
+}
+
+VectorId JoinWorker::StoredPosition(VectorId id) const {
+  // Reconstructed (remote) workers store only the shipped vectors,
+  // densely; the session layer guarantees every table id is mapped.
+  return dense_positions_ == nullptr ? id : dense_positions_->find(id)->second;
 }
 
 ProbeResponse JoinWorker::Probe(const ProbeRequest& request) const {
   ProbeResponse response;
   response.left = request.left;
   std::span<const ItemId> query = request.items;
-  // Same candidate-collection semantics as the single-process QueryAll:
-  // dedup ids across every key (and repetition), then verify each
-  // survivor once, counting every posting entry scanned. The self-join
-  // exclusion runs before verification — the single-process join filters
-  // after, so its verification counter is higher, but the emitted pairs
-  // are the same.
+  // Same candidate-collection semantics as QueryAll: dedup ids across
+  // every key (and repetition), then verify each survivor once, counting
+  // every posting entry scanned. The self-join exclusion runs before
+  // verification, so an id at or below the probe costs no similarity.
   PostingSet<VectorId> seen;
   for (uint64_t key : request.keys) {
     auto postings = table_.Lookup(key);
@@ -39,11 +49,8 @@ ProbeResponse JoinWorker::Probe(const ProbeRequest& request) const {
       if (!seen.insert(id).second) continue;
       if (request.exclude_left_and_below && id <= request.left) continue;
       response.verifications++;
-      // Reconstructed (remote) workers store only the shipped vectors,
-      // densely; the session layer guarantees every table id is mapped.
-      const VectorId stored =
-          dense_positions_ == nullptr ? id : dense_positions_->find(id)->second;
-      double sim = Similarity(measure_, query, build_data_->Get(stored));
+      double sim =
+          Similarity(measure_, query, build_data_->Get(StoredPosition(id)));
       if (sim >= threshold_) response.matches.push_back({id, sim});
     }
   }

@@ -72,6 +72,9 @@ class JoinWorker {
   const FilterTable& table() const { return table_; }
 
  private:
+  /// Where \p id's vector sits in build_data.
+  VectorId StoredPosition(VectorId id) const;
+
   int worker_id_;
   FilterTable table_;
   const Dataset* build_data_;

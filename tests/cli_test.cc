@@ -128,10 +128,9 @@ TEST_F(CliTest, SelfJoinFrozenReportsTheWorkersThatRan) {
   const std::string with_workers =
       stdout_of({"selfjoin", "--in", text_, "--b1", "0.8", "--frozen", frozen,
                  "--workers", "5"});
-  EXPECT_NE(plain.find("distributed backend: 3 workers"), std::string::npos)
+  EXPECT_NE(plain.find("join engine: 3 worker(s)"), std::string::npos)
       << plain;
-  EXPECT_NE(with_workers.find("distributed backend: 3 workers"),
-            std::string::npos)
+  EXPECT_NE(with_workers.find("join engine: 3 worker(s)"), std::string::npos)
       << with_workers;
   std::remove(frozen.c_str());
 }
@@ -154,18 +153,27 @@ TEST_F(CliTest, QueryBenchOnlineWithMaintenanceRuns) {
             0);
 }
 
-TEST_F(CliTest, SelfJoinOnlineRuns) {
+TEST_F(CliTest, FlagsACommandDoesNotTakeFail) {
+  // Each command declares its flags, so a typo or a retired flag fails
+  // instead of running with the default.
   ASSERT_EQ(RunCli({"generate", "--kind", "uniform", "--n", "120", "--d",
                     "400", "--p", "0.05", "--out", text_}),
             0);
-  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.8", "--online",
-                    "--maintenance", "1", "--shards", "2"}),
-            0);
-  // Manual maintenance drive: the net no-op churn tombstones enough
-  // entries that the aggressive dead-ratio compacts during the join.
-  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.8",
-                    "--maintenance", "0", "--dead-ratio", "0.1",
-                    "--churn", "60"}),
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--worker",
+                    "4"}),
+            1);
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--online"}),
+            1);
+  // selfjoin's --shards and --churn size only its --wal phase.
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--shards",
+                    "4"}),
+            1);
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--churn",
+                    "80"}),
+            1);
+  EXPECT_EQ(RunCli({"profile", "--in", text_, "--alpha", "0.8"}), 1);
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--workers",
+                    "4"}),
             0);
 }
 

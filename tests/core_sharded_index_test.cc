@@ -16,7 +16,6 @@
 
 #include "core/frozen_shard.h"
 #include "core/sharded_index.h"
-#include "core/similarity_join.h"
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "obs/metrics.h"
@@ -228,24 +227,6 @@ TEST_F(ShardedIndexTest, BuildValidatesArguments) {
           .IsInvalidArgument());
   EXPECT_FALSE(index.built());
   EXPECT_FALSE(index.Query(data_.Get(0)).has_value());
-}
-
-TEST_F(ShardedIndexTest, ShardedJoinMatchesUnshardedJoin) {
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = 0.8;
-  options.index.repetitions = 8;
-  options.threshold = 0.8;
-  auto unsharded = SelfSimilarityJoin(data_, dist_, options).value();
-  options.num_shards = 5;
-  options.probe_threads = 3;
-  auto sharded = SelfSimilarityJoin(data_, dist_, options).value();
-  ASSERT_EQ(unsharded.size(), sharded.size());
-  for (size_t i = 0; i < unsharded.size(); ++i) {
-    EXPECT_EQ(unsharded[i].left, sharded[i].left) << i;
-    EXPECT_EQ(unsharded[i].right, sharded[i].right) << i;
-    EXPECT_EQ(unsharded[i].similarity, sharded[i].similarity) << i;
-  }
 }
 
 class ShardedIndexIoTest : public ShardedIndexTest {

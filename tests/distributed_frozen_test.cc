@@ -1,8 +1,8 @@
 // Frozen-shard serving tests: a DistributedJoin built from a mapped
 // SKF2 file (zero posting-table rebuild, broadcast routing over the
 // id-partitioned shards) must produce output byte-identical to the
-// single-process join — in-process and over the wire, where workers
-// pre-map the file and the coordinator ships only a tiny
+// reference join (reference_join.h) — in-process and over the wire,
+// where workers pre-map the file and the coordinator ships only a tiny
 // ShardAssignment per session. Also covers the failure surface: wrong
 // dataset, wrong file, un-preloaded workers, and the no-recovery
 // contract (a mapped shard is not re-shippable state).
@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +28,8 @@
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/transport.h"
+#include "frozen_test_util.h"
+#include "reference_join.h"
 #include "reference_route.h"
 #include "test_paths.h"
 #include "util/random.h"
@@ -32,40 +37,9 @@
 namespace skewsearch {
 namespace {
 
-JoinOptions AdversarialJoinOptions(double b1, uint64_t seed) {
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = b1;
-  options.index.repetition_boost = 3.0;
-  options.index.seed = seed;
-  options.threshold = b1;
-  return options;
-}
-
-Dataset ZipfDataWithDuplicates(uint64_t seed, size_t n,
-                               ProductDistribution* dist_out) {
-  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
-  Rng rng(seed);
-  Dataset data;
-  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
-  for (size_t i = 0; i < n / 10; ++i) {
-    data.Add(data.GetVector(static_cast<VectorId>(i * 3)));
-  }
-  EXPECT_TRUE(data.SetDimension(2000).ok());
-  *dist_out = std::move(dist);
-  return data;
-}
-
-void ExpectIdentical(const std::vector<JoinPair>& expected,
-                     const std::vector<JoinPair>& got) {
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].left, got[i].left) << "pair " << i;
-    EXPECT_EQ(expected[i].right, got[i].right) << "pair " << i;
-    EXPECT_DOUBLE_EQ(expected[i].similarity, got[i].similarity)
-        << "pair " << i;
-  }
-}
+using test::AdversarialJoinOptions;
+using test::ExpectSamePairs;
+using test::ZipfDataWithDuplicates;
 
 /// Freezes the build side of \p options over \p data into an SKF2 file
 /// at \p path, partitioned into \p shards id-shards.
@@ -113,7 +87,7 @@ TEST(DistributedFrozenTest, InProcessFrozenSelfJoinMatchesSingleProcess) {
   FileGuard guard{path};
   FreezeBuildSide(data, dist, options, /*shards=*/3, path);
 
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_FALSE(expected->empty());
 
@@ -129,7 +103,7 @@ TEST(DistributedFrozenTest, InProcessFrozenSelfJoinMatchesSingleProcess) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   // Broadcast routing offers every key to every shard, but a self-join
   // probe visits only the shards whose slice of one of its keys holds a
   // larger id, so the average stays below the worker count.
@@ -149,7 +123,7 @@ TEST(DistributedFrozenTest, FrozenSingleShardMatchesToo) {
   FileGuard guard{path};
   FreezeBuildSide(data, dist, options, /*shards=*/1, path);
 
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   DistributedJoinOptions distributed;
   distributed.threshold = options.threshold;
@@ -158,12 +132,12 @@ TEST(DistributedFrozenTest, FrozenSingleShardMatchesToo) {
   EXPECT_EQ(join.num_workers(), 1);
   auto got = join.SelfJoin();
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
 }
 
 TEST(DistributedFrozenTest, JoinOptionsFrozenShardsServesIdenticalPairs) {
-  // The similarity_join plumbing: frozen_shards routes through the
-  // distributed backend and must not change a single pair.
+  // The one-shot plumbing: frozen_shards maps the file into the engine
+  // and must not change a single pair.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(43, 200, &dist);
   JoinOptions options = AdversarialJoinOptions(0.6, 11);
@@ -171,13 +145,13 @@ TEST(DistributedFrozenTest, JoinOptionsFrozenShardsServesIdenticalPairs) {
   FileGuard guard{path};
   FreezeBuildSide(data, dist, options, /*shards=*/2, path);
 
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   options.frozen_shards = path;
-  JoinStats stats;
+  DistributedJoinStats stats;
   auto got = SelfSimilarityJoin(data, dist, options, &stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_EQ(stats.pairs, expected->size());
 }
 
@@ -185,7 +159,7 @@ TEST(DistributedFrozenTest, FrozenJoinOverLoopbackMatchesInProcess) {
   // The remote frozen mode end to end: workers pre-map the same file
   // (ServeOptions.frozen_file/frozen_data — the --shard-file setup),
   // the coordinator ships one ShardAssignment per session, and the
-  // output stays byte-identical to the single-process join.
+  // output stays byte-identical to the reference join.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(44, 220, &dist);
   const JoinOptions options = AdversarialJoinOptions(0.6, 13);
@@ -194,7 +168,7 @@ TEST(DistributedFrozenTest, FrozenJoinOverLoopbackMatchesInProcess) {
   const int shards = 3;
   FreezeBuildSide(data, dist, options, shards, path);
 
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_FALSE(expected->empty());
 
@@ -223,7 +197,7 @@ TEST(DistributedFrozenTest, FrozenJoinOverLoopbackMatchesInProcess) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_EQ(stats.worker_recoveries, 0u);
   join.DetachRemote();
   uint64_t served_entries = 0;
@@ -255,6 +229,72 @@ TEST(DistributedFrozenTest, BuildFromFrozenRejectsWrongDataset) {
   EXPECT_FALSE(built.ok());
   EXPECT_TRUE(built.IsInvalidArgument()) << built.ToString();
   EXPECT_FALSE(join.built());
+}
+
+TEST(DistributedFrozenTest, PayloadIdBeyondTheDatasetFailsBuildAndSession) {
+  // The default Map checks a shard's brackets, not its ids, and the
+  // header's max_id stays in range here. The workers and the self-join
+  // route read every id's vector, so a coordinator's BuildFromFrozen and
+  // a worker's shard session must both reject the file before serving.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(47, 150, &dist);
+  const JoinOptions options = AdversarialJoinOptions(0.6, 19);
+  const std::string path = test::TempPath("frozen_bad_id", this, ".skf");
+  const std::string bad_path =
+      test::TempPath("frozen_bad_id_patched", this, ".skf");
+  FileGuard guard{path};
+  FileGuard bad_guard{bad_path};
+  FreezeBuildSide(data, dist, options, /*shards=*/1, path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const FrozenShardFile::ShardInfo entry = test::FrozenShardEntry(bytes, 0);
+  ASSERT_GT(entry.ids_count, 0u);
+  ASSERT_LT(entry.max_id, data.size());
+  for (const VectorId bad_id :
+       {static_cast<VectorId>(data.size()), VectorId{0xfffffff0u}}) {
+    SCOPED_TRACE("patched id " + std::to_string(bad_id));
+    std::string patched = bytes;
+    std::memcpy(patched.data() + entry.ids_offset +
+                    (entry.ids_count - 1) * sizeof(VectorId),
+                &bad_id, sizeof(bad_id));
+    {
+      std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+
+    DistributedJoin join;
+    const Status built = join.BuildFromFrozen(&data, &dist, bad_path, {});
+    EXPECT_TRUE(built.IsInvalidArgument()) << built.ToString();
+    EXPECT_NE(built.message().find("beyond the dataset"), std::string::npos)
+        << built.ToString();
+    EXPECT_FALSE(join.built());
+
+    // A worker that pre-mapped the patched file, under a coordinator
+    // that mapped the good one (same fingerprint and shard table).
+    auto worker_file = FrozenShardFile::Map(bad_path);
+    ASSERT_TRUE(worker_file.ok()) << worker_file.status().ToString();
+    ServeOptions serve;
+    serve.frozen_file = worker_file->get();
+    serve.frozen_data = &data;
+    ASSERT_TRUE(join.BuildFromFrozen(&data, &dist, path, {}).ok());
+    HostedWorker worker;
+    auto [coordinator_end, worker_end] = LoopbackPair();
+    worker.Serve(std::move(worker_end), serve);
+    std::vector<std::unique_ptr<FrameConnection>> connections;
+    connections.push_back(std::move(coordinator_end));
+    EXPECT_FALSE(join.AttachRemote(std::move(connections)).ok());
+    EXPECT_FALSE(join.remote());
+    join.DetachRemote();  // ends the session should the attach succeed
+    worker.Join();
+    EXPECT_TRUE(worker.status.IsInvalidArgument()) << worker.status.ToString();
+    EXPECT_NE(worker.status.message().find(std::to_string(bad_id)),
+              std::string::npos)
+        << worker.status.ToString();
+  }
 }
 
 TEST(DistributedFrozenTest, FrozenAttachFailsAgainstUnpreloadedWorker) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "data/generators.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/transport.h"
+#include "reference_join.h"
 #include "reference_route.h"
 #include "sim/measures.h"
 #include "test_paths.h"
@@ -22,37 +24,15 @@
 namespace skewsearch {
 namespace {
 
-JoinOptions AdversarialJoinOptions(double b1, uint64_t seed) {
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = b1;
-  options.index.repetition_boost = 3.0;
-  options.index.seed = seed;
-  options.threshold = b1;
-  return options;
-}
+using test::AdversarialJoinOptions;
+using test::ExpectSamePairs;
+using test::ZipfDataWithDuplicates;
 
 DistributedJoinOptions DistributedFrom(const JoinOptions& options,
                                        int workers) {
-  DistributedJoinOptions distributed;
-  distributed.index = options.index;
-  distributed.threshold = options.threshold;
+  DistributedJoinOptions distributed = options;
   distributed.workers = workers;
   return distributed;
-}
-
-Dataset ZipfDataWithDuplicates(uint64_t seed, size_t n,
-                               ProductDistribution* dist_out) {
-  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
-  Rng rng(seed);
-  Dataset data;
-  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
-  for (size_t i = 0; i < n / 10; ++i) {
-    data.Add(data.GetVector(static_cast<VectorId>(i * 3)));
-  }
-  EXPECT_TRUE(data.SetDimension(2000).ok());
-  *dist_out = std::move(dist);
-  return data;
 }
 
 Dataset TwoBlockDataWithDuplicates(uint64_t seed, size_t n,
@@ -69,22 +49,11 @@ Dataset TwoBlockDataWithDuplicates(uint64_t seed, size_t n,
   return data;
 }
 
-void ExpectIdentical(const std::vector<JoinPair>& expected,
-                     const std::vector<JoinPair>& got) {
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].left, got[i].left) << "pair " << i;
-    EXPECT_EQ(expected[i].right, got[i].right) << "pair " << i;
-    EXPECT_DOUBLE_EQ(expected[i].similarity, got[i].similarity)
-        << "pair " << i;
-  }
-}
-
-/// The acceptance-criterion sweep: DistributedSelfJoin must equal the
-/// single-process SelfSimilarityJoin pair-for-pair for W in {1, 2, 7}.
+/// The acceptance-criterion sweep: SelfJoin must equal the reference
+/// join pair-for-pair for W in {1, 2, 7}.
 void RunIdentitySweep(const Dataset& data, const ProductDistribution& dist,
                       const JoinOptions& options) {
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u) << "sweep needs a non-trivial output";
   for (int workers : {1, 2, 7}) {
@@ -95,7 +64,7 @@ void RunIdentitySweep(const Dataset& data, const ProductDistribution& dist,
     DistributedJoinStats stats;
     auto got = join.SelfJoin(&stats);
     ASSERT_TRUE(got.ok());
-    ExpectIdentical(*expected, *got);
+    ExpectSamePairs(*expected, *got);
     EXPECT_EQ(stats.pairs, got->size());
     EXPECT_GE(stats.duplication_factor, workers > 1 ? 1.0 : 0.0);
     EXPECT_EQ(stats.workers.size(), static_cast<size_t>(workers));
@@ -126,7 +95,7 @@ TEST(DistributedJoinTest, ForcedHeavySplittingPreservesOutput) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(31, 100, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 31);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
 
   DistributedJoinOptions distributed = DistributedFrom(options, 5);
@@ -136,7 +105,7 @@ TEST(DistributedJoinTest, ForcedHeavySplittingPreservesOutput) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_GT(stats.heavy_keys, 0u);
   EXPECT_GT(stats.replicated_slices, stats.heavy_keys);
 }
@@ -145,7 +114,7 @@ TEST(DistributedJoinTest, AllLightRoutingPreservesOutput) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(32, 100, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 32);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
 
   DistributedJoinOptions distributed = DistributedFrom(options, 5);
@@ -155,7 +124,7 @@ TEST(DistributedJoinTest, AllLightRoutingPreservesOutput) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_EQ(stats.heavy_keys, 0u);
   EXPECT_GE(stats.probe_fanout, 1.0);
   EXPECT_LE(stats.probe_fanout, 5.0);
@@ -167,7 +136,7 @@ TEST(DistributedJoinTest, SampledPlanPreservesOutput) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(33, 100, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 33);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
 
   DistributedJoinOptions distributed = DistributedFrom(options, 4);
@@ -176,7 +145,7 @@ TEST(DistributedJoinTest, SampledPlanPreservesOutput) {
   ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
   auto got = join.SelfJoin();
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
 }
 
 TEST(DistributedJoinTest, RSJoinIdenticalToSingleProcess) {
@@ -189,7 +158,7 @@ TEST(DistributedJoinTest, RSJoinIdenticalToSingleProcess) {
   ASSERT_TRUE(left.SetDimension(2000).ok());
 
   JoinOptions options = AdversarialJoinOptions(0.8, 41);
-  auto expected = SimilarityJoin(left, right, dist, options);
+  auto expected = test::ReferenceJoin(&left, right, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u);
   for (int workers : {1, 2, 7}) {
@@ -199,14 +168,14 @@ TEST(DistributedJoinTest, RSJoinIdenticalToSingleProcess) {
         join.Build(&right, &dist, DistributedFrom(options, workers)).ok());
     auto got = join.Join(left);
     ASSERT_TRUE(got.ok());
-    ExpectIdentical(*expected, *got);
+    ExpectSamePairs(*expected, *got);
   }
 }
 
 TEST(DistributedJoinTest, RSJoinWithItemsOutsideTheUniverse) {
   // The probe side may carry items the build side's distribution does not
-  // cover. The join finishes, equals the single-process join, and every
-  // pair re-verifies.
+  // cover. The join finishes, equals the reference join, and every pair
+  // re-verifies.
   ProductDistribution dist;
   Dataset right = ZipfDataWithDuplicates(43, 100, &dist);
   Rng rng(44);
@@ -221,7 +190,7 @@ TEST(DistributedJoinTest, RSJoinWithItemsOutsideTheUniverse) {
   for (int i = 0; i < 20; ++i) left.Add(dist.Sample(&rng));
 
   JoinOptions options = AdversarialJoinOptions(0.6, 43);
-  auto expected = SimilarityJoin(left, right, dist, options);
+  auto expected = test::ReferenceJoin(&left, right, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u);
   const Measure measure = options.index.verify_measure;
@@ -235,7 +204,7 @@ TEST(DistributedJoinTest, RSJoinWithItemsOutsideTheUniverse) {
   ASSERT_TRUE(join.Build(&right, &dist, DistributedFrom(options, 2)).ok());
   auto got = join.Join(left);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
 }
 
 TEST(DistributedJoinParallelIdentityTest, ThreadsDoNotChangeOutput) {
@@ -254,27 +223,26 @@ TEST(DistributedJoinParallelIdentityTest, ThreadsDoNotChangeOutput) {
   ASSERT_TRUE(parallel.Build(&data, &dist, parallel_options).ok());
   auto got = parallel.SelfJoin();
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
 }
 
 TEST(DistributedJoinTest, JoinOptionsWorkersRouteThroughBackend) {
-  // The pluggable-backend seam: SelfSimilarityJoin with workers > 1
-  // must produce the same pairs and report distributed stats.
+  // SelfSimilarityJoin with workers = 3 runs the engine at W = 3: the
+  // reference pairs, and the stats a coordinator built from the same
+  // options reports.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(61, 100, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 61);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
 
-  JoinOptions via_backend = options;
-  via_backend.workers = 3;
-  JoinStats stats;
-  auto got = SelfSimilarityJoin(data, dist, via_backend, &stats);
+  JoinOptions three = options;
+  three.workers = 3;
+  DistributedJoinStats stats;
+  auto got = SelfSimilarityJoin(data, dist, three, &stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
 
-  // The backend reports exactly what a coordinator built from the same
-  // options reports.
   DistributedJoin join;
   ASSERT_TRUE(join.Build(&data, &dist, DistributedFrom(options, 3)).ok());
   DistributedJoinStats direct;
@@ -282,29 +250,11 @@ TEST(DistributedJoinTest, JoinOptionsWorkersRouteThroughBackend) {
   EXPECT_EQ(stats.pairs, direct.pairs);
   EXPECT_EQ(stats.candidates, direct.candidates);
   EXPECT_EQ(stats.verifications, direct.verifications);
-  EXPECT_EQ(stats.workers, direct.workers.size());
+  EXPECT_EQ(stats.probe_keys, direct.probe_keys);
   EXPECT_EQ(stats.duplication_factor, direct.duplication_factor);
   EXPECT_EQ(stats.probe_fanout, direct.probe_fanout);
-  EXPECT_EQ(stats.wire_bytes_sent, direct.wire_bytes_sent);
-  EXPECT_EQ(stats.wire_bytes_received, direct.wire_bytes_received);
-  EXPECT_EQ(stats.probe_round_trips, direct.probe_round_trips);
-  EXPECT_EQ(stats.probe_batches_sent, direct.probe_batches_sent);
-  EXPECT_EQ(stats.worker_recoveries, direct.worker_recoveries);
-  EXPECT_EQ(stats.replayed_batches, direct.replayed_batches);
-  EXPECT_EQ(stats.pairs, got->size());
-  EXPECT_EQ(stats.workers, 3u);
+  EXPECT_EQ(stats.workers.size(), 3u);
   EXPECT_GE(stats.duplication_factor, 1.0);
-}
-
-TEST(DistributedJoinTest, WorkersIncompatibleWithOnline) {
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(62, 50, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 62);
-  options.workers = 2;
-  options.online = true;
-  auto result = SelfSimilarityJoin(data, dist, options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(DistributedJoinTest, PropagatesBuildErrors) {
@@ -318,6 +268,20 @@ TEST(DistributedJoinTest, PropagatesBuildErrors) {
   EXPECT_TRUE(join.Build(&tiny, &dist, options).IsInvalidArgument());
   EXPECT_FALSE(join.built());
   EXPECT_FALSE(join.SelfJoin().ok());
+
+  // `threads` sizes the join's build; a build_threads it would not read
+  // fails instead of being dropped, through the one-shot API too.
+  ProductDistribution zipf;
+  Dataset data = ZipfDataWithDuplicates(82, 60, &zipf);
+  options.index.build_threads = 4;
+  const Status built = join.Build(&data, &zipf, options);
+  EXPECT_TRUE(built.IsInvalidArgument()) << built.ToString();
+  EXPECT_NE(built.message().find("build_threads"), std::string::npos);
+  JoinOptions one_shot = AdversarialJoinOptions(0.8, 82);
+  one_shot.index.build_threads = 4;
+  EXPECT_TRUE(SelfSimilarityJoin(data, zipf, one_shot)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(DistributedJoinTest, FailedBuildLeavesCoordinatorUnbuilt) {
@@ -349,7 +313,7 @@ TEST(DistributedJoinTest, FailedBuildLeavesCoordinatorUnbuilt) {
   EXPECT_TRUE(join.built());
   auto still = join.SelfJoin();
   ASSERT_TRUE(still.ok());
-  ExpectIdentical(*expected, *still);
+  ExpectSamePairs(*expected, *still);
 }
 
 TEST(DistributedJoinTest, WorkerLoadsAccountForEveryEntry) {
@@ -374,6 +338,71 @@ TEST(DistributedJoinTest, WorkerLoadsAccountForEveryEntry) {
       total += join.worker(w).num_entries();
     }
     EXPECT_EQ(total, expected_entries);
+  }
+}
+
+TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
+  // The build cuts its slices from the sorted table in two counted
+  // passes, without a re-sort. Each slice must equal, array for array,
+  // the one an Add+Freeze pass over the same plan makes, and one worker
+  // serves the table itself.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(72, 120, &dist);
+  const JoinOptions options = AdversarialJoinOptions(0.8, 72);
+  ShardedIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist, {options.index, 1}).ok());
+  const FilterTable& table = index.shard_table(0);
+  auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  std::vector<int> owners;
+  for (int workers : {1, 2, 7}) {
+    for (size_t heavy_threshold : {size_t{0}, size_t{1}}) {
+      for (double sample_fraction : {1.0, 0.5}) {
+        SCOPED_TRACE("workers = " + std::to_string(workers) +
+                     ", heavy_threshold = " + std::to_string(heavy_threshold) +
+                     ", sample_fraction = " + std::to_string(sample_fraction));
+        DistributedJoinOptions distributed = DistributedFrom(options, workers);
+        distributed.heavy_threshold = heavy_threshold;
+        distributed.sample_fraction = sample_fraction;
+        DistributedJoin join;
+        ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
+        std::vector<FilterTable> reference(static_cast<size_t>(workers));
+        for (size_t k = 0; k < table.num_keys(); ++k) {
+          const auto postings = table.postings_at(k);
+          owners.clear();
+          join.plan().RouteKey(table.key_at(k), &owners);
+          const size_t chunks = owners.size();
+          for (size_t j = 0; j < chunks; ++j) {
+            for (size_t i = j * postings.size() / chunks;
+                 i < (j + 1) * postings.size() / chunks; ++i) {
+              reference[static_cast<size_t>(owners[j])].Add(table.key_at(k),
+                                                            postings[i]);
+            }
+          }
+        }
+        auto cut = distributed_internal::CutSlices(table, join.plan());
+        ASSERT_TRUE(cut.ok());
+        ASSERT_EQ(cut->size(), reference.size());
+        for (int w = 0; w < workers; ++w) {
+          SCOPED_TRACE("worker " + std::to_string(w));
+          FilterTable& want = reference[static_cast<size_t>(w)];
+          want.Freeze();
+          const FilterTable* slices[] = {&(*cut)[static_cast<size_t>(w)],
+                                         &join.worker(w).table()};
+          for (const FilterTable* slice : slices) {
+            EXPECT_TRUE(same(slice->keys_span(), want.keys_span()));
+            EXPECT_TRUE(same(slice->offsets_span(), want.offsets_span()));
+            EXPECT_TRUE(same(slice->ids_span(), want.ids_span()));
+            EXPECT_TRUE(same(slice->directory_span(), want.directory_span()));
+            EXPECT_TRUE(slice->Validate().ok());
+          }
+        }
+        if (workers == 1) {
+          EXPECT_EQ((*cut)[0].keys_span().data(), table.keys_span().data());
+        }
+      }
+    }
   }
 }
 
@@ -419,7 +448,7 @@ DistributedJoinStats CheckSelfJoinAgainstReferenceRoute(
   for (const JoinPair& pair : *rs) {
     if (pair.left < pair.right) upper.push_back(pair);
   }
-  ExpectIdentical(upper, *self);
+  ExpectSamePairs(upper, *self);
   return stats;
 }
 
@@ -637,6 +666,112 @@ TEST(DistributedJoinTest, ProbeWithNoLargerNeighbourSendsNoRequest) {
   EXPECT_EQ(stats.probe_keys, 0u);
   EXPECT_EQ(stats.probe_fanout, 0.0);
   for (const WorkerLoad& load : stats.workers) EXPECT_EQ(load.probes, 0u);
+}
+
+TEST(DistributedJoinTest, RSJoinServesItsProbesInChunks) {
+  // Three chunks of probes, each routed, served and merged on its own:
+  // the pairs equal the reference join's and the work counters add up
+  // over the chunks, in-process and over loopback.
+  ProductDistribution dist;
+  Dataset right = ZipfDataWithDuplicates(95, 100, &dist);
+  Rng rng(96);
+  Dataset left;
+  const size_t chunk = distributed_internal::kRouteChunk;
+  while (left.size() < 2 * chunk + 37) {
+    // Every third probe copies a build vector, so each chunk has pairs.
+    if (left.size() % 3 == 0) {
+      left.Add(right.GetVector(
+          static_cast<VectorId>(left.size() % right.size())));
+    } else {
+      left.Add(dist.Sample(&rng));
+    }
+  }
+  ASSERT_TRUE(left.SetDimension(2000).ok());
+  const JoinOptions options = AdversarialJoinOptions(0.8, 95);
+  auto expected = test::ReferenceJoin(&left, right, dist, options);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GE(expected->back().left, 2 * chunk);
+
+  DistributedJoinStats serial;
+  {
+    DistributedJoin join;
+    ASSERT_TRUE(join.Build(&right, &dist, DistributedFrom(options, 1)).ok());
+    auto got = join.Join(left, &serial);
+    ASSERT_TRUE(got.ok());
+    ExpectSamePairs(*expected, *got);
+    EXPECT_EQ(serial.pairs, expected->size());
+    // The counters are the sums of joining each chunk on its own.
+    DistributedJoinStats sum;
+    sum.workers.resize(1);
+    for (size_t begin = 0; begin < left.size(); begin += chunk) {
+      Dataset part;
+      for (size_t i = begin; i < std::min(left.size(), begin + chunk); ++i) {
+        part.Add(left.GetVector(static_cast<VectorId>(i)));
+      }
+      ASSERT_TRUE(part.SetDimension(2000).ok());
+      DistributedJoinStats stats;
+      ASSERT_TRUE(join.Join(part, &stats).ok());
+      sum.pairs += stats.pairs;
+      sum.candidates += stats.candidates;
+      sum.verifications += stats.verifications;
+      sum.probe_keys += stats.probe_keys;
+      sum.route_draws += stats.route_draws;
+      sum.workers[0].probes += stats.workers[0].probes;
+    }
+    EXPECT_EQ(serial.pairs, sum.pairs);
+    EXPECT_EQ(serial.candidates, sum.candidates);
+    EXPECT_EQ(serial.verifications, sum.verifications);
+    EXPECT_EQ(serial.probe_keys, sum.probe_keys);
+    EXPECT_EQ(serial.route_draws, sum.route_draws);
+    EXPECT_EQ(serial.workers[0].probes, sum.workers[0].probes);
+  }
+  {
+    SCOPED_TRACE("W = 3, threads = 4, every key heavy");
+    DistributedJoinOptions distributed = DistributedFrom(options, 3);
+    distributed.threads = 4;
+    distributed.heavy_threshold = 1;
+    DistributedJoin join;
+    ASSERT_TRUE(join.Build(&right, &dist, distributed).ok());
+    DistributedJoinStats stats;
+    auto got = join.Join(left, &stats);
+    ASSERT_TRUE(got.ok());
+    ExpectSamePairs(*expected, *got);
+    EXPECT_EQ(stats.candidates, serial.candidates);
+    EXPECT_GT(stats.cross_worker_duplicates, 0u);
+  }
+  {
+    // One frame per worker per chunk, each one exposed round trip.
+    SCOPED_TRACE("loopback, probe_batch = 0");
+    DistributedJoinOptions distributed = DistributedFrom(options, 2);
+    distributed.probe_batch = 0;
+    std::vector<std::unique_ptr<HostedWorker>> hosts;
+    DistributedJoin join;
+    ASSERT_TRUE(join.Build(&right, &dist, distributed).ok());
+    std::vector<std::unique_ptr<FrameConnection>> connections;
+    for (int w = 0; w < join.num_workers(); ++w) {
+      auto [coordinator_end, worker_end] = LoopbackPair();
+      auto host = std::make_unique<HostedWorker>();
+      host->thread = std::thread(
+          [host = host.get(), conn = std::move(worker_end)]() mutable {
+            host->status = ServeConnection(conn.get(), &host->stats);
+          });
+      connections.push_back(std::move(coordinator_end));
+      hosts.push_back(std::move(host));
+    }
+    ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+    DistributedJoinStats stats;
+    auto got = join.Join(left, &stats);
+    ASSERT_TRUE(got.ok());
+    ExpectSamePairs(*expected, *got);
+    EXPECT_EQ(stats.candidates, serial.candidates);
+    EXPECT_EQ(stats.probe_batches_sent, 3u * 2u);
+    EXPECT_EQ(stats.probe_round_trips, 3u * 2u);
+    join.DetachRemote();
+    for (auto& host : hosts) {
+      host->thread.join();
+      EXPECT_TRUE(host->status.ok()) << host->status.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The acceptance-criterion test: a coordinator joined to two separate
 // worker OS processes over TCP produces output byte-identical to the
-// single-process SimilarityJoin. Workers are real fork()ed children
+// reference join (reference_join.h). Workers are real fork()ed children
 // serving on inherited listening sockets — distinct address spaces, so
 // nothing can leak through shared memory the way an in-process
 // simulation could hide. (The suite deliberately does NOT start with
@@ -19,29 +19,16 @@
 #include <string>
 #include <vector>
 
-#include "core/similarity_join.h"
-#include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
-#include "util/random.h"
+#include "reference_join.h"
 
 namespace skewsearch {
 namespace {
 
-Dataset ZipfDataWithDuplicates(uint64_t seed, size_t n,
-                               ProductDistribution* dist_out) {
-  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
-  Rng rng(seed);
-  Dataset data;
-  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
-  for (size_t i = 0; i < n / 10; ++i) {
-    data.Add(data.GetVector(static_cast<VectorId>(i * 3)));
-  }
-  EXPECT_TRUE(data.SetDimension(2000).ok());
-  *dist_out = std::move(dist);
-  return data;
-}
+using test::ExpectSamePairs;
+using test::ZipfDataWithDuplicates;
 
 /// Forks a child that accepts one coordinator session on \p listener
 /// and serves it to completion; the child's exit status reports the
@@ -72,13 +59,8 @@ int WaitForExit(pid_t pid) {
 TEST(MultiProcessJoinTest, TwoWorkerProcessesMatchSingleProcessJoin) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(101, 150, &dist);
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = 0.8;
-  options.index.repetition_boost = 3.0;
-  options.index.seed = 101;
-  options.threshold = 0.8;
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  const JoinOptions options = test::AdversarialJoinOptions(0.8, 101);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u) << "identity needs a non-trivial output";
 
@@ -112,13 +94,7 @@ TEST(MultiProcessJoinTest, TwoWorkerProcessesMatchSingleProcessJoin) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok());
-  ASSERT_EQ(expected->size(), got->size());
-  for (size_t i = 0; i < expected->size(); ++i) {
-    EXPECT_EQ((*expected)[i].left, (*got)[i].left) << "pair " << i;
-    EXPECT_EQ((*expected)[i].right, (*got)[i].right) << "pair " << i;
-    EXPECT_DOUBLE_EQ((*expected)[i].similarity, (*got)[i].similarity)
-        << "pair " << i;
-  }
+  ExpectSamePairs(*expected, *got);
   EXPECT_GT(stats.wire_bytes_sent, 0u);
   EXPECT_GT(stats.wire_bytes_received, 0u);
 
@@ -140,10 +116,10 @@ TEST(MultiProcessJoinTest, WorkerProcessSurvivesCoordinatorRestart) {
   distributed.index.repetition_boost = 3.0;
   distributed.index.seed = 103;
   distributed.workers = 2;
+  auto expected = test::ReferenceSelfJoin(data, dist, distributed);
+  ASSERT_TRUE(expected.ok());
   DistributedJoin join;
   ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  auto expected = join.SelfJoin();
-  ASSERT_TRUE(expected.ok());
 
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -163,10 +139,7 @@ TEST(MultiProcessJoinTest, WorkerProcessSurvivesCoordinatorRestart) {
     ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
     auto got = join.SelfJoin();
     ASSERT_TRUE(got.ok());
-    ASSERT_EQ(expected->size(), got->size());
-    for (size_t i = 0; i < expected->size(); ++i) {
-      EXPECT_EQ((*expected)[i].right, (*got)[i].right);
-    }
+    ExpectSamePairs(*expected, *got);
     join.DetachRemote();
     for (pid_t pid : children) EXPECT_EQ(WaitForExit(pid), 0);
   }
@@ -187,11 +160,11 @@ TEST(MultiProcessJoinTest, WorkerKilledMidJoinRecoversByteIdentical) {
   distributed.index.seed = 107;
   distributed.workers = 3;
   distributed.probe_batch = 16;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  auto expected = join.SelfJoin();
+  auto expected = test::ReferenceSelfJoin(data, dist, distributed);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u) << "identity needs a non-trivial output";
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
 
   std::vector<pid_t> children;
   std::vector<std::unique_ptr<FrameConnection>> connections;
@@ -219,13 +192,7 @@ TEST(MultiProcessJoinTest, WorkerKilledMidJoinRecoversByteIdentical) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(expected->size(), got->size());
-  for (size_t i = 0; i < expected->size(); ++i) {
-    EXPECT_EQ((*expected)[i].left, (*got)[i].left) << "pair " << i;
-    EXPECT_EQ((*expected)[i].right, (*got)[i].right) << "pair " << i;
-    EXPECT_DOUBLE_EQ((*expected)[i].similarity, (*got)[i].similarity)
-        << "pair " << i;
-  }
+  ExpectSamePairs(*expected, *got);
   EXPECT_EQ(stats.worker_recoveries, 1u);
   EXPECT_GE(stats.replayed_batches, 1u);
 

@@ -21,41 +21,19 @@
 #include <utility>
 #include <vector>
 
-#include "core/similarity_join.h"
 #include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
+#include "reference_join.h"
 #include "util/random.h"
 
 namespace skewsearch {
 namespace {
 
-Dataset ZipfDataWithDuplicates(uint64_t seed, size_t n,
-                               ProductDistribution* dist_out) {
-  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
-  Rng rng(seed);
-  Dataset data;
-  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
-  for (size_t i = 0; i < n / 10; ++i) {
-    data.Add(data.GetVector(static_cast<VectorId>(i * 3)));
-  }
-  EXPECT_TRUE(data.SetDimension(2000).ok());
-  *dist_out = std::move(dist);
-  return data;
-}
-
-void ExpectIdentical(const std::vector<JoinPair>& expected,
-                     const std::vector<JoinPair>& got) {
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].left, got[i].left) << "pair " << i;
-    EXPECT_EQ(expected[i].right, got[i].right) << "pair " << i;
-    EXPECT_DOUBLE_EQ(expected[i].similarity, got[i].similarity)
-        << "pair " << i;
-  }
-}
+using test::ExpectSamePairs;
+using test::ZipfDataWithDuplicates;
 
 /// One hosted loopback worker: ServeConnection on its own thread, with
 /// optional fault injection.
@@ -79,11 +57,11 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
   options.index.seed = 71;
   options.workers = 3;
   options.probe_batch = 8;  // enough batches per worker to die mid-stream
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, options).ok());
-  auto expected = join.SelfJoin();
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u) << "identity needs a non-trivial output";
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist, options).ok());
 
   // Worker 1's server drops the connection after two answered batches —
   // no Error frame, no Shutdown, exactly what a SIGKILLed process looks
@@ -107,7 +85,7 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_EQ(stats.worker_recoveries, 1u);
   EXPECT_GE(stats.replayed_batches, 1u);
   // The replay goes through the same pipelined drain as the first pass:
@@ -123,7 +101,7 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
   DistributedJoinStats again;
   auto second = join.SelfJoin(&again);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ExpectIdentical(*expected, *second);
+  ExpectSamePairs(*expected, *second);
   EXPECT_EQ(again.worker_recoveries, 0u);
   EXPECT_EQ(again.replayed_batches, 0u);
 
@@ -140,6 +118,74 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
     }
   }
   // Exactly one survivor absorbed the dead worker's slices.
+  EXPECT_EQ(reassignments, 1u);
+}
+
+TEST(DistributedRecoveryTest, WorkerDeathInAnRSJoinsFirstChunkRecoversOnce) {
+  // An R-S join over three chunks of probes loses worker 1 in the first
+  // chunk. Recovery moves its slices to a survivor, which serves them in
+  // the later chunks as well: one recovery, and the reference pairs.
+  ProductDistribution dist;
+  Dataset right = ZipfDataWithDuplicates(73, 100, &dist);
+  Rng rng(74);
+  Dataset left;
+  while (left.size() < 2 * distributed_internal::kRouteChunk + 11) {
+    if (left.size() % 3 == 0) {
+      left.Add(right.GetVector(
+          static_cast<VectorId>(left.size() % right.size())));
+    } else {
+      left.Add(dist.Sample(&rng));
+    }
+  }
+  ASSERT_TRUE(left.SetDimension(2000).ok());
+  DistributedJoinOptions options;
+  options.index.mode = IndexMode::kAdversarial;
+  options.index.b1 = 0.8;
+  options.index.repetition_boost = 3.0;
+  options.index.seed = 73;
+  options.workers = 3;
+  options.probe_batch = 64;
+  auto expected = test::ReferenceJoin(&left, right, dist, options);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GE(expected->back().left, 2 * distributed_internal::kRouteChunk);
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&right, &dist, options).ok());
+
+  std::vector<std::unique_ptr<HostedWorker>> hosts;
+  std::vector<std::unique_ptr<FrameConnection>> connections;
+  for (int w = 0; w < 3; ++w) {
+    auto [client, server] = LoopbackPair();
+    auto host = std::make_unique<HostedWorker>();
+    ServeOptions serve;
+    if (w == 1) serve.fail_after_batches = 2;
+    host->thread = std::thread(
+        [host = host.get(), serve, conn = std::move(server)]() mutable {
+          host->status = ServeConnection(conn.get(), &host->stats, serve);
+        });
+    hosts.push_back(std::move(host));
+    connections.push_back(std::move(client));
+  }
+  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+
+  DistributedJoinStats stats;
+  auto got = join.Join(left, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSamePairs(*expected, *got);
+  EXPECT_EQ(stats.worker_recoveries, 1u);
+  EXPECT_GE(stats.replayed_batches, 1u);
+
+  join.DetachRemote();
+  size_t reassignments = 0;
+  for (int w = 0; w < 3; ++w) {
+    hosts[static_cast<size_t>(w)]->Join();
+    const HostedWorker& host = *hosts[static_cast<size_t>(w)];
+    if (w == 1) {
+      EXPECT_TRUE(host.status.IsAborted()) << host.status.ToString();
+    } else {
+      EXPECT_TRUE(host.status.ok()) << host.status.ToString();
+      reassignments += host.stats.reassignments;
+    }
+  }
   EXPECT_EQ(reassignments, 1u);
 }
 
@@ -234,7 +280,7 @@ TEST(DistributedRecoveryTest, MatchOutsideTheJoinContractFailsTheSession) {
   // A match naming no build vector, or one at or below the probe in a
   // self-join, fails its session like a lost connection: with a
   // survivor, recovery replays the batch there and the output is the
-  // single-process join's; without one, the join fails and names the
+  // reference join's; without one, the join fails and names the
   // worker and the id.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(72, 120, &dist);
@@ -245,10 +291,7 @@ TEST(DistributedRecoveryTest, MatchOutsideTheJoinContractFailsTheSession) {
   options.index.repetition_boost = 3.0;
   options.index.seed = 72;
   options.probe_batch = 8;
-  JoinOptions single;
-  single.index = options.index;
-  single.threshold = options.index.b1;
-  auto expected = SelfSimilarityJoin(data, dist, single);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u);
 
@@ -296,7 +339,7 @@ TEST(DistributedRecoveryTest, MatchOutsideTheJoinContractFailsTheSession) {
             << message;
         EXPECT_NE(message.find(bad.name), std::string::npos) << message;
       } else if (got.ok()) {
-        ExpectIdentical(*expected, *got);
+        ExpectSamePairs(*expected, *got);
         EXPECT_EQ(stats.worker_recoveries, 1u);
       } else {
         ADD_FAILURE() << message;

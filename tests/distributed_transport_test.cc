@@ -2,7 +2,8 @@
 // handshake's version negotiation and reconstruction cross-checks, and
 // the acceptance-criterion identity — a DistributedJoin served by
 // remote workers (loopback or real sockets) produces output
-// byte-identical to the in-process join, for any probe batch size.
+// byte-identical to the reference join (reference_join.h), for any
+// probe batch size.
 // The suite name starts with "Distributed" so CI's TSan matrix picks
 // it up (worker threads + sockets are exactly what TSan should watch).
 
@@ -19,45 +20,15 @@
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
+#include "reference_join.h"
 #include "util/random.h"
 
 namespace skewsearch {
 namespace {
 
-JoinOptions AdversarialJoinOptions(double b1, uint64_t seed) {
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = b1;
-  options.index.repetition_boost = 3.0;
-  options.index.seed = seed;
-  options.threshold = b1;
-  return options;
-}
-
-Dataset ZipfDataWithDuplicates(uint64_t seed, size_t n,
-                               ProductDistribution* dist_out) {
-  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
-  Rng rng(seed);
-  Dataset data;
-  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
-  for (size_t i = 0; i < n / 10; ++i) {
-    data.Add(data.GetVector(static_cast<VectorId>(i * 3)));
-  }
-  EXPECT_TRUE(data.SetDimension(2000).ok());
-  *dist_out = std::move(dist);
-  return data;
-}
-
-void ExpectIdentical(const std::vector<JoinPair>& expected,
-                     const std::vector<JoinPair>& got) {
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].left, got[i].left) << "pair " << i;
-    EXPECT_EQ(expected[i].right, got[i].right) << "pair " << i;
-    EXPECT_DOUBLE_EQ(expected[i].similarity, got[i].similarity)
-        << "pair " << i;
-  }
-}
+using test::AdversarialJoinOptions;
+using test::ExpectSamePairs;
+using test::ZipfDataWithDuplicates;
 
 /// One hosted worker: a thread running ServeConnection on its end of a
 /// transport, with the outcome captured for the test to assert on.
@@ -292,7 +263,7 @@ void RunRemoteIdentity(Transport transport, size_t probe_batch) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(91, 120, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 91);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u) << "identity needs a non-trivial output";
 
@@ -309,7 +280,7 @@ void RunRemoteIdentity(Transport transport, size_t probe_batch) {
   DistributedJoinStats stats;
   auto got = join.SelfJoin(&stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_GT(stats.wire_bytes_sent, 0u);
   EXPECT_GT(stats.wire_bytes_received, 0u);
   EXPECT_GE(stats.probe_round_trips, 1u);
@@ -338,7 +309,7 @@ void RunRemoteIdentity(Transport transport, size_t probe_batch) {
   // Detached, the same coordinator serves in-process again, identically.
   auto local = join.SelfJoin();
   ASSERT_TRUE(local.ok());
-  ExpectIdentical(*expected, *local);
+  ExpectSamePairs(*expected, *local);
 }
 
 TEST(DistributedTransportTest, LoopbackJoinIdenticalToInProcess) {
@@ -363,7 +334,7 @@ TEST(DistributedTransportTest, RemoteRSJoinIdenticalToInProcess) {
   for (int i = 0; i < 30; ++i) left.Add(dist.Sample(&rng));
   ASSERT_TRUE(left.SetDimension(2000).ok());
   JoinOptions options = AdversarialJoinOptions(0.8, 95);
-  auto expected = SimilarityJoin(left, right, dist, options);
+  auto expected = test::ReferenceJoin(&left, right, dist, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u);
 
@@ -376,7 +347,7 @@ TEST(DistributedTransportTest, RemoteRSJoinIdenticalToInProcess) {
   auto hosts = AttachHostedWorkers(&join, Transport::kLoopback);
   auto got = join.Join(left);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   join.DetachRemote();
   for (auto& host : hosts) {
     host->Join();
@@ -390,7 +361,7 @@ TEST(DistributedTransportTest, ParallelRemoteServingMatchesSerial) {
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(97, 120, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 97);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
 
   DistributedJoinOptions distributed;
@@ -404,7 +375,7 @@ TEST(DistributedTransportTest, ParallelRemoteServingMatchesSerial) {
   auto hosts = AttachHostedWorkers(&join, Transport::kLoopback);
   auto got = join.SelfJoin();
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   join.DetachRemote();
   for (auto& host : hosts) {
     host->Join();
@@ -438,12 +409,12 @@ TEST(DistributedTransportTest, AttachRemoteValidatesPreconditions) {
 }
 
 TEST(DistributedTransportTest, JoinOptionsRemoteWorkersServeOverTcp) {
-  // The core-level seam: SelfSimilarityJoin with remote_workers spins
+  // The one-shot seam: SelfSimilarityJoin with remote_workers spins
   // the whole coordinator path including endpoint parsing.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(99, 100, &dist);
   JoinOptions options = AdversarialJoinOptions(0.8, 99);
-  auto expected = SelfSimilarityJoin(data, dist, options);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
   ASSERT_TRUE(expected.ok());
 
   std::vector<std::unique_ptr<HostedWorker>> hosts;
@@ -465,10 +436,10 @@ TEST(DistributedTransportTest, JoinOptionsRemoteWorkersServeOverTcp) {
         });
     hosts.push_back(std::move(host));
   }
-  JoinStats stats;
+  DistributedJoinStats stats;
   auto got = SelfSimilarityJoin(data, dist, remote, &stats);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*expected, *got);
+  ExpectSamePairs(*expected, *got);
   EXPECT_GT(stats.wire_bytes_sent, 0u);
   EXPECT_GE(stats.probe_round_trips, 1u);
   for (auto& host : hosts) {

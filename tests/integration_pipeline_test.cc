@@ -80,8 +80,7 @@ TEST(PipelineTest, MannProfileEndToEnd) {
   join_options.index.b1 = 0.85;
   join_options.index.repetition_boost = 3.0;
   join_options.threshold = 0.85;
-  JoinStats stats;
-  auto pairs = SelfSimilarityJoin(data, *est, join_options, &stats);
+  auto pairs = SelfSimilarityJoin(data, *est, join_options);
   ASSERT_TRUE(pairs.ok());
   // At least most of the planted duplicate pairs surface.
   size_t planted_found = 0;

@@ -2,7 +2,7 @@
 # Multi-process smoke test of the distributed join service: one pool of
 # real `join-worker` OS processes serves (a) two concurrent coordinator
 # sessions whose dumped pair lists must both be byte-identical to the
-# single-process join, and (b) a kill-recovery round where one worker
+# in-process one-shot join, and (b) a kill-recovery round where one worker
 # deliberately dies mid-probe-stream (--die-after-batches) and the
 # coordinator must report the recovery and still produce byte-identical
 # output — the acceptance criteria of the transport layer, checked end
@@ -92,7 +92,7 @@ scrape_counter() {
 "$CLI" generate --kind zipf --n 600 --d 300 --p 0.9 --exp 1.2 --avg 8 \
   --seed 7 --out "$TMP/data.txt"
 
-echo "--- single-process baselines (selfjoin + R-S join)"
+echo "--- in-process one-shot baselines (selfjoin + R-S join)"
 "$CLI" selfjoin --in "$TMP/data.txt" --b1 0.6 --dump-pairs "$TMP/single.txt"
 "$CLI" join --left "$TMP/data.txt" --right "$TMP/data.txt" --b1 0.6 \
   --dump-pairs "$TMP/rs_single.txt"
@@ -194,7 +194,7 @@ if ! grep -q 'recovered 1 worker(s)' "$TMP/coord_recovery.log"; then
   exit 1
 fi
 if ! diff -u "$TMP/rs_single.txt" "$TMP/rs_tcp.txt"; then
-  echo "FAIL: recovered R-S join diverged from the single-process join" >&2
+  echo "FAIL: recovered R-S join diverged from the in-process one-shot join" >&2
   exit 1
 fi
 
@@ -226,7 +226,7 @@ echo "--- round 3: frozen-shard workers (SKF2 pre-mapped, zero-copy serve)"
 # pre-map it via --shard-file, and run the self-join against them with
 # --frozen: the coordinator ships only tiny ShardAssignment frames (no
 # posting payload crosses the wire) yet the dumped pairs must still be
-# byte-identical to the single-process baseline of round 1.
+# byte-identical to the in-process one-shot baseline of round 1.
 "$CLI" freeze --in "$TMP/data.txt" --out "$TMP/data.skf" --b1 0.6 --shards 2
 start_worker "$TMP/worker4.log" --shard-file "$TMP/data.skf" --data "$TMP/data.txt"
 start_worker "$TMP/worker5.log" --shard-file "$TMP/data.skf" --data "$TMP/data.txt"
@@ -252,7 +252,7 @@ if ! grep -q 'served zero-copy' "$TMP/coord_frozen.log"; then
   exit 1
 fi
 if ! diff -u "$TMP/single.txt" "$TMP/frozen_tcp.txt"; then
-  echo "FAIL: frozen-shard join diverged from the single-process baseline" >&2
+  echo "FAIL: frozen-shard join diverged from the in-process one-shot baseline" >&2
   exit 1
 fi
 echo "frozen-shard join byte-identical to the baseline ($pair_count pairs)"

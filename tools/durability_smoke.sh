@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Crash-durability smoke test of the WAL + recovery layer, end to end
-# through the CLI: a `selfjoin --online --wal` run journals a seeded
-# mutation stream into a durable directory and prints a flushed "wal:"
-# marker once the log is synced and closed. Round 1 SIGKILLs one run
-# right after that marker and requires a recovered index to answer a
-# seeded probe set byte-identically to an uninterrupted run of the same
-# command. Round 2 SIGKILLs a run *mid-churn* — the log ends wherever
+# through the CLI: a `selfjoin --wal` run journals a seeded mutation
+# stream into a durable directory and prints a flushed "wal:" marker
+# once the log is synced and closed, then runs its join. Round 1
+# SIGKILLs one run right after that marker and requires a recovered
+# index to answer a seeded probe set byte-identically to an
+# uninterrupted run of the same command. Round 2 SIGKILLs a run *mid-churn* — the log ends wherever
 # the kill landed — and requires recovery to be deterministic: two
 # successive recoveries of the same directory must dump identical
 # answers, with a nonzero number of replayed records so the round is
@@ -52,16 +52,16 @@ probe_dump() {
 # $2; the caller decides when (and whether) to kill it.
 start_selfjoin() {
   local dir="$1" log="$2" churn="$3"
-  "$CLI" selfjoin --in "$TMP/data.txt" --b1 0.5 --shards 2 --online \
-    --maintenance 0 --wal "$dir" --sync-policy always --churn "$churn" \
+  "$CLI" selfjoin --in "$TMP/data.txt" --b1 0.5 --shards 2 \
+    --wal "$dir" --sync-policy always --churn "$churn" \
     --seed 9 > "$log" 2>&1 &
   KILL_PIDS+=("$!")
 }
 
 echo "--- round 1: SIGKILL after the flushed wal marker"
 # Run A: uninterrupted reference.
-"$CLI" selfjoin --in "$TMP/data.txt" --b1 0.5 --shards 2 --online \
-  --maintenance 0 --wal "$TMP/wal_a" --sync-policy always --churn 80 \
+"$CLI" selfjoin --in "$TMP/data.txt" --b1 0.5 --shards 2 \
+  --wal "$TMP/wal_a" --sync-policy always --churn 80 \
   --seed 9 > "$TMP/run_a.log" 2>&1
 grep '^wal:' "$TMP/run_a.log"
 probe_dump "$TMP/wal_a" "$TMP/dump_a.txt" "$TMP/dump_a.log"

@@ -10,8 +10,10 @@
 // The path engine's work is exported as stable counts — the build's
 // expanded nodes and filters, and the one-thread batch's draws, nodes and
 // filters — so a change to the filter kernel that moves any key or
-// counter fails the baseline comparison. path_ns_per_draw (advisory)
-// times one ComputeAllFilters pass over the query batch.
+// counter fails the baseline comparison. So is the verifier's work: the
+// one-thread batch's verifications and the candidates its size bound
+// skipped. path_ns_per_draw (advisory) times one ComputeAllFilters pass
+// over the query batch.
 //
 // Flags: --n <dataset> --queries <batch> --alpha <corr> --threads <list>
 //        --rounds <timed repetitions> --json <file> (see bench_util.h)
@@ -174,6 +176,12 @@ int Run(int argc, char** argv) {
       // the batch); qps and speedups are machine-dependent wall clock.
       reporter.Metric("candidates_total",
                       static_cast<double>(agg.totals.candidates),
+                      /*stable=*/true, "candidates");
+      reporter.Metric("verifications",
+                      static_cast<double>(agg.totals.verifications),
+                      /*stable=*/true, "verifications");
+      reporter.Metric("size_skips",
+                      static_cast<double>(agg.totals.size_skips),
                       /*stable=*/true, "candidates");
       reporter.Metric("path_draws", static_cast<double>(agg.path_gen.draws),
                       /*stable=*/true, "draws");

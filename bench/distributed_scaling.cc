@@ -479,8 +479,9 @@ int Run(int argc, char** argv) {
     // The serve work the route hands the workers: posting entries
     // scanned, similarity computations, and the average workers a probe
     // contacts. A self-join ships a key only to owners whose slice holds
-    // an id above the probe, and every such id is still verified, so
-    // verifications must not move when the route ships fewer keys.
+    // an id above the probe, and every such id whose size can reach the
+    // threshold is still verified, so verifications must not move when
+    // the route ships fewer keys.
     reporter.Metric("candidates", static_cast<double>(last[0].candidates),
                     /*stable=*/true, "entries");
     reporter.Metric("verifications",

@@ -117,6 +117,9 @@ void ForEachShard(ThreadPool* pool, size_t num_shards, const ScanFn& scan) {
 
 /// Scans one shard's postings of \p keys (one repetition) until the
 /// first live candidate that passes the shard family's verify threshold.
+/// A candidate whose size rules the threshold out is counted in
+/// `size_skips` and not verified; it could not have passed, so the
+/// first hit is the one verifying every candidate finds.
 template <typename View>
 RepHit ScanRep(const View& view, std::span<const ItemId> query,
                const std::vector<uint64_t>& keys, PostingSet<VectorId>* seen,
@@ -131,6 +134,10 @@ RepHit ScanRep(const View& view, std::span<const ItemId> query,
       if (!seen->insert(id).second) return false;
       const std::span<const ItemId> items = view.Items(id);
       if (items.empty()) return false;
+      if (!SizesCanReach(measure, query.size(), items.size(), threshold)) {
+        stats->size_skips++;
+        return false;
+      }
       stats->verifications++;
       const double sim = Similarity(measure, query, items);
       if (sim < threshold) return false;
@@ -163,6 +170,8 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
       obs::MetricsRegistry::Global().GetCounter("query.candidates");
   static obs::Counter* const verifications_metric =
       obs::MetricsRegistry::Global().GetCounter("query.verifications");
+  static obs::Counter* const size_skips_metric =
+      obs::MetricsRegistry::Global().GetCounter("query.size_skips");
   static obs::Histogram* const latency_metric =
       obs::MetricsRegistry::Global().GetHistogram("query.latency_ns");
   static obs::Histogram* const repetitions_metric =
@@ -222,6 +231,7 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
       for (const QueryStats& qs : scratch->shard_stats) {
         local.candidates += qs.candidates;
         local.verifications += qs.verifications;
+        local.size_skips += qs.size_skips;
       }
       if (best != nullptr) found = Match{best->id, best->similarity};
       phase_mark = timer.ElapsedNanos();
@@ -238,6 +248,7 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
   if (found) hits_metric->Increment();
   candidates_metric->Increment(local.candidates);
   verifications_metric->Increment(local.verifications);
+  size_skips_metric->Increment(local.size_skips);
   latency_metric->Record(static_cast<uint64_t>(total_ns));
   repetitions_metric->Record(reps_probed);
   filters_span_metric->Record(static_cast<uint64_t>(filter_ns));
@@ -252,7 +263,8 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
 }
 
 /// All distinct live candidates with similarity >= \p threshold, sorted
-/// by descending similarity (ties by id). Exhausts every repetition, so
+/// by descending similarity (ties by id); one whose size rules
+/// \p threshold out counts in `size_skips`. Exhausts every repetition, so
 /// each family's keys are computed up front in one fused pass and each
 /// shard is scanned once; shard scans fan out over \p pool when given.
 template <typename ViewAt>
@@ -284,6 +296,11 @@ std::vector<Match> AllMatches(std::span<const ItemId> query, double threshold,
           if (!seen.insert(id).second) return false;
           const std::span<const ItemId> items = view.Items(id);
           if (items.empty()) return false;
+          if (!SizesCanReach(measure, query.size(), items.size(),
+                             threshold)) {
+            qs.size_skips++;
+            return false;
+          }
           qs.verifications++;
           const double sim = Similarity(measure, query, items);
           if (sim >= threshold) matches[s].push_back({id, sim});

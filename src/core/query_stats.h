@@ -18,6 +18,9 @@ struct QueryStats {
                                    ///< paper's query-cost proxy)
   size_t distinct_candidates = 0;  ///< after deduplication
   size_t verifications = 0;        ///< full similarity computations
+  size_t size_skips = 0;           ///< distinct live candidates whose
+                                   ///< sizes alone rule out the threshold
+                                   ///< (SizesCanReach), so not verified
   double seconds = 0.0;
 };
 
@@ -27,6 +30,7 @@ inline void AddQueryStats(QueryStats* total, const QueryStats& add) {
   total->candidates += add.candidates;
   total->distinct_candidates += add.distinct_candidates;
   total->verifications += add.verifications;
+  total->size_skips += add.size_skips;
   total->seconds += add.seconds;
 }
 

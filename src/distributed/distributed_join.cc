@@ -662,6 +662,9 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       }
     }
   };
+  // One dedup scratch per in-process worker, reused across chunks; a
+  // worker is served by one thread at a time.
+  std::vector<ProbeScratch> scratches(worker_count);
   auto serve_local = [&](size_t w) {
     Timer timer;
     auto& out = responses[w];
@@ -669,7 +672,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     out.reserve(queue.size());
     const JoinWorker& worker = workers_[w];
     for (const ProbeRequest& request : queue) {
-      out.push_back(worker.Probe(request));
+      out.push_back(worker.Probe(request, &scratches[w]));
     }
     worker_seconds[w] += timer.ElapsedSeconds();
   };

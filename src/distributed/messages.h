@@ -10,7 +10,9 @@
 // and the build-side vectors a worker verifies against — those are
 // distributed once at attach time (the vectors shipped per worker are
 // what the duplication factor counts; see transport/session.h's
-// Assignment phase).
+// Assignment phase). Ids here are always original VectorIds. A remote
+// worker stores its shipped vectors by position and builds its slices
+// over positions; its id map serves only to apply an assignment.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_MESSAGES_H_
 #define SKEWSEARCH_DISTRIBUTED_MESSAGES_H_
@@ -63,7 +65,8 @@ struct ProbeResponse {
   /// Posting entries scanned while answering.
   uint64_t candidates = 0;
 
-  /// Distinct candidates verified (similarity computations).
+  /// Intersections computed: the distinct candidates left after the
+  /// self-join exclusion and the size bound (SizesCanReach).
   uint64_t verifications = 0;
 };
 

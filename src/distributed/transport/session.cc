@@ -110,26 +110,31 @@ Status OpenSession(FrameConnection* connection, uint32_t worker_id,
 }
 
 /// \brief The worker's live serving state: the shipped vectors stored
-/// densely, the id map, and the JoinWorker answering probes.
+/// densely, by position, and the JoinWorker answering probes over them.
 ///
 /// Apply() is used for both the initial assignment and every later
-/// reassignment: it validates the shipped slice, adds vectors the
+/// reassignment: it validates the shipped slice, appends vectors the
 /// worker does not hold yet, and rebuilds the JoinWorker over the
 /// union of every applied slice. Rebuilt rather than patched so the
 /// "each id appears at most once per response" invariant of the frozen
 /// table keeps holding after a merge.
 struct WorkerState {
   int worker_id = 0;
+  /// The stored vectors; a vector's position is its index here.
   Dataset data;
+  /// position -> VectorId, what the JoinWorker answers with.
+  std::vector<VectorId> original_ids;
+  /// VectorId -> position. Apply maps each shipped posting id through
+  /// it once, so the probe loop never looks an id up.
   PostingMap<VectorId, VectorId> positions;
   std::optional<JoinWorker> worker;
 
   Status Apply(const wire::WorkerAssignment& assignment) {
     // Every posting id must have a shipped vector and every shipped
     // vector must be referenced — an assignment violating either is
-    // rejected, so the probe loop can trust the map completely. The
-    // check is per-slice: a reassignment re-ships vectors this worker
-    // may already hold (they are skipped below), but must itself be
+    // rejected, so every posting id maps to a position. The check is
+    // per-slice: a reassignment re-ships vectors this worker may
+    // already hold (they are skipped below), but must itself be
     // internally consistent.
     std::vector<VectorId> referenced;
     uint64_t entries = 0;
@@ -154,18 +159,21 @@ struct WorkerState {
     }
 
     // Vectors are stored densely (memory proportional to what was
-    // shipped, never to the coordinator's id space); a re-shipped
+    // shipped, never to the coordinator's id space) and only appended,
+    // so the positions the table already holds never move. A re-shipped
     // vector this worker already holds is skipped — the bytes are
     // identical by construction (both ships serialize the same
     // build-side dataset), so verification results cannot change.
     for (const auto& [id, items] : assignment.vectors) {
       if (positions.find(id) != positions.end()) continue;
       positions.emplace(id, data.Add(std::span<const ItemId>(items)));
+      original_ids.push_back(id);
     }
 
-    // The merged table: every slice applied so far, frozen anew. The
-    // old worker's frozen table iterates in ascending key order, so
-    // rebuilding from it plus the new slice is deterministic.
+    // The merged table over positions: every slice applied so far,
+    // frozen anew. The old worker's frozen table iterates in ascending
+    // key order, so rebuilding from it plus the new slice is
+    // deterministic.
     FilterTable table;
     uint64_t existing = worker ? worker->num_entries() : 0;
     table.Reserve(existing + entries);
@@ -173,15 +181,17 @@ struct WorkerState {
       const FilterTable& old_table = worker->table();
       for (size_t k = 0; k < old_table.num_keys(); ++k) {
         const uint64_t key = old_table.key_at(k);
-        for (VectorId id : old_table.postings_at(k)) table.Add(key, id);
+        for (VectorId position : old_table.postings_at(k)) {
+          table.Add(key, position);
+        }
       }
     }
     for (const auto& [key, ids] : assignment.postings) {
-      for (VectorId id : ids) table.Add(key, id);
+      for (VectorId id : ids) table.Add(key, positions.find(id)->second);
     }
     table.Freeze();
     worker.emplace(worker_id, std::move(table), &data,
-                   assignment.threshold, assignment.measure, &positions);
+                   assignment.threshold, assignment.measure, &original_ids);
     return Status::OK();
   }
 };
@@ -391,7 +401,8 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeHelloAck(ack)));
 
   // Phase 2 — assignment: reconstruct the posting slices and the
-  // shipped vectors into exactly what the in-process JoinWorker holds.
+  // shipped vectors into a JoinWorker that answers exactly as the
+  // in-process one does (its table over positions, not ids).
   // The peer may instead be a scraper: StatsRequest frames are answered
   // in place, and a Shutdown before any Assignment ends the
   // (scrape-only) session cleanly. A ShardAssignment may replace the
@@ -485,9 +496,11 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   // coordinator pipeline batches: the k-th response always answers the
   // k-th outstanding batch. A replayed (duplicate-delivered) batch is
   // recomputed from scratch against read-only state, so its response
-  // is identical — answering is idempotent by construction.
+  // is identical — answering is idempotent by construction. The dedup
+  // scratch carries nothing from one probe to the next.
   uint32_t epoch = 0;
   std::vector<ProbeResponse> responses;
+  ProbeScratch scratch;
   for (;;) {
     SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
     if (frame.type == wire::FrameType::kShutdown) break;
@@ -548,7 +561,7 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     responses.clear();
     responses.reserve(batch.probes.size());
     for (const wire::OwnedProbe& probe : batch.probes) {
-      responses.push_back(state.worker->Probe(probe.View()));
+      responses.push_back(state.worker->Probe(probe.View(), &scratch));
       batch_matches += responses.back().matches.size();
     }
     local.matches += batch_matches;

@@ -364,6 +364,12 @@ Status DecodeProbeBatch(const Frame& frame, ProbeBatch* out) {
     probe.items.resize(num_items);
     SKEWSEARCH_RETURN_NOT_OK(
         reader.Bytes(probe.items.data(), num_items * sizeof(ItemId)));
+    // The intersection kernels and the size bound both assume a set.
+    for (size_t j = 1; j < probe.items.size(); ++j) {
+      if (probe.items[j] <= probe.items[j - 1]) {
+        return Corrupt("ProbeBatch items are not strictly increasing");
+      }
+    }
     uint32_t num_keys = 0;
     SKEWSEARCH_RETURN_NOT_OK(reader.U32(&num_keys));
     if (num_keys > reader.remaining() / sizeof(uint64_t)) {

@@ -1,57 +1,71 @@
 #include "distributed/worker.h"
 
+#include <algorithm>
+#include <span>
 #include <utility>
-#include <vector>
 
 namespace skewsearch {
 
-JoinWorker::JoinWorker(
-    int worker_id, FilterTable table, const Dataset* build_data,
-    double threshold, Measure measure,
-    const PostingMap<VectorId, VectorId>* dense_positions)
+uint32_t ProbeScratch::NextStamp(size_t positions) {
+  if (stamps_.size() < positions) stamps_.resize(positions, 0);
+  if (++stamp_ == 0) {
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    stamp_ = 1;
+  }
+  return stamp_;
+}
+
+JoinWorker::JoinWorker(int worker_id, FilterTable table,
+                       const Dataset* build_data, double threshold,
+                       Measure measure,
+                       const std::vector<VectorId>* original_ids)
     : worker_id_(worker_id),
       table_(std::move(table)),
       build_data_(build_data),
       threshold_(threshold),
       measure_(measure),
-      dense_positions_(dense_positions) {
-  // A bitmap over build_data's positions counts the distinct vectors.
-  // A position beyond it (only a corrupt frozen payload holds one) is
-  // not counted.
+      original_ids_(original_ids) {
+  // A bitmap over the stored positions counts the distinct vectors.
   std::vector<bool> seen(build_data_->size(), false);
-  for (VectorId id : table_.ids_span()) {
-    const VectorId stored = StoredPosition(id);
-    if (stored >= seen.size() || seen[stored]) continue;
-    seen[stored] = true;
+  for (VectorId position : table_.ids_span()) {
+    if (seen[position]) continue;
+    seen[position] = true;
     distinct_vectors_++;
   }
 }
 
-VectorId JoinWorker::StoredPosition(VectorId id) const {
-  // Reconstructed (remote) workers store only the shipped vectors,
-  // densely; the session layer guarantees every table id is mapped.
-  return dense_positions_ == nullptr ? id : dense_positions_->find(id)->second;
-}
-
-ProbeResponse JoinWorker::Probe(const ProbeRequest& request) const {
+ProbeResponse JoinWorker::Probe(const ProbeRequest& request,
+                                ProbeScratch* scratch) const {
   ProbeResponse response;
   response.left = request.left;
-  std::span<const ItemId> query = request.items;
+  const std::span<const ItemId> query = request.items;
   // Same candidate-collection semantics as QueryAll: dedup ids across
   // every key (and repetition), then verify each survivor once, counting
-  // every posting entry scanned. The self-join exclusion runs before
-  // verification, so an id at or below the probe costs no similarity.
-  PostingSet<VectorId> seen;
+  // every posting entry scanned. The self-join exclusion and the size
+  // bound run before verification, so a candidate at or below the probe,
+  // or one too small or too large to reach the threshold, costs no
+  // intersection.
+  const uint32_t stamp = scratch->NextStamp(build_data_->size());
+  uint32_t* const stamps = scratch->stamps_.data();
   for (uint64_t key : request.keys) {
-    auto postings = table_.Lookup(key);
+    const std::span<const VectorId> postings = table_.Lookup(key);
     response.candidates += postings.size();
-    for (VectorId id : postings) {
-      if (!seen.insert(id).second) continue;
-      if (request.exclude_left_and_below && id <= request.left) continue;
+    for (VectorId position : postings) {
+      if (stamps[position] == stamp) continue;
+      stamps[position] = stamp;
+      if (request.exclude_left_and_below &&
+          OriginalId(position) <= request.left) {
+        continue;
+      }
+      const std::span<const ItemId> items = build_data_->Get(position);
+      if (!SizesCanReach(measure_, query.size(), items.size(), threshold_)) {
+        continue;
+      }
       response.verifications++;
-      double sim =
-          Similarity(measure_, query, build_data_->Get(StoredPosition(id)));
-      if (sim >= threshold_) response.matches.push_back({id, sim});
+      const double sim = Similarity(measure_, query, items);
+      if (sim >= threshold_) {
+        response.matches.push_back({OriginalId(position), sim});
+      }
     }
   }
   return response;

@@ -11,11 +11,19 @@
 // deployment the vectors a worker's postings reference are shipped to
 // it once at plan time — that shipping volume is exactly the
 // duplication factor the planner minimizes for light keys).
+//
+// The table's ids are *stored positions*: indexes into the build-side
+// dataset the worker verifies against. In-process and frozen workers
+// verify against the whole build side, so a position is the VectorId
+// itself. A remote worker stores only the vectors shipped to it, in
+// arrival order, and keeps the position -> VectorId map beside them.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_WORKER_H_
 #define SKEWSEARCH_DISTRIBUTED_WORKER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "core/inverted_index.h"
 #include "data/dataset.h"
@@ -24,35 +32,61 @@
 
 namespace skewsearch {
 
+/// \brief The candidate dedup state JoinWorker::Probe reuses across
+/// probes: one stamp per stored position and the current probe's stamp.
+///
+/// The caller owns it and reuses it for every probe one thread serves;
+/// threads probing concurrently each need their own. Probe sizes it
+/// lazily, at 4 bytes per stored vector of the largest worker it has
+/// served, so a fresh scratch costs nothing until its first probe.
+class ProbeScratch {
+ private:
+  friend class JoinWorker;
+
+  /// Covers \p positions positions and returns a stamp no position holds
+  /// yet. Every held stamp is at most the last one returned, and a
+  /// position added since holds 0, so advancing the counter is enough;
+  /// when it wraps, the stamps are cleared instead.
+  uint32_t NextStamp(size_t positions);
+
+  std::vector<uint32_t> stamps_;
+  uint32_t stamp_ = 0;
+};
+
 /// \brief One worker of the distributed all-pairs join.
 ///
-/// A worker takes ownership of its frozen table slice; Probe() is const and
-/// safe to call concurrently (workers are typically driven from one
-/// thread each, but nothing forbids sharing one). The build dataset is
-/// borrowed and must outlive the worker.
+/// A worker takes ownership of its frozen table slice. Probe() is const
+/// and safe to call concurrently, each caller with its own ProbeScratch.
+/// The build dataset and the id map are borrowed and must outlive the
+/// worker.
 class JoinWorker {
  public:
   /// \param worker_id this worker's index in the plan.
-  /// \param table the frozen posting slices assigned to this worker.
-  /// \param build_data the indexed (right) side the postings reference.
+  /// \param table the frozen posting slices assigned to this worker,
+  ///   over stored positions: every id it holds must index
+  ///   \p build_data (the build, BuildFromFrozen and the shard session
+  ///   check that; a remote worker's state makes them so). Nothing
+  ///   here checks it again.
+  /// \param build_data the stored vectors the positions index.
   /// \param threshold similarity a pair must reach to be emitted.
   /// \param measure similarity measure used for verification.
-  /// \param dense_positions optional map from the VectorIds appearing in
-  ///   \p table to positions within \p build_data, for workers holding
-  ///   only the shipped subset of the build side stored densely (the
-  ///   remote `join-worker` reconstruction — see transport/session.h);
-  ///   every table id must be mapped. Ids in requests and responses are
-  ///   always the original VectorIds. nullptr (the in-process case)
-  ///   means \p build_data is indexed by the original ids directly. The
-  ///   map is borrowed and must outlive the worker.
+  /// \param original_ids the VectorId of each stored position, for a
+  ///   worker holding only the shipped subset of the build side (the
+  ///   remote `join-worker` state — see transport/session.h). Requests
+  ///   and responses always carry original VectorIds. nullptr (the
+  ///   in-process and frozen cases) means positions are the ids.
   JoinWorker(int worker_id, FilterTable table, const Dataset* build_data,
              double threshold, Measure measure,
-             const PostingMap<VectorId, VectorId>* dense_positions = nullptr);
+             const std::vector<VectorId>* original_ids = nullptr);
 
-  /// Answers one probe: looks up every key, dedups candidate ids,
-  /// verifies each against the probe vector, and returns the matches
-  /// reaching the threshold.
-  ProbeResponse Probe(const ProbeRequest& request) const;
+  /// Answers one probe: looks up every key and, for each distinct
+  /// candidate, skips it when it is at or below the probe in a
+  /// self-join or when its size rules the threshold out
+  /// (SizesCanReach), verifies it otherwise, and returns the matches
+  /// reaching the threshold. Dedups by stamping \p scratch, so no entry
+  /// is hashed; \p scratch may be reused for any worker's next probe.
+  ProbeResponse Probe(const ProbeRequest& request,
+                      ProbeScratch* scratch) const;
 
   int id() const { return worker_id_; }
 
@@ -67,20 +101,23 @@ class JoinWorker {
   /// this over workers and dividing by n gives the duplication factor.
   size_t distinct_vectors() const { return distinct_vectors_; }
 
-  /// The frozen posting slices this worker serves (what a transport
-  /// serializes into a WorkerAssignment).
+  /// The frozen posting slices this worker serves, over stored
+  /// positions (what a coordinator's in-process worker serializes into
+  /// a WorkerAssignment; there positions are the ids).
   const FilterTable& table() const { return table_; }
 
  private:
-  /// Where \p id's vector sits in build_data.
-  VectorId StoredPosition(VectorId id) const;
+  /// The VectorId stored at \p position.
+  VectorId OriginalId(VectorId position) const {
+    return original_ids_ == nullptr ? position : (*original_ids_)[position];
+  }
 
   int worker_id_;
   FilterTable table_;
   const Dataset* build_data_;
   double threshold_;
   Measure measure_;
-  const PostingMap<VectorId, VectorId>* dense_positions_;
+  const std::vector<VectorId>* original_ids_;
   size_t distinct_vectors_ = 0;
 };
 

@@ -7,6 +7,8 @@
 #ifndef SKEWSEARCH_SIM_MEASURES_H_
 #define SKEWSEARCH_SIM_MEASURES_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 
 #include "data/sparse_vector.h"
@@ -40,6 +42,20 @@ double Similarity(Measure measure, std::span<const ItemId> a,
 /// reuse one intersection count for several measures).
 double SimilarityFromCounts(Measure measure, size_t size_a, size_t size_b,
                             size_t intersection);
+
+/// False when sets of \p size_a and \p size_b items cannot reach
+/// \p threshold whatever they hold: the measure at the largest overlap
+/// two strictly increasing lists can have, min(size_a, size_b), is below
+/// it. Every measure is non-decreasing in the overlap, also in IEEE
+/// arithmetic, and this evaluates the same SimilarityFromCounts that
+/// Similarity() does, so a pair it rules out fails Similarity() >=
+/// \p threshold too: skipping such a pair is exact. For Braun-Blanquet
+/// it reads min(size_a, size_b) / max(size_a, size_b) >= threshold.
+inline bool SizesCanReach(Measure measure, size_t size_a, size_t size_b,
+                          double threshold) {
+  return SimilarityFromCounts(measure, size_a, size_b,
+                              std::min(size_a, size_b)) >= threshold;
+}
 
 /// Empirical Pearson (phi) correlation of two boolean vectors in a universe
 /// of size d: (n11 * n00 - n10 * n01) / sqrt(row/col margins). This is the

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "data/correlated.h"
 #include "data/generators.h"
@@ -198,7 +201,30 @@ TEST(SkewedIndexTest, QueryStatsAreConsistent) {
   index.QueryAll(q.span(), 0.0, &stats);
   EXPECT_GE(stats.candidates, stats.distinct_candidates);
   EXPECT_EQ(stats.verifications, stats.distinct_candidates);
+  EXPECT_EQ(stats.size_skips, 0u);
   EXPECT_GE(stats.filters, 0u);
+
+  // At the verify threshold a candidate whose size rules it out is
+  // skipped instead of verified; every distinct candidate is one or the
+  // other. Vector 0 padded to twice its size still shares keys with the
+  // data, but is too large for most of the candidates they reach.
+  std::vector<ItemId> padded(data.Get(0).begin(), data.Get(0).end());
+  for (ItemId item = 0; padded.size() < 2 * data.Get(0).size(); ++item) {
+    if (!std::binary_search(data.Get(0).begin(), data.Get(0).end(), item)) {
+      padded.push_back(item);
+    }
+  }
+  std::sort(padded.begin(), padded.end());
+  const std::span<const ItemId> queries[] = {q.span(), padded};
+  for (std::span<const ItemId> query : queries) {
+    QueryStats bounded;
+    index.QueryAll(query, index.verify_threshold(), &bounded);
+    EXPECT_EQ(bounded.verifications + bounded.size_skips,
+              bounded.distinct_candidates);
+    if (query.data() == padded.data()) {
+      EXPECT_GT(bounded.size_skips, 0u);
+    }
+  }
 }
 
 TEST(SkewedIndexTest, DeterministicForFixedSeed) {

@@ -412,7 +412,8 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
 /// against the reference router (tests/reference_route.h), which derives
 /// the kept keys from the filter kernel instead: equal keys, fan-out and
 /// per-worker probes and candidates, verifications equal to the unpruned
-/// route's, no kernel draws, and Join()'s pairs with left < right.
+/// route's distinct ids above each probe whose sizes can reach the
+/// threshold, no kernel draws, and Join()'s pairs with left < right.
 /// Returns the self-join's stats.
 DistributedJoinStats CheckSelfJoinAgainstReferenceRoute(
     const DistributedJoin& join, const Dataset& data) {
@@ -666,6 +667,99 @@ TEST(DistributedJoinTest, ProbeWithNoLargerNeighbourSendsNoRequest) {
   EXPECT_EQ(stats.probe_keys, 0u);
   EXPECT_EQ(stats.probe_fanout, 0.0);
   for (const WorkerLoad& load : stats.workers) EXPECT_EQ(load.probes, 0u);
+}
+
+TEST(DistributedJoinTest, SelfJoinSkipsPairsWhoseSizesCannotPass) {
+  // A 4-item vector inside a 40-item one: they share rare items, so they
+  // share filter keys, but their Braun-Blanquet similarity is at most
+  // 4 / 40, so at threshold 0.5 the workers scan the shared entries and
+  // verify nothing.
+  auto dist = ZipfProbabilities(2000, 1.0, 0.4).value();
+  std::vector<ItemId> small;
+  std::vector<ItemId> large;
+  for (ItemId item = 1960; item < 2000; ++item) {
+    large.push_back(item);
+    if (item % 10 == 0) small.push_back(item);
+  }
+  ASSERT_EQ(small.size(), 4u);
+  Dataset data;
+  data.Add(small);
+  data.Add(large);
+  ASSERT_TRUE(data.SetDimension(2000).ok());
+  const JoinOptions options = AdversarialJoinOptions(0.5, 8);
+  auto expected = test::ReferenceSelfJoin(data, dist, options);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(expected->empty());
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers = " + std::to_string(workers));
+    DistributedJoin join;
+    ASSERT_TRUE(
+        join.Build(&data, &dist, DistributedFrom(options, workers)).ok());
+    const DistributedJoinStats stats =
+        CheckSelfJoinAgainstReferenceRoute(join, data);
+    EXPECT_GT(stats.candidates, 0u) << "the row needs a shared key";
+    EXPECT_EQ(stats.verifications, 0u);
+    EXPECT_EQ(stats.pairs, 0u);
+  }
+}
+
+TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
+  // One JoinWorker, every vector's kernel keys as a probe (self-join and
+  // R-S requests alternating), answered once serially through one
+  // scratch and once by four threads, each reusing a scratch of its own
+  // over an interleaved quarter of the probes.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(98, 200, &dist);
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist,
+                         DistributedFrom(AdversarialJoinOptions(0.6, 98), 1))
+                  .ok());
+  const JoinWorker& worker = join.worker(0);
+  std::vector<ProbeRequest> requests(data.size());
+  std::vector<size_t> offsets;
+  for (VectorId id = 0; id < data.size(); ++id) {
+    ProbeRequest& request = requests[id];
+    request.left = id;
+    request.items = data.Get(id);
+    request.exclude_left_and_below = id % 2 == 0;
+    join.family().ComputeAllFilters(request.items, &request.keys, &offsets);
+  }
+  std::vector<ProbeResponse> serial;
+  ProbeScratch scratch;
+  for (const ProbeRequest& request : requests) {
+    serial.push_back(worker.Probe(request, &scratch));
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<ProbeResponse> parallel(requests.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ProbeScratch own;
+      for (size_t i = t; i < requests.size(); i += kThreads) {
+        parallel[i] = worker.Probe(requests[i], &own);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  size_t others = 0;  // matches naming another vector than the probe
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("probe " + std::to_string(i));
+    EXPECT_EQ(parallel[i].left, serial[i].left);
+    EXPECT_EQ(parallel[i].candidates, serial[i].candidates);
+    EXPECT_EQ(parallel[i].verifications, serial[i].verifications);
+    ASSERT_EQ(parallel[i].matches.size(), serial[i].matches.size());
+    for (size_t m = 0; m < serial[i].matches.size(); ++m) {
+      EXPECT_EQ(parallel[i].matches[m].id, serial[i].matches[m].id);
+      EXPECT_EQ(parallel[i].matches[m].similarity,
+                serial[i].matches[m].similarity);
+    }
+    for (const Match& match : serial[i].matches) {
+      others += match.id != serial[i].left ? 1 : 0;
+    }
+  }
+  EXPECT_GT(others, 0u) << "the row needs pairs";
 }
 
 TEST(DistributedJoinTest, RSJoinServesItsProbesInChunks) {

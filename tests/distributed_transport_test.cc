@@ -221,6 +221,37 @@ TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
   EXPECT_FALSE(worker.status.ok());
 }
 
+TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
+  // A probe whose items repeat must end the session with an Error frame
+  // instead of an answer that depends on the intersection kernel.
+  auto [coordinator, worker_end] = LoopbackPair();
+  HostedWorker worker;
+  worker.Serve(std::move(worker_end));
+  wire::WorkerAssignment assignment;
+  assignment.threshold = 0.5;
+  assignment.postings.emplace_back(42, std::vector<VectorId>{1});
+  assignment.vectors.emplace_back(1, std::vector<ItemId>{1, 5, 7, 9});
+  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
+                                            assignment);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const std::vector<ItemId> items(8, 5);
+  ProbeRequest request;
+  request.left = 0;
+  request.items = items;
+  request.keys = {42};
+  ASSERT_TRUE(
+      session->SendProbeBatch(std::span<const ProbeRequest>(&request, 1))
+          .ok());
+  auto answered = session->ReceiveResponses();
+  ASSERT_FALSE(answered.ok());
+  EXPECT_NE(answered.status().ToString().find("not strictly increasing"),
+            std::string::npos)
+      << answered.status().ToString();
+  worker.Join();
+  EXPECT_FALSE(worker.status.ok());
+  (void)session->Shutdown();
+}
+
 /// Attaches \p join to `workers` hosted loopback or TCP workers and
 /// returns the hosts (callers join + assert on them after detaching).
 enum class Transport { kLoopback, kTcp };

@@ -388,6 +388,27 @@ TEST(DistributedWireTest, ProbeBatchRejectsUnknownFlags) {
       << status.ToString();
 }
 
+TEST(DistributedWireTest, ProbeBatchRejectsItemsNotStrictlyIncreasing) {
+  // A repeated item and a descending pair: intersection kernels differ on
+  // such lists, so they must not decode.
+  const std::vector<ItemId> rows[] = {{1, 5, 5, 9}, {1, 9, 7}};
+  for (const std::vector<ItemId>& items : rows) {
+    ProbeRequest request;
+    request.left = 1;
+    request.items = items;
+    request.keys = {7};
+    ProbeBatch decoded;
+    const Status status = DecodeProbeBatch(
+        EncodeProbeBatch(std::span<const ProbeRequest>(&request, 1)),
+        &decoded);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("ProbeBatch items are not strictly "
+                                     "increasing"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(DistributedWireTest, ResponseBatchRandomizedRoundTrip) {
   for (uint64_t seed = 21; seed <= 26; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));

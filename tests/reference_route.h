@@ -3,7 +3,10 @@
 // route under test: each probe's keys come from the filter kernel, their
 // owners from the plan, and a (key, owner) pair is kept iff the owner's
 // slice of the key holds an id above the probe. A self-join's work
-// counters must equal the ones it predicts.
+// counters must equal the ones it predicts. Its verifications are the
+// distinct ids above the probe that the sizes alone do not rule out:
+// the measure at the largest overlap two sets can have, the smaller
+// size, reaches the threshold.
 
 #ifndef SKEWSEARCH_TESTS_REFERENCE_ROUTE_H_
 #define SKEWSEARCH_TESTS_REFERENCE_ROUTE_H_
@@ -15,6 +18,7 @@
 
 #include "data/dataset.h"
 #include "distributed/distributed_join.h"
+#include "sim/measures.h"
 
 namespace skewsearch {
 namespace test {
@@ -27,7 +31,8 @@ struct ReferenceRoute {
   size_t unpruned_keys = 0;  ///< every (key, owner) pair of the kernel keys
   /// Per owner: `probes` counts requests, `candidates` the entries of
   /// the kept keys' slices, and `verifications` the distinct ids above
-  /// each probe over *all* its kernel keys routed there.
+  /// each probe over *all* its kernel keys routed there whose sizes can
+  /// reach the join's threshold.
   std::vector<WorkerLoad> workers;
 
   double fanout() const {
@@ -42,6 +47,7 @@ struct ReferenceRoute {
 inline ReferenceRoute RouteByReference(const DistributedJoin& join,
                                        const Dataset& data) {
   const size_t worker_count = static_cast<size_t>(join.num_workers());
+  const Measure measure = join.family().options().verify_measure;
   ReferenceRoute route;
   route.workers.resize(worker_count);
   std::vector<uint64_t> keys;
@@ -71,11 +77,19 @@ inline ReferenceRoute RouteByReference(const DistributedJoin& join,
         route.workers[o].candidates += slice.size();
       }
     }
+    const size_t probe_size = data.Get(probe).size();
     for (size_t o = 0; o < worker_count; ++o) {
       std::sort(above[o].begin(), above[o].end());
-      route.workers[o].verifications +=
-          static_cast<size_t>(std::unique(above[o].begin(), above[o].end()) -
-                              above[o].begin());
+      above[o].erase(std::unique(above[o].begin(), above[o].end()),
+                     above[o].end());
+      for (VectorId id : above[o]) {
+        const size_t size = data.Get(id).size();
+        if (SimilarityFromCounts(measure, probe_size, size,
+                                 std::min(probe_size, size)) >=
+            join.threshold()) {
+          route.workers[o].verifications++;
+        }
+      }
       route.keys += kept[o];
       if (kept[o] == 0) continue;
       route.workers[o].probes++;

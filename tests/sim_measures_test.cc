@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/random.h"
@@ -56,6 +58,57 @@ TEST(MeasuresTest, FromCountsMatches) {
             BraunBlanquet(kA, kB));
   EXPECT_EQ(SimilarityFromCounts(Measure::kJaccard, 4, 6, 2),
             Jaccard(kA, kB));
+}
+
+TEST(MeasuresTest, SizesCanReachNeverSkipsAPairThatCouldPass) {
+  // Every size pair in [0, 64]^2 of every measure, against every value
+  // the measure takes at those sizes (each overlap up to the smaller
+  // size) and the doubles just either side of it. SizesCanReach and both
+  // conditions below are step functions of the threshold that only step
+  // at those values, so this covers every threshold, the ties included.
+  constexpr size_t kMaxSize = 64;
+  for (Measure m : {Measure::kBraunBlanquet, Measure::kJaccard,
+                    Measure::kDice, Measure::kOverlap, Measure::kCosine}) {
+    SCOPED_TRACE("measure " + std::to_string(static_cast<int>(m)));
+    size_t failures = 0;
+    std::string first_failure;
+    std::vector<double> thresholds;
+    for (size_t a = 0; a <= kMaxSize; ++a) {
+      for (size_t b = 0; b <= kMaxSize; ++b) {
+        const size_t most = std::min(a, b);
+        thresholds.clear();
+        double best = 0.0;  // the largest value over every overlap
+        for (size_t overlap = 0; overlap <= most; ++overlap) {
+          const double value = SimilarityFromCounts(m, a, b, overlap);
+          best = std::max(best, value);
+          thresholds.push_back(value);
+          thresholds.push_back(std::nextafter(value, -1.0));
+          thresholds.push_back(std::nextafter(value, 2.0));
+        }
+        const double at_most = SimilarityFromCounts(m, a, b, most);
+        for (double t : thresholds) {
+          const bool can = SizesCanReach(m, a, b, t);
+          // Ruled out: no overlap reaches t. Not ruled out: the largest
+          // overlap does.
+          bool ok = can ? at_most >= t : best < t;
+          if (m == Measure::kBraunBlanquet) {
+            const double ratio =
+                most == 0 ? 0.0
+                          : static_cast<double>(most) /
+                                static_cast<double>(std::max(a, b));
+            ok = ok && can == (ratio >= t);
+          }
+          if (!ok && failures++ == 0) {
+            first_failure = "sizes " + std::to_string(a) + ", " +
+                            std::to_string(b) + ", threshold " +
+                            std::to_string(t) + ": can reach " +
+                            std::to_string(can);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(failures, 0u) << first_failure;
+  }
 }
 
 TEST(MeasuresTest, OrderingInvariants) {

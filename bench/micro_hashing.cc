@@ -1,23 +1,16 @@
 // Copyright 2026 The skewsearch Authors.
-// Microbenchmarks: hashing primitives and the one-pass sketcher.
+// Microbenchmarks: hashing primitives.
 //
 // Standalone timer harness (bench_util.h), no external dependency.
-// The sketch section measures the fast one-pass sketcher against the
-// classic t-pass MinHash it replaces — the "fast similarity sketching"
-// speedup the hashing layer claims.
 //
 // Flags: --json FILE   write metrics JSON (see bench_util.h)
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "hashing/mix.h"
 #include "hashing/pairwise.h"
 #include "hashing/path_hasher.h"
-#include "hashing/sketch.h"
-#include "hashing/tabulation.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -56,13 +49,6 @@ int Run(int argc, char** argv) {
   });
   table.AddRow({"PairwiseHash", bench::Fmt(pairwise_ns, 2)});
 
-  TabulationHash tabulation(&rng);
-  const double tabulation_ns = bench::NsPerOp([&] {
-    x = tabulation.Hash(x);
-    bench::DoNotOptimize(x);
-  });
-  table.AddRow({"TabulationHash", bench::Fmt(tabulation_ns, 2)});
-
   PathHasher hasher(42, 32, HashEngine::kMixer);
   uint64_t key = hasher.RootKey(0);
   uint32_t item = 0;
@@ -76,36 +62,7 @@ int Run(int argc, char** argv) {
 
   reporter.Metric("mix64_ns", mix_ns, /*stable=*/false, "ns");
   reporter.Metric("pairwise_ns", pairwise_ns, /*stable=*/false, "ns");
-  reporter.Metric("tabulation_ns", tabulation_ns, /*stable=*/false, "ns");
   reporter.Metric("level_draw_ns", draw_ns, /*stable=*/false, "ns");
-
-  bench::Banner("One-pass similarity sketching vs classic t-pass MinHash");
-  bench::Table sketch_table({"t", "set", "classic_us", "fast_us", "speedup"});
-  // The one-pass scheme wins when the set is large relative to t (its
-  // per-element cost collapses to O(1) expected once the sketch fills);
-  // 8192-element sets cover the join-verification regime it serves.
-  for (uint32_t t : {64u, 256u, 1024u}) {
-    std::vector<ItemId> items;
-    Rng set_rng(9);
-    for (size_t i = 0; i < 8192; ++i) {
-      items.push_back(static_cast<ItemId>(set_rng.NextBounded(1u << 24)));
-    }
-    FastSketcher sketcher(t, 77);
-    std::vector<double> sketch;
-    const double classic_ns = bench::NsPerOp(
-        [&] { sketcher.SketchClassic(items, &sketch); }, 5, 0.02);
-    const double fast_ns =
-        bench::NsPerOp([&] { sketcher.Sketch(items, &sketch); }, 5, 0.02);
-    const double speedup = classic_ns / fast_ns;
-    sketch_table.AddRow({bench::Fmt(static_cast<size_t>(t)),
-                         bench::Fmt(items.size()),
-                         bench::Fmt(classic_ns / 1e3, 1),
-                         bench::Fmt(fast_ns / 1e3, 1),
-                         bench::Fmt(speedup, 2)});
-    reporter.Metric("sketch_speedup_t" + std::to_string(t), speedup,
-                    /*stable=*/false, "x");
-  }
-  sketch_table.Print();
 
   return reporter.WriteIfRequested(argc, argv) ? 0 : 1;
 }

@@ -930,7 +930,7 @@ std::optional<Match> DynamicIndex::QueryImpl(
       [&](size_t s) {
         return ShardView{this, static_cast<const ShardState*>(states[s])};
       },
-      /*pool=*/nullptr, stats, scratch);
+      stats, scratch);
 }
 
 std::optional<Match> DynamicIndex::Query(std::span<const ItemId> query,
@@ -979,7 +979,7 @@ std::vector<Match> DynamicIndex::Snapshot::QueryAll(
       [this](size_t s) {
         return ShardView{index_, static_cast<const ShardState*>(states_[s])};
       },
-      /*pool=*/nullptr, stats);
+      stats);
 }
 
 size_t DynamicIndex::Snapshot::size() const {

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "core/cost_model.h"
-#include "core/index_view.h"
 #include "core/inverted_index.h"
 #include "core/query_stats.h"
 #include "core/sharded_index.h"
@@ -148,10 +147,10 @@ struct ShardHealth {
 /// Remove/CompactShard/RebuildForSize from any number of threads. Not
 /// movable (shard slots and epoch slots pin addresses). Destruction
 /// requires quiescence: no reader, writer or snapshot may be in flight.
-class DynamicIndex : public IndexView {
+class DynamicIndex {
  public:
   DynamicIndex();
-  ~DynamicIndex() override;
+  ~DynamicIndex();
   DynamicIndex(const DynamicIndex&) = delete;
   DynamicIndex& operator=(const DynamicIndex&) = delete;
 
@@ -324,7 +323,7 @@ class DynamicIndex : public IndexView {
               const ProductDistribution* dist);
 
   /// True after a successful Build()/Load().
-  bool built() const override { return !shards_.empty(); }
+  bool built() const { return !shards_.empty(); }
 
   /// True iff \p id currently exists and is not tombstoned. Thread-safe.
   bool IsLive(VectorId id) const;
@@ -361,19 +360,19 @@ class DynamicIndex : public IndexView {
   /// edition; queries handle that internally. The family reference stays
   /// valid for the index's lifetime (editions are never destroyed).
   /// Before Build()/Load() these return graceful defaults (0 / 0.0 / an
-  /// empty family). Part of the shared core/index_view.h surface.
-  int repetitions() const override;
-  double verify_threshold() const override;
-  const FilterFamily& family() const override;
-  const IndexBuildStats& build_stats() const override {
-    return build_stats_;
-  }
+  /// empty family).
+  int repetitions() const;
+  double verify_threshold() const;
+  const FilterFamily& family() const;
+
+  /// Aggregate build counters of the last Build().
+  const IndexBuildStats& build_stats() const { return build_stats_; }
 
   const DynamicIndexOptions& options() const { return options_; }
 
   /// Approximate heap usage (base tables + deltas + inserted vectors).
   /// Thread-safe.
-  size_t MemoryBytes() const override;
+  size_t MemoryBytes() const;
 
  private:
   struct Edition;     // parameter edition (filter family + derivation)

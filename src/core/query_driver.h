@@ -43,7 +43,6 @@
 #include "sim/brute_force.h"
 #include "sim/measures.h"
 #include "util/containers.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace skewsearch {
@@ -71,9 +70,9 @@ struct Scratch {
   std::vector<FamilyKeys> families;
   size_t num_families = 0;
   std::vector<size_t> family_of;  ///< shard -> slot in `families`
-  std::vector<PostingSet<VectorId>> seen;
-  std::vector<RepHit> hits;
-  std::vector<QueryStats> shard_stats;
+  /// Ids already checked, in any shard: shards hold disjoint ids
+  /// (ShardOf), so one set serves them all.
+  PostingSet<VectorId> seen;
   PathGenStats path_gen;
 };
 
@@ -100,19 +99,6 @@ int BindFamilies(size_t num_shards, const ViewAt& view_at, Scratch* scratch) {
     scratch->family_of[s] = f;
   }
   return max_reps;
-}
-
-/// Runs scan(s) for every shard, fanned out over \p pool when given.
-template <typename ScanFn>
-void ForEachShard(ThreadPool* pool, size_t num_shards, const ScanFn& scan) {
-  if (pool != nullptr && num_shards > 1) {
-    pool->ParallelFor(num_shards, /*grain=*/1,
-                      [&](size_t begin, size_t end, int) {
-                        for (size_t s = begin; s < end; ++s) scan(s);
-                      });
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) scan(s);
-  }
 }
 
 /// Scans one shard's postings of \p keys (one repetition) until the
@@ -151,14 +137,14 @@ RepHit ScanRep(const View& view, std::span<const ItemId> query,
 
 /// The paper's query: some vector with similarity >= its shard's verify
 /// threshold, the first hit in scan order, stopping at the first
-/// repetition that has one. Shard scans of a repetition fan out over
-/// \p pool when given. Records the query.* metrics and, with a live
-/// obs::ScopedTrace, the per-phase spans (docs/OBSERVABILITY.md).
+/// repetition that has one. Each shard of a repetition scans to its own
+/// first hit, in shard order on the calling thread. Records the query.*
+/// metrics and, with a live obs::ScopedTrace, the per-phase spans
+/// (docs/OBSERVABILITY.md).
 template <typename ViewAt>
 std::optional<Match> FirstMatch(std::span<const ItemId> query,
                                 size_t num_shards, const ViewAt& view_at,
-                                ThreadPool* pool, QueryStats* stats,
-                                Scratch* scratch) {
+                                QueryStats* stats, Scratch* scratch) {
   // Function-local statics so the registry mutex is taken once per
   // process; per query this adds a handful of relaxed atomic adds and
   // two clock reads per repetition (the filter/verify phase split).
@@ -191,8 +177,7 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
   int64_t phase_mark = 0;
   if (num_shards > 0 && !query.empty()) {
     const int max_reps = BindFamilies(num_shards, view_at, scratch);
-    scratch->seen.resize(num_shards);
-    for (auto& seen : scratch->seen) seen.clear();
+    scratch->seen.clear();
     for (int rep = 0; rep < max_reps && !found; ++rep) {
       reps_probed++;
       const uint64_t rep_candidates_before = local.candidates;
@@ -211,35 +196,23 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
       // Everything between phase_mark and here was filter generation;
       // the rest of the repetition is lookup + verification.
       filter_ns += timer.ElapsedNanos() - phase_mark;
-      scratch->hits.assign(num_shards, RepHit{});
-      scratch->shard_stats.assign(num_shards, QueryStats{});
-      ForEachShard(pool, num_shards, [&](size_t s) {
-        scratch->hits[s] =
+      RepHit best;
+      for (size_t s = 0; s < num_shards; ++s) {
+        const RepHit hit =
             ScanRep(view_at(s), query,
                     scratch->families[scratch->family_of[s]].keys,
-                    &scratch->seen[s], &scratch->shard_stats[s]);
-      });
-      const RepHit* best = nullptr;
-      for (const RepHit& hit : scratch->hits) {
-        if (!hit.found) continue;
-        if (best == nullptr || std::tie(hit.key_idx, hit.phase, hit.id) <
-                                   std::tie(best->key_idx, best->phase,
-                                            best->id)) {
-          best = &hit;
+                    &scratch->seen, &local);
+        if (hit.found &&
+            (!best.found || std::tie(hit.key_idx, hit.phase, hit.id) <
+                                std::tie(best.key_idx, best.phase, best.id))) {
+          best = hit;
         }
       }
-      for (const QueryStats& qs : scratch->shard_stats) {
-        local.candidates += qs.candidates;
-        local.verifications += qs.verifications;
-        local.size_skips += qs.size_skips;
-      }
-      if (best != nullptr) found = Match{best->id, best->similarity};
+      if (best.found) found = Match{best.id, best.similarity};
       phase_mark = timer.ElapsedNanos();
       fanout_metric->Record(local.candidates - rep_candidates_before);
     }
-    for (const auto& seen : scratch->seen) {
-      local.distinct_candidates += seen.size();
-    }
+    local.distinct_candidates = scratch->seen.size();
   }
   const int64_t total_ns = timer.ElapsedNanos();
   const int64_t verify_ns = phase_mark - filter_ns;
@@ -266,11 +239,11 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
 /// by descending similarity (ties by id); one whose size rules
 /// \p threshold out counts in `size_skips`. Exhausts every repetition, so
 /// each family's keys are computed up front in one fused pass and each
-/// shard is scanned once; shard scans fan out over \p pool when given.
+/// shard is scanned once.
 template <typename ViewAt>
 std::vector<Match> AllMatches(std::span<const ItemId> query, double threshold,
                               size_t num_shards, const ViewAt& view_at,
-                              ThreadPool* pool, QueryStats* stats) {
+                              QueryStats* stats) {
   SKEWSEARCH_SPAN("query.all");
   Timer timer;
   QueryStats local;
@@ -284,35 +257,28 @@ std::vector<Match> AllMatches(std::span<const ItemId> query, double threshold,
       entry.family->ComputeAllFilters(query, &entry.keys, &offsets);
       local.filters += entry.keys.size();
     }
-    std::vector<std::vector<Match>> matches(num_shards);
-    std::vector<QueryStats> shard_stats(num_shards);
-    ForEachShard(pool, num_shards, [&](size_t s) {
+    PostingSet<VectorId> seen;
+    for (size_t s = 0; s < num_shards; ++s) {
       const auto view = view_at(s);
       const Measure measure = view.family().options().verify_measure;
-      QueryStats& qs = shard_stats[s];
-      PostingSet<VectorId> seen;
       for (uint64_t key : scratch.families[scratch.family_of[s]].keys) {
-        view.Scan(key, &qs, [&](uint8_t /*phase*/, VectorId id) {
+        view.Scan(key, &local, [&](uint8_t /*phase*/, VectorId id) {
           if (!seen.insert(id).second) return false;
           const std::span<const ItemId> items = view.Items(id);
           if (items.empty()) return false;
           if (!SizesCanReach(measure, query.size(), items.size(),
                              threshold)) {
-            qs.size_skips++;
+            local.size_skips++;
             return false;
           }
-          qs.verifications++;
+          local.verifications++;
           const double sim = Similarity(measure, query, items);
-          if (sim >= threshold) matches[s].push_back({id, sim});
+          if (sim >= threshold) out.push_back({id, sim});
           return false;
         });
       }
-      qs.distinct_candidates = seen.size();
-    });
-    for (size_t s = 0; s < num_shards; ++s) {
-      AddQueryStats(&local, shard_stats[s]);
-      out.insert(out.end(), matches[s].begin(), matches[s].end());
     }
+    local.distinct_candidates = seen.size();
   }
   std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
     if (a.similarity != b.similarity) return a.similarity > b.similarity;

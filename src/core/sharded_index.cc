@@ -177,32 +177,26 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
 
 std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
                                          QueryStats* stats) const {
-  return Query(query, nullptr, stats);
-}
-
-std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
-                                         ThreadPool* pool,
-                                         QueryStats* stats) const {
   query_internal::Scratch scratch;
-  return QueryImpl(query, pool, stats, &scratch);
+  return QueryImpl(query, stats, &scratch);
 }
 
 std::optional<Match> ShardedIndex::QueryImpl(
-    std::span<const ItemId> query, ThreadPool* pool, QueryStats* stats,
+    std::span<const ItemId> query, QueryStats* stats,
     query_internal::Scratch* scratch) const {
   return query_internal::FirstMatch(
       query, shards_.size(),
       [this](size_t s) { return ShardView{&shards_[s], &family_, data_}; },
-      pool, stats, scratch);
+      stats, scratch);
 }
 
 std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
-                                          double threshold, QueryStats* stats,
-                                          ThreadPool* pool) const {
+                                          double threshold,
+                                          QueryStats* stats) const {
   return query_internal::AllMatches(
       query, threshold, shards_.size(),
       [this](size_t s) { return ShardView{&shards_[s], &family_, data_}; },
-      pool, stats);
+      stats);
 }
 
 std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
@@ -217,14 +211,13 @@ std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
     const Dataset& queries, ThreadPool* pool, std::vector<QueryStats>* stats,
     BatchQueryStats* batch_stats) const {
   // The batch is parallelized over queries; each query scans its shards
-  // serially (fanning a query's shards onto the same pool would deadlock
-  // a worker waiting on its own pool).
+  // serially.
   return batch_internal::Run<query_internal::Scratch>(
       queries, pool, stats, batch_stats,
       [&](size_t i, query_internal::Scratch* scratch,
           QueryStats* query_stats) {
-        return QueryImpl(queries.Get(static_cast<VectorId>(i)), nullptr,
-                         query_stats, scratch);
+        return QueryImpl(queries.Get(static_cast<VectorId>(i)), query_stats,
+                         scratch);
       },
       [](const query_internal::Scratch& scratch, BatchQueryStats* agg) {
         AddPathGenStats(&agg->path_gen, scratch.path_gen);

@@ -7,12 +7,11 @@
 // stored. Every shard count therefore runs the *same* family and only
 // splits the posting lists: shard s holds the (filter key, id) pairs of
 // the vectors with ShardOf(id) == s. A query computes its filter keys
-// once per repetition, fans the table lookups out over the shards
-// (optionally on a ThreadPool), and merges by the scan coordinate
-// (repetition, key position, id) — which makes the result
-// *byte-identical* to the one-shard index for every shard count and
-// thread count. Per-query work counters differ (shards other than the
-// winning one scan to the end of the repetition), but results never do.
+// once per repetition, looks them up in every shard in turn, and merges
+// by the scan coordinate (repetition, key position, id) — which makes
+// the result *byte-identical* to the one-shard index for every shard
+// count. Per-query work counters differ (shards other than the winning
+// one scan to the end of the repetition), but results never do.
 // The query driver doing this lives in core/query_driver.h and also
 // serves the online DynamicIndex.
 //
@@ -29,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/index_view.h"
 #include "core/inverted_index.h"
 #include "core/query_stats.h"
 #include "core/skewed_index.h"
@@ -61,7 +59,7 @@ struct ShardedIndexOptions {
 ///
 /// The dataset and distribution are borrowed and must outlive the index.
 /// Queries are const and safe to issue from multiple threads.
-class ShardedIndex : public IndexView {
+class ShardedIndex {
  public:
   ShardedIndex() = default;
 
@@ -82,18 +80,11 @@ class ShardedIndex : public IndexView {
   std::optional<Match> Query(std::span<const ItemId> query,
                              QueryStats* stats = nullptr) const;
 
-  /// Same result, but each repetition's shard scans fan out over \p pool
-  /// (null = serial). Must not be called from a worker of \p pool.
-  std::optional<Match> Query(std::span<const ItemId> query, ThreadPool* pool,
-                             QueryStats* stats = nullptr) const;
-
   /// All distinct candidates with similarity >= \p threshold, sorted by
   /// descending similarity (ties by id); exhausts every filter, so a
-  /// threshold of 0 ranks every candidate the filters surface. Shard
-  /// scans fan out over \p pool when given.
+  /// threshold of 0 ranks every candidate the filters surface.
   std::vector<Match> QueryAll(std::span<const ItemId> query, double threshold,
-                              QueryStats* stats = nullptr,
-                              ThreadPool* pool = nullptr) const;
+                              QueryStats* stats = nullptr) const;
 
   /// Answers every vector of \p queries as a Query(), parallelized over
   /// the batch (each query scans its shards serially, so worker counts
@@ -135,18 +126,21 @@ class ShardedIndex : public IndexView {
   /// The filter keys the index probes for \p query (diagnostics/tests).
   std::vector<uint64_t> ComputeFilterKeys(std::span<const ItemId> query) const;
 
-  // Shared read-only surface (documented on core/index_view.h). Note:
-  // build_stats().distinct_keys counts distinct (shard, key) pairs — a
-  // key shared by two shards counts twice.
-  bool built() const override { return family_.valid(); }
-  int repetitions() const override { return family_.repetitions(); }
-  double verify_threshold() const override {
-    return family_.verify_threshold();
-  }
-  const FilterFamily& family() const override { return family_; }
-  const IndexBuildStats& build_stats() const override {
-    return build_stats_;
-  }
+  /// True after a successful Build()/MapFrozen().
+  bool built() const { return family_.valid(); }
+
+  /// Number of filter repetitions actually used.
+  int repetitions() const { return family_.repetitions(); }
+
+  /// The similarity a returned match is guaranteed to have.
+  double verify_threshold() const { return family_.verify_threshold(); }
+
+  /// The filter family driving the index.
+  const FilterFamily& family() const { return family_; }
+
+  /// Aggregate build counters. distinct_keys counts distinct (shard,
+  /// key) pairs — a key shared by two shards counts twice.
+  const IndexBuildStats& build_stats() const { return build_stats_; }
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ShardedIndexOptions& options() const { return options_; }
@@ -163,11 +157,11 @@ class ShardedIndex : public IndexView {
   }
 
   /// Approximate heap usage of all shard tables.
-  size_t MemoryBytes() const override;
+  size_t MemoryBytes() const;
 
  private:
   std::optional<Match> QueryImpl(std::span<const ItemId> query,
-                                 ThreadPool* pool, QueryStats* stats,
+                                 QueryStats* stats,
                                  query_internal::Scratch* scratch) const;
 
   const Dataset* data_ = nullptr;

@@ -1,17 +1,24 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <vector>
 
 namespace skewsearch {
 
 VectorId Dataset::Add(const SparseVector& vec) { return Add(vec.span()); }
 
-VectorId Dataset::Add(std::span<const ItemId> sorted_ids) {
-  items_.insert(items_.end(), sorted_ids.begin(), sorted_ids.end());
+VectorId Dataset::Add(std::span<const ItemId> ids) {
+  if (std::adjacent_find(ids.begin(), ids.end(),
+                         std::greater_equal<ItemId>()) != ids.end()) {
+    return Add(
+        SparseVector::FromIds(std::vector<ItemId>(ids.begin(), ids.end())));
+  }
+  items_.insert(items_.end(), ids.begin(), ids.end());
   offsets_.push_back(items_.size());
-  if (!sorted_ids.empty()) {
-    dim_ = std::max(dim_, static_cast<size_t>(sorted_ids.back()) + 1);
+  if (!ids.empty()) {
+    dim_ = std::max(dim_, static_cast<size_t>(ids.back()) + 1);
   }
   return static_cast<VectorId>(offsets_.size() - 2);
 }

@@ -28,8 +28,11 @@ class Dataset {
   /// Appends one vector; returns its id.
   VectorId Add(const SparseVector& vec);
 
-  /// Appends a vector given as a sorted id span (avoids a copy).
-  VectorId Add(std::span<const ItemId> sorted_ids);
+  /// Appends the set of ids in \p ids; returns its id. Strictly
+  /// increasing ids are stored as given (one O(|ids|) check); any other
+  /// span is stored sorted and deduplicated, as SparseVector::FromIds
+  /// would.
+  VectorId Add(std::span<const ItemId> ids);
 
   /// Number of vectors n.
   size_t size() const { return offsets_.size() - 1; }

@@ -439,11 +439,7 @@ Status DistributedJoin::Build(const Dataset* data,
   PartitionPlannerOptions planner;
   planner.workers = options.workers;
   planner.heavy_threshold = options.heavy_threshold;
-  planner.sample_fraction = options.sample_fraction;
-  Result<PartitionPlan> plan =
-      options.sample_fraction >= 1.0
-          ? PartitionPlanner::PlanFromTable(table, planner)
-          : PartitionPlanner::PlanFromData(*data, *family, planner);
+  Result<PartitionPlan> plan = PartitionPlanner::PlanFromTable(table, planner);
   if (!plan.ok()) return plan.status();
 
   // One worker serves the table itself; more take disjoint slices.

@@ -70,11 +70,6 @@ struct DistributedJoinOptions {
   /// Heavy-key split point forwarded to the planner (0 = auto).
   size_t heavy_threshold = 0;
 
-  /// Planner estimate pass: 1 (default) plans from the exact posting
-  /// counts; < 1 plans from a sampled frequency estimate instead, as a
-  /// coordinator without the full table would.
-  double sample_fraction = 1.0;
-
   /// Parallelism for the build and the worker fan-out (<= 1 = serial;
   /// workers are driven one per pool slot either way, so the thread
   /// count never changes results).

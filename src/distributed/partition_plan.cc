@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <queue>
 
 #include "hashing/mix.h"
@@ -12,19 +11,6 @@ namespace skewsearch {
 namespace {
 
 constexpr int kMaxWorkers = 1 << 12;
-
-Status ValidateOptions(const PartitionPlannerOptions& options) {
-  if (options.workers < 1 || options.workers > kMaxWorkers) {
-    return Status::InvalidArgument("workers must be in [1, 4096]");
-  }
-  if (!(options.sample_fraction > 0.0) || options.sample_fraction > 1.0) {
-    return Status::InvalidArgument("sample_fraction must be in (0, 1]");
-  }
-  if (!(options.estimate.smoothing >= 0.0)) {
-    return Status::InvalidArgument("smoothing must be >= 0");
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -63,10 +49,14 @@ size_t PartitionPlan::replicated_slices() const {
   return total;
 }
 
-Result<PartitionPlan> PartitionPlanner::PlanFromCounts(
-    const std::vector<std::pair<uint64_t, double>>& counts,
-    double total_entries, const PartitionPlannerOptions& options) {
-  SKEWSEARCH_RETURN_NOT_OK(ValidateOptions(options));
+Result<PartitionPlan> PartitionPlanner::PlanFromTable(
+    const FilterTable& table, const PartitionPlannerOptions& options) {
+  if (options.workers < 1 || options.workers > kMaxWorkers) {
+    return Status::InvalidArgument("workers must be in [1, 4096]");
+  }
+  if (!table.frozen()) {
+    return Status::InvalidArgument("PlanFromTable needs a frozen table");
+  }
   const int workers = options.workers;
 
   PartitionPlan plan;
@@ -74,7 +64,7 @@ Result<PartitionPlan> PartitionPlanner::PlanFromCounts(
   plan.heavy_threshold = options.heavy_threshold;
   if (plan.heavy_threshold == 0) {
     plan.heavy_threshold = std::max<size_t>(
-        16, static_cast<size_t>(total_entries /
+        16, static_cast<size_t>(static_cast<double>(table.num_pairs()) /
                                 (4.0 * static_cast<double>(workers))));
   }
   plan.estimated_load.assign(static_cast<size_t>(workers), 0.0);
@@ -83,11 +73,13 @@ Result<PartitionPlan> PartitionPlanner::PlanFromCounts(
   // a given that heavy placement must balance around.
   const double threshold = static_cast<double>(plan.heavy_threshold);
   std::vector<std::pair<uint64_t, double>> heavies;
-  for (const auto& [key, estimate] : counts) {
-    if (estimate >= threshold) {
-      heavies.emplace_back(key, estimate);
+  for (size_t k = 0; k < table.num_keys(); ++k) {
+    const uint64_t key = table.key_at(k);
+    const double count = static_cast<double>(table.postings_at(k).size());
+    if (count >= threshold) {
+      heavies.emplace_back(key, count);
     } else {
-      plan.estimated_load[static_cast<size_t>(plan.HomeOf(key))] += estimate;
+      plan.estimated_load[static_cast<size_t>(plan.HomeOf(key))] += count;
     }
   }
 
@@ -107,12 +99,12 @@ Result<PartitionPlan> PartitionPlanner::PlanFromCounts(
   for (int w = 0; w < workers; ++w) {
     least_loaded.emplace(plan.estimated_load[static_cast<size_t>(w)], w);
   }
-  for (const auto& [key, estimate] : heavies) {
+  for (const auto& [key, count] : heavies) {
     const int slices = static_cast<int>(std::min<double>(
-        workers, std::ceil(estimate / threshold)));
+        workers, std::ceil(count / threshold)));
     std::vector<int> owners;
     owners.reserve(static_cast<size_t>(slices));
-    const double share = estimate / static_cast<double>(slices);
+    const double share = count / static_cast<double>(slices);
     for (int j = 0; j < slices; ++j) {
       owners.push_back(least_loaded.top().second);
       least_loaded.pop();
@@ -125,78 +117,6 @@ Result<PartitionPlan> PartitionPlanner::PlanFromCounts(
     plan.heavy.emplace(key, std::move(owners));
   }
   return plan;
-}
-
-Result<PartitionPlan> PartitionPlanner::PlanFromTable(
-    const FilterTable& table, const PartitionPlannerOptions& options) {
-  SKEWSEARCH_RETURN_NOT_OK(ValidateOptions(options));
-  if (!table.frozen()) {
-    return Status::InvalidArgument("PlanFromTable needs a frozen table");
-  }
-  std::vector<std::pair<uint64_t, double>> counts;
-  counts.reserve(table.num_keys());
-  for (size_t k = 0; k < table.num_keys(); ++k) {
-    counts.emplace_back(table.key_at(k),
-                        static_cast<double>(table.postings_at(k).size()));
-  }
-  return PlanFromCounts(counts, static_cast<double>(table.num_pairs()),
-                        options);
-}
-
-Result<PartitionPlan> PartitionPlanner::PlanFromData(
-    const Dataset& data, const FilterFamily& family,
-    const PartitionPlannerOptions& options) {
-  SKEWSEARCH_RETURN_NOT_OK(ValidateOptions(options));
-  if (!family.valid()) {
-    return Status::InvalidArgument("PlanFromData needs a valid family");
-  }
-
-  // Deterministic sample: a vector is in iff its id hash clears the
-  // fraction, so every participant streaming the same dataset sees the
-  // same sample regardless of iteration schedule. The full-sample case
-  // never converts (fraction * 2^64 is not representable as uint64_t).
-  const bool sample_all = options.sample_fraction >= 1.0;
-  const uint64_t cutoff =
-      sample_all
-          ? std::numeric_limits<uint64_t>::max()
-          : static_cast<uint64_t>(
-                options.sample_fraction *
-                static_cast<double>(std::numeric_limits<uint64_t>::max()));
-  PostingMap<uint64_t, size_t> sampled_counts;
-  std::vector<uint64_t> keys;
-  std::vector<size_t> offsets;
-  size_t sampled_vectors = 0;
-  for (VectorId id = 0; id < data.size(); ++id) {
-    if (!sample_all && Mix64(options.sample_seed ^ id) > cutoff) {
-      continue;
-    }
-    ++sampled_vectors;
-    auto x = data.Get(id);
-    // Fused all-repetitions pass (classification sorts by key below, so
-    // only the multiset of keys matters).
-    family.ComputeAllFilters(x, &keys, &offsets);
-    for (uint64_t key : keys) sampled_counts[key]++;
-  }
-
-  // Scale the sampled counts to the full dataset with the Laplace
-  // smoothing of data/estimate.h: est = n * (c + s) / (m + 2s). The
-  // smoothing keeps barely-sampled keys from being scaled into phantom
-  // heavies when the sample is tiny.
-  const double n = static_cast<double>(data.size());
-  const double m = static_cast<double>(sampled_vectors);
-  const double s = options.estimate.smoothing;
-  std::vector<std::pair<uint64_t, double>> counts;
-  counts.reserve(sampled_counts.size());
-  double total = 0.0;
-  for (const auto& [key, count] : sampled_counts) {
-    const double estimate =
-        m > 0.0 ? n * (static_cast<double>(count) + s) / (m + 2.0 * s) : 0.0;
-    counts.emplace_back(key, estimate);
-    total += estimate;
-  }
-  // Deterministic classification order (the map iterates arbitrarily).
-  std::sort(counts.begin(), counts.end());
-  return PlanFromCounts(counts, total, options);
 }
 
 }  // namespace skewsearch

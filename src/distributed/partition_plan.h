@@ -9,7 +9,7 @@
 // holds which posting entries and which workers a probe must visit. The
 // planner's job is to make that partition robust to skew:
 //
-//   * Light keys (estimated posting count below `heavy_threshold`) are
+//   * Light keys (posting count below `heavy_threshold`) are
 //     hashed to exactly one worker. Their verification work is small, so
 //     single-home placement costs nothing and keeps probe fan-out at 1.
 //   * Heavy keys — and skewed data concentrates a large fraction of all
@@ -21,18 +21,14 @@
 //     spreads across the cluster instead of serializing on one machine.
 //
 // Heavy keys are placed largest-first onto the least-loaded workers (LPT
-// scheduling over the estimated posting loads), after the light keys'
+// scheduling over the posting loads), after the light keys'
 // hash-determined loads are accounted. The plan is a pure function of
 // its inputs, so every participant can recompute it.
 //
-// Estimation: the exact per-key counts are available from a frozen
-// FilterTable (PlanFromTable). When no single machine holds the full
-// table, PlanFromData streams the family over a deterministic sample of
-// the dataset and scales the sampled counts with the Laplace smoothing
-// of data/estimate.h — the same estimate-from-the-data-itself move the
-// paper's Section 9 suggests for the item frequencies. Keys never seen
-// by the estimate pass are routed by hash like any light key, so a plan
-// always covers the whole key space.
+// The planner reads the exact per-key posting counts of the frozen
+// table the coordinator builds (PlanFromTable). A key the table does not
+// hold is routed by hash like any light key, so a plan always covers the
+// whole key space.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_PARTITION_PLAN_H_
 #define SKEWSEARCH_DISTRIBUTED_PARTITION_PLAN_H_
@@ -42,9 +38,6 @@
 #include <vector>
 
 #include "core/inverted_index.h"
-#include "core/skewed_index.h"
-#include "data/dataset.h"
-#include "data/estimate.h"
 #include "util/result.h"
 
 namespace skewsearch {
@@ -54,25 +47,11 @@ struct PartitionPlannerOptions {
   /// Number of workers W (>= 1).
   int workers = 4;
 
-  /// A key whose estimated posting count is >= this is heavy and gets
-  /// split across ceil(count / heavy_threshold) workers (capped at W).
+  /// A key whose posting count is >= this is heavy and gets split
+  /// across ceil(count / heavy_threshold) workers (capped at W).
   /// 0 derives max(16, total_entries / (4 * W)): any key that alone
   /// fills a quarter of a balanced worker's share is worth splitting.
   size_t heavy_threshold = 0;
-
-  /// Fraction of the dataset the PlanFromData estimate pass streams
-  /// (in (0, 1]; 1 = every vector, exact counts). Vectors are selected
-  /// by a deterministic hash so the sample is reproducible.
-  double sample_fraction = 1.0;
-
-  /// Seed of the sampling hash (independent of the index seed so the
-  /// sample is uncorrelated with the filter keys).
-  uint64_t sample_seed = 0x9e3779b97f4a7c15ULL;
-
-  /// Smoothing applied when scaling sampled counts up to the full
-  /// dataset (reuses the Laplace estimator configuration of
-  /// data/estimate.h; only `smoothing` is consulted).
-  EstimateOptions estimate;
 };
 
 /// \brief A skew-aware assignment of filter keys to workers.
@@ -112,7 +91,7 @@ struct PartitionPlan {
   /// The all-workers plan of the frozen-shard mode (see `broadcast`).
   static PartitionPlan Broadcast(int workers);
 
-  /// The hash home of a light (or never-estimated) key.
+  /// The hash home of a light key, or of one the planned table lacks.
   int HomeOf(uint64_t key) const;
 
   /// Appends every worker that must see \p key — the slice owners for a
@@ -132,21 +111,6 @@ class PartitionPlanner {
   /// Plans from the exact per-key posting counts of a frozen \p table.
   static Result<PartitionPlan> PlanFromTable(
       const FilterTable& table, const PartitionPlannerOptions& options);
-
-  /// Plans from a frequency-estimate pass: streams \p family over a
-  /// deterministic `sample_fraction` sample of \p data, scales the
-  /// sampled key counts with Laplace smoothing, and classifies on the
-  /// estimates. With sample_fraction == 1 the counts are exact and the
-  /// plan matches PlanFromTable on the table that data would build.
-  static Result<PartitionPlan> PlanFromData(
-      const Dataset& data, const FilterFamily& family,
-      const PartitionPlannerOptions& options);
-
- private:
-  /// Shared back end: classify + place from (key, estimated count).
-  static Result<PartitionPlan> PlanFromCounts(
-      const std::vector<std::pair<uint64_t, double>>& counts,
-      double total_entries, const PartitionPlannerOptions& options);
 };
 
 }  // namespace skewsearch

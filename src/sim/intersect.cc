@@ -57,26 +57,4 @@ size_t IntersectSize(std::span<const ItemId> a, std::span<const ItemId> b) {
   return IntersectSizeKernel(a, b);
 }
 
-size_t IntersectSizeAtLeast(std::span<const ItemId> a,
-                            std::span<const ItemId> b, size_t bound) {
-  size_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    // Upper bound on what is still reachable; stop once the target bound
-    // cannot be met or has been met.
-    if (count >= bound) return count;
-    if (count + std::min(a.size() - i, b.size() - j) < bound) return count;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
 }  // namespace skewsearch

@@ -27,14 +27,6 @@ size_t IntersectSizeGalloping(std::span<const ItemId> a,
 /// Byte-identical to IntersectSizeMerge for every input.
 size_t IntersectSize(std::span<const ItemId> a, std::span<const ItemId> b);
 
-/// Early-exit predicate kernel: the return value is >= bound if and only
-/// if |a n b| >= bound. Scanning stops as soon as the bound is provably
-/// met or provably unreachable, so the returned value is NOT the exact
-/// intersection size in either early-exit case — use it only to test the
-/// threshold.
-size_t IntersectSizeAtLeast(std::span<const ItemId> a,
-                            std::span<const ItemId> b, size_t bound);
-
 }  // namespace skewsearch
 
 #endif  // SKEWSEARCH_SIM_INTERSECT_H_

@@ -1,17 +1,21 @@
 // ShardedIndex: serial equivalence with the one-shard index across
 // shard counts and thread counts (the core contract: sharding is a
 // layout decision, never a semantics decision), one instrumented query
-// path at every shard count, partition stability, and the Freeze/
-// MapFrozen round trip (in the ShardedIndexIoTest names "Save" means
-// Freeze and "Load" means MapFrozen).
+// path at every shard count, work counters equal to a shard-by-shard
+// replay, partition stability, and the Freeze/MapFrozen round trip (in
+// the ShardedIndexIoTest names "Save" means Freeze and "Load" means
+// MapFrozen).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/frozen_shard.h"
@@ -20,9 +24,9 @@
 #include "data/generators.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "sim/measures.h"
 #include "test_paths.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace skewsearch {
 namespace {
@@ -86,9 +90,17 @@ void ExpectSameMatches(const std::vector<Match>& a,
   }
 }
 
+void ExpectSameCounters(const QueryStats& a, const QueryStats& b,
+                        const std::string& ctx) {
+  EXPECT_EQ(a.filters, b.filters) << ctx;
+  EXPECT_EQ(a.candidates, b.candidates) << ctx;
+  EXPECT_EQ(a.verifications, b.verifications) << ctx;
+  EXPECT_EQ(a.size_skips, b.size_skips) << ctx;
+  EXPECT_EQ(a.distinct_candidates, b.distinct_candidates) << ctx;
+}
+
 // The acceptance contract: byte-identical results for K in {2, 7}
-// against K = 1, with and without a thread pool fanning out the shard
-// scans.
+// against K = 1.
 TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
   ShardedIndex reference;
   ASSERT_TRUE(reference.Build(&data_, &dist_, ShardedOptions(1)).ok());
@@ -104,7 +116,6 @@ TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
     EXPECT_EQ(sharded.build_stats().total_filters,
               reference.build_stats().total_filters);
 
-    ThreadPool pool(3);
     for (size_t i = 0; i < queries_.size(); ++i) {
       auto query = queries_.Get(static_cast<VectorId>(i));
       std::string ctx = "K=" + std::to_string(num_shards) + " query " +
@@ -114,44 +125,188 @@ TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
                 reference.ComputeFilterKeys(query))
           << ctx;
       ExpectSameMatch(sharded.Query(query), reference.Query(query), ctx);
-      ExpectSameMatch(sharded.Query(query, &pool), reference.Query(query),
-                      ctx + " (pooled)");
       ExpectSameMatches(sharded.QueryAll(query, 0.0),
                         reference.QueryAll(query, 0.0), ctx);
-      ExpectSameMatches(sharded.QueryAll(query, 0.0, nullptr, &pool),
-                        reference.QueryAll(query, 0.0), ctx + " (pooled)");
     }
   }
 }
 
 // Every shard count records the same query metrics from the same query
 // driver: one query.count per query and the three per-query phase
-// entries in the calling thread's trace, even when a pool scans the
-// shards on other threads.
+// entries in the calling thread's trace.
 TEST_F(ShardedIndexTest, QueryRecordsMetricsAtEveryShardCount) {
   const std::vector<std::string_view> per_query = {
       "span.query.filters", "span.query.verify", "query.latency_ns"};
   obs::Counter* const queries =
       obs::MetricsRegistry::Global().GetCounter("query.count");
-  ThreadPool pool(3);
   for (int num_shards : {1, 4}) {
     ShardedIndex index;
     ASSERT_TRUE(index.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
-    for (ThreadPool* query_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      SCOPED_TRACE("K=" + std::to_string(num_shards) +
-                   (query_pool != nullptr ? " pooled" : " serial"));
-      for (VectorId i = 0; i < 5; ++i) {
-        obs::ScopedTrace trace;
-        const uint64_t before = queries->Value();
-        index.Query(queries_.Get(i), query_pool);
-        EXPECT_EQ(queries->Value(), before + 1);
-        std::vector<std::string_view> names;
-        for (const obs::TraceEntry& entry : trace.entries()) {
-          names.push_back(entry.name);
+    SCOPED_TRACE("K=" + std::to_string(num_shards));
+    for (VectorId i = 0; i < 5; ++i) {
+      obs::ScopedTrace trace;
+      const uint64_t before = queries->Value();
+      index.Query(queries_.Get(i));
+      EXPECT_EQ(queries->Value(), before + 1);
+      std::vector<std::string_view> names;
+      for (const obs::TraceEntry& entry : trace.entries()) {
+        names.push_back(entry.name);
+      }
+      EXPECT_EQ(names, per_query);
+    }
+  }
+}
+
+/// A query's answer and work counters, rebuilt from public calls.
+struct Replayed {
+  std::vector<Match> matches;
+  QueryStats stats;
+};
+
+/// Scans shard \p s's postings of \p key as the query driver does:
+/// counts them as candidates, skips an id \p seen already holds, counts
+/// a size skip or a verification, and hands each passing (id,
+/// similarity) to \p on_pass, stopping when it returns true. Returns
+/// whether it stopped.
+template <typename OnPass>
+bool ReplayScan(const ShardedIndex& index, const Dataset& data, int s,
+                uint64_t key, std::span<const ItemId> query,
+                double threshold, std::set<VectorId>* seen,
+                QueryStats* stats, OnPass&& on_pass) {
+  const Measure measure = index.family().options().verify_measure;
+  const std::span<const VectorId> postings = index.shard_table(s).Lookup(key);
+  stats->candidates += postings.size();
+  for (VectorId id : postings) {
+    if (!seen->insert(id).second) continue;
+    const std::span<const ItemId> items = data.Get(id);
+    if (items.empty()) continue;
+    if (!SizesCanReach(measure, query.size(), items.size(), threshold)) {
+      stats->size_skips++;
+      continue;
+    }
+    stats->verifications++;
+    const double sim = Similarity(measure, query, items);
+    if (sim >= threshold && on_pass(id, sim)) return true;
+  }
+  return false;
+}
+
+/// Query(): per repetition, the family's keys; then each shard, with a
+/// seen-set of its own, scans them up to its first pass. The least
+/// (key position, id) wins, and the first repetition with a hit ends
+/// the query.
+Replayed ReplayQuery(const ShardedIndex& index, const Dataset& data,
+                     std::span<const ItemId> query) {
+  Replayed out;
+  if (query.empty()) return out;
+  const FilterFamily& family = index.family();
+  std::vector<std::set<VectorId>> seen(
+      static_cast<size_t>(index.num_shards()));
+  std::vector<uint64_t> keys;
+  for (int rep = 0; rep < family.repetitions() && out.matches.empty();
+       ++rep) {
+    keys.clear();
+    family.ComputeFilters(query, static_cast<uint32_t>(rep), &keys);
+    out.stats.filters += keys.size();
+    size_t best_key = 0;
+    for (int s = 0; s < index.num_shards(); ++s) {
+      for (size_t ki = 0; ki < keys.size(); ++ki) {
+        auto keep_least = [&](VectorId id, double sim) {
+          if (out.matches.empty() ||
+              std::pair(ki, id) < std::pair(best_key, out.matches[0].id)) {
+            best_key = ki;
+            out.matches = {Match{id, sim}};
+          }
+          return true;
+        };
+        if (ReplayScan(index, data, s, keys[ki], query,
+                       family.verify_threshold(),
+                       &seen[static_cast<size_t>(s)], &out.stats,
+                       keep_least)) {
+          break;
         }
-        EXPECT_EQ(names, per_query);
       }
     }
+  }
+  for (const auto& ids : seen) out.stats.distinct_candidates += ids.size();
+  return out;
+}
+
+/// QueryAll(): every key of every repetition, scanned in every shard;
+/// the matches sorted by descending similarity, ties by id.
+Replayed ReplayQueryAll(const ShardedIndex& index, const Dataset& data,
+                        std::span<const ItemId> query, double threshold) {
+  Replayed out;
+  if (query.empty()) return out;
+  std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
+  index.family().ComputeAllFilters(query, &keys, &offsets);
+  out.stats.filters = keys.size();
+  for (int s = 0; s < index.num_shards(); ++s) {
+    std::set<VectorId> seen;
+    for (uint64_t key : keys) {
+      ReplayScan(index, data, s, key, query, threshold, &seen, &out.stats,
+                 [&](VectorId id, double sim) {
+                   out.matches.push_back({id, sim});
+                   return false;
+                 });
+    }
+    out.stats.distinct_candidates += seen.size();
+  }
+  std::sort(out.matches.begin(), out.matches.end(),
+            [](const Match& a, const Match& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.id < b.id;
+            });
+  return out;
+}
+
+// The work counters at K > 1 equal a replay of the shard scan in which
+// every shard keeps its own seen-set and scans to its own first pass,
+// so the driver's shard scan cannot move them.
+TEST_F(ShardedIndexTest, CountersEqualAShardByShardReplay) {
+  // Every correlated query hits; halves of stored vectors add misses and
+  // candidates whose sizes rule the threshold out.
+  Dataset queries = queries_;
+  for (VectorId id = 0; id < 20; ++id) {
+    const std::span<const ItemId> items = data_.Get(id);
+    queries.Add(items.first(items.size() / 2));
+  }
+  for (int num_shards : {1, 2, 7}) {
+    ShardedIndex index;
+    ASSERT_TRUE(index.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
+    const double threshold = index.verify_threshold();
+    QueryStats totals;
+    size_t hits = 0;
+    for (VectorId i = 0; i < queries.size(); ++i) {
+      const std::span<const ItemId> query = queries.Get(i);
+      const std::string ctx =
+          "K=" + std::to_string(num_shards) + " query " + std::to_string(i);
+      QueryStats stats;
+      const std::optional<Match> got = index.Query(query, &stats);
+      const Replayed want = ReplayQuery(index, data_, query);
+      ExpectSameMatches(got ? std::vector<Match>{*got} : std::vector<Match>{},
+                        want.matches, ctx);
+      ExpectSameCounters(stats, want.stats, ctx);
+      AddQueryStats(&totals, stats);
+      hits += got.has_value();
+
+      QueryStats all_stats;
+      const std::vector<Match> all = index.QueryAll(query, threshold,
+                                                    &all_stats);
+      const Replayed want_all =
+          ReplayQueryAll(index, data_, query, threshold);
+      ExpectSameMatches(all, want_all.matches, ctx + " (all)");
+      ExpectSameCounters(all_stats, want_all.stats, ctx + " (all)");
+      AddQueryStats(&totals, all_stats);
+    }
+    // The fixture exercises every counter the replay pins.
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, queries.size());
+    EXPECT_GT(totals.size_skips, 0u);
+    EXPECT_GT(totals.verifications, 0u);
   }
 }
 

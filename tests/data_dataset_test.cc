@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/intersect.h"
+#include "sim/measures.h"
+
 namespace skewsearch {
 namespace {
 
@@ -89,6 +94,29 @@ TEST(DatasetTest, AddFromSpan) {
   data.Add(std::span<const ItemId>(ids));
   EXPECT_EQ(data.SizeOf(0), 3u);
   EXPECT_EQ(data.Get(0)[1], 4u);
+}
+
+TEST(DatasetTest, AddStoresTheSetOfAnUnsortedSpan) {
+  // Descending and repeated ids are stored as their sorted set, so every
+  // intersection kernel counts the same overlap against it.
+  Dataset data;
+  const std::vector<ItemId> ids{9, 7, 5, 1, 9, 7, 5, 1};
+  data.Add(std::span<const ItemId>(ids));
+  const std::span<const ItemId> stored = data.Get(0);
+  EXPECT_EQ(std::vector<ItemId>(stored.begin(), stored.end()),
+            (std::vector<ItemId>{1, 5, 7, 9}));
+  EXPECT_EQ(data.dimension(), 10u);
+
+  std::vector<ItemId> odd;
+  for (ItemId id = 1; id <= 17; id += 2) odd.push_back(id);
+  const IntersectKernel active = ActiveIntersectKernel();
+  for (IntersectKernel kernel : {IntersectKernel::kScalar,
+                                 IntersectKernel::kSse2,
+                                 IntersectKernel::kAvx2}) {
+    SCOPED_TRACE(IntersectKernelName(SetIntersectKernel(kernel)));
+    EXPECT_DOUBLE_EQ(Similarity(Measure::kJaccard, stored, odd), 4.0 / 9.0);
+  }
+  SetIntersectKernel(active);
 }
 
 }  // namespace

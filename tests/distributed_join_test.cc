@@ -130,24 +130,6 @@ TEST(DistributedJoinTest, AllLightRoutingPreservesOutput) {
   EXPECT_LE(stats.probe_fanout, 5.0);
 }
 
-TEST(DistributedJoinTest, SampledPlanPreservesOutput) {
-  // Routing decisions may differ under a sampled estimate pass, but the
-  // slices still cover the table, so the output is unchanged.
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(33, 100, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 33);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-
-  DistributedJoinOptions distributed = DistributedFrom(options, 4);
-  distributed.sample_fraction = 0.4;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  auto got = join.SelfJoin();
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-}
-
 TEST(DistributedJoinTest, RSJoinIdenticalToSingleProcess) {
   ProductDistribution dist;
   Dataset right = ZipfDataWithDuplicates(41, 100, &dist);
@@ -358,49 +340,45 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
   std::vector<int> owners;
   for (int workers : {1, 2, 7}) {
     for (size_t heavy_threshold : {size_t{0}, size_t{1}}) {
-      for (double sample_fraction : {1.0, 0.5}) {
-        SCOPED_TRACE("workers = " + std::to_string(workers) +
-                     ", heavy_threshold = " + std::to_string(heavy_threshold) +
-                     ", sample_fraction = " + std::to_string(sample_fraction));
-        DistributedJoinOptions distributed = DistributedFrom(options, workers);
-        distributed.heavy_threshold = heavy_threshold;
-        distributed.sample_fraction = sample_fraction;
-        DistributedJoin join;
-        ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-        std::vector<FilterTable> reference(static_cast<size_t>(workers));
-        for (size_t k = 0; k < table.num_keys(); ++k) {
-          const auto postings = table.postings_at(k);
-          owners.clear();
-          join.plan().RouteKey(table.key_at(k), &owners);
-          const size_t chunks = owners.size();
-          for (size_t j = 0; j < chunks; ++j) {
-            for (size_t i = j * postings.size() / chunks;
-                 i < (j + 1) * postings.size() / chunks; ++i) {
-              reference[static_cast<size_t>(owners[j])].Add(table.key_at(k),
-                                                            postings[i]);
-            }
+      SCOPED_TRACE("workers = " + std::to_string(workers) +
+                   ", heavy_threshold = " + std::to_string(heavy_threshold));
+      DistributedJoinOptions distributed = DistributedFrom(options, workers);
+      distributed.heavy_threshold = heavy_threshold;
+      DistributedJoin join;
+      ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
+      std::vector<FilterTable> reference(static_cast<size_t>(workers));
+      for (size_t k = 0; k < table.num_keys(); ++k) {
+        const auto postings = table.postings_at(k);
+        owners.clear();
+        join.plan().RouteKey(table.key_at(k), &owners);
+        const size_t chunks = owners.size();
+        for (size_t j = 0; j < chunks; ++j) {
+          for (size_t i = j * postings.size() / chunks;
+               i < (j + 1) * postings.size() / chunks; ++i) {
+            reference[static_cast<size_t>(owners[j])].Add(table.key_at(k),
+                                                          postings[i]);
           }
         }
-        auto cut = distributed_internal::CutSlices(table, join.plan());
-        ASSERT_TRUE(cut.ok());
-        ASSERT_EQ(cut->size(), reference.size());
-        for (int w = 0; w < workers; ++w) {
-          SCOPED_TRACE("worker " + std::to_string(w));
-          FilterTable& want = reference[static_cast<size_t>(w)];
-          want.Freeze();
-          const FilterTable* slices[] = {&(*cut)[static_cast<size_t>(w)],
-                                         &join.worker(w).table()};
-          for (const FilterTable* slice : slices) {
-            EXPECT_TRUE(same(slice->keys_span(), want.keys_span()));
-            EXPECT_TRUE(same(slice->offsets_span(), want.offsets_span()));
-            EXPECT_TRUE(same(slice->ids_span(), want.ids_span()));
-            EXPECT_TRUE(same(slice->directory_span(), want.directory_span()));
-            EXPECT_TRUE(slice->Validate().ok());
-          }
+      }
+      auto cut = distributed_internal::CutSlices(table, join.plan());
+      ASSERT_TRUE(cut.ok());
+      ASSERT_EQ(cut->size(), reference.size());
+      for (int w = 0; w < workers; ++w) {
+        SCOPED_TRACE("worker " + std::to_string(w));
+        FilterTable& want = reference[static_cast<size_t>(w)];
+        want.Freeze();
+        const FilterTable* slices[] = {&(*cut)[static_cast<size_t>(w)],
+                                       &join.worker(w).table()};
+        for (const FilterTable* slice : slices) {
+          EXPECT_TRUE(same(slice->keys_span(), want.keys_span()));
+          EXPECT_TRUE(same(slice->offsets_span(), want.offsets_span()));
+          EXPECT_TRUE(same(slice->ids_span(), want.ids_span()));
+          EXPECT_TRUE(same(slice->directory_span(), want.directory_span()));
+          EXPECT_TRUE(slice->Validate().ok());
         }
-        if (workers == 1) {
-          EXPECT_EQ((*cut)[0].keys_span().data(), table.keys_span().data());
-        }
+      }
+      if (workers == 1) {
+        EXPECT_EQ((*cut)[0].keys_span().data(), table.keys_span().data());
       }
     }
   }

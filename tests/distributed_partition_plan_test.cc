@@ -5,9 +5,6 @@
 #include <algorithm>
 #include <set>
 
-#include "data/generators.h"
-#include "util/random.h"
-
 namespace skewsearch {
 namespace {
 
@@ -165,11 +162,6 @@ TEST(DistributedPartitionPlanTest, RejectsBadOptions) {
   PartitionPlannerOptions options;
   options.workers = 0;
   EXPECT_FALSE(PartitionPlanner::PlanFromTable(table, options).ok());
-  options.workers = 4;
-  options.sample_fraction = 0.0;
-  EXPECT_FALSE(PartitionPlanner::PlanFromTable(table, options).ok());
-  options.sample_fraction = 1.5;
-  EXPECT_FALSE(PartitionPlanner::PlanFromTable(table, options).ok());
 }
 
 TEST(DistributedPartitionPlanTest, RejectsUnfrozenTable) {
@@ -177,73 +169,6 @@ TEST(DistributedPartitionPlanTest, RejectsUnfrozenTable) {
   staging.Add(1, 0);
   PartitionPlannerOptions options;
   EXPECT_FALSE(PartitionPlanner::PlanFromTable(staging, options).ok());
-}
-
-TEST(DistributedPartitionPlanTest, PlanFromDataMatchesTableWhenExact) {
-  // With sample_fraction = 1 the estimate pass sees every vector, so
-  // heavy classification must agree with the exact table plan.
-  auto dist = ZipfProbabilities(500, 1.0, 0.5).value();
-  Rng rng(7);
-  Dataset data = GenerateDataset(dist, 300, &rng);
-  SkewedIndexOptions index_options;
-  index_options.mode = IndexMode::kAdversarial;
-  index_options.b1 = 0.8;
-  auto family = FilterFamily::Create(&dist, index_options, data.size());
-  ASSERT_TRUE(family.ok());
-
-  FilterTable table;
-  std::vector<uint64_t> keys;
-  for (VectorId id = 0; id < data.size(); ++id) {
-    for (int rep = 0; rep < family->repetitions(); ++rep) {
-      keys.clear();
-      family->ComputeFilters(data.Get(id), static_cast<uint32_t>(rep),
-                             &keys, nullptr);
-      for (uint64_t key : keys) table.Add(key, id);
-    }
-  }
-  table.Freeze();
-
-  PartitionPlannerOptions options;
-  options.workers = 5;
-  options.heavy_threshold = 8;
-  options.estimate.smoothing = 0.0;  // exact pass needs no smoothing
-  auto from_table = PartitionPlanner::PlanFromTable(table, options);
-  auto from_data = PartitionPlanner::PlanFromData(data, *family, options);
-  ASSERT_TRUE(from_table.ok());
-  ASSERT_TRUE(from_data.ok());
-  ASSERT_EQ(from_table->heavy.size(), from_data->heavy.size());
-  for (const auto& [key, owners] : from_table->heavy) {
-    EXPECT_TRUE(from_data->heavy.count(key)) << "heavy key " << key;
-  }
-}
-
-TEST(DistributedPartitionPlanTest, SampledPlanStillFindsMegaKey) {
-  // A dataset of identical vectors: every vector emits the same filter
-  // keys, so each key's posting list spans the whole dataset — heavy
-  // beyond doubt, and a half sample must still see that.
-  auto dist = UniformProbabilities(50, 0.2).value();
-  Rng rng(9);
-  SparseVector proto = dist.Sample(&rng);
-  while (proto.span().size() < 3) proto = dist.Sample(&rng);
-  Dataset data;
-  for (int i = 0; i < 400; ++i) data.Add(proto);
-  ASSERT_TRUE(data.SetDimension(50).ok());
-  SkewedIndexOptions index_options;
-  index_options.mode = IndexMode::kAdversarial;
-  index_options.b1 = 0.8;
-  auto family = FilterFamily::Create(&dist, index_options, data.size());
-  ASSERT_TRUE(family.ok());
-
-  PartitionPlannerOptions options;
-  options.workers = 4;
-  options.heavy_threshold = 40;
-  options.sample_fraction = 0.5;
-  auto plan = PartitionPlanner::PlanFromData(data, *family, options);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_GT(plan->num_heavy_keys(), 0u);
-  for (const auto& [key, owners] : plan->heavy) {
-    EXPECT_EQ(owners.size(), 4u) << "mega-keys split across all workers";
-  }
 }
 
 }  // namespace

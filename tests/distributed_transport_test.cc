@@ -31,11 +31,19 @@ using test::ExpectSamePairs;
 using test::ZipfDataWithDuplicates;
 
 /// One hosted worker: a thread running ServeConnection on its end of a
-/// transport, with the outcome captured for the test to assert on.
+/// transport, with the outcome captured for the test to assert on. The
+/// destructor joins, so a failed ASSERT never destroys a joinable
+/// thread. Declare a worker before the connection ends that feed it:
+/// they close first on an early return, which ends its session.
 struct HostedWorker {
   std::thread thread;
   Status status;
   WorkerServeStats stats;
+
+  HostedWorker() = default;
+  HostedWorker(const HostedWorker&) = delete;
+  HostedWorker& operator=(const HostedWorker&) = delete;
+  ~HostedWorker() { Join(); }
 
   void Serve(std::unique_ptr<FrameConnection> connection) {
     thread = std::thread([this, conn = std::move(connection)]() mutable {
@@ -169,8 +177,8 @@ TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
   for (const auto& [min_version, max_version] : ranges) {
     SCOPED_TRACE("range " + std::to_string(min_version) + ".." +
                  std::to_string(max_version));
-    auto [coordinator, worker_end] = LoopbackPair();
     HostedWorker worker;
+    auto [coordinator, worker_end] = LoopbackPair();
     worker.Serve(std::move(worker_end));
     wire::HelloFrame hello;
     hello.min_version = min_version;
@@ -204,8 +212,8 @@ TEST(DistributedTransportTest, ConnectEndpointRejectsMalformedEndpoints) {
 TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
   // Postings referencing a vector that was not shipped must fail the
   // attach, not silently verify against garbage.
-  auto [coordinator, worker_end] = LoopbackPair();
   HostedWorker worker;
+  auto [coordinator, worker_end] = LoopbackPair();
   worker.Serve(std::move(worker_end));
   wire::WorkerAssignment assignment;
   assignment.threshold = 0.5;
@@ -224,8 +232,8 @@ TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
 TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
   // A probe whose items repeat must end the session with an Error frame
   // instead of an answer that depends on the intersection kernel.
-  auto [coordinator, worker_end] = LoopbackPair();
   HostedWorker worker;
+  auto [coordinator, worker_end] = LoopbackPair();
   worker.Serve(std::move(worker_end));
   wire::WorkerAssignment assignment;
   assignment.threshold = 0.5;
@@ -252,14 +260,32 @@ TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
   (void)session->Shutdown();
 }
 
-/// Attaches \p join to `workers` hosted loopback or TCP workers and
-/// returns the hosts (callers join + assert on them after detaching).
 enum class Transport { kLoopback, kTcp };
 
-std::vector<std::unique_ptr<HostedWorker>> AttachHostedWorkers(
-    DistributedJoin* join, Transport transport) {
+/// Hosts one worker per worker slot of a built DistributedJoin on
+/// loopback or TCP connections and attaches the coordinator to them
+/// (callers join + assert on the hosts after detaching). Destruction
+/// detaches the coordinator, which ends every session, before the hosts
+/// join: an ASSERT that returns early then reports its row instead of
+/// waiting on a worker still blocked in Receive.
+class HostedWorkers {
+ public:
+  HostedWorkers(DistributedJoin* join, Transport transport);
+  HostedWorkers(const HostedWorkers&) = delete;
+  HostedWorkers& operator=(const HostedWorkers&) = delete;
+  ~HostedWorkers() { join_->DetachRemote(); }
+
+  auto begin() { return hosts_.begin(); }
+  auto end() { return hosts_.end(); }
+
+ private:
+  DistributedJoin* join_;
+  std::vector<std::unique_ptr<HostedWorker>> hosts_;
+};
+
+HostedWorkers::HostedWorkers(DistributedJoin* join, Transport transport)
+    : join_(join) {
   const int workers = join->num_workers();
-  std::vector<std::unique_ptr<HostedWorker>> hosts;
   std::vector<std::unique_ptr<FrameConnection>> connections;
   for (int w = 0; w < workers; ++w) {
     auto host = std::make_unique<HostedWorker>();
@@ -284,10 +310,9 @@ std::vector<std::unique_ptr<HostedWorker>> AttachHostedWorkers(
       EXPECT_TRUE(connection.ok());
       connections.push_back(std::move(connection).value());
     }
-    hosts.push_back(std::move(host));
+    hosts_.push_back(std::move(host));
   }
   EXPECT_TRUE(join->AttachRemote(std::move(connections)).ok());
-  return hosts;
 }
 
 void RunRemoteIdentity(Transport transport, size_t probe_batch) {
@@ -305,7 +330,7 @@ void RunRemoteIdentity(Transport transport, size_t probe_batch) {
   distributed.probe_batch = probe_batch;
   DistributedJoin join;
   ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  auto hosts = AttachHostedWorkers(&join, transport);
+  HostedWorkers hosts(&join, transport);
   ASSERT_TRUE(join.remote());
 
   DistributedJoinStats stats;
@@ -375,7 +400,7 @@ TEST(DistributedTransportTest, RemoteRSJoinIdenticalToInProcess) {
   distributed.workers = 2;
   DistributedJoin join;
   ASSERT_TRUE(join.Build(&right, &dist, distributed).ok());
-  auto hosts = AttachHostedWorkers(&join, Transport::kLoopback);
+  HostedWorkers hosts(&join, Transport::kLoopback);
   auto got = join.Join(left);
   ASSERT_TRUE(got.ok());
   ExpectSamePairs(*expected, *got);
@@ -403,7 +428,7 @@ TEST(DistributedTransportTest, ParallelRemoteServingMatchesSerial) {
   distributed.probe_batch = 16;
   DistributedJoin join;
   ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  auto hosts = AttachHostedWorkers(&join, Transport::kLoopback);
+  HostedWorkers hosts(&join, Transport::kLoopback);
   auto got = join.SelfJoin();
   ASSERT_TRUE(got.ok());
   ExpectSamePairs(*expected, *got);

@@ -82,33 +82,5 @@ TEST(IntersectTest, PropertySymmetry) {
   }
 }
 
-TEST(IntersectAtLeastTest, StopsAtBound) {
-  std::vector<ItemId> a{1, 2, 3, 4, 5}, b{1, 2, 3, 4, 5};
-  EXPECT_EQ(IntersectSizeAtLeast(a, b, 3), 3u);
-  // Unreachable bound: the kernel exits early with some value < bound.
-  EXPECT_LT(IntersectSizeAtLeast(a, b, 100), 100u);
-}
-
-TEST(IntersectAtLeastTest, EarlyExitWhenUnreachable) {
-  std::vector<ItemId> a{1, 2}, b{10, 20, 30};
-  EXPECT_LT(IntersectSizeAtLeast(a, b, 3), 3u);
-}
-
-TEST(IntersectAtLeastTest, PropertyConsistentWithExact) {
-  Rng rng(44);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto a = RandomSorted(&rng, 50, 150);
-    auto b = RandomSorted(&rng, 50, 150);
-    size_t exact = IntersectSizeMerge(a, b);
-    size_t bound = rng.NextBounded(10) + 1;
-    size_t got = IntersectSizeAtLeast(a, b, bound);
-    if (exact >= bound) {
-      EXPECT_GE(got, bound);
-    } else {
-      EXPECT_LT(got, bound);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace skewsearch

@@ -24,8 +24,7 @@ status=0
 for header in src/core/*.h src/maintenance/*.h src/distributed/*.h \
               src/distributed/transport/*.h src/obs/*.h \
               src/durability/*.h \
-              src/util/containers.h src/util/mapped_file.h \
-              src/hashing/sketch.h; do
+              src/util/containers.h src/util/mapped_file.h; do
   if ! "$CXX" -std=c++20 -fsyntax-only -Isrc \
        -Wdocumentation -Werror=documentation "$header"; then
     echo "FAIL: $header" >&2

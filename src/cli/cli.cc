@@ -66,9 +66,7 @@ Commands:
            [--shards K] [--binary]
   selfjoin --in FILE --b1 X [--seed S] [--workers W] [--heavy-threshold T]
            [--frozen FILE] [--connect HOST:PORT,...] [--probe-batch N]
-           [--pipeline N] [--dump-pairs FILE] [--wal DIR]
-           [--sync-policy none|interval|group|always]
-           [--checkpoint-bytes N] [--shards K] [--churn N] [--binary]
+           [--pipeline N] [--dump-pairs FILE] [--binary]
   join     --left FILE --right FILE --b1 X [--seed S] [--workers W]
            [--heavy-threshold T] [--frozen FILE]
            [--connect HOST:PORT,...] [--probe-batch N] [--pipeline N]
@@ -175,12 +173,7 @@ runs the background thread, --dead-ratio sets the compaction trigger,
 remove+insert pairs before querying so compaction and drift actually
 fire.
 
-selfjoin --wal DIR runs a durable churn phase before the join: it
-opens an online index of --shards K shards over DIR, journals --churn N
-seeded inserts and removes, and closes it; the join then runs as
-without --wal. selfjoin takes --shards and --churn only with --wal.
-
---wal DIR (query-bench, selfjoin) makes the online index durable:
+query-bench --wal DIR makes the online index durable:
 DIR/snapshot.skd + DIR/wal.skw are recovered on open (a "recovery:"
 line reports what replayed) and every acknowledged Insert/Remove is
 journaled per --sync-policy (default group: shared fsync before ack;
@@ -375,43 +368,6 @@ bool WantsOnline(const Flags& flags) {
          flags.Has("churn") || flags.Has("wal");
 }
 
-/// --wal DIR / --sync-policy P / --checkpoint-bytes N (query-bench,
-/// selfjoin). Fails on an unknown policy name.
-Result<DurableOptions> DurableFromFlags(const Flags& flags) {
-  DurableOptions options;
-  options.dir = flags.Get("wal", "");
-  Result<SyncPolicy> policy =
-      ParseSyncPolicy(flags.Get("sync-policy", "group"));
-  SKEWSEARCH_RETURN_NOT_OK(policy.status());
-  options.sync_policy = *policy;
-  options.checkpoint_bytes = flags.GetUint("checkpoint-bytes", 8ull << 20);
-  return options;
-}
-
-void PrintRecoveryLine(const RecoveryStats& stats) {
-  std::string torn;
-  if (stats.truncated) {
-    torn = ", torn tail truncated (" +
-           std::to_string(stats.truncated_bytes) + " bytes)";
-  }
-  std::printf("recovery: snapshot %s, %zu replayed, %zu skipped%s, next "
-              "seq %llu\n",
-              stats.snapshot_loaded ? "loaded" : "absent", stats.replayed,
-              stats.skipped, torn.c_str(),
-              static_cast<unsigned long long>(stats.next_seq));
-}
-
-void PrintWalLine(const WalWriter& wal, size_t checkpoints) {
-  std::printf("wal: %llu append(s), %llu fsync(s), %llu bytes, %zu "
-              "checkpoint(s), policy %.*s\n",
-              static_cast<unsigned long long>(wal.num_appends()),
-              static_cast<unsigned long long>(wal.num_fsyncs()),
-              static_cast<unsigned long long>(wal.bytes()), checkpoints,
-              static_cast<int>(SyncPolicyName(wal.options().sync_policy)
-                                   .size()),
-              SyncPolicyName(wal.options().sync_policy).data());
-}
-
 /// Creates \p path, hands it to `write(out)` and closes it. Returns
 /// false, after printing the error, when the file cannot be opened or
 /// any write (including the final flush on close) failed.
@@ -530,12 +486,26 @@ int CmdQueryBenchOnline(const Flags& flags, const Dataset& data,
   DurableIndex durable;
   DynamicIndex local;
   if (durable_mode) {
-    Result<DurableOptions> dopts = DurableFromFlags(flags);
-    if (!dopts.ok()) return Fail(dopts.status());
+    Result<SyncPolicy> policy =
+        ParseSyncPolicy(flags.Get("sync-policy", "group"));
+    if (!policy.ok()) return Fail(policy.status());
+    DurableOptions dopts;
+    dopts.dir = flags.Get("wal", "");
+    dopts.sync_policy = *policy;
+    dopts.checkpoint_bytes = flags.GetUint("checkpoint-bytes", 8ull << 20);
     RecoveryStats rstats;
-    Status opened = durable.Open(&data, &dist, options, *dopts, &rstats);
+    Status opened = durable.Open(&data, &dist, options, dopts, &rstats);
     if (!opened.ok()) return Fail(opened);
-    PrintRecoveryLine(rstats);
+    const std::string torn =
+        rstats.truncated ? ", torn tail truncated (" +
+                               std::to_string(rstats.truncated_bytes) +
+                               " bytes)"
+                         : "";
+    std::printf("recovery: snapshot %s, %zu replayed, %zu skipped%s, next "
+                "seq %llu\n",
+                rstats.snapshot_loaded ? "loaded" : "absent",
+                rstats.replayed, rstats.skipped, torn.c_str(),
+                static_cast<unsigned long long>(rstats.next_seq));
   } else {
     Status built = local.Build(&data, &dist, options);
     if (!built.ok()) return Fail(built);
@@ -550,7 +520,15 @@ int CmdQueryBenchOnline(const Flags& flags, const Dataset& data,
     int rc = 0;
     if (flags.Has("dump-matches")) rc = DumpMatches(flags, index, dist);
     if (durable_mode) {
-      PrintWalLine(*durable.wal(), durable.num_checkpoints());
+      const WalWriter& wal = *durable.wal();
+      const std::string_view policy = SyncPolicyName(wal.options().sync_policy);
+      std::printf("wal: %llu append(s), %llu fsync(s), %llu bytes, %zu "
+                  "checkpoint(s), policy %.*s\n",
+                  static_cast<unsigned long long>(wal.num_appends()),
+                  static_cast<unsigned long long>(wal.num_fsyncs()),
+                  static_cast<unsigned long long>(wal.bytes()),
+                  durable.num_checkpoints(), static_cast<int>(policy.size()),
+                  policy.data());
       Status closed = durable.Close();
       if (!closed.ok()) return Fail(closed);
     }
@@ -594,6 +572,9 @@ int CmdQueryBenchOnline(const Flags& flags, const Dataset& data,
               "%zu, compactions %zu, rebuilds %zu\n",
               removed, inserted, index.size(), index.num_tombstones(),
               index.num_compactions(), index.num_rebuilds());
+  // Every churned mutation is acknowledged (journaled, with --wal) by
+  // now; the durability smoke test kills the process after this line.
+  std::fflush(stdout);
 
   // Delta-aware cost model against the current layout.
   auto prediction = PredictOnlineQueryCost(dist, options.index,
@@ -792,11 +773,6 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
 }
 
 int CmdSelfJoin(const Flags& flags) {
-  if (!flags.Has("wal") && (flags.Has("shards") || flags.Has("churn"))) {
-    std::fprintf(stderr, "--shards and --churn size selfjoin's --wal "
-                         "phase; they need --wal\n");
-    return 1;
-  }
   auto data = LoadDataset(flags);
   if (!data.ok()) return Fail(data.status());
   double b1 = flags.GetDouble("b1", 0.7);
@@ -809,50 +785,6 @@ int CmdSelfJoin(const Flags& flags) {
   options.index.seed = flags.GetUint("seed", 1);
   options.threshold = b1;
   if (!ApplyJoinEngineFlags(flags, &options)) return 1;
-
-  // --wal DIR: a durable churn phase ahead of the join — open the
-  // directory (recovering whatever an earlier run left), journal a
-  // deterministic seeded mutation stream into an online index of
-  // --shards K shards, sync, close, and print the flushed "wal:"
-  // marker. The durability smoke test SIGKILLs the process after that
-  // marker (or mid-churn) and asserts a reopened index answers probes
-  // identically to an uninterrupted run.
-  if (flags.Has("wal")) {
-    Result<DurableOptions> dopts = DurableFromFlags(flags);
-    if (!dopts.ok()) return Fail(dopts.status());
-    DynamicIndexOptions ioptions;
-    ioptions.index = options.index;
-    ioptions.num_shards =
-        std::max(1, static_cast<int>(flags.GetUint("shards", 1)));
-    DurableIndex durable;
-    RecoveryStats rstats;
-    Status opened = durable.Open(&*data, &*dist, ioptions, *dopts, &rstats);
-    if (!opened.ok()) return Fail(opened);
-    PrintRecoveryLine(rstats);
-    Rng wal_rng(flags.GetUint("seed", 1) ^ 0xd0d0);
-    const size_t churn = flags.GetUint("churn", data->size() / 5);
-    for (size_t i = 0; i < churn; ++i) {
-      SparseVector fresh = dist->Sample(&wal_rng);
-      if (!fresh.span().empty()) {
-        Result<VectorId> id = durable.index().Insert(fresh.span());
-        if (!id.ok()) return Fail(id.status());
-      }
-      if (i % 3 == 2) {
-        // Interleave base-vector removes so the journaled state is
-        // materially different from the base dataset.
-        VectorId victim =
-            static_cast<VectorId>(wal_rng.NextBounded(data->size()));
-        Status gone = durable.index().Remove(victim);
-        if (!gone.ok() && gone.code() != Status::Code::kNotFound) {
-          return Fail(gone);
-        }
-      }
-    }
-    PrintWalLine(*durable.wal(), durable.num_checkpoints());
-    Status closed = durable.Close();
-    if (!closed.ok()) return Fail(closed);
-    std::fflush(stdout);
-  }
 
   DistributedJoinStats stats;
   auto pairs = SelfSimilarityJoin(*data, *dist, options, &stats);
@@ -1122,7 +1054,6 @@ struct Command {
 
 std::vector<Command> Commands() {
   // Flag groups that more than one command takes.
-  const std::string wal = " wal sync-policy checkpoint-bytes";
   const std::string remote = " connect probe-batch pipeline";
   const std::string frozen = " frozen";
   const std::string join = " b1 seed workers heavy-threshold dump-pairs binary";
@@ -1133,11 +1064,10 @@ std::vector<Command> Commands() {
       {"independence", CmdIndependence, "in binary"},
       {"query-bench", CmdQueryBench,
        "in alpha queries seed shards mmap freeze online maintenance "
-       "drift-factor dead-ratio churn trace dump-matches probes binary" +
-           wal},
+       "drift-factor dead-ratio churn trace dump-matches probes wal "
+       "sync-policy checkpoint-bytes binary"},
       {"freeze", CmdFreeze, "in out b1 alpha seed shards binary"},
-      {"selfjoin", CmdSelfJoin,
-       "in shards churn" + join + remote + frozen + wal},
+      {"selfjoin", CmdSelfJoin, "in" + join + remote + frozen},
       {"join", CmdJoin, "left right" + join + remote + frozen},
       {"join-worker", CmdJoinWorker,
        "listen max-sessions idle-timeout shard-file data die-after-batches "

@@ -1443,6 +1443,18 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
             std::move(removed_buckets[b]));
       }
     }
+    // Remove() lists a base id here as it tombstones it; a tombstoned
+    // base id missing from the list could be removed (and its entries
+    // charged dead) a second time.
+    bool unlisted = false;
+    state->ForEachTombstone([&](VectorId id, uint32_t /*entries*/) {
+      unlisted = unlisted || (id < base_n && !state->HasRemovedBase(id));
+    });
+    if (unlisted) {
+      return Status::InvalidArgument(
+          "tombstoned base id missing from the removed-base block in '" +
+          path + "'");
+    }
     uint64_t inserted_count = 0;
     if (!io::ReadPod(in, &inserted_count) ||
         inserted_count > kMaxBlockCount) {
@@ -1507,6 +1519,18 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
     state->ForEachDelta([&](uint64_t /*key*/, const auto& ids) {
       for (VectorId id : *ids) charge(id);
     });
+    // Compaction drops a removed base id's postings with its tombstone;
+    // one still posted without a tombstone would be served as live.
+    bool posted = false;
+    state->ForEachRemovedBase([&](VectorId id) {
+      posted =
+          posted || (!state->IsTombstoned(id) && base_counts->contains(id));
+    });
+    if (posted) {
+      return Status::InvalidArgument(
+          "removed base id without a tombstone still has postings in '" +
+          path + "'");
+    }
     state->base_counts = std::move(base_counts);
     std::array<ShardState::InsertedMap, ShardState::kInsertedBuckets>
         buckets;

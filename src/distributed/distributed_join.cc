@@ -757,9 +757,9 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       if (frozen_ != nullptr && !orphaned.empty()) {
         // A frozen-shard session serves a pre-mapped file, not shipped
         // state — there is nothing the coordinator can re-ship to a
-        // survivor (and the workers reject Reassignment in this mode).
-        // Fail the join cleanly instead of draining the survivor pool
-        // with doomed recovery attempts.
+        // survivor (and the workers reject a later Assignment in this
+        // mode). Fail the join cleanly instead of draining the survivor
+        // pool with doomed recovery attempts.
         return Status::IOError(
             "distributed join: " + std::to_string(orphaned.size()) +
             " frozen-shard worker(s) lost and mapped shards cannot be "

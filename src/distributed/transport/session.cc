@@ -33,11 +33,13 @@ Status FailSession(FrameConnection* connection, const Status& status) {
   return status;
 }
 
-/// Counters of one (re)assignment as shipped — what both ack frames
-/// carry and the coordinator cross-checks against what it serialized.
+/// The AssignmentAck an Assignment at \p epoch must draw: the epoch
+/// and the slice's counters as shipped, which the coordinator
+/// cross-checks against what it serialized.
 wire::AssignmentAckFrame SliceCounters(
-    const wire::WorkerAssignment& assignment) {
+    const wire::WorkerAssignment& assignment, uint32_t epoch) {
   wire::AssignmentAckFrame ack;
+  ack.epoch = epoch;
   ack.num_keys = assignment.postings.size();
   for (const auto& [key, ids] : assignment.postings) {
     ack.num_entries += ids.size();
@@ -77,34 +79,42 @@ Status Handshake(FrameConnection* connection, uint32_t worker_id,
   return Status::OK();
 }
 
-/// Phases 1 and 2 of a coordinator session: the handshake, then the
-/// \p assignment frame (an Assignment or a ShardAssignment), answered
-/// by an AssignmentAck that must carry exactly the \p expected
-/// counters. Closes the connection on failure.
+/// Sends \p assignment (an Assignment or a ShardAssignment) and requires
+/// an AssignmentAck carrying exactly \p expected: the epoch the
+/// assignment opens and the counters of what was shipped.
+Status SendAssignment(FrameConnection* connection,
+                      const wire::Frame& assignment,
+                      const wire::AssignmentAckFrame& expected) {
+  SKEWSEARCH_RETURN_NOT_OK(connection->Send(assignment));
+  wire::Frame frame;
+  SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
+  wire::AssignmentAckFrame ack;
+  SKEWSEARCH_RETURN_NOT_OK(wire::DecodeAssignmentAck(frame, &ack));
+  if (ack.epoch != expected.epoch || ack.num_keys != expected.num_keys ||
+      ack.num_entries != expected.num_entries ||
+      ack.distinct_vectors != expected.distinct_vectors) {
+    return Status::Internal(
+        "session: worker acknowledged a different assignment than was "
+        "sent (epoch " + std::to_string(ack.epoch) + "/" +
+        std::to_string(expected.epoch) + ", keys " +
+        std::to_string(ack.num_keys) + "/" +
+        std::to_string(expected.num_keys) + ", entries " +
+        std::to_string(ack.num_entries) + "/" +
+        std::to_string(expected.num_entries) + ", vectors " +
+        std::to_string(ack.distinct_vectors) + "/" +
+        std::to_string(expected.distinct_vectors) + ")");
+  }
+  return Status::OK();
+}
+
+/// Opens a coordinator session: the handshake, then the first
+/// \p assignment, acked with \p expected. Closes the connection on
+/// failure.
 Status OpenSession(FrameConnection* connection, uint32_t worker_id,
                    uint32_t num_workers, const wire::Frame& assignment,
                    const wire::AssignmentAckFrame& expected) {
-  Status status = [&]() -> Status {
-    SKEWSEARCH_RETURN_NOT_OK(Handshake(connection, worker_id, num_workers));
-    SKEWSEARCH_RETURN_NOT_OK(connection->Send(assignment));
-    wire::Frame frame;
-    SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
-    wire::AssignmentAckFrame ack;
-    SKEWSEARCH_RETURN_NOT_OK(wire::DecodeAssignmentAck(frame, &ack));
-    if (ack.num_keys != expected.num_keys ||
-        ack.num_entries != expected.num_entries ||
-        ack.distinct_vectors != expected.distinct_vectors) {
-      return Status::Internal(
-          "session: worker acknowledged a different assignment than was "
-          "sent (keys " + std::to_string(ack.num_keys) + "/" +
-          std::to_string(expected.num_keys) + ", entries " +
-          std::to_string(ack.num_entries) + "/" +
-          std::to_string(expected.num_entries) + ", vectors " +
-          std::to_string(ack.distinct_vectors) + "/" +
-          std::to_string(expected.distinct_vectors) + ")");
-    }
-    return Status::OK();
-  }();
+  Status status = Handshake(connection, worker_id, num_workers);
+  if (status.ok()) status = SendAssignment(connection, assignment, expected);
   if (!status.ok()) connection->Close();
   return status;
 }
@@ -194,6 +204,54 @@ struct WorkerState {
                    assignment.threshold, assignment.measure, &original_ids);
     return Status::OK();
   }
+
+  /// Serves the shard \p shard names zero-copy out of the worker's
+  /// mapped file in \p options, after cross-checking it against the
+  /// mapping; \p ack receives the counters the coordinator verifies.
+  Status AdoptShard(const wire::ShardAssignmentFrame& shard,
+                    const ServeOptions& options,
+                    wire::AssignmentAckFrame* ack) {
+    if (options.frozen_file == nullptr || options.frozen_data == nullptr) {
+      return Status::InvalidArgument(
+          "session: ShardAssignment but this worker holds no mapped shard "
+          "file (start it with --shard-file/--data)");
+    }
+    const FrozenShardFile& file = *options.frozen_file;
+    const Dataset& full = *options.frozen_data;
+    if (shard.num_shards != static_cast<uint32_t>(file.num_shards())) {
+      return Status::InvalidArgument(
+          "session: ShardAssignment names " +
+          std::to_string(shard.num_shards) + " shard(s) but the mapped "
+          "file holds " + std::to_string(file.num_shards()));
+    }
+    if (shard.fingerprint != file.fingerprint()) {
+      return Status::InvalidArgument(
+          "session: ShardAssignment fingerprint does not match the mapped "
+          "shard file (different dataset or file)");
+    }
+    Result<FilterTable> view =
+        file.MakeShardView(static_cast<int>(shard.shard_index));
+    SKEWSEARCH_RETURN_NOT_OK(view.status());
+    // The default Map does not check the payload's ids, and Probe reads
+    // every id's vector.
+    const std::span<const VectorId> ids = view->ids_span();
+    const auto beyond =
+        std::find_if(ids.begin(), ids.end(),
+                     [&](VectorId id) { return id >= full.size(); });
+    if (beyond != ids.end()) {
+      return Status::InvalidArgument(
+          "session: mapped shard references id " + std::to_string(*beyond) +
+          " but the worker's dataset holds " + std::to_string(full.size()) +
+          " vectors");
+    }
+    ack->num_keys = view->num_keys();
+    ack->num_entries = view->num_pairs();
+    ack->distinct_vectors = full.size();
+    worker.emplace(static_cast<int>(shard.shard_index),
+                   std::move(view).value(), &full, shard.threshold,
+                   shard.measure);
+    return Status::OK();
+  }
 };
 
 }  // namespace
@@ -203,8 +261,8 @@ Result<RemoteWorkerSession> RemoteWorkerSession::Start(
     uint32_t num_workers, const wire::WorkerAssignment& assignment) {
   SKEWSEARCH_RETURN_NOT_OK(OpenSession(connection.get(), worker_id,
                                        num_workers,
-                                       wire::EncodeAssignment(assignment),
-                                       SliceCounters(assignment)));
+                                       wire::EncodeAssignment(assignment, 0),
+                                       SliceCounters(assignment, 0)));
   return RemoteWorkerSession(std::move(connection), worker_id);
 }
 
@@ -287,30 +345,11 @@ Status RemoteWorkerSession::Reassign(
     return Status::InvalidArgument(
         "session: reassignment requires no batch in flight");
   }
-  wire::ReassignmentFrame reassignment;
-  reassignment.epoch = epoch_ + 1;
-  reassignment.assignment = assignment;
-  SKEWSEARCH_RETURN_NOT_OK(
-      connection_->Send(wire::EncodeReassignment(reassignment)));
-  wire::Frame frame;
-  SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection_.get(), &frame));
-  wire::ReassignmentAckFrame ack;
-  SKEWSEARCH_RETURN_NOT_OK(wire::DecodeReassignmentAck(frame, &ack));
-  const wire::AssignmentAckFrame shipped = SliceCounters(assignment);
-  if (ack.epoch != reassignment.epoch ||
-      ack.counters.num_keys != shipped.num_keys ||
-      ack.counters.num_entries != shipped.num_entries ||
-      ack.counters.distinct_vectors != shipped.distinct_vectors) {
-    return Status::Internal(
-        "session: worker applied a different reassignment than was "
-        "shipped (epoch " + std::to_string(ack.epoch) + "/" +
-        std::to_string(reassignment.epoch) + ", keys " +
-        std::to_string(ack.counters.num_keys) + "/" +
-        std::to_string(shipped.num_keys) + ", entries " +
-        std::to_string(ack.counters.num_entries) + "/" +
-        std::to_string(shipped.num_entries) + ")");
-  }
-  epoch_ = reassignment.epoch;
+  const uint32_t epoch = epoch_ + 1;
+  SKEWSEARCH_RETURN_NOT_OK(SendAssignment(
+      connection_.get(), wire::EncodeAssignment(assignment, epoch),
+      SliceCounters(assignment, epoch)));
+  epoch_ = epoch;
   return Status::OK();
 }
 
@@ -357,24 +396,13 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
                                      reported.bytes_received);
     reported = now;
   };
-  auto answer_stats_request = [&]() -> Status {
-    scrapes_metric->Increment();
-    wire::StatsFrame snapshot;
-    snapshot.metrics = registry.Snapshot();
-    Status sent = connection->Send(wire::EncodeStatsResponse(snapshot));
+  auto send = [&](const wire::Frame& reply) -> Status {
+    Status sent = connection->Send(reply);
     flush_wire();
     return sent;
   };
-  auto end_session = [&]() -> Status {
-    session_time_metric->Record(
-        static_cast<uint64_t>(session_timer.ElapsedNanos()));
-    flush_wire();
-    local.wire = connection->stats();
-    if (stats != nullptr) *stats = local;
-    return Status::OK();
-  };
 
-  // Phase 1 — handshake: pick the highest mutually supported version.
+  // The handshake: pick the highest mutually supported version.
   wire::Frame frame;
   SKEWSEARCH_RETURN_NOT_OK(connection->Receive(&frame));
   wire::HelloFrame hello;
@@ -400,161 +428,100 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   connection->set_frame_version(ack.version);
   SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeHelloAck(ack)));
 
-  // Phase 2 — assignment: reconstruct the posting slices and the
-  // shipped vectors into a JoinWorker that answers exactly as the
-  // in-process one does (its table over positions, not ids).
-  // The peer may instead be a scraper: StatsRequest frames are answered
-  // in place, and a Shutdown before any Assignment ends the
-  // (scrape-only) session cleanly. A ShardAssignment may replace the
-  // Assignment when this worker pre-mapped a frozen shard file: the
-  // session then serves the named shard zero-copy out of the mapping
-  // instead of a shipped slice.
-  wire::WorkerAssignment assignment;
-  for (;;) {
-    SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
-    if (frame.type == wire::FrameType::kStatsRequest) {
-      SKEWSEARCH_RETURN_NOT_OK(answer_stats_request());
-      continue;
-    }
-    if (frame.type == wire::FrameType::kShutdown) return end_session();
-    break;
-  }
-
+  // After the handshake, one frame loop. The first assignment builds
+  // the JoinWorker: an Assignment at epoch 0 reconstructs the shipped
+  // slices into a worker that answers exactly as the in-process one
+  // does (its table over positions, not ids), and a ShardAssignment
+  // serves a shard of the worker's mapped frozen file. Each later
+  // Assignment, at the current epoch + 1, merges a lost worker's
+  // re-shipped slices into the table. StatsRequest frames are answered
+  // at any point, so a scraper's session is its scrapes and a Shutdown.
+  //
+  // Responses are computed and sent strictly in frame-arrival order,
+  // which is what lets the coordinator pipeline batches: the k-th
+  // response always answers the k-th outstanding batch. A replayed
+  // (duplicate-delivered) batch is recomputed from scratch against
+  // read-only state, so its response is identical — answering is
+  // idempotent by construction. The dedup scratch carries nothing from
+  // one probe to the next.
   WorkerState state;
   state.worker_id = static_cast<int>(hello.worker_id);
   bool shard_mode = false;
-  if (frame.type == wire::FrameType::kShardAssignment) {
-    if (options.frozen_file == nullptr || options.frozen_data == nullptr) {
-      return FailSession(
-          connection,
-          Status::InvalidArgument(
-              "session: ShardAssignment but this worker holds no mapped "
-              "shard file (start it with --shard-file/--data)"));
-    }
-    wire::ShardAssignmentFrame shard;
-    decoded = wire::DecodeShardAssignment(frame, &shard);
-    if (!decoded.ok()) return FailSession(connection, decoded);
-    const FrozenShardFile& file = *options.frozen_file;
-    if (shard.num_shards != static_cast<uint32_t>(file.num_shards())) {
-      return FailSession(
-          connection,
-          Status::InvalidArgument(
-              "session: ShardAssignment names " +
-              std::to_string(shard.num_shards) + " shard(s) but the mapped "
-              "file holds " + std::to_string(file.num_shards())));
-    }
-    if (shard.fingerprint != file.fingerprint()) {
-      return FailSession(
-          connection,
-          Status::InvalidArgument(
-              "session: ShardAssignment fingerprint does not match the "
-              "mapped shard file (different dataset or file)"));
-    }
-    Result<FilterTable> view =
-        file.MakeShardView(static_cast<int>(shard.shard_index));
-    if (!view.ok()) return FailSession(connection, view.status());
-    // The default Map does not check the payload's ids, and Probe reads
-    // every id's vector.
-    const std::span<const VectorId> ids = view->ids_span();
-    const auto beyond =
-        std::find_if(ids.begin(), ids.end(), [&](VectorId id) {
-          return id >= options.frozen_data->size();
-        });
-    if (beyond != ids.end()) {
-      return FailSession(
-          connection,
-          Status::InvalidArgument(
-              "session: mapped shard references id " +
-              std::to_string(*beyond) + " but the worker's dataset "
-              "holds " + std::to_string(options.frozen_data->size()) +
-              " vectors"));
-    }
-    wire::AssignmentAckFrame shard_ack;
-    shard_ack.num_keys = view->num_keys();
-    shard_ack.num_entries = view->num_pairs();
-    shard_ack.distinct_vectors = options.frozen_data->size();
-    state.worker.emplace(static_cast<int>(shard.shard_index),
-                         std::move(view).value(), options.frozen_data,
-                         shard.threshold, shard.measure);
-    shard_mode = true;
-    local.posting_entries = state.worker->num_entries();
-    SKEWSEARCH_RETURN_NOT_OK(
-        connection->Send(wire::EncodeAssignmentAck(shard_ack)));
-  } else {
-    decoded = wire::DecodeAssignment(frame, &assignment);
-    if (!decoded.ok()) return FailSession(connection, decoded);
-    const wire::AssignmentAckFrame assignment_ack = SliceCounters(assignment);
-    Status applied = state.Apply(assignment);
-    if (!applied.ok()) return FailSession(connection, applied);
-    local.posting_entries = state.worker->num_entries();
-    SKEWSEARCH_RETURN_NOT_OK(
-        connection->Send(wire::EncodeAssignmentAck(assignment_ack)));
-  }
-
-  // Phase 3 — probe loop until Shutdown. Responses are computed and
-  // sent strictly in frame-arrival order, which is what lets the
-  // coordinator pipeline batches: the k-th response always answers the
-  // k-th outstanding batch. A replayed (duplicate-delivered) batch is
-  // recomputed from scratch against read-only state, so its response
-  // is identical — answering is idempotent by construction. The dedup
-  // scratch carries nothing from one probe to the next.
   uint32_t epoch = 0;
   std::vector<ProbeResponse> responses;
   ProbeScratch scratch;
-  for (;;) {
-    SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
-    if (frame.type == wire::FrameType::kShutdown) break;
-    if (frame.type == wire::FrameType::kStatsRequest) {
-      SKEWSEARCH_RETURN_NOT_OK(answer_stats_request());
-      continue;
+  auto send_ack = [&](const wire::AssignmentAckFrame& ack) -> Status {
+    local.posting_entries = state.worker->num_entries();
+    return send(wire::EncodeAssignmentAck(ack));
+  };
+  // Serves one frame other than Shutdown; an error fails the session.
+  auto serve = [&]() -> Status {
+    switch (frame.type) {
+      case wire::FrameType::kStatsRequest: {
+        scrapes_metric->Increment();
+        wire::StatsFrame snapshot;
+        snapshot.metrics = registry.Snapshot();
+        return send(wire::EncodeStatsResponse(snapshot));
+      }
+      case wire::FrameType::kShardAssignment: {
+        if (state.worker) {
+          return Status::InvalidArgument(
+              "session: ShardAssignment after the first assignment");
+        }
+        wire::ShardAssignmentFrame shard;
+        SKEWSEARCH_RETURN_NOT_OK(wire::DecodeShardAssignment(frame, &shard));
+        wire::AssignmentAckFrame ack;
+        SKEWSEARCH_RETURN_NOT_OK(state.AdoptShard(shard, options, &ack));
+        shard_mode = true;
+        return send_ack(ack);
+      }
+      case wire::FrameType::kAssignment: {
+        if (shard_mode) {
+          // A mapped shard is not re-shippable state: its postings live
+          // in the file, disjoint from every other shard's, so adopting
+          // a lost worker's slice has no representation here. The
+          // coordinator treats this as an unrecoverable worker loss.
+          return Status::NotSupported(
+              "session: a frozen-shard session cannot adopt reassigned "
+              "slices");
+        }
+        wire::WorkerAssignment assignment;
+        uint32_t next = 0;
+        SKEWSEARCH_RETURN_NOT_OK(
+            wire::DecodeAssignment(frame, &assignment, &next));
+        const bool reassigned = state.worker.has_value();
+        const uint32_t expected = reassigned ? epoch + 1 : 0;
+        if (next != expected) {
+          return Status::InvalidArgument(
+              "session: assignment at epoch " + std::to_string(next) +
+              " but this worker expects epoch " + std::to_string(expected));
+        }
+        SKEWSEARCH_RETURN_NOT_OK(state.Apply(assignment));
+        if (reassigned) {
+          local.reassignments++;
+          reassignments_metric->Increment();
+        }
+        epoch = next;
+        return send_ack(SliceCounters(assignment, epoch));
+      }
+      case wire::FrameType::kProbeBatch:
+        break;
+      default:
+        return Status::InvalidArgument(
+            "session: unexpected frame type " +
+            std::to_string(static_cast<int>(frame.type)));
     }
-    if (frame.type == wire::FrameType::kReassignment) {
-      if (shard_mode) {
-        // A mapped shard is not re-shippable state: its postings live in
-        // the file, disjoint from every other shard's, so adopting a
-        // lost worker's slice has no representation here. The
-        // coordinator treats this as an unrecoverable worker loss.
-        return FailSession(
-            connection,
-            Status::NotSupported(
-                "session: a frozen-shard session cannot adopt reassigned "
-                "slices"));
-      }
-      wire::ReassignmentFrame reassignment;
-      decoded = wire::DecodeReassignment(frame, &reassignment);
-      if (!decoded.ok()) return FailSession(connection, decoded);
-      if (reassignment.epoch != epoch + 1) {
-        return FailSession(
-            connection,
-            Status::InvalidArgument(
-                "session: reassignment to epoch " +
-                std::to_string(reassignment.epoch) + " but this worker is "
-                "at epoch " + std::to_string(epoch)));
-      }
-      wire::ReassignmentAckFrame reassignment_ack;
-      reassignment_ack.epoch = reassignment.epoch;
-      reassignment_ack.counters = SliceCounters(reassignment.assignment);
-      Status applied = state.Apply(reassignment.assignment);
-      if (!applied.ok()) return FailSession(connection, applied);
-      epoch = reassignment.epoch;
-      local.reassignments++;
-      reassignments_metric->Increment();
-      local.posting_entries = state.worker->num_entries();
-      SKEWSEARCH_RETURN_NOT_OK(
-          connection->Send(wire::EncodeReassignmentAck(reassignment_ack)));
-      flush_wire();
-      continue;
+    if (!state.worker) {
+      return Status::InvalidArgument(
+          "session: probe batch before any assignment");
     }
     wire::ProbeBatch batch;
-    decoded = wire::DecodeProbeBatch(frame, &batch);
-    if (!decoded.ok()) return FailSession(connection, decoded);
+    SKEWSEARCH_RETURN_NOT_OK(wire::DecodeProbeBatch(frame, &batch));
     if (batch.epoch != epoch) {
-      return FailSession(
-          connection,
-          Status::InvalidArgument(
-              "session: probe batch stamped epoch " +
-              std::to_string(batch.epoch) + " but this worker is at epoch " +
-              std::to_string(epoch)));
+      return Status::InvalidArgument(
+          "session: probe batch stamped epoch " +
+          std::to_string(batch.epoch) + " but this worker is at epoch " +
+          std::to_string(epoch));
     }
     Timer batch_timer;
     uint64_t batch_matches = 0;
@@ -567,14 +534,27 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     local.matches += batch_matches;
     local.batches++;
     local.probes += batch.probes.size();
-    SKEWSEARCH_RETURN_NOT_OK(connection->Send(
-        wire::EncodeResponseBatch(responses, batch.epoch, batch.seq)));
+    SKEWSEARCH_RETURN_NOT_OK(
+        send(wire::EncodeResponseBatch(responses, batch.epoch, batch.seq)));
     batch_time_metric->Record(
         static_cast<uint64_t>(batch_timer.ElapsedNanos()));
     batches_metric->Increment();
     probes_metric->Increment(batch.probes.size());
     matches_metric->Increment(batch_matches);
-    flush_wire();
+    return Status::OK();
+  };
+  for (;;) {
+    SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
+    if (frame.type == wire::FrameType::kShutdown) {
+      session_time_metric->Record(
+          static_cast<uint64_t>(session_timer.ElapsedNanos()));
+      flush_wire();
+      local.wire = connection->stats();
+      if (stats != nullptr) *stats = local;
+      return Status::OK();
+    }
+    Status served = serve();
+    if (!served.ok()) return FailSession(connection, served);
     if (options.fail_after_batches > 0 &&
         local.batches >= options.fail_after_batches) {
       // Simulated crash: vanish mid-stream without Error or Shutdown.
@@ -583,7 +563,6 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
       return Status::Aborted("session: dropped by fail_after_batches");
     }
   }
-  return end_session();
 }
 
 Result<wire::StatsFrame> ScrapeWorkerStats(FrameConnection* connection) {

@@ -1,35 +1,32 @@
 // Copyright 2026 The skewsearch Authors.
 // The coordinator/worker session protocol over any FrameConnection.
 //
-// A session has three phases (normatively specified, with the frame
-// encodings, in docs/WIRE_PROTOCOL.md):
+// A session is one ordered stream of frames (normatively specified,
+// with the frame encodings, in docs/WIRE_PROTOCOL.md):
 //
 //   1. Handshake — the coordinator sends Hello (version range, worker
 //      id, worker count); the worker answers HelloAck with the highest
 //      version both sides support, or an Error frame when the ranges
 //      are disjoint.
-//   2. Assignment — the coordinator ships the worker's posting slices
-//      and the build-side vectors those slices reference (or, to a
-//      worker that pre-mapped a frozen shard file, a ShardAssignment
-//      naming the shard to serve); the worker reconstructs its table
-//      and answers AssignmentAck with counters the coordinator
-//      cross-checks, so a corrupted or misrouted assignment fails the
-//      attach instead of silently dropping pairs.
-//   3. Probe loop — ProbeBatch frames answered by ResponseBatch frames
+//   2. Assignments — an Assignment at epoch 0 ships the worker's
+//      posting slices and the build-side vectors they reference (or a
+//      ShardAssignment names a shard of a frozen file the worker
+//      mapped); the worker reconstructs its table and answers
+//      AssignmentAck with the epoch and counters the coordinator
+//      cross-checks, so a corrupted or misrouted assignment fails
+//      instead of silently dropping pairs. Recovery re-ships a lost
+//      worker's slices as an Assignment at the next epoch, merged in.
+//   3. Probes — ProbeBatch frames answered by ResponseBatch frames
 //      (responses in request order, one per request), until Shutdown
 //      ends the session in an orderly way. The probe stream is
 //      pipelined: the coordinator may have several batches in flight
 //      (SendProbeBatch / ReceiveResponses below), each stamped with the
-//      session epoch and a sequence number the worker echoes, and the
-//      coordinator may interpose a Reassignment frame (when no batch is
-//      in flight) that merges a lost worker's slices into this worker's
-//      table and bumps the epoch.
+//      session epoch and a sequence number the worker echoes.
 //
-// A StatsRequest frame may additionally arrive in place of the
-// Assignment (a scrape-only session — what `join-stats` opens via
-// ScrapeWorkerStats below) or interleaved with probe batches; the
-// worker answers with a StatsResponse carrying its metrics-registry
-// snapshot and the session continues.
+// A StatsRequest frame may arrive at any point (a scrape-only session
+// — what `join-stats` opens via ScrapeWorkerStats below — sends nothing
+// else); the worker answers with a StatsResponse carrying its
+// metrics-registry snapshot and the session continues.
 //
 // Either side may send Error at any point and close; the other side
 // surfaces it as the carried Status. The worker's answers are computed
@@ -64,8 +61,8 @@ class FrozenShardFile;
 /// (matching FrameConnection's contract).
 class RemoteWorkerSession {
  public:
-  /// Runs phases 1 and 2: handshake as worker \p worker_id of
-  /// \p num_workers, then ships \p assignment and cross-checks the ack.
+  /// Runs the handshake as worker \p worker_id of \p num_workers, then
+  /// ships \p assignment at epoch 0 and cross-checks the ack.
   /// On failure the connection is closed and the error returned: a
   /// HelloAck choosing a version outside [kVersionMin, kVersionMax]
   /// fails with NotSupported, one echoing another worker id with
@@ -107,10 +104,10 @@ class RemoteWorkerSession {
   Result<wire::StatsFrame> QueryStats();
 
   /// Re-ships a lost worker's slices to this (surviving) worker:
-  /// sends a Reassignment frame carrying \p assignment under the next
-  /// epoch, waits for the ReassignmentAck and cross-checks its
-  /// counters. Requires no batch in flight. After success every later
-  /// batch is stamped with the new epoch.
+  /// sends \p assignment as an Assignment at epoch() + 1, waits for the
+  /// AssignmentAck and cross-checks its epoch and counters. Requires no
+  /// batch in flight. After success every later batch is stamped with
+  /// the new epoch.
   Status Reassign(const wire::WorkerAssignment& assignment);
 
   /// Sends Shutdown and closes; idempotent. The session is unusable
@@ -151,7 +148,7 @@ struct WorkerServeStats {
   uint64_t probes = 0;           ///< individual probes answered
   uint64_t matches = 0;          ///< verified pairs returned
   uint64_t posting_entries = 0;  ///< entries in the reconstructed table
-  uint64_t reassignments = 0;    ///< Reassignment frames applied
+  uint64_t reassignments = 0;    ///< Assignments applied at epoch > 0
   WireStats wire;                ///< connection traffic totals
 };
 
@@ -172,12 +169,12 @@ struct ServeOptions {
 
   /// \name Frozen-shard serving (`join-worker --shard-file`).
   /// When both are set, a session may open with a ShardAssignment
-  /// frame instead of an Assignment: the worker then serves the named
-  /// shard zero-copy out of `frozen_file` (an SKF2 mapping shared
-  /// read-only by every session) and verifies candidates against
-  /// `frozen_data`, the full build-side dataset the file was
-  /// frozen from. Classic Assignment sessions still work on the same
-  /// worker. Both null = ship-everything serving only.
+  /// frame instead of an Assignment at epoch 0: the worker then serves
+  /// the named shard zero-copy out of `frozen_file` (an SKF2 mapping
+  /// shared read-only by every session) and verifies candidates against
+  /// `frozen_data`, the full build-side dataset the file was frozen
+  /// from. Classic Assignment sessions still work on the same worker.
+  /// Both null = ship-everything serving only.
   /// @{
   const FrozenShardFile* frozen_file = nullptr;
   const Dataset* frozen_data = nullptr;
@@ -185,13 +182,14 @@ struct ServeOptions {
 };
 
 /// Serves one coordinator session on \p connection: accepts the
-/// handshake, reconstructs the assigned posting slices and shipped
-/// vectors into a local JoinWorker, then answers probe batches — and
-/// applies Reassignment frames by merging the re-shipped slices into
-/// its live table — until a Shutdown frame arrives (returns OK) or the
-/// session fails (returns the error after sending a best-effort Error
-/// frame). This is the per-connection body of the `join-worker` server
-/// (distributed/server.h).
+/// handshake, then answers frames until a Shutdown frame arrives
+/// (returns OK) or the session fails (returns the error after sending a
+/// best-effort Error frame). The first assignment (an Assignment at
+/// epoch 0 or a ShardAssignment) builds a local JoinWorker over the
+/// shipped slices and vectors; each later Assignment, at the current
+/// epoch + 1, is merged into its table; probe batches stamped with the
+/// current epoch are answered. This is the per-connection body of the
+/// `join-worker` server (distributed/server.h).
 Status ServeConnection(FrameConnection* connection,
                        WorkerServeStats* stats = nullptr,
                        const ServeOptions& options = {});

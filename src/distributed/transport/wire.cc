@@ -53,8 +53,21 @@ Status BoundedCount(PayloadReader* reader, size_t min_element_bytes,
 }  // namespace
 
 bool IsValidFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kHello) &&
-         type <= static_cast<uint8_t>(FrameType::kShardAssignment);
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kHello:
+    case FrameType::kHelloAck:
+    case FrameType::kAssignment:
+    case FrameType::kAssignmentAck:
+    case FrameType::kProbeBatch:
+    case FrameType::kResponseBatch:
+    case FrameType::kShutdown:
+    case FrameType::kError:
+    case FrameType::kStatsRequest:
+    case FrameType::kStatsResponse:
+    case FrameType::kShardAssignment:
+      return true;
+  }
+  return false;  // includes 9 and 10, v3's retired Reassignment pair
 }
 
 void AppendFrameHeader(FrameType type, uint32_t payload_length,
@@ -188,50 +201,33 @@ Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out) {
   return Status::OK();
 }
 
-namespace {
-
-/// The assignment body shared by kAssignment and kReassignment:
-/// threshold, measure, postings, vectors.
-void AppendAssignmentBody(const WorkerAssignment& assignment,
-                          PayloadWriter* writer) {
-  writer->F64(assignment.threshold);
-  writer->U8(static_cast<uint8_t>(assignment.measure));
-  writer->U32(static_cast<uint32_t>(assignment.postings.size()));
-  for (const auto& [key, ids] : assignment.postings) {
-    writer->U64(key);
-    writer->U32(static_cast<uint32_t>(ids.size()));
-    writer->Bytes(ids.data(), ids.size() * sizeof(VectorId));
-  }
-  writer->U32(static_cast<uint32_t>(assignment.vectors.size()));
-  for (const auto& [id, items] : assignment.vectors) {
-    writer->U32(id);
-    writer->U32(static_cast<uint32_t>(items.size()));
-    writer->Bytes(items.data(), items.size() * sizeof(ItemId));
-  }
-}
-
-Status ReadAssignmentBody(PayloadReader* in, WorkerAssignment* out);
-
-}  // namespace
-
-Frame EncodeAssignment(const WorkerAssignment& assignment) {
+Frame EncodeAssignment(const WorkerAssignment& assignment, uint32_t epoch) {
   PayloadWriter writer;
-  AppendAssignmentBody(assignment, &writer);
+  writer.U32(epoch);
+  writer.F64(assignment.threshold);
+  writer.U8(static_cast<uint8_t>(assignment.measure));
+  writer.U32(static_cast<uint32_t>(assignment.postings.size()));
+  for (const auto& [key, ids] : assignment.postings) {
+    writer.U64(key);
+    writer.U32(static_cast<uint32_t>(ids.size()));
+    writer.Bytes(ids.data(), ids.size() * sizeof(VectorId));
+  }
+  writer.U32(static_cast<uint32_t>(assignment.vectors.size()));
+  for (const auto& [id, items] : assignment.vectors) {
+    writer.U32(id);
+    writer.U32(static_cast<uint32_t>(items.size()));
+    writer.Bytes(items.data(), items.size() * sizeof(ItemId));
+  }
   return {FrameType::kAssignment, std::move(writer).Take()};
 }
 
-Status DecodeAssignment(const Frame& frame, WorkerAssignment* out) {
+Status DecodeAssignment(const Frame& frame, WorkerAssignment* out,
+                        uint32_t* epoch) {
   SKEWSEARCH_RETURN_NOT_OK(
       ExpectType(frame, FrameType::kAssignment, "Assignment"));
   PayloadReader reader(frame.payload);
-  SKEWSEARCH_RETURN_NOT_OK(ReadAssignmentBody(&reader, out));
-  return ExpectConsumed(reader, "Assignment");
-}
-
-namespace {
-
-Status ReadAssignmentBody(PayloadReader* in, WorkerAssignment* out) {
-  PayloadReader& reader = *in;
+  uint32_t frame_epoch = 0;
+  SKEWSEARCH_RETURN_NOT_OK(reader.U32(&frame_epoch));
   WorkerAssignment assignment;
   SKEWSEARCH_RETURN_NOT_OK(reader.F64(&assignment.threshold));
   if (!std::isfinite(assignment.threshold)) {
@@ -294,14 +290,15 @@ Status ReadAssignmentBody(PayloadReader* in, WorkerAssignment* out) {
     }
     assignment.vectors.emplace_back(id, std::move(items));
   }
+  SKEWSEARCH_RETURN_NOT_OK(ExpectConsumed(reader, "Assignment"));
   *out = std::move(assignment);
+  if (epoch != nullptr) *epoch = frame_epoch;
   return Status::OK();
 }
 
-}  // namespace
-
 Frame EncodeAssignmentAck(const AssignmentAckFrame& ack) {
   PayloadWriter writer;
+  writer.U32(ack.epoch);
   writer.U64(ack.num_keys);
   writer.U64(ack.num_entries);
   writer.U64(ack.distinct_vectors);
@@ -313,6 +310,7 @@ Status DecodeAssignmentAck(const Frame& frame, AssignmentAckFrame* out) {
       ExpectType(frame, FrameType::kAssignmentAck, "AssignmentAck"));
   PayloadReader reader(frame.payload);
   AssignmentAckFrame ack;
+  SKEWSEARCH_RETURN_NOT_OK(reader.U32(&ack.epoch));
   SKEWSEARCH_RETURN_NOT_OK(reader.U64(&ack.num_keys));
   SKEWSEARCH_RETURN_NOT_OK(reader.U64(&ack.num_entries));
   SKEWSEARCH_RETURN_NOT_OK(reader.U64(&ack.distinct_vectors));
@@ -436,52 +434,6 @@ Status DecodeResponseBatch(const Frame& frame, ResponseBatch* out) {
   }
   SKEWSEARCH_RETURN_NOT_OK(ExpectConsumed(reader, "ResponseBatch"));
   *out = std::move(batch);
-  return Status::OK();
-}
-
-Frame EncodeReassignment(const ReassignmentFrame& reassignment) {
-  PayloadWriter writer;
-  writer.U32(reassignment.epoch);
-  AppendAssignmentBody(reassignment.assignment, &writer);
-  return {FrameType::kReassignment, std::move(writer).Take()};
-}
-
-Status DecodeReassignment(const Frame& frame, ReassignmentFrame* out) {
-  SKEWSEARCH_RETURN_NOT_OK(
-      ExpectType(frame, FrameType::kReassignment, "Reassignment"));
-  PayloadReader reader(frame.payload);
-  ReassignmentFrame reassignment;
-  SKEWSEARCH_RETURN_NOT_OK(reader.U32(&reassignment.epoch));
-  if (reassignment.epoch == 0) {
-    return Corrupt("Reassignment epoch 0 (epochs start at 1)");
-  }
-  SKEWSEARCH_RETURN_NOT_OK(
-      ReadAssignmentBody(&reader, &reassignment.assignment));
-  SKEWSEARCH_RETURN_NOT_OK(ExpectConsumed(reader, "Reassignment"));
-  *out = std::move(reassignment);
-  return Status::OK();
-}
-
-Frame EncodeReassignmentAck(const ReassignmentAckFrame& ack) {
-  PayloadWriter writer;
-  writer.U32(ack.epoch);
-  writer.U64(ack.counters.num_keys);
-  writer.U64(ack.counters.num_entries);
-  writer.U64(ack.counters.distinct_vectors);
-  return {FrameType::kReassignmentAck, std::move(writer).Take()};
-}
-
-Status DecodeReassignmentAck(const Frame& frame, ReassignmentAckFrame* out) {
-  SKEWSEARCH_RETURN_NOT_OK(
-      ExpectType(frame, FrameType::kReassignmentAck, "ReassignmentAck"));
-  PayloadReader reader(frame.payload);
-  ReassignmentAckFrame ack;
-  SKEWSEARCH_RETURN_NOT_OK(reader.U32(&ack.epoch));
-  SKEWSEARCH_RETURN_NOT_OK(reader.U64(&ack.counters.num_keys));
-  SKEWSEARCH_RETURN_NOT_OK(reader.U64(&ack.counters.num_entries));
-  SKEWSEARCH_RETURN_NOT_OK(reader.U64(&ack.counters.distinct_vectors));
-  SKEWSEARCH_RETURN_NOT_OK(ExpectConsumed(reader, "ReassignmentAck"));
-  *out = ack;
   return Status::OK();
 }
 

@@ -52,13 +52,13 @@ inline constexpr uint32_t kMagic = 0x4A574B53u;
 /// \name Protocol versions this build can speak.
 /// The Hello frame carries the coordinator's [min, max] range; the
 /// worker's HelloAck picks the highest version both sides support (see
-/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 3 is the only
-/// one: versions 1 and 2 are retired, so a header stamped with either
-/// is rejected and a Hello whose range excludes 3 is refused. The range
-/// and the negotiation stay so a later version can be added.
+/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 4 is the only
+/// one: versions 1 to 3 are retired, so a header stamped with any of
+/// them is rejected and a Hello whose range excludes 4 is refused. The
+/// range and the negotiation stay so a later version can be added.
 /// @{
-inline constexpr uint8_t kVersionMin = 3;
-inline constexpr uint8_t kVersionMax = 3;
+inline constexpr uint8_t kVersionMin = 4;
+inline constexpr uint8_t kVersionMax = 4;
 /// @}
 
 /// Hard cap on a frame's payload length. A header announcing more is
@@ -73,15 +73,13 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 enum class FrameType : uint8_t {
   kHello = 1,          ///< coordinator -> worker: version range + identity
   kHelloAck = 2,       ///< worker -> coordinator: chosen version
-  kAssignment = 3,     ///< coordinator -> worker: posting slices + vectors
-  kAssignmentAck = 4,  ///< worker -> coordinator: slice checksum counters
+  kAssignment = 3,     ///< coordinator -> worker: epoch, slices, vectors
+  kAssignmentAck = 4,  ///< worker -> coordinator: epoch + slice counters
   kProbeBatch = 5,     ///< coordinator -> worker: batched ProbeRequests
   kResponseBatch = 6,  ///< worker -> coordinator: batched ProbeResponses
   kShutdown = 7,       ///< coordinator -> worker: orderly end of session
   kError = 8,          ///< either direction: fatal error, then close
-  kReassignment = 9,     ///< coordinator -> worker: adopt a lost
-                         ///< worker's slices, bump the session epoch
-  kReassignmentAck = 10, ///< worker -> coordinator: epoch + counters
+  // 9 and 10 (v3's Reassignment pair) are retired and not reused.
   kStatsRequest = 11,    ///< scraper -> worker: ask for a metrics
                          ///< snapshot (empty payload)
   kStatsResponse = 12,   ///< worker -> scraper: the registry snapshot
@@ -186,6 +184,8 @@ struct HelloAckFrame {
 /// frozen posting slices this worker owns, plus the (id, items) pairs
 /// of every build-side vector those postings reference — the shipped
 /// set whose total size over workers is the duplication factor.
+/// On the wire it follows the session epoch it opens: 0 for the first
+/// assignment, current + 1 for a lost worker's re-shipped slices.
 struct WorkerAssignment {
   double threshold = 0.0;
   Measure measure = Measure::kBraunBlanquet;
@@ -197,8 +197,11 @@ struct WorkerAssignment {
   std::vector<std::pair<VectorId, std::vector<ItemId>>> vectors;
 };
 
-/// \brief AssignmentAck: counters the coordinator cross-checks.
+/// \brief AssignmentAck: the epoch and the counters of the slice as
+/// shipped (not a table it was merged into), which the coordinator
+/// cross-checks.
 struct AssignmentAckFrame {
+  uint32_t epoch = 0;             ///< echo of the assignment's epoch
   uint64_t num_keys = 0;          ///< distinct keys reconstructed
   uint64_t num_entries = 0;       ///< posting entries reconstructed
   uint64_t distinct_vectors = 0;  ///< distinct vectors received
@@ -221,9 +224,10 @@ struct OwnedProbe {
 ///
 /// Every batch carries the coordinator's current session epoch and a
 /// per-session strictly increasing sequence number; the worker rejects
-/// an epoch it has not reached (a stale coordinator after a
-/// reassignment) and echoes both on the ResponseBatch — that echo is
-/// the acknowledgement the coordinator's recovery replays against.
+/// any epoch but its current one (a stale coordinator after a
+/// re-shipped assignment) and echoes both on the ResponseBatch — that
+/// echo is the acknowledgement the coordinator's recovery replays
+/// against.
 struct ProbeBatch {
   uint32_t epoch = 0;
   uint64_t seq = 0;
@@ -237,28 +241,6 @@ struct ResponseBatch {
   std::vector<ProbeResponse> responses;
 };
 
-/// \brief Reassignment: a survivor adopts a lost worker's slices.
-///
-/// The assignment body is exactly what the dead worker was shipped at
-/// attach time — the partition plan is a pure function of its inputs,
-/// so the coordinator re-derives it deterministically. Applying it
-/// merges the postings/vectors into the worker's live table and bumps
-/// the session epoch to \p epoch.
-struct ReassignmentFrame {
-  uint32_t epoch = 0;  ///< the session epoch after applying (old + 1)
-  WorkerAssignment assignment;
-};
-
-/// \brief ReassignmentAck: counters of the decoded reassignment.
-///
-/// The counters describe the re-shipped slice itself (not the merged
-/// table), so the coordinator cross-checks transmission integrity the
-/// same way AssignmentAck does at attach time.
-struct ReassignmentAckFrame {
-  uint32_t epoch = 0;  ///< echo of ReassignmentFrame::epoch
-  AssignmentAckFrame counters;
-};
-
 /// \brief ShardAssignment: serve a shard of a pre-mapped file.
 ///
 /// Replaces the Assignment for a worker that mapped an SKF2 frozen
@@ -268,8 +250,8 @@ struct ReassignmentAckFrame {
 /// the dataset fingerprint against its own mapping — both sides must
 /// hold byte-identical files — and answers with an AssignmentAck whose
 /// counters (keys, entries, dataset size) the coordinator verifies
-/// against its copy's section table. Shard sessions reject
-/// Reassignment frames: a shard is not re-shippable state, the file
+/// against its copy's section table, at epoch 0. Shard sessions reject
+/// any later Assignment: a shard is not re-shippable state, the file
 /// holds it.
 struct ShardAssignmentFrame {
   uint32_t num_shards = 0;   ///< must equal the file's shard count
@@ -299,19 +281,19 @@ struct ErrorFrame {
 };
 
 /// \name Frame encoders. Each returns a complete Frame (type + payload).
-/// The probe/response encoders write the session \p epoch and batch
-/// \p seq ahead of the batch.
+/// The assignment encoder writes the session \p epoch ahead of the
+/// body; the probe/response encoders write the session \p epoch and
+/// batch \p seq ahead of the batch.
 /// @{
 Frame EncodeHello(const HelloFrame& hello);
 Frame EncodeHelloAck(const HelloAckFrame& ack);
-Frame EncodeAssignment(const WorkerAssignment& assignment);
+Frame EncodeAssignment(const WorkerAssignment& assignment,
+                       uint32_t epoch = 0);
 Frame EncodeAssignmentAck(const AssignmentAckFrame& ack);
 Frame EncodeProbeBatch(std::span<const ProbeRequest> batch,
                        uint32_t epoch = 0, uint64_t seq = 0);
 Frame EncodeResponseBatch(std::span<const ProbeResponse> batch,
                           uint32_t epoch = 0, uint64_t seq = 0);
-Frame EncodeReassignment(const ReassignmentFrame& reassignment);
-Frame EncodeReassignmentAck(const ReassignmentAckFrame& ack);
 Frame EncodeStatsRequest();
 Frame EncodeStatsResponse(const StatsFrame& stats);
 Frame EncodeShardAssignment(const ShardAssignmentFrame& shard);
@@ -320,16 +302,16 @@ Frame EncodeError(const Status& status);
 /// @}
 
 /// \name Frame decoders. Each checks the frame type, every field range
-/// and bound, and that the payload is consumed exactly.
+/// and bound, and that the payload is consumed exactly. The assignment
+/// decoder stores the epoch the frame carries in \p epoch (if non-null).
 /// @{
 Status DecodeHello(const Frame& frame, HelloFrame* out);
 Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out);
-Status DecodeAssignment(const Frame& frame, WorkerAssignment* out);
+Status DecodeAssignment(const Frame& frame, WorkerAssignment* out,
+                        uint32_t* epoch = nullptr);
 Status DecodeAssignmentAck(const Frame& frame, AssignmentAckFrame* out);
 Status DecodeProbeBatch(const Frame& frame, ProbeBatch* out);
 Status DecodeResponseBatch(const Frame& frame, ResponseBatch* out);
-Status DecodeReassignment(const Frame& frame, ReassignmentFrame* out);
-Status DecodeReassignmentAck(const Frame& frame, ReassignmentAckFrame* out);
 Status DecodeStatsResponse(const Frame& frame, StatsFrame* out);
 Status DecodeShardAssignment(const Frame& frame, ShardAssignmentFrame* out);
 Status DecodeError(const Frame& frame, ErrorFrame* out);

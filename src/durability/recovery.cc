@@ -124,14 +124,12 @@ Status DurableIndex::Open(const Dataset* data,
 
   WalWriterOptions writer_options;
   writer_options.sync_policy = durable.sync_policy;
-  writer_options.interval_ms = durable.interval_ms;
   Result<std::unique_ptr<WalWriter>> writer =
       WalWriter::Open(wal_path, writer_options, existing_bytes, next_seq);
   SKEWSEARCH_RETURN_NOT_OK(writer.status());
   wal_ = std::move(writer).value();
   journal_ = std::make_unique<WalJournal>(wal_.get());
   index_.SetMutationJournal(journal_.get());
-  last_checkpoint_ = std::chrono::steady_clock::now();
   return Status::OK();
 }
 
@@ -141,16 +139,8 @@ bool DurableIndex::CheckpointDue() {
       wal_->bytes() -
       std::min<uint64_t>(wal_->bytes(), wal_internal::kFileHeaderSize);
   if (payload == 0) return false;  // nothing to fold in
-  if (options_.checkpoint_bytes > 0 &&
-      wal_->bytes() >= options_.checkpoint_bytes) {
-    return true;
-  }
-  if (options_.checkpoint_age_ms > 0 &&
-      std::chrono::steady_clock::now() - last_checkpoint_ >=
-          std::chrono::milliseconds(options_.checkpoint_age_ms)) {
-    return true;
-  }
-  return false;
+  return options_.checkpoint_bytes > 0 &&
+         wal_->bytes() >= options_.checkpoint_bytes;
 }
 
 Status DurableIndex::Checkpoint() {
@@ -178,7 +168,6 @@ Status DurableIndex::Checkpoint() {
   // safe, because replay against it is idempotent.
   SKEWSEARCH_RETURN_NOT_OK(wal_->Truncate(cut));
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  last_checkpoint_ = std::chrono::steady_clock::now();
   return Status::OK();
 }
 

@@ -17,14 +17,13 @@
 //
 // Checkpoints (snapshot + log truncate) are driven by the maintenance
 // thread: DurableIndex implements maintenance/service.h's
-// CheckpointDriver, with due-ness decided by the log-size/age
-// thresholds in DurableOptions.
+// CheckpointDriver, with due-ness decided by the log-size threshold
+// in DurableOptions.
 
 #ifndef SKEWSEARCH_DURABILITY_RECOVERY_H_
 #define SKEWSEARCH_DURABILITY_RECOVERY_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -43,19 +42,12 @@ struct DurableOptions {
   /// Directory holding snapshot.skd + wal.skw (created if absent).
   std::string dir;
 
-  /// When an acknowledged mutation is fsync'd (see durability/wal.h).
+  /// When an acknowledged mutation is fsync'd (see durability/wal.h;
+  /// kInterval uses the WAL writer's default interval).
   SyncPolicy sync_policy = SyncPolicy::kGroup;
 
-  /// kInterval only: maximum staleness between piggybacked fsyncs.
-  int interval_ms = 5;
-
-  /// Checkpoint once the log exceeds this many bytes (0 = no size
-  /// trigger).
+  /// Checkpoint once the log exceeds this many bytes (0 = never).
   uint64_t checkpoint_bytes = 8ull << 20;
-
-  /// Checkpoint once the log is older than this and non-empty (0 = no
-  /// age trigger).
-  int checkpoint_age_ms = 0;
 };
 
 /// \brief What recovery found and did while opening a directory.
@@ -122,7 +114,7 @@ class DurableIndex : public CheckpointDriver {
   /// The log writer (stats surface; null before Open/after Close).
   WalWriter* wal() { return wal_.get(); }
 
-  /// CheckpointDriver: log-size/age policy from DurableOptions.
+  /// CheckpointDriver: the log-size trigger from DurableOptions.
   bool CheckpointDue() override;
 
   /// CheckpointDriver: pinned-snapshot Save to a temp file, atomic
@@ -150,7 +142,6 @@ class DurableIndex : public CheckpointDriver {
 
   std::mutex checkpoint_mutex_;  // serializes Checkpoint/Close
   std::atomic<size_t> checkpoints_{0};
-  std::chrono::steady_clock::time_point last_checkpoint_;
 };
 
 }  // namespace skewsearch

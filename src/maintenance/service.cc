@@ -8,6 +8,23 @@
 
 namespace skewsearch {
 
+namespace {
+
+/// A shard is compacted, even without tombstones, once its delta
+/// postings exceed this fraction of its entries: an insert-heavy shard
+/// accumulates delta postings that cost queries one hash probe per key
+/// and writers bucket-sized COW copies, so folding the delta into the
+/// frozen base is maintenance too.
+constexpr double kDeltaRatio = 0.25;
+
+/// The memtable-style per-shard delta cap (entries): past it the shard
+/// is compacted regardless of the ratio, keeping the COW write cost flat
+/// as the shard grows (write amplification is O(shard / cap), the usual
+/// leveling trade).
+constexpr size_t kMaxDeltaEntries = 16384;
+
+}  // namespace
+
 MaintenanceService::~MaintenanceService() { Detach(); }
 
 Status MaintenanceService::Attach(DynamicIndex* index,
@@ -107,11 +124,9 @@ Status MaintenanceService::RunOnce() {
     const bool dead_pressure =
         health.dead_entries > 0 && health.dead_ratio > threshold;
     const bool delta_pressure =
-        (options_.delta_ratio > 0.0 && total > 0 &&
-         static_cast<double>(health.delta_entries) >
-             options_.delta_ratio * static_cast<double>(total)) ||
-        (options_.max_delta_entries > 0 &&
-         health.delta_entries > options_.max_delta_entries);
+        (total > 0 && static_cast<double>(health.delta_entries) >
+                          kDeltaRatio * static_cast<double>(total)) ||
+        health.delta_entries > kMaxDeltaEntries;
     if (dead_pressure || delta_pressure) {
       Timer compact_timer;
       status = index->CompactShard(s);

@@ -35,21 +35,9 @@ namespace skewsearch {
 /// \brief Policy knobs of the maintenance service.
 struct MaintenanceOptions {
   /// Dead-entry fraction above which a shard is compacted; negative
-  /// falls back to the index's compact_dead_fraction.
+  /// falls back to the index's compact_dead_fraction. A shard whose
+  /// delta outgrows the base is compacted too (service.cc).
   double dead_ratio = -1.0;
-
-  /// Delta-entry fraction above which a shard is compacted even without
-  /// tombstones: an insert-heavy shard accumulates delta postings that
-  /// cost queries one hash probe per key and writers bucket-sized COW
-  /// copies, so folding the delta into the frozen base is maintenance
-  /// too. Values <= 0 disable the trigger.
-  double delta_ratio = 0.25;
-
-  /// Absolute per-shard delta cap (entries), the memtable-style bound:
-  /// past it the shard is compacted regardless of the ratio, keeping the
-  /// COW write cost flat as the shard grows (write amplification is
-  /// O(shard / cap), the usual leveling trade). 0 disables.
-  size_t max_delta_entries = 16384;
 
   /// Live-count drift that triggers a parameter re-derive + rebuild:
   /// rebuild once live > factor * derived_n or live * factor <
@@ -77,7 +65,7 @@ struct MaintenanceStats {
 /// checkpoints (snapshot + WAL truncate) on its own cadence.
 ///
 /// The service stays storage-agnostic: each RunOnce pass asks the
-/// registered driver whether a checkpoint is due (log size/age policy
+/// registered driver whether a checkpoint is due (the log-size policy
 /// lives in the driver, see durability/recovery.h) and runs it on the
 /// maintenance thread. Implementations must be safe against concurrent
 /// Insert/Remove/Query traffic — the DurableIndex driver is, via the

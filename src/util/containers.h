@@ -28,6 +28,7 @@
 #ifndef SKEWSEARCH_UTIL_CONTAINERS_H_
 #define SKEWSEARCH_UTIL_CONTAINERS_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -66,7 +67,7 @@ class FlatHashMap {
   /// containers, so call sites and structured bindings port unchanged).
   struct value_type {
     K first;
-    V second;
+    [[no_unique_address]] V second;  // takes no bytes when V is empty
   };
 
   /// Forward iterator over occupied slots. Invalidated by any mutation.
@@ -140,11 +141,15 @@ class FlatHashMap {
   }
 
   /// Drops every entry but keeps the allocation (hot scratch reuse).
+  /// Mapped values are reset so operator[] after clear() yields a
+  /// default value; an empty mapped type (a set) has none to reset.
   void clear() {
-    for (size_t i = 0; i < full_.size(); ++i) {
-      if (full_[i]) slots_[i] = value_type{};
-      full_[i] = 0;
+    if constexpr (!std::is_empty_v<V>) {
+      for (size_t i = 0; i < full_.size(); ++i) {
+        if (full_[i]) slots_[i].second = V{};
+      }
     }
+    std::fill(full_.begin(), full_.end(), uint8_t{0});
     size_ = 0;
   }
 
@@ -313,170 +318,73 @@ class FlatHashMap {
   size_t mask_ = 0;
 };
 
-/// \brief Open-addressing hash set over integer keys; same layout and
-/// contracts as FlatHashMap.
+/// \brief Open-addressing hash set over integer keys: a FlatHashMap
+/// whose mapped type is empty, so it shares the map's probing, growth
+/// and erase, and a slot is still just the key.
 template <typename K, typename Hash = FlatHash>
 class FlatHashSet {
-  static_assert(std::is_integral_v<K>,
-                "FlatHashSet keys must be integers (see file comment)");
+  struct Empty {};
+  using Map = FlatHashMap<K, Empty, Hash>;
+  static_assert(sizeof(typename Map::value_type) == sizeof(K),
+                "a set slot must hold only its key");
 
  public:
   /// Forward iterator over stored keys. Invalidated by any mutation.
   class const_iterator {
    public:
     const_iterator() = default;
-    const_iterator(const FlatHashSet* set, size_t idx)
-        : set_(set), idx_(idx) {
-      SkipEmpty();
-    }
+    explicit const_iterator(typename Map::const_iterator it) : it_(it) {}
 
-    const K& operator*() const { return set_->slots_[idx_]; }
+    const K& operator*() const { return it_->first; }
 
     const_iterator& operator++() {
-      ++idx_;
-      SkipEmpty();
+      ++it_;
       return *this;
     }
 
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.idx_ == b.idx_;
+      return a.it_ == b.it_;
     }
     friend bool operator!=(const const_iterator& a, const const_iterator& b) {
-      return a.idx_ != b.idx_;
+      return a.it_ != b.it_;
     }
 
    private:
-    friend class FlatHashSet;
-    const_iterator(const FlatHashSet* set, size_t idx, int /*raw*/)
-        : set_(set), idx_(idx) {}
-    void SkipEmpty() {
-      while (set_ != nullptr && idx_ < set_->full_.size() &&
-             !set_->full_[idx_]) {
-        ++idx_;
-      }
-    }
-    const FlatHashSet* set_ = nullptr;
-    size_t idx_ = 0;
+    typename Map::const_iterator it_;
   };
   using iterator = const_iterator;
 
-  FlatHashSet() = default;
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return map_.size(); }
+  bool empty() const { return map_.empty(); }
 
   /// Approximate heap usage in bytes (slot array + occupancy bitmap).
-  size_t MemoryBytes() const {
-    return slots_.capacity() * sizeof(K) + full_.capacity() * sizeof(uint8_t);
-  }
+  size_t MemoryBytes() const { return map_.MemoryBytes(); }
 
   /// Drops every key but keeps the allocation (hot scratch reuse).
-  void clear() {
-    std::fill(full_.begin(), full_.end(), uint8_t{0});
-    size_ = 0;
-  }
+  void clear() { map_.clear(); }
 
   /// Pre-sizes so \p n keys fit without rehashing.
-  void reserve(size_t n) {
-    size_t needed = CapacityFor(n);
-    if (needed > full_.size()) Rehash(needed);
-  }
+  void reserve(size_t n) { map_.reserve(n); }
 
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const {
-    return const_iterator(this, full_.size(), 0);
-  }
+  const_iterator begin() const { return const_iterator(map_.begin()); }
+  const_iterator end() const { return const_iterator(map_.end()); }
 
-  const_iterator find(K key) const {
-    size_t idx = FindIndex(key);
-    return idx == kNotFound ? end() : const_iterator(this, idx, 0);
-  }
-
-  bool contains(K key) const { return FindIndex(key) != kNotFound; }
-  size_t count(K key) const { return contains(key) ? 1 : 0; }
+  const_iterator find(K key) const { return const_iterator(map_.find(key)); }
+  bool contains(K key) const { return map_.contains(key); }
+  size_t count(K key) const { return map_.count(key); }
 
   /// Returns {iterator, inserted}; `inserted` is false when the key was
   /// already present (the idiom the dedup hot loops key off).
   std::pair<const_iterator, bool> insert(K key) {
-    if (full_.empty() || (size_ + 1) * 8 > full_.size() * 7) {
-      Rehash(full_.empty() ? kMinCapacity : full_.size() * 2);
-    }
-    size_t idx = IndexFor(key);
-    while (full_[idx]) {
-      if (slots_[idx] == key) return {const_iterator(this, idx, 0), false};
-      idx = (idx + 1) & mask_;
-    }
-    slots_[idx] = key;
-    full_[idx] = 1;
-    ++size_;
-    return {const_iterator(this, idx, 0), true};
+    auto [it, inserted] = map_.emplace(key);
+    return {const_iterator(it), inserted};
   }
 
   /// Returns the number of keys removed (0 or 1).
-  size_t erase(K key) {
-    size_t idx = FindIndex(key);
-    if (idx == kNotFound) return 0;
-    size_t hole = idx;
-    size_t j = hole;
-    while (true) {
-      j = (j + 1) & mask_;
-      if (!full_[j]) break;
-      size_t home = IndexFor(slots_[j]);
-      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
-    }
-    full_[hole] = 0;
-    --size_;
-    return 1;
-  }
+  size_t erase(K key) { return map_.erase(key); }
 
  private:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-  static constexpr size_t kMinCapacity = 16;
-
-  static size_t CapacityFor(size_t n) {
-    size_t cap = kMinCapacity;
-    while (n + n / 7 >= cap - cap / 8) cap <<= 1;
-    return cap;
-  }
-
-  size_t IndexFor(K key) const {
-    return Hash()(static_cast<uint64_t>(key)) & mask_;
-  }
-
-  size_t FindIndex(K key) const {
-    if (full_.empty()) return kNotFound;
-    size_t idx = IndexFor(key);
-    while (full_[idx]) {
-      if (slots_[idx] == key) return idx;
-      idx = (idx + 1) & mask_;
-    }
-    return kNotFound;
-  }
-
-  void Rehash(size_t new_capacity) {
-    std::vector<K> old_slots;
-    std::vector<uint8_t> old_full;
-    old_slots.swap(slots_);
-    old_full.swap(full_);
-    slots_.resize(new_capacity);
-    full_.assign(new_capacity, 0);
-    mask_ = new_capacity - 1;
-    for (size_t i = 0; i < old_full.size(); ++i) {
-      if (!old_full[i]) continue;
-      size_t idx = IndexFor(old_slots[i]);
-      while (full_[idx]) idx = (idx + 1) & mask_;
-      slots_[idx] = old_slots[i];
-      full_[idx] = 1;
-    }
-  }
-
-  std::vector<K> slots_;
-  std::vector<uint8_t> full_;  // 1 = slot occupied
-  size_t size_ = 0;
-  size_t mask_ = 0;
+  Map map_;
 };
 
 /// \name The posting-path container seam.

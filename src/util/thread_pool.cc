@@ -1,15 +1,15 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 namespace skewsearch {
 
-ThreadPool::ThreadPool(int num_threads) {
-  const int count = std::max(1, num_threads);
-  workers_.reserve(static_cast<size_t>(count));
-  for (int t = 0; t < count; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(std::max(1, num_threads)) {
+  workers_.reserve(static_cast<size_t>(num_threads_ - 1));
+  for (int slot = 1; slot < num_threads_; ++slot) {
+    workers_.emplace_back([this, slot] { WorkerLoop(slot); });
   }
 }
 
@@ -18,38 +18,36 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  start_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(int slot) {
+  uint64_t seen = 0;
   for (;;) {
-    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      // Counted at dequeue, under the same lock: the count is in place
-      // before task() can make the caller's future ready.
-      tasks_executed_++;
+      start_cv_.wait(lock, [&] { return stop_ || call_ != seen; });
+      if (stop_) return;
+      seen = call_;
     }
-    task();
+    RunChunks(slot);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--running_ == 0) done_cv_.notify_one();
   }
 }
 
-size_t ThreadPool::tasks_executed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_executed_;
+void ThreadPool::RunChunks(int slot) {
+  try {
+    for (;;) {
+      const size_t begin = next_.fetch_add(grain_);
+      if (begin >= n_) return;
+      (*fn_)(begin, std::min(n_, begin + grain_), slot);
+    }
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::current_exception();
+  }
 }
 
 void ThreadPool::ParallelFor(
@@ -57,36 +55,34 @@ void ThreadPool::ParallelFor(
     const std::function<void(size_t, size_t, int)>& fn) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  const int slots = num_threads();
-  if (slots <= 1 || n <= grain) {
+  if (num_threads_ <= 1 || n <= grain) {
     fn(0, n, 0);
     return;
   }
-  std::atomic<size_t> next{0};
-  std::vector<std::future<void>> parts;
-  parts.reserve(static_cast<size_t>(slots));
-  // One claiming loop per slot: slot ids stay unique among concurrently
-  // running chunks, and the atomic cursor load-balances skewed items.
-  for (int slot = 0; slot < slots; ++slot) {
-    parts.push_back(Submit([n, grain, slot, &next, &fn] {
-      for (;;) {
-        const size_t begin = next.fetch_add(grain);
-        if (begin >= n) return;
-        fn(begin, std::min(n, begin + grain), slot);
-      }
-    }));
+  std::lock_guard<std::mutex> call_lock(call_mutex_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    fn_ = &fn;
+    n_ = n;
+    grain_ = grain;
+    next_.store(0, std::memory_order_relaxed);
+    error_ = nullptr;
+    running_ = num_threads_ - 1;
+    ++call_;
   }
-  // Wait for every slot before rethrowing: the tasks reference the
-  // stack-local `next`/`fn`, which must outlive all of them.
-  std::exception_ptr first_error;
-  for (auto& part : parts) {
-    try {
-      part.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  start_cv_.notify_all();
+  RunChunks(0);
+  // Every worker leaves the call before fn_ and the cursor can be
+  // reused, so a worker never runs a chunk of the next call under this
+  // one's fn.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return running_ == 0; });
+    fn_ = nullptr;
+    error = std::exchange(error_, nullptr);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace skewsearch

@@ -1,86 +1,83 @@
 // Copyright 2026 The skewsearch Authors.
-// A fixed-size worker pool for sharding embarrassingly parallel work
-// (index builds, batch queries, benchmark sweeps).
+// A fixed-size pool that runs ParallelFor: dynamically scheduled chunks
+// of an index range, for index builds, batch queries and the join's
+// route and fan-out.
 //
-// Tasks are closures executed FIFO by `num_threads` long-lived workers;
-// ParallelFor layers dynamic chunk scheduling on top so skewed per-item
-// costs (the whole point of this library) cannot leave workers idle
-// behind one hot shard. Each ParallelFor worker gets a stable slot id in
-// [0, num_threads), which callers use to index per-thread scratch
+// Dynamic chunk scheduling keeps skewed per-item costs (the whole point
+// of this library) from leaving threads idle behind one hot shard. The
+// calling thread takes part as slot 0, and num_threads() - 1 long-lived
+// workers take the other slots. Each chunk runs under a slot id in
+// [0, num_threads()), which callers use to index per-thread scratch
 // buffers without locking.
 
 #ifndef SKEWSEARCH_UTIL_THREAD_POOL_H_
 #define SKEWSEARCH_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace skewsearch {
 
-/// \brief Fixed-size FIFO thread pool.
+/// \brief Fixed-size pool of ParallelFor slots.
 ///
-/// Thread-safe: Submit/ParallelFor may be called concurrently from any
-/// thread that is not itself a pool worker (a worker waiting on its own
-/// pool would deadlock). Destruction drains already-queued tasks.
+/// ParallelFor may be called from any thread. Calls from different
+/// threads on one pool are serialized: each runs to completion before
+/// the next starts. Calling ParallelFor on the same pool from inside
+/// \p fn is not supported (it would wait for itself).
 class ThreadPool {
  public:
-  /// Spawns \p num_threads workers; values < 1 are clamped to 1.
+  /// Provides \p num_threads slots: the caller of ParallelFor plus
+  /// num_threads - 1 workers. Values < 1 are clamped to 1.
   explicit ThreadPool(int num_threads);
 
-  /// Joins all workers after finishing queued tasks.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return num_threads_; }
 
-  /// Enqueues \p fn and returns a future for its result. Exceptions
-  /// propagate through the future.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    Enqueue([task] { (*task)(); });
-    return result;
-  }
-
-  /// Runs \p fn(begin, end, slot) over dynamically scheduled chunks of
+  /// Runs \p fn(begin, end, slot) over dynamically claimed chunks of
   /// [0, n), blocking until every chunk is done. `slot` is in
   /// [0, num_threads) and is unique among concurrently running chunks,
-  /// so it can index per-thread scratch state. \p grain is the chunk
-  /// size (0 picks one). The first exception thrown by \p fn is
-  /// rethrown. With one worker (or n <= grain) everything runs inline
-  /// on the calling thread as fn(0, n, 0).
+  /// so it can index per-thread scratch state; the calling thread runs
+  /// slot 0. \p grain is the chunk size (0 picks one). The first
+  /// exception thrown by \p fn is rethrown once every slot has stopped.
+  /// With one slot (or n <= grain) everything runs inline on the
+  /// calling thread as fn(0, n, 0).
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t, int)>& fn);
 
-  /// Total tasks a worker has dequeued to run (diagnostics/tests). A
-  /// task is counted before it runs, so once its future is ready the
-  /// count already includes it; a task still running is counted too.
-  size_t tasks_executed() const;
-
  private:
-  void Enqueue(std::function<void()> task);
-  void WorkerLoop();
+  void WorkerLoop(int slot);
+  /// Claims and runs chunks of the current call until none are left or
+  /// its fn throws (the first exception is kept in error_).
+  void RunChunks(int slot);
 
-  std::vector<std::thread> workers_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  size_t tasks_executed_ = 0;
+  int num_threads_ = 1;
+  std::mutex call_mutex_;  // serializes ParallelFor callers
+
+  std::mutex mutex_;  // guards the fields below, up to grain_
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  uint64_t call_ = 0;  // bumped once per ParallelFor that uses workers
+  int running_ = 0;    // workers still inside the current call
   bool stop_ = false;
+  std::exception_ptr error_;
+  // The current call; written under mutex_ before call_ is bumped.
+  const std::function<void(size_t, size_t, int)>* fn_ = nullptr;
+  size_t n_ = 0;
+  size_t grain_ = 1;
+  std::atomic<size_t> next_{0};       // the chunk cursor
+  std::vector<std::thread> workers_;  // last: they use everything above
 };
 
 }  // namespace skewsearch

@@ -164,12 +164,15 @@ TEST_F(CliTest, FlagsACommandDoesNotTakeFail) {
             1);
   EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--online"}),
             1);
-  // selfjoin's --shards and --churn size only its --wal phase.
+  // Churn and durability are query-bench's; selfjoin only joins.
   EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--shards",
                     "4"}),
             1);
   EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--churn",
                     "80"}),
+            1);
+  EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--wal",
+                    path_ + ".wal"}),
             1);
   EXPECT_EQ(RunCli({"profile", "--in", text_, "--alpha", "0.8"}), 1);
   EXPECT_EQ(RunCli({"selfjoin", "--in", text_, "--b1", "0.6", "--workers",

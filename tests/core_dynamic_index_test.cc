@@ -498,5 +498,74 @@ TEST_F(DynamicIndexIoTest, LoadRejectsDifferentDatasetAndCorruption) {
   EXPECT_NE(s.message().find("offsets"), std::string::npos) << s.ToString();
 }
 
+TEST_F(DynamicIndexIoTest, LoadRejectsRemovedBaseBlockContradictingPostings) {
+  // Base id `gone` is removed; `live` shares its shard and is posted.
+  const int shards = 2;
+  DynamicIndex probe;
+  ASSERT_TRUE(probe.Build(&data_, &dist_, Options(shards)).ok());
+  const VectorId gone = 101;
+  VectorId live = gone + 1;
+  while (live < data_.size() &&
+         (ShardedIndex::ShardOf(live, shards) !=
+              ShardedIndex::ShardOf(gone, shards) ||
+          !ContainsId(probe.QueryAll(data_.Get(live), 0.999), live))) {
+    ++live;
+  }
+  ASSERT_LT(live, data_.size());
+
+  // Saves the index after removing `gone` (then compacting its shard,
+  // which drops its postings and its tombstone, when asked), and
+  // rewrites the shard's removed-base block — u64 count 1, the u32 id,
+  // then the inserted block's u64 count 0 — to list `live` instead, or
+  // (with `drop`) nothing.
+  auto patched_file = [&](bool compact, bool drop = false) {
+    DynamicIndex index;
+    EXPECT_TRUE(index.Build(&data_, &dist_, Options(shards)).ok());
+    EXPECT_TRUE(index.Remove(gone).ok());
+    if (compact) {
+      EXPECT_TRUE(
+          index.CompactShard(ShardedIndex::ShardOf(gone, shards)).ok());
+    }
+    EXPECT_TRUE(index.Save(path_).ok());
+    DynamicIndex unpatched;
+    EXPECT_TRUE(unpatched.Load(path_, &data_, &dist_).ok());
+    std::ifstream in(path_, std::ios::binary);
+    std::string contents((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    std::string block(20, '\0');
+    const uint64_t one = 1;
+    std::memcpy(block.data(), &one, sizeof(one));
+    std::memcpy(block.data() + 8, &gone, sizeof(gone));
+    const size_t at = contents.find(block);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(at, contents.rfind(block)) << "removed-base block not unique";
+    if (at != std::string::npos && drop) {
+      contents.erase(at, 12);
+      contents.insert(at, 8, '\0');
+    } else if (at != std::string::npos) {
+      std::memcpy(contents.data() + at + 8, &live, sizeof(live));
+    }
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  };
+
+  // Compacted: `live` would be listed removed yet still be served, and
+  // `gone` would come back.
+  patched_file(/*compact=*/true);
+  DynamicIndex phantom;
+  Status s = phantom.Load(path_, &data_, &dist_);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+
+  // Still tombstoned: `gone` could be removed, and its entries charged
+  // dead, a second time — whether `live` takes its place or not.
+  for (bool drop : {false, true}) {
+    patched_file(/*compact=*/false, drop);
+    DynamicIndex double_charge;
+    s = double_charge.Load(path_, &data_, &dist_);
+    EXPECT_TRUE(s.IsInvalidArgument()) << "drop " << drop << ": "
+                                       << s.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace skewsearch

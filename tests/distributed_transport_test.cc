@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -170,10 +171,14 @@ TEST(DistributedTransportTest, ConnectToClosedPortFails) {
 }
 
 TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
-  // A future coordinator, and old peers: versions 1 and 2 are retired,
-  // so a range that stops below 3 has nothing in common with a worker.
+  // A future coordinator, and old peers: versions 1 to 3 are retired,
+  // so a range that stops below 4 has nothing in common with a worker.
   const std::pair<uint8_t, uint8_t> ranges[] = {
-      {wire::kVersionMax + 1, wire::kVersionMax + 9}, {1, 1}, {1, 2}};
+      {wire::kVersionMax + 1, wire::kVersionMax + 9},
+      {1, 1},
+      {1, 2},
+      {1, 3},
+      {3, 3}};
   for (const auto& [min_version, max_version] : ranges) {
     SCOPED_TRACE("range " + std::to_string(min_version) + ".." +
                  std::to_string(max_version));
@@ -258,6 +263,104 @@ TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
   worker.Join();
   EXPECT_FALSE(worker.status.ok());
   (void)session->Shutdown();
+}
+
+/// Runs the Hello/HelloAck exchange against \p worker over loopback
+/// and returns the coordinator's end, ready for raw frames.
+std::unique_ptr<FrameConnection> RawSession(HostedWorker* worker) {
+  auto [coordinator, worker_end] = LoopbackPair();
+  worker->Serve(std::move(worker_end));
+  wire::HelloFrame hello;
+  hello.worker_id = 0;
+  hello.num_workers = 1;
+  EXPECT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
+  wire::Frame frame;
+  EXPECT_TRUE(coordinator->Receive(&frame).ok());
+  EXPECT_EQ(frame.type, wire::FrameType::kHelloAck);
+  coordinator->set_frame_version(wire::kVersionMax);
+  return std::move(coordinator);
+}
+
+TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
+  // Slice A is what a session opens with; slice B is a lost worker's,
+  // re-shipped at the next epoch.
+  wire::WorkerAssignment slice_a;
+  slice_a.threshold = 0.5;
+  slice_a.postings.emplace_back(42, std::vector<VectorId>{1});
+  slice_a.vectors.emplace_back(1, std::vector<ItemId>{3, 5});
+  wire::WorkerAssignment slice_b;
+  slice_b.threshold = 0.5;
+  slice_b.postings.emplace_back(43, std::vector<VectorId>{2});
+  slice_b.vectors.emplace_back(2, std::vector<ItemId>{3, 5, 7});
+
+  // Epoch 1 first, epoch 0 twice, and a skip to current + 2 each fail
+  // the session with an Error frame.
+  const std::vector<std::vector<uint32_t>> rejected = {{1}, {0, 0}, {0, 2}};
+  for (const std::vector<uint32_t>& epochs : rejected) {
+    SCOPED_TRACE("last epoch " + std::to_string(epochs.back()) + " after " +
+                 std::to_string(epochs.size() - 1) + " assignment(s)");
+    HostedWorker worker;
+    std::unique_ptr<FrameConnection> coordinator = RawSession(&worker);
+    wire::Frame frame;
+    for (size_t i = 0; i + 1 < epochs.size(); ++i) {
+      ASSERT_TRUE(
+          coordinator->Send(wire::EncodeAssignment(slice_a, epochs[i])).ok());
+      ASSERT_TRUE(coordinator->Receive(&frame).ok());
+      ASSERT_EQ(frame.type, wire::FrameType::kAssignmentAck);
+    }
+    ASSERT_TRUE(
+        coordinator->Send(wire::EncodeAssignment(slice_b, epochs.back())).ok());
+    ASSERT_TRUE(coordinator->Receive(&frame).ok());
+    ASSERT_EQ(frame.type, wire::FrameType::kError);
+    wire::ErrorFrame error;
+    ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
+    const Status status = wire::StatusFromError(error);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.ToString().find("epoch"), std::string::npos)
+        << status.ToString();
+    worker.Join();
+    EXPECT_FALSE(worker.status.ok());
+  }
+
+  // Epoch 0, then 1: the worker acks each with its epoch and counters,
+  // then answers probes stamped 1 from the merged table.
+  HostedWorker worker;
+  std::unique_ptr<FrameConnection> coordinator = RawSession(&worker);
+  wire::Frame frame;
+  for (uint32_t epoch : {0u, 1u}) {
+    const wire::WorkerAssignment& slice = epoch == 0 ? slice_a : slice_b;
+    ASSERT_TRUE(coordinator->Send(wire::EncodeAssignment(slice, epoch)).ok());
+    ASSERT_TRUE(coordinator->Receive(&frame).ok());
+    wire::AssignmentAckFrame ack;
+    ASSERT_TRUE(wire::DecodeAssignmentAck(frame, &ack).ok());
+    EXPECT_EQ(ack.epoch, epoch);
+    EXPECT_EQ(ack.num_keys, 1u);
+    EXPECT_EQ(ack.num_entries, 1u);
+    EXPECT_EQ(ack.distinct_vectors, 1u);
+  }
+  const std::vector<ItemId> items = {3, 5, 7};
+  std::vector<ProbeRequest> batch(1);
+  batch[0].left = 0;
+  batch[0].items = items;
+  batch[0].keys = {42, 43};
+  ASSERT_TRUE(
+      coordinator->Send(wire::EncodeProbeBatch(batch, /*epoch=*/1, 0)).ok());
+  ASSERT_TRUE(coordinator->Receive(&frame).ok());
+  wire::ResponseBatch responses;
+  ASSERT_TRUE(wire::DecodeResponseBatch(frame, &responses).ok());
+  EXPECT_EQ(responses.epoch, 1u);
+  ASSERT_EQ(responses.responses.size(), 1u);
+  std::vector<VectorId> matched;
+  for (const Match& match : responses.responses[0].matches) {
+    matched.push_back(match.id);
+  }
+  std::sort(matched.begin(), matched.end());
+  EXPECT_EQ(matched, (std::vector<VectorId>{1, 2}));
+  ASSERT_TRUE(coordinator->Send(wire::EncodeShutdown()).ok());
+  worker.Join();
+  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
+  EXPECT_EQ(worker.stats.reassignments, 1u);
+  EXPECT_EQ(worker.stats.batches, 1u);
 }
 
 enum class Transport { kLoopback, kTcp };

@@ -46,9 +46,9 @@ TEST(DistributedWireTest, FrameHeaderRejectsCorruptMagic) {
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsBadVersion) {
-  // 0 was never a version, 1 and 2 are retired, and anything above
+  // 0 was never a version, 1 to 3 are retired, and anything above
   // kVersionMax is a future peer.
-  const uint8_t rejected[] = {0, 1, 2, kVersionMax + 1};
+  const uint8_t rejected[] = {0, 1, 2, 3, kVersionMax + 1};
   for (uint8_t version : rejected) {
     FrameHeader header;
     Status status = DecodeFrameHeader(
@@ -67,6 +67,12 @@ TEST(DistributedWireTest, FrameHeaderRejectsUnknownTypeAndReservedBits) {
   EXPECT_FALSE(DecodeFrameHeader(bad_type, &header).ok());
   bad_type[5] = 99;
   EXPECT_FALSE(DecodeFrameHeader(bad_type, &header).ok());
+  // 9 and 10 were v3's Reassignment pair; retired, not reused.
+  for (uint8_t retired : {uint8_t{9}, uint8_t{10}}) {
+    bad_type[5] = retired;
+    EXPECT_FALSE(DecodeFrameHeader(bad_type, &header).ok())
+        << "type " << int{retired};
+  }
 
   std::vector<uint8_t> bad_reserved = bytes;
   bad_reserved[6] = 1;  // reserved u16
@@ -259,6 +265,7 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
   };
   {
     PayloadWriter writer;
+    writer.U32(0);  // epoch
     writer.F64(0.5);
     writer.U8(0);
     writer.U32(0xFFFFFFFFu);  // posting-key count
@@ -268,6 +275,7 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
   }
   {
     PayloadWriter writer;
+    writer.U32(0);  // epoch
     writer.F64(0.5);
     writer.U8(0);
     writer.U32(1);            // one key...
@@ -529,68 +537,58 @@ TEST(DistributedWireTest, ResponseBatchV2CarriesEpochAndSeq) {
   EXPECT_FALSE(DecodeResponseBatch(empty, &decoded).ok());
 }
 
-TEST(DistributedWireTest, ReassignmentRandomizedRoundTrip) {
+TEST(DistributedWireTest, AssignmentCarriesEpochRandomizedRoundTrip) {
+  // Recovery re-ships a lost worker's slices as an Assignment at the
+  // session's next epoch; the epoch prefix round-trips with the body.
   for (uint64_t seed = 21; seed <= 24; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
     Rng rng(seed);
-    ReassignmentFrame reassignment;
-    reassignment.epoch = 1 + static_cast<uint32_t>(rng.NextBounded(100));
-    reassignment.assignment = RandomAssignment(&rng);
-    Frame frame = EncodeReassignment(reassignment);
-    EXPECT_EQ(frame.type, FrameType::kReassignment);
-    ReassignmentFrame decoded;
-    ASSERT_TRUE(DecodeReassignment(frame, &decoded).ok());
-    EXPECT_EQ(decoded.epoch, reassignment.epoch);
-    EXPECT_EQ(decoded.assignment.threshold,
-              reassignment.assignment.threshold);
-    ASSERT_EQ(decoded.assignment.postings.size(),
-              reassignment.assignment.postings.size());
-    for (size_t k = 0; k < decoded.assignment.postings.size(); ++k) {
-      EXPECT_EQ(decoded.assignment.postings[k],
-                reassignment.assignment.postings[k]);
+    const uint32_t epoch = static_cast<uint32_t>(rng.NextBounded(100));
+    WorkerAssignment assignment = RandomAssignment(&rng);
+    Frame frame = EncodeAssignment(assignment, epoch);
+    EXPECT_EQ(frame.type, FrameType::kAssignment);
+    uint32_t prefix = 0;
+    std::memcpy(&prefix, frame.payload.data(), sizeof(prefix));
+    EXPECT_EQ(prefix, epoch);
+    WorkerAssignment decoded;
+    uint32_t decoded_epoch = epoch + 1;
+    ASSERT_TRUE(DecodeAssignment(frame, &decoded, &decoded_epoch).ok());
+    EXPECT_EQ(decoded_epoch, epoch);
+    EXPECT_EQ(decoded.threshold, assignment.threshold);
+    ASSERT_EQ(decoded.postings.size(), assignment.postings.size());
+    for (size_t k = 0; k < decoded.postings.size(); ++k) {
+      EXPECT_EQ(decoded.postings[k], assignment.postings[k]);
     }
-    ASSERT_EQ(decoded.assignment.vectors.size(),
-              reassignment.assignment.vectors.size());
+    ASSERT_EQ(decoded.vectors.size(), assignment.vectors.size());
   }
 }
 
-TEST(DistributedWireTest, ReassignmentRejectsEpochZero) {
-  Rng rng(31);
-  ReassignmentFrame reassignment;
-  reassignment.epoch = 1;
-  reassignment.assignment = RandomAssignment(&rng);
-  Frame frame = EncodeReassignment(reassignment);
-  // Overwrite the little-endian epoch prefix with 0: epochs start at 1
-  // (0 is the pre-recovery state), so the decoder must reject it.
-  frame.payload[0] = frame.payload[1] = frame.payload[2] =
-      frame.payload[3] = 0;
-  ReassignmentFrame decoded;
-  Status status = DecodeReassignment(frame, &decoded);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("epoch"), std::string::npos);
-}
-
-TEST(DistributedWireTest, ReassignmentAckRoundTripAndTruncation) {
-  ReassignmentAckFrame ack;
+TEST(DistributedWireTest, AssignmentAckRoundTripAndTruncation) {
+  AssignmentAckFrame ack;
   ack.epoch = 6;
-  ack.counters.num_keys = 10;
-  ack.counters.num_entries = 55;
-  ack.counters.distinct_vectors = 17;
-  Frame frame = EncodeReassignmentAck(ack);
-  EXPECT_EQ(frame.type, FrameType::kReassignmentAck);
-  ReassignmentAckFrame decoded;
-  ASSERT_TRUE(DecodeReassignmentAck(frame, &decoded).ok());
+  ack.num_keys = 10;
+  ack.num_entries = 55;
+  ack.distinct_vectors = 17;
+  Frame frame = EncodeAssignmentAck(ack);
+  EXPECT_EQ(frame.type, FrameType::kAssignmentAck);
+  EXPECT_EQ(frame.payload.size(), 28u);
+  AssignmentAckFrame decoded;
+  ASSERT_TRUE(DecodeAssignmentAck(frame, &decoded).ok());
   EXPECT_EQ(decoded.epoch, 6u);
-  EXPECT_EQ(decoded.counters.num_keys, 10u);
-  EXPECT_EQ(decoded.counters.num_entries, 55u);
-  EXPECT_EQ(decoded.counters.distinct_vectors, 17u);
+  EXPECT_EQ(decoded.num_keys, 10u);
+  EXPECT_EQ(decoded.num_entries, 55u);
+  EXPECT_EQ(decoded.distinct_vectors, 17u);
   for (size_t cut = 0; cut < frame.payload.size(); ++cut) {
     Frame truncated = frame;
     truncated.payload.resize(cut);
-    ReassignmentAckFrame out;
-    EXPECT_FALSE(DecodeReassignmentAck(truncated, &out).ok())
+    AssignmentAckFrame out;
+    EXPECT_FALSE(DecodeAssignmentAck(truncated, &out).ok())
         << "prefix " << cut;
   }
+  Frame padded = frame;
+  padded.payload.push_back(0);
+  AssignmentAckFrame out;
+  EXPECT_FALSE(DecodeAssignmentAck(padded, &out).ok());
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 
 #include <atomic>
 #include <numeric>
-#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -19,35 +19,6 @@ TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
   EXPECT_EQ(negative.num_threads(), 1);
   ThreadPool four(4);
   EXPECT_EQ(four.num_threads(), 4);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsValueThroughFuture) {
-  ThreadPool pool(2);
-  auto forty_two = pool.Submit([] { return 42; });
-  auto text = pool.Submit([] { return std::string("done"); });
-  EXPECT_EQ(forty_two.get(), 42);
-  EXPECT_EQ(text.get(), "done");
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto failing = pool.Submit(
-      []() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(failing.get(), std::runtime_error);
-  // The worker survives the exception and keeps serving tasks.
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, ManyMoreTasksThanWorkersAllComplete) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.Submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-  EXPECT_GE(pool.tasks_executed(), 200u);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -96,6 +67,34 @@ TEST(ThreadPoolTest, ParallelForRunsInlineWithSingleWorker) {
   for (const auto& id : seen) EXPECT_EQ(id, main_id);
 }
 
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRangeWithUniqueSlots) {
+  // Two threads share one 4-slot pool. Calls are serialized, so each
+  // call sees every index once and no slot twice at the same time.
+  ThreadPool pool(4);
+  auto caller = [&pool](size_t n) {
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::atomic<int>> busy(
+          static_cast<size_t>(pool.num_threads()));
+      std::atomic<int> overlaps{0};
+      pool.ParallelFor(n, 3, [&](size_t begin, size_t end, int slot) {
+        std::atomic<int>& in_use = busy[static_cast<size_t>(slot)];
+        if (in_use.fetch_add(1) != 0) overlaps.fetch_add(1);
+        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        in_use.fetch_sub(1);
+      });
+      EXPECT_EQ(overlaps.load(), 0) << "round " << round;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i << " round " << round;
+      }
+    }
+  };
+  std::thread first(caller, size_t{97});
+  std::thread second(caller, size_t{250});
+  first.join();
+  second.join();
+}
+
 TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
   ThreadPool pool(4);
   EXPECT_THROW(
@@ -109,17 +108,6 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
   pool.ParallelFor(10, 1,
                    [&](size_t, size_t, int) { counter.fetch_add(1); });
   EXPECT_GT(counter.load(), 0);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after finishing the queue
-  EXPECT_EQ(counter.load(), 50);
 }
 
 }  // namespace

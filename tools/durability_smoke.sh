@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Crash-durability smoke test of the WAL + recovery layer, end to end
-# through the CLI: a `selfjoin --wal` run journals a seeded mutation
-# stream into a durable directory and prints a flushed "wal:" marker
-# once the log is synced and closed, then runs its join. Round 1
-# SIGKILLs one run right after that marker and requires a recovered
-# index to answer a seeded probe set byte-identically to an
-# uninterrupted run of the same command. Round 2 SIGKILLs a run *mid-churn* — the log ends wherever
-# the kill landed — and requires recovery to be deterministic: two
-# successive recoveries of the same directory must dump identical
-# answers, with a nonzero number of replayed records so the round is
-# not vacuous. (CI runs this; docs/FILE_FORMATS.md "SKW1" has the
+# through the CLI: a `query-bench --wal` run journals a seeded churn
+# stream into a durable directory and prints a flushed "churn:" line
+# once every churned mutation is acknowledged, then runs its queries.
+# Round 1 SIGKILLs one run right after that line and requires a
+# recovered index to answer a seeded probe set byte-identically to an
+# uninterrupted run of the same churn. Round 2 SIGKILLs a run
+# *mid-churn* — the log ends wherever the kill landed — and requires
+# recovery to be deterministic: two successive recoveries of the same
+# directory must dump identical answers. Every run writes and recovers
+# the same index (α = 0.7, 2 shards, seed 9), and each round requires
+# nonempty dumps and a nonzero number of replayed records so it is not
+# vacuous. (CI runs this; docs/FILE_FORMATS.md "SKW1" has the
 # truncation rule under test.)
 #
 # Usage: tools/durability_smoke.sh [build-dir]   (default: build)
@@ -38,51 +40,66 @@ trap cleanup EXIT
 "$CLI" generate --kind zipf --n 500 --d 1000 --p 0.9 --exp 1.2 --avg 8 \
   --seed 7 --out "$TMP/data.txt"
 
+# The durable online index every run opens, less its --wal directory.
+# An array, not a function, so a run started with & is the CLI itself
+# and $! is the pid to kill.
+DURABLE=("$CLI" query-bench --in "$TMP/data.txt" --alpha 0.7 --online
+  --maintenance 0 --shards 2 --sync-policy always --seed 9)
+
 # Recovers a durable dir (read-only: --churn 0 appends nothing) and
 # dumps the QueryAll answers of the fixed seeded probe set. The
 # "recovery:" line lands in the named log for later assertions.
 probe_dump() {
   local dir="$1" out="$2" log="$3"
-  "$CLI" query-bench --in "$TMP/data.txt" --alpha 0.7 --online \
-    --maintenance 0 --wal "$dir" --churn 0 --queries 0 --probes 96 \
-    --dump-matches "$out" --seed 9 > "$log"
+  "${DURABLE[@]}" --wal "$dir" --churn 0 --queries 0 --probes 96 \
+    --dump-matches "$out" > "$log"
 }
 
-# Starts the durable selfjoin against $1 in the background, logging to
-# $2; the caller decides when (and whether) to kill it.
-start_selfjoin() {
-  local dir="$1" log="$2" churn="$3"
-  "$CLI" selfjoin --in "$TMP/data.txt" --b1 0.5 --shards 2 \
-    --wal "$dir" --sync-policy always --churn "$churn" \
-    --seed 9 > "$log" 2>&1 &
-  KILL_PIDS+=("$!")
+# Fails unless dump $1 is nonempty and the recovery logged in $2
+# replayed records; prints the replayed count.
+require_non_vacuous() {
+  local dump="$1" log="$2"
+  if [ ! -s "$dump" ]; then
+    echo "FAIL: probe dump $dump is empty; the identity check is vacuous" >&2
+    exit 1
+  fi
+  local replayed
+  replayed="$(grep -o '[0-9]* replayed' "$log" | cut -d' ' -f1)"
+  if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
+    echo "FAIL: recovery replayed nothing; the round is vacuous" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  echo "$replayed"
 }
 
-echo "--- round 1: SIGKILL after the flushed wal marker"
-# Run A: uninterrupted reference.
-"$CLI" selfjoin --in "$TMP/data.txt" --b1 0.5 --shards 2 \
-  --wal "$TMP/wal_a" --sync-policy always --churn 80 \
-  --seed 9 > "$TMP/run_a.log" 2>&1
-grep '^wal:' "$TMP/run_a.log"
+echo "--- round 1: SIGKILL after the flushed churn line"
+# Run A: uninterrupted reference (no queries, so it closes right after
+# its churn).
+"${DURABLE[@]}" --wal "$TMP/wal_a" --churn 80 --queries 0 \
+  > "$TMP/run_a.log" 2>&1
+grep '^churn:' "$TMP/run_a.log"
 probe_dump "$TMP/wal_a" "$TMP/dump_a.txt" "$TMP/dump_a.log"
 
-# Run B: identical command, SIGKILLed right after the marker (the log
-# is synced and closed by then; the process is mid-join).
-start_selfjoin "$TMP/wal_b" "$TMP/run_b.log" 80
+# Run B: the same churn, SIGKILLed right after its churn line (every
+# mutation is acknowledged by then; the process is mid-queries).
+"${DURABLE[@]}" --wal "$TMP/wal_b" --churn 80 --queries 100000000 \
+  > "$TMP/run_b.log" 2>&1 &
+KILL_PIDS+=("$!")
 RUN_B="${KILL_PIDS[0]}"
 for _ in $(seq 1 300); do
-  if grep -q '^wal:' "$TMP/run_b.log"; then break; fi
+  if grep -q '^churn:' "$TMP/run_b.log"; then break; fi
   if ! kill -0 "$RUN_B" 2> /dev/null; then break; fi
   sleep 0.1
 done
-if ! grep -q '^wal:' "$TMP/run_b.log"; then
-  echo "FAIL: run B never printed its wal marker" >&2
+if ! grep -q '^churn:' "$TMP/run_b.log"; then
+  echo "FAIL: run B never printed its churn line" >&2
   cat "$TMP/run_b.log" >&2
   exit 1
 fi
 kill -9 "$RUN_B" 2> /dev/null || true
 wait "$RUN_B" 2> /dev/null || true
-echo "run B killed -9 after its wal marker"
+echo "run B killed -9 after its churn line"
 
 probe_dump "$TMP/wal_b" "$TMP/dump_b.txt" "$TMP/dump_b.log"
 if ! diff -u "$TMP/dump_a.txt" "$TMP/dump_b.txt"; then
@@ -90,17 +107,17 @@ if ! diff -u "$TMP/dump_a.txt" "$TMP/dump_b.txt"; then
   cat "$TMP/dump_a.log" "$TMP/dump_b.log" >&2
   exit 1
 fi
+replayed_b="$(require_non_vacuous "$TMP/dump_b.txt" "$TMP/dump_b.log")"
 match_count="$(wc -l < "$TMP/dump_a.txt")"
-if [ "$match_count" -eq 0 ]; then
-  echo "FAIL: probe dumps are empty; the identity check is vacuous" >&2
-  exit 1
-fi
-echo "killed and clean runs answer identically ($match_count match lines)"
+echo "killed and clean runs answer identically ($match_count match lines," \
+  "$replayed_b records replayed)"
 
 echo "--- round 2: SIGKILL mid-churn, then recover twice"
 # A churn far larger than round 1's so the kill lands inside the
 # journaled mutation stream, not after it.
-start_selfjoin "$TMP/wal_c" "$TMP/run_c.log" 20000
+"${DURABLE[@]}" --wal "$TMP/wal_c" --churn 20000 --queries 0 \
+  > "$TMP/run_c.log" 2>&1 &
+KILL_PIDS+=("$!")
 RUN_C="${KILL_PIDS[1]}"
 for _ in $(seq 1 300); do
   size="$(stat -c %s "$TMP/wal_c/wal.skw" 2> /dev/null || echo 0)"
@@ -110,6 +127,10 @@ for _ in $(seq 1 300); do
 done
 kill -9 "$RUN_C" 2> /dev/null || true
 wait "$RUN_C" 2> /dev/null || true
+if grep -q '^churn:' "$TMP/run_c.log"; then
+  echo "FAIL: run C finished its churn before the kill" >&2
+  exit 1
+fi
 if [ ! -s "$TMP/wal_c/wal.skw" ]; then
   echo "FAIL: mid-churn kill left no log to recover" >&2
   cat "$TMP/run_c.log" >&2
@@ -125,15 +146,10 @@ if ! diff -u "$TMP/dump_c1.txt" "$TMP/dump_c2.txt"; then
   cat "$TMP/dump_c1.log" "$TMP/dump_c2.log" >&2
   exit 1
 fi
-replayed="$(grep -o '[0-9]* replayed' "$TMP/dump_c1.log" | cut -d' ' -f1)"
-if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
-  echo "FAIL: mid-churn recovery replayed nothing; the round is vacuous" >&2
-  cat "$TMP/dump_c1.log" >&2
-  exit 1
-fi
+replayed="$(require_non_vacuous "$TMP/dump_c1.txt" "$TMP/dump_c1.log")"
 echo "mid-churn recovery deterministic ($replayed records replayed twice)"
 
 KILL_PIDS=()
-echo "PASS: post-marker kill recovered byte-identically to the clean run" \
+echo "PASS: post-churn kill recovered byte-identically to the clean run" \
   "($match_count match lines), and the mid-churn kill recovered" \
   "deterministically ($replayed records)"

@@ -453,11 +453,15 @@ void RunQueryBench(const Flags& flags, const Index& index,
     candidates += stats.candidates;
     seconds += stats.seconds;
   }
-  std::printf("queries: %zu, recall %.2f, %.1f candidates/query, "
-              "%.1f us/query\n",
-              queries, static_cast<double>(found) / queries,
-              static_cast<double>(candidates) / queries,
-              1e6 * seconds / queries);
+  // With no queries there is nothing to average.
+  std::printf("queries: %zu", queries);
+  if (queries > 0) {
+    std::printf(", recall %.2f, %.1f candidates/query, %.1f us/query",
+                static_cast<double>(found) / queries,
+                static_cast<double>(candidates) / queries,
+                1e6 * seconds / queries);
+  }
+  std::printf("\n");
   if (!flags.Has("trace")) return;
   obs::ScopedTrace trace;
   index.Query(sample().second.span());

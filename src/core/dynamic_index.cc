@@ -27,6 +27,113 @@ constexpr uint32_t kMaxEditions = 1u << 20;
 /// pile up, so an index without a maintenance thread still reclaims.
 constexpr size_t kCollectBacklog = 32;
 
+/// A set is a registry whose values take no bytes, as a PostingSet is a
+/// PostingMap without values.
+struct NoValue {};
+
+/// One growing registry of a shard state: N copy-on-write buckets of a
+/// PostingMap<K, V>, split by key % N (vector ids and filter keys both
+/// spread evenly under modulo). A null bucket is empty and a copy shares
+/// every bucket, so a writer clones only the buckets its mutation
+/// touches and never writes a published bucket.
+template <typename K, typename V, size_t N>
+class CowBuckets {
+ public:
+  using Map = PostingMap<K, V>;
+
+  /// Stages the entries of a registry no reader has seen yet.
+  class Builder {
+   public:
+    /// Returns false, keeping the staged value, when \p key is staged.
+    bool Add(K key, V value) {
+      return maps_[BucketOf(key)].emplace(key, std::move(value)).second;
+    }
+
+    /// Installs the non-empty buckets.
+    CowBuckets Build() && {
+      CowBuckets registry;
+      for (size_t b = 0; b < N; ++b) {
+        if (maps_[b].empty()) continue;
+        registry.buckets_[b] = std::make_shared<const Map>(std::move(maps_[b]));
+      }
+      return registry;
+    }
+
+   private:
+    std::array<Map, N> maps_;
+  };
+
+  const V* Find(K key) const {
+    const std::shared_ptr<const Map>& bucket = buckets_[BucketOf(key)];
+    if (bucket == nullptr) return nullptr;
+    auto it = bucket->find(key);
+    return it == bucket->end() ? nullptr : &it->second;
+  }
+
+  bool contains(K key) const { return Find(key) != nullptr; }
+
+  size_t size() const {
+    size_t count = 0;
+    for (const auto& bucket : buckets_) {
+      if (bucket != nullptr) count += bucket->size();
+    }
+    return count;
+  }
+
+  /// Invokes fn(key, value) for every entry, in no particular order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& bucket : buckets_) {
+      if (bucket == nullptr) continue;
+      for (const auto& [key, value] : *bucket) fn(key, value);
+    }
+  }
+
+  /// Every key, ascending: the order Save writes, so identical states
+  /// save identical bytes.
+  std::vector<K> SortedKeys() const {
+    std::vector<K> keys;
+    keys.reserve(size());
+    ForEach([&](K key, const V& /*value*/) { keys.push_back(key); });
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// Clones each bucket one of \p keys falls in, once per call however
+  /// many keys share it, then runs fn(bucket, key) on that private copy
+  /// for every key.
+  template <typename Fn>
+  void Update(std::span<const K> keys, Fn&& fn) {
+    std::array<Map*, N> cloned{};
+    for (K key : keys) {
+      const size_t b = BucketOf(key);
+      if (cloned[b] == nullptr) {
+        auto fresh = buckets_[b] != nullptr
+                         ? std::make_shared<Map>(*buckets_[b])
+                         : std::make_shared<Map>();
+        cloned[b] = fresh.get();
+        buckets_[b] = std::move(fresh);
+      }
+      fn(*cloned[b], key);
+    }
+  }
+
+  /// Inserts or overwrites one entry (clones its bucket).
+  void Put(K key, V value) {
+    Update({&key, 1}, [&](Map& bucket, K k) { bucket[k] = std::move(value); });
+  }
+
+  /// Erases one entry (clones its bucket).
+  void Erase(K key) {
+    Update({&key, 1}, [](Map& bucket, K k) { bucket.erase(k); });
+  }
+
+ private:
+  static size_t BucketOf(K key) { return static_cast<size_t>(key) % N; }
+
+  std::array<std::shared_ptr<const Map>, N> buckets_;
+};
+
 }  // namespace
 
 /// One derivation of the paper's parameters (repetitions, delta, depth
@@ -41,17 +148,16 @@ struct DynamicIndex::Edition {
   size_t derived_n = 0;
 };
 
-/// The immutable published state of one shard. Posting lists, inserted
-/// vectors and the base table are shared substructure (shared_ptr), and
-/// every growing registry (delta postings, inserted vectors, tombstones,
-/// removed base ids) is split into COW sub-map buckets: a mutation
-/// deep-copies only the buckets it touches and shares the rest, so
-/// cloning a state costs O(touched buckets x bucket size) — never
-/// O(shard) and never the posting payloads or item lists. Bucket sizes
-/// stay flat because the maintenance service folds the delta past an
-/// absolute cap; that is the price of wait-free readers (a true
-/// persistent-map would push writers further toward O(keys), see
-/// ROADMAP).
+/// The immutable published state of one shard. The base table, posting
+/// lists and inserted vectors are shared substructure (shared_ptr), and
+/// every growing registry (delta postings, tombstones, removed base ids,
+/// inserted vectors) is one CowBuckets: a mutation deep-copies only the
+/// buckets it touches and shares the rest, so cloning a state costs
+/// O(touched buckets x bucket size), never O(shard) and never the
+/// posting payloads or item lists. Bucket sizes stay flat because the
+/// maintenance service folds the delta past an absolute cap; that is
+/// the price of wait-free readers (a true persistent map would push
+/// writers further toward O(keys), see ROADMAP).
 struct DynamicIndex::ShardState {
   /// One live inserted vector: its items plus the posting-entry count it
   /// contributed under `edition` (so Remove can charge dead entries in
@@ -61,12 +167,12 @@ struct DynamicIndex::ShardState {
     uint32_t entries = 0;
   };
 
-  static constexpr size_t kInsertedBuckets = 64;
-  using InsertedMap =
-      PostingMap<VectorId, std::shared_ptr<const InsertedVector>>;
-  static constexpr size_t kDeltaBuckets = 256;
-  using DeltaMap =
-      PostingMap<uint64_t, std::shared_ptr<const std::vector<VectorId>>>;
+  using Delta =
+      CowBuckets<uint64_t, std::shared_ptr<const std::vector<VectorId>>, 256>;
+  using Tombstones = CowBuckets<VectorId, uint32_t, 64>;
+  using RemovedBase = CowBuckets<VectorId, NoValue, 64>;
+  using Inserted =
+      CowBuckets<VectorId, std::shared_ptr<const InsertedVector>, 64>;
 
   std::shared_ptr<const Edition> edition;
 
@@ -79,33 +185,21 @@ struct DynamicIndex::ShardState {
   std::shared_ptr<const PostingMap<VectorId, uint32_t>> base_counts;
 
   /// Postings of vectors inserted since the last compaction, keyed like
-  /// the base table, bucketized for cheap COW like `inserted` (the delta
-  /// also grows without bound between compactions). A null bucket is
-  /// empty; posting lists are immutable once published.
-  std::array<std::shared_ptr<const DeltaMap>, kDeltaBuckets> delta;
-
-  using TombstoneMap = PostingMap<VectorId, uint32_t>;
-  using RemovedSet = PostingSet<VectorId>;
+  /// the base table. Posting lists are immutable once published.
+  Delta delta;
 
   /// Removed ids whose postings are still physically present, mapped to
   /// the entry count they occupy. Compaction drops the covered ids
-  /// together with their postings. Bucketized for cheap COW like the
-  /// other registries.
-  std::array<std::shared_ptr<const TombstoneMap>, kInsertedBuckets>
-      tombstones;
+  /// together with their postings.
+  Tombstones tombstones;
 
   /// Removed *base* ids, kept forever: the base dataset still contains
   /// these vectors, so liveness bookkeeping (IsLive/size/double-Remove)
   /// needs them even after compaction has dropped their postings.
-  /// Bucketized: this set only ever grows, so a flat copy per mutation
-  /// would cost O(total removals) forever.
-  std::array<std::shared_ptr<const RemovedSet>, kInsertedBuckets>
-      removed_base;
+  RemovedBase removed_base;
 
-  /// Live inserted vectors by id, bucketized for cheap COW (see above).
-  /// A null bucket is empty. Ids within a shard are a pseudo-random
-  /// subset of the id space, so id % kInsertedBuckets spreads evenly.
-  std::array<std::shared_ptr<const InsertedMap>, kInsertedBuckets> inserted;
+  /// Live inserted vectors by id.
+  Inserted inserted;
 
   /// Posting entries referencing live / tombstoned ids. Invariant:
   /// live + dead == base->num_pairs() + total delta entries, and
@@ -113,36 +207,14 @@ struct DynamicIndex::ShardState {
   size_t live_entries = 0;
   size_t dead_entries = 0;
 
-  static size_t BucketOf(VectorId id) {
-    return static_cast<size_t>(id) % kInsertedBuckets;
-  }
-
-  /// Filter keys are already uniformly hashed, so modulo spreads evenly.
-  static size_t DeltaBucketOf(uint64_t key) { return key % kDeltaBuckets; }
-
   const std::vector<VectorId>* FindDelta(uint64_t key) const {
-    const std::shared_ptr<const DeltaMap>& bucket =
-        delta[DeltaBucketOf(key)];
-    if (bucket == nullptr) return nullptr;
-    auto it = bucket->find(key);
-    return it == bucket->end() ? nullptr : it->second.get();
+    const auto* list = delta.Find(key);
+    return list != nullptr ? list->get() : nullptr;
   }
 
-  size_t delta_key_count() const {
-    size_t count = 0;
-    for (const auto& bucket : delta) {
-      if (bucket != nullptr) count += bucket->size();
-    }
-    return count;
-  }
-
-  /// Invokes fn(key, posting_list_shared_ptr) for every delta list.
-  template <typename Fn>
-  void ForEachDelta(Fn&& fn) const {
-    for (const auto& bucket : delta) {
-      if (bucket == nullptr) continue;
-      for (const auto& [key, ids] : *bucket) fn(key, ids);
-    }
+  const InsertedVector* FindInserted(VectorId id) const {
+    const auto* record = inserted.Find(id);
+    return record != nullptr ? record->get() : nullptr;
   }
 
   /// COW append of \p id to every key's posting list, kept sorted by
@@ -151,156 +223,14 @@ struct DynamicIndex::ShardState {
   /// filters-per-element x repetitions keys, so per-key cloning would
   /// multiply the copy cost by that factor).
   void AppendDeltaAll(const std::vector<uint64_t>& keys, VectorId id) {
-    std::array<DeltaMap*, kDeltaBuckets> touched{};
-    for (uint64_t key : keys) {
-      const size_t b = DeltaBucketOf(key);
-      if (touched[b] == nullptr) {
-        auto fresh = delta[b] != nullptr ? std::make_shared<DeltaMap>(*delta[b])
-                                         : std::make_shared<DeltaMap>();
-        touched[b] = fresh.get();
-        delta[b] = std::move(fresh);
-      }
-      std::shared_ptr<const std::vector<VectorId>>& slot = (*touched[b])[key];
-      auto fresh_list = slot != nullptr
-                            ? std::make_shared<std::vector<VectorId>>(*slot)
-                            : std::make_shared<std::vector<VectorId>>();
-      fresh_list->insert(
-          std::upper_bound(fresh_list->begin(), fresh_list->end(), id), id);
-      slot = std::move(fresh_list);
-    }
-  }
-
-  /// Bulk-installs \p lists as the delta (exclusive-owner setup paths:
-  /// compaction merge, rebuild merge, Load).
-  void SetDelta(std::array<DeltaMap, kDeltaBuckets>&& buckets) {
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      if (buckets[b].empty()) {
-        delta[b] = nullptr;
-      } else {
-        delta[b] = std::make_shared<const DeltaMap>(std::move(buckets[b]));
-      }
-    }
-  }
-
-  const InsertedVector* FindInserted(VectorId id) const {
-    const std::shared_ptr<const InsertedMap>& bucket = inserted[BucketOf(id)];
-    if (bucket == nullptr) return nullptr;
-    auto it = bucket->find(id);
-    return it == bucket->end() ? nullptr : it->second.get();
-  }
-
-  size_t inserted_count() const {
-    size_t count = 0;
-    for (const auto& bucket : inserted) {
-      if (bucket != nullptr) count += bucket->size();
-    }
-    return count;
-  }
-
-  /// Invokes fn(id, record_shared_ptr) for every live inserted vector.
-  template <typename Fn>
-  void ForEachInserted(Fn&& fn) const {
-    for (const auto& bucket : inserted) {
-      if (bucket == nullptr) continue;
-      for (const auto& [id, record] : *bucket) fn(id, record);
-    }
-  }
-
-  /// COW insert/overwrite of one record (clones only its bucket).
-  void PutInserted(VectorId id,
-                   std::shared_ptr<const InsertedVector> record) {
-    std::shared_ptr<const InsertedMap>& bucket = inserted[BucketOf(id)];
-    auto fresh = bucket != nullptr ? std::make_shared<InsertedMap>(*bucket)
-                                   : std::make_shared<InsertedMap>();
-    (*fresh)[id] = std::move(record);
-    bucket = std::move(fresh);
-  }
-
-  /// COW erase of one record (clones only its bucket).
-  void EraseInserted(VectorId id) {
-    std::shared_ptr<const InsertedMap>& bucket = inserted[BucketOf(id)];
-    if (bucket == nullptr) return;
-    auto fresh = std::make_shared<InsertedMap>(*bucket);
-    fresh->erase(id);
-    bucket = std::move(fresh);
-  }
-
-  bool IsTombstoned(VectorId id) const {
-    const std::shared_ptr<const TombstoneMap>& bucket =
-        tombstones[BucketOf(id)];
-    return bucket != nullptr && bucket->count(id) > 0;
-  }
-
-  size_t tombstone_count() const {
-    size_t count = 0;
-    for (const auto& bucket : tombstones) {
-      if (bucket != nullptr) count += bucket->size();
-    }
-    return count;
-  }
-
-  /// Invokes fn(id, entries) for every tombstone.
-  template <typename Fn>
-  void ForEachTombstone(Fn&& fn) const {
-    for (const auto& bucket : tombstones) {
-      if (bucket == nullptr) continue;
-      for (const auto& [id, entries] : *bucket) fn(id, entries);
-    }
-  }
-
-  /// COW insert of one tombstone (clones only its bucket).
-  void PutTombstone(VectorId id, uint32_t entries) {
-    std::shared_ptr<const TombstoneMap>& bucket = tombstones[BucketOf(id)];
-    auto fresh = bucket != nullptr ? std::make_shared<TombstoneMap>(*bucket)
-                                   : std::make_shared<TombstoneMap>();
-    fresh->emplace(id, entries);
-    bucket = std::move(fresh);
-  }
-
-  /// Bulk-installs \p buckets as the tombstones (exclusive-owner setup
-  /// paths: compaction merge, rebuild merge, Load).
-  void SetTombstones(
-      std::array<TombstoneMap, kInsertedBuckets>&& buckets) {
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      if (buckets[b].empty()) {
-        tombstones[b] = nullptr;
-      } else {
-        tombstones[b] =
-            std::make_shared<const TombstoneMap>(std::move(buckets[b]));
-      }
-    }
-  }
-
-  bool HasRemovedBase(VectorId id) const {
-    const std::shared_ptr<const RemovedSet>& bucket =
-        removed_base[BucketOf(id)];
-    return bucket != nullptr && bucket->count(id) > 0;
-  }
-
-  size_t removed_base_count() const {
-    size_t count = 0;
-    for (const auto& bucket : removed_base) {
-      if (bucket != nullptr) count += bucket->size();
-    }
-    return count;
-  }
-
-  /// Invokes fn(id) for every removed base id.
-  template <typename Fn>
-  void ForEachRemovedBase(Fn&& fn) const {
-    for (const auto& bucket : removed_base) {
-      if (bucket == nullptr) continue;
-      for (VectorId id : *bucket) fn(id);
-    }
-  }
-
-  /// COW insert of one removed base id (clones only its bucket).
-  void AddRemovedBase(VectorId id) {
-    std::shared_ptr<const RemovedSet>& bucket = removed_base[BucketOf(id)];
-    auto fresh = bucket != nullptr ? std::make_shared<RemovedSet>(*bucket)
-                                   : std::make_shared<RemovedSet>();
-    fresh->insert(id);
-    bucket = std::move(fresh);
+    delta.Update(keys, [id](Delta::Map& bucket, uint64_t key) {
+      std::shared_ptr<const std::vector<VectorId>>& slot = bucket[key];
+      auto list = slot != nullptr
+                      ? std::make_shared<std::vector<VectorId>>(*slot)
+                      : std::make_shared<std::vector<VectorId>>();
+      list->insert(std::upper_bound(list->begin(), list->end(), id), id);
+      slot = std::move(list);
+    });
   }
 };
 
@@ -466,8 +396,7 @@ Status DynamicIndex::ApplyInsert(VectorId id, std::span<const ItemId> items,
   {
     MutexLock lock(shard.writer);
     const ShardState& s1 = *shard.owner;
-    if (replay &&
-        (s1.FindInserted(id) != nullptr || s1.IsTombstoned(id))) {
+    if (replay && (s1.inserted.contains(id) || s1.tombstones.contains(id))) {
       // The restored snapshot already covers this logged mutation
       // (checkpoint raced the log append); replay is idempotent.
       if (applied != nullptr) *applied = false;
@@ -484,7 +413,7 @@ Status DynamicIndex::ApplyInsert(VectorId id, std::span<const ItemId> items,
     auto record = std::make_shared<ShardState::InsertedVector>();
     record->items.assign(items.begin(), items.end());
     record->entries = static_cast<uint32_t>(keys.size());
-    next->PutInserted(id, std::move(record));
+    next->inserted.Put(id, std::move(record));
     // Copy-on-write the touched buckets + posting lists, keeping each
     // list sorted by id so the documented scan order (key position,
     // base-before-delta, id) holds regardless of which writer won the
@@ -582,7 +511,7 @@ Status DynamicIndex::RemoveImpl(VectorId id, bool journal) {
     const ShardState& s1 = *shard.owner;
     uint32_t entries = 0;
     if (id < base_n_) {
-      if (s1.HasRemovedBase(id)) {
+      if (s1.removed_base.contains(id)) {
         return Status::NotFound("vector already removed");
       }
       auto it = s1.base_counts->find(id);
@@ -596,11 +525,11 @@ Status DynamicIndex::RemoveImpl(VectorId id, bool journal) {
     }
     auto next = std::make_shared<ShardState>(s1);
     if (id < base_n_) {
-      next->AddRemovedBase(id);
+      next->removed_base.Put(id, NoValue{});
     } else {
-      next->EraseInserted(id);
+      next->inserted.Erase(id);
     }
-    next->PutTombstone(id, entries);
+    next->tombstones.Put(id, entries);
     next->dead_entries += entries;
     next->live_entries -= std::min<size_t>(next->live_entries, entries);
     const size_t total = next->live_entries + next->dead_entries;
@@ -664,7 +593,7 @@ Status DynamicIndex::CompactShard(int s) {
   // the delta into the frozen base (a grown delta slows both queries —
   // one extra hash probe per key — and the COW write path, which clones
   // delta buckets). Nothing to do only when both are absent.
-  if (s0->tombstone_count() == 0 && s0->delta_key_count() == 0) {
+  if (s0->tombstones.size() == 0 && s0->delta.size() == 0) {
     return Status::OK();
   }
 
@@ -675,12 +604,12 @@ Status DynamicIndex::CompactShard(int s) {
   for (size_t k = 0; k < s0->base->num_keys(); ++k) {
     const uint64_t key = s0->base->key_at(k);
     for (VectorId id : s0->base->postings_at(k)) {
-      if (!s0->IsTombstoned(id)) fresh.Add(key, id);
+      if (!s0->tombstones.contains(id)) fresh.Add(key, id);
     }
   }
-  s0->ForEachDelta([&](uint64_t key, const auto& ids) {
+  s0->delta.ForEach([&](uint64_t key, const auto& ids) {
     for (VectorId id : *ids) {
-      if (!s0->IsTombstoned(id)) fresh.Add(key, id);
+      if (!s0->tombstones.contains(id)) fresh.Add(key, id);
     }
   });
   fresh.Freeze();
@@ -703,34 +632,32 @@ Status DynamicIndex::CompactShard(int s) {
     // Postings of vectors inserted after the snapshot stay in the delta;
     // everything the snapshot covered is now in the base table.
     size_t delta_entries = 0;
-    std::array<ShardState::DeltaMap, ShardState::kDeltaBuckets> kept;
-    s1.ForEachDelta([&](uint64_t key, const auto& ids) {
+    ShardState::Delta::Builder kept;
+    s1.delta.ForEach([&](uint64_t key, const auto& ids) {
       std::vector<VectorId> keep;
       for (VectorId id : *ids) {
-        if (s0->FindInserted(id) == nullptr && !s0->IsTombstoned(id)) {
+        if (!s0->inserted.contains(id) && !s0->tombstones.contains(id)) {
           keep.push_back(id);
         }
       }
       if (!keep.empty()) {
         delta_entries += keep.size();
-        kept[ShardState::DeltaBucketOf(key)].emplace(
-            key, std::make_shared<const std::vector<VectorId>>(
-                     std::move(keep)));
+        kept.Add(key, std::make_shared<const std::vector<VectorId>>(
+                          std::move(keep)));
       }
     });
-    next->SetDelta(std::move(kept));
+    next->delta = std::move(kept).Build();
     // Tombstones the snapshot did not cover keep their (still physically
     // present) postings and stay dead until the next compaction.
     size_t dead = 0;
-    std::array<ShardState::TombstoneMap, ShardState::kInsertedBuckets>
-        kept_tombs;
-    s1.ForEachTombstone([&](VectorId id, uint32_t entries) {
-      if (!s0->IsTombstoned(id)) {
-        kept_tombs[ShardState::BucketOf(id)].emplace(id, entries);
+    ShardState::Tombstones::Builder kept_tombs;
+    s1.tombstones.ForEach([&](VectorId id, uint32_t entries) {
+      if (!s0->tombstones.contains(id)) {
+        kept_tombs.Add(id, entries);
         dead += entries;
       }
     });
-    next->SetTombstones(std::move(kept_tombs));
+    next->tombstones = std::move(kept_tombs).Build();
     next->dead_entries = dead;
     const size_t total = next->base->num_pairs() + delta_entries;
     next->live_entries = total - std::min(total, dead);
@@ -761,15 +688,11 @@ Status DynamicIndex::RebuildShardLocked(
   };
   for (VectorId id = 0; id < base_n_; ++id) {
     if (ShardedIndex::ShardOf(id, num_shards()) != s) continue;
-    if (s0->HasRemovedBase(id)) continue;
+    if (s0->removed_base.contains(id)) continue;
     const uint32_t count = replay(data_->Get(id), id);
     if (count > 0) base_counts->emplace(id, count);
   }
-  std::vector<VectorId> inserted_ids;
-  inserted_ids.reserve(s0->inserted_count());
-  s0->ForEachInserted(
-      [&](VectorId id, const auto& /*record*/) { inserted_ids.push_back(id); });
-  std::sort(inserted_ids.begin(), inserted_ids.end());
+  const std::vector<VectorId> inserted_ids = s0->inserted.SortedKeys();
   // New-edition records for every vector inserted as of the snapshot are
   // also built here, off-lock — the merge below must not pay O(shard)
   // item copies while holding the writer mutex.
@@ -801,15 +724,13 @@ Status DynamicIndex::RebuildShardLocked(
   next->removed_base = s1.removed_base;
   size_t delta_entries = 0;
   PostingMap<uint64_t, std::vector<VectorId>> delta;
-  std::array<ShardState::InsertedMap, ShardState::kInsertedBuckets>
-      fresh_buckets;
-  s1.ForEachInserted([&](VectorId id, const auto& record) {
+  ShardState::Inserted::Builder records;
+  s1.inserted.ForEach([&](VectorId id, const auto& record) {
     auto done = prebuilt.find(id);
     if (done != prebuilt.end()) {
       // Folded into the fresh base table; the new-edition record was
       // already built off-lock — O(1) here.
-      fresh_buckets[ShardState::BucketOf(id)].emplace(
-          id, std::move(done->second));
+      records.Add(id, std::move(done->second));
       return;
     }
     // Inserted while we were replaying: generate its postings under
@@ -821,26 +742,20 @@ Status DynamicIndex::RebuildShardLocked(
     auto fresh_record = std::make_shared<ShardState::InsertedVector>();
     fresh_record->items = record->items;
     fresh_record->entries = static_cast<uint32_t>(keys.size());
-    fresh_buckets[ShardState::BucketOf(id)].emplace(
-        id, std::move(fresh_record));
+    records.Add(id, std::move(fresh_record));
   });
-  for (size_t b = 0; b < fresh_buckets.size(); ++b) {
-    if (fresh_buckets[b].empty()) continue;
-    next->inserted[b] = std::make_shared<const ShardState::InsertedMap>(
-        std::move(fresh_buckets[b]));
-  }
-  std::array<ShardState::DeltaMap, ShardState::kDeltaBuckets> delta_buckets;
+  next->inserted = std::move(records).Build();
+  ShardState::Delta::Builder lists;
   for (auto& [key, ids] : delta) {
     std::sort(ids.begin(), ids.end());
-    delta_buckets[ShardState::DeltaBucketOf(key)].emplace(
-        key, std::make_shared<const std::vector<VectorId>>(std::move(ids)));
+    lists.Add(key,
+              std::make_shared<const std::vector<VectorId>>(std::move(ids)));
   }
-  next->SetDelta(std::move(delta_buckets));
+  next->delta = std::move(lists).Build();
   size_t dead = 0;
-  std::array<ShardState::TombstoneMap, ShardState::kInsertedBuckets>
-      tomb_buckets;
-  s1.ForEachTombstone([&](VectorId id, uint32_t /*old_entries*/) {
-    if (s0->IsTombstoned(id)) return;  // not regenerated
+  ShardState::Tombstones::Builder tombs;
+  s1.tombstones.ForEach([&](VectorId id, uint32_t /*old_entries*/) {
+    if (s0->tombstones.contains(id)) return;  // not regenerated
     uint32_t entries = 0;
     if (id < base_n_) {
       auto it = base_counts->find(id);
@@ -850,10 +765,10 @@ Status DynamicIndex::RebuildShardLocked(
       if (it == replayed.end()) return;  // insert+remove raced phase 1
       entries = it->second;
     }
-    tomb_buckets[ShardState::BucketOf(id)].emplace(id, entries);
+    tombs.Add(id, entries);
     dead += entries;
   });
-  next->SetTombstones(std::move(tomb_buckets));
+  next->tombstones = std::move(tombs).Build();
   next->base = std::make_shared<FilterTable>(std::move(fresh));
   next->dead_entries = dead;
   const size_t total = next->base->num_pairs() + delta_entries;
@@ -914,7 +829,7 @@ struct DynamicIndex::ShardView {
   }
 
   std::span<const ItemId> Items(VectorId id) const {
-    if (state->IsTombstoned(id)) return {};
+    if (state->tombstones.contains(id)) return {};
     if (id < index->base_n_) return index->data_->Get(id);
     const ShardState::InsertedVector* record = state->FindInserted(id);
     if (record == nullptr) return {};
@@ -987,8 +902,8 @@ size_t DynamicIndex::Snapshot::size() const {
   size_t live = index_->base_n_;
   for (const void* raw : states_) {
     const auto* state = static_cast<const ShardState*>(raw);
-    live += state->inserted_count();
-    live -= state->removed_base_count();
+    live += state->inserted.size();
+    live -= state->removed_base.size();
   }
   return live;
 }
@@ -1028,8 +943,8 @@ bool DynamicIndex::IsLive(VectorId id) const {
   const ShardState* state =
       shards_[static_cast<size_t>(ShardedIndex::ShardOf(id, num_shards()))]
           ->state.load(std::memory_order_seq_cst);
-  if (id < base_n_) return !state->HasRemovedBase(id);
-  return state->FindInserted(id) != nullptr;
+  if (id < base_n_) return !state->removed_base.contains(id);
+  return state->inserted.contains(id);
 }
 
 size_t DynamicIndex::size() const {
@@ -1042,8 +957,7 @@ size_t DynamicIndex::num_tombstones() const {
   EpochManager::Guard guard = epochs_.Pin();
   size_t total = 0;
   for (const auto& shard : shards_) {
-    total +=
-        shard->state.load(std::memory_order_seq_cst)->tombstone_count();
+    total += shard->state.load(std::memory_order_seq_cst)->tombstones.size();
   }
   return total;
 }
@@ -1056,10 +970,10 @@ ShardHealth DynamicIndex::Health(int s) const {
       shards_[static_cast<size_t>(s)]->state.load(std::memory_order_seq_cst);
   health.live_entries = state->live_entries;
   health.dead_entries = state->dead_entries;
-  state->ForEachDelta([&](uint64_t /*key*/, const auto& ids) {
+  state->delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
     health.delta_entries += ids->size();
   });
-  health.tombstones = state->tombstone_count();
+  health.tombstones = state->tombstones.size();
   health.edition = state->edition->version;
   const size_t total = health.live_entries + health.dead_entries;
   health.dead_ratio =
@@ -1078,8 +992,8 @@ OnlineIndexProfile DynamicIndex::Profile() const {
         shard->state.load(std::memory_order_seq_cst);
     profile.base_entries += state->base->num_pairs();
     profile.dead_entries += state->dead_entries;
-    profile.delta_keys += state->delta_key_count();
-    state->ForEachDelta([&](uint64_t /*key*/, const auto& ids) {
+    profile.delta_keys += state->delta.size();
+    state->delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
       profile.delta_entries += ids->size();
     });
   }
@@ -1120,12 +1034,12 @@ size_t DynamicIndex::MemoryBytes() const {
     const ShardState* state =
         shard->state.load(std::memory_order_seq_cst);
     total += state->base->MemoryBytes();
-    state->ForEachDelta([&](uint64_t key, const auto& ids) {
+    state->delta.ForEach([&](uint64_t key, const auto& ids) {
       total += sizeof(key) + ids->capacity() * sizeof(VectorId);
     });
     total +=
-        state->tombstone_count() * (sizeof(VectorId) + sizeof(uint32_t));
-    state->ForEachInserted([&](VectorId id, const auto& record) {
+        state->tombstones.size() * (sizeof(VectorId) + sizeof(uint32_t));
+    state->inserted.ForEach([&](VectorId id, const auto& record) {
       total += sizeof(id) + record->items.capacity() * sizeof(ItemId);
     });
   }
@@ -1191,44 +1105,27 @@ Status DynamicIndex::Save(const std::string& path) const {
     ok = io::WritePod(out, edition_version);
     if (!ok) return Status::IOError("shard write to '" + path + "' failed");
     SKEWSEARCH_RETURN_NOT_OK(state->base->WriteTo(&out));
-    // Delta postings sorted by key so identical states save identical
-    // bytes (posting order within a key is kept as stored).
-    std::vector<uint64_t> delta_keys;
-    delta_keys.reserve(state->delta_key_count());
-    state->ForEachDelta(
-        [&](uint64_t key, const auto& /*ids*/) { delta_keys.push_back(key); });
-    std::sort(delta_keys.begin(), delta_keys.end());
+    // Every registry in ascending key order, so identical states save
+    // identical bytes (posting order within a key is kept as stored).
+    const std::vector<uint64_t> delta_keys = state->delta.SortedKeys();
     uint64_t delta_count = delta_keys.size();
     ok = io::WritePod(out, delta_count);
     for (uint64_t key : delta_keys) {
       ok = ok && io::WritePod(out, key) &&
            io::WriteVector(out, *state->FindDelta(key));
     }
-    // Tombstones as (id, entries) pairs, sorted by id.
-    std::vector<std::pair<VectorId, uint32_t>> tombs;
-    tombs.reserve(state->tombstone_count());
-    state->ForEachTombstone([&](VectorId id, uint32_t entries) {
-      tombs.emplace_back(id, entries);
-    });
-    std::sort(tombs.begin(), tombs.end());
+    // Tombstones as (id, entries) pairs.
+    const std::vector<VectorId> tombs = state->tombstones.SortedKeys();
     uint64_t tomb_count = tombs.size();
     ok = ok && io::WritePod(out, tomb_count);
-    for (const auto& [id, entries] : tombs) {
-      ok = ok && io::WritePod(out, id) && io::WritePod(out, entries);
+    for (VectorId id : tombs) {
+      ok = ok && io::WritePod(out, id) &&
+           io::WritePod(out, *state->tombstones.Find(id));
     }
-    std::vector<VectorId> removed;
-    removed.reserve(state->removed_base_count());
-    state->ForEachRemovedBase(
-        [&](VectorId id) { removed.push_back(id); });
-    std::sort(removed.begin(), removed.end());
-    ok = ok && io::WriteVector(out, removed);
-    // Inserted vectors, sorted by id. Entry counts are not serialized —
-    // Load recomputes them from the postings.
-    std::vector<VectorId> ids;
-    ids.reserve(state->inserted_count());
-    state->ForEachInserted(
-        [&](VectorId id, const auto& /*record*/) { ids.push_back(id); });
-    std::sort(ids.begin(), ids.end());
+    ok = ok && io::WriteVector(out, state->removed_base.SortedKeys());
+    // Inserted vectors. Entry counts are not serialized — Load
+    // recomputes them from the postings.
+    const std::vector<VectorId> ids = state->inserted.SortedKeys();
     uint64_t inserted_count = ids.size();
     ok = ok && io::WritePod(out, inserted_count);
     for (VectorId id : ids) {
@@ -1363,8 +1260,7 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
       return Status::InvalidArgument("corrupt delta block in '" + path +
                                      "'");
     }
-    std::array<ShardState::DeltaMap, ShardState::kDeltaBuckets>
-        delta_buckets;
+    ShardState::Delta::Builder lists;
     for (uint64_t k = 0; k < delta_count; ++k) {
       uint64_t key = 0;
       std::vector<VectorId> ids;
@@ -1384,25 +1280,35 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
         }
       }
       delta_entries += ids.size();
-      const bool fresh =
-          delta_buckets[ShardState::DeltaBucketOf(key)]
-              .emplace(key, std::make_shared<const std::vector<VectorId>>(
-                                std::move(ids)))
-              .second;
-      if (!fresh) {
+      if (!lists.Add(key, std::make_shared<const std::vector<VectorId>>(
+                              std::move(ids)))) {
         return Status::InvalidArgument("duplicate delta key in '" + path +
                                        "'");
       }
     }
-    state->SetDelta(std::move(delta_buckets));
+    state->delta = std::move(lists).Build();
+    // Recompute per-vector entry counts (not serialized) by scanning the
+    // postings once: base ids into the shard's count map, inserted ids
+    // into their records below. Tombstoned ids may still appear in
+    // postings; their counts are charged but never read again.
+    auto base_counts = std::make_shared<PostingMap<VectorId, uint32_t>>();
+    PostingMap<VectorId, uint32_t> inserted_entries;
+    auto charge = [&](VectorId id) {
+      ++(id < base_n ? (*base_counts)[id] : inserted_entries[id]);
+    };
+    for (size_t k = 0; k < base->num_keys(); ++k) {
+      for (VectorId id : base->postings_at(k)) charge(id);
+    }
+    state->delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
+      for (VectorId id : *ids) charge(id);
+    });
     uint64_t tomb_count = 0;
     uint64_t tomb_entry_total = 0;
     if (!io::ReadPod(in, &tomb_count) || tomb_count > kMaxBlockCount) {
       return Status::InvalidArgument("corrupt tombstone block in '" + path +
                                      "'");
     }
-    std::array<ShardState::TombstoneMap, ShardState::kInsertedBuckets>
-        tomb_buckets;
+    ShardState::Tombstones::Builder tombs;
     for (uint64_t k = 0; k < tomb_count; ++k) {
       VectorId id = 0;
       uint32_t entries = 0;
@@ -1411,44 +1317,33 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
         return Status::InvalidArgument("corrupt tombstone block in '" +
                                        path + "'");
       }
-      if (!tomb_buckets[ShardState::BucketOf(id)]
-               .emplace(id, entries)
-               .second) {
+      if (!tombs.Add(id, entries)) {
         return Status::InvalidArgument("duplicate tombstone in '" + path +
                                        "'");
       }
       tomb_entry_total += entries;
     }
-    state->SetTombstones(std::move(tomb_buckets));
+    state->tombstones = std::move(tombs).Build();
     std::vector<VectorId> removed;
     if (!io::ReadVector(in, &removed)) {
       return Status::InvalidArgument("corrupt removed-base block in '" +
                                      path + "'");
     }
+    ShardState::RemovedBase::Builder removed_ids;
     for (VectorId id : removed) {
       if (id >= base_n || !in_shard(id, static_cast<int>(s))) {
         return Status::InvalidArgument(
             "removed-base ids reference out-of-place vector ids");
       }
+      removed_ids.Add(id, NoValue{});
     }
-    {
-      std::array<ShardState::RemovedSet, ShardState::kInsertedBuckets>
-          removed_buckets;
-      for (VectorId id : removed) {
-        removed_buckets[ShardState::BucketOf(id)].insert(id);
-      }
-      for (size_t b = 0; b < removed_buckets.size(); ++b) {
-        if (removed_buckets[b].empty()) continue;
-        state->removed_base[b] = std::make_shared<const ShardState::RemovedSet>(
-            std::move(removed_buckets[b]));
-      }
-    }
+    state->removed_base = std::move(removed_ids).Build();
     // Remove() lists a base id here as it tombstones it; a tombstoned
     // base id missing from the list could be removed (and its entries
     // charged dead) a second time.
     bool unlisted = false;
-    state->ForEachTombstone([&](VectorId id, uint32_t /*entries*/) {
-      unlisted = unlisted || (id < base_n && !state->HasRemovedBase(id));
+    state->tombstones.ForEach([&](VectorId id, uint32_t /*entries*/) {
+      unlisted = unlisted || (id < base_n && !state->removed_base.contains(id));
     });
     if (unlisted) {
       return Status::InvalidArgument(
@@ -1461,7 +1356,7 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
       return Status::InvalidArgument("corrupt inserted block in '" + path +
                                      "'");
     }
-    PostingMap<VectorId, ShardState::InsertedVector> inserted;
+    ShardState::Inserted::Builder records;
     for (uint64_t k = 0; k < inserted_count; ++k) {
       VectorId id = 0;
       std::vector<ItemId> items;
@@ -1470,7 +1365,7 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
                                        "'");
       }
       if (id < base_n || !in_shard(id, static_cast<int>(s)) ||
-          state->IsTombstoned(id)) {
+          state->tombstones.contains(id)) {
         return Status::InvalidArgument(
             "inserted vectors reference out-of-place ids");
       }
@@ -1480,10 +1375,16 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
           return Status::InvalidArgument("inserted vector has invalid items");
         }
       }
-      ShardState::InsertedVector record;
-      record.items = std::move(items);
-      inserted.emplace(id, std::move(record));
+      auto record = std::make_shared<ShardState::InsertedVector>();
+      record->items = std::move(items);
+      auto charged = inserted_entries.find(id);
+      if (charged != inserted_entries.end()) record->entries = charged->second;
+      if (!records.Add(id, std::move(record))) {
+        return Status::InvalidArgument("duplicate inserted id in '" + path +
+                                       "'");
+      }
     }
+    state->inserted = std::move(records).Build();
     uint64_t live = 0, dead = 0;
     if (!io::ReadPod(in, &live) || !io::ReadPod(in, &dead)) {
       return Status::InvalidArgument("corrupt shard footer in '" + path +
@@ -1499,32 +1400,12 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
     }
     state->live_entries = static_cast<size_t>(live);
     state->dead_entries = static_cast<size_t>(dead);
-
-    // Recompute per-vector entry counts (not serialized) by scanning the
-    // postings once: base ids into the shard's count map, inserted ids
-    // into their records. Tombstoned ids may still appear in postings;
-    // their counts are charged but never read again.
-    auto base_counts = std::make_shared<PostingMap<VectorId, uint32_t>>();
-    auto charge = [&](VectorId id) {
-      if (id < base_n) {
-        (*base_counts)[id]++;
-      } else {
-        auto it = inserted.find(id);
-        if (it != inserted.end()) it->second.entries++;
-      }
-    };
-    for (size_t k = 0; k < base->num_keys(); ++k) {
-      for (VectorId id : base->postings_at(k)) charge(id);
-    }
-    state->ForEachDelta([&](uint64_t /*key*/, const auto& ids) {
-      for (VectorId id : *ids) charge(id);
-    });
     // Compaction drops a removed base id's postings with its tombstone;
     // one still posted without a tombstone would be served as live.
     bool posted = false;
-    state->ForEachRemovedBase([&](VectorId id) {
-      posted =
-          posted || (!state->IsTombstoned(id) && base_counts->contains(id));
+    state->removed_base.ForEach([&](VectorId id, NoValue /*none*/) {
+      posted = posted ||
+               (!state->tombstones.contains(id) && base_counts->contains(id));
     });
     if (posted) {
       return Status::InvalidArgument(
@@ -1532,18 +1413,6 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
           path + "'");
     }
     state->base_counts = std::move(base_counts);
-    std::array<ShardState::InsertedMap, ShardState::kInsertedBuckets>
-        buckets;
-    for (auto& [id, record] : inserted) {
-      buckets[ShardState::BucketOf(id)].emplace(
-          id, std::make_shared<const ShardState::InsertedVector>(
-                  std::move(record)));
-    }
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      if (buckets[b].empty()) continue;
-      state->inserted[b] = std::make_shared<const ShardState::InsertedMap>(
-          std::move(buckets[b]));
-    }
 
     auto shard = std::make_unique<Shard>();
     shard->state.store(state.get(), std::memory_order_seq_cst);

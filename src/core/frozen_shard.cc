@@ -206,8 +206,6 @@ Result<std::shared_ptr<const FrozenShardFile>> FrozenShardFile::Map(
   namespace io = index_io_internal;
   MappedFile::Options open_options;
   open_options.force_heap = options.force_heap;
-  open_options.require_map = options.require_map;
-  open_options.advice = MappedFile::Advice::kRandom;
   Result<MappedFile> opened = MappedFile::Open(path, open_options);
   if (!opened.ok()) return opened.status();
 

@@ -45,9 +45,6 @@ struct FrozenMapOptions {
   /// views — just materialized). For environments that cannot map.
   bool force_heap = false;
 
-  /// Refuse the heap fallback: fail unless the bytes are truly mmap'd.
-  bool require_map = false;
-
   /// Also verify the per-shard payload checksums and the structural
   /// invariants of every posting array (sorted keys, monotone offsets,
   /// ids bounded by the recorded max, the directory equal to one rebuilt
@@ -100,17 +97,9 @@ class FrozenShardFile
   /// True when the bytes are an mmap'd view (false on the heap fallback).
   bool mapped() const { return file_.mapped(); }
 
-  /// Total file size in bytes.
-  size_t file_bytes() const { return file_.size(); }
-
   /// A zero-copy FilterTable view over shard \p s. The view (and any
   /// copy of it) aliases this file's bytes and keeps the file alive.
   Result<FilterTable> MakeShardView(int s) const;
-
-  /// Applies an access-pattern hint to the whole mapping (advisory).
-  Status Advise(MappedFile::Advice advice) const {
-    return file_.Advise(advice);
-  }
 
  private:
   FrozenShardFile() = default;

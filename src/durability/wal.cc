@@ -28,6 +28,13 @@ void AppendPod(const T& value, std::string* out) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+/// The 8-byte SKW1 file header: the magic, then a reserved u32 of zeros.
+std::string FileHeader() {
+  std::string header(kWalMagic, sizeof(kWalMagic));
+  header.append(sizeof(uint32_t), '\0');
+  return header;
+}
+
 template <typename T>
 T LoadPod(const char* bytes) {
   T value;
@@ -286,16 +293,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   }
   Result<std::unique_ptr<WalSink>> sink = OpenFileSink(path);
   SKEWSEARCH_RETURN_NOT_OK(sink.status());
-  auto writer = std::unique_ptr<WalWriter>(new WalWriter(
-      std::move(sink).value(), path, options, next_seq, existing_bytes));
-  if (existing_bytes == 0) {
-    std::string header(kWalMagic, sizeof(kWalMagic));
-    header.append(sizeof(uint32_t), '\0');
-    SKEWSEARCH_RETURN_NOT_OK(writer->sink_->Append(header.data(),
-                                                   header.size()));
-    writer->bytes_.store(kFileHeaderSize, std::memory_order_release);
-  }
-  return writer;
+  return Start(std::move(sink).value(), path, options, next_seq,
+               existing_bytes, /*write_header=*/existing_bytes == 0);
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::OpenWithSink(
@@ -304,11 +303,18 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenWithSink(
   if (next_seq == 0) {
     return Status::InvalidArgument("wal seqs start at 1");
   }
-  auto writer = std::unique_ptr<WalWriter>(
-      new WalWriter(std::move(sink), std::string(), options, next_seq, 0));
+  return Start(std::move(sink), std::string(), options, next_seq,
+               /*existing_bytes=*/0, write_header);
+}
+
+Result<std::unique_ptr<WalWriter>> WalWriter::Start(
+    std::unique_ptr<WalSink> sink, std::string path,
+    const WalWriterOptions& options, uint64_t next_seq,
+    uint64_t existing_bytes, bool write_header) {
+  auto writer = std::unique_ptr<WalWriter>(new WalWriter(
+      std::move(sink), std::move(path), options, next_seq, existing_bytes));
   if (write_header) {
-    std::string header(kWalMagic, sizeof(kWalMagic));
-    header.append(sizeof(uint32_t), '\0');
+    const std::string header = FileHeader();
     SKEWSEARCH_RETURN_NOT_OK(writer->sink_->Append(header.data(),
                                                    header.size()));
     writer->bytes_.store(kFileHeaderSize, std::memory_order_release);
@@ -436,8 +442,7 @@ Status WalWriter::Truncate(uint64_t cut_seq) {
                             decoded->truncate_reason);
   }
 
-  std::string fresh(kWalMagic, sizeof(kWalMagic));
-  fresh.append(sizeof(uint32_t), '\0');
+  std::string fresh = FileHeader();
   for (const WalRecord& record : decoded->records) {
     if (record.seq <= cut_seq) continue;
     wal_internal::EncodeRecord(record.type, record.seq, record.id,

@@ -199,6 +199,14 @@ class WalWriter {
             const WalWriterOptions& options, uint64_t next_seq,
             uint64_t existing_bytes);
 
+  /// The construction path Open and OpenWithSink share: wraps \p sink,
+  /// whose log holds \p existing_bytes, and appends the file header
+  /// first when \p write_header is set.
+  static Result<std::unique_ptr<WalWriter>> Start(
+      std::unique_ptr<WalSink> sink, std::string path,
+      const WalWriterOptions& options, uint64_t next_seq,
+      uint64_t existing_bytes, bool write_header);
+
   /// Leader/follower shared fsync: returns once every record with
   /// seq <= \p seq is durable. \p strict forces a dedicated fsync even
   /// when a concurrent one already covered seq (the kAlways contract).

@@ -13,20 +13,6 @@ namespace skewsearch {
 
 namespace {
 
-int AdviceFlag(MappedFile::Advice advice) {
-  switch (advice) {
-    case MappedFile::Advice::kRandom:
-      return MADV_RANDOM;
-    case MappedFile::Advice::kSequential:
-      return MADV_SEQUENTIAL;
-    case MappedFile::Advice::kWillNeed:
-      return MADV_WILLNEED;
-    case MappedFile::Advice::kNormal:
-      break;
-  }
-  return MADV_NORMAL;
-}
-
 Status ErrnoError(const std::string& what, const std::string& path) {
   return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
 }
@@ -83,16 +69,8 @@ void MappedFile::Release() {
   heap_.shrink_to_fit();
 }
 
-Result<MappedFile> MappedFile::Open(const std::string& path) {
-  return Open(path, Options());
-}
-
 Result<MappedFile> MappedFile::Open(const std::string& path,
                                     const Options& options) {
-  if (options.force_heap && options.require_map) {
-    return Status::InvalidArgument(
-        "force_heap and require_map are mutually exclusive");
-  }
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return ErrnoError("cannot open", path);
   struct stat st;
@@ -120,13 +98,9 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
       file.data_ = static_cast<const uint8_t*>(base);
       file.size_ = size;
       file.mapped_ = true;
-      (void)file.Advise(options.advice);
+      // Advisory: a failing madvise leaves a working mapping.
+      (void)::madvise(base, size, MADV_RANDOM);
       return file;
-    }
-    if (options.require_map) {
-      Status status = ErrnoError("cannot mmap", path);
-      ::close(fd);
-      return status;
     }
   }
 
@@ -141,16 +115,6 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
   file.size_ = size;
   file.mapped_ = false;
   return file;
-}
-
-Status MappedFile::Advise(Advice advice) const {
-  if (!mapped_ || size_ == 0) return Status::OK();
-  if (::madvise(const_cast<uint8_t*>(data_), size_, AdviceFlag(advice)) !=
-      0) {
-    return Status::IOError(std::string("madvise failed: ") +
-                           std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 }  // namespace skewsearch

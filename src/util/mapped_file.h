@@ -7,9 +7,10 @@
 // and eviction to the OS page cache. Not every environment can mmap
 // (exotic filesystems, locked-down containers, 32-bit address-space
 // pressure), so Open falls back to reading the file into one heap
-// buffer — the same span-shaped surface, just materialized — unless the
-// caller forbids it. Callers that need to know which path they got (the
-// mmap bench, the CLI's reporting) ask `mapped()`.
+// buffer — the same span-shaped surface, just materialized. A mapping
+// is hinted MADV_RANDOM: its readers probe posting lists, they do not
+// scan. Callers that need to know which path they got (the mmap bench,
+// the CLI's reporting) ask `mapped()`.
 
 #ifndef SKEWSEARCH_UTIL_MAPPED_FILE_H_
 #define SKEWSEARCH_UTIL_MAPPED_FILE_H_
@@ -31,28 +32,11 @@ namespace skewsearch {
 /// the bytes never change, so a MappedFile may be shared across threads.
 class MappedFile {
  public:
-  /// Access-pattern hints forwarded to madvise (no-ops on the heap
-  /// fallback, where the buffer is already resident).
-  enum class Advice {
-    kNormal,      ///< no hint
-    kRandom,      ///< expect point lookups (posting probes)
-    kSequential,  ///< expect a linear scan (payload verification)
-    kWillNeed,    ///< prefault soon (warm-up before a latency-sensitive run)
-  };
-
   struct Options {
     /// Skip mmap entirely and read the file onto the heap. What the
     /// graceful-degradation tests force, and what callers on platforms
     /// they do not trust to mmap can pin.
     bool force_heap = false;
-
-    /// Refuse the heap fallback: if mmap fails, Open fails. For callers
-    /// whose whole point is the zero-copy mapping (the bench's mapped
-    /// legs).
-    bool require_map = false;
-
-    /// Initial madvise hint for the mapping.
-    Advice advice = Advice::kRandom;
   };
 
   MappedFile() = default;
@@ -64,9 +48,7 @@ class MappedFile {
 
   /// Opens \p path read-only and maps (or reads) its entire contents.
   /// Empty files yield a valid zero-length mapping. Fails with IOError
-  /// when the file cannot be opened/stat'ed, when mmap fails and the
-  /// fallback is forbidden, or when require_map is set but mmap failed.
-  static Result<MappedFile> Open(const std::string& path);
+  /// when the file cannot be opened, stat'ed or read.
   static Result<MappedFile> Open(const std::string& path,
                                  const Options& options);
 
@@ -78,11 +60,6 @@ class MappedFile {
   /// True when the bytes are an mmap'd view; false on the heap fallback
   /// (or a default-constructed instance).
   bool mapped() const { return mapped_; }
-
-  /// Applies an access-pattern hint to the mapping. Harmless no-op on
-  /// the heap fallback; a failing madvise is reported but never fatal
-  /// (hints are advisory by definition).
-  Status Advise(Advice advice) const;
 
  private:
   void Release();

@@ -153,6 +153,28 @@ TEST_F(CliTest, QueryBenchOnlineWithMaintenanceRuns) {
             0);
 }
 
+TEST_F(CliTest, QueryBenchWithoutQueriesPrintsNoRatios) {
+  ASSERT_EQ(RunCli({"generate", "--kind", "twoblock", "--n", "200", "--d",
+                    "80", "--p", "0.25", "--d2", "2000", "--p2", "0.01",
+                    "--out", text_}),
+            0);
+  // Zero queries have no recall, candidates or latency to average, on
+  // either index type.
+  for (bool online : {false, true}) {
+    std::vector<std::string> args = {"query-bench", "--in",     text_,
+                                     "--alpha",     "0.8",      "--queries",
+                                     "0"};
+    if (online) args.insert(args.end(), {"--online", "--maintenance", "0"});
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(RunCli(args), 0);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("queries: 0\n"), std::string::npos) << out;
+    // A NaN prints as "nan" or "-nan" ("maintenance" holds "nan" too).
+    EXPECT_EQ(out.find(" nan"), std::string::npos) << out;
+    EXPECT_EQ(out.find("-nan"), std::string::npos) << out;
+  }
+}
+
 TEST_F(CliTest, FlagsACommandDoesNotTakeFail) {
   // Each command declares its flags, so a typo or a retired flag fails
   // instead of running with the default.

@@ -394,6 +394,12 @@ class DynamicIndexIoTest : public DynamicIndexTest {
   std::string path_;
 };
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST_F(DynamicIndexIoTest, SaveLoadRoundTripsTombstonesAndInserts) {
   DynamicIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options(3, 100.0)).ok());
@@ -565,6 +571,85 @@ TEST_F(DynamicIndexIoTest, LoadRejectsRemovedBaseBlockContradictingPostings) {
     EXPECT_TRUE(s.IsInvalidArgument()) << "drop " << drop << ": "
                                        << s.ToString();
   }
+}
+
+TEST_F(DynamicIndexIoTest, SaveLoadSaveIsByteIdentical) {
+  // Every registry populated, after one compaction and one drift
+  // rebuild: delta postings, tombstones, removed base ids (some of them
+  // compacted away) and inserted vectors.
+  const int shards = 3;
+  DynamicIndex original;
+  ASSERT_TRUE(original.Build(&data_, &dist_, Options(shards, 100.0)).ok());
+  auto fresh = FreshVectors(original, 40, 47);
+  std::vector<VectorId> ids;
+  for (size_t i = 0; i < 20; ++i) {
+    ids.push_back(*original.Insert(fresh[i].span()));
+  }
+  for (VectorId id : {VectorId{3}, VectorId{9}, VectorId{60}, ids[2]}) {
+    ASSERT_TRUE(original.Remove(id).ok());
+  }
+  ASSERT_TRUE(original.CompactShard(ShardedIndex::ShardOf(3, shards)).ok());
+  ASSERT_TRUE(original.RebuildForSize(3 * original.size()).ok());
+  for (size_t i = 20; i < fresh.size(); ++i) {
+    ids.push_back(*original.Insert(fresh[i].span()));
+  }
+  for (VectorId id : {VectorId{4}, VectorId{70}, ids[8], ids[25]}) {
+    ASSERT_TRUE(original.Remove(id).ok());
+  }
+  ASSERT_EQ(original.num_compactions(), 1u);
+  ASSERT_EQ(original.num_rebuilds(), 1u);
+  ASSERT_GT(original.Profile().delta_entries, 0u);
+  ASSERT_EQ(original.num_tombstones(), 4u);
+  ASSERT_TRUE(original.Save(path_).ok());
+
+  DynamicIndex loaded;
+  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
+  const std::string resaved = path_ + ".resaved";
+  ASSERT_TRUE(loaded.Save(resaved).ok());
+  const std::string first = FileBytes(path_);
+  const std::string second = FileBytes(resaved);
+  std::remove(resaved.c_str());
+  EXPECT_TRUE(first == second)
+      << first.size() << " bytes saved, " << second.size() << " re-saved";
+}
+
+TEST_F(DynamicIndexIoTest, LoadRejectsRepeatedInsertedId) {
+  ProductDistribution dist = ZipfProbabilities(400, 1.0, 0.5).value();
+  Rng rng(7);
+  Dataset data = GenerateDataset(dist, 300, &rng);
+  DynamicIndexOptions options = Options(/*num_shards=*/1);
+  options.index.alpha = 0.8;
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist, options).ok());
+  std::vector<SparseVector> fresh;
+  while (fresh.size() < 2) {
+    SparseVector v = dist.Sample(&rng);
+    if (!v.span().empty()) fresh.push_back(std::move(v));
+  }
+  for (const SparseVector& v : fresh) ASSERT_TRUE(index.Insert(v.span()).ok());
+  ASSERT_TRUE(index.Save(path_).ok());
+
+  // The one shard ends with its inserted block, ids ascending, then the
+  // u64 live and dead entry counts. Give the second record (u32 id,
+  // u64 count, items) the first record's id.
+  std::string contents = FileBytes(path_);
+  const size_t at =
+      contents.size() - 16 - fresh[1].span().size() * sizeof(ItemId) - 8 -
+      sizeof(VectorId);
+  VectorId id = 0;
+  std::memcpy(&id, contents.data() + at, sizeof(id));
+  ASSERT_EQ(id, 301u);
+  id = 300;
+  std::memcpy(contents.data() + at, &id, sizeof(id));
+  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  out.close();
+
+  DynamicIndex repeated;
+  Status s = repeated.Load(path_, &data, &dist);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("duplicate inserted id"), std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ Status ChosenPathIndex::Build(const Dataset* data,
 
   build_stats_ = IndexBuildStats{};
   build_stats_.repetitions = reps;
-  table_ = FilterTable();
+  std::vector<Posting> postings;
   std::vector<uint64_t> keys;
   for (VectorId id = 0; id < n; ++id) {
     auto x = data->Get(id);
@@ -68,11 +68,11 @@ Status ChosenPathIndex::Build(const Dataset* data,
       engine_->ComputeFilters(x, static_cast<uint32_t>(rep), &keys, &gen);
       build_stats_.nodes_expanded += gen.nodes_expanded;
       if (gen.cap_hit) build_stats_.cap_hits++;
-      for (uint64_t key : keys) table_.Add(key, id);
+      for (uint64_t key : keys) postings.push_back({key, id});
       build_stats_.total_filters += keys.size();
     }
   }
-  table_.Freeze();
+  table_ = FilterTable::Build(std::move(postings));
   build_stats_.distinct_keys = table_.num_keys();
   build_stats_.avg_filters_per_element =
       static_cast<double>(build_stats_.total_filters) /

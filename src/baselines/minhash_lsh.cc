@@ -56,16 +56,16 @@ Status MinHashLsh::Build(const Dataset* data, const MinHashOptions& options) {
     row_seeds_.push_back(rng.NextUint64());
   }
 
-  table_ = FilterTable();
-  table_.Reserve(data->size() * static_cast<size_t>(bands_));
+  std::vector<Posting> postings;
+  postings.reserve(data->size() * static_cast<size_t>(bands_));
   for (VectorId id = 0; id < data->size(); ++id) {
     auto ids = data->Get(id);
     if (ids.empty()) continue;
     for (int band = 0; band < bands_; ++band) {
-      table_.Add(BandKey(band, ids), id);
+      postings.push_back({BandKey(band, ids), id});
     }
   }
-  table_.Freeze();
+  table_ = FilterTable::Build(std::move(postings));
   return Status::OK();
 }
 

@@ -11,6 +11,7 @@
 #include "core/batch.h"
 #include "core/index_io.h"
 #include "core/query_driver.h"
+#include "util/containers.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -599,20 +600,20 @@ Status DynamicIndex::CompactShard(int s) {
 
   // Phase 1 (no locks held): rebuild the frozen table from the pinned
   // snapshot, dropping tombstoned postings and folding the delta in.
-  FilterTable fresh;
-  fresh.Reserve(s0->live_entries);
+  std::vector<Posting> postings;
+  postings.reserve(s0->live_entries);
   for (size_t k = 0; k < s0->base->num_keys(); ++k) {
     const uint64_t key = s0->base->key_at(k);
     for (VectorId id : s0->base->postings_at(k)) {
-      if (!s0->tombstones.contains(id)) fresh.Add(key, id);
+      if (!s0->tombstones.contains(id)) postings.push_back({key, id});
     }
   }
   s0->delta.ForEach([&](uint64_t key, const auto& ids) {
     for (VectorId id : *ids) {
-      if (!s0->tombstones.contains(id)) fresh.Add(key, id);
+      if (!s0->tombstones.contains(id)) postings.push_back({key, id});
     }
   });
-  fresh.Freeze();
+  FilterTable fresh = FilterTable::Build(std::move(postings));
 
   // Phase 2: merge the mutations that raced phase 1 and publish. The
   // lock section is bounded by that churn, not by the shard size.
@@ -675,7 +676,7 @@ Status DynamicIndex::RebuildShardLocked(
 
   // Phase 1 (no locks held): replay the path engine under the new
   // edition for every vector that was live in the snapshot.
-  FilterTable fresh;
+  std::vector<Posting> postings;
   auto base_counts = std::make_shared<PostingMap<VectorId, uint32_t>>();
   PostingMap<VectorId, uint32_t> replayed;  // live inserted ids
   std::vector<uint64_t> keys;
@@ -683,7 +684,7 @@ Status DynamicIndex::RebuildShardLocked(
   auto replay = [&](std::span<const ItemId> items, VectorId id) {
     // Fused all-repetitions pass; identical to per-rep concatenation.
     family.ComputeAllFilters(items, &keys, &key_offsets);
-    for (uint64_t key : keys) fresh.Add(key, id);
+    for (uint64_t key : keys) postings.push_back({key, id});
     return static_cast<uint32_t>(keys.size());
   };
   for (VectorId id = 0; id < base_n_; ++id) {
@@ -709,7 +710,7 @@ Status DynamicIndex::RebuildShardLocked(
     fresh_record->entries = count;
     prebuilt.emplace(id, std::move(fresh_record));
   }
-  fresh.Freeze();
+  FilterTable fresh = FilterTable::Build(std::move(postings));
 
   // Phase 2: short merge of the churn that raced the replay, publish.
   Shard& shard = *shards_[static_cast<size_t>(s)];
@@ -1411,6 +1412,21 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
       return Status::InvalidArgument(
           "removed base id without a tombstone still has postings in '" +
           path + "'");
+    }
+    // Remove() erases an inserted id and tombstones it in one step, so a
+    // delta id is inserted or tombstoned. An orphan would be folded into
+    // the base by compaction and also kept in the delta, live twice.
+    bool orphan = false;
+    state->delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
+      for (VectorId id : *ids) {
+        orphan = orphan || (!state->inserted.contains(id) &&
+                            !state->tombstones.contains(id));
+      }
+    });
+    if (orphan) {
+      return Status::InvalidArgument(
+          "delta postings reference an id neither inserted nor tombstoned "
+          "in '" + path + "'");
     }
     state->base_counts = std::move(base_counts);
 

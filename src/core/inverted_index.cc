@@ -1,7 +1,9 @@
 #include "core/inverted_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -39,24 +41,55 @@ struct FilterTable::OwnedArrays {
   std::vector<uint32_t> directory;
 };
 
-void FilterTable::Reserve(size_t expected_pairs) {
-  arena_.Reserve(expected_pairs);
-}
-
-void FilterTable::Add(uint64_t key, VectorId id) { arena_.Add(key, id); }
-
-void FilterTable::Freeze() {
+FilterTable FilterTable::Build(std::vector<Posting> postings) {
+  const size_t count = postings.size();
+  assert(count < (uint64_t{1} << 32) && "posting table overflow");
   std::vector<uint64_t> keys;
   std::vector<uint32_t> offsets;
   std::vector<VectorId> ids;
-  arena_.Freeze(&keys, &offsets, &ids);
-  // Drop growth slack so MemoryBytes() reports the same frozen footprint
-  // as a ReadFrom() of this table (which allocates exactly).
-  keys.shrink_to_fit();
-  offsets.shrink_to_fit();
-  ids.shrink_to_fit();
-  Status s = AdoptArrays(std::move(keys), std::move(offsets), std::move(ids));
-  (void)s;  // the arena's offsets always bracket its ids
+  {
+    // Count the pairs per top-b bucket; the running sums leave bounds[i]
+    // at the end of bucket i.
+    const int bits = KeyDirectoryBits(count);
+    std::vector<uint32_t> bounds((size_t{1} << bits) + 1, 0);
+    for (const Posting& p : postings) ++bounds[KeyBucket(p.key, bits)];
+    std::partial_sum(bounds.begin(), bounds.end(), bounds.begin());
+    // Scatter each pair into its bucket, filling buckets from the back,
+    // so bounds[i] ends at the start of bucket i.
+    std::vector<Posting> sorted(count);
+    for (const Posting& p : postings) {
+      sorted[--bounds[KeyBucket(p.key, bits)]] = p;
+    }
+    postings = std::vector<Posting>();  // the input's memory goes first
+    // Buckets are in key order, so sorting each by (key, id) sorts all.
+    for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+      std::sort(sorted.begin() + bounds[i], sorted.begin() + bounds[i + 1],
+                [](const Posting& a, const Posting& b) {
+                  return a.key != b.key ? a.key < b.key : a.id < b.id;
+                });
+    }
+    size_t num_keys = 0;
+    for (size_t i = 0; i < count; ++i) {
+      num_keys += i == 0 || sorted[i].key != sorted[i - 1].key;
+    }
+    keys.resize(num_keys);
+    offsets.resize(num_keys + 1);
+    ids.resize(count);
+    for (size_t i = 0, k = 0; i < count; ++i) {
+      if (i == 0 || sorted[i].key != sorted[i - 1].key) {
+        keys[k] = sorted[i].key;
+        offsets[k++] = static_cast<uint32_t>(i);
+      }
+      ids[i] = sorted[i].id;
+    }
+    offsets[num_keys] = static_cast<uint32_t>(count);
+  }
+  FilterTable table;
+  Status s =
+      table.AdoptArrays(std::move(keys), std::move(offsets), std::move(ids));
+  assert(s.ok() && "built offsets bracket the ids");
+  (void)s;
+  return table;
 }
 
 Status FilterTable::AdoptArrays(std::vector<uint64_t> keys,
@@ -160,10 +193,6 @@ Status FilterTable::Validate() const {
         "filter table directory does not match its keys");
   }
   return Status::OK();
-}
-
-size_t FilterTable::MemoryBytes() const {
-  return arena_.MemoryBytes() + heap_bytes_;
 }
 
 }  // namespace skewsearch

@@ -1,23 +1,20 @@
 // Copyright 2026 The skewsearch Authors.
-// PostingArena: arena-allocated staging for (filter key, vector id)
-// posting pairs, the build-side half of the flat posting-table seam; and
-// the radix key directory, its lookup half.
+// Posting: one (filter key, vector id) pair, what every posting-table
+// build stages; and the radix key directory, the table's lookup half.
 //
-// The old FilterTable staged into one std::vector<Pair> and paid a global
-// O(P log P) sort at Freeze(). The arena instead groups pairs by key as
-// they arrive — a PostingMap probe to find the key's chain head plus one
-// append into a contiguous node pool — so Freeze() only sorts the K
-// distinct keys and each (typically short) per-key id list:
-// O(K log K + sum |list| log |list|) instead of O(P log P), with no
-// per-pair allocation anywhere. The frozen CSR output (sorted distinct
-// keys, offsets, per-key ascending ids with duplicate pairs preserved) is
-// byte-identical to the old sort-based Freeze, which tests assert.
+// Filter keys are uniform 64-bit hashes, so their top bits already
+// split them evenly. FilterTable::Build (core/inverted_index.h) counts
+// the staged pairs per top-b bucket, scatters them into their buckets
+// and sorts each (on average one or two pairs) bucket by (key, id): a
+// linear pass plus many tiny sorts, with no per-key hashing or
+// allocation. The output (sorted distinct keys, offsets, per-key
+// ascending ids with duplicate pairs kept) is fixed by the pairs alone,
+// so it cannot depend on the order they were staged in.
 //
-// Filter keys are uniform 64-bit hashes, so a frozen table's sorted keys
-// are spread evenly over the key space and their top bits say where each
-// one sits. The key directory over those top bits turns a lookup into one
-// bucket read plus a scan of the (on average one or two) keys in it. It
-// is a flat array of 32-bit positions, so a mapped file stores it as is.
+// The key directory over the same top bits of a table's sorted keys
+// turns a lookup into one bucket read plus a scan of the (on average one
+// or two) keys in it. It is a flat array of 32-bit positions, so a
+// mapped file stores it as is.
 
 #ifndef SKEWSEARCH_CORE_POSTING_TABLE_H_
 #define SKEWSEARCH_CORE_POSTING_TABLE_H_
@@ -28,56 +25,13 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "util/containers.h"
 
 namespace skewsearch {
 
-/// \brief Append-only arena of (key, id) posting pairs grouped by key.
-///
-/// Holds at most 2^32 - 1 pairs (node links and the frozen offsets are
-/// 32-bit — the same bound the on-disk FilterTable format already has).
-class PostingArena {
- public:
-  /// Pre-allocates the node pool for \p expected_pairs pairs.
-  void Reserve(size_t expected_pairs);
-
-  /// Appends one (key, id) pair to the key's chain. Amortized O(1).
-  void Add(uint64_t key, VectorId id);
-
-  /// Number of staged pairs.
-  size_t num_pairs() const { return nodes_.size(); }
-
-  /// Number of distinct keys staged so far.
-  size_t num_keys() const { return slots_.size(); }
-
-  /// Approximate heap usage in bytes.
-  size_t MemoryBytes() const;
-
-  /// Drains the arena into frozen CSR form: \p keys gets the sorted
-  /// distinct keys, \p offsets the keys->size()+1 offsets into \p ids,
-  /// and \p ids each key's ids in ascending order (duplicate pairs
-  /// preserved). The arena is left empty with its allocations released.
-  void Freeze(std::vector<uint64_t>* keys, std::vector<uint32_t>* offsets,
-              std::vector<VectorId>* ids);
-
-  /// Drops all staged pairs and releases the allocations.
-  void Clear();
-
- private:
-  static constexpr uint32_t kNil = 0xffffffffu;
-
-  struct Node {
-    VectorId id;
-    uint32_t next;  // previous node of the same key's chain, or kNil
-  };
-  struct KeySlot {
-    uint64_t key;
-    uint32_t head;  // most recent node of this key's chain
-  };
-
-  PostingMap<uint64_t, uint32_t> index_;  // key -> position in slots_
-  std::vector<KeySlot> slots_;
-  std::vector<Node> nodes_;
+/// \brief One (filter key, vector id) pair of a posting table.
+struct Posting {
+  uint64_t key;
+  VectorId id;
 };
 
 /// Bits b of the key directory over \p num_keys sorted keys:

@@ -97,75 +97,62 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
                         std::vector<uint32_t>* entry_counts) {
   const size_t n = data.size();
   const int reps = family.repetitions();
-  shards->assign(static_cast<size_t>(num_shards), FilterTable());
-  // Each id is handled by exactly one worker, so slots write disjoint
+  // Each id is handled by exactly one slot, so slots write disjoint
   // entries and no synchronization is needed.
   if (entry_counts != nullptr) entry_counts->assign(n, 0);
 
-  // The partition is a pure function of the id, so build parallelism
-  // cannot move a vector between shards.
-  auto emit = [&](uint64_t key, VectorId id) {
-    (*shards)[static_cast<size_t>(ShardedIndex::ShardOf(id, num_shards))].Add(
-        key, id);
-  };
-
-  if (build_threads <= 1) {
-    // Fused all-repetitions pass (see FilterFamily::ComputeAllFilters):
-    // per-rep key groups are byte-identical to per-rep calls.
+  // Each slot stages one posting vector per shard. The partition is a
+  // pure function of the id and Build sorts every shard's pairs by
+  // (key, id), so build parallelism cannot move a posting.
+  struct Slot {
+    std::vector<std::vector<Posting>> postings;  // by shard
     std::vector<uint64_t> keys;
     std::vector<size_t> offsets;
-    for (VectorId id = 0; id < n; ++id) {
-      auto x = data.Get(id);
+    size_t nodes_expanded = 0;
+    size_t cap_hits = 0;
+  };
+  ThreadPool pool(build_threads);
+  std::vector<Slot> slots(static_cast<size_t>(pool.num_threads()));
+  for (Slot& slot : slots) {
+    slot.postings.resize(static_cast<size_t>(num_shards));
+  }
+  pool.ParallelFor(n, /*grain=*/64, [&](size_t begin, size_t end, int slot_id) {
+    Slot& slot = slots[static_cast<size_t>(slot_id)];
+    for (size_t i = begin; i < end; ++i) {
+      const VectorId id = static_cast<VectorId>(i);
       PathGenStats gen;
       size_t capped = 0;
-      family.ComputeAllFilters(x, &keys, &offsets, &gen, &capped);
-      stats->nodes_expanded += gen.nodes_expanded;
-      stats->cap_hits += capped;
-      for (uint64_t key : keys) emit(key, id);
-      stats->total_filters += keys.size();
+      family.ComputeAllFilters(data.Get(id), &slot.keys, &slot.offsets, &gen,
+                               &capped);
+      slot.nodes_expanded += gen.nodes_expanded;
+      slot.cap_hits += capped;
+      std::vector<Posting>& shard = slot.postings[static_cast<size_t>(
+          ShardedIndex::ShardOf(id, num_shards))];
+      for (uint64_t key : slot.keys) shard.push_back({key, id});
       if (entry_counts != nullptr) {
-        (*entry_counts)[id] += static_cast<uint32_t>(keys.size());
+        (*entry_counts)[id] = static_cast<uint32_t>(slot.keys.size());
       }
     }
-  } else {
-    struct Slot {
-      std::vector<std::pair<uint64_t, VectorId>> pairs;
-      std::vector<uint64_t> keys;
-      std::vector<size_t> offsets;
-      size_t nodes_expanded = 0;
-      size_t cap_hits = 0;
-    };
-    ThreadPool pool(build_threads);
-    std::vector<Slot> slots(static_cast<size_t>(pool.num_threads()));
-    pool.ParallelFor(n, /*grain=*/64, [&](size_t begin, size_t end,
-                                          int slot_id) {
-      Slot& slot = slots[static_cast<size_t>(slot_id)];
-      for (size_t id = begin; id < end; ++id) {
-        auto x = data.Get(static_cast<VectorId>(id));
-        PathGenStats gen;
-        size_t capped = 0;
-        family.ComputeAllFilters(x, &slot.keys, &slot.offsets, &gen,
-                                 &capped);
-        slot.nodes_expanded += gen.nodes_expanded;
-        slot.cap_hits += capped;
-        for (uint64_t key : slot.keys) {
-          slot.pairs.push_back({key, static_cast<VectorId>(id)});
-        }
-        if (entry_counts != nullptr) {
-          (*entry_counts)[id] += static_cast<uint32_t>(slot.keys.size());
-        }
-      }
-    });
-    for (const Slot& slot : slots) {
-      stats->nodes_expanded += slot.nodes_expanded;
-      stats->cap_hits += slot.cap_hits;
-      for (const auto& [key, id] : slot.pairs) emit(key, id);
-      stats->total_filters += slot.pairs.size();
-    }
+  });
+  for (const Slot& slot : slots) {
+    stats->nodes_expanded += slot.nodes_expanded;
+    stats->cap_hits += slot.cap_hits;
   }
-  for (FilterTable& shard : *shards) {
-    shard.Freeze();
-    stats->distinct_keys += shard.num_keys();
+  shards->clear();
+  for (int s = 0; s < num_shards; ++s) {
+    std::vector<Posting> joined;
+    for (Slot& slot : slots) {
+      std::vector<Posting>& part = slot.postings[static_cast<size_t>(s)];
+      if (joined.empty()) {
+        joined = std::move(part);
+      } else {
+        joined.insert(joined.end(), part.begin(), part.end());
+      }
+      part = std::vector<Posting>();
+    }
+    stats->total_filters += joined.size();
+    shards->push_back(FilterTable::Build(std::move(joined)));
+    stats->distinct_keys += shards->back().num_keys();
   }
   stats->avg_filters_per_element =
       static_cast<double>(stats->total_filters) /

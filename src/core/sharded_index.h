@@ -175,13 +175,15 @@ class ShardedIndex {
 
 namespace sharded_internal {
 
-/// Runs \p family over every vector of \p data and freezes one posting
-/// table per shard (pairs routed by ShardedIndex::ShardOf). Shared by the
-/// static ShardedIndex and the dynamic layer so both partitions are
-/// guaranteed to agree. Accumulates into \p stats (repetitions/delta are
-/// left untouched). \p entry_counts (optional) receives each vector's
-/// posting-entry count — the dynamic layer uses it to make Remove() O(1)
-/// instead of replaying path generation.
+/// Runs \p family over every vector of \p data on \p build_threads pool
+/// slots (the calling thread alone when <= 1) and builds one posting
+/// table per shard (pairs routed by ShardedIndex::ShardOf); the tables do
+/// not depend on the thread count. Shared by the static ShardedIndex and
+/// the dynamic layer so both partitions are guaranteed to agree.
+/// Accumulates into \p stats (repetitions/delta are left untouched).
+/// \p entry_counts (optional) receives each vector's posting-entry count
+/// — the dynamic layer uses it to make Remove() O(1) instead of
+/// replaying path generation.
 Status BuildShardTables(const Dataset& data, const FilterFamily& family,
                         int num_shards, int build_threads,
                         IndexBuildStats* stats,

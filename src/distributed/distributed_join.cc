@@ -12,6 +12,7 @@
 #include "core/sharded_index.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "util/containers.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -118,7 +119,7 @@ RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
 /// Self-join route: F(x) is a pure function of (seed, repetition, x),
 /// so every probe's keys already sit in the build's posting slices.
 /// Inverting the slices replaces the filter kernel. The slices are a
-/// disjoint cover of the monolithic table, and Freeze keeps duplicate
+/// disjoint cover of the monolithic table, and Build keeps duplicate
 /// (key, id) pairs, so each probe x finds all of F(x) there.
 ///
 /// A self-join worker verifies only ids above the probe, so key k of

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/inverted_index.h"
+#include "util/containers.h"
 #include "util/result.h"
 
 namespace skewsearch {

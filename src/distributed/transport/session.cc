@@ -8,6 +8,7 @@
 #include "core/frozen_shard.h"
 #include "data/dataset.h"
 #include "distributed/worker.h"
+#include "util/containers.h"
 #include "util/timer.h"
 
 namespace skewsearch {
@@ -181,26 +182,24 @@ struct WorkerState {
     }
 
     // The merged table over positions: every slice applied so far,
-    // frozen anew. The old worker's frozen table iterates in ascending
-    // key order, so rebuilding from it plus the new slice is
-    // deterministic.
-    FilterTable table;
-    uint64_t existing = worker ? worker->num_entries() : 0;
-    table.Reserve(existing + entries);
+    // built anew from the old table's pairs plus the new slice's.
+    std::vector<Posting> postings;
+    postings.reserve((worker ? worker->num_entries() : 0) + entries);
     if (worker) {
       const FilterTable& old_table = worker->table();
       for (size_t k = 0; k < old_table.num_keys(); ++k) {
         const uint64_t key = old_table.key_at(k);
         for (VectorId position : old_table.postings_at(k)) {
-          table.Add(key, position);
+          postings.push_back({key, position});
         }
       }
     }
     for (const auto& [key, ids] : assignment.postings) {
-      for (VectorId id : ids) table.Add(key, positions.find(id)->second);
+      for (VectorId id : ids) {
+        postings.push_back({key, positions.find(id)->second});
+      }
     }
-    table.Freeze();
-    worker.emplace(worker_id, std::move(table), &data,
+    worker.emplace(worker_id, FilterTable::Build(std::move(postings)), &data,
                    assignment.threshold, assignment.measure, &original_ids);
     return Status::OK();
   }

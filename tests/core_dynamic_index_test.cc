@@ -652,5 +652,40 @@ TEST_F(DynamicIndexIoTest, LoadRejectsRepeatedInsertedId) {
       << s.ToString();
 }
 
+TEST_F(DynamicIndexIoTest, LoadRejectsOrphanDeltaPostings) {
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data_, &dist_, Options(/*num_shards=*/1)).ok());
+  const auto fresh = FreshVectors(index, 2, 48);
+  for (const SparseVector& v : fresh) ASSERT_TRUE(index.Insert(v.span()).ok());
+  ASSERT_TRUE(index.Save(path_).ok());
+
+  // The one shard ends with its inserted block (u64 count, then per
+  // record a u32 id, a u64 item count and the items) and the u64 live
+  // and dead entry counts. Cut the second record and count one: its
+  // delta postings then name an id neither inserted nor tombstoned.
+  std::string contents = FileBytes(path_);
+  auto record_bytes = [](const SparseVector& v) {
+    return sizeof(VectorId) + 8 + v.span().size() * sizeof(ItemId);
+  };
+  const size_t second = contents.size() - 16 - record_bytes(fresh[1]);
+  const size_t count_at = second - record_bytes(fresh[0]) - 8;
+  uint64_t count = 0;
+  std::memcpy(&count, contents.data() + count_at, sizeof(count));
+  ASSERT_EQ(count, 2u);
+  count = 1;
+  std::memcpy(contents.data() + count_at, &count, sizeof(count));
+  contents.erase(second, record_bytes(fresh[1]));
+  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  out.close();
+
+  DynamicIndex orphaned;
+  Status s = orphaned.Load(path_, &data_, &dist_);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("neither inserted nor tombstoned"),
+            std::string::npos)
+      << s.ToString();
+}
+
 }  // namespace
 }  // namespace skewsearch

@@ -20,19 +20,14 @@ namespace skewsearch {
 namespace {
 
 TEST(FilterTableTest, EmptyTable) {
-  FilterTable table;
-  table.Freeze();
+  const FilterTable table = FilterTable::Build({});
   EXPECT_EQ(table.num_pairs(), 0u);
   EXPECT_EQ(table.num_keys(), 0u);
   EXPECT_TRUE(table.Lookup(42).empty());
 }
 
 TEST(FilterTableTest, SingleKey) {
-  FilterTable table;
-  table.Add(7, 1);
-  table.Add(7, 3);
-  table.Add(7, 2);
-  table.Freeze();
+  const FilterTable table = FilterTable::Build({{7, 1}, {7, 3}, {7, 2}});
   auto postings = table.Lookup(7);
   EXPECT_EQ(std::vector<VectorId>(postings.begin(), postings.end()),
             (std::vector<VectorId>{1, 2, 3}));
@@ -42,12 +37,8 @@ TEST(FilterTableTest, SingleKey) {
 }
 
 TEST(FilterTableTest, MultipleKeysSortedLookups) {
-  FilterTable table;
-  table.Add(100, 5);
-  table.Add(1, 0);
-  table.Add(50, 9);
-  table.Add(1, 4);
-  table.Freeze();
+  const FilterTable table =
+      FilterTable::Build({{100, 5}, {1, 0}, {50, 9}, {1, 4}});
   EXPECT_EQ(table.num_keys(), 3u);
   EXPECT_EQ(table.Lookup(1).size(), 2u);
   EXPECT_EQ(table.Lookup(50).size(), 1u);
@@ -61,10 +52,7 @@ TEST(FilterTableTest, DuplicatePairsKept) {
   // The same (key, id) may be added twice (an element can choose the same
   // path in... it cannot within one repetition, but the table must not
   // assume it). Both entries survive.
-  FilterTable table;
-  table.Add(9, 2);
-  table.Add(9, 2);
-  table.Freeze();
+  const FilterTable table = FilterTable::Build({{9, 2}, {9, 2}});
   EXPECT_EQ(table.Lookup(9).size(), 2u);
 }
 
@@ -99,6 +87,19 @@ std::vector<KeyShape> KeyShapes() {
                      {Mix64(2), 6}, {Mix64(2), 5}}});
   shapes.push_back({"empty", {}});
   shapes.push_back({"single key", {{Mix64(9), 7}}});
+  // Build scatters pairs by their keys' top bits: keys 0..499 (four ids
+  // each) crowd the first bucket among 2,000 uniform keys, and ids
+  // staged in descending order leave each bucket's (key, id) sort all
+  // the ordering to do.
+  Pairs crowded;
+  for (uint64_t k = 0; k < 2000; ++k) {
+    crowded.emplace_back(Mix64(k + 1), 0);
+    crowded.emplace_back(k % 500, 0);
+  }
+  for (size_t i = 0; i < crowded.size(); ++i) {
+    crowded[i].second = static_cast<VectorId>(crowded.size() - i);
+  }
+  shapes.push_back({"crowded bucket, descending ids", std::move(crowded)});
   return shapes;
 }
 
@@ -169,11 +170,11 @@ class FilterTableSources {
       : path_(test::TempPath("filter_table", self, ".skf")) {}
   ~FilterTableSources() { std::remove(path_.c_str()); }
 
-  /// The rows: \p built (a Freeze()d table) reached another way.
+  /// The rows: \p built (a Build() table) reached another way.
   std::vector<std::pair<std::string, FilterTable>> Rows(
       const FilterTable& built) {
     std::vector<std::pair<std::string, FilterTable>> rows;
-    rows.emplace_back("Freeze", built);
+    rows.emplace_back("Build", built);
 
     std::stringstream buffer;
     EXPECT_TRUE(built.WriteTo(&buffer).ok());
@@ -228,12 +229,12 @@ TEST(FilterTableTest, PropertyMatchesReferenceMultimap) {
   FilterTableSources sources(this);
   for (const KeyShape& shape : KeyShapes()) {
     std::multimap<uint64_t, VectorId> reference;
-    FilterTable built;
+    std::vector<Posting> postings;
     for (const auto& [key, id] : shape.pairs) {
-      built.Add(key, id);
+      postings.push_back({key, id});
       reference.emplace(key, id);
     }
-    built.Freeze();
+    const FilterTable built = FilterTable::Build(std::move(postings));
     for (const auto& [row, table] : sources.Rows(built)) {
       SCOPED_TRACE(std::string(shape.name) + " / " + row);
       ExpectMatchesReference(table, reference);
@@ -242,64 +243,38 @@ TEST(FilterTableTest, PropertyMatchesReferenceMultimap) {
 }
 
 TEST(FilterTableTest, MemoryBytesPositiveAfterFreeze) {
-  FilterTable table;
-  for (uint64_t k = 0; k < 100; ++k) table.Add(k, static_cast<VectorId>(k));
-  table.Freeze();
+  std::vector<Posting> postings;
+  for (uint64_t k = 0; k < 100; ++k) {
+    postings.push_back({k, static_cast<VectorId>(k)});
+  }
+  const FilterTable table = FilterTable::Build(std::move(postings));
   EXPECT_GT(table.MemoryBytes(), 100 * sizeof(uint64_t));
-}
-
-TEST(FilterTableTest, NumPairsConsistentBeforeAndAfterFreeze) {
-  FilterTable table;
-  EXPECT_FALSE(table.frozen());
-  EXPECT_EQ(table.num_pairs(), 0u);
-  table.Add(3, 1);
-  table.Add(3, 1);  // duplicate pair: counted in both states
-  table.Add(9, 2);
-  EXPECT_EQ(table.num_pairs(), 3u);
-  EXPECT_EQ(table.num_keys(), 0u);  // keys exist only once frozen
-  table.Freeze();
-  EXPECT_TRUE(table.frozen());
-  EXPECT_EQ(table.num_pairs(), 3u);
-  EXPECT_EQ(table.num_keys(), 2u);
+  EXPECT_EQ(FilterTable().MemoryBytes(), 0u);
 }
 
 TEST(FilterTableTest, EmptyFrozenTableStaysEmptyAndFrozen) {
-  // A frozen table with zero pairs must not be mistaken for an unfrozen
-  // one (the old ids_.empty() heuristic could not tell them apart).
-  FilterTable table;
-  table.Freeze();
+  // A built table with zero pairs must not be mistaken for a
+  // default-constructed one (an ids_.empty() test could not tell them
+  // apart).
+  EXPECT_FALSE(FilterTable().frozen());
+  const FilterTable table = FilterTable::Build({});
   EXPECT_TRUE(table.frozen());
   EXPECT_EQ(table.num_pairs(), 0u);
   EXPECT_EQ(table.num_keys(), 0u);
   EXPECT_TRUE(table.Lookup(0).empty());
 }
 
-TEST(FilterTableTest, MemoryBytesTracksBothStates) {
-  FilterTable building;
-  EXPECT_EQ(building.MemoryBytes(), 0u);
-  for (uint64_t k = 0; k < 1000; ++k) {
-    building.Add(k % 37, static_cast<VectorId>(k));
-  }
-  const size_t staged = building.MemoryBytes();
-  EXPECT_GT(staged, 0u);  // staging pairs are real heap usage
-  building.Freeze();
-  const size_t frozen = building.MemoryBytes();
-  EXPECT_GT(frozen, 0u);
-  // Freeze() releases the 16-byte staging pairs for ~12 bytes/pair of
-  // frozen postings (plus key/offset overhead), so the footprint drops.
-  EXPECT_LT(frozen, staged);
-}
-
 TEST(FilterTableTest, FrozenMemoryBytesMatchesSerializedCopy) {
-  // The frozen footprint must not depend on how the table reached the
-  // frozen state: a fresh Freeze() and a ReadFrom() round-trip of the
-  // same table report the same MemoryBytes().
-  FilterTable table;
+  // The footprint must not depend on how the table came to exist: a
+  // fresh Build() and a ReadFrom() round-trip of the same table report
+  // the same MemoryBytes().
+  std::vector<Posting> postings;
   Rng rng(23);
   for (int i = 0; i < 4096; ++i) {
-    table.Add(rng.NextBounded(700), static_cast<VectorId>(rng.NextBounded(99)));
+    postings.push_back({rng.NextBounded(700),
+                        static_cast<VectorId>(rng.NextBounded(99))});
   }
-  table.Freeze();
+  const FilterTable table = FilterTable::Build(std::move(postings));
   std::stringstream buffer;
   ASSERT_TRUE(table.WriteTo(&buffer).ok());
   FilterTable loaded;
@@ -310,21 +285,14 @@ TEST(FilterTableTest, FrozenMemoryBytesMatchesSerializedCopy) {
   EXPECT_EQ(loaded.MemoryBytes(), table.MemoryBytes());
 }
 
-TEST(FilterTableTest, ReserveDoesNotAffectContents) {
-  FilterTable table;
-  table.Reserve(1000);
-  table.Add(5, 1);
-  table.Freeze();
-  EXPECT_EQ(table.Lookup(5).size(), 1u);
-}
-
 TEST(FilterTableTest, SerializationRoundTrip) {
   Rng rng(21);
-  FilterTable table;
+  std::vector<Posting> postings;
   for (int i = 0; i < 2000; ++i) {
-    table.Add(rng.NextBounded(300), static_cast<VectorId>(rng.NextBounded(64)));
+    postings.push_back({rng.NextBounded(300),
+                        static_cast<VectorId>(rng.NextBounded(64))});
   }
-  table.Freeze();
+  const FilterTable table = FilterTable::Build(std::move(postings));
 
   std::stringstream buffer;
   ASSERT_TRUE(table.WriteTo(&buffer).ok());
@@ -341,10 +309,7 @@ TEST(FilterTableTest, SerializationRoundTrip) {
 }
 
 TEST(FilterTableTest, SerializationRejectsCorruption) {
-  FilterTable table;
-  table.Add(1, 2);
-  table.Add(3, 4);
-  table.Freeze();
+  const FilterTable table = FilterTable::Build({{1, 2}, {3, 4}});
   std::stringstream buffer;
   ASSERT_TRUE(table.WriteTo(&buffer).ok());
   std::string payload = buffer.str();
@@ -367,11 +332,7 @@ TEST(FilterTableTest, SerializationRejectsCorruption) {
   // Offsets that overrun the ids: keys {10, 20}, offsets [0, 1, 3] and 3
   // ids, with offsets[1] patched to 7. Only the last adjacent pair,
   // offsets[1] > offsets[2], shows it.
-  FilterTable two;
-  two.Add(10, 1);
-  two.Add(20, 2);
-  two.Add(20, 3);
-  two.Freeze();
+  const FilterTable two = FilterTable::Build({{10, 1}, {20, 2}, {20, 3}});
   std::stringstream two_buffer;
   ASSERT_TRUE(two.WriteTo(&two_buffer).ok());
   std::string overrun = two_buffer.str();
@@ -386,8 +347,7 @@ TEST(FilterTableTest, SerializationRejectsCorruption) {
 }
 
 TEST(FilterTableTest, EmptyTableSerializationRoundTrip) {
-  FilterTable table;
-  table.Freeze();
+  const FilterTable table = FilterTable::Build({});
   std::stringstream buffer;
   ASSERT_TRUE(table.WriteTo(&buffer).ok());
   FilterTable loaded;

@@ -60,9 +60,11 @@ class ShardedIndexTest : public ::testing::Test {
     return options;
   }
 
-  ShardedIndexOptions ShardedOptions(int num_shards) const {
+  ShardedIndexOptions ShardedOptions(int num_shards,
+                                     int build_threads = 0) const {
     ShardedIndexOptions options;
     options.index = IndexOptions();
+    options.index.build_threads = build_threads;
     options.num_shards = num_shards;
     return options;
   }
@@ -99,16 +101,46 @@ void ExpectSameCounters(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.distinct_candidates, b.distinct_candidates) << ctx;
 }
 
-// The acceptance contract: byte-identical results for K in {2, 7}
-// against K = 1.
+/// Every shard's frozen arrays and every build counter but the clock.
+void ExpectSameBuild(const ShardedIndex& a, const ShardedIndex& b,
+                     const std::string& ctx) {
+  ASSERT_EQ(a.num_shards(), b.num_shards()) << ctx;
+  for (int s = 0; s < a.num_shards(); ++s) {
+    const FilterTable& x = a.shard_table(s);
+    const FilterTable& y = b.shard_table(s);
+    EXPECT_TRUE(std::ranges::equal(x.keys_span(), y.keys_span()))
+        << ctx << " shard " << s;
+    EXPECT_TRUE(std::ranges::equal(x.offsets_span(), y.offsets_span()))
+        << ctx << " shard " << s;
+    EXPECT_TRUE(std::ranges::equal(x.ids_span(), y.ids_span()))
+        << ctx << " shard " << s;
+  }
+  const IndexBuildStats& p = a.build_stats();
+  const IndexBuildStats& q = b.build_stats();
+  EXPECT_EQ(p.total_filters, q.total_filters) << ctx;
+  EXPECT_EQ(p.distinct_keys, q.distinct_keys) << ctx;
+  EXPECT_EQ(p.avg_filters_per_element, q.avg_filters_per_element) << ctx;
+  EXPECT_EQ(p.cap_hits, q.cap_hits) << ctx;
+  EXPECT_EQ(p.nodes_expanded, q.nodes_expanded) << ctx;
+  EXPECT_EQ(p.repetitions, q.repetitions) << ctx;
+  EXPECT_EQ(p.delta_used, q.delta_used) << ctx;
+}
+
+// The acceptance contract: for K in {1, 2, 7}, a build on 4 threads
+// freezes the same shard tables and counters as the serial build, and
+// answers byte-identically to the serial K = 1 index.
 TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
   ShardedIndex reference;
   ASSERT_TRUE(reference.Build(&data_, &dist_, ShardedOptions(1)).ok());
 
-  for (int num_shards : {2, 7}) {
+  for (int num_shards : {1, 2, 7}) {
+    const std::string k = "K=" + std::to_string(num_shards);
+    ShardedIndex serial;
+    ASSERT_TRUE(serial.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
     ShardedIndex sharded;
     ASSERT_TRUE(
-        sharded.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
+        sharded.Build(&data_, &dist_, ShardedOptions(num_shards, 4)).ok());
+    ExpectSameBuild(sharded, serial, k);
     EXPECT_EQ(sharded.num_shards(), num_shards);
     EXPECT_EQ(sharded.repetitions(), reference.repetitions());
     EXPECT_DOUBLE_EQ(sharded.verify_threshold(),
@@ -118,8 +150,7 @@ TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
 
     for (size_t i = 0; i < queries_.size(); ++i) {
       auto query = queries_.Get(static_cast<VectorId>(i));
-      std::string ctx = "K=" + std::to_string(num_shards) + " query " +
-                        std::to_string(i);
+      std::string ctx = k + " query " + std::to_string(i);
       // Filter keys are the same family, so they must agree exactly.
       EXPECT_EQ(sharded.ComputeFilterKeys(query),
                 reference.ComputeFilterKeys(query))

@@ -346,7 +346,7 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
       distributed.heavy_threshold = heavy_threshold;
       DistributedJoin join;
       ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-      std::vector<FilterTable> reference(static_cast<size_t>(workers));
+      std::vector<std::vector<Posting>> reference(static_cast<size_t>(workers));
       for (size_t k = 0; k < table.num_keys(); ++k) {
         const auto postings = table.postings_at(k);
         owners.clear();
@@ -355,8 +355,8 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
         for (size_t j = 0; j < chunks; ++j) {
           for (size_t i = j * postings.size() / chunks;
                i < (j + 1) * postings.size() / chunks; ++i) {
-            reference[static_cast<size_t>(owners[j])].Add(table.key_at(k),
-                                                          postings[i]);
+            reference[static_cast<size_t>(owners[j])].push_back(
+                {table.key_at(k), postings[i]});
           }
         }
       }
@@ -365,8 +365,8 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
       ASSERT_EQ(cut->size(), reference.size());
       for (int w = 0; w < workers; ++w) {
         SCOPED_TRACE("worker " + std::to_string(w));
-        FilterTable& want = reference[static_cast<size_t>(w)];
-        want.Freeze();
+        const FilterTable want = FilterTable::Build(
+            std::move(reference[static_cast<size_t>(w)]));
         const FilterTable* slices[] = {&(*cut)[static_cast<size_t>(w)],
                                        &join.worker(w).table()};
         for (const FilterTable* slice : slices) {
@@ -592,19 +592,19 @@ TEST(DistributedJoinTest, SelfJoinRoutesAroundADuplicateAtAListsEnd) {
   for (int s = 0; s < 2; ++s) {
     const FilterTable& shard = index.shard_table(s);
     const FilterTable& other = index.shard_table(1 - s);
-    FilterTable& table = tables[static_cast<size_t>(s)];
+    std::vector<Posting> pairs;
     for (size_t k = 0; k < shard.num_keys(); ++k) {
       const uint64_t key = shard.key_at(k);
       const auto postings = shard.postings_at(k);
-      for (VectorId id : postings) table.Add(key, id);
+      for (VectorId id : postings) pairs.push_back({key, id});
       const auto rest = other.Lookup(key);
       if (postings.size() >= 2 &&
           (rest.empty() || rest.back() < postings.back())) {
-        table.Add(key, postings.back());
+        pairs.push_back({key, postings.back()});
         duplicated++;
       }
     }
-    table.Freeze();
+    tables[static_cast<size_t>(s)] = FilterTable::Build(std::move(pairs));
   }
   ASSERT_GT(duplicated, 0u);
   const std::string path = test::TempPath("selfjoin_dup_end", this, ".skf");

@@ -11,17 +11,16 @@ namespace {
 /// A frozen table with `light` singleton keys plus `heavy` keys holding
 /// `heavy_size` postings each.
 FilterTable MakeTable(size_t light, size_t heavy, size_t heavy_size) {
-  FilterTable table;
+  std::vector<Posting> postings;
   uint64_t next_key = 1;
-  for (size_t k = 0; k < light; ++k) table.Add(next_key++, 0);
+  for (size_t k = 0; k < light; ++k) postings.push_back({next_key++, 0});
   for (size_t k = 0; k < heavy; ++k) {
     uint64_t key = next_key++;
     for (size_t i = 0; i < heavy_size; ++i) {
-      table.Add(key, static_cast<VectorId>(i));
+      postings.push_back({key, static_cast<VectorId>(i)});
     }
   }
-  table.Freeze();
-  return table;
+  return FilterTable::Build(std::move(postings));
 }
 
 std::vector<int> Owners(const PartitionPlan& plan, uint64_t key) {
@@ -165,10 +164,9 @@ TEST(DistributedPartitionPlanTest, RejectsBadOptions) {
 }
 
 TEST(DistributedPartitionPlanTest, RejectsUnfrozenTable) {
-  FilterTable staging;
-  staging.Add(1, 0);
+  const FilterTable unbuilt;  // default-constructed, never built
   PartitionPlannerOptions options;
-  EXPECT_FALSE(PartitionPlanner::PlanFromTable(staging, options).ok());
+  EXPECT_FALSE(PartitionPlanner::PlanFromTable(unbuilt, options).ok());
 }
 
 }  // namespace

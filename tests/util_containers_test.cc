@@ -8,15 +8,12 @@
 
 #include "util/containers.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/posting_table.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -145,53 +142,6 @@ TEST(FlatContainersTest, CopyAndMoveSemantics) {
   FlatHashMap<uint64_t, uint64_t> moved = std::move(copy);
   EXPECT_EQ(moved.size(), 100u);
   EXPECT_EQ(moved.find(42)->second, 43u);
-}
-
-TEST(FlatContainersTest, PostingArenaFreezeMatchesSortedOracle) {
-  Rng rng(777);
-  PostingArena arena;
-  std::unordered_map<uint64_t, std::vector<VectorId>> oracle;
-  const size_t pairs = 30000;
-  arena.Reserve(pairs);
-  for (size_t i = 0; i < pairs; ++i) {
-    const uint64_t key = rng.NextBounded(2000);
-    const VectorId id = static_cast<VectorId>(rng.NextBounded(100000));
-    arena.Add(key, id);
-    oracle[key].push_back(id);
-  }
-  EXPECT_EQ(arena.num_pairs(), pairs);
-  EXPECT_EQ(arena.num_keys(), oracle.size());
-  EXPECT_GT(arena.MemoryBytes(), 0u);
-
-  std::vector<uint64_t> keys;
-  std::vector<uint32_t> offsets;
-  std::vector<VectorId> ids;
-  arena.Freeze(&keys, &offsets, &ids);
-  ASSERT_EQ(keys.size(), oracle.size());
-  ASSERT_EQ(offsets.size(), keys.size() + 1);
-  ASSERT_EQ(ids.size(), pairs);
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-  for (size_t k = 0; k < keys.size(); ++k) {
-    auto& expect = oracle[keys[k]];
-    std::sort(expect.begin(), expect.end());
-    ASSERT_EQ(offsets[k + 1] - offsets[k], expect.size()) << keys[k];
-    for (size_t j = 0; j < expect.size(); ++j) {
-      EXPECT_EQ(ids[offsets[k] + j], expect[j]);
-    }
-  }
-  // Freeze drains the arena.
-  EXPECT_EQ(arena.num_pairs(), 0u);
-  EXPECT_EQ(arena.num_keys(), 0u);
-
-  // The key directory over the frozen keys brackets each key's bucket.
-  const std::vector<uint32_t> dir = BuildKeyDirectory(keys);
-  const int bits = KeyDirectoryBits(keys.size());
-  ASSERT_EQ(dir.size(), KeyDirectorySize(keys.size()));
-  for (size_t k = 0; k < keys.size(); ++k) {
-    const size_t bucket = KeyBucket(keys[k], bits);
-    EXPECT_LE(dir[bucket], k);
-    EXPECT_LT(k, dir[bucket + 1]);
-  }
 }
 
 }  // namespace

@@ -280,32 +280,17 @@ Result<std::vector<FilterTable>> CutSlices(const FilterTable& table,
 
 DistributedJoin::~DistributedJoin() { DetachRemote(); }
 
-wire::WorkerAssignment DistributedJoin::BuildAssignment(int w) const {
-  const JoinWorker& worker = workers_[static_cast<size_t>(w)];
-  const FilterTable& table = worker.table();
-  wire::WorkerAssignment assignment;
-  assignment.threshold = threshold_;
-  assignment.measure = options_.index.verify_measure;
-  assignment.postings.reserve(table.num_keys());
-  std::vector<VectorId> referenced;
-  referenced.reserve(table.num_pairs());
-  for (size_t k = 0; k < table.num_keys(); ++k) {
-    auto postings = table.postings_at(k);
-    assignment.postings.emplace_back(
-        table.key_at(k),
-        std::vector<VectorId>(postings.begin(), postings.end()));
-    referenced.insert(referenced.end(), postings.begin(), postings.end());
-  }
-  std::sort(referenced.begin(), referenced.end());
-  referenced.erase(std::unique(referenced.begin(), referenced.end()),
-                   referenced.end());
-  assignment.vectors.reserve(referenced.size());
-  for (VectorId id : referenced) {
-    auto items = data_->Get(id);
-    assignment.vectors.emplace_back(
-        id, std::vector<ItemId>(items.begin(), items.end()));
-  }
-  return assignment;
+std::pair<wire::Frame, wire::AssignmentAckFrame>
+DistributedJoin::AssignmentFrame(size_t w, uint32_t epoch) const {
+  const JoinWorker& worker = workers_[w];
+  wire::AssignmentAckFrame expected;
+  expected.epoch = epoch;
+  expected.num_keys = worker.num_keys();
+  expected.num_entries = worker.num_entries();
+  expected.distinct_vectors = worker.distinct_vectors();
+  return {wire::EncodeAssignment(worker.table(), *data_, threshold_,
+                                 options_.index.verify_measure, epoch),
+          expected};
 }
 
 Status DistributedJoin::AttachRemote(
@@ -332,9 +317,9 @@ Status DistributedJoin::AttachRemote(
   auto start = [&](size_t w) -> Result<RemoteWorkerSession> {
     const uint32_t worker_id = static_cast<uint32_t>(w);
     if (!frozen()) {
+      const auto [frame, expected] = AssignmentFrame(w, 0);
       return RemoteWorkerSession::Start(std::move(connections[w]), worker_id,
-                                        num_workers,
-                                        BuildAssignment(static_cast<int>(w)));
+                                        num_workers, frame, expected);
     }
     wire::ShardAssignmentFrame shard;
     shard.num_shards = num_workers;
@@ -734,7 +719,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     }
     // Phase 2b — recovery (remote only). A failed session means its
     // worker died mid-join: close it out, re-derive every slice it held
-    // (BuildAssignment is a pure function of the deterministic plan and
+    // (AssignmentFrame is a pure function of the deterministic plan and
     // the build-side data — nothing about the dead worker is needed),
     // re-ship them to the lowest-id surviving session, and drain each
     // transferred queue's unanswered suffix there through the same
@@ -777,8 +762,9 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
         for (; next_orphan < orphaned.size(); ++next_orphan) {
           const size_t w = orphaned[next_orphan];
           const size_t sent_before = batches_sent[w];
-          Status recovered =
-              session.Reassign(BuildAssignment(static_cast<int>(w)));
+          const auto [frame, expected] =
+              AssignmentFrame(w, session.epoch() + 1);
+          Status recovered = session.Reassign(frame, expected);
           if (recovered.ok()) {
             session_of_worker_[w] = s;
             recovered = serve_worker_queue(session, w);

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/skewed_index.h"
@@ -228,7 +229,7 @@ class DistributedJoin {
   /// them in flight per worker, and merges exactly as in-process serving
   /// does — the output stays byte-identical across transports. If a
   /// slice session dies mid-join the coordinator re-derives the lost
-  /// worker's slices (BuildAssignment is a pure function of the
+  /// worker's slices (AssignmentFrame is a pure function of the
   /// deterministic plan), re-ships them to a surviving session, drains
   /// the unacknowledged suffix of the lost queue there through the same
   /// pipelined drain, and still completes with byte-identical output. A
@@ -269,8 +270,12 @@ class DistributedJoin {
   Result<std::vector<JoinPair>> JoinImpl(const Dataset& left, bool self_join,
                                          DistributedJoinStats* stats) const;
 
-  /// Serializes worker \p w's slices + referenced build vectors.
-  wire::WorkerAssignment BuildAssignment(int w) const;
+  /// The Assignment frame shipping worker \p w's slices and the build
+  /// vectors they reference, at session epoch \p epoch, with the
+  /// AssignmentAck it must draw: the epoch and the worker's own key,
+  /// entry and vector counts.
+  std::pair<wire::Frame, wire::AssignmentAckFrame> AssignmentFrame(
+      size_t w, uint32_t epoch) const;
 
   const Dataset* data_ = nullptr;
   const ProductDistribution* dist_ = nullptr;

@@ -11,8 +11,8 @@
 // distributed once at attach time (the vectors shipped per worker are
 // what the duplication factor counts; see transport/session.h's
 // Assignment phase). Ids here are always original VectorIds. A remote
-// worker stores its shipped vectors by position and builds its slices
-// over positions; its id map serves only to apply an assignment.
+// worker stores its shipped vectors by position and receives its slices
+// over positions; an id map serves only to place a re-shipped slice.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_MESSAGES_H_
 #define SKEWSEARCH_DISTRIBUTED_MESSAGES_H_

@@ -1,8 +1,10 @@
 #include "distributed/transport/session.h"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "core/frozen_shard.h"
@@ -32,21 +34,6 @@ Status FailSession(FrameConnection* connection, const Status& status) {
   (void)connection->Send(wire::EncodeError(status));
   connection->Close();
   return status;
-}
-
-/// The AssignmentAck an Assignment at \p epoch must draw: the epoch
-/// and the slice's counters as shipped, which the coordinator
-/// cross-checks against what it serialized.
-wire::AssignmentAckFrame SliceCounters(
-    const wire::WorkerAssignment& assignment, uint32_t epoch) {
-  wire::AssignmentAckFrame ack;
-  ack.epoch = epoch;
-  ack.num_keys = assignment.postings.size();
-  for (const auto& [key, ids] : assignment.postings) {
-    ack.num_entries += ids.size();
-  }
-  ack.distinct_vectors = assignment.vectors.size();
-  return ack;
 }
 
 /// The coordinator half of the handshake, shared by every session a
@@ -120,148 +107,193 @@ Status OpenSession(FrameConnection* connection, uint32_t worker_id,
   return status;
 }
 
-/// \brief The worker's live serving state: the shipped vectors stored
-/// densely, by position, and the JoinWorker answering probes over them.
-///
-/// Apply() is used for both the initial assignment and every later
-/// reassignment: it validates the shipped slice, appends vectors the
-/// worker does not hold yet, and rebuilds the JoinWorker over the
-/// union of every applied slice. Rebuilt rather than patched so the
-/// "each id appears at most once per response" invariant of the frozen
-/// table keeps holding after a merge.
-struct WorkerState {
-  int worker_id = 0;
-  /// The stored vectors; a vector's position is its index here.
-  Dataset data;
-  /// position -> VectorId, what the JoinWorker answers with.
-  std::vector<VectorId> original_ids;
-  /// VectorId -> position. Apply maps each shipped posting id through
-  /// it once, so the probe loop never looks an id up.
-  PostingMap<VectorId, VectorId> positions;
-  std::optional<JoinWorker> worker;
-
-  Status Apply(const wire::WorkerAssignment& assignment) {
-    // Every posting id must have a shipped vector and every shipped
-    // vector must be referenced — an assignment violating either is
-    // rejected, so every posting id maps to a position. The check is
-    // per-slice: a reassignment re-ships vectors this worker may
-    // already hold (they are skipped below), but must itself be
-    // internally consistent.
-    std::vector<VectorId> referenced;
-    uint64_t entries = 0;
-    for (const auto& [key, ids] : assignment.postings) {
-      referenced.insert(referenced.end(), ids.begin(), ids.end());
-      entries += ids.size();
-    }
-    std::sort(referenced.begin(), referenced.end());
-    referenced.erase(std::unique(referenced.begin(), referenced.end()),
-                     referenced.end());
-    if (referenced.size() != assignment.vectors.size()) {
-      return Status::InvalidArgument(
-          "session: assignment ships " +
-          std::to_string(assignment.vectors.size()) + " vectors but the "
-          "postings reference " + std::to_string(referenced.size()));
-    }
-    for (size_t i = 0; i < referenced.size(); ++i) {
-      if (assignment.vectors[i].first != referenced[i]) {
-        return Status::InvalidArgument(
-            "session: shipped vectors do not match the posting ids");
-      }
-    }
-
-    // Vectors are stored densely (memory proportional to what was
-    // shipped, never to the coordinator's id space) and only appended,
-    // so the positions the table already holds never move. A re-shipped
-    // vector this worker already holds is skipped — the bytes are
-    // identical by construction (both ships serialize the same
-    // build-side dataset), so verification results cannot change.
-    for (const auto& [id, items] : assignment.vectors) {
-      if (positions.find(id) != positions.end()) continue;
-      positions.emplace(id, data.Add(std::span<const ItemId>(items)));
-      original_ids.push_back(id);
-    }
-
-    // The merged table over positions: every slice applied so far,
-    // built anew from the old table's pairs plus the new slice's.
-    std::vector<Posting> postings;
-    postings.reserve((worker ? worker->num_entries() : 0) + entries);
-    if (worker) {
-      const FilterTable& old_table = worker->table();
-      for (size_t k = 0; k < old_table.num_keys(); ++k) {
-        const uint64_t key = old_table.key_at(k);
-        for (VectorId position : old_table.postings_at(k)) {
-          postings.push_back({key, position});
-        }
-      }
-    }
-    for (const auto& [key, ids] : assignment.postings) {
-      for (VectorId id : ids) {
-        postings.push_back({key, positions.find(id)->second});
-      }
-    }
-    worker.emplace(worker_id, FilterTable::Build(std::move(postings)), &data,
-                   assignment.threshold, assignment.measure, &original_ids);
-    return Status::OK();
+/// Checks what a decoded Assignment's arrays mean, one pass over each:
+/// the rules WorkerState::Apply lists. Names the first broken one.
+Status ValidateAssignment(const wire::Assignment& a) {
+  auto invalid = [](const std::string& what) {
+    return Status::InvalidArgument("session: assignment " + what);
+  };
+  const size_t num_keys = a.keys.size();
+  if (a.offsets.size() != num_keys + 1 || a.offsets.front() != 0) {
+    return invalid("offsets do not bracket its keys");
   }
-
-  /// Serves the shard \p shard names zero-copy out of the worker's
-  /// mapped file in \p options, after cross-checking it against the
-  /// mapping; \p ack receives the counters the coordinator verifies.
-  Status AdoptShard(const wire::ShardAssignmentFrame& shard,
-                    const ServeOptions& options,
-                    wire::AssignmentAckFrame* ack) {
-    if (options.frozen_file == nullptr || options.frozen_data == nullptr) {
-      return Status::InvalidArgument(
-          "session: ShardAssignment but this worker holds no mapped shard "
-          "file (start it with --shard-file/--data)");
+  for (size_t k = 0; k < num_keys; ++k) {
+    if (k > 0 && a.keys[k] <= a.keys[k - 1]) {
+      return invalid("keys are not strictly increasing");
     }
-    const FrozenShardFile& file = *options.frozen_file;
-    const Dataset& full = *options.frozen_data;
-    if (shard.num_shards != static_cast<uint32_t>(file.num_shards())) {
-      return Status::InvalidArgument(
-          "session: ShardAssignment names " +
-          std::to_string(shard.num_shards) + " shard(s) but the mapped "
-          "file holds " + std::to_string(file.num_shards()));
+    if (a.offsets[k + 1] <= a.offsets[k]) {
+      return invalid("posting list " + std::to_string(k) + " is empty");
     }
-    if (shard.fingerprint != file.fingerprint()) {
-      return Status::InvalidArgument(
-          "session: ShardAssignment fingerprint does not match the mapped "
-          "shard file (different dataset or file)");
-    }
-    Result<FilterTable> view =
-        file.MakeShardView(static_cast<int>(shard.shard_index));
-    SKEWSEARCH_RETURN_NOT_OK(view.status());
-    // The default Map does not check the payload's ids, and Probe reads
-    // every id's vector.
-    const std::span<const VectorId> ids = view->ids_span();
-    const auto beyond =
-        std::find_if(ids.begin(), ids.end(),
-                     [&](VectorId id) { return id >= full.size(); });
-    if (beyond != ids.end()) {
-      return Status::InvalidArgument(
-          "session: mapped shard references id " + std::to_string(*beyond) +
-          " but the worker's dataset holds " + std::to_string(full.size()) +
-          " vectors");
-    }
-    ack->num_keys = view->num_keys();
-    ack->num_entries = view->num_pairs();
-    ack->distinct_vectors = full.size();
-    worker.emplace(static_cast<int>(shard.shard_index),
-                   std::move(view).value(), &full, shard.threshold,
-                   shard.measure);
-    return Status::OK();
   }
-};
+  if (a.offsets.back() != a.positions.size()) {
+    return invalid("counts sum to " + std::to_string(a.offsets.back()) +
+                   " but it holds " + std::to_string(a.positions.size()) +
+                   " positions");
+  }
+  const size_t num_vectors = a.vector_ids.size();
+  std::vector<uint8_t> referenced(num_vectors, 0);
+  for (size_t k = 0; k < num_keys; ++k) {
+    for (uint32_t i = a.offsets[k]; i < a.offsets[k + 1]; ++i) {
+      const VectorId position = a.positions[i];
+      if (position >= num_vectors) {
+        return invalid("position " + std::to_string(position) +
+                       " names no vector (it ships " +
+                       std::to_string(num_vectors) + ")");
+      }
+      if (i > a.offsets[k] && position < a.positions[i - 1]) {
+        return invalid("positions descend within posting list " +
+                       std::to_string(k));
+      }
+      referenced[position] = 1;
+    }
+  }
+  // Every item offset is checked before any item is read.
+  if (a.item_offsets.size() != num_vectors + 1 ||
+      a.item_offsets.front() != 0 || a.item_offsets.back() != a.items.size() ||
+      !std::is_sorted(a.item_offsets.begin(), a.item_offsets.end())) {
+    return invalid("item offsets do not bracket its items");
+  }
+  for (size_t v = 0; v < num_vectors; ++v) {
+    if (referenced[v] == 0) {
+      return invalid("ships vector " + std::to_string(a.vector_ids[v]) +
+                     " but no posting references it");
+    }
+    if (v > 0 && a.vector_ids[v] <= a.vector_ids[v - 1]) {
+      return invalid("vector ids are not strictly increasing");
+    }
+    for (uint32_t i = a.item_offsets[v] + 1; i < a.item_offsets[v + 1]; ++i) {
+      if (a.items[i] <= a.items[i - 1]) {
+        return invalid("vector " + std::to_string(a.vector_ids[v]) +
+                       " has items that are not strictly increasing");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Serves the shard \p shard names zero-copy out of the worker's mapped
+/// file in \p options, after cross-checking it against the mapping:
+/// \p worker receives the JoinWorker and \p ack the counters the
+/// coordinator verifies.
+Status AdoptShard(const wire::ShardAssignmentFrame& shard,
+                  const ServeOptions& options,
+                  std::optional<JoinWorker>* worker,
+                  wire::AssignmentAckFrame* ack) {
+  if (options.frozen_file == nullptr || options.frozen_data == nullptr) {
+    return Status::InvalidArgument(
+        "session: ShardAssignment but this worker holds no mapped shard "
+        "file (start it with --shard-file/--data)");
+  }
+  const FrozenShardFile& file = *options.frozen_file;
+  const Dataset& full = *options.frozen_data;
+  if (shard.num_shards != static_cast<uint32_t>(file.num_shards())) {
+    return Status::InvalidArgument(
+        "session: ShardAssignment names " +
+        std::to_string(shard.num_shards) + " shard(s) but the mapped "
+        "file holds " + std::to_string(file.num_shards()));
+  }
+  if (shard.fingerprint != file.fingerprint()) {
+    return Status::InvalidArgument(
+        "session: ShardAssignment fingerprint does not match the mapped "
+        "shard file (different dataset or file)");
+  }
+  Result<FilterTable> view =
+      file.MakeShardView(static_cast<int>(shard.shard_index));
+  SKEWSEARCH_RETURN_NOT_OK(view.status());
+  // The default Map does not check the payload's ids, and Probe reads
+  // every id's vector.
+  const std::span<const VectorId> ids = view->ids_span();
+  const auto beyond =
+      std::find_if(ids.begin(), ids.end(),
+                   [&](VectorId id) { return id >= full.size(); });
+  if (beyond != ids.end()) {
+    return Status::InvalidArgument(
+        "session: mapped shard references id " + std::to_string(*beyond) +
+        " but the worker's dataset holds " + std::to_string(full.size()) +
+        " vectors");
+  }
+  ack->num_keys = view->num_keys();
+  ack->num_entries = view->num_pairs();
+  ack->distinct_vectors = full.size();
+  worker->emplace(static_cast<int>(shard.shard_index),
+                  std::move(view).value(), &full, shard.threshold,
+                  shard.measure);
+  return Status::OK();
+}
 
 }  // namespace
 
+Status WorkerState::Apply(wire::Assignment assignment) {
+  SKEWSEARCH_RETURN_NOT_OK(ValidateAssignment(assignment));
+  wire::Assignment& a = assignment;
+  auto shipped_items = [&a](size_t v) {
+    return std::span<const ItemId>(a.items).subspan(
+        a.item_offsets[v], a.item_offsets[v + 1] - a.item_offsets[v]);
+  };
+  // Vectors are stored densely (memory proportional to what was
+  // shipped, never to the coordinator's id space) and only appended, so
+  // the positions a table holds never move.
+  FilterTable table;
+  if (!worker_) {
+    // The first slice's vectors are stored in shipped order, so its
+    // positions are stored positions and its arrays are the table.
+    for (size_t v = 0; v < a.vector_ids.size(); ++v) {
+      data_.Add(shipped_items(v));
+    }
+    original_ids_ = std::move(a.vector_ids);
+    const Status adopted = table.AdoptArrays(
+        std::move(a.keys), std::move(a.offsets), std::move(a.positions));
+    assert(adopted.ok() && "validated offsets bracket the positions");
+    (void)adopted;
+  } else {
+    // A re-ship: each shipped vector's stored position, found with one
+    // id-map lookup per vector. A vector this worker already holds
+    // keeps its position; its bytes are identical by construction (both
+    // ships encode the same build-side dataset), so verification cannot
+    // change.
+    PostingMap<VectorId, VectorId> held;
+    held.reserve(original_ids_.size());
+    for (size_t p = 0; p < original_ids_.size(); ++p) {
+      held.emplace(original_ids_[p], static_cast<VectorId>(p));
+    }
+    std::vector<VectorId> stored(a.vector_ids.size());
+    for (size_t v = 0; v < a.vector_ids.size(); ++v) {
+      const auto found = held.find(a.vector_ids[v]);
+      if (found != held.end()) {
+        stored[v] = found->second;
+      } else {
+        stored[v] = data_.Add(shipped_items(v));
+        original_ids_.push_back(a.vector_ids[v]);
+      }
+    }
+    // The table over both: the held pairs and the re-shipped ones, at
+    // their stored positions, built anew.
+    const FilterTable& held_table = worker_->table();
+    std::vector<Posting> postings;
+    postings.reserve(held_table.num_pairs() + a.positions.size());
+    for (size_t k = 0; k < held_table.num_keys(); ++k) {
+      for (VectorId position : held_table.postings_at(k)) {
+        postings.push_back({held_table.key_at(k), position});
+      }
+    }
+    for (size_t k = 0; k < a.keys.size(); ++k) {
+      for (uint32_t i = a.offsets[k]; i < a.offsets[k + 1]; ++i) {
+        postings.push_back({a.keys[k], stored[a.positions[i]]});
+      }
+    }
+    table = FilterTable::Build(std::move(postings));
+  }
+  worker_.emplace(worker_id_, std::move(table), &data_, a.threshold,
+                  a.measure, &original_ids_);
+  return Status::OK();
+}
+
 Result<RemoteWorkerSession> RemoteWorkerSession::Start(
     std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
-    uint32_t num_workers, const wire::WorkerAssignment& assignment) {
+    uint32_t num_workers, const wire::Frame& assignment,
+    const wire::AssignmentAckFrame& expected) {
   SKEWSEARCH_RETURN_NOT_OK(OpenSession(connection.get(), worker_id,
-                                       num_workers,
-                                       wire::EncodeAssignment(assignment, 0),
-                                       SliceCounters(assignment, 0)));
+                                       num_workers, assignment, expected));
   return RemoteWorkerSession(std::move(connection), worker_id);
 }
 
@@ -337,18 +369,21 @@ Result<wire::StatsFrame> RemoteWorkerSession::QueryStats() {
   return stats;
 }
 
-Status RemoteWorkerSession::Reassign(
-    const wire::WorkerAssignment& assignment) {
+Status RemoteWorkerSession::Reassign(const wire::Frame& assignment,
+                                     const wire::AssignmentAckFrame& expected) {
   if (shut_down_) return Status::InvalidArgument("session: already shut down");
   if (!in_flight_.empty()) {
     return Status::InvalidArgument(
         "session: reassignment requires no batch in flight");
   }
-  const uint32_t epoch = epoch_ + 1;
-  SKEWSEARCH_RETURN_NOT_OK(SendAssignment(
-      connection_.get(), wire::EncodeAssignment(assignment, epoch),
-      SliceCounters(assignment, epoch)));
-  epoch_ = epoch;
+  if (expected.epoch != epoch_ + 1) {
+    return Status::InvalidArgument(
+        "session: reassignment at epoch " + std::to_string(expected.epoch) +
+        " but the session is at epoch " + std::to_string(epoch_));
+  }
+  SKEWSEARCH_RETURN_NOT_OK(
+      SendAssignment(connection_.get(), assignment, expected));
+  epoch_ = expected.epoch;
   return Status::OK();
 }
 
@@ -381,6 +416,8 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   obs::Counter* bytes_received_metric =
       registry.GetCounter("worker.wire.bytes_received");
   obs::Histogram* batch_time_metric = registry.GetHistogram("worker.batch_ns");
+  obs::Histogram* assignment_time_metric =
+      registry.GetHistogram("worker.assignment_ns");
   obs::Histogram* session_time_metric =
       registry.GetHistogram("worker.session_ns");
   Timer session_timer;
@@ -428,13 +465,13 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   SKEWSEARCH_RETURN_NOT_OK(connection->Send(wire::EncodeHelloAck(ack)));
 
   // After the handshake, one frame loop. The first assignment builds
-  // the JoinWorker: an Assignment at epoch 0 reconstructs the shipped
-  // slices into a worker that answers exactly as the in-process one
-  // does (its table over positions, not ids), and a ShardAssignment
-  // serves a shard of the worker's mapped frozen file. Each later
-  // Assignment, at the current epoch + 1, merges a lost worker's
-  // re-shipped slices into the table. StatsRequest frames are answered
-  // at any point, so a scraper's session is its scrapes and a Shutdown.
+  // the JoinWorker: an Assignment at epoch 0 adopts the shipped arrays
+  // as a worker that answers exactly as the in-process one does (its
+  // table over positions, not ids), and a ShardAssignment serves a
+  // shard of the worker's mapped frozen file. Each later Assignment, at
+  // the current epoch + 1, adds a lost worker's re-shipped slices to
+  // the table. StatsRequest frames are answered at any point, so a
+  // scraper's session is its scrapes and a Shutdown.
   //
   // Responses are computed and sent strictly in frame-arrival order,
   // which is what lets the coordinator pipeline batches: the k-th
@@ -443,14 +480,14 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
   // read-only state, so its response is identical — answering is
   // idempotent by construction. The dedup scratch carries nothing from
   // one probe to the next.
-  WorkerState state;
-  state.worker_id = static_cast<int>(hello.worker_id);
-  bool shard_mode = false;
+  WorkerState state(static_cast<int>(hello.worker_id));
+  std::optional<JoinWorker> shard_worker;  // set by a ShardAssignment
+  const JoinWorker* serving = nullptr;     // null until assigned
   uint32_t epoch = 0;
   std::vector<ProbeResponse> responses;
   ProbeScratch scratch;
   auto send_ack = [&](const wire::AssignmentAckFrame& ack) -> Status {
-    local.posting_entries = state.worker->num_entries();
+    local.posting_entries = serving->num_entries();
     return send(wire::EncodeAssignmentAck(ack));
   };
   // Serves one frame other than Shutdown; an error fails the session.
@@ -463,19 +500,20 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
         return send(wire::EncodeStatsResponse(snapshot));
       }
       case wire::FrameType::kShardAssignment: {
-        if (state.worker) {
+        if (serving != nullptr) {
           return Status::InvalidArgument(
               "session: ShardAssignment after the first assignment");
         }
         wire::ShardAssignmentFrame shard;
         SKEWSEARCH_RETURN_NOT_OK(wire::DecodeShardAssignment(frame, &shard));
         wire::AssignmentAckFrame ack;
-        SKEWSEARCH_RETURN_NOT_OK(state.AdoptShard(shard, options, &ack));
-        shard_mode = true;
+        SKEWSEARCH_RETURN_NOT_OK(
+            AdoptShard(shard, options, &shard_worker, &ack));
+        serving = &*shard_worker;
         return send_ack(ack);
       }
       case wire::FrameType::kAssignment: {
-        if (shard_mode) {
+        if (shard_worker) {
           // A mapped shard is not re-shippable state: its postings live
           // in the file, disjoint from every other shard's, so adopting
           // a lost worker's slice has no representation here. The
@@ -484,24 +522,31 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
               "session: a frozen-shard session cannot adopt reassigned "
               "slices");
         }
-        wire::WorkerAssignment assignment;
-        uint32_t next = 0;
+        Timer assignment_timer;
+        wire::Assignment assignment;
+        wire::AssignmentAckFrame ack;
         SKEWSEARCH_RETURN_NOT_OK(
-            wire::DecodeAssignment(frame, &assignment, &next));
-        const bool reassigned = state.worker.has_value();
+            wire::DecodeAssignment(frame, &assignment, &ack.epoch));
+        const bool reassigned = serving != nullptr;
         const uint32_t expected = reassigned ? epoch + 1 : 0;
-        if (next != expected) {
+        if (ack.epoch != expected) {
           return Status::InvalidArgument(
-              "session: assignment at epoch " + std::to_string(next) +
+              "session: assignment at epoch " + std::to_string(ack.epoch) +
               " but this worker expects epoch " + std::to_string(expected));
         }
-        SKEWSEARCH_RETURN_NOT_OK(state.Apply(assignment));
+        ack.num_keys = assignment.keys.size();
+        ack.num_entries = assignment.positions.size();
+        ack.distinct_vectors = assignment.vector_ids.size();
+        SKEWSEARCH_RETURN_NOT_OK(state.Apply(std::move(assignment)));
+        assignment_time_metric->Record(
+            static_cast<uint64_t>(assignment_timer.ElapsedNanos()));
+        serving = state.worker();
         if (reassigned) {
           local.reassignments++;
           reassignments_metric->Increment();
         }
-        epoch = next;
-        return send_ack(SliceCounters(assignment, epoch));
+        epoch = ack.epoch;
+        return send_ack(ack);
       }
       case wire::FrameType::kProbeBatch:
         break;
@@ -510,7 +555,7 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
             "session: unexpected frame type " +
             std::to_string(static_cast<int>(frame.type)));
     }
-    if (!state.worker) {
+    if (serving == nullptr) {
       return Status::InvalidArgument(
           "session: probe batch before any assignment");
     }
@@ -527,7 +572,7 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     responses.clear();
     responses.reserve(batch.probes.size());
     for (const wire::OwnedProbe& probe : batch.probes) {
-      responses.push_back(state.worker->Probe(probe.View(), &scratch));
+      responses.push_back(serving->Probe(probe.View(), &scratch));
       batch_matches += responses.back().matches.size();
     }
     local.matches += batch_matches;

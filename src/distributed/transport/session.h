@@ -9,9 +9,10 @@
 //      version both sides support, or an Error frame when the ranges
 //      are disjoint.
 //   2. Assignments — an Assignment at epoch 0 ships the worker's
-//      posting slices and the build-side vectors they reference (or a
-//      ShardAssignment names a shard of a frozen file the worker
-//      mapped); the worker reconstructs its table and answers
+//      posting slices, over positions, and the build-side vectors they
+//      reference as columnar arrays (or a ShardAssignment names a shard
+//      of a frozen file the worker mapped); the worker validates the
+//      arrays, adopts them as its table (WorkerState below) and answers
 //      AssignmentAck with the epoch and counters the coordinator
 //      cross-checks, so a corrupted or misrouted assignment fails
 //      instead of silently dropping pairs. Recovery re-ships a lost
@@ -39,11 +40,14 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "data/dataset.h"
 #include "distributed/messages.h"
 #include "distributed/transport/transport.h"
+#include "distributed/worker.h"
 #include "obs/metrics.h"
 #include "util/result.h"
 
@@ -62,14 +66,18 @@ class FrozenShardFile;
 class RemoteWorkerSession {
  public:
   /// Runs the handshake as worker \p worker_id of \p num_workers, then
-  /// ships \p assignment at epoch 0 and cross-checks the ack.
+  /// ships \p assignment, an Assignment frame at epoch 0
+  /// (wire::EncodeAssignment), and cross-checks the worker's ack against
+  /// \p expected: the epoch and the keys, posting entries and vectors
+  /// of the slice the frame was encoded from.
   /// On failure the connection is closed and the error returned: a
   /// HelloAck choosing a version outside [kVersionMin, kVersionMax]
   /// fails with NotSupported, one echoing another worker id with
   /// IOError.
   static Result<RemoteWorkerSession> Start(
       std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
-      uint32_t num_workers, const wire::WorkerAssignment& assignment);
+      uint32_t num_workers, const wire::Frame& assignment,
+      const wire::AssignmentAckFrame& expected);
 
   /// The frozen-shard variant of Start: instead of shipping posting
   /// slices, sends a ShardAssignment naming the shard of the worker's
@@ -104,11 +112,13 @@ class RemoteWorkerSession {
   Result<wire::StatsFrame> QueryStats();
 
   /// Re-ships a lost worker's slices to this (surviving) worker:
-  /// sends \p assignment as an Assignment at epoch() + 1, waits for the
-  /// AssignmentAck and cross-checks its epoch and counters. Requires no
-  /// batch in flight. After success every later batch is stamped with
-  /// the new epoch.
-  Status Reassign(const wire::WorkerAssignment& assignment);
+  /// sends \p assignment, an Assignment frame at epoch() + 1, waits for
+  /// the AssignmentAck and cross-checks it against \p expected, as
+  /// Start does. Fails with InvalidArgument, sending nothing, when a
+  /// batch is in flight or \p expected is not at epoch() + 1. After
+  /// success every later batch is stamped with the new epoch.
+  Status Reassign(const wire::Frame& assignment,
+                  const wire::AssignmentAckFrame& expected);
 
   /// Sends Shutdown and closes; idempotent. The session is unusable
   /// afterwards.
@@ -139,6 +149,50 @@ class RemoteWorkerSession {
   uint64_t next_seq_ = 0;
   std::deque<InFlightBatch> in_flight_;
   bool shut_down_ = false;
+};
+
+/// \brief The state a worker builds from its Assignments: the shipped
+/// vectors, stored by position, and the JoinWorker over the slices.
+///
+/// The first Apply adopts the shipped arrays as they arrived: the table
+/// is FilterTable::AdoptArrays over the shipped keys, offsets and
+/// positions, and the vectors are stored in shipped order, so a shipped
+/// position is a stored one. A later Apply (a re-ship at the next
+/// epoch) keeps every held vector where it is and appends the others,
+/// maps the shipped positions to stored ones through one array (one
+/// id-map lookup per re-shipped vector), and builds the table anew with
+/// FilterTable::Build over the held pairs and the mapped shipped ones.
+/// Either way the table equals FilterTable::Build over every applied
+/// (key, stored position) pair.
+/// ServeConnection keeps one per session; it is not thread-safe.
+class WorkerState {
+ public:
+  explicit WorkerState(int worker_id) : worker_id_(worker_id) {}
+  WorkerState(const WorkerState&) = delete;
+  WorkerState& operator=(const WorkerState&) = delete;
+
+  /// Validates \p assignment in one pass, then applies it. Fails with
+  /// InvalidArgument, changing nothing, unless: the keys strictly
+  /// increase; no posting list is empty; the counts sum to the number
+  /// of positions; every position is below the vector count and none
+  /// descends within its list; every shipped vector is referenced; and
+  /// the vector ids, and each vector's items, strictly increase (the
+  /// list in docs/WIRE_PROTOCOL.md, "Assignment").
+  Status Apply(wire::Assignment assignment);
+
+  /// The worker serving every applied slice; null before the first
+  /// Apply succeeds.
+  const JoinWorker* worker() const { return worker_ ? &*worker_ : nullptr; }
+
+  /// The VectorId of each stored position.
+  const std::vector<VectorId>& original_ids() const { return original_ids_; }
+
+ private:
+  int worker_id_;
+  /// The stored vectors; a vector's position is its index here.
+  Dataset data_;
+  std::vector<VectorId> original_ids_;
+  std::optional<JoinWorker> worker_;
 };
 
 /// \brief Worker-side counters of one served session.
@@ -187,9 +241,11 @@ struct ServeOptions {
 /// best-effort Error frame). The first assignment (an Assignment at
 /// epoch 0 or a ShardAssignment) builds a local JoinWorker over the
 /// shipped slices and vectors; each later Assignment, at the current
-/// epoch + 1, is merged into its table; probe batches stamped with the
-/// current epoch are answered. This is the per-connection body of the
-/// `join-worker` server (distributed/server.h).
+/// epoch + 1, is added to its table (WorkerState); probe batches
+/// stamped with the current epoch are answered. Each applied Assignment
+/// records its decode, validation and adoption or rebuild time in the
+/// `worker.assignment_ns` histogram. This is the per-connection body of
+/// the `join-worker` server (distributed/server.h).
 Status ServeConnection(FrameConnection* connection,
                        WorkerServeStats* stats = nullptr,
                        const ServeOptions& options = {});

@@ -1,5 +1,7 @@
 #include "distributed/transport/wire.h"
 
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -10,8 +12,11 @@ namespace {
 
 /// Smallest possible encodings of the variable-count elements; counts
 /// are bounded by remaining / these before any allocation.
-constexpr size_t kMinPostingBytes = 12;   // u64 key + u32 count
+constexpr size_t kMinKeyBytes = 12;       // u64 key + u32 count
 constexpr size_t kMinVectorBytes = 8;     // u32 id + u32 count
+/// An Assignment's fixed fields: epoch, threshold, measure and the key
+/// and vector counts.
+constexpr size_t kAssignmentFixedBytes = 4 + 8 + 1 + 4 + 4;
 constexpr size_t kMinProbeBytes = 13;     // u32 + u8 + u32 + u32
 constexpr size_t kMinResponseBytes = 24;  // u32 + u64 + u64 + u32
 constexpr size_t kMatchBytes = 12;        // u32 id + f64 similarity
@@ -44,6 +49,28 @@ Status BoundedCount(PayloadReader* reader, size_t min_element_bytes,
                     const char* what, uint32_t* count) {
   SKEWSEARCH_RETURN_NOT_OK(reader->U32(count));
   if (*count > reader->remaining() / min_element_bytes) {
+    return Corrupt((std::string(what) + " count exceeds the payload")
+                       .c_str());
+  }
+  return Status::OK();
+}
+
+/// Reads \p count u32 counts into \p offsets as their count + 1
+/// running sums: the offsets of an array of u32 elements (positions or
+/// items) that follows. The total is summed in 64 bits, so no count can
+/// wrap it, and must fit the payload left.
+Status ReadOffsets(PayloadReader* reader, uint32_t count, const char* what,
+                   std::vector<uint32_t>* offsets) {
+  offsets->assign(size_t{count} + 1, 0);
+  SKEWSEARCH_RETURN_NOT_OK(
+      reader->Bytes(offsets->data() + 1, size_t{count} * sizeof(uint32_t)));
+  uint64_t total = 0;
+  for (size_t i = 1; i <= count; ++i) {
+    total += (*offsets)[i];
+    // A total past 2^32 wraps here but fails the bound below.
+    (*offsets)[i] = static_cast<uint32_t>(total);
+  }
+  if (total > reader->remaining() / sizeof(uint32_t)) {
     return Corrupt((std::string(what) + " count exceeds the payload")
                        .c_str());
   }
@@ -201,36 +228,76 @@ Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out) {
   return Status::OK();
 }
 
-Frame EncodeAssignment(const WorkerAssignment& assignment, uint32_t epoch) {
-  PayloadWriter writer;
-  writer.U32(epoch);
-  writer.F64(assignment.threshold);
-  writer.U8(static_cast<uint8_t>(assignment.measure));
-  writer.U32(static_cast<uint32_t>(assignment.postings.size()));
-  for (const auto& [key, ids] : assignment.postings) {
-    writer.U64(key);
-    writer.U32(static_cast<uint32_t>(ids.size()));
-    writer.Bytes(ids.data(), ids.size() * sizeof(VectorId));
+Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
+                       double threshold, Measure measure, uint32_t epoch) {
+  const std::span<const uint32_t> offsets = slice.offsets_span();
+  const std::span<const VectorId> ids = slice.ids_span();
+  // One bit per build vector marks the referenced ones. A vector's
+  // position is its rank among them: rank[w] counts the marked ids
+  // below word w, and a popcount adds those below it in its word.
+  std::vector<uint64_t> marked((build.size() + 63) / 64, 0);
+  for (VectorId id : ids) marked[id / 64] |= uint64_t{1} << (id % 64);
+  std::vector<uint32_t> rank(marked.size());
+  std::vector<VectorId> referenced;
+  size_t num_items = 0;
+  for (size_t w = 0; w < marked.size(); ++w) {
+    rank[w] = static_cast<uint32_t>(referenced.size());
+    for (uint64_t bits = marked[w]; bits != 0; bits &= bits - 1) {
+      const int bit = std::countr_zero(bits);
+      const auto id = static_cast<VectorId>(w * 64 + static_cast<size_t>(bit));
+      referenced.push_back(id);
+      num_items += build.SizeOf(id);
+    }
   }
-  writer.U32(static_cast<uint32_t>(assignment.vectors.size()));
-  for (const auto& [id, items] : assignment.vectors) {
-    writer.U32(id);
-    writer.U32(static_cast<uint32_t>(items.size()));
-    writer.Bytes(items.data(), items.size() * sizeof(ItemId));
+
+  // Past the fixed fields a key takes 12 bytes with its count, a vector
+  // 8 with its item count, and a position or an item 4.
+  const size_t num_keys = slice.num_keys();
+  size_t bytes = kAssignmentFixedBytes + num_keys * kMinKeyBytes;
+  bytes += referenced.size() * kMinVectorBytes;
+  bytes += (ids.size() + num_items) * sizeof(uint32_t);
+  std::vector<uint8_t> payload(bytes);
+  uint8_t* out = payload.data();
+  auto put = [&out](const void* data, size_t bytes) {
+    if (bytes > 0) std::memcpy(out, data, bytes);
+    out += bytes;
+  };
+  auto put_u32 = [&put](size_t value) {
+    const auto v = static_cast<uint32_t>(value);
+    put(&v, sizeof(v));
+  };
+  put_u32(epoch);
+  put(&threshold, sizeof(threshold));
+  const auto measure_byte = static_cast<uint8_t>(measure);
+  put(&measure_byte, 1);
+  put_u32(num_keys);
+  put(slice.keys_span().data(), num_keys * sizeof(uint64_t));
+  for (size_t k = 0; k < num_keys; ++k) put_u32(offsets[k + 1] - offsets[k]);
+  for (VectorId id : ids) {
+    const uint64_t below = marked[id / 64] & ((uint64_t{1} << (id % 64)) - 1);
+    put_u32(rank[id / 64] + static_cast<size_t>(std::popcount(below)));
   }
-  return {FrameType::kAssignment, std::move(writer).Take()};
+  put_u32(referenced.size());
+  put(referenced.data(), referenced.size() * sizeof(VectorId));
+  for (VectorId id : referenced) put_u32(build.SizeOf(id));
+  for (VectorId id : referenced) {
+    const std::span<const ItemId> items = build.Get(id);
+    put(items.data(), items.size() * sizeof(ItemId));
+  }
+  assert(out == payload.data() + payload.size());
+  return {FrameType::kAssignment, std::move(payload)};
 }
 
-Status DecodeAssignment(const Frame& frame, WorkerAssignment* out,
+Status DecodeAssignment(const Frame& frame, Assignment* out,
                         uint32_t* epoch) {
   SKEWSEARCH_RETURN_NOT_OK(
       ExpectType(frame, FrameType::kAssignment, "Assignment"));
   PayloadReader reader(frame.payload);
   uint32_t frame_epoch = 0;
   SKEWSEARCH_RETURN_NOT_OK(reader.U32(&frame_epoch));
-  WorkerAssignment assignment;
-  SKEWSEARCH_RETURN_NOT_OK(reader.F64(&assignment.threshold));
-  if (!std::isfinite(assignment.threshold)) {
+  Assignment a;
+  SKEWSEARCH_RETURN_NOT_OK(reader.F64(&a.threshold));
+  if (!std::isfinite(a.threshold)) {
     return Corrupt("Assignment threshold is not finite");
   }
   uint8_t measure = 0;
@@ -238,60 +305,34 @@ Status DecodeAssignment(const Frame& frame, WorkerAssignment* out,
   if (measure > static_cast<uint8_t>(Measure::kCosine)) {
     return Corrupt("Assignment measure out of range");
   }
-  assignment.measure = static_cast<Measure>(measure);
+  a.measure = static_cast<Measure>(measure);
 
+  // Each count is bounded by the bytes left before its array is sized.
   uint32_t num_keys = 0;
   SKEWSEARCH_RETURN_NOT_OK(
-      BoundedCount(&reader, kMinPostingBytes, "Assignment key", &num_keys));
-  assignment.postings.reserve(num_keys);
-  uint64_t previous_key = 0;
-  for (uint32_t k = 0; k < num_keys; ++k) {
-    uint64_t key = 0;
-    uint32_t count = 0;
-    SKEWSEARCH_RETURN_NOT_OK(reader.U64(&key));
-    if (k > 0 && key <= previous_key) {
-      return Corrupt("Assignment keys are not strictly increasing");
-    }
-    previous_key = key;
-    SKEWSEARCH_RETURN_NOT_OK(reader.U32(&count));
-    if (count == 0) return Corrupt("Assignment posting list is empty");
-    if (count > reader.remaining() / sizeof(VectorId)) {
-      return Corrupt("Assignment posting count exceeds the payload");
-    }
-    std::vector<VectorId> ids(count);
-    SKEWSEARCH_RETURN_NOT_OK(
-        reader.Bytes(ids.data(), count * sizeof(VectorId)));
-    assignment.postings.emplace_back(key, std::move(ids));
-  }
+      BoundedCount(&reader, kMinKeyBytes, "Assignment key", &num_keys));
+  a.keys.resize(num_keys);
+  SKEWSEARCH_RETURN_NOT_OK(
+      reader.Bytes(a.keys.data(), num_keys * sizeof(uint64_t)));
+  SKEWSEARCH_RETURN_NOT_OK(
+      ReadOffsets(&reader, num_keys, "Assignment id", &a.offsets));
+  a.positions.resize(a.offsets.back());
+  SKEWSEARCH_RETURN_NOT_OK(
+      reader.Bytes(a.positions.data(), a.positions.size() * sizeof(VectorId)));
 
   uint32_t num_vectors = 0;
   SKEWSEARCH_RETURN_NOT_OK(BoundedCount(&reader, kMinVectorBytes,
                                         "Assignment vector", &num_vectors));
-  assignment.vectors.reserve(num_vectors);
-  for (uint32_t v = 0; v < num_vectors; ++v) {
-    uint32_t id = 0;
-    uint32_t count = 0;
-    SKEWSEARCH_RETURN_NOT_OK(reader.U32(&id));
-    if (v > 0 && id <= assignment.vectors.back().first) {
-      return Corrupt("Assignment vector ids are not strictly increasing");
-    }
-    SKEWSEARCH_RETURN_NOT_OK(reader.U32(&count));
-    if (count > reader.remaining() / sizeof(ItemId)) {
-      return Corrupt("Assignment item count exceeds the payload");
-    }
-    std::vector<ItemId> items(count);
-    SKEWSEARCH_RETURN_NOT_OK(
-        reader.Bytes(items.data(), count * sizeof(ItemId)));
-    for (size_t i = 1; i < items.size(); ++i) {
-      if (items[i] <= items[i - 1]) {
-        return Corrupt("Assignment vector items are not strictly "
-                       "increasing");
-      }
-    }
-    assignment.vectors.emplace_back(id, std::move(items));
-  }
+  a.vector_ids.resize(num_vectors);
+  SKEWSEARCH_RETURN_NOT_OK(
+      reader.Bytes(a.vector_ids.data(), num_vectors * sizeof(VectorId)));
+  SKEWSEARCH_RETURN_NOT_OK(
+      ReadOffsets(&reader, num_vectors, "Assignment item", &a.item_offsets));
+  a.items.resize(a.item_offsets.back());
+  SKEWSEARCH_RETURN_NOT_OK(
+      reader.Bytes(a.items.data(), a.items.size() * sizeof(ItemId)));
   SKEWSEARCH_RETURN_NOT_OK(ExpectConsumed(reader, "Assignment"));
-  *out = std::move(assignment);
+  *out = std::move(a);
   if (epoch != nullptr) *epoch = frame_epoch;
   return Status::OK();
 }

@@ -15,7 +15,9 @@
 //     itself capped at kMaxFramePayload.
 //   * Decoding never trusts the peer: enum ranges, reserved bits,
 //     sortedness and cross-references are all checked, and a failure is
-//     a Status, never UB.
+//     a Status, never UB. An Assignment's arrays are the exception the
+//     decoder leaves to its consumer: the worker checks what they mean
+//     in one pass before it adopts them (session.h, WorkerState).
 
 #ifndef SKEWSEARCH_DISTRIBUTED_TRANSPORT_WIRE_H_
 #define SKEWSEARCH_DISTRIBUTED_TRANSPORT_WIRE_H_
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/inverted_index.h"
 #include "data/dataset.h"
 #include "distributed/messages.h"
 #include "obs/metrics.h"
@@ -52,13 +55,14 @@ inline constexpr uint32_t kMagic = 0x4A574B53u;
 /// \name Protocol versions this build can speak.
 /// The Hello frame carries the coordinator's [min, max] range; the
 /// worker's HelloAck picks the highest version both sides support (see
-/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 4 is the only
-/// one: versions 1 to 3 are retired, so a header stamped with any of
-/// them is rejected and a Hello whose range excludes 4 is refused. The
-/// range and the negotiation stay so a later version can be added.
+/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 5, whose
+/// Assignment is columnar, is the only one: versions 1 to 4 are
+/// retired, so a header stamped with any of them is rejected and a
+/// Hello whose range excludes 5 is refused. The range and the
+/// negotiation stay so a later version can be added.
 /// @{
-inline constexpr uint8_t kVersionMin = 4;
-inline constexpr uint8_t kVersionMax = 4;
+inline constexpr uint8_t kVersionMin = 5;
+inline constexpr uint8_t kVersionMax = 5;
 /// @}
 
 /// Hard cap on a frame's payload length. A header announcing more is
@@ -178,33 +182,40 @@ struct HelloAckFrame {
   uint32_t worker_id = 0;    ///< echo of HelloFrame::worker_id
 };
 
-/// \brief Assignment: everything a worker needs to serve its slices.
+/// \brief A decoded Assignment: one worker's posting slice and the
+/// build-side vectors it references, as the columnar arrays the worker
+/// adopts.
 ///
-/// Mirrors what the in-process JoinWorker constructor receives: the
-/// frozen posting slices this worker owns, plus the (id, items) pairs
-/// of every build-side vector those postings reference — the shipped
-/// set whose total size over workers is the duplication factor.
-/// On the wire it follows the session epoch it opens: 0 for the first
-/// assignment, current + 1 for a lost worker's re-shipped slices.
-struct WorkerAssignment {
+/// The slice is over *positions*: a posting's position is the rank of
+/// its VectorId among the shipped vector_ids, so each list keeps the
+/// ascending order of the coordinator's slice. DecodeAssignment checks
+/// only that the arrays fit the payload, and it derives both offset
+/// arrays from the per-key and per-vector counts on the wire;
+/// WorkerState::Apply (session.h) checks what the arrays mean before it
+/// adopts them.
+struct Assignment {
   double threshold = 0.0;
   Measure measure = Measure::kBraunBlanquet;
-  /// (filter key, posting ids), keys strictly increasing; ids are this
-  /// worker's slice of the key's posting list, in slice order.
-  std::vector<std::pair<uint64_t, std::vector<VectorId>>> postings;
-  /// (vector id, sorted items), ids strictly increasing. Every posting
-  /// id above must appear here (checked by the decoder's consumer).
-  std::vector<std::pair<VectorId, std::vector<ItemId>>> vectors;
+  /// The filter keys. Key k's positions are
+  /// positions[offsets[k] .. offsets[k + 1]).
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> offsets = {0};
+  std::vector<VectorId> positions;
+  /// The shipped vectors' VectorIds. Vector v's items are
+  /// items[item_offsets[v] .. item_offsets[v + 1]).
+  std::vector<VectorId> vector_ids;
+  std::vector<uint32_t> item_offsets = {0};
+  std::vector<ItemId> items;
 };
 
 /// \brief AssignmentAck: the epoch and the counters of the slice as
 /// shipped (not a table it was merged into), which the coordinator
-/// cross-checks.
+/// cross-checks against the counters of the slice it encoded.
 struct AssignmentAckFrame {
   uint32_t epoch = 0;             ///< echo of the assignment's epoch
-  uint64_t num_keys = 0;          ///< distinct keys reconstructed
-  uint64_t num_entries = 0;       ///< posting entries reconstructed
-  uint64_t distinct_vectors = 0;  ///< distinct vectors received
+  uint64_t num_keys = 0;          ///< keys shipped
+  uint64_t num_entries = 0;       ///< positions (posting entries) shipped
+  uint64_t distinct_vectors = 0;  ///< vectors shipped
 };
 
 /// \brief One decoded probe with owned storage (the wire-side twin of
@@ -287,7 +298,13 @@ struct ErrorFrame {
 /// @{
 Frame EncodeHello(const HelloFrame& hello);
 Frame EncodeHelloAck(const HelloAckFrame& ack);
-Frame EncodeAssignment(const WorkerAssignment& assignment,
+/// The Assignment shipping \p slice, a posting table over \p build's
+/// VectorIds, with the vectors it references. Written in one pass per
+/// array into a payload sized up front: a bitmap over \p build marks
+/// the referenced ids, and each posting id is written as its rank
+/// among them.
+Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
+                       double threshold, Measure measure,
                        uint32_t epoch = 0);
 Frame EncodeAssignmentAck(const AssignmentAckFrame& ack);
 Frame EncodeProbeBatch(std::span<const ProbeRequest> batch,
@@ -307,7 +324,7 @@ Frame EncodeError(const Status& status);
 /// @{
 Status DecodeHello(const Frame& frame, HelloFrame* out);
 Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out);
-Status DecodeAssignment(const Frame& frame, WorkerAssignment* out,
+Status DecodeAssignment(const Frame& frame, Assignment* out,
                         uint32_t* epoch = nullptr);
 Status DecodeAssignmentAck(const Frame& frame, AssignmentAckFrame* out);
 Status DecodeProbeBatch(const Frame& frame, ProbeBatch* out);

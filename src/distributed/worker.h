@@ -16,7 +16,9 @@
 // dataset the worker verifies against. In-process and frozen workers
 // verify against the whole build side, so a position is the VectorId
 // itself. A remote worker stores only the vectors shipped to it, in
-// arrival order, and keeps the position -> VectorId map beside them.
+// arrival order, and keeps the position -> VectorId map beside them;
+// its slices arrive over positions already (a wire v5 Assignment, see
+// transport/session.h), so it adopts them without mapping a posting.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_WORKER_H_
 #define SKEWSEARCH_DISTRIBUTED_WORKER_H_
@@ -102,8 +104,9 @@ class JoinWorker {
   size_t distinct_vectors() const { return distinct_vectors_; }
 
   /// The frozen posting slices this worker serves, over stored
-  /// positions (what a coordinator's in-process worker serializes into
-  /// a WorkerAssignment; there positions are the ids).
+  /// positions (a coordinator's in-process worker encodes its table
+  /// into an Assignment, wire::EncodeAssignment; there positions are
+  /// the ids).
   const FilterTable& table() const { return table_; }
 
  private:

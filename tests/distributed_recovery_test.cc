@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -21,12 +22,14 @@
 #include <utility>
 #include <vector>
 
+#include "assignment_test_util.h"
 #include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
 #include "reference_join.h"
+#include "util/containers.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -194,21 +197,17 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
   // response: the worker recomputes against read-only state. Driven at
   // the session layer, where the pipelined API allows two identical
   // batches in flight.
-  wire::WorkerAssignment assignment;
-  assignment.threshold = 0.4;
-  assignment.measure = Measure::kBraunBlanquet;
-  assignment.postings.emplace_back(7u, std::vector<VectorId>{0, 1});
-  assignment.vectors.emplace_back(0u, std::vector<ItemId>{1, 2, 3});
-  assignment.vectors.emplace_back(1u, std::vector<ItemId>{2, 3, 4});
-
   auto [client, server] = LoopbackPair();
   HostedWorker host;
   host.thread = std::thread([&host, conn = std::move(server)]() mutable {
     host.status = ServeConnection(conn.get(), &host.stats);
   });
-  auto session =
-      RemoteWorkerSession::Start(std::move(client), /*worker_id=*/0,
-                                 /*num_workers=*/1, assignment);
+  const wire::Frame assignment =
+      test::AssignmentFrame({{7, {0, 1}}}, {{0, {1, 2, 3}}, {1, {2, 3, 4}}},
+                            /*threshold=*/0.4);
+  auto session = RemoteWorkerSession::Start(
+      std::move(client), /*worker_id=*/0, /*num_workers=*/1, assignment,
+      test::ExpectedAck(assignment));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
 
   const std::vector<ItemId> items = {2, 3, 4};
@@ -239,6 +238,87 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
   host.Join();
   EXPECT_TRUE(host.status.ok()) << host.status.ToString();
   EXPECT_EQ(host.stats.batches, 2u);
+}
+
+TEST(DistributedRecoveryTest, ReshipEqualsTheBuildOfBothSlices) {
+  // Seeded pairs of slices over one build side, sharing heavy keys and
+  // many vectors. A survivor applies the first at epoch 0 and the second
+  // at epoch 1. After each, its table must equal FilterTable::Build over
+  // every applied (key, stored position) pair, and the second must leave
+  // every vector the survivor held at its position.
+  const uint64_t heavy_keys[] = {0x1111, 0x2222, 0x3333};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed = " + std::to_string(seed));
+    Rng rng(seed);
+    Dataset build;
+    const size_t n = 40 + rng.NextBounded(80);
+    for (size_t v = 0; v < n; ++v) {
+      std::vector<ItemId> items;
+      ItemId item = 0;
+      for (size_t i = 1 + rng.NextBounded(6); i > 0; --i) {
+        item += 1 + static_cast<ItemId>(rng.NextBounded(40));
+        items.push_back(item);
+      }
+      build.Add(std::span<const ItemId>(items));
+    }
+    auto random_slice = [&] {
+      std::vector<Posting> postings;
+      for (uint64_t key : heavy_keys) {
+        for (size_t i = 5 + rng.NextBounded(20); i > 0; --i) {
+          postings.push_back({key, static_cast<VectorId>(rng.NextBounded(n))});
+        }
+      }
+      for (size_t k = 10 + rng.NextBounded(20); k > 0; --k) {
+        const uint64_t key = rng.NextUint64();
+        for (size_t i = 1 + rng.NextBounded(3); i > 0; --i) {
+          postings.push_back({key, static_cast<VectorId>(rng.NextBounded(n))});
+        }
+      }
+      return FilterTable::Build(std::move(postings));
+    };
+    const FilterTable slices[] = {random_slice(), random_slice()};
+
+    WorkerState survivor(0);
+    std::vector<VectorId> held;
+    std::vector<Posting> applied;
+    for (uint32_t epoch = 0; epoch < 2; ++epoch) {
+      const FilterTable& slice = slices[epoch];
+      size_t reshipped_held = 0;
+      for (VectorId id : slice.ids_span()) {
+        reshipped_held += std::count(held.begin(), held.end(), id);
+      }
+      EXPECT_EQ(reshipped_held > 0, epoch == 1);
+      const wire::Frame frame = wire::EncodeAssignment(
+          slice, build, 0.5, Measure::kBraunBlanquet, epoch);
+      wire::Assignment assignment;
+      ASSERT_TRUE(wire::DecodeAssignment(frame, &assignment).ok());
+      ASSERT_TRUE(survivor.Apply(std::move(assignment)).ok());
+      const std::vector<VectorId>& stored = survivor.original_ids();
+      ASSERT_GE(stored.size(), held.size());
+      EXPECT_TRUE(std::equal(held.begin(), held.end(), stored.begin()));
+      held = stored;
+      PostingMap<VectorId, VectorId> position;
+      for (size_t p = 0; p < stored.size(); ++p) {
+        EXPECT_TRUE(
+            position.emplace(stored[p], static_cast<VectorId>(p)).second)
+            << "vector " << stored[p] << " stored twice";
+      }
+      for (size_t k = 0; k < slice.num_keys(); ++k) {
+        for (VectorId id : slice.postings_at(k)) {
+          ASSERT_NE(position.find(id), position.end()) << "id " << id;
+          applied.push_back({slice.key_at(k), position.find(id)->second});
+        }
+      }
+      const FilterTable expected = FilterTable::Build(applied);
+      const FilterTable& table = survivor.worker()->table();
+      auto same = [](auto a, auto b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+      };
+      EXPECT_TRUE(same(table.keys_span(), expected.keys_span()));
+      EXPECT_TRUE(same(table.offsets_span(), expected.offsets_span()));
+      EXPECT_TRUE(same(table.ids_span(), expected.ids_span()));
+    }
+  }
 }
 
 /// A coordinator-side connection that forwards every frame but rewrites

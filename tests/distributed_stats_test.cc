@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "assignment_test_util.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
@@ -205,12 +206,11 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   HostedWorker worker;
   worker.Serve(std::move(worker_end), options);
 
-  wire::WorkerAssignment assignment;
-  assignment.threshold = 0.5;
-  assignment.postings.emplace_back(42, std::vector<VectorId>{1});
-  assignment.vectors.emplace_back(1, std::vector<ItemId>{3, 5});
-  auto session =
-      RemoteWorkerSession::Start(std::move(coordinator), 0, 1, assignment);
+  const wire::Frame assignment =
+      test::AssignmentFrame({{42, {1}}}, {{1, {3, 5}}});
+  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
+                                            assignment,
+                                            test::ExpectedAck(assignment));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
 
   const std::vector<ItemId> probe_items = {3, 5};
@@ -244,6 +244,48 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   worker.Join();
   EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
   EXPECT_EQ(worker.stats.batches, 2u);
+}
+
+TEST(DistributedStatsTest, AssignmentTimeIsOneSamplePerAssignment) {
+  // worker.assignment_ns times each Assignment's decode, validation and
+  // adoption or rebuild: one sample after the attach, two after a re-ship.
+  obs::MetricsRegistry registry;
+  ServeOptions options;
+  options.metrics = &registry;
+  auto [coordinator, worker_end] = LoopbackPair();
+  HostedWorker worker;
+  worker.Serve(std::move(worker_end), options);
+  const wire::Frame assignment =
+      test::AssignmentFrame({{42, {1}}}, {{1, {3, 5}}});
+  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
+                                            assignment,
+                                            test::ExpectedAck(assignment));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto samples = [&]() -> uint64_t {
+    auto stats = session->QueryStats();
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!stats.ok()) return 0;
+    for (const obs::MetricSnapshot& m : stats->metrics) {
+      if (m.name == "worker.assignment_ns") return m.histogram.count;
+    }
+    ADD_FAILURE() << "no worker.assignment_ns in the scrape";
+    return 0;
+  };
+  EXPECT_EQ(samples(), 1u);
+  // A re-ship must open the next epoch; the session sends nothing else.
+  const wire::Frame skipped = test::AssignmentFrame(
+      {{43, {2}}}, {{2, {3, 7}}}, 0.5, /*epoch=*/2);
+  EXPECT_TRUE(session->Reassign(skipped, test::ExpectedAck(skipped))
+                  .IsInvalidArgument());
+  const wire::Frame reship = test::AssignmentFrame(
+      {{42, {1}}, {43, {2}}}, {{1, {3, 5}}, {2, {3, 7}}}, 0.5, /*epoch=*/1);
+  ASSERT_TRUE(session->Reassign(reship, test::ExpectedAck(reship)).ok());
+  EXPECT_EQ(session->epoch(), 1u);
+  EXPECT_EQ(samples(), 2u);
+  EXPECT_TRUE(session->Shutdown().ok());
+  worker.Join();
+  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
+  EXPECT_EQ(worker.stats.reassignments, 1u);
 }
 
 TEST(DistributedStatsTest, ScrapeRejectsV1OnlyWorker) {

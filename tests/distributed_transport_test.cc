@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "assignment_test_util.h"
 #include "core/similarity_join.h"
 #include "data/generators.h"
 #include "distributed/distributed_join.h"
@@ -171,14 +172,16 @@ TEST(DistributedTransportTest, ConnectToClosedPortFails) {
 }
 
 TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
-  // A future coordinator, and old peers: versions 1 to 3 are retired,
-  // so a range that stops below 4 has nothing in common with a worker.
+  // A future coordinator, and old peers: versions 1 to 4 are retired,
+  // so a range that stops below 5 has nothing in common with a worker.
   const std::pair<uint8_t, uint8_t> ranges[] = {
       {wire::kVersionMax + 1, wire::kVersionMax + 9},
       {1, 1},
       {1, 2},
       {1, 3},
-      {3, 3}};
+      {3, 3},
+      {1, 4},
+      {4, 4}};
   for (const auto& [min_version, max_version] : ranges) {
     SCOPED_TRACE("range " + std::to_string(min_version) + ".." +
                  std::to_string(max_version));
@@ -214,24 +217,119 @@ TEST(DistributedTransportTest, ConnectEndpointRejectsMalformedEndpoints) {
   }
 }
 
+/// A coordinator-side connection that sends \p replacement in place of
+/// the first Assignment frame and forwards everything else.
+class AssignmentSwappingConnection : public FrameConnection {
+ public:
+  AssignmentSwappingConnection(std::unique_ptr<FrameConnection> inner,
+                               wire::Frame replacement)
+      : inner_(std::move(inner)), replacement_(std::move(replacement)) {}
+
+  Status Send(const wire::Frame& frame) override {
+    if (swapped_ || frame.type != wire::FrameType::kAssignment) {
+      return inner_->Send(frame);
+    }
+    swapped_ = true;
+    return inner_->Send(replacement_);
+  }
+  Status Receive(wire::Frame* frame) override {
+    return inner_->Receive(frame);
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<FrameConnection> inner_;
+  wire::Frame replacement_;
+  bool swapped_ = false;
+};
+
 TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
-  // Postings referencing a vector that was not shipped must fail the
-  // attach, not silently verify against garbage.
-  HostedWorker worker;
-  auto [coordinator, worker_end] = LoopbackPair();
-  worker.Serve(std::move(worker_end));
-  wire::WorkerAssignment assignment;
-  assignment.threshold = 0.5;
-  assignment.postings.emplace_back(42, std::vector<VectorId>{1, 2});
-  assignment.vectors.emplace_back(1, std::vector<ItemId>{3, 5});
-  // id 2 is referenced but never shipped.
-  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
-                                            assignment);
-  EXPECT_FALSE(session.ok());
-  EXPECT_TRUE(session.status().IsInvalidArgument())
-      << session.status().ToString();
-  worker.Join();
-  EXPECT_FALSE(worker.status.ok());
+  // One row per rule the worker checks before adopting an Assignment's
+  // arrays. The last of two workers is sent the row's arrays: it answers
+  // an Error frame carrying InvalidArgument, and the attach fails all
+  // or nothing, leaving the coordinator serving in-process.
+  const struct {
+    const char* rule;
+    wire::Frame frame;
+  } rows[] = {
+      {"keys are not strictly increasing",
+       test::AssignmentFrame({{43, {1}}, {42, {2}}}, {{1, {3}}, {2, {5}}})},
+      {"posting list 1 is empty",
+       test::AssignmentFrame({{42, {1}}, {43, {}}}, {{1, {3, 5}}})},
+      // Id 2 is referenced but never shipped: its position is past the
+      // last vector.
+      {"position 1 names no vector (it ships 1)",
+       test::AssignmentFrame({{42, {1, 2}}}, {{1, {3, 5}}})},
+      {"positions descend within posting list 0",
+       test::AssignmentFrame({{42, {2, 1}}}, {{1, {3}}, {2, {5}}})},
+      {"ships vector 2 but no posting references it",
+       test::AssignmentFrame({{42, {1}}}, {{1, {3, 5}}, {2, {3, 7}}})},
+      {"vector ids are not strictly increasing",
+       test::AssignmentFrame({{42, {2}}, {43, {1}}}, {{2, {3}}, {1, {5}}})},
+      {"vector 1 has items that are not strictly increasing",
+       test::AssignmentFrame({{42, {1}}}, {{1, {5, 3}}})},
+  };
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(93, 80, &dist);
+  const JoinOptions join_options = AdversarialJoinOptions(0.8, 93);
+  DistributedJoinOptions options;
+  options.index = join_options.index;
+  options.threshold = join_options.threshold;
+  options.workers = 2;
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist, options).ok());
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.rule);
+    HostedWorker kept;
+    HostedWorker hostile;
+    auto [coordinator_a, worker_a] = LoopbackPair();
+    auto [coordinator_b, worker_b] = LoopbackPair();
+    kept.Serve(std::move(worker_a));
+    hostile.Serve(std::move(worker_b));
+    std::vector<std::unique_ptr<FrameConnection>> connections;
+    connections.push_back(std::move(coordinator_a));
+    connections.push_back(std::make_unique<AssignmentSwappingConnection>(
+        std::move(coordinator_b), row.frame));
+    const Status attached = join.AttachRemote(std::move(connections));
+    EXPECT_TRUE(attached.IsInvalidArgument()) << attached.ToString();
+    EXPECT_NE(attached.ToString().find(row.rule), std::string::npos)
+        << attached.ToString();
+    EXPECT_FALSE(join.remote());
+    kept.Join();
+    hostile.Join();
+    EXPECT_TRUE(kept.status.ok()) << kept.status.ToString();
+    EXPECT_TRUE(hostile.status.IsInvalidArgument())
+        << hostile.status.ToString();
+  }
+  ASSERT_TRUE(join.SelfJoin().ok());
+
+  // Offsets that disagree with their arrays cannot cross the wire: v5
+  // derives both offset arrays from the counts. The worker still checks
+  // the arrays it is handed, every offset before it reads an element.
+  const wire::Frame frame =
+      test::AssignmentFrame({{42, {1, 2}}}, {{1, {3, 5}}, {2, {3}}});
+  wire::Assignment decoded;
+  ASSERT_TRUE(wire::DecodeAssignment(frame, &decoded).ok());
+  const struct {
+    const char* rule;
+    void (*edit)(wire::Assignment*);
+  } edits[] = {
+      {"counts sum to 2 but it holds 3",
+       [](wire::Assignment* a) { a->positions.push_back(0); }},
+      {"item offsets do not bracket its items",
+       [](wire::Assignment* a) { a->item_offsets = {0, 10, 3}; }},
+  };
+  for (const auto& edit : edits) {
+    SCOPED_TRACE(edit.rule);
+    wire::Assignment assignment = decoded;
+    edit.edit(&assignment);
+    WorkerState state(0);
+    const Status applied = state.Apply(std::move(assignment));
+    EXPECT_TRUE(applied.IsInvalidArgument()) << applied.ToString();
+    EXPECT_NE(applied.ToString().find(edit.rule), std::string::npos)
+        << applied.ToString();
+    EXPECT_EQ(state.worker(), nullptr);
+  }
 }
 
 TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
@@ -240,12 +338,11 @@ TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
   HostedWorker worker;
   auto [coordinator, worker_end] = LoopbackPair();
   worker.Serve(std::move(worker_end));
-  wire::WorkerAssignment assignment;
-  assignment.threshold = 0.5;
-  assignment.postings.emplace_back(42, std::vector<VectorId>{1});
-  assignment.vectors.emplace_back(1, std::vector<ItemId>{1, 5, 7, 9});
+  const wire::Frame assignment =
+      test::AssignmentFrame({{42, {1}}}, {{1, {1, 5, 7, 9}}});
   auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
-                                            assignment);
+                                            assignment,
+                                            test::ExpectedAck(assignment));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   const std::vector<ItemId> items(8, 5);
   ProbeRequest request;
@@ -284,14 +381,12 @@ std::unique_ptr<FrameConnection> RawSession(HostedWorker* worker) {
 TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
   // Slice A is what a session opens with; slice B is a lost worker's,
   // re-shipped at the next epoch.
-  wire::WorkerAssignment slice_a;
-  slice_a.threshold = 0.5;
-  slice_a.postings.emplace_back(42, std::vector<VectorId>{1});
-  slice_a.vectors.emplace_back(1, std::vector<ItemId>{3, 5});
-  wire::WorkerAssignment slice_b;
-  slice_b.threshold = 0.5;
-  slice_b.postings.emplace_back(43, std::vector<VectorId>{2});
-  slice_b.vectors.emplace_back(2, std::vector<ItemId>{3, 5, 7});
+  auto slice_a = [](uint32_t epoch) {
+    return test::AssignmentFrame({{42, {1}}}, {{1, {3, 5}}}, 0.5, epoch);
+  };
+  auto slice_b = [](uint32_t epoch) {
+    return test::AssignmentFrame({{43, {2}}}, {{2, {3, 5, 7}}}, 0.5, epoch);
+  };
 
   // Epoch 1 first, epoch 0 twice, and a skip to current + 2 each fail
   // the session with an Error frame.
@@ -303,13 +398,11 @@ TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
     std::unique_ptr<FrameConnection> coordinator = RawSession(&worker);
     wire::Frame frame;
     for (size_t i = 0; i + 1 < epochs.size(); ++i) {
-      ASSERT_TRUE(
-          coordinator->Send(wire::EncodeAssignment(slice_a, epochs[i])).ok());
+      ASSERT_TRUE(coordinator->Send(slice_a(epochs[i])).ok());
       ASSERT_TRUE(coordinator->Receive(&frame).ok());
       ASSERT_EQ(frame.type, wire::FrameType::kAssignmentAck);
     }
-    ASSERT_TRUE(
-        coordinator->Send(wire::EncodeAssignment(slice_b, epochs.back())).ok());
+    ASSERT_TRUE(coordinator->Send(slice_b(epochs.back())).ok());
     ASSERT_TRUE(coordinator->Receive(&frame).ok());
     ASSERT_EQ(frame.type, wire::FrameType::kError);
     wire::ErrorFrame error;
@@ -328,8 +421,8 @@ TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
   std::unique_ptr<FrameConnection> coordinator = RawSession(&worker);
   wire::Frame frame;
   for (uint32_t epoch : {0u, 1u}) {
-    const wire::WorkerAssignment& slice = epoch == 0 ? slice_a : slice_b;
-    ASSERT_TRUE(coordinator->Send(wire::EncodeAssignment(slice, epoch)).ok());
+    ASSERT_TRUE(
+        coordinator->Send(epoch == 0 ? slice_a(epoch) : slice_b(epoch)).ok());
     ASSERT_TRUE(coordinator->Receive(&frame).ok());
     wire::AssignmentAckFrame ack;
     ASSERT_TRUE(wire::DecodeAssignmentAck(frame, &ack).ok());

@@ -2,15 +2,20 @@
 // property tests over every frame type, and the negative paths the
 // spec (docs/WIRE_PROTOCOL.md) requires a decoder to reject — corrupt
 // magic/version/type, truncated frames at every prefix, and oversized
-// count fields that must fail before allocating anything.
+// count fields that must fail before allocating anything. Mutated
+// Assignments also go through the worker's validation, which must
+// reject them or adopt a table it can serve.
 
 #include "distributed/transport/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "assignment_test_util.h"
+#include "distributed/transport/session.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -46,9 +51,9 @@ TEST(DistributedWireTest, FrameHeaderRejectsCorruptMagic) {
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsBadVersion) {
-  // 0 was never a version, 1 to 3 are retired, and anything above
+  // 0 was never a version, 1 to 4 are retired, and anything above
   // kVersionMax is a future peer.
-  const uint8_t rejected[] = {0, 1, 2, 3, kVersionMax + 1};
+  const uint8_t rejected[] = {0, 1, 2, 3, 4, kVersionMax + 1};
   for (uint8_t version : rejected) {
     FrameHeader header;
     Status status = DecodeFrameHeader(
@@ -130,7 +135,7 @@ TEST(DistributedWireTest, DecodersRejectMismatchedFrameType) {
   Frame frame = EncodeShutdown();
   HelloFrame hello;
   HelloAckFrame hello_ack;
-  WorkerAssignment assignment;
+  Assignment assignment;
   AssignmentAckFrame assignment_ack;
   ProbeBatch probes;
   ResponseBatch responses;
@@ -144,27 +149,29 @@ TEST(DistributedWireTest, DecodersRejectMismatchedFrameType) {
   EXPECT_FALSE(DecodeError(frame, &error).ok());
 }
 
-WorkerAssignment RandomAssignment(Rng* rng) {
-  WorkerAssignment assignment;
-  assignment.threshold = 0.5 + 0.4 * rng->NextDouble();
-  assignment.measure = static_cast<Measure>(rng->NextBounded(5));
-  const size_t num_keys = 1 + rng->NextBounded(20);
-  uint64_t key = 0;
-  std::vector<VectorId> referenced;
-  for (size_t k = 0; k < num_keys; ++k) {
-    key += 1 + rng->NextBounded(1000);
-    std::vector<VectorId> ids;
-    const size_t count = 1 + rng->NextBounded(6);
-    for (size_t i = 0; i < count; ++i) {
-      ids.push_back(static_cast<VectorId>(rng->NextBounded(50)));
-    }
-    for (VectorId id : ids) referenced.push_back(id);
-    assignment.postings.emplace_back(key, std::move(ids));
+/// What the coordinator's encoder reads: a posting slice over a build
+/// side's VectorIds, and the verification parameters.
+struct Slice {
+  Dataset build;
+  FilterTable table;
+  double threshold = 0.5;
+  Measure measure = Measure::kBraunBlanquet;
+
+  Frame Encode(uint32_t epoch = 0) const {
+    return EncodeAssignment(table, build, threshold, measure, epoch);
   }
-  std::sort(referenced.begin(), referenced.end());
-  referenced.erase(std::unique(referenced.begin(), referenced.end()),
-                   referenced.end());
-  for (VectorId id : referenced) {
+};
+
+/// A random slice: up to \p max_vectors build vectors of up to 7 items
+/// (some empty), and up to \p max_keys keys from a small key space,
+/// each listing up to 6 ids, repeats kept as FilterTable::Build keeps
+/// them.
+Slice RandomSlice(Rng* rng, size_t max_vectors = 60, size_t max_keys = 20) {
+  Slice slice;
+  slice.threshold = 0.5 + 0.4 * rng->NextDouble();
+  slice.measure = static_cast<Measure>(rng->NextBounded(5));
+  const size_t n = 1 + rng->NextBounded(max_vectors);
+  for (size_t v = 0; v < n; ++v) {
     std::vector<ItemId> items;
     ItemId item = 0;
     const size_t count = rng->NextBounded(8);
@@ -172,38 +179,81 @@ WorkerAssignment RandomAssignment(Rng* rng) {
       item += 1 + static_cast<ItemId>(rng->NextBounded(100));
       items.push_back(item);
     }
-    assignment.vectors.emplace_back(id, std::move(items));
+    slice.build.Add(std::span<const ItemId>(items));
   }
-  return assignment;
+  std::vector<Posting> postings;
+  const size_t num_keys = 1 + rng->NextBounded(max_keys);
+  for (size_t k = 0; k < num_keys; ++k) {
+    const uint64_t key = rng->NextBounded(4 * max_keys) * 0x9E3779B97F4A7C15u;
+    const size_t count = 1 + rng->NextBounded(6);
+    for (size_t i = 0; i < count; ++i) {
+      postings.push_back({key, static_cast<VectorId>(rng->NextBounded(n))});
+    }
+  }
+  slice.table = FilterTable::Build(std::move(postings));
+  return slice;
+}
+
+/// Checks that \p decoded ships \p slice: its keys and offsets, each id
+/// as its rank among the referenced ids, those ids ascending with their
+/// items, and a payload of \p payload_bytes, byte for byte as large as
+/// the per-key (v4) layout of the same slice.
+void ExpectShipsSlice(const Assignment& decoded, const Slice& slice,
+                      size_t payload_bytes) {
+  EXPECT_EQ(decoded.threshold, slice.threshold);
+  EXPECT_EQ(decoded.measure, slice.measure);
+  const std::span<const VectorId> ids = slice.table.ids_span();
+  std::vector<VectorId> referenced(ids.begin(), ids.end());
+  std::sort(referenced.begin(), referenced.end());
+  referenced.erase(std::unique(referenced.begin(), referenced.end()),
+                   referenced.end());
+  ASSERT_EQ(decoded.keys.size(), slice.table.num_keys());
+  EXPECT_TRUE(std::equal(decoded.keys.begin(), decoded.keys.end(),
+                         slice.table.keys_span().begin()));
+  EXPECT_TRUE(std::equal(decoded.offsets.begin(), decoded.offsets.end(),
+                         slice.table.offsets_span().begin(),
+                         slice.table.offsets_span().end()));
+  ASSERT_EQ(decoded.positions.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(decoded.positions[i],
+              std::lower_bound(referenced.begin(), referenced.end(), ids[i]) -
+                  referenced.begin());
+  }
+  EXPECT_EQ(decoded.vector_ids, referenced);
+  size_t items = 0;
+  ASSERT_EQ(decoded.item_offsets.size(), referenced.size() + 1);
+  for (size_t v = 0; v < referenced.size(); ++v) {
+    const std::span<const ItemId> expected = slice.build.Get(referenced[v]);
+    const auto first = decoded.items.begin() + decoded.item_offsets[v];
+    const auto last = decoded.items.begin() + decoded.item_offsets[v + 1];
+    EXPECT_TRUE(std::equal(first, last, expected.begin(), expected.end()));
+    items += expected.size();
+  }
+  const size_t v4_bytes = 4 + 8 + 1 + 4 + slice.table.num_keys() * (8 + 4) +
+                          ids.size() * 4 + 4 + referenced.size() * (4 + 4) +
+                          items * 4;
+  EXPECT_EQ(payload_bytes, v4_bytes);
 }
 
 TEST(DistributedWireTest, AssignmentRandomizedRoundTrip) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
     Rng rng(seed);
-    WorkerAssignment assignment = RandomAssignment(&rng);
-    Frame frame = EncodeAssignment(assignment);
-    WorkerAssignment decoded;
+    const Slice slice = RandomSlice(&rng);
+    const Frame frame = slice.Encode();
+    Assignment decoded;
     ASSERT_TRUE(DecodeAssignment(frame, &decoded).ok());
-    EXPECT_EQ(decoded.threshold, assignment.threshold);
-    EXPECT_EQ(decoded.measure, assignment.measure);
-    ASSERT_EQ(decoded.postings.size(), assignment.postings.size());
-    for (size_t k = 0; k < assignment.postings.size(); ++k) {
-      EXPECT_EQ(decoded.postings[k].first, assignment.postings[k].first);
-      EXPECT_EQ(decoded.postings[k].second, assignment.postings[k].second);
-    }
-    ASSERT_EQ(decoded.vectors.size(), assignment.vectors.size());
-    for (size_t v = 0; v < assignment.vectors.size(); ++v) {
-      EXPECT_EQ(decoded.vectors[v].first, assignment.vectors[v].first);
-      EXPECT_EQ(decoded.vectors[v].second, assignment.vectors[v].second);
-    }
+    ExpectShipsSlice(decoded, slice, frame.payload.size());
+    // What the encoder writes is what a worker accepts.
+    WorkerState state(0);
+    const Status applied = state.Apply(std::move(decoded));
+    EXPECT_TRUE(applied.ok()) << applied.ToString();
   }
 }
 
 TEST(DistributedWireTest, AssignmentTruncatedAtEveryPrefixFails) {
   Rng rng(42);
-  WorkerAssignment assignment = RandomAssignment(&rng);
-  Frame frame = EncodeAssignment(assignment);
+  const Frame frame = RandomSlice(&rng).Encode();
   // Every strict prefix must decode to an error — never crash, never
   // succeed (the payload is consumed exactly, so success on a prefix
   // would mean trailing-byte tolerance or a short read).
@@ -212,39 +262,62 @@ TEST(DistributedWireTest, AssignmentTruncatedAtEveryPrefixFails) {
     truncated.type = frame.type;
     truncated.payload.assign(frame.payload.begin(),
                              frame.payload.begin() + len);
-    WorkerAssignment decoded;
+    Assignment decoded;
     EXPECT_FALSE(DecodeAssignment(truncated, &decoded).ok())
         << "prefix " << len << " of " << frame.payload.size();
   }
   // And the full payload with trailing garbage fails too.
   Frame padded = frame;
   padded.payload.push_back(0);
-  WorkerAssignment decoded;
+  Assignment decoded;
   EXPECT_FALSE(DecodeAssignment(padded, &decoded).ok());
 }
 
 TEST(DistributedWireTest, AssignmentRejectsUnsortedKeysAndVectors) {
-  WorkerAssignment assignment;
-  assignment.threshold = 0.5;
-  assignment.postings.emplace_back(10, std::vector<VectorId>{1});
-  assignment.postings.emplace_back(10, std::vector<VectorId>{2});
-  assignment.vectors.emplace_back(1, std::vector<ItemId>{3});
-  assignment.vectors.emplace_back(2, std::vector<ItemId>{3});
-  WorkerAssignment decoded;
-  EXPECT_FALSE(DecodeAssignment(EncodeAssignment(assignment), &decoded).ok())
-      << "duplicate keys must be rejected";
-
-  assignment.postings[1].first = 11;
-  ASSERT_TRUE(DecodeAssignment(EncodeAssignment(assignment), &decoded).ok());
-
-  assignment.vectors[1].first = 1;  // duplicate vector id
-  EXPECT_FALSE(
-      DecodeAssignment(EncodeAssignment(assignment), &decoded).ok());
-
-  assignment.vectors[1].first = 2;
-  assignment.vectors[1].second = {5, 5};  // non-increasing items
-  EXPECT_FALSE(
-      DecodeAssignment(EncodeAssignment(assignment), &decoded).ok());
+  // The decoder checks only that the arrays fit the payload; the worker
+  // that adopts them rejects what they must not mean. An empty rule
+  // marks the sorted row, which the worker adopts.
+  auto decode = [](const Frame& frame) {
+    Assignment decoded;
+    EXPECT_TRUE(DecodeAssignment(frame, &decoded).ok());
+    return decoded;
+  };
+  const Assignment sorted = decode(
+      test::AssignmentFrame({{10, {1}}, {11, {2}}}, {{1, {3}}, {2, {3}}}));
+  // Both positions referenced, both vectors shipped as id 1: the frame
+  // helper would write both postings as the first position.
+  Assignment duplicate_id = sorted;
+  duplicate_id.vector_ids = {1, 1};
+  const struct {
+    Assignment assignment;
+    const char* rule;
+  } rows[] = {
+      {decode(test::AssignmentFrame({{10, {1}}, {10, {2}}},
+                                    {{1, {3}}, {2, {3}}})),
+       "keys are not strictly increasing"},
+      {sorted, ""},
+      {duplicate_id, "vector ids are not strictly increasing"},
+      {decode(test::AssignmentFrame({{10, {2}}, {11, {1}}},
+                                    {{2, {3}}, {1, {3}}})),
+       "vector ids are not strictly increasing"},
+      {decode(test::AssignmentFrame({{10, {1}}, {11, {2}}},
+                                    {{1, {3}}, {2, {5, 5}}})),
+       "items that are not strictly increasing"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.rule);
+    Assignment decoded = row.assignment;
+    WorkerState state(0);
+    const Status status = state.Apply(std::move(decoded));
+    if (*row.rule == '\0') {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      continue;
+    }
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.ToString().find(row.rule), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(state.worker(), nullptr);
+  }
 }
 
 TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
@@ -263,28 +336,62 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
               std::string::npos)
         << status.ToString();
   };
+  // An Assignment has four counts: keys and vectors on the wire, ids
+  // and items summed from the per-key and per-vector counts. Each sum
+  // is taken in 64 bits: two counts of 2^31 wrap a 32-bit sum to 0.
+  auto assignment_head = [](PayloadWriter* writer) {
+    writer->U32(0);  // epoch
+    writer->F64(0.5);
+    writer->U8(0);
+  };
+  auto one_key = [](PayloadWriter* writer) {
+    writer->U32(1);  // one key...
+    writer->U64(7);
+    writer->U32(1);  // ...listing one position
+    writer->U32(0);
+  };
   {
     PayloadWriter writer;
-    writer.U32(0);  // epoch
-    writer.F64(0.5);
-    writer.U8(0);
-    writer.U32(0xFFFFFFFFu);  // posting-key count
+    assignment_head(&writer);
+    writer.U32(0xFFFFFFFFu);  // key count
     Frame frame{FrameType::kAssignment, std::move(writer).Take()};
-    WorkerAssignment decoded;
+    Assignment decoded;
     expect_count_error(DecodeAssignment(frame, &decoded), "Assignment key");
+  }
+  for (const uint32_t count : {0xFFFFFFFFu, 0x80000000u}) {
+    PayloadWriter writer;
+    assignment_head(&writer);
+    writer.U32(2);  // two keys...
+    writer.U64(7);
+    writer.U64(8);
+    writer.U32(count);  // ...claiming 4G positions, or 2^32 in all
+    writer.U32(0x80000000u);
+    Frame frame{FrameType::kAssignment, std::move(writer).Take()};
+    Assignment decoded;
+    expect_count_error(DecodeAssignment(frame, &decoded), "Assignment id");
   }
   {
     PayloadWriter writer;
-    writer.U32(0);  // epoch
-    writer.F64(0.5);
-    writer.U8(0);
-    writer.U32(1);            // one key...
-    writer.U64(7);            // key
-    writer.U32(0xFFFFFFFFu);  // ...claiming 4G posting ids
+    assignment_head(&writer);
+    one_key(&writer);
+    writer.U32(0xFFFFFFFFu);  // vector count
     Frame frame{FrameType::kAssignment, std::move(writer).Take()};
-    WorkerAssignment decoded;
+    Assignment decoded;
     expect_count_error(DecodeAssignment(frame, &decoded),
-                       "Assignment posting");
+                       "Assignment vector");
+  }
+  for (const uint32_t count : {0xFFFFFFFFu, 0x80000000u}) {
+    PayloadWriter writer;
+    assignment_head(&writer);
+    one_key(&writer);
+    writer.U32(2);  // two vectors...
+    writer.U32(1);
+    writer.U32(2);
+    writer.U32(count);  // ...claiming 4G items, or 2^32 in all
+    writer.U32(0x80000000u);
+    Frame frame{FrameType::kAssignment, std::move(writer).Take()};
+    Assignment decoded;
+    expect_count_error(DecodeAssignment(frame, &decoded), "Assignment item");
   }
   {
     PayloadWriter writer;
@@ -544,23 +651,67 @@ TEST(DistributedWireTest, AssignmentCarriesEpochRandomizedRoundTrip) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
     Rng rng(seed);
     const uint32_t epoch = static_cast<uint32_t>(rng.NextBounded(100));
-    WorkerAssignment assignment = RandomAssignment(&rng);
-    Frame frame = EncodeAssignment(assignment, epoch);
+    const Slice slice = RandomSlice(&rng);
+    const Frame frame = slice.Encode(epoch);
     EXPECT_EQ(frame.type, FrameType::kAssignment);
     uint32_t prefix = 0;
     std::memcpy(&prefix, frame.payload.data(), sizeof(prefix));
     EXPECT_EQ(prefix, epoch);
-    WorkerAssignment decoded;
+    Assignment decoded;
     uint32_t decoded_epoch = epoch + 1;
     ASSERT_TRUE(DecodeAssignment(frame, &decoded, &decoded_epoch).ok());
     EXPECT_EQ(decoded_epoch, epoch);
-    EXPECT_EQ(decoded.threshold, assignment.threshold);
-    ASSERT_EQ(decoded.postings.size(), assignment.postings.size());
-    for (size_t k = 0; k < decoded.postings.size(); ++k) {
-      EXPECT_EQ(decoded.postings[k], assignment.postings[k]);
-    }
-    ASSERT_EQ(decoded.vectors.size(), assignment.vectors.size());
+    ExpectShipsSlice(decoded, slice, frame.payload.size());
   }
+}
+
+TEST(DistributedWireTest, MutatedAssignmentsAreRejectedOrServeStoredVectors) {
+  // About 10k seeded byte flips and overwrites of one valid Assignment.
+  // Each result goes through the decoder and the worker's validation:
+  // it is rejected, or the worker adopts a table whose every position
+  // indexes a stored vector, and serves a probe over every key. Under
+  // ASan+UBSan an out-of-bounds read would abort the row.
+  Rng rng(2718);
+  const Slice slice = RandomSlice(&rng, 40, 30);
+  const Frame valid = slice.Encode();
+  size_t rejected = 0;
+  size_t adopted = 0;
+  for (int round = 0; round < 10000; ++round) {
+    Frame mutated = valid;
+    const size_t edits = 1 + rng.NextBounded(4);
+    for (size_t e = 0; e < edits; ++e) {
+      uint8_t& byte = mutated.payload[rng.NextBounded(valid.payload.size())];
+      if (rng.NextBounded(2) == 0) {
+        byte ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+      } else {
+        byte = static_cast<uint8_t>(rng.NextBounded(256));
+      }
+    }
+    Assignment decoded;
+    WorkerState state(0);
+    if (!DecodeAssignment(mutated, &decoded).ok() ||
+        !state.Apply(std::move(decoded)).ok()) {
+      rejected++;
+      EXPECT_EQ(state.worker(), nullptr);
+      continue;
+    }
+    adopted++;
+    const JoinWorker* worker = state.worker();
+    ASSERT_NE(worker, nullptr);
+    const FilterTable& table = worker->table();
+    for (VectorId position : table.ids_span()) {
+      ASSERT_LT(position, state.original_ids().size()) << "round " << round;
+    }
+    const std::vector<ItemId> items = {1, 50, 100, 200};
+    ProbeRequest request;
+    request.items = items;
+    request.keys.assign(table.keys_span().begin(), table.keys_span().end());
+    ProbeScratch scratch;
+    const ProbeResponse response = worker->Probe(request, &scratch);
+    EXPECT_EQ(response.candidates, table.num_pairs());
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(adopted, 0u);
 }
 
 TEST(DistributedWireTest, AssignmentAckRoundTripAndTruncation) {

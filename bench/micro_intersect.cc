@@ -3,7 +3,7 @@
 // inner loop of every query and join).
 //
 // Times the scalar merge reference against the runtime-selected SIMD
-// kernel (core/intersect.h) and the galloping path across size and
+// kernel (sim/intersect.h) and the galloping path across size and
 // overlap regimes, asserts the kernels agree with the reference on
 // every timed input, and (with --require-speedup X) fails unless the
 // SIMD kernel beats the scalar reference by at least X on the balanced
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/intersect.h"
 #include "data/sparse_vector.h"
 #include "sim/intersect.h"
 #include "util/random.h"
@@ -65,12 +64,12 @@ int Run(int argc, char** argv) {
     auto a = MakeSorted(size, static_cast<ItemId>(size * 16), 2 * size + 1);
     auto b = MakeSorted(size, static_cast<ItemId>(size * 16), 2 * size + 2);
     const size_t expect = IntersectSizeScalar(a, b);
-    all_agree = all_agree && IntersectSizeKernel(a, b) == expect &&
+    all_agree = all_agree && IntersectSize(a, b) == expect &&
                 IntersectSizeGalloping(a, b) == expect;
     const double scalar_ns =
         bench::NsPerOp([&] { bench::DoNotOptimize(IntersectSizeScalar(a, b)); });
     const double kernel_ns =
-        bench::NsPerOp([&] { bench::DoNotOptimize(IntersectSizeKernel(a, b)); });
+        bench::NsPerOp([&] { bench::DoNotOptimize(IntersectSize(a, b)); });
     const double gallop_ns = bench::NsPerOp(
         [&] { bench::DoNotOptimize(IntersectSizeGalloping(a, b)); });
     const double speedup = scalar_ns / kernel_ns;
@@ -90,15 +89,15 @@ int Run(int argc, char** argv) {
   table.Print();
 
   // Asymmetric regime: tiny probe against a large posting list — the
-  // galloping route IntersectSizeKernel takes on skewed inputs.
+  // galloping route IntersectSize takes on skewed inputs.
   bench::Table asym({"small", "large", "kernel_ns", "galloping_ns"});
   for (size_t large : {4096u, 65536u}) {
     auto a = MakeSorted(32, static_cast<ItemId>(large * 4), 7);
     auto b = MakeSorted(large, static_cast<ItemId>(large * 4), 8);
     all_agree =
-        all_agree && IntersectSizeKernel(a, b) == IntersectSizeScalar(a, b);
+        all_agree && IntersectSize(a, b) == IntersectSizeScalar(a, b);
     const double kernel_ns =
-        bench::NsPerOp([&] { bench::DoNotOptimize(IntersectSizeKernel(a, b)); });
+        bench::NsPerOp([&] { bench::DoNotOptimize(IntersectSize(a, b)); });
     const double gallop_ns = bench::NsPerOp(
         [&] { bench::DoNotOptimize(IntersectSizeGalloping(a, b)); });
     asym.AddRow({bench::Fmt(size_t{32}), bench::Fmt(large),

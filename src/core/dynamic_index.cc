@@ -19,6 +19,8 @@ namespace skewsearch {
 
 namespace {
 
+namespace io = index_io_internal;
+
 constexpr char kDynamicMagic[4] = {'S', 'K', 'D', '2'};
 constexpr int kMaxShards = 1 << 12;
 constexpr uint64_t kMaxBlockCount = uint64_t{1} << 32;
@@ -90,14 +92,50 @@ class CowBuckets {
     }
   }
 
-  /// Every key, ascending: the order Save writes, so identical states
-  /// save identical bytes.
+  /// Every key, ascending.
   std::vector<K> SortedKeys() const {
     std::vector<K> keys;
     keys.reserve(size());
     ForEach([&](K key, const V& /*value*/) { keys.push_back(key); });
     std::sort(keys.begin(), keys.end());
     return keys;
+  }
+
+  /// Writes the layout all four SKD2 registry blocks share: a u64 entry
+  /// count, then each key in ascending order followed by its value,
+  /// which write_value(out, value) writes. Identical registries write
+  /// identical bytes; a failed write leaves \p out failed.
+  template <typename WriteValue>
+  void Write(std::ostream& out, WriteValue&& write_value) const {
+    const std::vector<K> keys = SortedKeys();
+    io::WritePod(out, static_cast<uint64_t>(keys.size()));
+    for (K key : keys) {
+      io::WritePod(out, key);
+      write_value(out, *Find(key));
+    }
+  }
+
+  /// Replaces this registry with one Write() wrote; read_value(in, key,
+  /// &value) reads a value and returns false when it is short or
+  /// invalid. Rejects a count above kMaxBlockCount, a short read and a
+  /// repeated key; \p what names a key in the error ("inserted id").
+  template <typename ReadValue>
+  Status Read(std::istream& in, const std::string& what,
+              ReadValue&& read_value) {
+    uint64_t count = 0;
+    bool ok = io::ReadPod(in, &count) && count <= kMaxBlockCount;
+    Builder builder;
+    for (uint64_t i = 0; ok && i < count; ++i) {
+      K key{};
+      V value{};
+      ok = io::ReadPod(in, &key) && read_value(in, key, &value);
+      if (ok && !builder.Add(key, std::move(value))) {
+        return Status::InvalidArgument("duplicate " + what);
+      }
+    }
+    if (!ok) return Status::InvalidArgument("corrupt block of " + what + "s");
+    *this = std::move(builder).Build();
+    return Status::OK();
   }
 
   /// Clones each bucket one of \p keys falls in, once per call however
@@ -202,9 +240,8 @@ struct DynamicIndex::ShardState {
   /// Live inserted vectors by id.
   Inserted inserted;
 
-  /// Posting entries referencing live / tombstoned ids. Invariant:
-  /// live + dead == base->num_pairs() + total delta entries, and
-  /// dead == sum of tombstone entry counts.
+  /// Posting entries referencing live / tombstoned ids (CheckShard
+  /// states how they add up).
   size_t live_entries = 0;
   size_t dead_entries = 0;
 
@@ -217,6 +254,25 @@ struct DynamicIndex::ShardState {
     const auto* record = inserted.Find(id);
     return record != nullptr ? record->get() : nullptr;
   }
+
+  /// The postings each id has in the base table and the delta: the entry
+  /// count Remove() charges it. Load derives the counts from it, and
+  /// CheckShard holds the stored counts to it.
+  PostingMap<VectorId, uint32_t> EntriesPerId() const {
+    PostingMap<VectorId, uint32_t> entries;
+    for (VectorId id : base->ids_span()) ++entries[id];
+    delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
+      for (VectorId id : *ids) ++entries[id];
+    });
+    return entries;
+  }
+
+  /// Every rule the state of shard \p s of \p num_shards keeps, each
+  /// stated once; \p postings is EntriesPerId(). Load runs it on every
+  /// shard it parses, CheckInvariants() on every pinned one.
+  /// InvalidArgument names the first broken rule.
+  Status CheckShard(const PostingMap<VectorId, uint32_t>& postings, int s,
+                    int num_shards, size_t base_n, VectorId next_id) const;
 
   /// COW append of \p id to every key's posting list, kept sorted by
   /// id. Each touched bucket is cloned exactly once no matter how many
@@ -354,12 +410,13 @@ Status DynamicIndex::Build(const Dataset* data,
   return Status::OK();
 }
 
-Status DynamicIndex::ValidateInsertItems(std::span<const ItemId> items) const {
+Status DynamicIndex::ValidateInsertItems(std::span<const ItemId> items,
+                                         size_t dimension) {
   if (items.empty()) {
     return Status::InvalidArgument("cannot insert an empty vector");
   }
   for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i] >= dist_->dimension()) {
+    if (items[i] >= dimension) {
       return Status::InvalidArgument(
           "item outside the distribution's universe");
     }
@@ -442,7 +499,7 @@ Status DynamicIndex::ApplyInsert(VectorId id, std::span<const ItemId> items,
 Result<VectorId> DynamicIndex::Insert(std::span<const ItemId> items,
                                       size_t* num_filters) {
   if (!built()) return Status::InvalidArgument("index not built");
-  SKEWSEARCH_RETURN_NOT_OK(ValidateInsertItems(items));
+  SKEWSEARCH_RETURN_NOT_OK(ValidateInsertItems(items, dist_->dimension()));
   // The maximum VectorId is a sentinel that is never handed out and
   // never incremented past, so exhaustion is sticky: the counter cannot
   // wrap back into the live id range and reissue ids.
@@ -463,7 +520,7 @@ Result<VectorId> DynamicIndex::Insert(std::span<const ItemId> items,
 Result<bool> DynamicIndex::ReplayInsert(VectorId id,
                                         std::span<const ItemId> items) {
   if (!built()) return Status::InvalidArgument("index not built");
-  SKEWSEARCH_RETURN_NOT_OK(ValidateInsertItems(items));
+  SKEWSEARCH_RETURN_NOT_OK(ValidateInsertItems(items, dist_->dimension()));
   if (id < base_n_) {
     return Status::InvalidArgument(
         "replayed insert id collides with the base dataset");
@@ -1047,8 +1104,100 @@ size_t DynamicIndex::MemoryBytes() const {
   return total;
 }
 
+Status DynamicIndex::ShardState::CheckShard(
+    const PostingMap<VectorId, uint32_t>& postings, int s, int num_shards,
+    size_t base_n, VectorId next_id) const {
+  const char* broken = nullptr;  // the first rule found broken
+  auto check = [&](bool holds, const char* rule) {
+    if (!holds && broken == nullptr) broken = rule;
+  };
+  auto placed = [&](VectorId id) {
+    return id < next_id && ShardedIndex::ShardOf(id, num_shards) == s;
+  };
+  auto postings_of = [&](VectorId id) {
+    auto it = postings.find(id);
+    return it != postings.end() ? it->second : 0u;
+  };
+  // A live base id's count is what Remove() will charge it.
+  auto base_count_holds = [&](VectorId id) {
+    auto it = base_counts->find(id);
+    const uint32_t counted = it != base_counts->end() ? it->second : 0;
+    return removed_base.contains(id) || counted == postings_of(id);
+  };
+  const char* const base_count_rule =
+      "base entry count differs from the id's postings";
+  for (const auto& [id, count] : postings) {
+    check(placed(id), "postings reference out-of-place vector ids");
+    check(id >= base_n || base_count_holds(id), base_count_rule);
+  }
+  for (const auto& [id, count] : *base_counts) {
+    check(base_count_holds(id), base_count_rule);
+  }
+  size_t delta_entries = 0;
+  delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
+    check(!ids->empty() && std::is_sorted(ids->begin(), ids->end()),
+          "delta posting list empty or not sorted by vector id");
+    for (VectorId id : *ids) {
+      check(id >= base_n, "delta postings reference base vector ids");
+      // Remove() erases an inserted id and tombstones it in one step. An
+      // orphan would be folded into the base by compaction and also kept
+      // in the delta, live twice.
+      check(inserted.contains(id) || tombstones.contains(id),
+            "delta postings reference an id neither inserted nor "
+            "tombstoned");
+    }
+    delta_entries += ids->size();
+  });
+  uint64_t tombstone_entries = 0;
+  tombstones.ForEach([&](VectorId id, uint32_t entries) {
+    check(placed(id), "tombstones reference out-of-place vector ids");
+    // Unlisted, the id could be removed and charged dead a second time.
+    check(id >= base_n || removed_base.contains(id),
+          "tombstoned base id missing from the removed-base set");
+    check(!inserted.contains(id), "tombstoned id is still inserted");
+    check(entries == postings_of(id),
+          "tombstone entry count differs from the id's postings");
+    tombstone_entries += entries;
+  });
+  removed_base.ForEach([&](VectorId id, NoValue /*none*/) {
+    check(id < base_n && placed(id),
+          "removed-base ids reference out-of-place vector ids");
+    // Compaction drops a removed base id's postings with its tombstone;
+    // one still posted without a tombstone would be served as live.
+    check(tombstones.contains(id) || postings_of(id) == 0,
+          "removed base id without a tombstone still has postings");
+  });
+  inserted.ForEach([&](VectorId id, const auto& record) {
+    check(id >= base_n && placed(id),
+          "inserted ids reference out-of-place vector ids");
+    check(record->entries == postings_of(id),
+          "inserted entry count differs from the id's postings");
+  });
+  const size_t physical = base->num_pairs() + delta_entries;
+  check(live_entries + dead_entries == physical,
+        "live and dead entries differ from the shard's postings");
+  check(dead_entries == tombstone_entries,
+        "dead entries differ from the tombstones' entry counts");
+  if (broken == nullptr) return Status::OK();
+  return Status::InvalidArgument("shard " + std::to_string(s) + ": " +
+                                 broken);
+}
+
+Status DynamicIndex::CheckInvariants() const {
+  if (!built()) return Status::OK();
+  Snapshot snapshot = GetSnapshot();
+  // Read after the pin, so every id the snapshot holds is below it.
+  const VectorId next_id = next_id_.load(std::memory_order_relaxed);
+  for (size_t s = 0; s < snapshot.states_.size(); ++s) {
+    const auto& state = *static_cast<const ShardState*>(snapshot.states_[s]);
+    Status checked = state.CheckShard(state.EntriesPerId(), static_cast<int>(s),
+                                      num_shards(), base_n_, next_id);
+    if (!checked.ok()) return Status::Internal(checked.message());
+  }
+  return Status::OK();
+}
+
 Status DynamicIndex::Save(const std::string& path) const {
-  namespace io = index_io_internal;
   if (!built()) {
     return Status::InvalidArgument("cannot save an unbuilt index");
   }
@@ -1106,35 +1255,22 @@ Status DynamicIndex::Save(const std::string& path) const {
     ok = io::WritePod(out, edition_version);
     if (!ok) return Status::IOError("shard write to '" + path + "' failed");
     SKEWSEARCH_RETURN_NOT_OK(state->base->WriteTo(&out));
-    // Every registry in ascending key order, so identical states save
-    // identical bytes (posting order within a key is kept as stored).
-    const std::vector<uint64_t> delta_keys = state->delta.SortedKeys();
-    uint64_t delta_count = delta_keys.size();
-    ok = io::WritePod(out, delta_count);
-    for (uint64_t key : delta_keys) {
-      ok = ok && io::WritePod(out, key) &&
-           io::WriteVector(out, *state->FindDelta(key));
-    }
-    // Tombstones as (id, entries) pairs.
-    const std::vector<VectorId> tombs = state->tombstones.SortedKeys();
-    uint64_t tomb_count = tombs.size();
-    ok = ok && io::WritePod(out, tomb_count);
-    for (VectorId id : tombs) {
-      ok = ok && io::WritePod(out, id) &&
-           io::WritePod(out, *state->tombstones.Find(id));
-    }
-    ok = ok && io::WriteVector(out, state->removed_base.SortedKeys());
-    // Inserted vectors. Entry counts are not serialized — Load
-    // recomputes them from the postings.
-    const std::vector<VectorId> ids = state->inserted.SortedKeys();
-    uint64_t inserted_count = ids.size();
-    ok = ok && io::WritePod(out, inserted_count);
-    for (VectorId id : ids) {
-      ok = ok && io::WritePod(out, id) &&
-           io::WriteVector(out, state->FindInserted(id)->items);
-    }
+    // The four registries, one block each (posting order within a delta
+    // key is kept as stored). Entry counts are not written: Load derives
+    // them from the postings. A failed write leaves `out` failed, which
+    // the footer's writes report.
+    state->delta.Write(out, [](std::ostream& to, const auto& ids) {
+      io::WriteVector(to, *ids);
+    });
+    state->tombstones.Write(out, [](std::ostream& to, uint32_t entries) {
+      io::WritePod(to, entries);
+    });
+    state->removed_base.Write(out, [](std::ostream& /*to*/, NoValue) {});
+    state->inserted.Write(out, [](std::ostream& to, const auto& record) {
+      io::WriteVector(to, record->items);
+    });
     uint64_t live = state->live_entries, dead = state->dead_entries;
-    ok = ok && io::WritePod(out, live) && io::WritePod(out, dead);
+    ok = io::WritePod(out, live) && io::WritePod(out, dead);
     if (!ok) return Status::IOError("shard write to '" + path + "' failed");
   }
   out.flush();
@@ -1144,7 +1280,6 @@ Status DynamicIndex::Save(const std::string& path) const {
 
 Status DynamicIndex::Load(const std::string& path, const Dataset* data,
                           const ProductDistribution* dist) {
-  namespace io = index_io_internal;
   if (data == nullptr || dist == nullptr) {
     return Status::InvalidArgument("data and dist must be non-null");
   }
@@ -1229,10 +1364,20 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
     editions.push_back(std::move(edition));
   }
 
-  const int shard_count = static_cast<int>(num_shards);
-  auto in_shard = [&](VectorId id, int s) {
-    return id < next_id && ShardedIndex::ShardOf(id, shard_count) == s;
+  // Readers of the registry blocks' values: false on a short read.
+  auto read_ids = [](std::istream& from, uint64_t /*key*/, auto* list) {
+    std::vector<VectorId> ids;
+    if (!io::ReadVector(from, &ids)) return false;
+    *list = std::make_shared<const std::vector<VectorId>>(std::move(ids));
+    return true;
   };
+  auto read_u32 = [](std::istream& from, VectorId /*id*/, uint32_t* value) {
+    return io::ReadPod(from, value);
+  };
+  auto read_nothing = [](std::istream& /*from*/, VectorId, NoValue*) {
+    return true;
+  };
+  const int shard_count = static_cast<int>(num_shards);
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
@@ -1246,189 +1391,46 @@ Status DynamicIndex::Load(const std::string& path, const Dataset* data,
     state->edition = editions[edition_version];
     auto base = std::make_shared<FilterTable>();
     SKEWSEARCH_RETURN_NOT_OK(base->ReadFrom(&in));
-    for (size_t k = 0; k < base->num_keys(); ++k) {
-      for (VectorId id : base->postings_at(k)) {
-        if (!in_shard(id, static_cast<int>(s))) {
-          return Status::InvalidArgument(
-              "shard table references out-of-place vector ids");
-        }
-      }
-    }
-    state->base = base;
-    uint64_t delta_count = 0;
-    size_t delta_entries = 0;
-    if (!io::ReadPod(in, &delta_count) || delta_count > kMaxBlockCount) {
-      return Status::InvalidArgument("corrupt delta block in '" + path +
-                                     "'");
-    }
-    ShardState::Delta::Builder lists;
-    for (uint64_t k = 0; k < delta_count; ++k) {
-      uint64_t key = 0;
-      std::vector<VectorId> ids;
-      if (!io::ReadPod(in, &key) || !io::ReadVector(in, &ids) ||
-          ids.empty()) {
-        return Status::InvalidArgument("corrupt delta block in '" + path +
-                                       "'");
-      }
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (ids[i] < base_n || !in_shard(ids[i], static_cast<int>(s))) {
-          return Status::InvalidArgument(
-              "delta postings reference out-of-place vector ids");
-        }
-        if (i > 0 && ids[i] < ids[i - 1]) {
-          return Status::InvalidArgument(
-              "delta postings not sorted by vector id");
-        }
-      }
-      delta_entries += ids.size();
-      if (!lists.Add(key, std::make_shared<const std::vector<VectorId>>(
-                              std::move(ids)))) {
-        return Status::InvalidArgument("duplicate delta key in '" + path +
-                                       "'");
-      }
-    }
-    state->delta = std::move(lists).Build();
-    // Recompute per-vector entry counts (not serialized) by scanning the
-    // postings once: base ids into the shard's count map, inserted ids
-    // into their records below. Tombstoned ids may still appear in
-    // postings; their counts are charged but never read again.
+    state->base = std::move(base);
+    SKEWSEARCH_RETURN_NOT_OK(state->delta.Read(in, "delta key", read_ids));
+    // Entry counts are not saved: each is the postings its id has. Base
+    // ids keep theirs in the shard's count map, inserted ids in their
+    // records.
+    const PostingMap<VectorId, uint32_t> entries = state->EntriesPerId();
     auto base_counts = std::make_shared<PostingMap<VectorId, uint32_t>>();
-    PostingMap<VectorId, uint32_t> inserted_entries;
-    auto charge = [&](VectorId id) {
-      ++(id < base_n ? (*base_counts)[id] : inserted_entries[id]);
+    for (const auto& [id, count] : entries) {
+      if (id < base_n) base_counts->emplace(id, count);
+    }
+    state->base_counts = std::move(base_counts);
+    auto read_items = [&](std::istream& from, VectorId id, auto* record) {
+      auto fresh = std::make_shared<ShardState::InsertedVector>();
+      if (!io::ReadVector(from, &fresh->items) ||
+          !ValidateInsertItems(fresh->items, dist->dimension()).ok()) {
+        return false;
+      }
+      auto count = entries.find(id);
+      if (count != entries.end()) fresh->entries = count->second;
+      *record = std::move(fresh);
+      return true;
     };
-    for (size_t k = 0; k < base->num_keys(); ++k) {
-      for (VectorId id : base->postings_at(k)) charge(id);
-    }
-    state->delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
-      for (VectorId id : *ids) charge(id);
-    });
-    uint64_t tomb_count = 0;
-    uint64_t tomb_entry_total = 0;
-    if (!io::ReadPod(in, &tomb_count) || tomb_count > kMaxBlockCount) {
-      return Status::InvalidArgument("corrupt tombstone block in '" + path +
-                                     "'");
-    }
-    ShardState::Tombstones::Builder tombs;
-    for (uint64_t k = 0; k < tomb_count; ++k) {
-      VectorId id = 0;
-      uint32_t entries = 0;
-      if (!io::ReadPod(in, &id) || !io::ReadPod(in, &entries) ||
-          !in_shard(id, static_cast<int>(s))) {
-        return Status::InvalidArgument("corrupt tombstone block in '" +
-                                       path + "'");
-      }
-      if (!tombs.Add(id, entries)) {
-        return Status::InvalidArgument("duplicate tombstone in '" + path +
-                                       "'");
-      }
-      tomb_entry_total += entries;
-    }
-    state->tombstones = std::move(tombs).Build();
-    std::vector<VectorId> removed;
-    if (!io::ReadVector(in, &removed)) {
-      return Status::InvalidArgument("corrupt removed-base block in '" +
-                                     path + "'");
-    }
-    ShardState::RemovedBase::Builder removed_ids;
-    for (VectorId id : removed) {
-      if (id >= base_n || !in_shard(id, static_cast<int>(s))) {
-        return Status::InvalidArgument(
-            "removed-base ids reference out-of-place vector ids");
-      }
-      removed_ids.Add(id, NoValue{});
-    }
-    state->removed_base = std::move(removed_ids).Build();
-    // Remove() lists a base id here as it tombstones it; a tombstoned
-    // base id missing from the list could be removed (and its entries
-    // charged dead) a second time.
-    bool unlisted = false;
-    state->tombstones.ForEach([&](VectorId id, uint32_t /*entries*/) {
-      unlisted = unlisted || (id < base_n && !state->removed_base.contains(id));
-    });
-    if (unlisted) {
-      return Status::InvalidArgument(
-          "tombstoned base id missing from the removed-base block in '" +
-          path + "'");
-    }
-    uint64_t inserted_count = 0;
-    if (!io::ReadPod(in, &inserted_count) ||
-        inserted_count > kMaxBlockCount) {
-      return Status::InvalidArgument("corrupt inserted block in '" + path +
-                                     "'");
-    }
-    ShardState::Inserted::Builder records;
-    for (uint64_t k = 0; k < inserted_count; ++k) {
-      VectorId id = 0;
-      std::vector<ItemId> items;
-      if (!io::ReadPod(in, &id) || !io::ReadVector(in, &items)) {
-        return Status::InvalidArgument("corrupt inserted block in '" + path +
-                                       "'");
-      }
-      if (id < base_n || !in_shard(id, static_cast<int>(s)) ||
-          state->tombstones.contains(id)) {
-        return Status::InvalidArgument(
-            "inserted vectors reference out-of-place ids");
-      }
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (items[i] >= dist->dimension() ||
-            (i > 0 && items[i] <= items[i - 1])) {
-          return Status::InvalidArgument("inserted vector has invalid items");
-        }
-      }
-      auto record = std::make_shared<ShardState::InsertedVector>();
-      record->items = std::move(items);
-      auto charged = inserted_entries.find(id);
-      if (charged != inserted_entries.end()) record->entries = charged->second;
-      if (!records.Add(id, std::move(record))) {
-        return Status::InvalidArgument("duplicate inserted id in '" + path +
-                                       "'");
-      }
-    }
-    state->inserted = std::move(records).Build();
+    SKEWSEARCH_RETURN_NOT_OK(state->tombstones.Read(in, "tombstone", read_u32));
+    SKEWSEARCH_RETURN_NOT_OK(
+        state->removed_base.Read(in, "removed-base id", read_nothing));
+    SKEWSEARCH_RETURN_NOT_OK(
+        state->inserted.Read(in, "inserted id", read_items));
     uint64_t live = 0, dead = 0;
     if (!io::ReadPod(in, &live) || !io::ReadPod(in, &dead)) {
       return Status::InvalidArgument("corrupt shard footer in '" + path +
                                      "'");
     }
-    // Structural invariants the in-memory state maintains; reject files
-    // that violate them rather than serving inconsistent accounting.
-    const uint64_t physical =
-        static_cast<uint64_t>(base->num_pairs()) + delta_entries;
-    if (live + dead != physical || dead != tomb_entry_total) {
-      return Status::InvalidArgument("inconsistent entry accounting in '" +
-                                     path + "'");
-    }
     state->live_entries = static_cast<size_t>(live);
     state->dead_entries = static_cast<size_t>(dead);
-    // Compaction drops a removed base id's postings with its tombstone;
-    // one still posted without a tombstone would be served as live.
-    bool posted = false;
-    state->removed_base.ForEach([&](VectorId id, NoValue /*none*/) {
-      posted = posted ||
-               (!state->tombstones.contains(id) && base_counts->contains(id));
-    });
-    if (posted) {
-      return Status::InvalidArgument(
-          "removed base id without a tombstone still has postings in '" +
-          path + "'");
+    Status checked = state->CheckShard(entries, static_cast<int>(s),
+                                       shard_count, base_n, next_id);
+    if (!checked.ok()) {
+      return Status::InvalidArgument(checked.message() + " in '" + path +
+                                     "'");
     }
-    // Remove() erases an inserted id and tombstones it in one step, so a
-    // delta id is inserted or tombstoned. An orphan would be folded into
-    // the base by compaction and also kept in the delta, live twice.
-    bool orphan = false;
-    state->delta.ForEach([&](uint64_t /*key*/, const auto& ids) {
-      for (VectorId id : *ids) {
-        orphan = orphan || (!state->inserted.contains(id) &&
-                            !state->tombstones.contains(id));
-      }
-    });
-    if (orphan) {
-      return Status::InvalidArgument(
-          "delta postings reference an id neither inserted nor tombstoned "
-          "in '" + path + "'");
-    }
-    state->base_counts = std::move(base_counts);
 
     auto shard = std::make_unique<Shard>();
     shard->state.store(state.get(), std::memory_order_seq_cst);

@@ -322,6 +322,12 @@ class DynamicIndex {
   Status Load(const std::string& path, const Dataset* data,
               const ProductDistribution* dist);
 
+  /// Checks every shard of one pinned snapshot against the rules Load
+  /// holds a file to (docs/FILE_FORMATS.md). Scans every posting: for
+  /// tests and audits, never a serving path. Returns Internal naming the
+  /// first broken rule; OK before Build().
+  Status CheckInvariants() const;
+
   /// True after a successful Build()/Load().
   bool built() const { return !shards_.empty(); }
 
@@ -399,8 +405,10 @@ class DynamicIndex {
 
   Status RebuildShardLocked(int s, std::shared_ptr<const Edition> edition);
 
-  /// Items precondition shared by Insert and ReplayInsert.
-  Status ValidateInsertItems(std::span<const ItemId> items) const;
+  /// Items precondition shared by Insert, ReplayInsert and Load:
+  /// non-empty, strictly increasing, all below \p dimension.
+  static Status ValidateInsertItems(std::span<const ItemId> items,
+                                    size_t dimension);
 
   /// The locked apply of an insert under a fixed id. In replay mode an
   /// id the shard already knows is a skip (*applied = false); otherwise

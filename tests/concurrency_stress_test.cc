@@ -57,6 +57,8 @@ class ConcurrencyStressTest : public ::testing::Test {
     }
     ASSERT_GT(stable_probes_.size(), kBaseSize / 2);
 
+    ExpectShardRules();
+
     // Insert stream: non-empty vectors with at least one filter path.
     Rng vrng(62);
     while (insert_stream_.size() < kNumInserts) {
@@ -69,6 +71,12 @@ class ConcurrencyStressTest : public ::testing::Test {
       }
       if (!keys.empty()) insert_stream_.push_back(std::move(v));
     }
+  }
+
+  /// Every shard rule holds; called at each quiescent point.
+  void ExpectShardRules() {
+    const Status checked = index_.CheckInvariants();
+    EXPECT_TRUE(checked.ok()) << checked.ToString();
   }
 
   ProductDistribution dist_;
@@ -158,6 +166,7 @@ TEST_F(ConcurrencyStressTest, MixedReadersAndWritersNoLostNoPhantom) {
   writers_done.store(true, std::memory_order_release);
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(violations.load(), 0);
+  ExpectShardRules();
 
   // Quiesced: full accounting and per-id postconditions.
   EXPECT_EQ(index_.size(), kBaseSize + kNumInserts - kNumRemoves);
@@ -197,6 +206,7 @@ TEST_F(ConcurrencyStressTest, ParallelInsertersAllVisible) {
     });
   }
   for (auto& writer : writers) writer.join();
+  ExpectShardRules();
 
   std::vector<VectorId> all_ids;
   for (const auto& chunk : ids) {
@@ -250,9 +260,11 @@ TEST_F(ConcurrencyStressTest, ReadersRaceBackgroundCompaction) {
   done.store(true, std::memory_order_release);
   for (auto& reader : readers) reader.join();
   service.Stop();
+  ExpectShardRules();
   // A final deterministic pass: whatever the thread did not get to.
   ASSERT_TRUE(service.RunOnce().ok());
   service.Detach();
+  ExpectShardRules();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(index_.num_compactions(), 0u);
   EXPECT_TRUE(service.last_error().ok()) << service.last_error().ToString();

@@ -1,15 +1,20 @@
 // DynamicIndex: online inserts/removes on top of the sharded layout —
 // fresh-build equivalence with the static index, the shared query
 // driver's metrics, insert-then-query recall, remove-then-query
-// absence, compaction transparency, and Save/Load round-trips including
-// tombstone state.
+// absence, compaction transparency, Save/Load round-trips including
+// tombstone state, the committed SKD2 golden, and one seeded property
+// row that checks every shard rule (CheckInvariants) after each step of
+// a random mutation sequence.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -391,13 +396,27 @@ class DynamicIndexIoTest : public DynamicIndexTest {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
+  /// Rewrites the file at path_ with its one occurrence of \p from
+  /// replaced by \p to.
+  void ReplaceOnce(const std::string& from, const std::string& to) {
+    std::string contents = test::FileBytes(path_);
+    const size_t at = contents.find(from);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(at, contents.rfind(from)) << "pattern not unique";
+    contents.replace(at, from.size(), to);
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  }
+
   std::string path_;
 };
 
-std::string FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+/// The bytes of \p values, in order, as Save writes them.
+template <typename... T>
+std::string Bytes(const T&... values) {
+  std::string bytes;
+  (bytes.append(reinterpret_cast<const char*>(&values), sizeof(values)), ...);
+  return bytes;
 }
 
 TEST_F(DynamicIndexIoTest, SaveLoadRoundTripsTombstonesAndInserts) {
@@ -461,10 +480,7 @@ TEST_F(DynamicIndexIoTest, LoadRejectsDifferentDatasetAndCorruption) {
   DynamicIndex loaded;
   EXPECT_TRUE(loaded.Load(path_, &other, &dist_).IsInvalidArgument());
 
-  std::ifstream in(path_, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  const std::string contents = test::FileBytes(path_);
   for (size_t keep = 0; keep < contents.size();
        keep += 1 + contents.size() / 37) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
@@ -535,24 +551,9 @@ TEST_F(DynamicIndexIoTest, LoadRejectsRemovedBaseBlockContradictingPostings) {
     EXPECT_TRUE(index.Save(path_).ok());
     DynamicIndex unpatched;
     EXPECT_TRUE(unpatched.Load(path_, &data_, &dist_).ok());
-    std::ifstream in(path_, std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    std::string block(20, '\0');
-    const uint64_t one = 1;
-    std::memcpy(block.data(), &one, sizeof(one));
-    std::memcpy(block.data() + 8, &gone, sizeof(gone));
-    const size_t at = contents.find(block);
-    EXPECT_NE(at, std::string::npos);
-    EXPECT_EQ(at, contents.rfind(block)) << "removed-base block not unique";
-    if (at != std::string::npos && drop) {
-      contents.erase(at, 12);
-      contents.insert(at, 8, '\0');
-    } else if (at != std::string::npos) {
-      std::memcpy(contents.data() + at + 8, &live, sizeof(live));
-    }
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+    ReplaceOnce(Bytes(uint64_t{1}, gone, uint64_t{0}),
+                drop ? Bytes(uint64_t{0}, uint64_t{0})
+                     : Bytes(uint64_t{1}, live, uint64_t{0}));
   };
 
   // Compacted: `live` would be listed removed yet still be served, and
@@ -606,8 +607,8 @@ TEST_F(DynamicIndexIoTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
   const std::string resaved = path_ + ".resaved";
   ASSERT_TRUE(loaded.Save(resaved).ok());
-  const std::string first = FileBytes(path_);
-  const std::string second = FileBytes(resaved);
+  const std::string first = test::FileBytes(path_);
+  const std::string second = test::FileBytes(resaved);
   std::remove(resaved.c_str());
   EXPECT_TRUE(first == second)
       << first.size() << " bytes saved, " << second.size() << " re-saved";
@@ -632,7 +633,7 @@ TEST_F(DynamicIndexIoTest, LoadRejectsRepeatedInsertedId) {
   // The one shard ends with its inserted block, ids ascending, then the
   // u64 live and dead entry counts. Give the second record (u32 id,
   // u64 count, items) the first record's id.
-  std::string contents = FileBytes(path_);
+  std::string contents = test::FileBytes(path_);
   const size_t at =
       contents.size() - 16 - fresh[1].span().size() * sizeof(ItemId) - 8 -
       sizeof(VectorId);
@@ -663,7 +664,7 @@ TEST_F(DynamicIndexIoTest, LoadRejectsOrphanDeltaPostings) {
   // record a u32 id, a u64 item count and the items) and the u64 live
   // and dead entry counts. Cut the second record and count one: its
   // delta postings then name an id neither inserted nor tombstoned.
-  std::string contents = FileBytes(path_);
+  std::string contents = test::FileBytes(path_);
   auto record_bytes = [](const SparseVector& v) {
     return sizeof(VectorId) + 8 + v.span().size() * sizeof(ItemId);
   };
@@ -685,6 +686,156 @@ TEST_F(DynamicIndexIoTest, LoadRejectsOrphanDeltaPostings) {
   EXPECT_NE(s.message().find("neither inserted nor tombstoned"),
             std::string::npos)
       << s.ToString();
+}
+
+TEST_F(DynamicIndexIoTest, LoadRejectsRepeatedRemovedBaseId) {
+  // Save lists a removed base id once. A block that lists it twice is
+  // rejected as a repeat, like one in the other three registry blocks.
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data_, &dist_, Options(/*num_shards=*/1)).ok());
+  const VectorId gone = 101;
+  ASSERT_TRUE(index.Remove(gone).ok());
+  ASSERT_TRUE(index.Save(path_).ok());
+  // The removed-base block (u64 count, u32 ids), then the inserted
+  // block's u64 count 0.
+  ReplaceOnce(Bytes(uint64_t{1}, gone, uint64_t{0}),
+              Bytes(uint64_t{2}, gone, gone, uint64_t{0}));
+
+  DynamicIndex repeated;
+  Status s = repeated.Load(path_, &data_, &dist_);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("duplicate removed-base id"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(DynamicIndexIoTest, LoadRejectsSwappedTombstoneEntryCounts) {
+  // Two removed base ids with different entry counts. Swapping the
+  // counts keeps their sum, and so the shard's dead entries; only the
+  // per-id rule sees that each count belongs to the other id.
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data_, &dist_, Options(/*num_shards=*/1)).ok());
+  std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
+  auto entries = [&](VectorId id) {
+    index.family().ComputeAllFilters(data_.Get(id), &keys, &offsets);
+    return static_cast<uint32_t>(keys.size());
+  };
+  const VectorId a = 20;
+  VectorId b = a + 1;
+  while (entries(b) == entries(a)) ++b;
+  const uint32_t a_entries = entries(a), b_entries = entries(b);
+  ASSERT_TRUE(index.Remove(a).ok());
+  ASSERT_TRUE(index.Remove(b).ok());
+  ASSERT_TRUE(index.Save(path_).ok());
+  // The tombstone block: u64 count, then (u32 id, u32 entries) pairs.
+  ReplaceOnce(Bytes(uint64_t{2}, a, a_entries, b, b_entries),
+              Bytes(uint64_t{2}, a, b_entries, b, a_entries));
+
+  DynamicIndex swapped;
+  Status s = swapped.Load(path_, &data_, &dist_);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("tombstone entry count"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(DynamicIndexIoTest, GoldenFileRoundTripsByteForByte) {
+  // A fixed three-shard index after inserts and removes on both sides of
+  // one compaction and one drift rebuild, so every shard saves all four
+  // registry blocks non-empty. tests/golden/online_v2.skd pins its
+  // bytes; a mismatch means SKD2 changed.
+  const int shards = 3;
+  Rng rng(2026);
+  const Dataset data = GenerateDataset(dist_, 120, &rng);
+  DynamicIndexOptions options = Options(shards, 100.0);
+  options.index.repetitions = 6;
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data, &dist_, options).ok());
+  auto first_in = [&](int s, VectorId from) {
+    while (ShardedIndex::ShardOf(from, shards) != s) ++from;
+    return from;
+  };
+  const std::vector<SparseVector> fresh = FreshVectors(index, 24, 2027);
+  std::vector<VectorId> ids;
+  for (size_t i = 0; i < 12; ++i) ids.push_back(*index.Insert(fresh[i].span()));
+  for (int s = 0; s < shards; ++s) {
+    ASSERT_TRUE(index.Remove(first_in(s, 10)).ok());
+  }
+  ASSERT_TRUE(index.Remove(ids[3]).ok());
+  ASSERT_TRUE(index.CompactShard(ShardedIndex::ShardOf(ids[3], shards)).ok());
+  ASSERT_TRUE(index.RebuildForSize(2 * index.size()).ok());
+  for (size_t i = 12; i < fresh.size(); ++i) {
+    ids.push_back(*index.Insert(fresh[i].span()));
+  }
+  for (int s = 0; s < shards; ++s) {
+    ASSERT_TRUE(index.Remove(first_in(s, 60)).ok());
+    ASSERT_TRUE(index.Remove(first_in(s, ids[12])).ok());
+  }
+  for (int s = 0; s < shards; ++s) {
+    EXPECT_GT(index.Health(s).delta_entries, 0u) << "shard " << s;
+    EXPECT_EQ(index.Health(s).tombstones, 2u) << "shard " << s;
+  }
+  ASSERT_TRUE(index.Save(path_).ok());
+  test::CheckGolden(path_, "online_v2.skd");
+
+  // The committed file loads, keeps every shard rule, and saves back to
+  // its own bytes.
+  const std::string golden = test::GoldenPath("online_v2.skd");
+  DynamicIndex loaded;
+  ASSERT_TRUE(loaded.Load(golden, &data, &dist_).ok());
+  const Status checked = loaded.CheckInvariants();
+  EXPECT_TRUE(checked.ok()) << checked.ToString();
+  ASSERT_TRUE(loaded.Save(path_).ok());
+  EXPECT_TRUE(test::FileBytes(path_) == test::FileBytes(golden));
+}
+
+TEST_F(DynamicIndexIoTest, RandomMutationsKeepEveryShardRule) {
+  // One seeded sequence per shard count of inserts, removes, shard
+  // compactions, drift rebuilds and Save + Load round trips, with every
+  // shard rule checked after each step. Each loaded file is saved again
+  // and must give back its own bytes.
+  constexpr int kSteps = 1000;
+  const std::string resaved = path_ + ".resaved";
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    auto index = std::make_unique<DynamicIndex>();
+    ASSERT_TRUE(index->Build(&data_, &dist_, Options(shards, 100.0)).ok());
+    std::vector<VectorId> live(data_.size());
+    std::iota(live.begin(), live.end(), VectorId{0});
+    Rng rng(2600 + static_cast<uint64_t>(shards));
+    for (int step = 0; step < kSteps; ++step) {
+      const uint64_t op = rng.NextBounded(100);
+      if (op < 45) {
+        SparseVector v = dist_.Sample(&rng);
+        while (v.span().empty()) v = dist_.Sample(&rng);
+        Result<VectorId> id = index->Insert(v.span());
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        live.push_back(*id);
+      } else if (op < 85) {
+        const size_t at = static_cast<size_t>(rng.NextBounded(live.size()));
+        ASSERT_TRUE(index->Remove(live[at]).ok());
+        live[at] = live.back();
+        live.pop_back();
+      } else if (op < 94) {
+        const int s = static_cast<int>(rng.NextBounded(shards));
+        ASSERT_TRUE(index->CompactShard(s).ok());
+      } else if (op < 97) {
+        const size_t n = index->size();
+        const size_t target = std::max<size_t>(2, n / 2 + rng.NextBounded(n));
+        ASSERT_TRUE(index->RebuildForSize(target).ok());
+      } else {
+        ASSERT_TRUE(index->Save(path_).ok());
+        auto loaded = std::make_unique<DynamicIndex>();
+        ASSERT_TRUE(loaded->Load(path_, &data_, &dist_).ok());
+        ASSERT_TRUE(loaded->Save(resaved).ok());
+        ASSERT_TRUE(test::FileBytes(path_) == test::FileBytes(resaved))
+            << "step " << step;
+        index = std::move(loaded);
+      }
+      const Status checked = index->CheckInvariants();
+      ASSERT_TRUE(checked.ok()) << "step " << step << ": " << checked.message();
+    }
+  }
+  std::remove(resaved.c_str());
 }
 
 }  // namespace

@@ -31,13 +31,6 @@
 namespace skewsearch {
 namespace {
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
-}
-
 class FrozenShardFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -55,7 +48,7 @@ class FrozenShardFuzzTest : public ::testing::Test {
     options.num_shards = 2;
     ASSERT_TRUE(index_.Build(&data_, &dist_, options).ok());
     ASSERT_TRUE(index_.Freeze(path_).ok());
-    pristine_ = ReadFile(path_);
+    pristine_ = test::FileBytes(path_);
     ASSERT_GE(pristine_.size(), 64u);
 
     // Reference answers from the pristine build, for the benign-mutation

@@ -12,9 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -279,17 +276,6 @@ TEST_F(FrozenShardTest, ApiErrors) {
 // that must be deliberate (bump the format notes in FILE_FORMATS.md and
 // regenerate with SKEWSEARCH_REGEN_GOLDEN=1).
 
-std::string GoldenDir() {
-  return std::string(SKEWSEARCH_TEST_DIR) + "/golden";
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return in ? buffer.str() : std::string();
-}
-
 class FrozenGoldenTest : public FrozenShardTest {
  protected:
   /// The fixed build every golden derives from: deterministic dataset,
@@ -298,27 +284,6 @@ class FrozenGoldenTest : public FrozenShardTest {
     *dist = TwoBlockProbabilities(90, 0.2, 2500, 0.01).value();
     Rng rng(12345);
     *data = GenerateDataset(*dist, 140, &rng);
-  }
-
-  /// Compares the freshly frozen \p path to the committed golden, or
-  /// (re)writes the golden when SKEWSEARCH_REGEN_GOLDEN is set.
-  void CheckGolden(const std::string& path, const std::string& name) {
-    const std::string golden_path = GoldenDir() + "/" + name;
-    const std::string fresh = ReadFile(path);
-    ASSERT_FALSE(fresh.empty());
-    if (std::getenv("SKEWSEARCH_REGEN_GOLDEN") != nullptr) {
-      std::ofstream out(golden_path, std::ios::binary | std::ios::trunc);
-      out << fresh;
-      ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-      GTEST_SKIP() << "regenerated " << golden_path;
-    }
-    const std::string golden = ReadFile(golden_path);
-    ASSERT_FALSE(golden.empty())
-        << golden_path
-        << " missing; run with SKEWSEARCH_REGEN_GOLDEN=1 to create it";
-    EXPECT_EQ(fresh.size(), golden.size()) << name;
-    EXPECT_TRUE(fresh == golden)
-        << name << ": frozen bytes diverge from the committed golden";
   }
 };
 
@@ -330,13 +295,13 @@ TEST_F(FrozenGoldenTest, SingleShardRoundTrip) {
   ASSERT_TRUE(built.Build(&data, &dist, Options(777)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
-  CheckGolden(frozen, "frozen_single_v2.skf");
+  test::CheckGolden(frozen, "frozen_single_v2.skf");
 
   // The committed golden itself must map and serve the same answers as
   // the fresh build (build -> freeze -> map round trip).
   ShardedIndex mapped;
   ASSERT_TRUE(
-      mapped.MapFrozen(GoldenDir() + "/frozen_single_v2.skf", &data, &dist)
+      mapped.MapFrozen(test::GoldenPath("frozen_single_v2.skf"), &data, &dist)
           .ok());
   ExpectIdenticalQueries(data, built, mapped);
 }
@@ -349,11 +314,11 @@ TEST_F(FrozenGoldenTest, ShardedRoundTrip) {
   ASSERT_TRUE(built.Build(&data, &dist, Options(777, 3)).ok());
   std::string frozen = Track(Tmp(".skf"));
   ASSERT_TRUE(built.Freeze(frozen).ok());
-  CheckGolden(frozen, "frozen_sharded_v2.skf");
+  test::CheckGolden(frozen, "frozen_sharded_v2.skf");
 
   ShardedIndex mapped;
   ASSERT_TRUE(mapped
-                  .MapFrozen(GoldenDir() + "/frozen_sharded_v2.skf", &data,
+                  .MapFrozen(test::GoldenPath("frozen_sharded_v2.skf"), &data,
                              &dist, Verified())
                   .ok());
   ExpectIdenticalQueries(data, built, mapped);

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "core/intersect.h"
+#include "sim/intersect.h"
 #include "sim/measures.h"
 
 namespace skewsearch {

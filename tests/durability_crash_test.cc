@@ -247,6 +247,8 @@ class CrashRecoveryMatrixTest : public DurableHarness {
     ASSERT_TRUE(
         recovered.Open(&data_, &dist_, Options(), durable, &stats).ok())
         << ctx;
+    Status checked = recovered.index().CheckInvariants();
+    EXPECT_TRUE(checked.ok()) << ctx << ": " << checked.ToString();
     EXPECT_FALSE(stats.truncated) << ctx;  // _exit tears no record
     if (checkpoint_every == 0) {
       // Without checkpoints, replay alone must account for every ack.
@@ -264,6 +266,8 @@ class CrashRecoveryMatrixTest : public DurableHarness {
     ASSERT_TRUE(recovered.Close().ok()) << ctx;
     DurableIndex again;
     ASSERT_TRUE(again.Open(&data_, &dist_, Options(), durable).ok()) << ctx;
+    checked = again.index().CheckInvariants();
+    EXPECT_TRUE(checked.ok()) << ctx << ": " << checked.ToString();
     ExpectEquivalent(again.index(), reference, ctx + " (second recovery)");
   }
 };

@@ -65,6 +65,12 @@ class MaintenanceStressTest : public ::testing::Test {
     return !keys.empty();
   }
 
+  /// Every shard rule holds; called once the index quiesces.
+  void ExpectShardRules() {
+    const Status checked = index_.CheckInvariants();
+    EXPECT_TRUE(checked.ok()) << checked.ToString();
+  }
+
   ProductDistribution dist_;
   Dataset data_;
   DynamicIndex index_;
@@ -160,6 +166,7 @@ TEST_F(MaintenanceStressTest, MaintenanceThreadRacesMixedTraffic) {
   service.Detach();
   EXPECT_TRUE(service.last_error().ok()) << service.last_error().ToString();
   EXPECT_EQ(violations.load(), 0);
+  ExpectShardRules();
 
   // The drift must actually have been exercised: live count ended at
   // kBaseSize + kNumInserts - kNumRemoves = 620 vs. derived 300.
@@ -242,6 +249,7 @@ TEST_F(MaintenanceStressTest, BatchQueryRacesMaintenance) {
   ASSERT_TRUE(service.RunOnce().ok());
   service.Detach();
   EXPECT_TRUE(service.last_error().ok()) << service.last_error().ToString();
+  ExpectShardRules();
 
   // Quiesced: a parallel batch equals a serial one positionally.
   auto serial = index_.BatchQuery(queries, 1);

@@ -23,7 +23,7 @@ fi
 status=0
 for header in src/core/*.h src/maintenance/*.h src/distributed/*.h \
               src/distributed/transport/*.h src/obs/*.h \
-              src/durability/*.h \
+              src/durability/*.h src/sim/intersect.h \
               src/util/containers.h src/util/mapped_file.h; do
   if ! "$CXX" -std=c++20 -fsyntax-only -Isrc \
        -Wdocumentation -Werror=documentation "$header"; then

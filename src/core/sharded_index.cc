@@ -211,17 +211,6 @@ std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
       });
 }
 
-std::vector<uint64_t> ShardedIndex::ComputeFilterKeys(
-    std::span<const ItemId> query) const {
-  std::vector<uint64_t> keys;
-  if (!built()) return keys;
-  // Fused pass; groups are in repetition order, matching the per-rep
-  // concatenation exactly.
-  std::vector<size_t> offsets;
-  family_.ComputeAllFilters(query, &keys, &offsets);
-  return keys;
-}
-
 size_t ShardedIndex::MemoryBytes() const {
   size_t total = 0;
   for (const FilterTable& shard : shards_) total += shard.MemoryBytes();

@@ -123,9 +123,6 @@ class ShardedIndex {
   /// The mapped frozen file backing this index, or null when heap-built.
   const FrozenShardFile* frozen_file() const { return frozen_.get(); }
 
-  /// The filter keys the index probes for \p query (diagnostics/tests).
-  std::vector<uint64_t> ComputeFilterKeys(std::span<const ItemId> query) const;
-
   /// True after a successful Build()/MapFrozen().
   bool built() const { return family_.valid(); }
 

@@ -1,7 +1,10 @@
 // Copyright 2026 The skewsearch Authors.
 // BatchQuery must be a pure parallelization: identical results to the
 // serial query path for every thread count, on the paper's index and on
-// both baselines, with faithfully aggregated statistics.
+// both baselines, with faithfully aggregated statistics. On the paper's
+// index the rows check their cells of the differential oracle
+// (index_oracle.h), whose BatchQuery check compares every query's match
+// and counters with Query's.
 #include <optional>
 #include <vector>
 
@@ -12,6 +15,8 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
+#include "index_oracle.h"
+#include "reference_index.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -37,30 +42,11 @@ BatchFixture MakeFixture(size_t n = 300, size_t num_queries = 120) {
   return f;
 }
 
-void ExpectSameResults(const std::vector<std::optional<Match>>& a,
-                       const std::vector<std::optional<Match>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].has_value(), b[i].has_value()) << "query " << i;
-    if (a[i].has_value()) {
-      EXPECT_EQ(a[i]->id, b[i]->id) << "query " << i;
-      EXPECT_EQ(a[i]->similarity, b[i]->similarity) << "query " << i;
-    }
-  }
-}
-
+// Correlated indexes built serially and on 4 threads batch on 1 and 3
+// threads as they query one by one.
 TEST(BatchQueryDeterminismTest, SkewedIndexMatchesSerialAcrossThreadCounts) {
-  BatchFixture f = MakeFixture();
-  ShardedIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.8;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
-
-  const auto serial = index.BatchQuery(f.queries, 1);
-  for (int threads : {2, 8}) {
-    ExpectSameResults(serial, index.BatchQuery(f.queries, threads));
-  }
+  test::CheckOracleCells({1}, test::kSerialBuild | test::kThreadedBuild,
+                         IndexMode::kCorrelated);
 }
 
 TEST(BatchQueryDeterminismTest, ChosenPathMatchesSerialAcrossThreadCounts) {
@@ -71,7 +57,7 @@ TEST(BatchQueryDeterminismTest, ChosenPathMatchesSerialAcrossThreadCounts) {
 
   const auto serial = index.BatchQuery(f.queries, 1);
   for (int threads : {2, 8}) {
-    ExpectSameResults(serial, index.BatchQuery(f.queries, threads));
+    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, threads));
   }
 }
 
@@ -83,36 +69,14 @@ TEST(BatchQueryDeterminismTest, MinHashMatchesSerialAcrossThreadCounts) {
 
   const auto serial = index.BatchQuery(f.queries, 1);
   for (int threads : {2, 8}) {
-    ExpectSameResults(serial, index.BatchQuery(f.queries, threads));
+    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, threads));
   }
 }
 
+// Each batched answer and its per-query counters equal a lone Query's,
+// at one shard and three.
 TEST(BatchQueryDeterminismTest, BatchAgreesWithIndividualQueries) {
-  BatchFixture f = MakeFixture();
-  ShardedIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.8;
-  ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
-
-  std::vector<QueryStats> per_query;
-  const auto batch = index.BatchQuery(f.queries, 8, &per_query);
-  ASSERT_EQ(batch.size(), f.queries.size());
-  ASSERT_EQ(per_query.size(), f.queries.size());
-  for (size_t i = 0; i < f.queries.size(); ++i) {
-    QueryStats qs;
-    auto lone = index.Query(f.queries.Get(static_cast<VectorId>(i)), &qs);
-    ASSERT_EQ(batch[i].has_value(), lone.has_value()) << "query " << i;
-    if (lone.has_value()) {
-      EXPECT_EQ(batch[i]->id, lone->id);
-      EXPECT_EQ(batch[i]->similarity, lone->similarity);
-    }
-    // Deterministic counters agree too (seconds is wall time, excluded).
-    EXPECT_EQ(per_query[i].filters, qs.filters);
-    EXPECT_EQ(per_query[i].candidates, qs.candidates);
-    EXPECT_EQ(per_query[i].distinct_candidates, qs.distinct_candidates);
-    EXPECT_EQ(per_query[i].verifications, qs.verifications);
-  }
+  test::CheckOracleCells({1, 3}, test::kSerialBuild);
 }
 
 TEST(BatchQueryEdgeTest, EmptyBatchOnEveryEngine) {
@@ -154,7 +118,7 @@ TEST(BatchQueryEdgeTest, BatchLargerThanPoolAndQueriesWithEmptyVectors) {
   ThreadPool pool(3);  // batch of ~73 on 3 workers
   const auto serial = index.BatchQuery(queries, 1);
   const auto parallel = index.BatchQuery(queries, &pool);
-  ExpectSameResults(serial, parallel);
+  test::ExpectSameMatches(serial, parallel);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (queries.Get(static_cast<VectorId>(i)).empty()) {
       EXPECT_FALSE(parallel[i].has_value()) << "empty query " << i;
@@ -202,32 +166,16 @@ TEST(BatchQueryStatsTest, ReusedPoolServesManyBatchesConsistently) {
   ThreadPool pool(4);
   const auto serial = index.BatchQuery(f.queries, 1);
   for (int round = 0; round < 3; ++round) {
-    ExpectSameResults(serial, index.BatchQuery(f.queries, &pool));
+    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, &pool));
   }
   // A null pool means serial execution through the same code path.
-  ExpectSameResults(serial, index.BatchQuery(f.queries, nullptr));
+  test::ExpectSameMatches(serial, index.BatchQuery(f.queries, nullptr));
 }
 
+// A one-shard index batches as it queries one by one, in every
+// configuration.
 TEST(BatchQueryTest, MatchesSerialQueries) {
-  auto dist = TwoBlockProbabilities(120, 0.25, 6000, 0.005).value();
-  Rng rng(14);
-  Dataset data = GenerateDataset(dist, 200, &rng);
-  ShardedIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.7;
-  options.repetitions = 8;
-  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
-
-  CorrelatedQuerySampler sampler(&dist, 0.7);
-  Dataset queries;
-  for (int t = 0; t < 40; ++t) {
-    queries.Add(sampler.SampleCorrelated(data.Get(t % data.size()), &rng));
-  }
-  std::vector<QueryStats> batch_stats;
-  auto parallel = index.BatchQuery(queries, 4, &batch_stats);
-  ASSERT_EQ(batch_stats.size(), queries.size());
-  ExpectSameResults(parallel, index.BatchQuery(queries, 1));
+  test::CheckOracleCells({1}, test::kSerialBuild);
 }
 
 TEST(BatchQueryTest, EmptyBatch) {

@@ -2,9 +2,11 @@
 // fresh-build equivalence with the static index, the shared query
 // driver's metrics, insert-then-query recall, remove-then-query
 // absence, compaction transparency, Save/Load round-trips including
-// tombstone state, the committed SKD2 golden, and one seeded property
-// row that checks every shard rule (CheckInvariants) after each step of
-// a random mutation sequence.
+// tombstone state, Load's rejection of damaged files, the committed SKD2
+// golden, and one seeded property row that checks every shard rule
+// (CheckInvariants) after each step of a random mutation sequence. The
+// equivalence rows check their cells of the differential oracle
+// (index_oracle.h): each state answers as the reference does.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,10 +26,10 @@
 #include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
+#include "index_oracle.h"
 #include "maintenance/service.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "sim/measures.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -77,15 +79,6 @@ class DynamicIndexTest : public ::testing::Test {
   Dataset data_;
 };
 
-void ExpectSameMatches(const std::vector<Match>& a,
-                       const std::vector<Match>& b, const std::string& ctx) {
-  ASSERT_EQ(a.size(), b.size()) << ctx;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << ctx << " entry " << i;
-    EXPECT_EQ(a[i].similarity, b[i].similarity) << ctx << " entry " << i;
-  }
-}
-
 bool ContainsId(const std::vector<Match>& matches, VectorId id) {
   for (const Match& m : matches) {
     if (m.id == id) return true;
@@ -93,44 +86,12 @@ bool ContainsId(const std::vector<Match>& matches, VectorId id) {
   return false;
 }
 
+// A fresh build at K = 1 and 4 answers QueryAll as the unsharded
+// reference does, and Query as the static index at the same K, work
+// counters included: it has no delta and no tombstones, so the online
+// scan visits exactly the static postings in the same order.
 TEST_F(DynamicIndexTest, FreshBuildMatchesUnshardedQueryAll) {
-  // QueryAll equals the unsharded static index's. The first-match Query
-  // equals the static index's at the same shard count, work counters
-  // included: a fresh build has no delta and no tombstones, so the
-  // online scan visits exactly the static postings in the same order.
-  ShardedIndex unsharded;
-  ASSERT_TRUE(unsharded.Build(&data_, &dist_, {Options().index, 1}).ok());
-  for (int num_shards : {1, 4}) {
-    SCOPED_TRACE("K=" + std::to_string(num_shards));
-    ShardedIndex reference;
-    ASSERT_TRUE(
-        reference.Build(&data_, &dist_, {Options().index, num_shards}).ok());
-    DynamicIndex dynamic;
-    ASSERT_TRUE(dynamic.Build(&data_, &dist_, Options(num_shards)).ok());
-    EXPECT_EQ(dynamic.size(), data_.size());
-
-    CorrelatedQuerySampler sampler(&dist_, 0.7);
-    Rng rng(32);
-    for (int t = 0; t < 30; ++t) {
-      VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
-      SparseVector q = sampler.SampleCorrelated(data_.Get(target), &rng);
-      const std::string ctx = "query " + std::to_string(t);
-      ExpectSameMatches(dynamic.QueryAll(q.span(), 0.0),
-                        unsharded.QueryAll(q.span(), 0.0), ctx);
-      QueryStats got, want;
-      auto hit = dynamic.Query(q.span(), &got);
-      auto expected = reference.Query(q.span(), &want);
-      ASSERT_EQ(hit.has_value(), expected.has_value()) << ctx;
-      if (hit) {
-        EXPECT_EQ(hit->id, expected->id) << ctx;
-        EXPECT_EQ(hit->similarity, expected->similarity) << ctx;
-      }
-      EXPECT_EQ(got.filters, want.filters) << ctx;
-      EXPECT_EQ(got.candidates, want.candidates) << ctx;
-      EXPECT_EQ(got.distinct_candidates, want.distinct_candidates) << ctx;
-      EXPECT_EQ(got.verifications, want.verifications) << ctx;
-    }
-  }
+  test::CheckOracleCells({1, 4}, test::kSerialBuild | test::kOnlineFresh);
 }
 
 TEST_F(DynamicIndexTest, QueryRecordsMetrics) {
@@ -275,102 +236,39 @@ TEST_F(DynamicIndexTest, RemoveThenQueryNeverReturnsIt) {
   EXPECT_TRUE(index.Remove(1u << 30).IsNotFound());
 }
 
+// With every shard compacted the answers stay the reference's, live and
+// after Save+Load; a maintenance pass fires the compaction once removals
+// pass the dead-entry trigger, and drops the tombstones it covers.
 TEST_F(DynamicIndexTest, CompactionPreservesResultsAndFires) {
-  // Two identical indexes, one with compaction effectively disabled; the
-  // same mutation stream must leave them query-equivalent.
-  DynamicIndex compacting, reference;
-  ASSERT_TRUE(compacting.Build(&data_, &dist_, Options(2, 0.25)).ok());
-  ASSERT_TRUE(reference.Build(&data_, &dist_, Options(2, 100.0)).ok());
+  test::CheckOracleCells({2}, test::kOnlineCompacted | test::kSaveLoad);
+
+  DynamicIndex index;
+  ASSERT_TRUE(index.Build(&data_, &dist_, Options(2, 0.25)).ok());
   MaintenanceService service;
-  ASSERT_TRUE(service.Attach(&compacting).ok());
-
-  auto fresh = FreshVectors(compacting, 20, 36);
-  for (const SparseVector& v : fresh) {
-    VectorId a = *compacting.Insert(v.span());
-    VectorId b = *reference.Insert(v.span());
-    EXPECT_EQ(a, b);  // same id assignment order
+  ASSERT_TRUE(service.Attach(&index).ok());
+  for (VectorId id = 0; id < data_.size(); id += 2) {
+    ASSERT_TRUE(index.Remove(id).ok());
   }
-  // Remove enough of the base to push shards past 25% dead entries.
-  Rng rng(37);
-  size_t removed = 0;
-  for (VectorId id = 0; id < data_.size() && removed < data_.size() / 2;
-       id += 1 + static_cast<VectorId>(rng.NextBounded(2))) {
-    ASSERT_TRUE(compacting.Remove(id).ok());
-    ASSERT_TRUE(reference.Remove(id).ok());
-    ++removed;
-  }
-  // Remove() never compacts in the caller's thread anymore — the work
-  // happens when the maintenance pass runs.
-  EXPECT_EQ(compacting.num_compactions(), 0u);
+  const size_t tombstones = index.num_tombstones();
+  EXPECT_EQ(index.num_compactions(), 0u);  // Remove() never compacts
   ASSERT_TRUE(service.RunOnce().ok());
-  EXPECT_GT(compacting.num_compactions(), 0u);
+  EXPECT_GT(index.num_compactions(), 0u);
   EXPECT_GT(service.stats().compactions, 0u);
-  EXPECT_EQ(reference.num_compactions(), 0u);
-  // Compaction dropped the tombstones it covered.
-  EXPECT_LT(compacting.num_tombstones(), reference.num_tombstones());
-  EXPECT_EQ(compacting.size(), reference.size());
-
-  CorrelatedQuerySampler sampler(&dist_, 0.7);
-  Rng qrng(38);
-  for (int t = 0; t < 25; ++t) {
-    VectorId target = static_cast<VectorId>(qrng.NextBounded(data_.size()));
-    SparseVector q = sampler.SampleCorrelated(data_.Get(target), &qrng);
-    ExpectSameMatches(compacting.QueryAll(q.span(), 0.0),
-                      reference.QueryAll(q.span(), 0.0),
-                      "query " + std::to_string(t));
-  }
+  EXPECT_LT(index.num_tombstones(), tombstones);
+  EXPECT_EQ(index.size(), data_.size() / 2);
 }
 
+// After inserts and removes, BatchQuery on 1 and 3 threads returns each
+// query's Query answer and counters, which are the reference's.
 TEST_F(DynamicIndexTest, BatchQueryMatchesSerial) {
-  DynamicIndex index;
-  ASSERT_TRUE(index.Build(&data_, &dist_, Options()).ok());
-  auto fresh = FreshVectors(index, 15, 39);
-  for (const SparseVector& v : fresh) ASSERT_TRUE(index.Insert(v.span()).ok());
-  for (VectorId id = 0; id < 20; id += 3) ASSERT_TRUE(index.Remove(id).ok());
-
-  CorrelatedQuerySampler sampler(&dist_, 0.7);
-  Rng rng(40);
-  Dataset queries;
-  for (int t = 0; t < 30; ++t) {
-    VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
-    queries.Add(sampler.SampleCorrelated(data_.Get(target), &rng).span());
-  }
-  auto serial = index.BatchQuery(queries, 1);
-  auto parallel = index.BatchQuery(queries, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].has_value(), parallel[i].has_value()) << i;
-    if (serial[i]) {
-      EXPECT_EQ(serial[i]->id, parallel[i]->id) << i;
-      EXPECT_EQ(serial[i]->similarity, parallel[i]->similarity) << i;
-    }
-  }
+  test::CheckOracleCells({4}, test::kOnlineMutated);
 }
 
+// Query and QueryAll accept items the distribution does not cover (the
+// filter kernel never puts them on a path): 20 of the oracle's queries
+// carry two, and every match re-verifies against the query.
 TEST_F(DynamicIndexTest, QueriesWithItemsOutsideTheUniverseVerify) {
-  // Query and QueryAll accept items the distribution does not cover (the
-  // filter kernel never puts them on a path); every match re-verifies.
-  DynamicIndex index;
-  ASSERT_TRUE(index.Build(&data_, &dist_, Options()).ok());
-  const Measure measure = index.family().options().verify_measure;
-  int hits = 0;
-  for (VectorId id = 0; id < 40; ++id) {
-    const std::span<const ItemId> x = data_.Get(id);
-    std::vector<ItemId> q(x.begin(), x.end());
-    q.push_back(1000000);
-    q.push_back(1000007);
-    auto hit = index.Query(q);
-    if (hit) {
-      ++hits;
-      EXPECT_GE(hit->similarity, index.family().verify_threshold());
-      EXPECT_EQ(hit->similarity, Similarity(measure, q, data_.Get(hit->id)));
-    }
-    for (const Match& m : index.QueryAll(q, 0.3)) {
-      EXPECT_GE(m.similarity, 0.3);
-      EXPECT_EQ(m.similarity, Similarity(measure, q, data_.Get(m.id)));
-    }
-  }
-  EXPECT_GT(hits, 0);
+  test::CheckOracleCells({4}, test::kOnlineFresh | test::kOnlineMutated);
 }
 
 TEST_F(DynamicIndexTest, InsertValidation) {
@@ -419,50 +317,11 @@ std::string Bytes(const T&... values) {
   return bytes;
 }
 
+// Save+Load after inserts and removes keeps the shard count, size,
+// liveness, tombstones and answers, and the id space continues: the next
+// insert gets the next fresh id and is found.
 TEST_F(DynamicIndexIoTest, SaveLoadRoundTripsTombstonesAndInserts) {
-  DynamicIndex original;
-  ASSERT_TRUE(original.Build(&data_, &dist_, Options(3, 100.0)).ok());
-  auto fresh = FreshVectors(original, 20, 41);
-  std::vector<VectorId> ids;
-  for (const SparseVector& v : fresh) ids.push_back(*original.Insert(v.span()));
-  std::vector<VectorId> removed = {2, 8, 50, ids[1], ids[7]};
-  for (VectorId id : removed) ASSERT_TRUE(original.Remove(id).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
-
-  DynamicIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
-  EXPECT_EQ(loaded.num_shards(), original.num_shards());
-  EXPECT_EQ(loaded.size(), original.size());
-  EXPECT_EQ(loaded.num_tombstones(), original.num_tombstones());
-  EXPECT_EQ(loaded.base_size(), data_.size());
-  for (VectorId id : removed) EXPECT_FALSE(loaded.IsLive(id));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(loaded.IsLive(ids[i]), original.IsLive(ids[i])) << i;
-  }
-
-  CorrelatedQuerySampler sampler(&dist_, 0.7);
-  Rng rng(42);
-  for (int t = 0; t < 25; ++t) {
-    VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
-    SparseVector q = sampler.SampleCorrelated(data_.Get(target), &rng);
-    ExpectSameMatches(loaded.QueryAll(q.span(), 0.0),
-                      original.QueryAll(q.span(), 0.0),
-                      "query " + std::to_string(t));
-  }
-  for (const SparseVector& v : fresh) {
-    ExpectSameMatches(loaded.QueryAll(v.span(), 0.0),
-                      original.QueryAll(v.span(), 0.0), "inserted probe");
-  }
-
-  // The id space continues where it left off: new inserts after Load get
-  // fresh ids and are findable.
-  auto more = FreshVectors(loaded, 3, 43);
-  for (const SparseVector& v : more) {
-    auto id = loaded.Insert(v.span());
-    ASSERT_TRUE(id.ok());
-    EXPECT_GE(*id, data_.size() + fresh.size());
-    EXPECT_TRUE(ContainsId(loaded.QueryAll(v.span(), 0.999), *id));
-  }
+  test::CheckOracleCells({3}, test::kOnlineMutated | test::kSaveLoad);
 }
 
 TEST_F(DynamicIndexIoTest, LoadRejectsDifferentDatasetAndCorruption) {

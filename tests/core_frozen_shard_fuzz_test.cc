@@ -25,6 +25,7 @@
 #include "core/sharded_index.h"
 #include "data/generators.h"
 #include "frozen_test_util.h"
+#include "reference_index.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -90,14 +91,8 @@ class FrozenShardFuzzTest : public ::testing::Test {
 
     // (c) benign: answers must be byte-identical to the pristine index.
     for (VectorId id = 0; id < data_.size(); ++id) {
-      auto got = verified.Query(data_.Get(id));
-      ASSERT_EQ(reference_[id].has_value(), got.has_value())
-          << "query " << id;
-      if (got) {
-        EXPECT_EQ(reference_[id]->id, got->id) << "query " << id;
-        EXPECT_EQ(reference_[id]->similarity, got->similarity)
-            << "query " << id;
-      }
+      test::ExpectSameMatches(reference_[id], verified.Query(data_.Get(id)),
+                              "query " + std::to_string(id));
     }
   }
 

@@ -1,8 +1,9 @@
 // Persistence of a built index through its only file format, SKF2
-// (ShardedIndex::Freeze / MapFrozen), at one shard: round trips, and
-// clean rejection of wrong datasets, foreign and damaged files. In the
-// test names "Save" means Freeze and "Load" means MapFrozen. The
-// two-shard, default-map counterpart of the field corruptions here is
+// (ShardedIndex::Freeze / MapFrozen), at one shard: round trips (their
+// cells of the differential oracle, index_oracle.h), and clean rejection
+// of wrong datasets, foreign and damaged files. In the test names "Save"
+// means Freeze and "Load" means MapFrozen. The two-shard, default-map
+// counterpart of the field corruptions here is
 // FrozenShardFuzzTest.FieldCorruptionsWithRecomputedChecksum.
 
 #include <gtest/gtest.h>
@@ -17,9 +18,9 @@
 
 #include "core/frozen_shard.h"
 #include "core/sharded_index.h"
-#include "data/correlated.h"
 #include "data/generators.h"
 #include "frozen_test_util.h"
+#include "index_oracle.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -65,32 +66,11 @@ TEST_F(IndexIoTest, SaveRequiresBuiltIndex) {
   EXPECT_TRUE(index.Freeze(path_).IsInvalidArgument());
 }
 
+// The strictest read of a frozen correlated index holds the build's
+// arrays and counters, computes its filter keys and answers as the
+// reference does.
 TEST_F(IndexIoTest, RoundTripPreservesQueries) {
-  ShardedIndex original;
-  ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Freeze(path_).ok());
-
-  ShardedIndex loaded;
-  ASSERT_TRUE(HeapLoad(&loaded, &data_).ok());
-  EXPECT_TRUE(loaded.built());
-  EXPECT_EQ(loaded.repetitions(), original.repetitions());
-  EXPECT_EQ(loaded.build_stats().total_filters,
-            original.build_stats().total_filters);
-  EXPECT_EQ(loaded.build_stats().distinct_keys,
-            original.build_stats().distinct_keys);
-  EXPECT_DOUBLE_EQ(loaded.verify_threshold(), original.verify_threshold());
-
-  CorrelatedQuerySampler sampler(&dist_, 0.7);
-  Rng rng(12);
-  for (int t = 0; t < 20; ++t) {
-    VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
-    SparseVector q = sampler.SampleCorrelated(data_.Get(target), &rng);
-    // Identical filter computation and identical results.
-    EXPECT_EQ(original.ComputeFilterKeys(q.span()),
-              loaded.ComputeFilterKeys(q.span()));
-    EXPECT_EQ(original.QueryAll(q.span(), 0.0),
-              loaded.QueryAll(q.span(), 0.0));
-  }
+  test::CheckOracleCells({1}, test::kHeapRead, IndexMode::kCorrelated);
 }
 
 TEST_F(IndexIoTest, LoadRejectsDifferentDataset) {
@@ -136,21 +116,9 @@ TEST_F(IndexIoTest, LoadMissingFileIsIOError) {
       loaded.MapFrozen("/nonexistent/index.skf", &data_, &dist_).IsIOError());
 }
 
+// The same for an adversarial index.
 TEST_F(IndexIoTest, AdversarialRoundTrip) {
-  ShardedIndexOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = 0.6;
-  options.index.repetitions = 6;
-  options.num_shards = 1;
-  ShardedIndex original;
-  ASSERT_TRUE(original.Build(&data_, &dist_, options).ok());
-  ASSERT_TRUE(original.Freeze(path_).ok());
-  ShardedIndex loaded;
-  ASSERT_TRUE(HeapLoad(&loaded, &data_).ok());
-  EXPECT_EQ(loaded.options().index.mode, IndexMode::kAdversarial);
-  auto hit = loaded.Query(data_.Get(0));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->id, 0u);
+  test::CheckOracleCells({1}, test::kHeapRead, IndexMode::kAdversarial);
 }
 
 // ---- Negative paths: corruption must produce clean errors, not crashes.

@@ -1,10 +1,12 @@
-// ShardedIndex: serial equivalence with the one-shard index across
-// shard counts and thread counts (the core contract: sharding is a
-// layout decision, never a semantics decision), one instrumented query
-// path at every shard count, work counters equal to a shard-by-shard
-// replay, partition stability, and the Freeze/MapFrozen round trip (in
-// the ShardedIndexIoTest names "Save" means Freeze and "Load" means
-// MapFrozen).
+// ShardedIndex: serial equivalence across shard and thread counts (the
+// core contract: sharding is a layout decision, never a semantics
+// decision), one instrumented query path at every shard count, work
+// counters equal to a shard-by-shard replay, partition stability, and
+// the Freeze/MapFrozen round trip and its rejection of foreign and
+// damaged files (in the ShardedIndexIoTest names "Save" means Freeze and
+// "Load" means MapFrozen). The equivalence rows check their cells of the
+// differential oracle (index_oracle.h): each answers as the reference
+// does.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,12 +20,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/frozen_shard.h"
 #include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
+#include "index_oracle.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "reference_index.h"
 #include "sim/measures.h"
 #include "test_paths.h"
 #include "util/random.h"
@@ -60,11 +63,9 @@ class ShardedIndexTest : public ::testing::Test {
     return options;
   }
 
-  ShardedIndexOptions ShardedOptions(int num_shards,
-                                     int build_threads = 0) const {
+  ShardedIndexOptions ShardedOptions(int num_shards) const {
     ShardedIndexOptions options;
     options.index = IndexOptions();
-    options.index.build_threads = build_threads;
     options.num_shards = num_shards;
     return options;
   }
@@ -74,92 +75,10 @@ class ShardedIndexTest : public ::testing::Test {
   Dataset queries_;
 };
 
-void ExpectSameMatch(const std::optional<Match>& a,
-                     const std::optional<Match>& b, const std::string& ctx) {
-  ASSERT_EQ(a.has_value(), b.has_value()) << ctx;
-  if (a.has_value()) {
-    EXPECT_EQ(a->id, b->id) << ctx;
-    EXPECT_EQ(a->similarity, b->similarity) << ctx;  // bitwise-identical
-  }
-}
-
-void ExpectSameMatches(const std::vector<Match>& a,
-                       const std::vector<Match>& b, const std::string& ctx) {
-  ASSERT_EQ(a.size(), b.size()) << ctx;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << ctx << " entry " << i;
-    EXPECT_EQ(a[i].similarity, b[i].similarity) << ctx << " entry " << i;
-  }
-}
-
-void ExpectSameCounters(const QueryStats& a, const QueryStats& b,
-                        const std::string& ctx) {
-  EXPECT_EQ(a.filters, b.filters) << ctx;
-  EXPECT_EQ(a.candidates, b.candidates) << ctx;
-  EXPECT_EQ(a.verifications, b.verifications) << ctx;
-  EXPECT_EQ(a.size_skips, b.size_skips) << ctx;
-  EXPECT_EQ(a.distinct_candidates, b.distinct_candidates) << ctx;
-}
-
-/// Every shard's frozen arrays and every build counter but the clock.
-void ExpectSameBuild(const ShardedIndex& a, const ShardedIndex& b,
-                     const std::string& ctx) {
-  ASSERT_EQ(a.num_shards(), b.num_shards()) << ctx;
-  for (int s = 0; s < a.num_shards(); ++s) {
-    const FilterTable& x = a.shard_table(s);
-    const FilterTable& y = b.shard_table(s);
-    EXPECT_TRUE(std::ranges::equal(x.keys_span(), y.keys_span()))
-        << ctx << " shard " << s;
-    EXPECT_TRUE(std::ranges::equal(x.offsets_span(), y.offsets_span()))
-        << ctx << " shard " << s;
-    EXPECT_TRUE(std::ranges::equal(x.ids_span(), y.ids_span()))
-        << ctx << " shard " << s;
-  }
-  const IndexBuildStats& p = a.build_stats();
-  const IndexBuildStats& q = b.build_stats();
-  EXPECT_EQ(p.total_filters, q.total_filters) << ctx;
-  EXPECT_EQ(p.distinct_keys, q.distinct_keys) << ctx;
-  EXPECT_EQ(p.avg_filters_per_element, q.avg_filters_per_element) << ctx;
-  EXPECT_EQ(p.cap_hits, q.cap_hits) << ctx;
-  EXPECT_EQ(p.nodes_expanded, q.nodes_expanded) << ctx;
-  EXPECT_EQ(p.repetitions, q.repetitions) << ctx;
-  EXPECT_EQ(p.delta_used, q.delta_used) << ctx;
-}
-
-// The acceptance contract: for K in {1, 2, 7}, a build on 4 threads
-// freezes the same shard tables and counters as the serial build, and
-// answers byte-identically to the serial K = 1 index.
+// Builds at K = 1, 2 and 7, serially and on 4 threads, hold the serial
+// build's shard arrays and counters, and answer as the reference does.
 TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
-  ShardedIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, ShardedOptions(1)).ok());
-
-  for (int num_shards : {1, 2, 7}) {
-    const std::string k = "K=" + std::to_string(num_shards);
-    ShardedIndex serial;
-    ASSERT_TRUE(serial.Build(&data_, &dist_, ShardedOptions(num_shards)).ok());
-    ShardedIndex sharded;
-    ASSERT_TRUE(
-        sharded.Build(&data_, &dist_, ShardedOptions(num_shards, 4)).ok());
-    ExpectSameBuild(sharded, serial, k);
-    EXPECT_EQ(sharded.num_shards(), num_shards);
-    EXPECT_EQ(sharded.repetitions(), reference.repetitions());
-    EXPECT_DOUBLE_EQ(sharded.verify_threshold(),
-                     reference.verify_threshold());
-    EXPECT_EQ(sharded.build_stats().total_filters,
-              reference.build_stats().total_filters);
-
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      auto query = queries_.Get(static_cast<VectorId>(i));
-      std::string ctx = k + " query " + std::to_string(i);
-      // Filter keys are the same family, so they must agree exactly.
-      EXPECT_EQ(sharded.ComputeFilterKeys(query),
-                reference.ComputeFilterKeys(query))
-          << ctx;
-      ExpectSameMatch(sharded.Query(query), reference.Query(query), ctx);
-      ExpectSameMatches(sharded.QueryAll(query, 0.0),
-                        reference.QueryAll(query, 0.0), ctx);
-    }
-  }
+  test::CheckOracleCells({1, 2, 7}, test::kSerialBuild | test::kThreadedBuild);
 }
 
 // Every shard count records the same query metrics from the same query
@@ -284,13 +203,7 @@ Replayed ReplayQueryAll(const ShardedIndex& index, const Dataset& data,
     }
     out.stats.distinct_candidates += seen.size();
   }
-  std::sort(out.matches.begin(), out.matches.end(),
-            [](const Match& a, const Match& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
+  std::sort(out.matches.begin(), out.matches.end(), test::ByRank);
   return out;
 }
 
@@ -318,9 +231,10 @@ TEST_F(ShardedIndexTest, CountersEqualAShardByShardReplay) {
       QueryStats stats;
       const std::optional<Match> got = index.Query(query, &stats);
       const Replayed want = ReplayQuery(index, data_, query);
-      ExpectSameMatches(got ? std::vector<Match>{*got} : std::vector<Match>{},
-                        want.matches, ctx);
-      ExpectSameCounters(stats, want.stats, ctx);
+      test::ExpectSameMatches(
+          want.matches,
+          got ? std::vector<Match>{*got} : std::vector<Match>{}, ctx);
+      test::ExpectSameCounters(want.stats, stats, ctx);
       AddQueryStats(&totals, stats);
       hits += got.has_value();
 
@@ -329,8 +243,8 @@ TEST_F(ShardedIndexTest, CountersEqualAShardByShardReplay) {
                                                     &all_stats);
       const Replayed want_all =
           ReplayQueryAll(index, data_, query, threshold);
-      ExpectSameMatches(all, want_all.matches, ctx + " (all)");
-      ExpectSameCounters(all_stats, want_all.stats, ctx + " (all)");
+      test::ExpectSameMatches(want_all.matches, all, ctx + " (all)");
+      test::ExpectSameCounters(want_all.stats, all_stats, ctx + " (all)");
       AddQueryStats(&totals, all_stats);
     }
     // The fixture exercises every counter the replay pins.
@@ -341,45 +255,16 @@ TEST_F(ShardedIndexTest, CountersEqualAShardByShardReplay) {
   }
 }
 
+// At K = 7, BatchQuery on 1 and 3 threads returns each query's Query
+// answer and counters, which are the unsharded reference's.
 TEST_F(ShardedIndexTest, BatchQueryMatchesUnshardedForAnyThreadCount) {
-  ShardedIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, ShardedOptions(1)).ok());
-  auto expected = reference.BatchQuery(queries_, 1);
-
-  ShardedIndex sharded;
-  ASSERT_TRUE(sharded.Build(&data_, &dist_, ShardedOptions(7)).ok());
-  for (int threads : {1, 2, 4}) {
-    std::vector<QueryStats> stats;
-    BatchQueryStats batch_stats;
-    auto results = sharded.BatchQuery(queries_, threads, &stats,
-                                      &batch_stats);
-    ASSERT_EQ(results.size(), expected.size());
-    ASSERT_EQ(stats.size(), queries_.size());
-    EXPECT_EQ(batch_stats.queries, queries_.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ExpectSameMatch(results[i], expected[i],
-                      "threads=" + std::to_string(threads) + " query " +
-                          std::to_string(i));
-    }
-  }
+  test::CheckOracleCells({7}, test::kSerialBuild);
 }
 
+// Both adversarial configurations answer as the reference does at K = 1
+// and 5.
 TEST_F(ShardedIndexTest, AdversarialModeEquivalence) {
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kAdversarial;
-  options.b1 = 0.6;
-  options.repetitions = 6;
-  options.seed = 99;
-  ShardedIndex reference;
-  ASSERT_TRUE(reference.Build(&data_, &dist_, {options, 1}).ok());
-  ShardedIndex sharded;
-  ASSERT_TRUE(sharded.Build(&data_, &dist_, {options, 5}).ok());
-
-  for (VectorId id = 0; id < 60; ++id) {
-    auto query = data_.Get(id);
-    ExpectSameMatch(sharded.Query(query), reference.Query(query),
-                    "stored vector " + std::to_string(id));
-  }
+  test::CheckOracleCells({1, 5}, test::kSerialBuild, IndexMode::kAdversarial);
 }
 
 TEST_F(ShardedIndexTest, ShardOfIsAStablePartition) {
@@ -426,30 +311,11 @@ class ShardedIndexIoTest : public ShardedIndexTest {
   std::string path_;
 };
 
+// The fully validated heap read of a K = 5 file, every posting
+// re-checked for placement in the shard its id hashes to, answers as the
+// reference does.
 TEST_F(ShardedIndexIoTest, SaveLoadRoundTrip) {
-  ShardedIndex original;
-  ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(5)).ok());
-  ASSERT_TRUE(original.Freeze(path_).ok());
-
-  // The fully validated heap read: every posting is re-checked for
-  // placement in the shard its id hashes to.
-  FrozenMapOptions heap;
-  heap.force_heap = true;
-  heap.verify_payload = true;
-  ShardedIndex loaded;
-  ASSERT_TRUE(loaded.MapFrozen(path_, &data_, &dist_, heap).ok());
-  EXPECT_TRUE(loaded.built());
-  EXPECT_EQ(loaded.num_shards(), 5);
-  EXPECT_EQ(loaded.repetitions(), original.repetitions());
-  EXPECT_DOUBLE_EQ(loaded.verify_threshold(), original.verify_threshold());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    auto query = queries_.Get(static_cast<VectorId>(i));
-    ExpectSameMatch(loaded.Query(query), original.Query(query),
-                    "query " + std::to_string(i));
-    ExpectSameMatches(loaded.QueryAll(query, 0.0),
-                      original.QueryAll(query, 0.0),
-                      "query " + std::to_string(i));
-  }
+  test::CheckOracleCells({5}, test::kHeapRead);
 }
 
 TEST_F(ShardedIndexIoTest, LoadRejectsDifferentDataset) {

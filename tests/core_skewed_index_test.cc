@@ -1,5 +1,8 @@
 // The paper's index (the filter family behind a one-shard ShardedIndex):
 // build validation, recall, verification and the Lemma 5/8 diagnostics.
+// The verification and determinism rows check their cells of the
+// differential oracle (index_oracle.h): the index answers as the
+// reference does, whose matches a brute-force scan confirms.
 
 #include "core/sharded_index.h"
 
@@ -13,7 +16,7 @@
 
 #include "data/correlated.h"
 #include "data/generators.h"
-#include "sim/measures.h"
+#include "index_oracle.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -59,7 +62,6 @@ TEST(SkewedIndexTest, NotBuiltQueriesReturnNothing) {
   SparseVector q = SparseVector::Of({1, 2});
   EXPECT_FALSE(index.Query(q.span()).has_value());
   EXPECT_TRUE(index.QueryAll(q.span(), 0.0).empty());
-  EXPECT_TRUE(index.ComputeFilterKeys(q.span()).empty());
 }
 
 TEST(SkewedIndexTest, DerivedParametersPopulated) {
@@ -136,23 +138,10 @@ TEST(SkewedIndexTest, CorrelatedQueriesRecallPlantedTarget) {
   EXPECT_GE(found, kQueries * 8 / 10);
 }
 
+// Every adversarial match reaches the verify threshold with the
+// similarity a brute-force scan computes.
 TEST(SkewedIndexTest, ReturnedMatchesMeetThreshold) {
-  auto dist = UniformProbabilities(1500, 0.05).value();
-  Rng rng(5);
-  Dataset data = GenerateDataset(dist, 200, &rng);
-  ShardedIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kAdversarial;
-  options.b1 = 0.6;
-  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
-  for (VectorId id = 0; id < 20; ++id) {
-    auto hit = index.Query(data.Get(id));
-    if (hit) {
-      EXPECT_GE(hit->similarity, index.verify_threshold());
-      EXPECT_DOUBLE_EQ(hit->similarity,
-                       BraunBlanquet(data.Get(id), data.Get(hit->id)));
-    }
-  }
+  test::CheckOracleCells({1}, test::kSerialBuild, IndexMode::kAdversarial);
 }
 
 TEST(SkewedIndexTest, QueryAllFindsAllNearDuplicates) {
@@ -227,20 +216,12 @@ TEST(SkewedIndexTest, QueryStatsAreConsistent) {
   }
 }
 
+// Two adversarial builds from one seed, serial and on 4 threads, hold the
+// same arrays and counters, and their families compute the keys of a
+// family created apart from them.
 TEST(SkewedIndexTest, DeterministicForFixedSeed) {
-  auto dist = UniformProbabilities(800, 0.06).value();
-  Rng rng(8);
-  Dataset data = GenerateDataset(dist, 100, &rng);
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kAdversarial;
-  options.b1 = 0.5;
-  options.seed = 1234;
-  ShardedIndex a, b;
-  ASSERT_TRUE(a.Build(&data, &dist, {options, 1}).ok());
-  ASSERT_TRUE(b.Build(&data, &dist, {options, 1}).ok());
-  SparseVector q = data.GetVector(3);
-  EXPECT_EQ(a.ComputeFilterKeys(q.span()), b.ComputeFilterKeys(q.span()));
-  EXPECT_EQ(a.build_stats().total_filters, b.build_stats().total_filters);
+  test::CheckOracleCells({1}, test::kSerialBuild | test::kThreadedBuild,
+                         IndexMode::kAdversarial);
 }
 
 TEST(SkewedIndexTest, DifferentSeedsChangeFilters) {
@@ -256,7 +237,11 @@ TEST(SkewedIndexTest, DifferentSeedsChangeFilters) {
   options.seed = 2;
   ASSERT_TRUE(b.Build(&data, &dist, {options, 1}).ok());
   SparseVector q = data.GetVector(3);
-  EXPECT_NE(a.ComputeFilterKeys(q.span()), b.ComputeFilterKeys(q.span()));
+  std::vector<uint64_t> a_keys, b_keys;
+  std::vector<size_t> offsets;
+  a.family().ComputeAllFilters(q.span(), &a_keys, &offsets);
+  b.family().ComputeAllFilters(q.span(), &b_keys, &offsets);
+  EXPECT_NE(a_keys, b_keys);
 }
 
 TEST(SkewedIndexTest, PairwiseHashEngineWorks) {
@@ -291,38 +276,11 @@ TEST(SkewedIndexTest, EmptyQueryReturnsNothing) {
   EXPECT_EQ(stats.candidates, 0u);
 }
 
+// Correlated builds on 4 threads hold the serial build's arrays and
+// counters, and answer as the reference does.
 TEST(SkewedIndexTest, ParallelBuildIdenticalToSerial) {
-  auto dist = TwoBlockProbabilities(150, 0.2, 5000, 0.01).value();
-  Rng rng(20);
-  Dataset data = GenerateDataset(dist, 300, &rng);
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.7;
-  options.repetitions = 6;
-  options.seed = 777;
-
-  ShardedIndex serial, parallel;
-  options.build_threads = 0;
-  ASSERT_TRUE(serial.Build(&data, &dist, {options, 1}).ok());
-  options.build_threads = 4;
-  ASSERT_TRUE(parallel.Build(&data, &dist, {options, 1}).ok());
-
-  EXPECT_EQ(serial.build_stats().total_filters,
-            parallel.build_stats().total_filters);
-  EXPECT_EQ(serial.build_stats().distinct_keys,
-            parallel.build_stats().distinct_keys);
-  // Identical query behaviour.
-  CorrelatedQuerySampler sampler(&dist, 0.7);
-  for (int t = 0; t < 10; ++t) {
-    SparseVector q = sampler.SampleCorrelated(data.Get(t), &rng);
-    auto a = serial.QueryAll(q.span(), 0.0);
-    auto b = parallel.QueryAll(q.span(), 0.0);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].similarity, b[i].similarity);
-    }
-  }
+  test::CheckOracleCells({1}, test::kSerialBuild | test::kThreadedBuild,
+                         IndexMode::kCorrelated);
 }
 
 TEST(SkewedIndexTest, QueryTopKRanksAndTruncates) {
@@ -416,24 +374,6 @@ TEST(SkewedIndexTest, PredictQueryExponentAdversarial) {
       family.PredictQueryExponent(SparseVector::Of({999999}).span()).ok());
 }
 
-TEST(SkewedIndexTest, JaccardVerificationMeasure) {
-  auto dist = UniformProbabilities(1000, 0.05).value();
-  Rng rng(24);
-  Dataset data = GenerateDataset(dist, 150, &rng);
-  ShardedIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kAdversarial;
-  options.b1 = 0.8;
-  options.verify_measure = Measure::kJaccard;
-  options.verify_threshold = 0.9;
-  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
-  auto hit = index.Query(data.Get(0));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->similarity, 1.0);  // Jaccard of the duplicate
-  EXPECT_DOUBLE_EQ(hit->similarity,
-                   Jaccard(data.Get(0), data.Get(hit->id)));
-}
-
 TEST(SkewedIndexTest, ToleratesEmptyAndTinyVectors) {
   // Real datasets contain degenerate rows; the index must build and query
   // around them (empty vectors generate no filters and are never
@@ -462,33 +402,11 @@ TEST(SkewedIndexTest, ToleratesEmptyAndTinyVectors) {
   for (const auto& m : matches) EXPECT_GT(data.SizeOf(m.id), 0u);
 }
 
+// A correlated index's Query match is in its QueryAll at the verify
+// threshold, with the same similarity, and absent only when that list is
+// empty.
 TEST(SkewedIndexTest, QueryConsistentWithQueryAll) {
-  // Any match returned by Query must appear in QueryAll at the same
-  // threshold with the same similarity.
-  auto dist = TwoBlockProbabilities(150, 0.25, 8000, 0.005).value();
-  Rng rng(26);
-  Dataset data = GenerateDataset(dist, 150, &rng);
-  ShardedIndex index;
-  SkewedIndexOptions options;
-  options.mode = IndexMode::kCorrelated;
-  options.alpha = 0.75;
-  options.repetitions = 8;
-  ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
-  CorrelatedQuerySampler sampler(&dist, 0.75);
-  for (int t = 0; t < 20; ++t) {
-    SparseVector q = sampler.SampleCorrelated(data.Get(t), &rng);
-    auto one = index.Query(q.span());
-    auto all = index.QueryAll(q.span(), index.verify_threshold());
-    if (one) {
-      bool present = false;
-      for (const auto& m : all) {
-        present |= (m.id == one->id && m.similarity == one->similarity);
-      }
-      EXPECT_TRUE(present);
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  }
+  test::CheckOracleCells({1}, test::kSerialBuild, IndexMode::kCorrelated);
 }
 
 TEST(SkewedIndexTest, StrictPaperDeltaIsLarger) {
@@ -555,38 +473,11 @@ TEST(FilterFamilyTest, ItemsOutsideTheUniverseLeaveFiltersUnchanged) {
   EXPECT_GT(total_keys, 0u);
 }
 
+// Query and QueryAll accept items the distribution does not cover, in
+// both modes: 20 of the oracle's queries are base vectors with two such
+// items appended, and every match re-verifies against the query.
 TEST(SkewedIndexTest, QueriesWithItemsOutsideTheUniverseVerify) {
-  // Query and QueryAll accept items the distribution does not cover, in
-  // both modes; every match they return re-verifies against the query.
-  auto dist = ZipfProbabilities(2000, 1.0, 0.3).value();
-  Rng rng(19);
-  Dataset data = GenerateDataset(dist, 600, &rng);
-  for (IndexMode mode : {IndexMode::kAdversarial, IndexMode::kCorrelated}) {
-    SCOPED_TRACE(mode == IndexMode::kAdversarial ? "adversarial"
-                                                 : "correlated");
-    SkewedIndexOptions options;
-    options.mode = mode;
-    options.b1 = 0.5;
-    options.alpha = 0.8;
-    ShardedIndex index;
-    ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
-    const Measure measure = index.family().options().verify_measure;
-    int hits = 0;
-    for (VectorId id = 0; id < 40; ++id) {
-      std::vector<ItemId> q = WidenPastUniverse(data.Get(id), 1000000);
-      auto hit = index.Query(q);
-      if (hit) {
-        ++hits;
-        EXPECT_GE(hit->similarity, index.verify_threshold());
-        EXPECT_EQ(hit->similarity, Similarity(measure, q, data.Get(hit->id)));
-      }
-      for (const Match& m : index.QueryAll(q, 0.3)) {
-        EXPECT_GE(m.similarity, 0.3);
-        EXPECT_EQ(m.similarity, Similarity(measure, q, data.Get(m.id)));
-      }
-    }
-    EXPECT_GT(hits, 0);
-  }
+  test::CheckOracleCells({1}, test::kSerialBuild);
 }
 
 }  // namespace

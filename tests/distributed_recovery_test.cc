@@ -29,6 +29,7 @@
 #include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
 #include "reference_join.h"
+#include "reference_index.h"
 #include "util/containers.h"
 #include "util/random.h"
 
@@ -229,11 +230,7 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
   const ProbeResponse& b = (*second)[0];
   EXPECT_EQ(a.left, b.left);
   ASSERT_GT(a.matches.size(), 0u) << "idempotence needs real matches";
-  ASSERT_EQ(a.matches.size(), b.matches.size());
-  for (size_t i = 0; i < a.matches.size(); ++i) {
-    EXPECT_EQ(a.matches[i].id, b.matches[i].id);
-    EXPECT_DOUBLE_EQ(a.matches[i].similarity, b.matches[i].similarity);
-  }
+  test::ExpectSameMatches(a.matches, b.matches, "replayed probe");
   EXPECT_TRUE(session->Shutdown().ok());
   host.Join();
   EXPECT_TRUE(host.status.ok()) << host.status.ToString();

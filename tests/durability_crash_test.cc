@@ -14,9 +14,10 @@
 // deterministically by the FaultFile images in durability_wal_test.cc.
 //
 // DurabilityRecoveryTest / DurabilityCheckpointRaceTest run in-process
-// (they match the TSan suite selection): snapshot+tail recovery
-// composition, replay idempotence across checkpoints, and checkpoints
-// racing live writers under the maintenance thread.
+// (they match the TSan suite selection): close/reopen round trips (the
+// differential oracle's WAL cells, index_oracle.h), snapshot+tail
+// recovery composition, replay idempotence across checkpoints, and
+// checkpoints racing live writers under the maintenance thread.
 
 #include <gtest/gtest.h>
 #include <sys/types.h>
@@ -36,7 +37,9 @@
 #include "data/generators.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
+#include "index_oracle.h"
 #include "maintenance/service.h"
+#include "reference_index.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -158,14 +161,10 @@ class DurableHarness : public ::testing::Test {
                         const std::string& ctx) {
     EXPECT_EQ(got.size(), want.size()) << ctx;
     for (size_t p = 0; p < probes_.size(); ++p) {
-      std::vector<Match> a = got.QueryAll(probes_[p].span(), kProbeThreshold);
-      std::vector<Match> b = want.QueryAll(probes_[p].span(), kProbeThreshold);
-      ASSERT_EQ(a.size(), b.size()) << ctx << " probe " << p;
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id) << ctx << " probe " << p << " entry " << i;
-        EXPECT_EQ(a[i].similarity, b[i].similarity)
-            << ctx << " probe " << p << " entry " << i;
-      }
+      test::ExpectSameMatches(
+          want.QueryAll(probes_[p].span(), kProbeThreshold),
+          got.QueryAll(probes_[p].span(), kProbeThreshold),
+          ctx + " probe " + std::to_string(p));
     }
   }
 
@@ -304,31 +303,11 @@ TEST_F(CrashRecoveryMatrixTest, CheckpointsDoNotChangeRecovery) {
 
 class DurabilityRecoveryTest : public DurableHarness {};
 
+// Close and reopen replays the whole log into the state the script left
+// (no snapshot, every record replayed, next_seq one past the last),
+// with and without a mid-script checkpoint: the oracle's WAL cells.
 TEST_F(DurabilityRecoveryTest, CloseReopenRoundTrip) {
-  test::ScopedTempDir dir("durable_roundtrip");
-  DurableOptions durable;
-  durable.dir = dir.path();
-  const std::vector<ScriptedOp> script = MakeScript(30, 7);
-
-  DynamicIndex reference;
-  BuildReference(script, script.size(), &reference);
-
-  {
-    DurableIndex index;
-    ASSERT_TRUE(index.Open(&data_, &dist_, Options(), durable).ok());
-    ScriptState state;
-    for (const ScriptedOp& op : script) {
-      ASSERT_TRUE(ApplyOp(&index.index(), op, &state).ok());
-    }
-    ASSERT_TRUE(index.Close().ok());
-  }
-  DurableIndex reopened;
-  RecoveryStats stats;
-  ASSERT_TRUE(reopened.Open(&data_, &dist_, Options(), durable, &stats).ok());
-  EXPECT_FALSE(stats.snapshot_loaded);
-  EXPECT_EQ(stats.replayed, script.size());
-  EXPECT_EQ(stats.next_seq, script.size() + 1);
-  ExpectEquivalent(reopened.index(), reference, "close/reopen");
+  test::CheckOracleCells({4}, test::kWalReopen);
 }
 
 TEST_F(DurabilityRecoveryTest, CheckpointFoldsLogIntoSnapshot) {
@@ -508,14 +487,10 @@ TEST_F(DurabilityCheckpointRaceTest, MaintenanceCheckpointsUnderChurn) {
     }
   }
   for (size_t p = 0; p < probes_.size(); ++p) {
-    std::vector<Match> after =
-        reopened.index().QueryAll(probes_[p].span(), kProbeThreshold);
-    ASSERT_EQ(after.size(), answers_before[p].size()) << "probe " << p;
-    for (size_t i = 0; i < after.size(); ++i) {
-      EXPECT_EQ(after[i].id, answers_before[p][i].id) << "probe " << p;
-      EXPECT_EQ(after[i].similarity, answers_before[p][i].similarity)
-          << "probe " << p;
-    }
+    test::ExpectSameMatches(
+        answers_before[p],
+        reopened.index().QueryAll(probes_[p].span(), kProbeThreshold),
+        "probe " + std::to_string(p));
   }
 }
 

@@ -18,6 +18,7 @@
 #include "data/correlated.h"
 #include "data/generators.h"
 #include "maintenance/service.h"
+#include "reference_index.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -76,15 +77,6 @@ class MaintenanceServiceTest : public ::testing::Test {
   ProductDistribution dist_;
   Dataset data_;
 };
-
-void ExpectSameMatches(const std::vector<Match>& a,
-                       const std::vector<Match>& b, const std::string& ctx) {
-  ASSERT_EQ(a.size(), b.size()) << ctx;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << ctx << " entry " << i;
-    EXPECT_EQ(a[i].similarity, b[i].similarity) << ctx << " entry " << i;
-  }
-}
 
 bool ContainsId(const std::vector<Match>& matches, VectorId id) {
   for (const Match& m : matches) {
@@ -156,9 +148,9 @@ TEST_F(MaintenanceServiceTest, BackgroundThreadCompactsDirtyShards) {
   for (int t = 0; t < 25; ++t) {
     VectorId target = static_cast<VectorId>(rng.NextBounded(data_.size()));
     SparseVector q = sampler.SampleCorrelated(data_.Get(target), &rng);
-    ExpectSameMatches(index.QueryAll(q.span(), 0.0),
-                      reference.QueryAll(q.span(), 0.0),
-                      "query " + std::to_string(t));
+    test::ExpectSameMatches(reference.QueryAll(q.span(), 0.0),
+                            index.QueryAll(q.span(), 0.0),
+                            "query " + std::to_string(t));
   }
 }
 
@@ -308,8 +300,9 @@ TEST_F(MaintenanceServiceTest, SnapshotIsolationAcrossCompactionAndRebuild) {
   // The pinned snapshot still answers from the pre-mutation state.
   EXPECT_EQ(snapshot.size(), size_at_pin);
   for (size_t t = 0; t < probes.size(); ++t) {
-    ExpectSameMatches(snapshot.QueryAll(probes[t].span(), 0.0), before[t],
-                      "pinned snapshot, probe " + std::to_string(t));
+    test::ExpectSameMatches(before[t],
+                            snapshot.QueryAll(probes[t].span(), 0.0),
+                            "pinned snapshot, probe " + std::to_string(t));
   }
   // A removed id the old snapshot could return must *still* be
   // returnable from it (reads-at-epoch semantics), but never from a

@@ -23,6 +23,7 @@
 #include "core/dynamic_index.h"
 #include "data/generators.h"
 #include "maintenance/service.h"
+#include "reference_index.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -252,16 +253,8 @@ TEST_F(MaintenanceStressTest, BatchQueryRacesMaintenance) {
   ExpectShardRules();
 
   // Quiesced: a parallel batch equals a serial one positionally.
-  auto serial = index_.BatchQuery(queries, 1);
-  auto parallel = index_.BatchQuery(queries, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].has_value(), parallel[i].has_value()) << i;
-    if (serial[i]) {
-      EXPECT_EQ(serial[i]->id, parallel[i]->id) << i;
-      EXPECT_EQ(serial[i]->similarity, parallel[i]->similarity) << i;
-    }
-  }
+  test::ExpectSameMatches(index_.BatchQuery(queries, 1),
+                          index_.BatchQuery(queries, 4));
 }
 
 }  // namespace

@@ -469,16 +469,18 @@ int Run(int argc, char** argv) {
                     /*stable=*/true, "KB");
     reporter.Metric("wire_kb", static_cast<double>(last[0].wire_kb),
                     /*stable=*/true, "KB");
-    // The self-join reads its probes' keys back from the slices, so the
-    // route phase makes no filter-kernel draws; a route that regrows
-    // F(x) per probe shows up here.
+    // A self-join's workers pair each probe inside their own lists, so
+    // it ships only keys of lists on an owner that do not hold the probe
+    // (none without heavy keys), and its route, which reads the slices,
+    // makes no filter-kernel draws; a route that ships keys a worker
+    // holds, or regrows F(x) per probe, shows up here.
     reporter.Metric("probe_keys", static_cast<double>(last[0].probe_keys),
                     /*stable=*/true, "keys");
     reporter.Metric("route_draws", static_cast<double>(last[0].route_draws),
                     /*stable=*/true, "draws");
     // The serve work the route hands the workers: posting entries
     // scanned, similarity computations, and the average workers a probe
-    // contacts. A self-join ships a key only to owners whose slice holds
+    // contacts. A self-join scans a list only on owners whose slice holds
     // an id above the probe, and every such id whose size can reach the
     // threshold is still verified, so verifications must not move when
     // the route ships fewer keys.

@@ -18,12 +18,7 @@
 
 namespace skewsearch {
 
-namespace {
-
-/// Packs a (left, right) pair for the cross-worker merge dedup.
-uint64_t PairKey(VectorId left, VectorId right) {
-  return (static_cast<uint64_t>(left) << 32) | right;
-}
+namespace distributed_internal {
 
 /// The route phase's output: one ProbeRequest queue per worker, each
 /// sorted by probe id, and the route's work counters.
@@ -33,6 +28,17 @@ struct RoutedProbes {
   size_t keys = 0;    ///< keys over all requests
   size_t draws = 0;   ///< PathGenStats::draws of the filter kernel
 };
+
+}  // namespace distributed_internal
+
+namespace {
+
+using distributed_internal::RoutedProbes;
+
+/// Packs a (left, right) pair for the cross-worker merge dedup.
+uint64_t PairKey(VectorId left, VectorId right) {
+  return (static_cast<uint64_t>(left) << 32) | right;
+}
 
 /// R-S route of probes [begin, end) of \p left: computes each probe's
 /// filter keys with the filter kernel, splits them by owner in
@@ -117,51 +123,75 @@ RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
 }
 
 /// Self-join route: F(x) is a pure function of (seed, repetition, x),
-/// so every probe's keys already sit in the build's posting slices.
-/// Inverting the slices replaces the filter kernel. The slices are a
+/// so every probe's candidates already sit in the lists of the build's
+/// posting slices that hold it, and the worker holding such a list
+/// pairs the probe there itself (JoinWorker::Probe). The slices are a
 /// disjoint cover of the monolithic table, and Build keeps duplicate
 /// (key, id) pairs, so each probe x finds all of F(x) there.
 ///
-/// A self-join worker verifies only ids above the probe, so key k of
-/// probe x goes to owner o only when o's slice of k holds an id above x:
-/// any other key would only make o scan a list and skip every entry.
-/// Each id above x that a key reaches is still reached by a kept key, in
-/// the same first-seen order, so the pairs and verifications do not
-/// move. Postings ascend within a key, so the probes a slice can still
-/// pair with are a prefix of the holder's postings: those below the
-/// slice's last id. A light key's one owner is its holder; every other
-/// owner costs one lookup. Keys go out in slice order (worker by worker,
-/// ascending key within each slice). One pass over the postings counts
-/// each request's keys; a second fills them into exactly sized vectors.
+/// A self-join worker verifies only ids above the probe, so worker o
+/// gets a request for x when a list of o holding x also holds an id
+/// above it, and ships key k of x to o only when o's slice of k does not
+/// hold x but holds an id above it: a heavy key's other slices, or a
+/// frozen file's other shards. Any other key would only make o scan a
+/// list and skip every entry. The requests carry x's items only when
+/// o's slices reference no copy of x. The coordinator's slices ascend
+/// by VectorId within a list, so the probes a list can still pair with
+/// are those below its last id. Keys go out in slice order (worker by
+/// worker, ascending key within each slice). One pass over the postings
+/// counts each request's keys; a second fills them into exactly sized
+/// vectors. A plan with no heavy key and no broadcast ships none, so it
+/// skips both.
 RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
                              const std::vector<JoinWorker>& workers) {
   const size_t worker_count = workers.size();
+  // held[id * W + w]: kStores when w's slices reference id, kPairs when
+  // a list of w holds id and an id above it.
+  constexpr uint8_t kStores = 1;
+  constexpr uint8_t kPairs = 2;
+  std::vector<uint8_t> held(data.size() * worker_count, 0);
+  for (size_t w = 0; w < worker_count; ++w) {
+    const FilterTable& table = workers[w].table();
+    for (size_t k = 0; k < table.num_keys(); ++k) {
+      const std::span<const VectorId> postings = table.postings_at(k);
+      for (VectorId id : postings) {
+        held[id * worker_count + w] |=
+            id < postings.back() ? kStores | kPairs : kStores;
+      }
+    }
+  }
   std::vector<int> owners;
-  auto for_each_routed_posting = [&](auto&& visit) {
+  auto for_each_shipped_key = [&](auto&& visit) {
+    if (plan.num_heavy_keys() == 0 && !plan.broadcast) return;
     for (size_t holder = 0; holder < worker_count; ++holder) {
       const FilterTable& table = workers[holder].table();
       for (size_t k = 0; k < table.num_keys(); ++k) {
         const uint64_t key = table.key_at(k);
-        const std::span<const VectorId> postings = table.postings_at(k);
         owners.clear();
         plan.RouteKey(key, &owners);
+        const std::span<const VectorId> postings = table.postings_at(k);
         for (int owner : owners) {
           const size_t o = static_cast<size_t>(owner);
+          if (o == holder) continue;
           const std::span<const VectorId> slice =
-              o == holder ? postings : workers[o].table().Lookup(key);
+              workers[o].table().Lookup(key);
           if (slice.empty()) continue;
           const auto end =
               std::lower_bound(postings.begin(), postings.end(), slice.back());
-          for (auto id = postings.begin(); id != end; ++id) visit(key, *id, o);
+          for (auto id = postings.begin(); id != end; ++id) {
+            if (!std::binary_search(slice.begin(), slice.end(), *id)) {
+              visit(key, *id, o);
+            }
+          }
         }
       }
     }
   };
-  // count[id * W + w]: the keys probe id sends worker w. cursor: where
+  // count[id * W + w]: the keys probe id ships worker w. cursor: where
   // that request's next key goes. A request's key buffer stays put when
   // the request moves, so the cursors outlive the queues' growth.
-  std::vector<uint32_t> count(data.size() * worker_count, 0);
-  for_each_routed_posting([&](uint64_t, VectorId id, size_t owner) {
+  std::vector<uint32_t> count(held.size(), 0);
+  for_each_shipped_key([&](uint64_t, VectorId id, size_t owner) {
     count[id * worker_count + owner]++;
   });
   std::vector<uint64_t*> cursor(count.size(), nullptr);
@@ -172,10 +202,10 @@ RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
     if (!items.empty()) routed.probes++;
     for (size_t w = 0; w < worker_count; ++w) {
       const size_t s = id * worker_count + w;
-      if (count[s] == 0) continue;
+      if (count[s] == 0 && (held[s] & kPairs) == 0) continue;
       ProbeRequest request;
       request.left = id;
-      request.items = items;
+      if ((held[s] & kStores) == 0) request.items = items;
       request.exclude_left_and_below = true;
       request.keys.resize(count[s]);
       cursor[s] = request.keys.data();
@@ -183,7 +213,7 @@ RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
       routed.queues[w].push_back(std::move(request));
     }
   }
-  for_each_routed_posting([&](uint64_t key, VectorId id, size_t owner) {
+  for_each_shipped_key([&](uint64_t key, VectorId id, size_t owner) {
     *cursor[id * worker_count + owner]++ = key;
   });
   return routed;
@@ -314,16 +344,11 @@ Status DistributedJoin::AttachRemote(
   // a ShardAssignment naming the shard instead — the worker pre-mapped
   // the byte-identical file — and expects the ack to carry what this
   // coordinator's own mapping records for that shard.
-  auto start = [&](size_t w) -> Result<RemoteWorkerSession> {
-    const uint32_t worker_id = static_cast<uint32_t>(w);
-    if (!frozen()) {
-      const auto [frame, expected] = AssignmentFrame(w, 0);
-      return RemoteWorkerSession::Start(std::move(connections[w]), worker_id,
-                                        num_workers, frame, expected);
-    }
+  auto assignment = [&](size_t w) {
+    if (!frozen()) return AssignmentFrame(w, 0);
     wire::ShardAssignmentFrame shard;
     shard.num_shards = num_workers;
-    shard.shard_index = worker_id;
+    shard.shard_index = static_cast<uint32_t>(w);
     shard.fingerprint = frozen_->fingerprint();
     shard.threshold = threshold_;
     shard.measure = options_.index.verify_measure;
@@ -333,23 +358,34 @@ Status DistributedJoin::AttachRemote(
     expected.num_keys = info.keys_count;
     expected.num_entries = info.ids_count;
     expected.distinct_vectors = data_->size();
-    return RemoteWorkerSession::StartFrozen(std::move(connections[w]),
-                                            worker_id, num_workers, shard,
-                                            expected);
+    return std::pair{wire::EncodeShardAssignment(shard), expected};
   };
+  // Every assignment goes out before any ack is awaited, so the workers
+  // decode, check and adopt theirs side by side, while the next one is
+  // encoded.
   std::vector<RemoteWorkerSession> sessions;
   sessions.reserve(connections.size());
+  std::vector<wire::AssignmentAckFrame> acks(connections.size());
+  auto fail = [&](const Status& status) {
+    for (auto& started : sessions) (void)started.Shutdown();
+    return status;
+  };
   for (size_t w = 0; w < connections.size(); ++w) {
     if (connections[w] == nullptr) {
-      for (auto& session : sessions) (void)session.Shutdown();
-      return Status::InvalidArgument("AttachRemote got a null connection");
+      return fail(
+          Status::InvalidArgument("AttachRemote got a null connection"));
     }
-    Result<RemoteWorkerSession> session = start(w);
-    if (!session.ok()) {
-      for (auto& started : sessions) (void)started.Shutdown();
-      return session.status();
-    }
+    auto [frame, expected] = assignment(w);
+    acks[w] = expected;
+    Result<RemoteWorkerSession> session =
+        RemoteWorkerSession::Open(std::move(connections[w]),
+                                  static_cast<uint32_t>(w), num_workers, frame);
+    if (!session.ok()) return fail(session.status());
     sessions.push_back(std::move(session).value());
+  }
+  for (size_t w = 0; w < sessions.size(); ++w) {
+    const Status acked = sessions[w].Acknowledge(acks[w]);
+    if (!acked.ok()) return fail(acked);
   }
   sessions_ = std::move(sessions);
   session_of_worker_.resize(workers_.size());
@@ -450,6 +486,7 @@ Status DistributedJoin::Build(const Dataset* data,
   threshold_ = threshold;
   plan_ = std::move(plan).value();
   workers_ = std::move(workers);
+  self_route_.reset();
   frozen_.reset();
   build_seconds_ = build_seconds;
   plan_seconds_ = plan_timer.ElapsedSeconds();
@@ -529,6 +566,7 @@ Status DistributedJoin::BuildFromFrozen(const Dataset* data,
   threshold_ = threshold;
   plan_ = PartitionPlan::Broadcast(num_shards);
   workers_ = std::move(workers);
+  self_route_.reset();
   frozen_ = std::move(file);
   build_seconds_ = build_timer.ElapsedSeconds();
   plan_seconds_ = 0.0;  // broadcast needs no planner pass
@@ -544,6 +582,15 @@ double DistributedJoin::DuplicationFactor() const {
   return static_cast<double>(shipped) / static_cast<double>(data_->size());
 }
 
+std::shared_ptr<const RoutedProbes> DistributedJoin::SelfJoinRoute() const {
+  std::lock_guard<std::mutex> lock(self_route_mutex_);
+  if (self_route_ == nullptr) {
+    self_route_ = std::make_shared<const RoutedProbes>(
+        RouteFromSlices(*data_, plan_, workers_));
+  }
+  return self_route_;
+}
+
 Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     const Dataset& left, bool self_join, DistributedJoinStats* stats) const {
   if (!built()) {
@@ -557,12 +604,13 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   std::optional<ThreadPool> pool;
   if (options_.threads > 1) pool.emplace(options_.threads);
   // The probes go through route, serve and merge a chunk at a time. A
-  // self-join's route holds no more keys than the slices it reads, so it
-  // takes one chunk; an R-S join takes kRouteChunk probes per chunk, so
+  // self-join takes one chunk, its route as computed once per build
+  // (SelfJoinRoute); an R-S join takes kRouteChunk probes per chunk, so
   // the keys it holds stay bounded however many probes it is given. The
   // chunk being served:
+  std::shared_ptr<const RoutedProbes> self_route;
   RoutedProbes routed;
-  const auto& queues = routed.queues;
+  const RoutedProbes* chunk = &routed;
 
   // Phase 2 — serve: each worker drains its queue independently; the
   // fan-out over the pool is the in-process stand-in for W machines.
@@ -598,7 +646,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
                                 size_t w) -> Status {
     Timer timer;
     auto& out = responses[w];
-    const auto& queue = queues[w];
+    const auto& queue = chunk->queues[w];
     out.reserve(queue.size());
     const size_t batch =
         options_.probe_batch == 0 ? std::max<size_t>(queue.size(), 1)
@@ -650,7 +698,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   auto serve_local = [&](size_t w) {
     Timer timer;
     auto& out = responses[w];
-    const auto& queue = queues[w];
+    const auto& queue = chunk->queues[w];
     out.reserve(queue.size());
     const JoinWorker& worker = workers_[w];
     for (const ProbeRequest& request : queue) {
@@ -687,10 +735,11 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   uint64_t merge_ns = 0;
   size_t begin = 0;
   do {
-    // Phase 1 — route: one ProbeRequest per (probe, worker) that the
-    // probe's filter keys reach, each worker's queue in probe id order.
-    // A self-join reads the keys back from the slices; an R-S join's
-    // probes are not in the table, so it runs the filter kernel.
+    // Phase 1 — route: one ProbeRequest per (probe, worker) that can
+    // pair there, each worker's queue in probe id order. A self-join's
+    // route is a pure function of the slices, read from the cache; an
+    // R-S join's probes are not in the table, so it runs the filter
+    // kernel.
     const int64_t chunk_mark = probe_timer.ElapsedNanos();
     routed.queues.clear();  // the last chunk's requests and answers
     for (auto& answered : responses) answered.clear();
@@ -698,10 +747,13 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
         self_join ? left.size()
                   : std::min(left.size(),
                              begin + distributed_internal::kRouteChunk);
-    routed = self_join ? RouteFromSlices(left, plan_, workers_)
-                       : RouteThroughKernel(left, begin, end, family_, plan_,
-                                            worker_count,
-                                            pool ? &*pool : nullptr);
+    if (self_join) {
+      self_route = SelfJoinRoute();
+      chunk = self_route.get();
+    } else {
+      routed = RouteThroughKernel(left, begin, end, family_, plan_,
+                                  worker_count, pool ? &*pool : nullptr);
+    }
     const int64_t route_mark = probe_timer.ElapsedNanos();
 
     std::fill(session_status.begin(), session_status.end(), Status::OK());
@@ -796,8 +848,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     emitted.clear();
     for (size_t w = 0; w < worker_count; ++w) {
       WorkerLoad& load = local.workers[w];
-      load.probes += queues[w].size();
-      requests += queues[w].size();
+      load.probes += chunk->queues[w].size();
+      requests += chunk->queues[w].size();
       for (const ProbeResponse& response : responses[w]) {
         load.candidates += response.candidates;
         load.verifications += response.verifications;
@@ -811,9 +863,9 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
         }
       }
     }
-    probes += routed.probes;
-    local.probe_keys += routed.keys;
-    local.route_draws += routed.draws;
+    probes += chunk->probes;
+    local.probe_keys += chunk->keys;
+    local.route_draws += chunk->draws;
     route_ns += static_cast<uint64_t>(route_mark - chunk_mark);
     serve_ns += static_cast<uint64_t>(serve_mark - route_mark);
     merge_ns += static_cast<uint64_t>(probe_timer.ElapsedNanos() - serve_mark);

@@ -5,16 +5,20 @@
 // The coordinator builds the read-only filter family, asks the
 // PartitionPlanner for a skew-aware key partition, hands each JoinWorker
 // its posting slices, and then drives the join as pure message passing:
-// it gathers every probe's filter keys, routes each key to its owners,
-// fans the per-worker ProbeRequests out over a thread pool, and merges
-// the ProbeResponses — deduplicating pairs that surfaced on more than
-// one worker. Filter keys are a pure function of seed x repetition x
-// vector, so a self-join reads each probe's keys back from the posting
-// slices the build already made, in slice order, and ships a key to an
-// owner only when that owner's slice of it holds an id above the probe
-// (a self-join keeps only pairs i < j, so no other key can pair). An
-// R-S join's probes are not in the table: the filter kernel computes
-// their keys once each, and every key goes to each of its owners.
+// it routes one ProbeRequest per (probe, worker) that can pair there,
+// fans the per-worker queues out over a thread pool, and merges the
+// ProbeResponses — deduplicating pairs that surfaced on more than one
+// worker. Filter keys are a pure function of seed x repetition x
+// vector, so a self-join's candidates already sit together in the
+// build's posting lists, and, as in LSF-Join, each worker pairs a
+// probe inside the lists it holds that hold the probe: a self-join
+// request names the probe and carries only the keys of lists on that
+// worker that do not hold it (a heavy key's other slices, a frozen
+// file's other shards) and the probe's items only when the worker
+// stores no copy. That route is a pure function of the slices, computed
+// once per build. An R-S join's probes are not in the table: the filter
+// kernel computes their keys once each, and every key goes to each of
+// its owners.
 //
 // Output contract: the emitted pair list is byte-identical for every
 // worker count, heavy threshold, thread count and transport, and equals
@@ -38,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,11 +127,12 @@ struct DistributedJoinStats {
   /// can pair, so its fan-out can fall below 1.
   double probe_fanout = 0.0;
   /// Filter keys shipped over every ProbeRequest; a key routed to k
-  /// owners counts k times. A self-join ships only keys whose owner's
-  /// slice holds an id above the probe.
+  /// owners counts k times. A self-join ships a key only to an owner
+  /// whose slice of it does not hold the probe but holds an id above
+  /// it, so under a plan without heavy keys it ships none.
   size_t probe_keys = 0;
   /// PathGenStats::draws of the route phase's filter-kernel calls: 0
-  /// for SelfJoin, which reads its probes' keys back from the slices.
+  /// for SelfJoin, whose route reads the slices.
   size_t route_draws = 0;
   double build_seconds = 0.0;  ///< family + full posting table
   double plan_seconds = 0.0;   ///< planner + worker table partitioning
@@ -155,6 +161,13 @@ struct DistributedJoinStats {
   std::vector<WorkerLoad> workers;
 };
 
+namespace distributed_internal {
+
+/// The route phase's output (distributed_join.cc).
+struct RoutedProbes;
+
+}  // namespace distributed_internal
+
 /// \brief The distributed all-pairs join coordinator.
 ///
 /// Build() once over the indexed side, then Join()/SelfJoin() any number
@@ -180,13 +193,14 @@ class DistributedJoin {
   /// each shard through a zero-copy JoinWorker view — no posting table
   /// is ever rebuilt. Frozen shards partition the *id* space (ShardOf),
   /// not the key space, so the routing plan offers every key to every
-  /// worker: Join() broadcasts each probe's keys, and SelfJoin() sends a
-  /// key only to the shards whose slice of it holds an id above the
-  /// probe. The per-shard candidate sets are disjoint and their union is
-  /// exactly the monolithic candidate set, which keeps Join()/SelfJoin()
-  /// byte-identical to the Build() path. The
-  /// worker count is the file's shard count (`options.workers` is
-  /// ignored); `options.index` is replaced by the file's parameters.
+  /// worker: Join() broadcasts each probe's keys, and SelfJoin() pairs a
+  /// probe on the shard holding it and ships a key only to the other
+  /// shards whose slice of it holds an id above the probe. The
+  /// per-shard candidate sets are disjoint and their union is exactly
+  /// the monolithic candidate set, which keeps Join()/SelfJoin()
+  /// byte-identical to the Build() path. The worker count is the file's
+  /// shard count (`options.workers` is ignored); `options.index` is
+  /// replaced by the file's parameters.
   Status BuildFromFrozen(const Dataset* data,
                          const ProductDistribution* dist,
                          const std::string& frozen_path,
@@ -204,20 +218,26 @@ class DistributedJoin {
       const;
 
   /// Self join over the build side: all pairs (i < j) with similarity >=
-  /// the threshold. Runs no filter kernel: each probe's keys are its
-  /// postings in the slices.
-  /// Probe i sends key k to owner o only when o's slice of k holds an
-  /// id above i. A key left out could yield only ids the worker skips,
-  /// so the verifications and the pairs are those of sending every key,
-  /// and a probe with no larger neighbour sends nothing.
+  /// the threshold. Runs no filter kernel. Worker o gets a request for
+  /// probe i when one of its lists of i's keys holds an id above i: o
+  /// pairs i itself in each such list that holds i, and the request
+  /// ships key k only when o's slice of k does not hold i. Each list is
+  /// scanned whole, as a shipped key's is, so the candidates and
+  /// verifications are those of shipping every key to every owner with
+  /// an id above i, and a probe with no larger neighbour sends nothing. The route is computed at
+  /// the first SelfJoin after a build and reused; a worker, in-process
+  /// or remote, builds its occurrence index (JoinWorker) at its first
+  /// self-join probe.
   Result<std::vector<JoinPair>> SelfJoin(
       DistributedJoinStats* stats = nullptr) const;
 
   /// Switches Join()/SelfJoin() from in-process serving to remote
   /// workers: one connection per plan slot (per shard after
-  /// BuildFromFrozen), in worker order. Runs the handshake + assignment
-  /// session (transport/session.h) on each connection and cross-checks
-  /// the acks. After Build() it ships each worker its posting slices and
+  /// BuildFromFrozen), in worker order. Runs the handshake and sends the
+  /// assignment (transport/session.h) on every connection before it
+  /// waits for any AssignmentAck, so the workers validate and adopt
+  /// their slices side by side, then cross-checks the acks in worker
+  /// order. After Build() it ships each worker its posting slices and
   /// the build vectors they reference. After BuildFromFrozen() it sends
   /// a tiny ShardAssignment naming the shard instead — the workers must
   /// have pre-mapped the byte-identical SKF2 file (`join-worker
@@ -232,11 +252,14 @@ class DistributedJoin {
   /// worker's slices (AssignmentFrame is a pure function of the
   /// deterministic plan), re-ships them to a surviving session, drains
   /// the unacknowledged suffix of the lost queue there through the same
-  /// pipelined drain, and still completes with byte-identical output. A
-  /// response with a match outside the join contract (an id beyond the
-  /// build side, or one not above the probe in a self-join) fails its
-  /// session the same way. A mapped shard is not re-shippable state, so
-  /// a frozen join whose session dies fails cleanly instead.
+  /// pipelined drain, and still completes with byte-identical output.
+  /// The survivor pairs each replayed self-join probe against every list
+  /// it now holds, so its work counters exceed a clean join's, and the
+  /// merge drops the pairs it finds twice. A response with a match
+  /// outside the join contract (an id beyond the build side, or one not
+  /// above the probe in a self-join) fails its session the same way. A
+  /// mapped shard is not re-shippable state, so a frozen join whose
+  /// session dies fails cleanly instead.
   Status AttachRemote(
       std::vector<std::unique_ptr<FrameConnection>> connections);
 
@@ -267,6 +290,11 @@ class DistributedJoin {
   double DuplicationFactor() const;
 
  private:
+  /// The self-join's route, computed from the slices at the first call
+  /// after a build and shared by every later self-join. Thread-safe.
+  std::shared_ptr<const distributed_internal::RoutedProbes> SelfJoinRoute()
+      const;
+
   Result<std::vector<JoinPair>> JoinImpl(const Dataset& left, bool self_join,
                                          DistributedJoinStats* stats) const;
 
@@ -298,6 +326,10 @@ class DistributedJoin {
   /// False once a session died (its fd is closed, its slices
   /// re-shipped); dead sessions are skipped by every later join.
   mutable std::vector<bool> session_alive_;
+  /// SelfJoinRoute's cache; null until the first self-join of a build.
+  mutable std::mutex self_route_mutex_;
+  mutable std::shared_ptr<const distributed_internal::RoutedProbes>
+      self_route_;
   double threshold_ = 0.0;
   double build_seconds_ = 0.0;
   double plan_seconds_ = 0.0;

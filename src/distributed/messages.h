@@ -12,7 +12,8 @@
 // what the duplication factor counts; see transport/session.h's
 // Assignment phase). Ids here are always original VectorIds. A remote
 // worker stores its shipped vectors by position and receives its slices
-// over positions; an id map serves only to place a re-shipped slice.
+// over positions; an id map serves only to place a re-shipped slice and
+// to find a self-join probe's stored copy.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_MESSAGES_H_
 #define SKEWSEARCH_DISTRIBUTED_MESSAGES_H_
@@ -32,22 +33,27 @@ struct ProbeRequest {
   VectorId left = 0;
 
   /// The probe vector's items (the payload a wire format would inline;
-  /// in-process it is a view into the probing dataset).
+  /// in-process it is a view into the probing dataset). A self-join
+  /// request leaves them empty when the worker stores the probe, and
+  /// the worker verifies against its stored copy.
   std::span<const ItemId> items;
 
   /// True for self-joins: the worker only emits matches with id > left,
   /// so each unordered pair is reported once and self-matches never.
+  /// It also pairs the probe against every list of its table that holds
+  /// the probe and an id above it (JoinWorker::Probe); `keys` add only
+  /// lists that do not hold it.
   bool exclude_left_and_below = false;
 
-  /// The filter keys of F(left) this worker owns under the plan. An R-S
-  /// join computes them with the filter kernel and sends all of them, in
-  /// repetition-major order. A self-join reads them back from the
-  /// build's posting slices, in slice order (the holding worker's slices
-  /// in turn, ascending key within each), and sends only the keys whose
-  /// slice on this worker holds an id above `left`: the others could
-  /// only yield entries the worker skips. May contain repeats when the
-  /// table holds a (key, id) pair twice; the worker dedups candidates,
-  /// so repeats are harmless.
+  /// Filter keys of F(left) this worker owns under the plan. An R-S
+  /// join computes them with the filter kernel and sends all of them,
+  /// in repetition-major order. A self-join sends only the keys whose
+  /// list on this worker does not hold `left` but holds an id above it
+  /// (a heavy key's other slices, a frozen file's other shards), in
+  /// slice order (the holding worker's slices in turn, ascending key
+  /// within each); under a plan without heavy keys it sends none. May
+  /// repeat a key when the table holds a (key, id) pair twice; the
+  /// worker dedups candidates, so repeats are harmless.
   std::vector<uint64_t> keys;
 };
 

@@ -67,13 +67,11 @@ Status Handshake(FrameConnection* connection, uint32_t worker_id,
   return Status::OK();
 }
 
-/// Sends \p assignment (an Assignment or a ShardAssignment) and requires
-/// an AssignmentAck carrying exactly \p expected: the epoch the
-/// assignment opens and the counters of what was shipped.
-Status SendAssignment(FrameConnection* connection,
-                      const wire::Frame& assignment,
-                      const wire::AssignmentAckFrame& expected) {
-  SKEWSEARCH_RETURN_NOT_OK(connection->Send(assignment));
+/// Requires the next frame to be an AssignmentAck carrying exactly
+/// \p expected: the epoch the assignment opens and the counters of what
+/// was shipped.
+Status ReceiveAssignmentAck(FrameConnection* connection,
+                            const wire::AssignmentAckFrame& expected) {
   wire::Frame frame;
   SKEWSEARCH_RETURN_NOT_OK(ReceiveChecked(connection, &frame));
   wire::AssignmentAckFrame ack;
@@ -93,18 +91,6 @@ Status SendAssignment(FrameConnection* connection,
         std::to_string(expected.distinct_vectors) + ")");
   }
   return Status::OK();
-}
-
-/// Opens a coordinator session: the handshake, then the first
-/// \p assignment, acked with \p expected. Closes the connection on
-/// failure.
-Status OpenSession(FrameConnection* connection, uint32_t worker_id,
-                   uint32_t num_workers, const wire::Frame& assignment,
-                   const wire::AssignmentAckFrame& expected) {
-  Status status = Handshake(connection, worker_id, num_workers);
-  if (status.ok()) status = SendAssignment(connection, assignment, expected);
-  if (!status.ok()) connection->Close();
-  return status;
 }
 
 /// Checks what a decoded Assignment's arrays mean, one pass over each:
@@ -288,24 +274,34 @@ Status WorkerState::Apply(wire::Assignment assignment) {
   return Status::OK();
 }
 
+Result<RemoteWorkerSession> RemoteWorkerSession::Open(
+    std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
+    uint32_t num_workers, const wire::Frame& assignment) {
+  Status status = Handshake(connection.get(), worker_id, num_workers);
+  if (status.ok()) status = connection->Send(assignment);
+  if (!status.ok()) {
+    connection->Close();
+    return status;
+  }
+  return RemoteWorkerSession(std::move(connection), worker_id);
+}
+
+Status RemoteWorkerSession::Acknowledge(
+    const wire::AssignmentAckFrame& expected) {
+  const Status acked = ReceiveAssignmentAck(connection_.get(), expected);
+  if (!acked.ok()) connection_->Close();
+  return acked;
+}
+
 Result<RemoteWorkerSession> RemoteWorkerSession::Start(
     std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
     uint32_t num_workers, const wire::Frame& assignment,
     const wire::AssignmentAckFrame& expected) {
-  SKEWSEARCH_RETURN_NOT_OK(OpenSession(connection.get(), worker_id,
-                                       num_workers, assignment, expected));
-  return RemoteWorkerSession(std::move(connection), worker_id);
-}
-
-Result<RemoteWorkerSession> RemoteWorkerSession::StartFrozen(
-    std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
-    uint32_t num_workers, const wire::ShardAssignmentFrame& shard,
-    const wire::AssignmentAckFrame& expected) {
-  SKEWSEARCH_RETURN_NOT_OK(OpenSession(connection.get(), worker_id,
-                                       num_workers,
-                                       wire::EncodeShardAssignment(shard),
-                                       expected));
-  return RemoteWorkerSession(std::move(connection), worker_id);
+  Result<RemoteWorkerSession> session =
+      Open(std::move(connection), worker_id, num_workers, assignment);
+  if (!session.ok()) return session;
+  SKEWSEARCH_RETURN_NOT_OK(session->Acknowledge(expected));
+  return session;
 }
 
 Status RemoteWorkerSession::SendProbeBatch(
@@ -381,8 +377,8 @@ Status RemoteWorkerSession::Reassign(const wire::Frame& assignment,
         "session: reassignment at epoch " + std::to_string(expected.epoch) +
         " but the session is at epoch " + std::to_string(epoch_));
   }
-  SKEWSEARCH_RETURN_NOT_OK(
-      SendAssignment(connection_.get(), assignment, expected));
+  SKEWSEARCH_RETURN_NOT_OK(connection_->Send(assignment));
+  SKEWSEARCH_RETURN_NOT_OK(ReceiveAssignmentAck(connection_.get(), expected));
   epoch_ = expected.epoch;
   return Status::OK();
 }
@@ -527,6 +523,9 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
         wire::AssignmentAckFrame ack;
         SKEWSEARCH_RETURN_NOT_OK(
             wire::DecodeAssignment(frame, &assignment, &ack.epoch));
+        // The decoded arrays hold everything now; the payload would only
+        // double the memory the adoption needs.
+        frame.payload = std::vector<uint8_t>();
         const bool reassigned = serving != nullptr;
         const uint32_t expected = reassigned ? epoch + 1 : 0;
         if (ack.epoch != expected) {
@@ -572,6 +571,12 @@ Status ServeConnection(FrameConnection* connection, WorkerServeStats* stats,
     responses.clear();
     responses.reserve(batch.probes.size());
     for (const wire::OwnedProbe& probe : batch.probes) {
+      if (probe.exclude_left_and_below && probe.items.empty() &&
+          !serving->Stores(probe.left)) {
+        return Status::InvalidArgument(
+            "session: self-join probe " + std::to_string(probe.left) +
+            " ships no items and this worker stores no copy of it");
+      }
       responses.push_back(serving->Probe(probe.View(), &scratch));
       batch_matches += responses.back().matches.size();
     }

@@ -19,10 +19,14 @@
 //      worker's slices as an Assignment at the next epoch, merged in.
 //   3. Probes — ProbeBatch frames answered by ResponseBatch frames
 //      (responses in request order, one per request), until Shutdown
-//      ends the session in an orderly way. The probe stream is
-//      pipelined: the coordinator may have several batches in flight
-//      (SendProbeBatch / ReceiveResponses below), each stamped with the
-//      session epoch and a sequence number the worker echoes.
+//      ends the session in an orderly way. A self-join request names
+//      the probe: the worker pairs it inside its own lists that hold it
+//      and looks up only the keys the request ships, and it verifies
+//      against its stored copy when the request ships no items. The
+//      probe stream is pipelined: the coordinator may have several
+//      batches in flight (SendProbeBatch / ReceiveResponses below), each
+//      stamped with the session epoch and a sequence number the worker
+//      echoes.
 //
 // A StatsRequest frame may arrive at any point (a scrape-only session
 // — what `join-stats` opens via ScrapeWorkerStats below — sends nothing
@@ -57,37 +61,40 @@ class FrozenShardFile;
 
 /// \brief Coordinator-side handle on one remote worker.
 ///
-/// Created by Start() or StartFrozen(), which run the handshake and
-/// send the assignment; afterwards the probe loop is pipelined
-/// (SendProbeBatch() / ReceiveResponses(), up to a caller-chosen window
-/// of batches in flight so the round trip of one batch is hidden behind
-/// the service time of the previous one). One driver thread per session
-/// (matching FrameConnection's contract).
+/// Created by Open(), which runs the handshake and sends the first
+/// assignment, and acknowledged by Acknowledge(); Start() does both.
+/// Afterwards the probe loop is pipelined (SendProbeBatch() /
+/// ReceiveResponses(), up to a caller-chosen window of batches in
+/// flight so the round trip of one batch is hidden behind the service
+/// time of the previous one). One driver thread per session (matching
+/// FrameConnection's contract).
 class RemoteWorkerSession {
  public:
   /// Runs the handshake as worker \p worker_id of \p num_workers, then
-  /// ships \p assignment, an Assignment frame at epoch 0
-  /// (wire::EncodeAssignment), and cross-checks the worker's ack against
-  /// \p expected: the epoch and the keys, posting entries and vectors
-  /// of the slice the frame was encoded from.
-  /// On failure the connection is closed and the error returned: a
-  /// HelloAck choosing a version outside [kVersionMin, kVersionMax]
-  /// fails with NotSupported, one echoing another worker id with
-  /// IOError.
+  /// sends \p assignment without waiting for its ack: an Assignment at
+  /// epoch 0 (wire::EncodeAssignment), or a ShardAssignment naming the
+  /// shard of the worker's pre-mapped SKF2 file this session serves.
+  /// A coordinator opens every session before it acknowledges any, so
+  /// its workers adopt their assignments side by side. On failure the
+  /// connection is closed and the error returned: a HelloAck choosing a
+  /// version outside [kVersionMin, kVersionMax] fails with
+  /// NotSupported, one echoing another worker id with IOError.
+  static Result<RemoteWorkerSession> Open(
+      std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
+      uint32_t num_workers, const wire::Frame& assignment);
+
+  /// Waits for the AssignmentAck of the assignment Open sent and
+  /// cross-checks it against \p expected: the epoch and the keys,
+  /// posting entries and vectors of the slice the frame was encoded
+  /// from (for a shard, what the coordinator's own mapping of the same
+  /// file records for it, and the dataset size). Closes the connection
+  /// on failure.
+  Status Acknowledge(const wire::AssignmentAckFrame& expected);
+
+  /// Open, then Acknowledge.
   static Result<RemoteWorkerSession> Start(
       std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
       uint32_t num_workers, const wire::Frame& assignment,
-      const wire::AssignmentAckFrame& expected);
-
-  /// The frozen-shard variant of Start: instead of shipping posting
-  /// slices, sends a ShardAssignment naming the shard of the worker's
-  /// pre-mapped SKF2 file this session serves, and cross-checks the
-  /// worker's AssignmentAck counters against \p expected — the
-  /// keys/entries the coordinator's own mapping of the same file
-  /// records for that shard, plus the dataset size.
-  static Result<RemoteWorkerSession> StartFrozen(
-      std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
-      uint32_t num_workers, const wire::ShardAssignmentFrame& shard,
       const wire::AssignmentAckFrame& expected);
 
   RemoteWorkerSession(RemoteWorkerSession&&) = default;
@@ -242,10 +249,12 @@ struct ServeOptions {
 /// epoch 0 or a ShardAssignment) builds a local JoinWorker over the
 /// shipped slices and vectors; each later Assignment, at the current
 /// epoch + 1, is added to its table (WorkerState); probe batches
-/// stamped with the current epoch are answered. Each applied Assignment
-/// records its decode, validation and adoption or rebuild time in the
-/// `worker.assignment_ns` histogram. This is the per-connection body of
-/// the `join-worker` server (distributed/server.h).
+/// stamped with the current epoch are answered. A self-join probe that
+/// ships no items fails the session unless the worker stores it. Each
+/// applied Assignment records its decode, validation and adoption or
+/// rebuild time in the `worker.assignment_ns` histogram. This is the
+/// per-connection body of the `join-worker` server
+/// (distributed/server.h).
 Status ServeConnection(FrameConnection* connection,
                        WorkerServeStats* stats = nullptr,
                        const ServeOptions& options = {});

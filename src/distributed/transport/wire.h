@@ -55,14 +55,16 @@ inline constexpr uint32_t kMagic = 0x4A574B53u;
 /// \name Protocol versions this build can speak.
 /// The Hello frame carries the coordinator's [min, max] range; the
 /// worker's HelloAck picks the highest version both sides support (see
-/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 5, whose
-/// Assignment is columnar, is the only one: versions 1 to 4 are
-/// retired, so a header stamped with any of them is rejected and a
-/// Hello whose range excludes 5 is refused. The range and the
+/// docs/WIRE_PROTOCOL.md, "Version negotiation"). Version 6 is the
+/// only one: its Assignment is columnar, and a self-join ProbeRequest
+/// names the probe, which the worker pairs inside its own lists that
+/// hold it, and ships only the keys of lists that do not. Versions 1
+/// to 5 are retired, so a header stamped with any of them is rejected
+/// and a Hello whose range excludes 6 is refused. The range and the
 /// negotiation stay so a later version can be added.
 /// @{
-inline constexpr uint8_t kVersionMin = 5;
-inline constexpr uint8_t kVersionMax = 5;
+inline constexpr uint8_t kVersionMin = 6;
+inline constexpr uint8_t kVersionMax = 6;
 /// @}
 
 /// Hard cap on a frame's payload length. A header announcing more is

@@ -12,12 +12,20 @@
 // it once at plan time — that shipping volume is exactly the
 // duplication factor the planner minimizes for light keys).
 //
+// A self-join probe is a build vector, so its candidates already sit
+// in the lists of this table that hold it: the worker finds those
+// lists through an occurrence index it derives from its own table
+// (never shipped), and a request names only the probe, plus the keys
+// of lists here that do not hold it (a heavy key's other slices, a
+// frozen file's other shards). An R-S probe is not in the table, so
+// its request carries every key.
+//
 // The table's ids are *stored positions*: indexes into the build-side
 // dataset the worker verifies against. In-process and frozen workers
 // verify against the whole build side, so a position is the VectorId
 // itself. A remote worker stores only the vectors shipped to it, in
 // arrival order, and keeps the position -> VectorId map beside them;
-// its slices arrive over positions already (a wire v5 Assignment, see
+// its slices arrive over positions already (a wire v6 Assignment, see
 // transport/session.h), so it adopts them without mapping a posting.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_WORKER_H_
@@ -25,6 +33,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/inverted_index.h"
@@ -81,14 +92,24 @@ class JoinWorker {
              double threshold, Measure measure,
              const std::vector<VectorId>* original_ids = nullptr);
 
-  /// Answers one probe: looks up every key and, for each distinct
-  /// candidate, skips it when it is at or below the probe in a
-  /// self-join or when its size rules the threshold out
-  /// (SizesCanReach), verifies it otherwise, and returns the matches
-  /// reaching the threshold. Dedups by stamping \p scratch, so no entry
-  /// is hashed; \p scratch may be reused for any worker's next probe.
+  /// Answers one probe and returns the matches reaching the threshold.
+  /// An R-S request (exclude_left_and_below false) looks up each of its
+  /// keys. A self-join request first scans every list of this table
+  /// that holds the probe and an id above it, found through the
+  /// occurrence index, then looks up its keys, which name lists here
+  /// that do not hold the probe; empty items mean this worker's stored
+  /// copy of the probe, which must exist (Stores). Each list is scanned
+  /// whole, and each distinct candidate is skipped when it is at or
+  /// below the probe in a self-join or when its size rules the
+  /// threshold out (SizesCanReach), and verified otherwise. Dedups by
+  /// stamping \p scratch, so no entry is hashed; \p scratch may be
+  /// reused for any worker's next probe.
   ProbeResponse Probe(const ProbeRequest& request,
                       ProbeScratch* scratch) const;
+
+  /// True when this worker stores vector \p id, so a self-join request
+  /// may leave its items out.
+  bool Stores(VectorId id) const;
 
   int id() const { return worker_id_; }
 
@@ -110,6 +131,32 @@ class JoinWorker {
   const FilterTable& table() const { return table_; }
 
  private:
+  /// What a self-join probe reads besides the table, derived from it
+  /// once. Position p's lists are lists[offsets[p] .. offsets[p + 1]):
+  /// one entry (a list index, 4 bytes) per posting of p in a list that
+  /// also holds a larger VectorId, so a probe reaches only lists where
+  /// an id above it can pair. A list's largest VectorId is found by a
+  /// scan: after a re-ship, stored positions need not ascend with
+  /// VectorIds. `by_id` holds the stored positions sorted by VectorId
+  /// when positions are not the ids, and is empty otherwise.
+  struct Occurrences {
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> lists;
+    std::vector<VectorId> by_id;
+  };
+  struct LazyOccurrences {
+    std::once_flag built;
+    Occurrences index;
+  };
+
+  /// The occurrence index, built at the first self-join probe (or
+  /// Stores call), so an R-S join never builds one. Thread-safe.
+  const Occurrences& occurrences() const;
+
+  /// The stored position of vector \p id, if this worker stores it.
+  std::optional<VectorId> PositionOf(const Occurrences& index,
+                                     VectorId id) const;
+
   /// The VectorId stored at \p position.
   VectorId OriginalId(VectorId position) const {
     return original_ids_ == nullptr ? position : (*original_ids_)[position];
@@ -122,6 +169,8 @@ class JoinWorker {
   Measure measure_;
   const std::vector<VectorId>* original_ids_;
   size_t distinct_vectors_ = 0;
+  std::unique_ptr<LazyOccurrences> occurrences_ =
+      std::make_unique<LazyOccurrences>();
 };
 
 }  // namespace skewsearch

@@ -1,5 +1,5 @@
 // Copyright 2026 The skewsearch Authors.
-// Hand-made wire v5 Assignment frames (layout: docs/WIRE_PROTOCOL.md,
+// Hand-made wire v6 Assignment frames (layout: docs/WIRE_PROTOCOL.md,
 // "Assignment"). A test spells out the (key, ids) postings and the
 // (id, items) vectors a coordinator would ship, and the helper writes
 // them exactly as given, so a frame can break any rule the worker

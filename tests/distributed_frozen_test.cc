@@ -30,7 +30,7 @@
 #include "distributed/transport/transport.h"
 #include "frozen_test_util.h"
 #include "reference_join.h"
-#include "reference_route.h"
+#include "reference_pairing.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -108,7 +108,7 @@ TEST(DistributedFrozenTest, InProcessFrozenSelfJoinMatchesSingleProcess) {
   // probe visits only the shards whose slice of one of its keys holds a
   // larger id, so the average stays below the worker count.
   EXPECT_LT(stats.probe_fanout, 3.0);
-  EXPECT_EQ(stats.probe_fanout, test::RouteByReference(join, data).fanout());
+  EXPECT_EQ(stats.probe_fanout, test::PairByReference(join, data).fanout());
   // Id shards are disjoint, so the merge dedup never fires.
   EXPECT_EQ(stats.cross_worker_duplicates, 0u);
 }

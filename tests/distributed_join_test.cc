@@ -16,7 +16,7 @@
 #include "distributed/transport/session.h"
 #include "distributed/transport/transport.h"
 #include "reference_join.h"
-#include "reference_route.h"
+#include "reference_pairing.h"
 #include "sim/measures.h"
 #include "test_paths.h"
 #include "util/random.h"
@@ -384,19 +384,19 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
   }
 }
 
-/// SelfJoin() routes from the posting slices and ships a key to an owner
-/// only when the owner's slice holds an id above the probe. Runs it on
-/// \p join, whose build side is \p data, and checks its work counters
-/// against the reference router (tests/reference_route.h), which derives
-/// the kept keys from the filter kernel instead: equal keys, fan-out and
-/// per-worker probes and candidates, verifications equal to the unpruned
-/// route's distinct ids above each probe whose sizes can reach the
-/// threshold, no kernel draws, and Join()'s pairs with left < right.
-/// Returns the self-join's stats.
-DistributedJoinStats CheckSelfJoinAgainstReferenceRoute(
+/// SelfJoin() pairs each probe inside the worker lists that hold it and
+/// ships a key to an owner only when the owner's slice of it does not
+/// hold the probe but holds an id above it. Runs it on \p join, whose
+/// build side is \p data, and checks its work counters against the
+/// reference pairing (tests/reference_pairing.h), which derives them
+/// from the filter kernel and the plan instead: equal shipped keys,
+/// fan-out and per-worker probes, candidates and verifications, no
+/// kernel draws, and Join()'s pairs with left < right. Returns the
+/// self-join's stats.
+DistributedJoinStats CheckSelfJoinAgainstReferencePairing(
     const DistributedJoin& join, const Dataset& data) {
-  const test::ReferenceRoute reference = test::RouteByReference(join, data);
-  EXPECT_GT(reference.unpruned_keys, 0u) << "the row needs kernel keys";
+  const test::ReferencePairing reference = test::PairByReference(join, data);
+  EXPECT_GT(reference.kernel_keys, 0u) << "the row needs kernel keys";
   DistributedJoinStats stats;
   auto self = join.SelfJoin(&stats);
   auto rs = join.Join(data);
@@ -461,7 +461,7 @@ TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
       distributed.heavy_threshold = heavy_threshold;
       DistributedJoin join;
       ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-      EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+      EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
     }
   }
 
@@ -482,7 +482,7 @@ TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
     std::remove(path.c_str());
     ASSERT_TRUE(built.ok());
     ASSERT_EQ(join.num_workers(), 3);
-    EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+    EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
   }
 
   {
@@ -503,11 +503,11 @@ TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
       capped_reps += capped;
     }
     ASSERT_GT(capped_reps, 0u);
-    EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+    EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
   }
 
   {
-    // Loopback workers answer the pruned requests as in-process ones do.
+    // Loopback workers pair inside their own lists as in-process ones do.
     SCOPED_TRACE("loopback");
     DistributedJoinOptions distributed = DistributedFrom(options, 2);
     distributed.probe_batch = 16;
@@ -526,7 +526,7 @@ TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
       hosts.push_back(std::move(host));
     }
     ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
-    EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+    EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
     join.DetachRemote();
     for (auto& host : hosts) {
       host->thread.join();
@@ -539,8 +539,9 @@ TEST(DistributedJoinTest, SelfJoinPrunesPerSliceOfAHeavyKey) {
   // Nine copies of one vector of rare items, at the end of the id range:
   // its keys hold the copies, and a heavy threshold of 3 cuts each into
   // three slices of three on three workers. A copy in the first slice
-  // can still pair in every slice, one in the middle slice only in the
-  // middle and last, and the last copy nowhere.
+  // pairs in its own slice and is shipped the key by the middle and last
+  // owners, one in the middle slice pairs in its own and is shipped the
+  // key by the last owner, and the last copy pairs nowhere.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(92, 60, &dist);
   const VectorId first_copy = static_cast<VectorId>(data.size());
@@ -572,13 +573,14 @@ TEST(DistributedJoinTest, SelfJoinPrunesPerSliceOfAHeavyKey) {
     if (copies_in_order) straddling_keys++;
   }
   ASSERT_GT(straddling_keys, 0u) << "the row needs a key sliced 3 ways";
-  EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+  EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
 }
 
 TEST(DistributedJoinTest, SelfJoinRoutesAroundADuplicateAtAListsEnd) {
   // Freeze keeps duplicate (key, id) pairs. Write a frozen file whose
-  // lists end in their largest id twice: that probe must ship the key to
-  // no owner, and every probe below it exactly once.
+  // lists end in their largest id twice: that probe must pair in no
+  // list, and every probe below it scan each list once per posting of
+  // it, on its own shard and through a key shipped to the other.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(93, 120, &dist);
   const JoinOptions options = AdversarialJoinOptions(0.8, 93);
@@ -620,7 +622,7 @@ TEST(DistributedJoinTest, SelfJoinRoutesAroundADuplicateAtAListsEnd) {
   const Status built = join.BuildFromFrozen(&data, &dist, path, frozen);
   std::remove(path.c_str());
   ASSERT_TRUE(built.ok()) << built.ToString();
-  EXPECT_GT(CheckSelfJoinAgainstReferenceRoute(join, data).pairs, 0u);
+  EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
 }
 
 TEST(DistributedJoinTest, ProbeWithNoLargerNeighbourSendsNoRequest) {
@@ -640,7 +642,7 @@ TEST(DistributedJoinTest, ProbeWithNoLargerNeighbourSendsNoRequest) {
                  DistributedFrom(AdversarialJoinOptions(0.8, 94), 2))
           .ok());
   const DistributedJoinStats stats =
-      CheckSelfJoinAgainstReferenceRoute(join, data);
+      CheckSelfJoinAgainstReferencePairing(join, data);
   EXPECT_EQ(stats.pairs, 0u);
   EXPECT_EQ(stats.probe_keys, 0u);
   EXPECT_EQ(stats.probe_fanout, 0.0);
@@ -674,7 +676,7 @@ TEST(DistributedJoinTest, SelfJoinSkipsPairsWhoseSizesCannotPass) {
     ASSERT_TRUE(
         join.Build(&data, &dist, DistributedFrom(options, workers)).ok());
     const DistributedJoinStats stats =
-        CheckSelfJoinAgainstReferenceRoute(join, data);
+        CheckSelfJoinAgainstReferencePairing(join, data);
     EXPECT_GT(stats.candidates, 0u) << "the row needs a shared key";
     EXPECT_EQ(stats.verifications, 0u);
     EXPECT_EQ(stats.pairs, 0u);
@@ -682,10 +684,12 @@ TEST(DistributedJoinTest, SelfJoinSkipsPairsWhoseSizesCannotPass) {
 }
 
 TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
-  // One JoinWorker, every vector's kernel keys as a probe (self-join and
-  // R-S requests alternating), answered once serially through one
-  // scratch and once by four threads, each reusing a scratch of its own
-  // over an interleaved quarter of the probes.
+  // One JoinWorker, every vector as a probe: self-join requests, which
+  // name the probe alone, alternate with R-S requests carrying the
+  // kernel keys and the items. They are answered once by four threads,
+  // each reusing a scratch of its own over an interleaved quarter of the
+  // probes, which race to build the worker's occurrence index, and once
+  // serially through one scratch.
   ProductDistribution dist;
   Dataset data = ZipfDataWithDuplicates(98, 200, &dist);
   DistributedJoin join;
@@ -698,14 +702,11 @@ TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
   for (VectorId id = 0; id < data.size(); ++id) {
     ProbeRequest& request = requests[id];
     request.left = id;
-    request.items = data.Get(id);
     request.exclude_left_and_below = id % 2 == 0;
-    join.family().ComputeAllFilters(request.items, &request.keys, &offsets);
-  }
-  std::vector<ProbeResponse> serial;
-  ProbeScratch scratch;
-  for (const ProbeRequest& request : requests) {
-    serial.push_back(worker.Probe(request, &scratch));
+    if (!request.exclude_left_and_below) {
+      request.items = data.Get(id);
+      join.family().ComputeAllFilters(request.items, &request.keys, &offsets);
+    }
   }
 
   constexpr size_t kThreads = 4;
@@ -720,8 +721,14 @@ TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+  std::vector<ProbeResponse> serial;
+  ProbeScratch scratch;
+  for (const ProbeRequest& request : requests) {
+    serial.push_back(worker.Probe(request, &scratch));
+  }
 
   size_t others = 0;  // matches naming another vector than the probe
+  size_t self_pairs = 0;  // matches of the self-join requests
   for (size_t i = 0; i < requests.size(); ++i) {
     SCOPED_TRACE("probe " + std::to_string(i));
     EXPECT_EQ(parallel[i].left, serial[i].left);
@@ -736,8 +743,12 @@ TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
     for (const Match& match : serial[i].matches) {
       others += match.id != serial[i].left ? 1 : 0;
     }
+    if (requests[i].exclude_left_and_below) {
+      self_pairs += serial[i].matches.size();
+    }
   }
   EXPECT_GT(others, 0u) << "the row needs pairs";
+  EXPECT_GT(self_pairs, 0u) << "the row needs self-join pairs";
 }
 
 TEST(DistributedJoinTest, RSJoinServesItsProbesInChunks) {

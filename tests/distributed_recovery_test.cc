@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "assignment_test_util.h"
+#include "core/similarity_join.h"
 #include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
@@ -123,6 +124,80 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
   }
   // Exactly one survivor absorbed the dead worker's slices.
   EXPECT_EQ(reassignments, 1u);
+}
+
+TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
+  // Worker 1 of two dies in a self-join. The survivor keeps every vector
+  // it held at its position and appends the lost worker's others, so its
+  // stored positions no longer ascend with VectorIds, and a list's last
+  // position need not hold its largest id. The survivor must still pair
+  // each probe against every list holding an id above it: the join with
+  // its replay, and the next join served by the survivor alone, return
+  // the one-shot pairs. One repetition gives each vector few keys, so
+  // the lost worker's slices reference vectors the survivor lacks.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(75, 400, &dist);
+  JoinOptions options = test::AdversarialJoinOptions(0.5, 75);
+  options.index.repetitions = 1;
+  auto expected = SelfSimilarityJoin(data, dist, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_GT(expected->size(), 0u);
+  options.workers = 2;
+  options.probe_batch = 4;
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&data, &dist, options).ok());
+
+  // The survivor's table, rebuilt the way it rebuilds it: some list must
+  // end in a position whose id is below the list's largest.
+  WorkerState replica(0);
+  for (uint32_t w = 0; w < 2; ++w) {
+    const wire::Frame frame = wire::EncodeAssignment(
+        join.worker(static_cast<int>(w)).table(), data, join.threshold(),
+        options.index.verify_measure, w);
+    wire::Assignment assignment;
+    ASSERT_TRUE(wire::DecodeAssignment(frame, &assignment).ok());
+    ASSERT_TRUE(replica.Apply(std::move(assignment)).ok());
+  }
+  const std::vector<VectorId>& ids = replica.original_ids();
+  const FilterTable& table = replica.worker()->table();
+  size_t lists_not_ending_in_their_top = 0;
+  for (size_t k = 0; k < table.num_keys(); ++k) {
+    VectorId top = 0;
+    for (VectorId position : table.postings_at(k)) {
+      top = std::max(top, ids[position]);
+    }
+    lists_not_ending_in_their_top += ids[table.postings_at(k).back()] < top;
+  }
+  ASSERT_GT(lists_not_ending_in_their_top, 0u);
+
+  std::vector<std::unique_ptr<HostedWorker>> hosts;
+  std::vector<std::unique_ptr<FrameConnection>> connections;
+  for (int w = 0; w < 2; ++w) {
+    auto [client, server] = LoopbackPair();
+    auto host = std::make_unique<HostedWorker>();
+    ServeOptions serve;
+    if (w == 1) serve.fail_after_batches = 2;
+    host->thread = std::thread(
+        [host = host.get(), serve, conn = std::move(server)]() mutable {
+          host->status = ServeConnection(conn.get(), &host->stats, serve);
+        });
+    hosts.push_back(std::move(host));
+    connections.push_back(std::move(client));
+  }
+  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "the join that loses worker 1"
+                            : "the survivor alone");
+    DistributedJoinStats stats;
+    auto got = join.SelfJoin(&stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSamePairs(*expected, *got);
+    EXPECT_EQ(stats.worker_recoveries, round == 0 ? 1u : 0u);
+  }
+  join.DetachRemote();
+  for (auto& host : hosts) host->Join();
+  EXPECT_TRUE(hosts[0]->status.ok()) << hosts[0]->status.ToString();
+  EXPECT_EQ(hosts[0]->stats.reassignments, 1u);
 }
 
 TEST(DistributedRecoveryTest, WorkerDeathInAnRSJoinsFirstChunkRecoversOnce) {

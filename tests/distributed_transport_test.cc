@@ -172,8 +172,8 @@ TEST(DistributedTransportTest, ConnectToClosedPortFails) {
 }
 
 TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
-  // A future coordinator, and old peers: versions 1 to 4 are retired,
-  // so a range that stops below 5 has nothing in common with a worker.
+  // A future coordinator, and old peers: versions 1 to 5 are retired,
+  // so a range that stops below 6 has nothing in common with a worker.
   const std::pair<uint8_t, uint8_t> ranges[] = {
       {wire::kVersionMax + 1, wire::kVersionMax + 9},
       {1, 1},
@@ -181,7 +181,9 @@ TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
       {1, 3},
       {3, 3},
       {1, 4},
-      {4, 4}};
+      {4, 4},
+      {1, 5},
+      {5, 5}};
   for (const auto& [min_version, max_version] : ranges) {
     SCOPED_TRACE("range " + std::to_string(min_version) + ".." +
                  std::to_string(max_version));
@@ -303,7 +305,7 @@ TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
   }
   ASSERT_TRUE(join.SelfJoin().ok());
 
-  // Offsets that disagree with their arrays cannot cross the wire: v5
+  // Offsets that disagree with their arrays cannot cross the wire: v6
   // derives both offset arrays from the counts. The worker still checks
   // the arrays it is handed, every offset before it reads an element.
   const wire::Frame frame =
@@ -357,6 +359,56 @@ TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
   EXPECT_NE(answered.status().ToString().find("not strictly increasing"),
             std::string::npos)
       << answered.status().ToString();
+  worker.Join();
+  EXPECT_FALSE(worker.status.ok());
+  (void)session->Shutdown();
+}
+
+TEST(DistributedTransportTest, SelfJoinProbeWithoutItemsNeedsAStoredCopy) {
+  // A self-join request that ships no items names a vector the worker
+  // stores: the worker pairs it in its own list that holds it, against
+  // its stored copy, and a probe at the list's top pairs nowhere. One
+  // naming a vector the worker lacks ends the session with an Error.
+  HostedWorker worker;
+  auto [coordinator, worker_end] = LoopbackPair();
+  worker.Serve(std::move(worker_end));
+  const wire::Frame assignment = test::AssignmentFrame(
+      {{42, {1, 4}}}, {{1, {3, 5, 7}}, {4, {3, 5, 7}}});
+  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
+                                            assignment,
+                                            test::ExpectedAck(assignment));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ProbeRequest stored[2];
+  for (int i = 0; i < 2; ++i) {
+    stored[i].left = i == 0 ? 1 : 4;
+    stored[i].exclude_left_and_below = true;
+  }
+  ASSERT_TRUE(session->SendProbeBatch(stored).ok());
+  auto answered = session->ReceiveResponses();
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  ASSERT_EQ(answered->size(), 2u);
+  const ProbeResponse& paired = (*answered)[0];
+  EXPECT_EQ(paired.candidates, 2u);
+  EXPECT_EQ(paired.verifications, 1u);
+  ASSERT_EQ(paired.matches.size(), 1u);
+  EXPECT_EQ(paired.matches[0].id, 4u);
+  EXPECT_EQ(paired.matches[0].similarity, 1.0);
+  EXPECT_EQ((*answered)[1].candidates, 0u);
+  EXPECT_TRUE((*answered)[1].matches.empty());
+
+  ProbeRequest unstored;
+  unstored.left = 2;
+  unstored.exclude_left_and_below = true;
+  ASSERT_TRUE(
+      session->SendProbeBatch(std::span<const ProbeRequest>(&unstored, 1))
+          .ok());
+  auto failed = session->ReceiveResponses();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsInvalidArgument())
+      << failed.status().ToString();
+  EXPECT_NE(failed.status().ToString().find("stores no copy"),
+            std::string::npos)
+      << failed.status().ToString();
   worker.Join();
   EXPECT_FALSE(worker.status.ok());
   (void)session->Shutdown();

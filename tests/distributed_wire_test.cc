@@ -51,9 +51,9 @@ TEST(DistributedWireTest, FrameHeaderRejectsCorruptMagic) {
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsBadVersion) {
-  // 0 was never a version, 1 to 4 are retired, and anything above
+  // 0 was never a version, 1 to 5 are retired, and anything above
   // kVersionMax is a future peer.
-  const uint8_t rejected[] = {0, 1, 2, 3, 4, kVersionMax + 1};
+  const uint8_t rejected[] = {0, 1, 2, 3, 4, 5, kVersionMax + 1};
   for (uint8_t version : rejected) {
     FrameHeader header;
     Status status = DecodeFrameHeader(

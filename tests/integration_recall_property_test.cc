@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,11 @@ struct PropertyCase {
 std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
   return info.param.name;
 }
+
+// gtest prints a parameter it has no printer for as raw bytes, and the
+// name's bytes are an address, so the test's listed name would change
+// from build to build.
+void PrintTo(const PropertyCase& c, std::ostream* os) { *os << c.name; }
 
 constexpr size_t kDatasetSize = 350;
 constexpr int kQueries = 60;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "core/sharded_index.h"
@@ -26,6 +27,11 @@ struct RecallCase {
 std::string CaseName(const ::testing::TestParamInfo<RecallCase>& info) {
   return info.param.name;
 }
+
+// gtest prints a parameter it has no printer for as raw bytes, and the
+// name's bytes are an address, so the test's listed name would change
+// from build to build.
+void PrintTo(const RecallCase& c, std::ostream* os) { *os << c.name; }
 
 ProductDistribution MakeDistribution(Shape shape) {
   switch (shape) {

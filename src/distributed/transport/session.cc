@@ -293,17 +293,6 @@ Status RemoteWorkerSession::Acknowledge(
   return acked;
 }
 
-Result<RemoteWorkerSession> RemoteWorkerSession::Start(
-    std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
-    uint32_t num_workers, const wire::Frame& assignment,
-    const wire::AssignmentAckFrame& expected) {
-  Result<RemoteWorkerSession> session =
-      Open(std::move(connection), worker_id, num_workers, assignment);
-  if (!session.ok()) return session;
-  SKEWSEARCH_RETURN_NOT_OK(session->Acknowledge(expected));
-  return session;
-}
-
 Status RemoteWorkerSession::SendProbeBatch(
     std::span<const ProbeRequest> batch) {
   if (shut_down_) return Status::InvalidArgument("session: already shut down");

@@ -62,12 +62,12 @@ class FrozenShardFile;
 /// \brief Coordinator-side handle on one remote worker.
 ///
 /// Created by Open(), which runs the handshake and sends the first
-/// assignment, and acknowledged by Acknowledge(); Start() does both.
-/// Afterwards the probe loop is pipelined (SendProbeBatch() /
-/// ReceiveResponses(), up to a caller-chosen window of batches in
-/// flight so the round trip of one batch is hidden behind the service
-/// time of the previous one). One driver thread per session (matching
-/// FrameConnection's contract).
+/// assignment, and acknowledged by Acknowledge(). Afterwards the probe
+/// loop is pipelined (SendProbeBatch() / ReceiveResponses(), up to a
+/// caller-chosen window of batches in flight so the round trip of one
+/// batch is hidden behind the service time of the previous one). One
+/// thread at a time uses a session (matching FrameConnection's
+/// contract).
 class RemoteWorkerSession {
  public:
   /// Runs the handshake as worker \p worker_id of \p num_workers, then
@@ -90,12 +90,6 @@ class RemoteWorkerSession {
   /// file records for it, and the dataset size). Closes the connection
   /// on failure.
   Status Acknowledge(const wire::AssignmentAckFrame& expected);
-
-  /// Open, then Acknowledge.
-  static Result<RemoteWorkerSession> Start(
-      std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
-      uint32_t num_workers, const wire::Frame& assignment,
-      const wire::AssignmentAckFrame& expected);
 
   RemoteWorkerSession(RemoteWorkerSession&&) = default;
   RemoteWorkerSession& operator=(RemoteWorkerSession&&) = default;
@@ -121,7 +115,7 @@ class RemoteWorkerSession {
   /// Re-ships a lost worker's slices to this (surviving) worker:
   /// sends \p assignment, an Assignment frame at epoch() + 1, waits for
   /// the AssignmentAck and cross-checks it against \p expected, as
-  /// Start does. Fails with InvalidArgument, sending nothing, when a
+  /// Acknowledge does. Fails with InvalidArgument, sending nothing, when a
   /// batch is in flight or \p expected is not at epoch() + 1. After
   /// success every later batch is stamped with the new epoch.
   Status Reassign(const wire::Frame& assignment,
@@ -260,7 +254,7 @@ Status ServeConnection(FrameConnection* connection,
                        const ServeOptions& options = {});
 
 /// Opens a scrape-only session on \p connection and returns the
-/// worker's metrics snapshot: the same Hello handshake as Start (a
+/// worker's metrics snapshot: the same Hello handshake as Open (a
 /// worker acking a version outside this build's range fails with
 /// NotSupported), one StatsRequest/StatsResponse exchange, then
 /// Shutdown; the connection is closed either way. This is what the

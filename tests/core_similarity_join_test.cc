@@ -2,20 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <functional>
-#include <memory>
 #include <set>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "core/sharded_index.h"
 #include "data/generators.h"
-#include "distributed/transport/session.h"
-#include "distributed/transport/tcp_transport.h"
-#include "reference_join.h"
-#include "test_paths.h"
+#include "join_oracle.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -140,105 +131,15 @@ TEST(SimilarityJoinTest, OutputSortedByLeftThenRight) {
   }
 }
 
-/// Thread-hosted join-worker sessions on localhost ports, one per
-/// endpoint. Each serves one coordinator until it shuts the session
-/// down; the destructor unblocks an Accept no coordinator reached.
-class LocalWorkers {
- public:
-  explicit LocalWorkers(int count) {
-    for (int w = 0; w < count; ++w) {
-      auto listener = TcpListener::Listen(0);
-      if (!listener.ok()) {
-        ADD_FAILURE() << listener.status().ToString();
-        return;
-      }
-      endpoints_.push_back("127.0.0.1:" + std::to_string(listener->port()));
-      auto shared =
-          std::make_shared<TcpListener>(std::move(listener).value());
-      listeners_.push_back(shared);
-      statuses_.push_back(std::make_unique<Status>());
-      threads_.emplace_back([shared, status = statuses_.back().get()] {
-        auto connection = shared->Accept();
-        *status = connection.ok() ? ServeConnection(connection->get())
-                                  : connection.status();
-      });
-    }
-  }
-  LocalWorkers(const LocalWorkers&) = delete;
-  LocalWorkers& operator=(const LocalWorkers&) = delete;
-  ~LocalWorkers() {
-    for (auto& listener : listeners_) listener->Shutdown();
-    for (size_t w = 0; w < threads_.size(); ++w) {
-      threads_[w].join();
-      EXPECT_TRUE(statuses_[w]->ok()) << statuses_[w]->ToString();
-    }
-  }
-  const std::vector<std::string>& endpoints() const { return endpoints_; }
-
- private:
-  std::vector<std::string> endpoints_;
-  std::vector<std::shared_ptr<TcpListener>> listeners_;
-  std::vector<std::unique_ptr<Status>> statuses_;
-  std::vector<std::thread> threads_;
-};
-
 TEST(OneShotJoinTest, MatchesReferenceJoin) {
-  // The one-shot calls run one engine at W = max(1, workers). Whatever
+  // The one-shot calls run one engine at W = max(1, workers), on a
+  // frozen file's shards, or against localhost join-workers. Whatever
   // the setting, the self-join and the R-S join return the reference
   // join's pairs, similarity bits included.
-  ProductDistribution dist;
-  Dataset right = test::ZipfDataWithDuplicates(17, 120, &dist);
-  Rng rng(18);
-  Dataset left;
-  for (VectorId id = 0; id < 10; ++id) left.Add(right.GetVector(id * 2));
-  for (int i = 0; i < 30; ++i) left.Add(dist.Sample(&rng));
-  ASSERT_TRUE(left.SetDimension(2000).ok());
-  const JoinOptions base = test::AdversarialJoinOptions(0.8, 17);
-  auto self_expected = test::ReferenceSelfJoin(right, dist, base);
-  auto rs_expected = test::ReferenceJoin(&left, right, dist, base);
-  ASSERT_TRUE(self_expected.ok() && rs_expected.ok());
-  ASSERT_FALSE(self_expected->empty());
-  ASSERT_FALSE(rs_expected->empty());
-
-  const std::string frozen = test::TempPath("oneshot", this, ".skf");
-  ShardedIndex three_shards;
-  ASSERT_TRUE(three_shards.Build(&right, &dist, {base.index, 3}).ok());
-  ASSERT_TRUE(three_shards.Freeze(frozen).ok());
-
-  struct Row {
-    std::string name;
-    std::function<void(JoinOptions*)> set;
-    int endpoints;       ///< localhost join-workers to attach
-    size_t workers;      ///< workers the engine must report
-  };
-  const std::vector<Row> rows = {
-      {"default", [](JoinOptions*) {}, 0, 1},
-      {"workers = 3", [](JoinOptions* o) { o->workers = 3; }, 0, 3},
-      {"threads = 4", [](JoinOptions* o) { o->threads = 4; }, 0, 1},
-      {"heavy_threshold = 1",
-       [](JoinOptions* o) { o->heavy_threshold = 1; }, 0, 1},
-      {"3-shard frozen file",
-       [&](JoinOptions* o) { o->frozen_shards = frozen; }, 0, 3},
-      {"loopback endpoints", [](JoinOptions*) {}, 2, 2},
-  };
-  for (const Row& row : rows) {
-    for (bool self_join : {true, false}) {
-      SCOPED_TRACE(row.name + (self_join ? ", self-join" : ", R-S join"));
-      JoinOptions options = base;
-      row.set(&options);
-      LocalWorkers hosts(row.endpoints);
-      options.remote_workers = hosts.endpoints();
-      DistributedJoinStats stats;
-      auto got = self_join
-                     ? SelfSimilarityJoin(right, dist, options, &stats)
-                     : SimilarityJoin(left, right, dist, options, &stats);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      test::ExpectSamePairs(self_join ? *self_expected : *rs_expected, *got);
-      EXPECT_EQ(stats.pairs, got->size());
-      EXPECT_EQ(stats.workers.size(), row.workers);
-    }
-  }
-  std::remove(frozen.c_str());
+  test::JoinOracle(test::ZipfJoinConfig(17, 120))
+      .Check(test::kEveryW | test::kAutoHeavy | test::kForcedHeavy |
+             test::kBuild | test::kFrozen3 | test::kOneShot |
+             test::kOneShotTcp | test::kClean | test::kEveryJoin);
 }
 
 }  // namespace

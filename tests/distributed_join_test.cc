@@ -12,21 +12,18 @@
 #include "core/index_io.h"
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
-#include "data/generators.h"
-#include "distributed/transport/session.h"
-#include "distributed/transport/transport.h"
-#include "reference_join.h"
-#include "reference_pairing.h"
-#include "sim/measures.h"
+#include "join_oracle.h"
 #include "test_paths.h"
-#include "util/random.h"
 
 namespace skewsearch {
 namespace {
 
 using test::AdversarialJoinOptions;
 using test::ExpectSamePairs;
+using test::JoinOracle;
+using test::MakeJoinOracleConfig;
 using test::ZipfDataWithDuplicates;
+using test::ZipfJoinConfig;
 
 DistributedJoinOptions DistributedFrom(const JoinOptions& options,
                                        int workers) {
@@ -35,208 +32,64 @@ DistributedJoinOptions DistributedFrom(const JoinOptions& options,
   return distributed;
 }
 
-Dataset TwoBlockDataWithDuplicates(uint64_t seed, size_t n,
-                                   ProductDistribution* dist_out) {
-  auto dist = TwoBlockProbabilities(60, 0.25, 1500, 0.01).value();
-  Rng rng(seed);
-  Dataset data;
-  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
-  for (size_t i = 0; i < n / 10; ++i) {
-    data.Add(data.GetVector(static_cast<VectorId>(i * 5)));
-  }
-  EXPECT_TRUE(data.SetDimension(1560).ok());
-  *dist_out = std::move(dist);
-  return data;
-}
-
-/// The acceptance-criterion sweep: SelfJoin must equal the reference
-/// join pair-for-pair for W in {1, 2, 7}.
-void RunIdentitySweep(const Dataset& data, const ProductDistribution& dist,
-                      const JoinOptions& options) {
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u) << "sweep needs a non-trivial output";
-  for (int workers : {1, 2, 7}) {
-    SCOPED_TRACE("workers = " + std::to_string(workers));
-    DistributedJoin join;
-    ASSERT_TRUE(
-        join.Build(&data, &dist, DistributedFrom(options, workers)).ok());
-    DistributedJoinStats stats;
-    auto got = join.SelfJoin(&stats);
-    ASSERT_TRUE(got.ok());
-    ExpectSamePairs(*expected, *got);
-    EXPECT_EQ(stats.pairs, got->size());
-    EXPECT_GE(stats.duplication_factor, workers > 1 ? 1.0 : 0.0);
-    EXPECT_EQ(stats.workers.size(), static_cast<size_t>(workers));
-  }
-}
+constexpr uint32_t kInProcessBuild = test::kBuild | test::kInProcess |
+                                     test::kClean;
 
 TEST(DistributedJoinTest, SelfJoinIdenticalToSingleProcessOnZipf) {
   for (uint64_t seed : {11u, 12u}) {
-    SCOPED_TRACE("seed = " + std::to_string(seed));
-    ProductDistribution dist;
-    Dataset data = ZipfDataWithDuplicates(seed, 120, &dist);
-    RunIdentitySweep(data, dist, AdversarialJoinOptions(0.8, seed));
+    JoinOracle(ZipfJoinConfig(seed, 120))
+        .Check(test::kEveryW | test::kAutoHeavy | kInProcessBuild |
+               test::kSelfJoin);
   }
 }
 
 TEST(DistributedJoinTest, SelfJoinIdenticalToSingleProcessOnTwoBlock) {
   for (uint64_t seed : {21u, 22u}) {
-    SCOPED_TRACE("seed = " + std::to_string(seed));
-    ProductDistribution dist;
-    Dataset data = TwoBlockDataWithDuplicates(seed, 120, &dist);
-    RunIdentitySweep(data, dist, AdversarialJoinOptions(0.8, seed));
+    JoinOracle(MakeJoinOracleConfig("TwoBlock", false, 120, seed, 0.8, seed))
+        .Check(test::kEveryW | test::kAutoHeavy | kInProcessBuild |
+               test::kSelfJoin);
   }
 }
 
 TEST(DistributedJoinTest, ForcedHeavySplittingPreservesOutput) {
   // heavy_threshold 1 makes *every* key heavy (maximal slicing and
   // probe fan-out); the output must not change.
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(31, 100, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 31);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-
-  DistributedJoinOptions distributed = DistributedFrom(options, 5);
-  distributed.heavy_threshold = 1;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  DistributedJoinStats stats;
-  auto got = join.SelfJoin(&stats);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-  EXPECT_GT(stats.heavy_keys, 0u);
-  EXPECT_GT(stats.replicated_slices, stats.heavy_keys);
+  JoinOracle(ZipfJoinConfig(31))
+      .Check(test::kW2 | test::kW7 | test::kForcedHeavy | kInProcessBuild |
+             test::kEveryJoin);
 }
 
 TEST(DistributedJoinTest, AllLightRoutingPreservesOutput) {
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(32, 100, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 32);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-
-  DistributedJoinOptions distributed = DistributedFrom(options, 5);
-  distributed.heavy_threshold = data.size() * 1000;  // nothing is heavy
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  DistributedJoinStats stats;
-  auto got = join.SelfJoin(&stats);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-  EXPECT_EQ(stats.heavy_keys, 0u);
-  EXPECT_GE(stats.probe_fanout, 1.0);
-  EXPECT_LE(stats.probe_fanout, 5.0);
+  JoinOracle(ZipfJoinConfig(32))
+      .Check(test::kW2 | test::kW7 | test::kAllLight | kInProcessBuild |
+             test::kEveryJoin);
 }
 
 TEST(DistributedJoinTest, RSJoinIdenticalToSingleProcess) {
-  ProductDistribution dist;
-  Dataset right = ZipfDataWithDuplicates(41, 100, &dist);
-  Rng rng(42);
-  Dataset left;
-  for (VectorId id = 0; id < 10; ++id) left.Add(right.GetVector(id * 2));
-  for (int i = 0; i < 30; ++i) left.Add(dist.Sample(&rng));
-  ASSERT_TRUE(left.SetDimension(2000).ok());
-
-  JoinOptions options = AdversarialJoinOptions(0.8, 41);
-  auto expected = test::ReferenceJoin(&left, right, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u);
-  for (int workers : {1, 2, 7}) {
-    SCOPED_TRACE("workers = " + std::to_string(workers));
-    DistributedJoin join;
-    ASSERT_TRUE(
-        join.Build(&right, &dist, DistributedFrom(options, workers)).ok());
-    auto got = join.Join(left);
-    ASSERT_TRUE(got.ok());
-    ExpectSamePairs(*expected, *got);
-  }
+  JoinOracle(ZipfJoinConfig(41))
+      .Check(test::kEveryW | test::kAutoHeavy | kInProcessBuild |
+             test::kRSJoin);
 }
 
 TEST(DistributedJoinTest, RSJoinWithItemsOutsideTheUniverse) {
-  // The probe side may carry items the build side's distribution does not
-  // cover. The join finishes, equals the reference join, and every pair
-  // re-verifies.
-  ProductDistribution dist;
-  Dataset right = ZipfDataWithDuplicates(43, 100, &dist);
-  Rng rng(44);
-  Dataset left;
-  for (VectorId id = 0; id < 20; ++id) {
-    const std::span<const ItemId> x = right.Get(id * 2);
-    std::vector<ItemId> widened(x.begin(), x.end());
-    widened.push_back(2000);
-    widened.push_back(1000000);
-    left.Add(widened);
-  }
-  for (int i = 0; i < 20; ++i) left.Add(dist.Sample(&rng));
-
-  JoinOptions options = AdversarialJoinOptions(0.6, 43);
-  auto expected = test::ReferenceJoin(&left, right, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u);
-  const Measure measure = options.index.verify_measure;
-  for (const JoinPair& pair : *expected) {
-    const double sim =
-        Similarity(measure, left.Get(pair.left), right.Get(pair.right));
-    EXPECT_GE(sim, options.threshold);
-    EXPECT_EQ(pair.similarity, sim);
-  }
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&right, &dist, DistributedFrom(options, 2)).ok());
-  auto got = join.Join(left);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
+  // Half the oracle's copies of build vectors carry two items outside
+  // the universe; the reference re-verifies every pair.
+  JoinOracle(ZipfJoinConfig(43, 100, 0.6))
+      .Check(test::kW2 | test::kAutoHeavy | kInProcessBuild | test::kRSJoin);
 }
 
 TEST(DistributedJoinParallelIdentityTest, ThreadsDoNotChangeOutput) {
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(51, 120, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 51);
-  DistributedJoinOptions serial_options = DistributedFrom(options, 4);
-  DistributedJoin serial;
-  ASSERT_TRUE(serial.Build(&data, &dist, serial_options).ok());
-  auto expected = serial.SelfJoin();
-  ASSERT_TRUE(expected.ok());
-
-  DistributedJoinOptions parallel_options = DistributedFrom(options, 4);
-  parallel_options.threads = 4;
-  DistributedJoin parallel;
-  ASSERT_TRUE(parallel.Build(&data, &dist, parallel_options).ok());
-  auto got = parallel.SelfJoin();
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
+  JoinOracle(ZipfJoinConfig(51, 120))
+      .Check(test::kW2 | test::kW7 | test::kAutoHeavy | kInProcessBuild |
+             test::kThreaded | test::kEveryJoin);
 }
 
 TEST(DistributedJoinTest, JoinOptionsWorkersRouteThroughBackend) {
-  // SelfSimilarityJoin with workers = 3 runs the engine at W = 3: the
-  // reference pairs, and the stats a coordinator built from the same
-  // options reports.
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(61, 100, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 61);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-
-  JoinOptions three = options;
-  three.workers = 3;
-  DistributedJoinStats stats;
-  auto got = SelfSimilarityJoin(data, dist, three, &stats);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, DistributedFrom(options, 3)).ok());
-  DistributedJoinStats direct;
-  ASSERT_TRUE(join.SelfJoin(&direct).ok());
-  EXPECT_EQ(stats.pairs, direct.pairs);
-  EXPECT_EQ(stats.candidates, direct.candidates);
-  EXPECT_EQ(stats.verifications, direct.verifications);
-  EXPECT_EQ(stats.probe_keys, direct.probe_keys);
-  EXPECT_EQ(stats.duplication_factor, direct.duplication_factor);
-  EXPECT_EQ(stats.probe_fanout, direct.probe_fanout);
-  EXPECT_EQ(stats.workers.size(), 3u);
-  EXPECT_GE(stats.duplication_factor, 1.0);
+  // SelfSimilarityJoin with workers = W runs the engine at W: the
+  // reference pairs, and the work of the coordinator it builds.
+  JoinOracle(ZipfJoinConfig(61))
+      .Check(test::kEveryW | test::kAutoHeavy | test::kBuild |
+             test::kOneShot | test::kClean | test::kSelfJoin);
 }
 
 TEST(DistributedJoinTest, PropagatesBuildErrors) {
@@ -389,10 +242,8 @@ TEST(DistributedJoinTest, SlicesEqualAnAddFreezeCut) {
 /// hold the probe but holds an id above it. Runs it on \p join, whose
 /// build side is \p data, and checks its work counters against the
 /// reference pairing (tests/reference_pairing.h), which derives them
-/// from the filter kernel and the plan instead: equal shipped keys,
-/// fan-out and per-worker probes, candidates and verifications, no
-/// kernel draws, and Join()'s pairs with left < right. Returns the
-/// self-join's stats.
+/// from the filter kernel and the plan instead, and its pairs against
+/// Join()'s with left < right. Returns the self-join's stats.
 DistributedJoinStats CheckSelfJoinAgainstReferencePairing(
     const DistributedJoin& join, const Dataset& data) {
   const test::ReferencePairing reference = test::PairByReference(join, data);
@@ -405,24 +256,7 @@ DistributedJoinStats CheckSelfJoinAgainstReferencePairing(
                   << rs.status().ToString();
     return stats;
   }
-  EXPECT_EQ(stats.probe_keys, reference.keys);
-  EXPECT_EQ(stats.probe_fanout, reference.fanout());
-  EXPECT_EQ(stats.route_draws, 0u);
-  if (stats.workers.size() != reference.workers.size()) {
-    ADD_FAILURE() << stats.workers.size() << " worker loads, "
-                  << reference.workers.size() << " workers";
-    return stats;
-  }
-  size_t verifications = 0;
-  for (size_t w = 0; w < reference.workers.size(); ++w) {
-    SCOPED_TRACE("worker " + std::to_string(w));
-    EXPECT_EQ(stats.workers[w].probes, reference.workers[w].probes);
-    EXPECT_EQ(stats.workers[w].candidates, reference.workers[w].candidates);
-    EXPECT_EQ(stats.workers[w].verifications,
-              reference.workers[w].verifications);
-    verifications += reference.workers[w].verifications;
-  }
-  EXPECT_EQ(stats.verifications, verifications);
+  test::ExpectPairing(reference, stats);
   std::vector<JoinPair> upper;
   for (const JoinPair& pair : *rs) {
     if (pair.left < pair.right) upper.push_back(pair);
@@ -430,21 +264,6 @@ DistributedJoinStats CheckSelfJoinAgainstReferencePairing(
   ExpectSamePairs(upper, *self);
   return stats;
 }
-
-/// One loopback worker thread; joined on destruction, after the
-/// coordinator declared below it has shut its session down.
-struct HostedWorker {
-  HostedWorker() = default;
-  HostedWorker(const HostedWorker&) = delete;
-  HostedWorker& operator=(const HostedWorker&) = delete;
-  ~HostedWorker() {
-    if (thread.joinable()) thread.join();
-  }
-
-  std::thread thread;
-  Status status;
-  WorkerServeStats stats;
-};
 
 TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
   ProductDistribution dist;
@@ -511,26 +330,19 @@ TEST(DistributedJoinTest, SelfJoinRoutesOnlyKeysThatCanPair) {
     SCOPED_TRACE("loopback");
     DistributedJoinOptions distributed = DistributedFrom(options, 2);
     distributed.probe_batch = 16;
-    std::vector<std::unique_ptr<HostedWorker>> hosts;
+    test::HostedWorker hosts[2];
     DistributedJoin join;
     ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
     std::vector<std::unique_ptr<FrameConnection>> connections;
-    for (int w = 0; w < join.num_workers(); ++w) {
-      auto [coordinator_end, worker_end] = LoopbackPair();
-      auto host = std::make_unique<HostedWorker>();
-      host->thread = std::thread(
-          [host = host.get(), conn = std::move(worker_end)]() mutable {
-            host->status = ServeConnection(conn.get(), &host->stats);
-          });
-      connections.push_back(std::move(coordinator_end));
-      hosts.push_back(std::move(host));
+    for (test::HostedWorker& host : hosts) {
+      connections.push_back(host.Connect());
     }
     ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
     EXPECT_GT(CheckSelfJoinAgainstReferencePairing(join, data).pairs, 0u);
     join.DetachRemote();
-    for (auto& host : hosts) {
-      host->thread.join();
-      EXPECT_TRUE(host->status.ok()) << host->status.ToString();
+    for (test::HostedWorker& host : hosts) {
+      host.Join();
+      EXPECT_TRUE(host.status().ok()) << host.status().ToString();
     }
   }
 }
@@ -752,109 +564,55 @@ TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
 }
 
 TEST(DistributedJoinTest, RSJoinServesItsProbesInChunks) {
-  // Three chunks of probes, each routed, served and merged on its own:
-  // the pairs equal the reference join's and the work counters add up
-  // over the chunks, in-process and over loopback.
-  ProductDistribution dist;
-  Dataset right = ZipfDataWithDuplicates(95, 100, &dist);
-  Rng rng(96);
-  Dataset left;
+  // The oracle's probes fill two chunks, each routed, served and merged
+  // on its own: the pairs are the reference join's, in-process and over
+  // loopback in one frame per worker per chunk, and the work counters
+  // are the sums of joining each chunk alone.
+  JoinOracle oracle(ZipfJoinConfig(95));
+  oracle.Check(test::kW1 | test::kW7 | test::kForcedHeavy | test::kBuild |
+               test::kThreaded | test::kLoopbackWhole | test::kClean |
+               test::kRSJoin);
+  const Dataset& left = oracle.left();
   const size_t chunk = distributed_internal::kRouteChunk;
-  while (left.size() < 2 * chunk + 37) {
-    // Every third probe copies a build vector, so each chunk has pairs.
-    if (left.size() % 3 == 0) {
-      left.Add(right.GetVector(
-          static_cast<VectorId>(left.size() % right.size())));
-    } else {
-      left.Add(dist.Sample(&rng));
+  DistributedJoinOptions options = oracle.family();
+  options.workers = 1;
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&oracle.data(), &oracle.dist(), options).ok());
+  DistributedJoinStats whole;
+  ASSERT_TRUE(join.Join(left, &whole).ok());
+  DistributedJoinStats sum;
+  sum.workers.resize(1);
+  for (size_t begin = 0; begin < left.size(); begin += chunk) {
+    Dataset part;
+    for (size_t i = begin; i < std::min(left.size(), begin + chunk); ++i) {
+      part.Add(left.Get(static_cast<VectorId>(i)));
     }
+    DistributedJoinStats stats;
+    ASSERT_TRUE(join.Join(part, &stats).ok());
+    sum.pairs += stats.pairs;
+    sum.candidates += stats.candidates;
+    sum.verifications += stats.verifications;
+    sum.probe_keys += stats.probe_keys;
+    sum.route_draws += stats.route_draws;
+    sum.workers[0].probes += stats.workers[0].probes;
   }
-  ASSERT_TRUE(left.SetDimension(2000).ok());
-  const JoinOptions options = AdversarialJoinOptions(0.8, 95);
-  auto expected = test::ReferenceJoin(&left, right, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GE(expected->back().left, 2 * chunk);
+  EXPECT_EQ(whole.pairs, oracle.reference(false).size());
+  EXPECT_EQ(whole.pairs, sum.pairs);
+  EXPECT_EQ(whole.candidates, sum.candidates);
+  EXPECT_EQ(whole.verifications, sum.verifications);
+  EXPECT_EQ(whole.probe_keys, sum.probe_keys);
+  EXPECT_EQ(whole.route_draws, sum.route_draws);
+  EXPECT_EQ(whole.workers[0].probes, sum.workers[0].probes);
 
-  DistributedJoinStats serial;
-  {
-    DistributedJoin join;
-    ASSERT_TRUE(join.Build(&right, &dist, DistributedFrom(options, 1)).ok());
-    auto got = join.Join(left, &serial);
-    ASSERT_TRUE(got.ok());
-    ExpectSamePairs(*expected, *got);
-    EXPECT_EQ(serial.pairs, expected->size());
-    // The counters are the sums of joining each chunk on its own.
-    DistributedJoinStats sum;
-    sum.workers.resize(1);
-    for (size_t begin = 0; begin < left.size(); begin += chunk) {
-      Dataset part;
-      for (size_t i = begin; i < std::min(left.size(), begin + chunk); ++i) {
-        part.Add(left.GetVector(static_cast<VectorId>(i)));
-      }
-      ASSERT_TRUE(part.SetDimension(2000).ok());
-      DistributedJoinStats stats;
-      ASSERT_TRUE(join.Join(part, &stats).ok());
-      sum.pairs += stats.pairs;
-      sum.candidates += stats.candidates;
-      sum.verifications += stats.verifications;
-      sum.probe_keys += stats.probe_keys;
-      sum.route_draws += stats.route_draws;
-      sum.workers[0].probes += stats.workers[0].probes;
-    }
-    EXPECT_EQ(serial.pairs, sum.pairs);
-    EXPECT_EQ(serial.candidates, sum.candidates);
-    EXPECT_EQ(serial.verifications, sum.verifications);
-    EXPECT_EQ(serial.probe_keys, sum.probe_keys);
-    EXPECT_EQ(serial.route_draws, sum.route_draws);
-    EXPECT_EQ(serial.workers[0].probes, sum.workers[0].probes);
-  }
-  {
-    SCOPED_TRACE("W = 3, threads = 4, every key heavy");
-    DistributedJoinOptions distributed = DistributedFrom(options, 3);
-    distributed.threads = 4;
-    distributed.heavy_threshold = 1;
-    DistributedJoin join;
-    ASSERT_TRUE(join.Build(&right, &dist, distributed).ok());
-    DistributedJoinStats stats;
-    auto got = join.Join(left, &stats);
-    ASSERT_TRUE(got.ok());
-    ExpectSamePairs(*expected, *got);
-    EXPECT_EQ(stats.candidates, serial.candidates);
-    EXPECT_GT(stats.cross_worker_duplicates, 0u);
-  }
-  {
-    // One frame per worker per chunk, each one exposed round trip.
-    SCOPED_TRACE("loopback, probe_batch = 0");
-    DistributedJoinOptions distributed = DistributedFrom(options, 2);
-    distributed.probe_batch = 0;
-    std::vector<std::unique_ptr<HostedWorker>> hosts;
-    DistributedJoin join;
-    ASSERT_TRUE(join.Build(&right, &dist, distributed).ok());
-    std::vector<std::unique_ptr<FrameConnection>> connections;
-    for (int w = 0; w < join.num_workers(); ++w) {
-      auto [coordinator_end, worker_end] = LoopbackPair();
-      auto host = std::make_unique<HostedWorker>();
-      host->thread = std::thread(
-          [host = host.get(), conn = std::move(worker_end)]() mutable {
-            host->status = ServeConnection(conn.get(), &host->stats);
-          });
-      connections.push_back(std::move(coordinator_end));
-      hosts.push_back(std::move(host));
-    }
-    ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
-    DistributedJoinStats stats;
-    auto got = join.Join(left, &stats);
-    ASSERT_TRUE(got.ok());
-    ExpectSamePairs(*expected, *got);
-    EXPECT_EQ(stats.candidates, serial.candidates);
-    EXPECT_EQ(stats.probe_batches_sent, 3u * 2u);
-    EXPECT_EQ(stats.probe_round_trips, 3u * 2u);
-    join.DetachRemote();
-    for (auto& host : hosts) {
-      host->thread.join();
-      EXPECT_TRUE(host->status.ok()) << host->status.ToString();
-    }
-  }
+  // Every key heavy at W = 3: some pair surfaces on two workers, and the
+  // merge keeps one.
+  options.workers = 3;
+  options.heavy_threshold = 1;
+  DistributedJoin split;
+  ASSERT_TRUE(split.Build(&oracle.data(), &oracle.dist(), options).ok());
+  DistributedJoinStats stats;
+  ASSERT_TRUE(split.Join(left, &stats).ok());
+  EXPECT_GT(stats.cross_worker_duplicates, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // mid-probe-stream must not change the join output — the coordinator
 // re-derives the dead worker's slices from the deterministic plan,
 // re-ships them to a survivor, replays the unacknowledged batches, and
-// the merge's dedup absorbs everything. Also the transport-poisoning
+// the merge's dedup absorbs everything (the join oracle's kill cells,
+// join_oracle.h). Also the transport-poisoning
 // satellite: a TCP stream desynchronized mid-frame must refuse further
 // use with a distinct status instead of decoding garbage.
 
@@ -18,21 +19,16 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "assignment_test_util.h"
-#include "core/similarity_join.h"
-#include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
-#include "distributed/transport/transport.h"
-#include "reference_join.h"
+#include "join_oracle.h"
 #include "reference_index.h"
 #include "util/containers.h"
-#include "util/random.h"
 
 namespace skewsearch {
 namespace {
@@ -40,90 +36,16 @@ namespace {
 using test::ExpectSamePairs;
 using test::ZipfDataWithDuplicates;
 
-/// One hosted loopback worker: ServeConnection on its own thread, with
-/// optional fault injection.
-struct HostedWorker {
-  std::thread thread;
-  WorkerServeStats stats;
-  Status status;
-
-  void Join() {
-    if (thread.joinable()) thread.join();
-  }
-};
-
 TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(71, 140, &dist);
-  DistributedJoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = 0.8;
-  options.index.repetition_boost = 3.0;
-  options.index.seed = 71;
-  options.workers = 3;
-  options.probe_batch = 8;  // enough batches per worker to die mid-stream
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u) << "identity needs a non-trivial output";
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, options).ok());
-
-  // Worker 1's server drops the connection after two answered batches —
-  // no Error frame, no Shutdown, exactly what a SIGKILLed process looks
-  // like from the coordinator's side of the socket.
-  std::vector<std::unique_ptr<HostedWorker>> hosts;
-  std::vector<std::unique_ptr<FrameConnection>> connections;
-  for (int w = 0; w < 3; ++w) {
-    auto [client, server] = LoopbackPair();
-    auto host = std::make_unique<HostedWorker>();
-    ServeOptions serve;
-    if (w == 1) serve.fail_after_batches = 2;
-    host->thread = std::thread(
-        [host = host.get(), serve, conn = std::move(server)]() mutable {
-          host->status = ServeConnection(conn.get(), &host->stats, serve);
-        });
-    hosts.push_back(std::move(host));
-    connections.push_back(std::move(client));
-  }
-  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
-
-  DistributedJoinStats stats;
-  auto got = join.SelfJoin(&stats);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSamePairs(*expected, *got);
-  EXPECT_EQ(stats.worker_recoveries, 1u);
-  EXPECT_GE(stats.replayed_batches, 1u);
-  // The replay goes through the same pipelined drain as the first pass:
-  // one exposed round trip per worker drain plus one for the replay on
-  // the survivor, not one per replayed batch.
-  EXPECT_LE(stats.probe_round_trips,
-            static_cast<size_t>(options.workers) + 1);
-  EXPECT_GE(stats.probe_batches_sent, stats.replayed_batches);
-
-  // The remap persists: the next join on the reduced pool (worker 1's
-  // slices now merged into a survivor) is still byte-identical, with
-  // nothing left to recover.
-  DistributedJoinStats again;
-  auto second = join.SelfJoin(&again);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ExpectSamePairs(*expected, *second);
-  EXPECT_EQ(again.worker_recoveries, 0u);
-  EXPECT_EQ(again.replayed_batches, 0u);
-
-  join.DetachRemote();
-  size_t reassignments = 0;
-  for (int w = 0; w < 3; ++w) {
-    hosts[static_cast<size_t>(w)]->Join();
-    const HostedWorker& host = *hosts[static_cast<size_t>(w)];
-    if (w == 1) {
-      EXPECT_TRUE(host.status.IsAborted()) << host.status.ToString();
-    } else {
-      EXPECT_TRUE(host.status.ok()) << host.status.ToString();
-      reassignments += host.stats.reassignments;
-    }
-  }
-  // Exactly one survivor absorbed the dead worker's slices.
-  EXPECT_EQ(reassignments, 1u);
+  // Worker 1's server drops the connection after its first answered
+  // batch — no Error frame, no Shutdown, exactly what a SIGKILLed
+  // process looks like from the coordinator's side of the socket. One
+  // survivor takes its slices and replays what it never answered; the
+  // remap persists, so the next join runs on the reduced pool.
+  test::JoinOracle(test::ZipfJoinConfig(71, 140))
+      .Check(test::kW2 | test::kW7 | test::kAutoHeavy | test::kForcedHeavy |
+             test::kBuild | test::kLoopback1 | test::kLoopback16 |
+             test::kKill | test::kSelfJoin);
 }
 
 TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
@@ -133,27 +55,23 @@ TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
   // position need not hold its largest id. The survivor must still pair
   // each probe against every list holding an id above it: the join with
   // its replay, and the next join served by the survivor alone, return
-  // the one-shot pairs. One repetition gives each vector few keys, so
+  // the reference pairs. One repetition gives each vector few keys, so
   // the lost worker's slices reference vectors the survivor lacks.
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(75, 400, &dist);
-  JoinOptions options = test::AdversarialJoinOptions(0.5, 75);
-  options.index.repetitions = 1;
-  auto expected = SelfSimilarityJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  ASSERT_GT(expected->size(), 0u);
+  test::JoinOracleConfig config = test::ZipfJoinConfig(75, 400, 0.5);
+  config.family.index.repetitions = 1;
+  test::JoinOracle oracle(config);
+  DistributedJoinOptions options = oracle.family();
   options.workers = 2;
-  options.probe_batch = 4;
   DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, options).ok());
+  ASSERT_TRUE(join.Build(&oracle.data(), &oracle.dist(), options).ok());
 
   // The survivor's table, rebuilt the way it rebuilds it: some list must
   // end in a position whose id is below the list's largest.
   WorkerState replica(0);
   for (uint32_t w = 0; w < 2; ++w) {
     const wire::Frame frame = wire::EncodeAssignment(
-        join.worker(static_cast<int>(w)).table(), data, join.threshold(),
-        options.index.verify_measure, w);
+        join.worker(static_cast<int>(w)).table(), oracle.data(),
+        join.threshold(), options.index.verify_measure, w);
     wire::Assignment assignment;
     ASSERT_TRUE(wire::DecodeAssignment(frame, &assignment).ok());
     ASSERT_TRUE(replica.Apply(std::move(assignment)).ok());
@@ -169,103 +87,18 @@ TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
     lists_not_ending_in_their_top += ids[table.postings_at(k).back()] < top;
   }
   ASSERT_GT(lists_not_ending_in_their_top, 0u);
-
-  std::vector<std::unique_ptr<HostedWorker>> hosts;
-  std::vector<std::unique_ptr<FrameConnection>> connections;
-  for (int w = 0; w < 2; ++w) {
-    auto [client, server] = LoopbackPair();
-    auto host = std::make_unique<HostedWorker>();
-    ServeOptions serve;
-    if (w == 1) serve.fail_after_batches = 2;
-    host->thread = std::thread(
-        [host = host.get(), serve, conn = std::move(server)]() mutable {
-          host->status = ServeConnection(conn.get(), &host->stats, serve);
-        });
-    hosts.push_back(std::move(host));
-    connections.push_back(std::move(client));
-  }
-  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE(round == 0 ? "the join that loses worker 1"
-                            : "the survivor alone");
-    DistributedJoinStats stats;
-    auto got = join.SelfJoin(&stats);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSamePairs(*expected, *got);
-    EXPECT_EQ(stats.worker_recoveries, round == 0 ? 1u : 0u);
-  }
-  join.DetachRemote();
-  for (auto& host : hosts) host->Join();
-  EXPECT_TRUE(hosts[0]->status.ok()) << hosts[0]->status.ToString();
-  EXPECT_EQ(hosts[0]->stats.reassignments, 1u);
+  oracle.Check(test::kW2 | test::kAutoHeavy | test::kBuild |
+               test::kLoopback1 | test::kKill | test::kSelfJoin);
 }
 
 TEST(DistributedRecoveryTest, WorkerDeathInAnRSJoinsFirstChunkRecoversOnce) {
-  // An R-S join over three chunks of probes loses worker 1 in the first
+  // An R-S join over two chunks of probes loses worker 1 in the first
   // chunk. Recovery moves its slices to a survivor, which serves them in
-  // the later chunks as well: one recovery, and the reference pairs.
-  ProductDistribution dist;
-  Dataset right = ZipfDataWithDuplicates(73, 100, &dist);
-  Rng rng(74);
-  Dataset left;
-  while (left.size() < 2 * distributed_internal::kRouteChunk + 11) {
-    if (left.size() % 3 == 0) {
-      left.Add(right.GetVector(
-          static_cast<VectorId>(left.size() % right.size())));
-    } else {
-      left.Add(dist.Sample(&rng));
-    }
-  }
-  ASSERT_TRUE(left.SetDimension(2000).ok());
-  DistributedJoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = 0.8;
-  options.index.repetition_boost = 3.0;
-  options.index.seed = 73;
-  options.workers = 3;
-  options.probe_batch = 64;
-  auto expected = test::ReferenceJoin(&left, right, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GE(expected->back().left, 2 * distributed_internal::kRouteChunk);
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&right, &dist, options).ok());
-
-  std::vector<std::unique_ptr<HostedWorker>> hosts;
-  std::vector<std::unique_ptr<FrameConnection>> connections;
-  for (int w = 0; w < 3; ++w) {
-    auto [client, server] = LoopbackPair();
-    auto host = std::make_unique<HostedWorker>();
-    ServeOptions serve;
-    if (w == 1) serve.fail_after_batches = 2;
-    host->thread = std::thread(
-        [host = host.get(), serve, conn = std::move(server)]() mutable {
-          host->status = ServeConnection(conn.get(), &host->stats, serve);
-        });
-    hosts.push_back(std::move(host));
-    connections.push_back(std::move(client));
-  }
-  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
-
-  DistributedJoinStats stats;
-  auto got = join.Join(left, &stats);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSamePairs(*expected, *got);
-  EXPECT_EQ(stats.worker_recoveries, 1u);
-  EXPECT_GE(stats.replayed_batches, 1u);
-
-  join.DetachRemote();
-  size_t reassignments = 0;
-  for (int w = 0; w < 3; ++w) {
-    hosts[static_cast<size_t>(w)]->Join();
-    const HostedWorker& host = *hosts[static_cast<size_t>(w)];
-    if (w == 1) {
-      EXPECT_TRUE(host.status.IsAborted()) << host.status.ToString();
-    } else {
-      EXPECT_TRUE(host.status.ok()) << host.status.ToString();
-      reassignments += host.stats.reassignments;
-    }
-  }
-  EXPECT_EQ(reassignments, 1u);
+  // the later chunk as well: one recovery, and the reference pairs.
+  test::JoinOracle(test::ZipfJoinConfig(73))
+      .Check(test::kW2 | test::kW7 | test::kAutoHeavy | test::kBuild |
+             test::kLoopback1 | test::kLoopback16 | test::kKill |
+             test::kRSJoin);
 }
 
 TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
@@ -273,18 +106,14 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
   // response: the worker recomputes against read-only state. Driven at
   // the session layer, where the pipelined API allows two identical
   // batches in flight.
-  auto [client, server] = LoopbackPair();
-  HostedWorker host;
-  host.thread = std::thread([&host, conn = std::move(server)]() mutable {
-    host.status = ServeConnection(conn.get(), &host.stats);
-  });
+  test::HostedWorker host;
   const wire::Frame assignment =
       test::AssignmentFrame({{7, {0, 1}}}, {{0, {1, 2, 3}}, {1, {2, 3, 4}}},
                             /*threshold=*/0.4);
-  auto session = RemoteWorkerSession::Start(
-      std::move(client), /*worker_id=*/0, /*num_workers=*/1, assignment,
-      test::ExpectedAck(assignment));
+  auto session = RemoteWorkerSession::Open(host.Connect(), /*worker_id=*/0,
+                                           /*num_workers=*/1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Acknowledge(test::ExpectedAck(assignment)).ok());
 
   const std::vector<ItemId> items = {2, 3, 4};
   ProbeRequest probe;
@@ -308,8 +137,8 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
   test::ExpectSameMatches(a.matches, b.matches, "replayed probe");
   EXPECT_TRUE(session->Shutdown().ok());
   host.Join();
-  EXPECT_TRUE(host.status.ok()) << host.status.ToString();
-  EXPECT_EQ(host.stats.batches, 2u);
+  EXPECT_TRUE(host.status().ok()) << host.status().ToString();
+  EXPECT_EQ(host.stats().batches, 2u);
 }
 
 TEST(DistributedRecoveryTest, ReshipEqualsTheBuildOfBothSlices) {
@@ -461,24 +290,15 @@ TEST(DistributedRecoveryTest, MatchOutsideTheJoinContractFailsTheSession) {
       SCOPED_TRACE(std::string(bad.name) +
                    ", workers = " + std::to_string(workers));
       options.workers = workers;
-      std::vector<std::unique_ptr<HostedWorker>> hosts;
+      std::vector<test::HostedWorker> hosts(static_cast<size_t>(workers));
       DistributedJoin join;
       ASSERT_TRUE(join.Build(&data, &dist, options).ok());
       std::vector<std::unique_ptr<FrameConnection>> connections;
-      for (int w = 0; w < workers; ++w) {
-        auto [client, server] = LoopbackPair();
-        auto host = std::make_unique<HostedWorker>();
-        host->thread = std::thread(
-            [host = host.get(), conn = std::move(server)]() mutable {
-              host->status = ServeConnection(conn.get(), &host->stats);
-            });
-        hosts.push_back(std::move(host));
-        if (w == 0) {
-          client = std::make_unique<ContractBreakingConnection>(
-              std::move(client), bad.pick);
-        }
-        connections.push_back(std::move(client));
+      for (test::HostedWorker& host : hosts) {
+        connections.push_back(host.Connect());
       }
+      connections[0] = std::make_unique<ContractBreakingConnection>(
+          std::move(connections[0]), bad.pick);
       ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
 
       DistributedJoinStats stats;
@@ -501,9 +321,9 @@ TEST(DistributedRecoveryTest, MatchOutsideTheJoinContractFailsTheSession) {
       // flight, so its host may fail sending that answer; the others
       // end cleanly.
       for (size_t w = 0; w < hosts.size(); ++w) {
-        hosts[w]->Join();
+        hosts[w].Join();
         if (w > 0) {
-          EXPECT_TRUE(hosts[w]->status.ok()) << hosts[w]->status.ToString();
+          EXPECT_TRUE(hosts[w].status().ok()) << hosts[w].status().ToString();
         }
       }
     }

@@ -14,9 +14,9 @@
 
 #include "assignment_test_util.h"
 #include "distributed/transport/session.h"
-#include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
 #include "distributed/transport/wire.h"
+#include "hosted_worker.h"
 #include "obs/metrics.h"
 
 namespace skewsearch {
@@ -122,37 +122,18 @@ TEST(DistributedStatsTest, DecodeRejectsTamperedPayload) {
   EXPECT_FALSE(wire::DecodeStatsResponse(bad_kind, &decoded).ok());
 }
 
-/// One thread serving ServeConnection on its end of a transport.
-struct HostedWorker {
-  std::thread thread;
-  Status status;
-  WorkerServeStats stats;
-
-  void Serve(std::unique_ptr<FrameConnection> connection,
-             const ServeOptions& options) {
-    thread = std::thread(
-        [this, conn = std::move(connection), options]() mutable {
-          status = ServeConnection(conn.get(), &stats, options);
-        });
-  }
-  void Join() {
-    if (thread.joinable()) thread.join();
-  }
-};
-
 TEST(DistributedStatsTest, ScrapeOnlySessionOverLoopback) {
   obs::MetricsRegistry registry;
   registry.GetCounter("test.preexisting")->Increment(7);
   ServeOptions options;
   options.metrics = &registry;
 
-  auto [scraper, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end), options);
+  test::HostedWorker worker(options);
+  std::unique_ptr<FrameConnection> scraper = worker.Connect();
   auto stats = ScrapeWorkerStats(scraper.get());
   scraper->Close();
   worker.Join();
-  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
+  EXPECT_TRUE(worker.status().ok()) << worker.status().ToString();
 
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   bool saw_preexisting = false, saw_scrapes = false;
@@ -175,24 +156,13 @@ TEST(DistributedStatsTest, ScrapeOnlySessionOverTcp) {
   ServeOptions options;
   options.metrics = &registry;
 
-  auto listener = TcpListener::Listen(0);
-  ASSERT_TRUE(listener.ok());
-  HostedWorker worker;
-  worker.thread = std::thread(
-      [&worker, &options, l = std::move(listener).value()]() mutable {
-        auto conn = l.Accept();
-        if (!conn.ok()) {
-          worker.status = conn.status();
-          return;
-        }
-        worker.status = ServeConnection(conn->get(), &worker.stats, options);
-      });
-  auto client = TcpConnect("127.0.0.1", listener->port());
-  ASSERT_TRUE(client.ok());
-  auto stats = ScrapeWorkerStats(client->get());
-  (*client)->Close();
+  test::HostedWorker worker(options);
+  std::unique_ptr<FrameConnection> client =
+      worker.Connect(test::Transport::kTcp);
+  auto stats = ScrapeWorkerStats(client.get());
+  client->Close();
   worker.Join();
-  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
+  EXPECT_TRUE(worker.status().ok()) << worker.status().ToString();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(registry.GetCounter("worker.stats_scrapes")->Value(), 1u);
 }
@@ -202,16 +172,13 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   ServeOptions options;
   options.metrics = &registry;
 
-  auto [coordinator, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end), options);
-
+  test::HostedWorker worker(options);
   const wire::Frame assignment =
       test::AssignmentFrame({{42, {1}}}, {{1, {3, 5}}});
-  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
-                                            assignment,
-                                            test::ExpectedAck(assignment));
+  auto session =
+      RemoteWorkerSession::Open(worker.Connect(), 0, 1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Acknowledge(test::ExpectedAck(assignment)).ok());
 
   const std::vector<ItemId> probe_items = {3, 5};
   std::vector<ProbeRequest> batch(1);
@@ -242,8 +209,8 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   EXPECT_TRUE(session->Shutdown().ok());
   worker.Join();
-  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
-  EXPECT_EQ(worker.stats.batches, 2u);
+  EXPECT_TRUE(worker.status().ok()) << worker.status().ToString();
+  EXPECT_EQ(worker.stats().batches, 2u);
 }
 
 TEST(DistributedStatsTest, AssignmentTimeIsOneSamplePerAssignment) {
@@ -252,15 +219,13 @@ TEST(DistributedStatsTest, AssignmentTimeIsOneSamplePerAssignment) {
   obs::MetricsRegistry registry;
   ServeOptions options;
   options.metrics = &registry;
-  auto [coordinator, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end), options);
+  test::HostedWorker worker(options);
   const wire::Frame assignment =
       test::AssignmentFrame({{42, {1}}}, {{1, {3, 5}}});
-  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
-                                            assignment,
-                                            test::ExpectedAck(assignment));
+  auto session =
+      RemoteWorkerSession::Open(worker.Connect(), 0, 1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Acknowledge(test::ExpectedAck(assignment)).ok());
   auto samples = [&]() -> uint64_t {
     auto stats = session->QueryStats();
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
@@ -284,8 +249,8 @@ TEST(DistributedStatsTest, AssignmentTimeIsOneSamplePerAssignment) {
   EXPECT_EQ(samples(), 2u);
   EXPECT_TRUE(session->Shutdown().ok());
   worker.Join();
-  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
-  EXPECT_EQ(worker.stats.reassignments, 1u);
+  EXPECT_TRUE(worker.status().ok()) << worker.status().ToString();
+  EXPECT_EQ(worker.stats().reassignments, 1u);
 }
 
 TEST(DistributedStatsTest, ScrapeRejectsV1OnlyWorker) {

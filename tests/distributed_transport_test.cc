@@ -1,9 +1,9 @@
 // Transport-layer tests: loopback and TCP frame delivery, the
 // handshake's version negotiation and reconstruction cross-checks, and
-// the acceptance-criterion identity — a DistributedJoin served by
-// remote workers (loopback or real sockets) produces output
-// byte-identical to the reference join (reference_join.h), for any
-// probe batch size.
+// the rows of the join oracle (join_oracle.h) that claim the identity:
+// a DistributedJoin served by remote workers (loopback or real sockets)
+// produces output byte-identical to the reference join
+// (reference_join.h), for any probe batch size.
 // The suite name starts with "Distributed" so CI's TSan matrix picks
 // it up (worker threads + sockets are exactly what TSan should watch).
 
@@ -17,45 +17,18 @@
 
 #include "assignment_test_util.h"
 #include "core/similarity_join.h"
-#include "data/generators.h"
 #include "distributed/distributed_join.h"
 #include "distributed/transport/session.h"
 #include "distributed/transport/tcp_transport.h"
 #include "distributed/transport/transport.h"
-#include "reference_join.h"
-#include "util/random.h"
+#include "join_oracle.h"
 
 namespace skewsearch {
 namespace {
 
 using test::AdversarialJoinOptions;
-using test::ExpectSamePairs;
+using test::HostedWorker;
 using test::ZipfDataWithDuplicates;
-
-/// One hosted worker: a thread running ServeConnection on its end of a
-/// transport, with the outcome captured for the test to assert on. The
-/// destructor joins, so a failed ASSERT never destroys a joinable
-/// thread. Declare a worker before the connection ends that feed it:
-/// they close first on an early return, which ends its session.
-struct HostedWorker {
-  std::thread thread;
-  Status status;
-  WorkerServeStats stats;
-
-  HostedWorker() = default;
-  HostedWorker(const HostedWorker&) = delete;
-  HostedWorker& operator=(const HostedWorker&) = delete;
-  ~HostedWorker() { Join(); }
-
-  void Serve(std::unique_ptr<FrameConnection> connection) {
-    thread = std::thread([this, conn = std::move(connection)]() mutable {
-      status = ServeConnection(conn.get(), &stats);
-    });
-  }
-  void Join() {
-    if (thread.joinable()) thread.join();
-  }
-};
 
 TEST(DistributedTransportTest, LoopbackDeliversFramesInOrder) {
   auto [a, b] = LoopbackPair();
@@ -188,8 +161,7 @@ TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
     SCOPED_TRACE("range " + std::to_string(min_version) + ".." +
                  std::to_string(max_version));
     HostedWorker worker;
-    auto [coordinator, worker_end] = LoopbackPair();
-    worker.Serve(std::move(worker_end));
+    std::unique_ptr<FrameConnection> coordinator = worker.Connect();
     wire::HelloFrame hello;
     hello.min_version = min_version;
     hello.max_version = max_version;
@@ -203,7 +175,7 @@ TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
     ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
     EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
     worker.Join();
-    EXPECT_FALSE(worker.status.ok());
+    EXPECT_FALSE(worker.status().ok());
   }
 }
 
@@ -284,14 +256,10 @@ TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
     SCOPED_TRACE(row.rule);
     HostedWorker kept;
     HostedWorker hostile;
-    auto [coordinator_a, worker_a] = LoopbackPair();
-    auto [coordinator_b, worker_b] = LoopbackPair();
-    kept.Serve(std::move(worker_a));
-    hostile.Serve(std::move(worker_b));
     std::vector<std::unique_ptr<FrameConnection>> connections;
-    connections.push_back(std::move(coordinator_a));
+    connections.push_back(kept.Connect());
     connections.push_back(std::make_unique<AssignmentSwappingConnection>(
-        std::move(coordinator_b), row.frame));
+        hostile.Connect(), row.frame));
     const Status attached = join.AttachRemote(std::move(connections));
     EXPECT_TRUE(attached.IsInvalidArgument()) << attached.ToString();
     EXPECT_NE(attached.ToString().find(row.rule), std::string::npos)
@@ -299,9 +267,9 @@ TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {
     EXPECT_FALSE(join.remote());
     kept.Join();
     hostile.Join();
-    EXPECT_TRUE(kept.status.ok()) << kept.status.ToString();
-    EXPECT_TRUE(hostile.status.IsInvalidArgument())
-        << hostile.status.ToString();
+    EXPECT_TRUE(kept.status().ok()) << kept.status().ToString();
+    EXPECT_TRUE(hostile.status().IsInvalidArgument())
+        << hostile.status().ToString();
   }
   ASSERT_TRUE(join.SelfJoin().ok());
 
@@ -338,14 +306,12 @@ TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
   // A probe whose items repeat must end the session with an Error frame
   // instead of an answer that depends on the intersection kernel.
   HostedWorker worker;
-  auto [coordinator, worker_end] = LoopbackPair();
-  worker.Serve(std::move(worker_end));
   const wire::Frame assignment =
       test::AssignmentFrame({{42, {1}}}, {{1, {1, 5, 7, 9}}});
-  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
-                                            assignment,
-                                            test::ExpectedAck(assignment));
+  auto session =
+      RemoteWorkerSession::Open(worker.Connect(), 0, 1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Acknowledge(test::ExpectedAck(assignment)).ok());
   const std::vector<ItemId> items(8, 5);
   ProbeRequest request;
   request.left = 0;
@@ -360,7 +326,7 @@ TEST(DistributedTransportTest, SessionRejectsProbeItemsNotStrictlyIncreasing) {
             std::string::npos)
       << answered.status().ToString();
   worker.Join();
-  EXPECT_FALSE(worker.status.ok());
+  EXPECT_FALSE(worker.status().ok());
   (void)session->Shutdown();
 }
 
@@ -370,14 +336,12 @@ TEST(DistributedTransportTest, SelfJoinProbeWithoutItemsNeedsAStoredCopy) {
   // its stored copy, and a probe at the list's top pairs nowhere. One
   // naming a vector the worker lacks ends the session with an Error.
   HostedWorker worker;
-  auto [coordinator, worker_end] = LoopbackPair();
-  worker.Serve(std::move(worker_end));
   const wire::Frame assignment = test::AssignmentFrame(
       {{42, {1, 4}}}, {{1, {3, 5, 7}}, {4, {3, 5, 7}}});
-  auto session = RemoteWorkerSession::Start(std::move(coordinator), 0, 1,
-                                            assignment,
-                                            test::ExpectedAck(assignment));
+  auto session =
+      RemoteWorkerSession::Open(worker.Connect(), 0, 1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Acknowledge(test::ExpectedAck(assignment)).ok());
   ProbeRequest stored[2];
   for (int i = 0; i < 2; ++i) {
     stored[i].left = i == 0 ? 1 : 4;
@@ -410,15 +374,14 @@ TEST(DistributedTransportTest, SelfJoinProbeWithoutItemsNeedsAStoredCopy) {
             std::string::npos)
       << failed.status().ToString();
   worker.Join();
-  EXPECT_FALSE(worker.status.ok());
+  EXPECT_FALSE(worker.status().ok());
   (void)session->Shutdown();
 }
 
 /// Runs the Hello/HelloAck exchange against \p worker over loopback
 /// and returns the coordinator's end, ready for raw frames.
 std::unique_ptr<FrameConnection> RawSession(HostedWorker* worker) {
-  auto [coordinator, worker_end] = LoopbackPair();
-  worker->Serve(std::move(worker_end));
+  std::unique_ptr<FrameConnection> coordinator = worker->Connect();
   wire::HelloFrame hello;
   hello.worker_id = 0;
   hello.num_workers = 1;
@@ -427,7 +390,7 @@ std::unique_ptr<FrameConnection> RawSession(HostedWorker* worker) {
   EXPECT_TRUE(coordinator->Receive(&frame).ok());
   EXPECT_EQ(frame.type, wire::FrameType::kHelloAck);
   coordinator->set_frame_version(wire::kVersionMax);
-  return std::move(coordinator);
+  return coordinator;
 }
 
 TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
@@ -464,7 +427,7 @@ TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
     EXPECT_NE(status.ToString().find("epoch"), std::string::npos)
         << status.ToString();
     worker.Join();
-    EXPECT_FALSE(worker.status.ok());
+    EXPECT_FALSE(worker.status().ok());
   }
 
   // Epoch 0, then 1: the worker acks each with its epoch and counters,
@@ -503,188 +466,44 @@ TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
   EXPECT_EQ(matched, (std::vector<VectorId>{1, 2}));
   ASSERT_TRUE(coordinator->Send(wire::EncodeShutdown()).ok());
   worker.Join();
-  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
-  EXPECT_EQ(worker.stats.reassignments, 1u);
-  EXPECT_EQ(worker.stats.batches, 1u);
+  EXPECT_TRUE(worker.status().ok()) << worker.status().ToString();
+  EXPECT_EQ(worker.stats().reassignments, 1u);
+  EXPECT_EQ(worker.stats().batches, 1u);
 }
 
-enum class Transport { kLoopback, kTcp };
-
-/// Hosts one worker per worker slot of a built DistributedJoin on
-/// loopback or TCP connections and attaches the coordinator to them
-/// (callers join + assert on the hosts after detaching). Destruction
-/// detaches the coordinator, which ends every session, before the hosts
-/// join: an ASSERT that returns early then reports its row instead of
-/// waiting on a worker still blocked in Receive.
-class HostedWorkers {
- public:
-  HostedWorkers(DistributedJoin* join, Transport transport);
-  HostedWorkers(const HostedWorkers&) = delete;
-  HostedWorkers& operator=(const HostedWorkers&) = delete;
-  ~HostedWorkers() { join_->DetachRemote(); }
-
-  auto begin() { return hosts_.begin(); }
-  auto end() { return hosts_.end(); }
-
- private:
-  DistributedJoin* join_;
-  std::vector<std::unique_ptr<HostedWorker>> hosts_;
-};
-
-HostedWorkers::HostedWorkers(DistributedJoin* join, Transport transport)
-    : join_(join) {
-  const int workers = join->num_workers();
-  std::vector<std::unique_ptr<FrameConnection>> connections;
-  for (int w = 0; w < workers; ++w) {
-    auto host = std::make_unique<HostedWorker>();
-    if (transport == Transport::kLoopback) {
-      auto [coordinator_end, worker_end] = LoopbackPair();
-      host->Serve(std::move(worker_end));
-      connections.push_back(std::move(coordinator_end));
-    } else {
-      auto listener = TcpListener::Listen(0);
-      EXPECT_TRUE(listener.ok());
-      const uint16_t port = listener->port();
-      host->thread = std::thread(
-          [host = host.get(), l = std::move(listener).value()]() mutable {
-            auto conn = l.Accept();
-            if (!conn.ok()) {
-              host->status = conn.status();
-              return;
-            }
-            host->status = ServeConnection(conn->get(), &host->stats);
-          });
-      auto connection = TcpConnect("127.0.0.1", port);
-      EXPECT_TRUE(connection.ok());
-      connections.push_back(std::move(connection).value());
-    }
-    hosts_.push_back(std::move(host));
-  }
-  EXPECT_TRUE(join->AttachRemote(std::move(connections)).ok());
-}
-
-void RunRemoteIdentity(Transport transport, size_t probe_batch) {
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(91, 120, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 91);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u) << "identity needs a non-trivial output";
-
-  DistributedJoinOptions distributed;
-  distributed.index = options.index;
-  distributed.threshold = options.threshold;
-  distributed.workers = 3;
-  distributed.probe_batch = probe_batch;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  HostedWorkers hosts(&join, transport);
-  ASSERT_TRUE(join.remote());
-
-  DistributedJoinStats stats;
-  auto got = join.SelfJoin(&stats);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-  EXPECT_GT(stats.wire_bytes_sent, 0u);
-  EXPECT_GT(stats.wire_bytes_received, 0u);
-  EXPECT_GE(stats.probe_round_trips, 1u);
-  if (probe_batch == 1) {
-    // Unbatched: one ProbeBatch frame per routed request, and with the
-    // default pipeline window the exposed round trips collapse to the
-    // per-worker drains instead of one per frame.
-    size_t requests = 0;
-    for (const WorkerLoad& load : stats.workers) requests += load.probes;
-    EXPECT_EQ(stats.probe_batches_sent, requests);
-    EXPECT_LT(stats.probe_round_trips, requests);
-  }
-  EXPECT_EQ(stats.worker_recoveries, 0u);
-  EXPECT_EQ(stats.replayed_batches, 0u);
-  const WireStats totals = join.RemoteWireTotals();
-  EXPECT_GE(totals.bytes_sent, stats.wire_bytes_sent);
-
-  join.DetachRemote();
-  EXPECT_FALSE(join.remote());
-  for (auto& host : hosts) {
-    host->Join();
-    EXPECT_TRUE(host->status.ok()) << host->status.ToString();
-    EXPECT_GT(host->stats.probes, 0u);
-  }
-
-  // Detached, the same coordinator serves in-process again, identically.
-  auto local = join.SelfJoin();
-  ASSERT_TRUE(local.ok());
-  ExpectSamePairs(*expected, *local);
-}
+/// Both plans that split keys: the planner's, and every key heavy.
+constexpr uint32_t kSplitPlans = test::kW2 | test::kW7 | test::kAutoHeavy |
+                                 test::kForcedHeavy | test::kBuild;
 
 TEST(DistributedTransportTest, LoopbackJoinIdenticalToInProcess) {
-  RunRemoteIdentity(Transport::kLoopback, 256);
+  test::JoinOracle(test::ZipfJoinConfig(91, 120))
+      .Check(kSplitPlans | test::kLoopback16 | test::kClean |
+             test::kSelfJoin);
 }
 
 TEST(DistributedTransportTest, TcpJoinIdenticalToInProcess) {
-  RunRemoteIdentity(Transport::kTcp, 256);
+  test::JoinOracle(test::ZipfJoinConfig(91, 120))
+      .Check(kSplitPlans | test::kTcp16 | test::kClean | test::kSelfJoin);
 }
 
 TEST(DistributedTransportTest, BatchSizeDoesNotChangeOutput) {
-  RunRemoteIdentity(Transport::kLoopback, 1);
-  RunRemoteIdentity(Transport::kLoopback, 0);  // whole queue per frame
+  // One request per frame, and each worker's whole queue in one.
+  test::JoinOracle(test::ZipfJoinConfig(91, 120))
+      .Check(kSplitPlans | test::kLoopback1 | test::kLoopbackWhole |
+             test::kClean | test::kSelfJoin);
 }
 
 TEST(DistributedTransportTest, RemoteRSJoinIdenticalToInProcess) {
-  ProductDistribution dist;
-  Dataset right = ZipfDataWithDuplicates(95, 100, &dist);
-  Rng rng(96);
-  Dataset left;
-  for (VectorId id = 0; id < 10; ++id) left.Add(right.GetVector(id * 2));
-  for (int i = 0; i < 30; ++i) left.Add(dist.Sample(&rng));
-  ASSERT_TRUE(left.SetDimension(2000).ok());
-  JoinOptions options = AdversarialJoinOptions(0.8, 95);
-  auto expected = test::ReferenceJoin(&left, right, dist, options);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u);
-
-  DistributedJoinOptions distributed;
-  distributed.index = options.index;
-  distributed.threshold = options.threshold;
-  distributed.workers = 2;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&right, &dist, distributed).ok());
-  HostedWorkers hosts(&join, Transport::kLoopback);
-  auto got = join.Join(left);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-  join.DetachRemote();
-  for (auto& host : hosts) {
-    host->Join();
-    EXPECT_TRUE(host->status.ok()) << host->status.ToString();
-  }
+  test::JoinOracle(test::ZipfJoinConfig(95))
+      .Check(kSplitPlans | test::kLoopback | test::kClean | test::kRSJoin);
 }
 
 TEST(DistributedTransportTest, ParallelRemoteServingMatchesSerial) {
-  // threads > 1 drives each remote session from its own pool slot; the
-  // merge must stay deterministic (this is the TSan target).
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(97, 120, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 97);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-
-  DistributedJoinOptions distributed;
-  distributed.index = options.index;
-  distributed.threshold = options.threshold;
-  distributed.workers = 4;
-  distributed.threads = 4;
-  distributed.probe_batch = 16;
-  DistributedJoin join;
-  ASSERT_TRUE(join.Build(&data, &dist, distributed).ok());
-  HostedWorkers hosts(&join, Transport::kLoopback);
-  auto got = join.SelfJoin();
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-  join.DetachRemote();
-  for (auto& host : hosts) {
-    host->Join();
-    EXPECT_TRUE(host->status.ok()) << host->status.ToString();
-  }
+  // A remote cell drives each session from its own slot of a 4-thread
+  // pool; the merge must stay deterministic (this is the TSan target).
+  test::JoinOracle(test::ZipfJoinConfig(97, 120))
+      .Check(kSplitPlans | test::kLoopback16 | test::kTcp16 | test::kClean |
+             test::kEveryJoin);
 }
 
 TEST(DistributedTransportTest, AttachRemoteValidatesPreconditions) {
@@ -713,54 +532,24 @@ TEST(DistributedTransportTest, AttachRemoteValidatesPreconditions) {
 }
 
 TEST(DistributedTransportTest, JoinOptionsRemoteWorkersServeOverTcp) {
-  // The one-shot seam: SelfSimilarityJoin with remote_workers spins
-  // the whole coordinator path including endpoint parsing.
-  ProductDistribution dist;
-  Dataset data = ZipfDataWithDuplicates(99, 100, &dist);
-  JoinOptions options = AdversarialJoinOptions(0.8, 99);
-  auto expected = test::ReferenceSelfJoin(data, dist, options);
-  ASSERT_TRUE(expected.ok());
-
-  std::vector<std::unique_ptr<HostedWorker>> hosts;
-  JoinOptions remote = options;
-  for (int w = 0; w < 2; ++w) {
-    auto listener = TcpListener::Listen(0);
-    ASSERT_TRUE(listener.ok());
-    remote.remote_workers.push_back(
-        "127.0.0.1:" + std::to_string(listener->port()));
-    auto host = std::make_unique<HostedWorker>();
-    host->thread = std::thread(
-        [host = host.get(), l = std::move(listener).value()]() mutable {
-          auto conn = l.Accept();
-          if (!conn.ok()) {
-            host->status = conn.status();
-            return;
-          }
-          host->status = ServeConnection(conn->get(), &host->stats);
-        });
-    hosts.push_back(std::move(host));
-  }
-  DistributedJoinStats stats;
-  auto got = SelfSimilarityJoin(data, dist, remote, &stats);
-  ASSERT_TRUE(got.ok());
-  ExpectSamePairs(*expected, *got);
-  EXPECT_GT(stats.wire_bytes_sent, 0u);
-  EXPECT_GE(stats.probe_round_trips, 1u);
-  for (auto& host : hosts) {
-    host->Join();
-    EXPECT_TRUE(host->status.ok()) << host->status.ToString();
-  }
+  // The one-shot seam: SelfSimilarityJoin with remote_workers spins the
+  // whole coordinator path including endpoint parsing.
+  test::JoinOracle oracle(test::ZipfJoinConfig(99));
+  oracle.Check(test::kW2 | test::kAutoHeavy | test::kBuild |
+               test::kOneShotTcp | test::kClean | test::kSelfJoin);
 
   // workers must match the endpoint count when both are given.
-  JoinOptions mismatched = remote;
+  JoinOptions mismatched = AdversarialJoinOptions(0.8, 99);
+  mismatched.remote_workers = {"127.0.0.1:1", "127.0.0.1:2"};
   mismatched.workers = 3;
-  EXPECT_TRUE(
-      SelfSimilarityJoin(data, dist, mismatched).status().IsInvalidArgument());
+  EXPECT_TRUE(SelfSimilarityJoin(oracle.data(), oracle.dist(), mismatched)
+                  .status()
+                  .IsInvalidArgument());
 
   // A bad endpoint fails cleanly.
-  JoinOptions bad = options;
+  JoinOptions bad = AdversarialJoinOptions(0.8, 99);
   bad.remote_workers = {"not-an-endpoint"};
-  EXPECT_FALSE(SelfSimilarityJoin(data, dist, bad).ok());
+  EXPECT_FALSE(SelfSimilarityJoin(oracle.data(), oracle.dist(), bad).ok());
 }
 
 }  // namespace

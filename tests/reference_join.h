@@ -52,6 +52,22 @@ inline Dataset ZipfDataWithDuplicates(uint64_t seed, size_t n,
   return data;
 }
 
+/// \p n two-block vectors over 1,560 items, then n / 10 copies of
+/// vectors 0, 5, 10, ...
+inline Dataset TwoBlockDataWithDuplicates(uint64_t seed, size_t n,
+                                          ProductDistribution* dist_out) {
+  auto dist = TwoBlockProbabilities(60, 0.25, 1500, 0.01).value();
+  Rng rng(seed);
+  Dataset data;
+  for (size_t i = 0; i < n; ++i) data.Add(dist.Sample(&rng));
+  for (size_t i = 0; i < n / 10; ++i) {
+    data.Add(data.GetVector(static_cast<VectorId>(i * 5)));
+  }
+  EXPECT_TRUE(data.SetDimension(1560).ok());
+  *dist_out = std::move(dist);
+  return data;
+}
+
 /// Probes an index over \p right with every vector of \p left, or with
 /// \p right itself when \p left is null (a self-join, pairs i < j).
 /// Reads `index` and `threshold` of \p options.

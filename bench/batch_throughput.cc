@@ -130,7 +130,7 @@ int Run(int argc, char** argv) {
               ", build=" + bench::Fmt(index.build_stats().build_seconds) +
               "s");
 
-  const auto baseline = index.BatchQuery(queries, 1);
+  const auto baseline = index.BatchQuery(queries);
   size_t matches = 0;
   for (const auto& m : baseline) {
     if (m.has_value()) ++matches;

@@ -128,7 +128,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
     return 1;
   }
-  const auto baseline = baseline_index.BatchQuery(queries, 1);
+  const auto baseline = baseline_index.BatchQuery(queries);
 
   bool all_identical = true;
   bench::JsonReporter reporter("sharded_throughput");

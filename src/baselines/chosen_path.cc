@@ -9,7 +9,6 @@
 
 #include "core/batch.h"
 #include "sim/measures.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace skewsearch {
@@ -131,14 +130,6 @@ std::optional<Match> ChosenPathIndex::QueryImpl(std::span<const ItemId> query,
   local.seconds = timer.ElapsedSeconds();
   if (stats != nullptr) *stats = local;
   return found;
-}
-
-std::vector<std::optional<Match>> ChosenPathIndex::BatchQuery(
-    const Dataset& queries, int threads, std::vector<QueryStats>* stats,
-    BatchQueryStats* batch_stats) const {
-  return batch_internal::RunWithTransientPool(threads, [&](ThreadPool* pool) {
-    return BatchQuery(queries, pool, stats, batch_stats);
-  });
 }
 
 std::vector<std::optional<Match>> ChosenPathIndex::BatchQuery(

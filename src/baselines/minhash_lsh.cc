@@ -11,7 +11,6 @@
 #include "core/batch.h"
 #include "hashing/mix.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace skewsearch {
@@ -127,14 +126,6 @@ std::optional<Match> MinHashLsh::QueryImpl(std::span<const ItemId> query,
   local.seconds = timer.ElapsedSeconds();
   if (stats != nullptr) *stats = local;
   return found;
-}
-
-std::vector<std::optional<Match>> MinHashLsh::BatchQuery(
-    const Dataset& queries, int threads, std::vector<QueryStats>* stats,
-    BatchQueryStats* batch_stats) const {
-  return batch_internal::RunWithTransientPool(threads, [&](ThreadPool* pool) {
-    return BatchQuery(queries, pool, stats, batch_stats);
-  });
 }
 
 std::vector<std::optional<Match>> MinHashLsh::BatchQuery(

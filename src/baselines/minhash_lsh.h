@@ -59,18 +59,13 @@ class MinHashLsh {
   std::vector<Match> QueryAll(std::span<const ItemId> query, double threshold,
                               QueryStats* stats = nullptr) const;
 
-  /// Answers every vector of \p queries as a Query() on \p threads
-  /// workers from a transient pool (<= 1 = serial); results are
-  /// identical to serial execution for every thread count.
+  /// Answers every vector of \p queries as a Query() on \p pool, which
+  /// the caller owns and may reuse for every batch (null = serial on the
+  /// calling thread); results are identical to serial execution for
+  /// every pool size.
   /// (batch_stats->path_gen stays zero: MinHash has no path stage.)
   std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, int threads = 0,
-      std::vector<QueryStats>* stats = nullptr,
-      BatchQueryStats* batch_stats = nullptr) const;
-
-  /// Same, sharded onto a caller-owned (reusable) \p pool; null = serial.
-  std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, ThreadPool* pool,
+      const Dataset& queries, ThreadPool* pool = nullptr,
       std::vector<QueryStats>* stats = nullptr,
       BatchQueryStats* batch_stats = nullptr) const;
 

@@ -699,36 +699,9 @@ int CmdFreeze(const Flags& flags) {
   return 0;
 }
 
-/// The engine flags selfjoin and join share. Returns false (after
-/// printing) on a malformed --connect.
-bool ApplyJoinEngineFlags(const Flags& flags, JoinOptions* options) {
-  options->workers = static_cast<int>(flags.GetUint("workers", 0));
-  options->heavy_threshold = flags.GetUint("heavy-threshold", 0);
-  options->probe_batch =
-      static_cast<size_t>(flags.GetUint("probe-batch", 256));
-  options->pipeline = static_cast<size_t>(flags.GetUint("pipeline", 2));
-  options->frozen_shards = flags.Get("frozen", "");
-  if (flags.Has("connect")) {
-    const std::string endpoints = flags.Get("connect", "");
-    std::string token;
-    for (size_t i = 0; i <= endpoints.size(); ++i) {
-      if (i == endpoints.size() || endpoints[i] == ',') {
-        if (!token.empty()) options->remote_workers.push_back(token);
-        token.clear();
-      } else {
-        token.push_back(endpoints[i]);
-      }
-    }
-    if (options->remote_workers.empty()) {
-      std::fprintf(stderr, "--connect needs at least one host:port\n");
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The report lines selfjoin and join share: engine/wire/recovery
-/// counters, the first pairs, and the --dump-pairs file.
+/// The report lines of a join command after its timing line:
+/// engine/wire/recovery counters, the first pairs, and the --dump-pairs
+/// file.
 int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
                      const DistributedJoinStats& stats,
                      const std::vector<JoinPair>& pairs) {
@@ -776,43 +749,27 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
   return 0;
 }
 
-int CmdSelfJoin(const Flags& flags) {
-  auto data = LoadDataset(flags);
-  if (!data.ok()) return Fail(data.status());
-  double b1 = flags.GetDouble("b1", 0.7);
-  auto dist = EstimateFrequencies(*data);
-  if (!dist.ok()) return Fail(dist.status());
-
-  JoinOptions options;
-  options.index.mode = IndexMode::kAdversarial;
-  options.index.b1 = b1;
-  options.index.seed = flags.GetUint("seed", 1);
-  options.threshold = b1;
-  if (!ApplyJoinEngineFlags(flags, &options)) return 1;
-
-  DistributedJoinStats stats;
-  auto pairs = SelfSimilarityJoin(*data, *dist, options, &stats);
-  if (!pairs.ok()) return Fail(pairs.status());
-  std::printf("self-join at B >= %.2f: %zu pairs (build %.2fs, probe "
-              "%.2fs, %zu candidates)\n",
-              b1, pairs->size(), stats.build_seconds + stats.plan_seconds,
-              stats.probe_seconds, stats.candidates);
-  return ReportJoinOutput(flags, options, stats, *pairs);
-}
-
-int CmdJoin(const Flags& flags) {
-  const std::string left_path = flags.Get("left", "");
-  const std::string right_path = flags.Get("right", "");
-  if (left_path.empty() || right_path.empty()) {
-    std::fprintf(stderr, "join needs --left FILE and --right FILE\n");
-    return 1;
+/// selfjoin and join: selfjoin self-joins --in, and join probes the
+/// build side --right with every vector of --left.
+int CmdJoin(const Flags& flags, bool self_join) {
+  Result<Dataset> left = Dataset();
+  Result<Dataset> right = Dataset();  // the build side
+  if (self_join) {
+    right = LoadDataset(flags);
+  } else {
+    const std::string left_path = flags.Get("left", "");
+    const std::string right_path = flags.Get("right", "");
+    if (left_path.empty() || right_path.empty()) {
+      std::fprintf(stderr, "join needs --left FILE and --right FILE\n");
+      return 1;
+    }
+    auto load = [&](const std::string& path) {
+      return flags.Has("binary") ? ReadBinary(path) : ReadTransactions(path);
+    };
+    left = load(left_path);
+    if (!left.ok()) return Fail(left.status());
+    right = load(right_path);
   }
-  auto load = [&](const std::string& path) {
-    return flags.Has("binary") ? ReadBinary(path) : ReadTransactions(path);
-  };
-  auto left = load(left_path);
-  if (!left.ok()) return Fail(left.status());
-  auto right = load(right_path);
   if (!right.ok()) return Fail(right.status());
   double b1 = flags.GetDouble("b1", 0.7);
   // The index (and the skew plan) is derived from the build side, but
@@ -831,15 +788,43 @@ int CmdJoin(const Flags& flags) {
   options.index.b1 = b1;
   options.index.seed = flags.GetUint("seed", 1);
   options.threshold = b1;
-  if (!ApplyJoinEngineFlags(flags, &options)) return 1;
+  options.workers = static_cast<int>(flags.GetUint("workers", 0));
+  options.heavy_threshold = flags.GetUint("heavy-threshold", 0);
+  options.probe_batch =
+      static_cast<size_t>(flags.GetUint("probe-batch", 256));
+  options.pipeline = static_cast<size_t>(flags.GetUint("pipeline", 2));
+  options.frozen_shards = flags.Get("frozen", "");
+  if (flags.Has("connect")) {
+    const std::string endpoints = flags.Get("connect", "");
+    std::string token;
+    for (size_t i = 0; i <= endpoints.size(); ++i) {
+      if (i == endpoints.size() || endpoints[i] == ',') {
+        if (!token.empty()) options.remote_workers.push_back(token);
+        token.clear();
+      } else {
+        token.push_back(endpoints[i]);
+      }
+    }
+    if (options.remote_workers.empty()) {
+      std::fprintf(stderr, "--connect needs at least one host:port\n");
+      return 1;
+    }
+  }
+
   DistributedJoinStats stats;
-  auto pairs = SimilarityJoin(*left, *right, *dist, options, &stats);
+  auto pairs = self_join
+                   ? SelfSimilarityJoin(*right, *dist, options, &stats)
+                   : SimilarityJoin(*left, *right, *dist, options, &stats);
   if (!pairs.ok()) return Fail(pairs.status());
-  std::printf("R-S join at B >= %.2f: %zu probes x %zu indexed -> %zu "
-              "pairs (build %.2fs, probe %.2fs, %zu candidates)\n",
-              b1, left->size(), right->size(), pairs->size(),
-              stats.build_seconds + stats.plan_seconds, stats.probe_seconds,
-              stats.candidates);
+  if (self_join) {
+    std::printf("self-join at B >= %.2f: ", b1);
+  } else {
+    std::printf("R-S join at B >= %.2f: %zu probes x %zu indexed -> ", b1,
+                left->size(), right->size());
+  }
+  std::printf("%zu pairs (build %.2fs, probe %.2fs, %zu candidates)\n",
+              pairs->size(), stats.build_seconds + stats.plan_seconds,
+              stats.probe_seconds, stats.candidates);
   return ReportJoinOutput(flags, options, stats, *pairs);
 }
 
@@ -1071,8 +1056,10 @@ std::vector<Command> Commands() {
        "drift-factor dead-ratio churn trace dump-matches probes wal "
        "sync-policy checkpoint-bytes binary"},
       {"freeze", CmdFreeze, "in out b1 alpha seed shards binary"},
-      {"selfjoin", CmdSelfJoin, "in" + join + remote + frozen},
-      {"join", CmdJoin, "left right" + join + remote + frozen},
+      {"selfjoin", [](const Flags& flags) { return CmdJoin(flags, true); },
+       "in" + join + remote + frozen},
+      {"join", [](const Flags& flags) { return CmdJoin(flags, false); },
+       "left right" + join + remote + frozen},
       {"join-worker", CmdJoinWorker,
        "listen max-sessions idle-timeout shard-file data die-after-batches "
        "metrics-dump summary-interval binary"},

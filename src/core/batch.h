@@ -3,12 +3,13 @@
 // ShardedIndex, DynamicIndex, ChosenPathIndex and MinHashLsh. Not part
 // of the public API.
 //
-// The batch is sharded over a ThreadPool in dynamically scheduled chunks
-// (skewed data means skewed per-query cost, so static splits strand
-// workers behind hot queries). Each worker slot owns a Scratch instance
-// whose buffers are reused across every query it answers; results and
-// per-query stats land in positional slots, so output is identical to a
-// serial run regardless of thread count or chunk schedule.
+// The batch is sharded over the caller's ThreadPool in dynamically
+// scheduled chunks (skewed data means skewed per-query cost, so static
+// splits strand workers behind hot queries); no batch starts a thread
+// of its own. Each worker slot owns a Scratch instance whose buffers
+// are reused across every query it answers; results and per-query
+// stats land in positional slots, so output is identical to a serial
+// run regardless of thread count or chunk schedule.
 
 #ifndef SKEWSEARCH_CORE_BATCH_H_
 #define SKEWSEARCH_CORE_BATCH_H_
@@ -25,16 +26,6 @@
 
 namespace skewsearch {
 namespace batch_internal {
-
-/// Shared threads-to-pool policy for the `int threads` BatchQuery
-/// overloads: <= 1 runs serially (null pool), otherwise a transient
-/// pool of \p threads workers lives for one call of \p fn.
-template <typename PoolFn>
-auto RunWithTransientPool(int threads, const PoolFn& fn) {
-  if (threads <= 1) return fn(static_cast<ThreadPool*>(nullptr));
-  ThreadPool pool(threads);
-  return fn(&pool);
-}
 
 /// Answers every query in \p queries via
 /// `query_one(i, &scratch, &query_stats)`, which yields an optional

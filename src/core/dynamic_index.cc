@@ -365,9 +365,10 @@ Status DynamicIndex::Build(const Dataset* data,
   build_stats_.delta_used = edition->family.delta();
   std::vector<FilterTable> tables;
   std::vector<uint32_t> entry_counts;
+  ThreadPool pool(options.index.build_threads);
   SKEWSEARCH_RETURN_NOT_OK(sharded_internal::BuildShardTables(
-      *data, edition->family, options.num_shards, options.index.build_threads,
-      &build_stats_, &tables, &entry_counts));
+      *data, edition->family, options.num_shards, &pool, &build_stats_,
+      &tables, &entry_counts));
 
   // Split the flat per-vector entry counts into per-shard maps (the
   // shard states hold them so a rebuild can swap in counts for its new
@@ -964,14 +965,6 @@ size_t DynamicIndex::Snapshot::size() const {
     live -= state->removed_base.size();
   }
   return live;
-}
-
-std::vector<std::optional<Match>> DynamicIndex::BatchQuery(
-    const Dataset& queries, int threads, std::vector<QueryStats>* stats,
-    BatchQueryStats* batch_stats) const {
-  return batch_internal::RunWithTransientPool(threads, [&](ThreadPool* pool) {
-    return BatchQuery(queries, pool, stats, batch_stats);
-  });
 }
 
 std::vector<std::optional<Match>> DynamicIndex::BatchQuery(

@@ -231,17 +231,13 @@ class DynamicIndex {
   Snapshot GetSnapshot() const;
 
   /// Answers every vector of \p queries as a Query(), parallelized over
-  /// the batch. The whole batch is answered against one Snapshot, so it
-  /// sees a single consistent cross-shard cut even while writers,
-  /// compaction or rebuild proceed.
+  /// the batch on \p pool. The caller owns the pool and may reuse it for
+  /// every batch; null runs serially on the calling thread. The whole
+  /// batch is answered against one Snapshot, so it sees a single
+  /// consistent cross-shard cut even while writers, compaction or
+  /// rebuild proceed.
   std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, int threads = 0,
-      std::vector<QueryStats>* stats = nullptr,
-      BatchQueryStats* batch_stats = nullptr) const;
-
-  /// Same, on a caller-owned pool (null = serial).
-  std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, ThreadPool* pool,
+      const Dataset& queries, ThreadPool* pool = nullptr,
       std::vector<QueryStats>* stats = nullptr,
       BatchQueryStats* batch_stats = nullptr) const;
 

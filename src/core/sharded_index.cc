@@ -75,9 +75,9 @@ Status ShardedIndex::Build(const Dataset* data,
   build_stats_.repetitions = family_.repetitions();
   build_stats_.delta_used = family_.delta();
   frozen_.reset();
+  ThreadPool pool(options.index.build_threads);
   SKEWSEARCH_RETURN_NOT_OK(sharded_internal::BuildShardTables(
-      *data, family_, options.num_shards, options.index.build_threads,
-      &build_stats_, &shards_));
+      *data, family_, options.num_shards, &pool, &build_stats_, &shards_));
   if (build_stats_.cap_hits > 0) {
     SKEWSEARCH_LOG(kWarning)
         << "path cap hit for " << build_stats_.cap_hits
@@ -91,7 +91,7 @@ Status ShardedIndex::Build(const Dataset* data,
 namespace sharded_internal {
 
 Status BuildShardTables(const Dataset& data, const FilterFamily& family,
-                        int num_shards, int build_threads,
+                        int num_shards, ThreadPool* pool,
                         IndexBuildStats* stats,
                         std::vector<FilterTable>* shards,
                         std::vector<uint32_t>* entry_counts) {
@@ -111,12 +111,11 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
     size_t nodes_expanded = 0;
     size_t cap_hits = 0;
   };
-  ThreadPool pool(build_threads);
-  std::vector<Slot> slots(static_cast<size_t>(pool.num_threads()));
+  std::vector<Slot> slots(static_cast<size_t>(pool->num_threads()));
   for (Slot& slot : slots) {
     slot.postings.resize(static_cast<size_t>(num_shards));
   }
-  pool.ParallelFor(n, /*grain=*/64, [&](size_t begin, size_t end, int slot_id) {
+  auto build_range = [&](size_t begin, size_t end, int slot_id) {
     Slot& slot = slots[static_cast<size_t>(slot_id)];
     for (size_t i = begin; i < end; ++i) {
       const VectorId id = static_cast<VectorId>(i);
@@ -133,7 +132,8 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
         (*entry_counts)[id] = static_cast<uint32_t>(slot.keys.size());
       }
     }
-  });
+  };
+  pool->ParallelFor(n, /*grain=*/64, build_range);
   for (const Slot& slot : slots) {
     stats->nodes_expanded += slot.nodes_expanded;
     stats->cap_hits += slot.cap_hits;
@@ -184,14 +184,6 @@ std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
       query, threshold, shards_.size(),
       [this](size_t s) { return ShardView{&shards_[s], &family_, data_}; },
       stats);
-}
-
-std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
-    const Dataset& queries, int threads, std::vector<QueryStats>* stats,
-    BatchQueryStats* batch_stats) const {
-  return batch_internal::RunWithTransientPool(threads, [&](ThreadPool* pool) {
-    return BatchQuery(queries, pool, stats, batch_stats);
-  });
 }
 
 std::vector<std::optional<Match>> ShardedIndex::BatchQuery(

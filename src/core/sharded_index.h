@@ -87,16 +87,11 @@ class ShardedIndex {
                               QueryStats* stats = nullptr) const;
 
   /// Answers every vector of \p queries as a Query(), parallelized over
-  /// the batch (each query scans its shards serially, so worker counts
-  /// never change results). <= 1 thread runs serially.
+  /// the batch on \p pool. The caller owns the pool and may reuse it for
+  /// every batch; null runs serially on the calling thread. Each query
+  /// scans its shards serially, so the pool size never changes results.
   std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, int threads = 0,
-      std::vector<QueryStats>* stats = nullptr,
-      BatchQueryStats* batch_stats = nullptr) const;
-
-  /// Same, on a caller-owned pool (null = serial).
-  std::vector<std::optional<Match>> BatchQuery(
-      const Dataset& queries, ThreadPool* pool,
+      const Dataset& queries, ThreadPool* pool = nullptr,
       std::vector<QueryStats>* stats = nullptr,
       BatchQueryStats* batch_stats = nullptr) const;
 
@@ -172,17 +167,18 @@ class ShardedIndex {
 
 namespace sharded_internal {
 
-/// Runs \p family over every vector of \p data on \p build_threads pool
-/// slots (the calling thread alone when <= 1) and builds one posting
-/// table per shard (pairs routed by ShardedIndex::ShardOf); the tables do
-/// not depend on the thread count. Shared by the static ShardedIndex and
-/// the dynamic layer so both partitions are guaranteed to agree.
+/// Runs \p family over every vector of \p data on the caller's \p pool
+/// (non-null; a one-slot pool runs on the calling thread) and builds one
+/// posting table per shard (pairs routed by ShardedIndex::ShardOf); the
+/// tables do not depend on the pool size. Shared by the static
+/// ShardedIndex, the dynamic layer and the join coordinator, so every
+/// partition is guaranteed to agree.
 /// Accumulates into \p stats (repetitions/delta are left untouched).
 /// \p entry_counts (optional) receives each vector's posting-entry count
 /// — the dynamic layer uses it to make Remove() O(1) instead of
 /// replaying path generation.
 Status BuildShardTables(const Dataset& data, const FilterFamily& family,
-                        int num_shards, int build_threads,
+                        int num_shards, ThreadPool* pool,
                         IndexBuildStats* stats,
                         std::vector<FilterTable>* shards,
                         std::vector<uint32_t>* entry_counts = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -43,8 +42,8 @@ uint64_t PairKey(VectorId left, VectorId right) {
 /// R-S route of probes [begin, end) of \p left: computes each probe's
 /// filter keys with the filter kernel, splits them by owner in
 /// repetition-major order, and enqueues one ProbeRequest per touched
-/// worker. Parallelizes over probes; each queue is sorted by probe id
-/// afterwards, so the queues are independent of the schedule.
+/// worker. Parallelizes over probes on \p pool; each queue is sorted by
+/// probe id afterwards, so the queues are independent of the schedule.
 RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
                                 size_t end, const FilterFamily& family,
                                 const PartitionPlan& plan,
@@ -56,8 +55,7 @@ RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
     std::vector<std::vector<uint64_t>> worker_keys;
     std::vector<int> owners;
   };
-  std::vector<RouteSlot> slots(
-      static_cast<size_t>(pool != nullptr ? pool->num_threads() : 1));
+  std::vector<RouteSlot> slots(static_cast<size_t>(pool->num_threads()));
   for (RouteSlot& slot : slots) {
     slot.routed.queues.resize(worker_count);
     slot.worker_keys.resize(worker_count);
@@ -92,14 +90,10 @@ RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
       }
     }
   };
-  if (pool == nullptr) {
-    route_range(begin, end, 0);
-  } else {
-    pool->ParallelFor(end - begin, /*grain=*/64,
-                      [&](size_t from, size_t to, int slot_id) {
-                        route_range(begin + from, begin + to, slot_id);
-                      });
-  }
+  pool->ParallelFor(end - begin, /*grain=*/64,
+                    [&](size_t from, size_t to, int slot_id) {
+                      route_range(begin + from, begin + to, slot_id);
+                    });
   RoutedProbes routed;
   routed.queues.resize(worker_count);
   for (RouteSlot& slot : slots) {
@@ -446,14 +440,15 @@ Status DistributedJoin::Build(const Dataset* data,
 
   // The monolithic posting table, built by the machinery of the K = 1
   // ShardedIndex, so the slices cut from it cover exactly what that
-  // index's QueryAll would scan.
+  // index's QueryAll would scan. It runs on the pool every join of this
+  // build will run on.
+  auto pool = std::make_unique<ThreadPool>(options.threads);
   IndexBuildStats build_stats;
   build_stats.repetitions = family->repetitions();
   build_stats.delta_used = family->delta();
   std::vector<FilterTable> full;
   SKEWSEARCH_RETURN_NOT_OK(sharded_internal::BuildShardTables(
-      *data, *family, /*num_shards=*/1, options.threads, &build_stats,
-      &full));
+      *data, *family, /*num_shards=*/1, pool.get(), &build_stats, &full));
   const FilterTable& table = full[0];
   const double build_seconds = build_timer.ElapsedSeconds();
 
@@ -486,6 +481,7 @@ Status DistributedJoin::Build(const Dataset* data,
   threshold_ = threshold;
   plan_ = std::move(plan).value();
   workers_ = std::move(workers);
+  pool_ = std::move(pool);
   self_route_.reset();
   frozen_.reset();
   build_seconds_ = build_seconds;
@@ -566,6 +562,7 @@ Status DistributedJoin::BuildFromFrozen(const Dataset* data,
   threshold_ = threshold;
   plan_ = PartitionPlan::Broadcast(num_shards);
   workers_ = std::move(workers);
+  pool_ = std::make_unique<ThreadPool>(options.threads);
   self_route_.reset();
   frozen_ = std::move(file);
   build_seconds_ = build_timer.ElapsedSeconds();
@@ -601,8 +598,6 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   const int num_workers = this->num_workers();
   const size_t worker_count = static_cast<size_t>(num_workers);
 
-  std::optional<ThreadPool> pool;
-  if (options_.threads > 1) pool.emplace(options_.threads);
   // The probes go through route, serve and merge a chunk at a time. A
   // self-join takes one chunk, its route as computed once per build
   // (SelfJoinRoute); an R-S join takes kRouteChunk probes per chunk, so
@@ -613,7 +608,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   const RoutedProbes* chunk = &routed;
 
   // Phase 2 — serve: each worker drains its queue independently; the
-  // fan-out over the pool is the in-process stand-in for W machines.
+  // fan-out over the coordinator's pool is the in-process stand-in for
+  // W machines.
   // With remote sessions attached the same queues ship as ProbeBatch
   // frames instead (at most probe_batch requests per frame, up to
   // `pipeline` frames in flight per worker), so batch boundaries, the
@@ -752,7 +748,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       chunk = self_route.get();
     } else {
       routed = RouteThroughKernel(left, begin, end, family_, plan_,
-                                  worker_count, pool ? &*pool : nullptr);
+                                  worker_count, pool_.get());
     }
     const int64_t route_mark = probe_timer.ElapsedNanos();
 
@@ -761,14 +757,10 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     for (size_t w = 0; serve_remote && w < worker_count; ++w) {
       session_workers[session_of_worker_[w]].push_back(w);
     }
-    if (!pool) {
-      for (size_t u = 0; u < fanout_units; ++u) serve_unit(u);
-    } else {
-      pool->ParallelFor(fanout_units, /*grain=*/1,
-                        [&](size_t from, size_t to, int /*slot*/) {
-                          for (size_t u = from; u < to; ++u) serve_unit(u);
-                        });
-    }
+    pool_->ParallelFor(fanout_units, /*grain=*/1,
+                       [&](size_t from, size_t to, int /*slot*/) {
+                         for (size_t u = from; u < to; ++u) serve_unit(u);
+                       });
     // Phase 2b — recovery (remote only). A failed session means its
     // worker died mid-join: close it out, re-derive every slice it held
     // (AssignmentFrame is a pure function of the deterministic plan and

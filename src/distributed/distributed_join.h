@@ -6,7 +6,7 @@
 // PartitionPlanner for a skew-aware key partition, hands each JoinWorker
 // its posting slices, and then drives the join as pure message passing:
 // it routes one ProbeRequest per (probe, worker) that can pair there,
-// fans the per-worker queues out over a thread pool, and merges the
+// fans the per-worker queues out over its thread pool, and merges the
 // ProbeResponses — deduplicating pairs that surfaced on more than one
 // worker. Filter keys are a pure function of seed x repetition x
 // vector, so a self-join's candidates already sit together in the
@@ -56,6 +56,7 @@
 #include "distributed/worker.h"
 #include "sim/brute_force.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace skewsearch {
 
@@ -76,9 +77,10 @@ struct DistributedJoinOptions {
   /// Heavy-key split point forwarded to the planner (0 = auto).
   size_t heavy_threshold = 0;
 
-  /// Parallelism for the build and the worker fan-out (<= 1 = serial;
-  /// workers are driven one per pool slot either way, so the thread
-  /// count never changes results).
+  /// Slots of the coordinator's thread pool, which Build creates and
+  /// every join reuses (<= 1 = the calling thread alone). Workers are
+  /// driven one per pool slot either way, so the thread count never
+  /// changes results.
   int threads = 0;
 
   /// Remote serving only (AttachRemote): maximum ProbeRequests shipped
@@ -172,7 +174,8 @@ struct RoutedProbes;
 ///
 /// Build() once over the indexed side, then Join()/SelfJoin() any number
 /// of times. The build-side dataset and distribution are borrowed and
-/// must outlive the coordinator.
+/// must outlive the coordinator. It owns one ThreadPool per build, so
+/// no join starts a thread; concurrent joins take turns on the pool.
 class DistributedJoin {
  public:
   DistributedJoin() = default;
@@ -314,6 +317,9 @@ class DistributedJoin {
   /// classic Build).
   std::shared_ptr<const FrozenShardFile> frozen_;
   std::vector<JoinWorker> workers_;
+  /// The pool Build/BuildFromFrozen create and every join's route and
+  /// fan-out run on; null until a build succeeds.
+  std::unique_ptr<ThreadPool> pool_;
   /// Remote sessions, one per worker when attached. Mutable because
   /// serving a (logically const) join drives the connection state; each
   /// session is driven by exactly one thread of the probe fan-out.

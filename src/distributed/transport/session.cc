@@ -10,7 +10,6 @@
 #include "core/frozen_shard.h"
 #include "data/dataset.h"
 #include "distributed/worker.h"
-#include "util/containers.h"
 #include "util/timer.h"
 
 namespace skewsearch {
@@ -217,12 +216,13 @@ Status WorkerState::Apply(wire::Assignment assignment) {
         a.item_offsets[v], a.item_offsets[v + 1] - a.item_offsets[v]);
   };
   // Vectors are stored densely (memory proportional to what was
-  // shipped, never to the coordinator's id space) and only appended, so
-  // the positions a table holds never move.
+  // shipped, never to the coordinator's id space) in ascending VectorId
+  // order, so a list's positions ascend with its VectorIds.
   FilterTable table;
   if (!worker_) {
-    // The first slice's vectors are stored in shipped order, so its
-    // positions are stored positions and its arrays are the table.
+    // The first slice's vectors are stored in shipped order, which
+    // ascends, so its positions are stored positions and its arrays are
+    // the table.
     for (size_t v = 0; v < a.vector_ids.size(); ++v) {
       data_.Add(shipped_items(v));
     }
@@ -232,42 +232,46 @@ Status WorkerState::Apply(wire::Assignment assignment) {
     assert(adopted.ok() && "validated offsets bracket the positions");
     (void)adopted;
   } else {
-    // A re-ship: each shipped vector's stored position, found with one
-    // id-map lookup per vector. A vector this worker already holds
-    // keeps its position; its bytes are identical by construction (both
-    // ships encode the same build-side dataset), so verification cannot
-    // change.
-    PostingMap<VectorId, VectorId> held;
-    held.reserve(original_ids_.size());
-    for (size_t p = 0; p < original_ids_.size(); ++p) {
-      held.emplace(original_ids_[p], static_cast<VectorId>(p));
-    }
-    std::vector<VectorId> stored(a.vector_ids.size());
-    for (size_t v = 0; v < a.vector_ids.size(); ++v) {
-      const auto found = held.find(a.vector_ids[v]);
-      if (found != held.end()) {
-        stored[v] = found->second;
-      } else {
-        stored[v] = data_.Add(shipped_items(v));
-        original_ids_.push_back(a.vector_ids[v]);
+    // A re-ship merges the held and the shipped vectors by VectorId;
+    // both ascend. A vector in both keeps one copy: its bytes are
+    // identical by construction (both ships encode the same build-side
+    // dataset), so verification cannot change. held_at and shipped_at
+    // map the old positions and the shipped indexes to merged ones.
+    Dataset data;
+    std::vector<VectorId> ids;
+    std::vector<VectorId> held_at(original_ids_.size());
+    std::vector<VectorId> shipped_at(a.vector_ids.size());
+    for (size_t h = 0, v = 0; h < held_at.size() || v < shipped_at.size();) {
+      const bool held = v == shipped_at.size() ||
+                        (h < held_at.size() &&
+                         original_ids_[h] <= a.vector_ids[v]);
+      const VectorId id = held ? original_ids_[h] : a.vector_ids[v];
+      const auto position = static_cast<VectorId>(ids.size());
+      ids.push_back(id);
+      data.Add(held ? data_.Get(static_cast<VectorId>(h)) : shipped_items(v));
+      if (held) held_at[h++] = position;
+      if (v < shipped_at.size() && a.vector_ids[v] == id) {
+        shipped_at[v++] = position;
       }
     }
     // The table over both: the held pairs and the re-shipped ones, at
-    // their stored positions, built anew.
+    // their merged positions, built anew.
     const FilterTable& held_table = worker_->table();
     std::vector<Posting> postings;
     postings.reserve(held_table.num_pairs() + a.positions.size());
     for (size_t k = 0; k < held_table.num_keys(); ++k) {
       for (VectorId position : held_table.postings_at(k)) {
-        postings.push_back({held_table.key_at(k), position});
+        postings.push_back({held_table.key_at(k), held_at[position]});
       }
     }
     for (size_t k = 0; k < a.keys.size(); ++k) {
       for (uint32_t i = a.offsets[k]; i < a.offsets[k + 1]; ++i) {
-        postings.push_back({a.keys[k], stored[a.positions[i]]});
+        postings.push_back({a.keys[k], shipped_at[a.positions[i]]});
       }
     }
     table = FilterTable::Build(std::move(postings));
+    data_ = std::move(data);
+    original_ids_ = std::move(ids);
   }
   worker_.emplace(worker_id_, std::move(table), &data_, a.threshold,
                   a.measure, &original_ids_);

@@ -38,15 +38,13 @@ JoinWorker::JoinWorker(int worker_id, FilterTable table,
 const JoinWorker::Occurrences& JoinWorker::occurrences() const {
   std::call_once(occurrences_->built, [this] {
     Occurrences& index = occurrences_->index;
-    const size_t positions = build_data_->size();
-    std::vector<VectorId> top(table_.num_keys(), 0);
-    index.offsets.assign(positions + 1, 0);
+    index.offsets.assign(build_data_->size() + 1, 0);
+    // Positions ascend with VectorIds, so a list's last position holds
+    // its largest id.
     for (size_t k = 0; k < table_.num_keys(); ++k) {
-      for (VectorId position : table_.postings_at(k)) {
-        top[k] = std::max(top[k], OriginalId(position));
-      }
-      for (VectorId position : table_.postings_at(k)) {
-        if (OriginalId(position) < top[k]) index.offsets[position + 1]++;
+      const std::span<const VectorId> postings = table_.postings_at(k);
+      for (VectorId position : postings) {
+        if (position < postings.back()) index.offsets[position + 1]++;
       }
     }
     std::partial_sum(index.offsets.begin(), index.offsets.end(),
@@ -55,43 +53,29 @@ const JoinWorker::Occurrences& JoinWorker::occurrences() const {
     std::vector<uint32_t> cursor(index.offsets.begin(),
                                  index.offsets.end() - 1);
     for (size_t k = 0; k < table_.num_keys(); ++k) {
-      for (VectorId position : table_.postings_at(k)) {
-        if (OriginalId(position) < top[k]) {
+      const std::span<const VectorId> postings = table_.postings_at(k);
+      for (VectorId position : postings) {
+        if (position < postings.back()) {
           index.lists[cursor[position]++] = static_cast<uint32_t>(k);
         }
       }
-    }
-    if (original_ids_ != nullptr) {
-      index.by_id.resize(positions);
-      std::iota(index.by_id.begin(), index.by_id.end(), VectorId{0});
-      std::sort(index.by_id.begin(), index.by_id.end(),
-                [this](VectorId a, VectorId b) {
-                  return OriginalId(a) < OriginalId(b);
-                });
     }
   });
   return occurrences_->index;
 }
 
-std::optional<VectorId> JoinWorker::PositionOf(const Occurrences& index,
-                                               VectorId id) const {
+size_t JoinWorker::PositionsUpTo(VectorId id) const {
   if (original_ids_ == nullptr) {
-    if (id < build_data_->size()) return id;
-    return std::nullopt;
+    return std::min<size_t>(size_t{id} + 1, build_data_->size());
   }
-  const auto found = std::lower_bound(
-      index.by_id.begin(), index.by_id.end(), id,
-      [this](VectorId position, VectorId v) {
-        return OriginalId(position) < v;
-      });
-  if (found == index.by_id.end() || OriginalId(*found) != id) {
-    return std::nullopt;
-  }
-  return *found;
+  return static_cast<size_t>(
+      std::upper_bound(original_ids_->begin(), original_ids_->end(), id) -
+      original_ids_->begin());
 }
 
 bool JoinWorker::Stores(VectorId id) const {
-  return PositionOf(occurrences(), id).has_value();
+  const size_t up_to = PositionsUpTo(id);
+  return up_to > 0 && OriginalId(static_cast<VectorId>(up_to - 1)) == id;
 }
 
 ProbeResponse JoinWorker::Probe(const ProbeRequest& request,
@@ -99,17 +83,21 @@ ProbeResponse JoinWorker::Probe(const ProbeRequest& request,
   ProbeResponse response;
   response.left = request.left;
   std::span<const ItemId> query = request.items;
-  // A self-join probe's own lists: those holding it and an id above it.
+  // In a self-join, the positions below `below` hold the ids at or
+  // below the probe, and the probe's own lists are those holding it and
+  // an id above it.
+  size_t below = 0;
   std::span<const uint32_t> lists;
   if (request.exclude_left_and_below) {
-    const Occurrences& index = occurrences();
-    if (const std::optional<VectorId> position =
-            PositionOf(index, request.left)) {
-      if (query.empty()) query = build_data_->Get(*position);
+    below = PositionsUpTo(request.left);
+    const auto position = static_cast<VectorId>(below - 1);
+    if (below > 0 && OriginalId(position) == request.left) {
+      const Occurrences& index = occurrences();
+      if (query.empty()) query = build_data_->Get(position);
       lists = std::span<const uint32_t>(index.lists)
-                  .subspan(index.offsets[*position],
-                           index.offsets[*position + 1] -
-                               index.offsets[*position]);
+                  .subspan(index.offsets[position],
+                           index.offsets[position + 1] -
+                               index.offsets[position]);
     }
   }
   // Same candidate-collection semantics as QueryAll: dedup ids across
@@ -125,10 +113,7 @@ ProbeResponse JoinWorker::Probe(const ProbeRequest& request,
     for (VectorId position : postings) {
       if (stamps[position] == stamp) continue;
       stamps[position] = stamp;
-      if (request.exclude_left_and_below &&
-          OriginalId(position) <= request.left) {
-        continue;
-      }
+      if (position < below) continue;
       const std::span<const ItemId> items = build_data_->Get(position);
       if (!SizesCanReach(measure_, query.size(), items.size(), threshold_)) {
         continue;

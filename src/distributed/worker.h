@@ -24,9 +24,11 @@
 // dataset the worker verifies against. In-process and frozen workers
 // verify against the whole build side, so a position is the VectorId
 // itself. A remote worker stores only the vectors shipped to it, in
-// arrival order, and keeps the position -> VectorId map beside them;
-// its slices arrive over positions already (a wire v6 Assignment, see
-// transport/session.h), so it adopts them without mapping a posting.
+// ascending VectorId order (a re-ship merges by id), and keeps the
+// position -> VectorId map beside them; its slices arrive over
+// positions already (a wire v6 Assignment, see transport/session.h), so
+// it adopts them without mapping a posting. Either way, stored
+// positions ascend with VectorIds.
 
 #ifndef SKEWSEARCH_DISTRIBUTED_WORKER_H_
 #define SKEWSEARCH_DISTRIBUTED_WORKER_H_
@@ -35,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/inverted_index.h"
@@ -83,11 +84,12 @@ class JoinWorker {
   /// \param build_data the stored vectors the positions index.
   /// \param threshold similarity a pair must reach to be emitted.
   /// \param measure similarity measure used for verification.
-  /// \param original_ids the VectorId of each stored position, for a
-  ///   worker holding only the shipped subset of the build side (the
-  ///   remote `join-worker` state — see transport/session.h). Requests
-  ///   and responses always carry original VectorIds. nullptr (the
-  ///   in-process and frozen cases) means positions are the ids.
+  /// \param original_ids the VectorId of each stored position, strictly
+  ///   ascending, for a worker holding only the shipped subset of the
+  ///   build side (the remote `join-worker` state — see
+  ///   transport/session.h). Requests and responses always carry
+  ///   original VectorIds. nullptr (the in-process and frozen cases)
+  ///   means positions are the ids.
   JoinWorker(int worker_id, FilterTable table, const Dataset* build_data,
              double threshold, Measure measure,
              const std::vector<VectorId>* original_ids = nullptr);
@@ -100,8 +102,9 @@ class JoinWorker {
   /// that do not hold the probe; empty items mean this worker's stored
   /// copy of the probe, which must exist (Stores). Each list is scanned
   /// whole, and each distinct candidate is skipped when it is at or
-  /// below the probe in a self-join or when its size rules the
-  /// threshold out (SizesCanReach), and verified otherwise. Dedups by
+  /// below the probe in a self-join (one position bound per probe) or
+  /// when its size rules the threshold out (SizesCanReach), and
+  /// verified otherwise. Dedups by
   /// stamping \p scratch, so no entry is hashed; \p scratch may be
   /// reused for any worker's next probe.
   ProbeResponse Probe(const ProbeRequest& request,
@@ -135,27 +138,25 @@ class JoinWorker {
   /// once. Position p's lists are lists[offsets[p] .. offsets[p + 1]):
   /// one entry (a list index, 4 bytes) per posting of p in a list that
   /// also holds a larger VectorId, so a probe reaches only lists where
-  /// an id above it can pair. A list's largest VectorId is found by a
-  /// scan: after a re-ship, stored positions need not ascend with
-  /// VectorIds. `by_id` holds the stored positions sorted by VectorId
-  /// when positions are not the ids, and is empty otherwise.
+  /// an id above it can pair. Positions ascend with VectorIds, so a
+  /// list's largest VectorId is its last entry's.
   struct Occurrences {
     std::vector<uint32_t> offsets;
     std::vector<uint32_t> lists;
-    std::vector<VectorId> by_id;
   };
   struct LazyOccurrences {
     std::once_flag built;
     Occurrences index;
   };
 
-  /// The occurrence index, built at the first self-join probe (or
-  /// Stores call), so an R-S join never builds one. Thread-safe.
+  /// The occurrence index, built at the first self-join probe that
+  /// this worker stores, so an R-S join never builds one. Thread-safe.
   const Occurrences& occurrences() const;
 
-  /// The stored position of vector \p id, if this worker stores it.
-  std::optional<VectorId> PositionOf(const Occurrences& index,
-                                     VectorId id) const;
+  /// The number of stored positions whose VectorId is at most \p id:
+  /// one binary search over the id map. This worker stores \p id
+  /// exactly when the last of them holds it.
+  size_t PositionsUpTo(VectorId id) const;
 
   /// The VectorId stored at \p position.
   VectorId OriginalId(VectorId position) const {

@@ -1,6 +1,6 @@
 // Copyright 2026 The skewsearch Authors.
 // BatchQuery must be a pure parallelization: identical results to the
-// serial query path for every thread count, on the paper's index and on
+// serial query path for every pool size, on the paper's index and on
 // both baselines, with faithfully aggregated statistics. On the paper's
 // index the rows check their cells of the differential oracle
 // (index_oracle.h), whose BatchQuery check compares every query's match
@@ -55,9 +55,10 @@ TEST(BatchQueryDeterminismTest, ChosenPathMatchesSerialAcrossThreadCounts) {
   ChosenPathOptions options;
   ASSERT_TRUE(index.Build(&f.data, &f.dist, options).ok());
 
-  const auto serial = index.BatchQuery(f.queries, 1);
+  const auto serial = index.BatchQuery(f.queries);
   for (int threads : {2, 8}) {
-    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, threads));
+    ThreadPool pool(threads);
+    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, &pool));
   }
 }
 
@@ -67,9 +68,10 @@ TEST(BatchQueryDeterminismTest, MinHashMatchesSerialAcrossThreadCounts) {
   MinHashOptions options;
   ASSERT_TRUE(index.Build(&f.data, options).ok());
 
-  const auto serial = index.BatchQuery(f.queries, 1);
+  const auto serial = index.BatchQuery(f.queries);
   for (int threads : {2, 8}) {
-    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, threads));
+    ThreadPool pool(threads);
+    test::ExpectSameMatches(serial, index.BatchQuery(f.queries, &pool));
   }
 }
 
@@ -82,24 +84,26 @@ TEST(BatchQueryDeterminismTest, BatchAgreesWithIndividualQueries) {
 TEST(BatchQueryEdgeTest, EmptyBatchOnEveryEngine) {
   BatchFixture f = MakeFixture(100, 0);
   ASSERT_TRUE(f.queries.empty());
+  ThreadPool pool(4);
 
   ShardedIndex skewed;
   SkewedIndexOptions skewed_options;
   ASSERT_TRUE(skewed.Build(&f.data, &f.dist, {skewed_options, 1}).ok());
   std::vector<QueryStats> stats{QueryStats{}};  // stale entry must be cleared
   BatchQueryStats batch_stats;
-  EXPECT_TRUE(skewed.BatchQuery(f.queries, 4, &stats, &batch_stats).empty());
+  EXPECT_TRUE(
+      skewed.BatchQuery(f.queries, &pool, &stats, &batch_stats).empty());
   EXPECT_TRUE(stats.empty());
   EXPECT_EQ(batch_stats.queries, 0u);
   EXPECT_EQ(batch_stats.totals.candidates, 0u);
 
   ChosenPathIndex chosen;
   ASSERT_TRUE(chosen.Build(&f.data, &f.dist, ChosenPathOptions{}).ok());
-  EXPECT_TRUE(chosen.BatchQuery(f.queries, 4).empty());
+  EXPECT_TRUE(chosen.BatchQuery(f.queries, &pool).empty());
 
   MinHashLsh minhash;
   ASSERT_TRUE(minhash.Build(&f.data, MinHashOptions{}).ok());
-  EXPECT_TRUE(minhash.BatchQuery(f.queries, 4).empty());
+  EXPECT_TRUE(minhash.BatchQuery(f.queries, &pool).empty());
 }
 
 TEST(BatchQueryEdgeTest, BatchLargerThanPoolAndQueriesWithEmptyVectors) {
@@ -116,7 +120,7 @@ TEST(BatchQueryEdgeTest, BatchLargerThanPoolAndQueriesWithEmptyVectors) {
   ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   ThreadPool pool(3);  // batch of ~73 on 3 workers
-  const auto serial = index.BatchQuery(queries, 1);
+  const auto serial = index.BatchQuery(queries);
   const auto parallel = index.BatchQuery(queries, &pool);
   test::ExpectSameMatches(serial, parallel);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -135,9 +139,10 @@ TEST(BatchQueryStatsTest, AggregatesEqualPerQuerySums) {
   ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
     std::vector<QueryStats> per_query;
     BatchQueryStats agg;
-    index.BatchQuery(f.queries, threads, &per_query, &agg);
+    index.BatchQuery(f.queries, &pool, &per_query, &agg);
     EXPECT_EQ(agg.queries, f.queries.size());
     EXPECT_EQ(agg.threads, threads);
 
@@ -151,7 +156,7 @@ TEST(BatchQueryStatsTest, AggregatesEqualPerQuerySums) {
 
     // Every filter the queries probed was emitted by the path engine,
     // so the aggregated PathGenStats must account for all of them —
-    // independent of the thread count.
+    // independent of the pool size.
     EXPECT_EQ(agg.path_gen.filters_emitted, sum.filters);
     EXPECT_GT(agg.path_gen.nodes_expanded, 0u);
   }
@@ -164,7 +169,7 @@ TEST(BatchQueryStatsTest, ReusedPoolServesManyBatchesConsistently) {
   ASSERT_TRUE(index.Build(&f.data, &f.dist, {options, 1}).ok());
 
   ThreadPool pool(4);
-  const auto serial = index.BatchQuery(f.queries, 1);
+  const auto serial = index.BatchQuery(f.queries);
   for (int round = 0; round < 3; ++round) {
     test::ExpectSameMatches(serial, index.BatchQuery(f.queries, &pool));
   }
@@ -188,7 +193,8 @@ TEST(BatchQueryTest, EmptyBatch) {
   options.b1 = 0.5;
   ASSERT_TRUE(index.Build(&data, &dist, {options, 1}).ok());
   Dataset empty;
-  EXPECT_TRUE(index.BatchQuery(empty, 4).empty());
+  ThreadPool pool(4);
+  EXPECT_TRUE(index.BatchQuery(empty, &pool).empty());
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST_F(DynamicIndexTest, QueryRecordsMetrics) {
     {
       obs::ScopedTrace trace;
       const uint64_t before = queries->Value();
-      index.BatchQuery(batch, 1);  // serial: every query on this thread
+      index.BatchQuery(batch);  // serial: every query on this thread
       EXPECT_EQ(queries->Value(), before + batch.size());
       std::vector<std::string_view> expected;
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -645,6 +645,41 @@ TEST_F(DynamicIndexIoTest, GoldenFileRoundTripsByteForByte) {
   EXPECT_TRUE(checked.ok()) << checked.ToString();
   ASSERT_TRUE(loaded.Save(path_).ok());
   EXPECT_TRUE(test::FileBytes(path_) == test::FileBytes(golden));
+}
+
+TEST_F(DynamicIndexIoTest, SingleByteEditsAreRejectedOrKeepEveryShardRule) {
+  // SKD2 carries no checksum (docs/FILE_FORMATS.md), so a file with one
+  // byte changed may load. Seeded single-byte edits of the golden file,
+  // each an inversion or a low-bit flip at a random offset, must each
+  // be rejected or load a state that keeps every shard rule, and both
+  // outcomes must occur.
+  Rng data_rng(2026);
+  const Dataset data = GenerateDataset(dist_, 120, &data_rng);
+  const std::string golden =
+      test::FileBytes(test::GoldenPath("online_v2.skd"));
+  Rng rng(2628);
+  size_t rejected = 0;
+  size_t loaded = 0;
+  for (int edit = 0; edit < 400; ++edit) {
+    std::string bytes = golden;
+    const size_t at = static_cast<size_t>(rng.NextBounded(bytes.size()));
+    bytes[at] = static_cast<char>(edit % 2 == 0 ? ~bytes[at] : bytes[at] ^ 1);
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    DynamicIndex index;
+    if (!index.Load(path_, &data, &dist_).ok()) {
+      rejected++;
+      continue;
+    }
+    loaded++;
+    const Status checked = index.CheckInvariants();
+    EXPECT_TRUE(checked.ok()) << "edit " << edit << " at byte " << at << ": "
+                              << checked.ToString();
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST_F(DynamicIndexIoTest, RandomMutationsKeepEveryShardRule) {

@@ -84,6 +84,40 @@ TEST(DistributedJoinParallelIdentityTest, ThreadsDoNotChangeOutput) {
              test::kThreaded | test::kEveryJoin);
 }
 
+TEST(DistributedJoinParallelIdentityTest, ConcurrentJoinsShareOnePool) {
+  // Two threads join on one in-process coordinator at threads = 4. The
+  // coordinator's pool serves both: their routes and fan-outs take
+  // turns on it, and every join gets the reference pairs.
+  JoinOracle oracle(ZipfJoinConfig(53, 120));
+  DistributedJoinOptions options = oracle.family();
+  options.workers = 3;
+  options.threads = 4;
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&oracle.data(), &oracle.dist(), options).ok());
+  constexpr int kRounds = 3;
+  std::vector<Result<std::vector<JoinPair>>> joined[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        joined[t].push_back(join.SelfJoin());
+        joined[t].push_back(join.Join(oracle.left()));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_EQ(joined[t].size(), 2u * kRounds);
+    for (size_t j = 0; j < joined[t].size(); ++j) {
+      SCOPED_TRACE("thread " + std::to_string(t) + ", join " +
+                   std::to_string(j));
+      ASSERT_TRUE(joined[t][j].ok()) << joined[t][j].status().ToString();
+      ExpectSamePairs(oracle.reference(/*self_join=*/j % 2 == 0),
+                      *joined[t][j]);
+    }
+  }
+}
+
 TEST(DistributedJoinTest, JoinOptionsWorkersRouteThroughBackend) {
   // SelfSimilarityJoin with workers = W runs the engine at W: the
   // reference pairs, and the work of the coordinator it builds.

@@ -49,14 +49,15 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
 }
 
 TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
-  // Worker 1 of two dies in a self-join. The survivor keeps every vector
-  // it held at its position and appends the lost worker's others, so its
-  // stored positions no longer ascend with VectorIds, and a list's last
-  // position need not hold its largest id. The survivor must still pair
-  // each probe against every list holding an id above it: the join with
-  // its replay, and the next join served by the survivor alone, return
-  // the reference pairs. One repetition gives each vector few keys, so
-  // the lost worker's slices reference vectors the survivor lacks.
+  // Worker 1 of two dies in a self-join. The survivor merges the lost
+  // worker's vectors with its own by VectorId, so its stored positions
+  // keep ascending with VectorIds and every list ends in its largest
+  // id, which is where the worker reads a list's top. The survivor must
+  // pair each probe against every list holding an id above it: the join
+  // with its replay, and the next join served by the survivor alone,
+  // return the reference pairs. One repetition gives each vector few
+  // keys, so the lost worker's slices reference vectors the survivor
+  // lacks, and an append would leave them out of id order.
   test::JoinOracleConfig config = test::ZipfJoinConfig(75, 400, 0.5);
   config.family.index.repetitions = 1;
   test::JoinOracle oracle(config);
@@ -65,8 +66,8 @@ TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
   DistributedJoin join;
   ASSERT_TRUE(join.Build(&oracle.data(), &oracle.dist(), options).ok());
 
-  // The survivor's table, rebuilt the way it rebuilds it: some list must
-  // end in a position whose id is below the list's largest.
+  // The survivor's table, rebuilt the way it rebuilds it: every list
+  // must end in its largest id.
   WorkerState replica(0);
   for (uint32_t w = 0; w < 2; ++w) {
     const wire::Frame frame = wire::EncodeAssignment(
@@ -86,7 +87,7 @@ TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {
     }
     lists_not_ending_in_their_top += ids[table.postings_at(k).back()] < top;
   }
-  ASSERT_GT(lists_not_ending_in_their_top, 0u);
+  EXPECT_EQ(lists_not_ending_in_their_top, 0u);
   oracle.Check(test::kW2 | test::kAutoHeavy | test::kBuild |
                test::kLoopback1 | test::kKill | test::kSelfJoin);
 }
@@ -144,9 +145,9 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
 TEST(DistributedRecoveryTest, ReshipEqualsTheBuildOfBothSlices) {
   // Seeded pairs of slices over one build side, sharing heavy keys and
   // many vectors. A survivor applies the first at epoch 0 and the second
-  // at epoch 1. After each, its table must equal FilterTable::Build over
-  // every applied (key, stored position) pair, and the second must leave
-  // every vector the survivor held at its position.
+  // at epoch 1. After each, its stored ids must be the sorted union of
+  // the ids the applied slices reference, and its table must equal
+  // FilterTable::Build over every applied (key, rank of id) pair.
   const uint64_t heavy_keys[] = {0x1111, 0x2222, 0x3333};
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
@@ -180,13 +181,13 @@ TEST(DistributedRecoveryTest, ReshipEqualsTheBuildOfBothSlices) {
     const FilterTable slices[] = {random_slice(), random_slice()};
 
     WorkerState survivor(0);
-    std::vector<VectorId> held;
-    std::vector<Posting> applied;
+    std::vector<VectorId> held;    // sorted union of the applied ids
+    std::vector<Posting> applied;  // every applied (key, VectorId)
     for (uint32_t epoch = 0; epoch < 2; ++epoch) {
       const FilterTable& slice = slices[epoch];
       size_t reshipped_held = 0;
       for (VectorId id : slice.ids_span()) {
-        reshipped_held += std::count(held.begin(), held.end(), id);
+        reshipped_held += std::binary_search(held.begin(), held.end(), id);
       }
       EXPECT_EQ(reshipped_held > 0, epoch == 1);
       const wire::Frame frame = wire::EncodeAssignment(
@@ -194,23 +195,22 @@ TEST(DistributedRecoveryTest, ReshipEqualsTheBuildOfBothSlices) {
       wire::Assignment assignment;
       ASSERT_TRUE(wire::DecodeAssignment(frame, &assignment).ok());
       ASSERT_TRUE(survivor.Apply(std::move(assignment)).ok());
-      const std::vector<VectorId>& stored = survivor.original_ids();
-      ASSERT_GE(stored.size(), held.size());
-      EXPECT_TRUE(std::equal(held.begin(), held.end(), stored.begin()));
-      held = stored;
-      PostingMap<VectorId, VectorId> position;
-      for (size_t p = 0; p < stored.size(); ++p) {
-        EXPECT_TRUE(
-            position.emplace(stored[p], static_cast<VectorId>(p)).second)
-            << "vector " << stored[p] << " stored twice";
-      }
       for (size_t k = 0; k < slice.num_keys(); ++k) {
         for (VectorId id : slice.postings_at(k)) {
-          ASSERT_NE(position.find(id), position.end()) << "id " << id;
-          applied.push_back({slice.key_at(k), position.find(id)->second});
+          applied.push_back({slice.key_at(k), id});
+          held.push_back(id);
         }
       }
-      const FilterTable expected = FilterTable::Build(applied);
+      std::sort(held.begin(), held.end());
+      held.erase(std::unique(held.begin(), held.end()), held.end());
+      EXPECT_EQ(survivor.original_ids(), held);
+      std::vector<Posting> ranked;
+      for (const Posting& pair : applied) {
+        const auto rank = static_cast<VectorId>(
+            std::lower_bound(held.begin(), held.end(), pair.id) - held.begin());
+        ranked.push_back({pair.key, rank});
+      }
+      const FilterTable expected = FilterTable::Build(std::move(ranked));
       const FilterTable& table = survivor.worker()->table();
       auto same = [](auto a, auto b) {
         return std::equal(a.begin(), a.end(), b.begin(), b.end());

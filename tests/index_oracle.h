@@ -47,6 +47,7 @@
 #include "sim/brute_force.h"
 #include "test_paths.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace skewsearch {
 namespace test {
@@ -373,15 +374,17 @@ class IndexOracle {
                         ctx + ", QueryAll(q, t)");
       above_work.push_back(stats);
     }
-    for (int threads : {1, 3}) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool_}) {
       std::vector<QueryStats> stats;
       const std::vector<std::optional<Match>> batch =
-          index.BatchQuery(queries_, threads, &stats);
+          index.BatchQuery(queries_, pool, &stats);
       ASSERT_EQ(batch.size(), queries_.size()) << Cell(cell);
       ASSERT_EQ(stats.size(), queries_.size()) << Cell(cell);
       for (VectorId i = 0; i < queries_.size(); ++i) {
-        const std::string ctx = Where(cell, i) + ", BatchQuery on " +
-                                std::to_string(threads) + " threads";
+        const std::string ctx =
+            Where(cell, i) + ", BatchQuery on " +
+            std::to_string(pool == nullptr ? 1 : pool->num_threads()) +
+            " threads";
         ExpectSameMatches(firsts[i], batch[i], ctx);
         ExpectSameCounters(first_work[i], stats[i], ctx);
       }
@@ -591,6 +594,8 @@ class IndexOracle {
   Dataset queries_;
   std::vector<std::string> query_names_;
   std::optional<Answers> fresh_, mutated_answers_, rebuilt_;
+  /// The pool every cell's parallel BatchQuery runs on.
+  ThreadPool pool_{3};
   int shards_ = 0;
   /// Counter class -> (first cell, its work per query).
   std::map<std::string, std::pair<std::string, std::vector<QueryStats>>>

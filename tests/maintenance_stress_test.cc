@@ -25,6 +25,7 @@
 #include "maintenance/service.h"
 #include "reference_index.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace skewsearch {
 namespace {
@@ -240,8 +241,9 @@ TEST_F(MaintenanceStressTest, BatchQueryRacesMaintenance) {
     }
   });
 
+  ThreadPool pool(4);
   for (int round = 0; round < 6; ++round) {
-    auto results = index_.BatchQuery(queries, /*threads=*/4);
+    auto results = index_.BatchQuery(queries, &pool);
     ASSERT_EQ(results.size(), queries.size());
   }
   done.store(true, std::memory_order_release);
@@ -253,8 +255,8 @@ TEST_F(MaintenanceStressTest, BatchQueryRacesMaintenance) {
   ExpectShardRules();
 
   // Quiesced: a parallel batch equals a serial one positionally.
-  test::ExpectSameMatches(index_.BatchQuery(queries, 1),
-                          index_.BatchQuery(queries, 4));
+  test::ExpectSameMatches(index_.BatchQuery(queries),
+                          index_.BatchQuery(queries, &pool));
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 // counter fails the baseline comparison. So is the verifier's work: the
 // one-thread batch's verifications and the candidates its size bound
 // skipped. path_ns_per_draw (advisory) times one ComputeAllFilters pass
-// over the query batch.
+// over the query batch. The same pass under each filter kernel the CPU
+// has must make the scalar kernel's keys, offsets and draws:
+// path_kernels_identical (stable) reads 0 and the run exits 2 otherwise,
+// as for results_identical.
 //
 // Flags: --n <dataset> --queries <batch> --alpha <corr> --threads <list>
 //        --rounds <timed repetitions> --json <file> (see bench_util.h)
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/path_engine.h"
 #include "core/sharded_index.h"
 #include "data/correlated.h"
 #include "data/dataset.h"
@@ -236,13 +240,49 @@ int Run(int argc, char** argv) {
   bench::Note("filter kernel: " + bench::Fmt(ns_per_draw, 2) +
               " ns/draw over " + std::to_string(kernel_draws) + " draws");
   reporter.Metric("path_ns_per_draw", ns_per_draw, /*stable=*/false, "ns");
+
+  // Every kernel the CPU has makes the scalar kernel's keys, offsets and
+  // draws on the same pass.
+  struct KernelOutput {
+    std::vector<uint64_t> keys;
+    std::vector<size_t> offsets;
+    size_t draws = 0;
+    bool operator==(const KernelOutput&) const = default;
+  };
+  auto kernel_output = [&] {
+    KernelOutput output;
+    for (VectorId id = 0; id < queries.size(); ++id) {
+      PathGenStats gen;
+      index.family().ComputeAllFilters(queries.Get(id), &keys, &offsets, &gen);
+      output.keys.insert(output.keys.end(), keys.begin(), keys.end());
+      output.offsets.insert(output.offsets.end(), offsets.begin(),
+                            offsets.end());
+      output.draws += gen.draws;
+    }
+    return output;
+  };
+  const PathKernel dispatched = ActivePathKernel();
+  SetPathKernel(PathKernel::kScalar);
+  const KernelOutput scalar_output = kernel_output();
+  bool kernels_identical = true;
+  for (PathKernel kernel : {PathKernel::kAvx2, PathKernel::kAvx512}) {
+    if (SetPathKernel(kernel) != kernel) continue;
+    const bool identical = kernel_output() == scalar_output;
+    kernels_identical = kernels_identical && identical;
+    bench::Note(std::string("filter kernel ") + PathKernelName(kernel) +
+                (identical ? ": same keys and draws as scalar"
+                           : ": DIFFERS from scalar"));
+  }
+  SetPathKernel(dispatched);
+  reporter.Metric("path_kernels_identical", kernels_identical ? 1.0 : 0.0,
+                  /*stable=*/true, "bool");
   bench::Note(all_identical
                   ? "parallel results byte-identical to serial: OK"
                   : "DETERMINISM VIOLATION: parallel results differ!");
   reporter.Metric("results_identical", all_identical ? 1.0 : 0.0,
                   /*stable=*/true, "bool");
   if (!reporter.WriteIfRequested(argc, argv)) return 1;
-  return all_identical ? 0 : 2;
+  return all_identical && kernels_identical ? 0 : 2;
 }
 
 }  // namespace

@@ -59,17 +59,16 @@ Status ChosenPathIndex::Build(const Dataset* data,
   build_stats_.repetitions = reps;
   std::vector<Posting> postings;
   std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
   for (VectorId id = 0; id < n; ++id) {
-    auto x = data->Get(id);
-    for (int rep = 0; rep < reps; ++rep) {
-      keys.clear();
-      PathGenStats gen;
-      engine_->ComputeFilters(x, static_cast<uint32_t>(rep), &keys, &gen);
-      build_stats_.nodes_expanded += gen.nodes_expanded;
-      if (gen.cap_hit) build_stats_.cap_hits++;
-      for (uint64_t key : keys) postings.push_back({key, id});
-      build_stats_.total_filters += keys.size();
-    }
+    PathGenStats gen;
+    size_t capped = 0;
+    engine_->ComputeFiltersAllReps(data->Get(id), static_cast<uint32_t>(reps),
+                                   &keys, &offsets, &gen, &capped);
+    build_stats_.nodes_expanded += gen.nodes_expanded;
+    build_stats_.cap_hits += capped;
+    for (uint64_t key : keys) postings.push_back({key, id});
+    build_stats_.total_filters += keys.size();
   }
   table_ = FilterTable::Build(std::move(postings));
   build_stats_.distinct_keys = table_.num_keys();
@@ -82,6 +81,7 @@ Status ChosenPathIndex::Build(const Dataset* data,
 
 // Reusable per-thread query workspace; see query_internal::Scratch.
 struct ChosenPathIndex::QueryScratch {
+  PreparedVector prepared;
   std::vector<uint64_t> keys;
   std::unordered_set<VectorId> seen;
   PathGenStats path_gen;
@@ -103,11 +103,12 @@ std::optional<Match> ChosenPathIndex::QueryImpl(std::span<const ItemId> query,
     std::vector<uint64_t>& keys = scratch->keys;
     std::unordered_set<VectorId>& seen = scratch->seen;
     seen.clear();
+    engine_->Prepare(query, &scratch->prepared);
     for (int rep = 0; rep < build_stats_.repetitions && !found; ++rep) {
       keys.clear();
       PathGenStats gen;
-      engine_->ComputeFilters(query, static_cast<uint32_t>(rep), &keys,
-                              &gen);
+      engine_->ComputeFilters(&scratch->prepared, static_cast<uint32_t>(rep),
+                              &keys, &gen);
       AddPathGenStats(&scratch->path_gen, gen);
       local.filters += keys.size();
       for (uint64_t key : keys) {
@@ -154,21 +155,20 @@ std::vector<Match> ChosenPathIndex::QueryAll(std::span<const ItemId> query,
   std::vector<Match> out;
   if (engine_ != nullptr && !query.empty()) {
     std::vector<uint64_t> keys;
+    std::vector<size_t> offsets;
     std::unordered_set<VectorId> seen;
-    for (int rep = 0; rep < build_stats_.repetitions; ++rep) {
-      keys.clear();
-      engine_->ComputeFilters(query, static_cast<uint32_t>(rep), &keys,
-                              nullptr);
-      local.filters += keys.size();
-      for (uint64_t key : keys) {
-        auto postings = table_.Lookup(key);
-        local.candidates += postings.size();
-        for (VectorId id : postings) {
-          if (!seen.insert(id).second) continue;
-          local.verifications++;
-          double sim = BraunBlanquet(query, data_->Get(id));
-          if (sim >= threshold) out.push_back({id, sim});
-        }
+    engine_->ComputeFiltersAllReps(
+        query, static_cast<uint32_t>(build_stats_.repetitions), &keys,
+        &offsets, nullptr);
+    local.filters += keys.size();
+    for (uint64_t key : keys) {
+      auto postings = table_.Lookup(key);
+      local.candidates += postings.size();
+      for (VectorId id : postings) {
+        if (!seen.insert(id).second) continue;
+        local.verifications++;
+        double sim = BraunBlanquet(query, data_->Get(id));
+        if (sim >= threshold) out.push_back({id, sim});
       }
     }
     local.distinct_candidates = seen.size();

@@ -61,11 +61,13 @@ struct RepHit {
 /// Per-query workspace, reused across the queries of a batch.
 struct Scratch {
   /// The keys of one distinct family (a static index has one family, a
-  /// DynamicIndex mid-rebuild two). Only the first `num_families` slots
-  /// are in use; the rest keep their buffers for the next query.
+  /// DynamicIndex mid-rebuild two), and the query prepared for it. Only
+  /// the first `num_families` slots are in use; the rest keep their
+  /// buffers for the next query.
   struct FamilyKeys {
     const FilterFamily* family = nullptr;
     std::vector<uint64_t> keys;
+    PreparedVector prepared;
   };
   std::vector<FamilyKeys> families;
   size_t num_families = 0;
@@ -177,6 +179,10 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
   int64_t phase_mark = 0;
   if (num_shards > 0 && !query.empty()) {
     const int max_reps = BindFamilies(num_shards, view_at, scratch);
+    for (size_t f = 0; f < scratch->num_families; ++f) {
+      Scratch::FamilyKeys& entry = scratch->families[f];
+      entry.family->Prepare(query, &entry.prepared);
+    }
     scratch->seen.clear();
     for (int rep = 0; rep < max_reps && !found; ++rep) {
       reps_probed++;
@@ -188,8 +194,9 @@ std::optional<Match> FirstMatch(std::span<const ItemId> query,
         entry.keys.clear();
         if (rep >= entry.family->repetitions()) continue;
         PathGenStats gen;
-        entry.family->ComputeFilters(query, static_cast<uint32_t>(rep),
-                                     &entry.keys, &gen);
+        entry.family->ComputeFilters(&entry.prepared,
+                                     static_cast<uint32_t>(rep), &entry.keys,
+                                     &gen);
         AddPathGenStats(&scratch->path_gen, gen);
         local.filters += entry.keys.size();
       }

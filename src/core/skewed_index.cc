@@ -148,7 +148,9 @@ Status FilterFamily::Init(const ProductDistribution* dist, size_t n) {
 void FilterFamily::ComputeFilters(std::span<const ItemId> x, uint32_t rep,
                                   std::vector<uint64_t>* keys,
                                   PathGenStats* stats) const {
-  engine_->ComputeFilters(x, rep, keys, stats);
+  PreparedVector prepared;
+  engine_->Prepare(x, &prepared);
+  engine_->ComputeFilters(&prepared, rep, keys, stats);
 }
 
 void FilterFamily::ComputeAllFilters(std::span<const ItemId> x,

@@ -152,6 +152,22 @@ class FilterFamily {
                       std::vector<uint64_t>* keys,
                       PathGenStats* stats = nullptr) const;
 
+  /// Prepares \p x once for the ComputeFilters below, which grows any of
+  /// its repetitions, in any order, without redoing the per-item set-up
+  /// (the early-stop query's loop).
+  void Prepare(std::span<const ItemId> x, PreparedVector* prepared) const {
+    engine_->Prepare(x, prepared);
+  }
+
+  /// Appends F_r(x) of repetition \p rep to \p keys, where x is the
+  /// vector \p prepared was last prepared with by this family: the same
+  /// keys and counters as ComputeFilters(x, rep, ...).
+  void ComputeFilters(PreparedVector* prepared, uint32_t rep,
+                      std::vector<uint64_t>* keys,
+                      PathGenStats* stats = nullptr) const {
+    engine_->ComputeFilters(prepared, rep, keys, stats);
+  }
+
   /// Computes F_r(\p x) for ALL repetitions in one call: the same kernel
   /// as ComputeFilters, run over the repetition range, so per-level
   /// thresholds are computed once and shared across repetitions (the

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/timer.h"
 
 namespace skewsearch {
 
@@ -26,12 +27,19 @@ Status ReplayWal(std::span<const WalRecord> records, DynamicIndex* index,
                  RecoveryStats* stats) {
   static obs::Counter* const replayed_metric =
       obs::MetricsRegistry::Global().GetCounter("recovery.replayed");
+  static obs::Histogram* const replay_ns_metric =
+      obs::MetricsRegistry::Global().GetHistogram("recovery.replay_ns");
+  Timer timer;
+  Status status = Status::OK();
   for (const WalRecord& record : records) {
     Result<bool> applied =
         record.type == WalRecord::Type::kInsert
             ? index->ReplayInsert(record.id, record.items)
             : index->ReplayRemove(record.id);
-    SKEWSEARCH_RETURN_NOT_OK(applied.status());
+    if (!applied.ok()) {
+      status = applied.status();
+      break;
+    }
     if (stats != nullptr) {
       if (*applied) {
         ++stats->replayed;
@@ -41,7 +49,8 @@ Status ReplayWal(std::span<const WalRecord> records, DynamicIndex* index,
     }
     if (*applied) replayed_metric->Increment();
   }
-  return Status::OK();
+  replay_ns_metric->Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+  return status;
 }
 
 std::string DurableIndex::SnapshotPath(const std::string& dir) {

@@ -80,7 +80,8 @@ class WalJournal : public MutationJournal {
 /// (may be null). A record that is semantically impossible against the
 /// restored snapshot (an insert colliding with the base dataset, an
 /// invalid item list) fails loudly: that is a snapshot/log mismatch,
-/// not a torn tail.
+/// not a torn tail. Each call records its duration, failed or not, as
+/// one `recovery.replay_ns` sample.
 Status ReplayWal(std::span<const WalRecord> records, DynamicIndex* index,
                  RecoveryStats* stats);
 

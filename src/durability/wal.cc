@@ -392,6 +392,8 @@ Status WalWriter::Sync() {
 Status WalWriter::SyncUpTo(uint64_t seq, bool strict) {
   static obs::Counter* const fsyncs_metric =
       obs::MetricsRegistry::Global().GetCounter("wal.fsyncs");
+  static obs::Histogram* const fsync_ns_metric =
+      obs::MetricsRegistry::Global().GetHistogram("wal.fsync_ns");
   std::unique_lock<std::mutex> lock(sync_mutex_);
   while (true) {
     if (!strict && last_synced_seq_.load(std::memory_order_relaxed) >= seq) {
@@ -405,13 +407,19 @@ Status WalWriter::SyncUpTo(uint64_t seq, bool strict) {
   // below starts, so the barrier covers through `target`.
   const uint64_t target = last_appended_seq_.load(std::memory_order_acquire);
   lock.unlock();
+  const auto sync_start = std::chrono::steady_clock::now();
   Status synced = sink_->Sync();
+  const auto sync_end = std::chrono::steady_clock::now();
   lock.lock();
   sync_in_progress_ = false;
   if (synced.ok()) {
     fsyncs_.fetch_add(1, std::memory_order_relaxed);
     fsyncs_metric->Increment();
-    last_sync_time_ = std::chrono::steady_clock::now();
+    fsync_ns_metric->Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(sync_end -
+                                                             sync_start)
+            .count()));
+    last_sync_time_ = sync_end;
     if (target > last_synced_seq_.load(std::memory_order_relaxed)) {
       last_synced_seq_.store(target, std::memory_order_release);
     }

@@ -18,12 +18,18 @@
 
 namespace skewsearch {
 
+/// The multipliers of Mix64 and Avalanche64. The filter kernel's SIMD
+/// copies of the level draw (core/path_engine.cc) read them from here.
+inline constexpr uint64_t kMix64Mul1 = 0xff51afd7ed558ccdULL;
+inline constexpr uint64_t kMix64Mul2 = 0xc4ceb9fe1a85ec53ULL;
+inline constexpr uint64_t kAvalancheMul = 0x165667919e3779f9ULL;
+
 /// MurmurHash3 fmix64 finalizer: bijective avalanche mix of 64 bits.
 inline uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
+  x *= kMix64Mul1;
   x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
+  x *= kMix64Mul2;
   x ^= x >> 33;
   return x;
 }
@@ -31,7 +37,7 @@ inline uint64_t Mix64(uint64_t x) {
 /// xxHash3-style avalanche (distinct constants from Mix64).
 inline uint64_t Avalanche64(uint64_t x) {
   x ^= x >> 37;
-  x *= 0x165667919e3779f9ULL;
+  x *= kAvalancheMul;
   x ^= x >> 32;
   return x;
 }

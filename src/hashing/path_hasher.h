@@ -23,7 +23,7 @@
 // salt), one only on the item (its mixed word), and one on the path key
 // and level. LevelDraw and ExtendKey are written in terms of them, and the
 // filter kernel (core/path_engine.cc) computes each half once — per level,
-// per call and per node — instead of once per draw.
+// per prepared vector and per node — instead of once per draw.
 
 #ifndef SKEWSEARCH_HASHING_PATH_HASHER_H_
 #define SKEWSEARCH_HASHING_PATH_HASHER_H_

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "data/generators.h"
 #include "util/random.h"
@@ -116,10 +119,57 @@ void ExpectSameStats(const PathGenStats& got, const PathGenStats& want) {
   EXPECT_EQ(got.cap_hit, want.cap_hit);
 }
 
-// Runs both entry points of the kernel on \p x for repetitions [0, reps)
-// and checks every key (in order) and every counter against
-// ReferenceFilters. ComputeFilters appends after a sentinel key, which
-// must survive. Returns the reference's summed counters.
+// The filter kernels this CPU runs, weakest first. The first call
+// logs them, so a run's output says which kernels its rows covered.
+std::vector<PathKernel> AvailableKernels() {
+  std::vector<PathKernel> kernels;
+  for (PathKernel kernel :
+       {PathKernel::kScalar, PathKernel::kAvx2, PathKernel::kAvx512}) {
+    if (static_cast<int>(kernel) <= static_cast<int>(DetectPathKernel())) {
+      kernels.push_back(kernel);
+    }
+  }
+  static const bool logged = [&] {
+    std::string names;
+    for (PathKernel kernel : kernels) {
+      names += std::string(names.empty() ? "" : ", ") + PathKernelName(kernel);
+    }
+    std::printf("path kernels run: %s\n", names.c_str());
+    return true;
+  }();
+  (void)logged;
+  return kernels;
+}
+
+// Installs a kernel for its scope and restores the one active before.
+class ScopedPathKernel {
+ public:
+  explicit ScopedPathKernel(PathKernel kernel)
+      : previous_(ActivePathKernel()) {
+    SetPathKernel(kernel);
+  }
+  ~ScopedPathKernel() { SetPathKernel(previous_); }
+  ScopedPathKernel(const ScopedPathKernel&) = delete;
+  ScopedPathKernel& operator=(const ScopedPathKernel&) = delete;
+
+ private:
+  PathKernel previous_;
+};
+
+// The per-repetition entry point on a freshly prepared vector.
+void Filters(const PathEngine& engine, std::span<const ItemId> x,
+             uint32_t rep, std::vector<uint64_t>* out, PathGenStats* stats) {
+  PreparedVector prepared;
+  engine.Prepare(x, &prepared);
+  engine.ComputeFilters(&prepared, rep, out, stats);
+}
+
+// Runs both entry points of the kernel on \p x for repetitions [0, reps),
+// under each kernel the CPU has, and checks every key (in order) and
+// every counter against ReferenceFilters. The per-repetition entry point
+// grows every repetition, last first, from one prepared state and
+// appends after a sentinel key, which must survive. Returns the
+// reference's summed counters.
 PathGenStats ExpectKernelMatchesReference(const ProductDistribution& dist,
                                           const ThresholdPolicy& policy,
                                           const PathHasher& hasher,
@@ -127,44 +177,53 @@ PathGenStats ExpectKernelMatchesReference(const ProductDistribution& dist,
                                           std::span<const ItemId> x,
                                           uint32_t reps) {
   PathEngine engine(&dist, &policy, &hasher, options);
-  std::vector<uint64_t> all;
-  std::vector<size_t> offsets;
-  PathGenStats all_stats;
-  size_t capped = 0;
-  engine.ComputeFiltersAllReps(x, reps, &all, &offsets, &all_stats, &capped);
-  EXPECT_EQ(offsets.size(), reps + 1);
-  if (offsets.size() != reps + 1) return {};
-
+  std::vector<std::vector<uint64_t>> want(reps);
+  std::vector<PathGenStats> want_stats(reps);
   PathGenStats sum;
   size_t ref_capped = 0;
   for (uint32_t rep = 0; rep < reps; ++rep) {
-    SCOPED_TRACE("rep " + std::to_string(rep));
-    std::vector<uint64_t> want;
-    PathGenStats want_stats;
-    ReferenceFilters(dist, policy, hasher, options, x, rep, &want,
-                     &want_stats);
-    sum.filters_emitted += want_stats.filters_emitted;
-    sum.nodes_expanded += want_stats.nodes_expanded;
-    sum.draws += want_stats.draws;
-    sum.cap_hit = sum.cap_hit || want_stats.cap_hit;
-    ref_capped += want_stats.cap_hit;
-
-    constexpr uint64_t kSentinel = 0xfeedfacecafebeefULL;
-    std::vector<uint64_t> single = {kSentinel};
-    PathGenStats single_stats;
-    engine.ComputeFilters(x, rep, &single, &single_stats);
-    EXPECT_EQ(single.front(), kSentinel);
-    single.erase(single.begin());
-    EXPECT_EQ(single, want);
-    ExpectSameStats(single_stats, want_stats);
-
-    const std::vector<uint64_t> group(all.begin() + offsets[rep],
-                                      all.begin() + offsets[rep + 1]);
-    EXPECT_EQ(group, want);
+    ReferenceFilters(dist, policy, hasher, options, x, rep, &want[rep],
+                     &want_stats[rep]);
+    sum.filters_emitted += want_stats[rep].filters_emitted;
+    sum.nodes_expanded += want_stats[rep].nodes_expanded;
+    sum.draws += want_stats[rep].draws;
+    sum.cap_hit = sum.cap_hit || want_stats[rep].cap_hit;
+    ref_capped += want_stats[rep].cap_hit;
   }
-  EXPECT_EQ(offsets.back(), all.size());
-  ExpectSameStats(all_stats, sum);
-  EXPECT_EQ(capped, ref_capped);
+
+  for (PathKernel kernel : AvailableKernels()) {
+    ScopedPathKernel forced(kernel);
+    SCOPED_TRACE(std::string("kernel ") + PathKernelName(ActivePathKernel()));
+    std::vector<uint64_t> all;
+    std::vector<size_t> offsets;
+    PathGenStats all_stats;
+    size_t capped = 0;
+    engine.ComputeFiltersAllReps(x, reps, &all, &offsets, &all_stats,
+                                 &capped);
+    EXPECT_EQ(offsets.size(), reps + 1);
+    if (offsets.size() != reps + 1) return {};
+    EXPECT_EQ(offsets.back(), all.size());
+    ExpectSameStats(all_stats, sum);
+    EXPECT_EQ(capped, ref_capped);
+
+    PreparedVector prepared;
+    engine.Prepare(x, &prepared);
+    for (uint32_t rep = reps; rep-- > 0;) {
+      SCOPED_TRACE("rep " + std::to_string(rep));
+      const std::vector<uint64_t> group(all.begin() + offsets[rep],
+                                        all.begin() + offsets[rep + 1]);
+      EXPECT_EQ(group, want[rep]);
+
+      constexpr uint64_t kSentinel = 0xfeedfacecafebeefULL;
+      std::vector<uint64_t> single = {kSentinel};
+      PathGenStats single_stats;
+      engine.ComputeFilters(&prepared, rep, &single, &single_stats);
+      EXPECT_EQ(single.front(), kSentinel);
+      single.erase(single.begin());
+      EXPECT_EQ(single, want[rep]);
+      ExpectSameStats(single_stats, want_stats[rep]);
+    }
+  }
   return sum;
 }
 
@@ -187,7 +246,7 @@ TEST(PathEngineTest, EmptyVectorProducesNoFilters) {
   PathEngine engine(&dist, &policy, &hasher, options);
   std::vector<uint64_t> out;
   PathGenStats stats;
-  engine.ComputeFilters({}, 0, &out, &stats);
+  Filters(engine, {}, 0, &out, &stats);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.filters_emitted, 0u);
 }
@@ -201,8 +260,8 @@ TEST(PathEngineTest, DeterministicAcrossCalls) {
   PathEngine engine(&dist, &policy, &hasher, options);
   SparseVector x = SparseVector::Of({1, 5, 9, 20, 33, 47, 60, 78, 90});
   std::vector<uint64_t> a, b;
-  engine.ComputeFilters(x.span(), 0, &a, nullptr);
-  engine.ComputeFilters(x.span(), 0, &b, nullptr);
+  Filters(engine, x.span(), 0, &a, nullptr);
+  Filters(engine, x.span(), 0, &b, nullptr);
   EXPECT_EQ(a, b);
 }
 
@@ -215,8 +274,8 @@ TEST(PathEngineTest, RepetitionsProduceDifferentFilters) {
   PathEngine engine(&dist, &policy, &hasher, options);
   SparseVector x = SparseVector::Of({1, 5, 9, 20, 33, 47, 60, 78, 90});
   std::vector<uint64_t> a, b;
-  engine.ComputeFilters(x.span(), 0, &a, nullptr);
-  engine.ComputeFilters(x.span(), 1, &b, nullptr);
+  Filters(engine, x.span(), 0, &a, nullptr);
+  Filters(engine, x.span(), 1, &b, nullptr);
   std::set<uint64_t> sa(a.begin(), a.end()), sb(b.begin(), b.end());
   std::vector<uint64_t> common;
   std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
@@ -238,7 +297,7 @@ TEST(PathEngineTest, StopRuleBoundsPathProbability) {
   SparseVector x = SparseVector::Of({0, 1, 2, 3, 4, 5, 6, 7});
   std::vector<uint64_t> out;
   PathGenStats stats;
-  engine.ComputeFilters(x.span(), 0, &out, &stats);
+  Filters(engine, x.span(), 0, &out, &stats);
   // ceil(log2 100) = 7; paths = 8 P 7 ordered selections without
   // replacement = 8!/(8-7)! = 40320... all chosen since threshold 1.
   // Depth: ln(100)/ln(2) = 6.64 -> length 7.
@@ -260,7 +319,7 @@ TEST(PathEngineTest, RareItemsShortenPaths) {
   PathEngine engine(&dist, &policy, &hasher, options);
   SparseVector x = SparseVector::Of({0});
   std::vector<uint64_t> out;
-  engine.ComputeFilters(x.span(), 0, &out, nullptr);
+  Filters(engine, x.span(), 0, &out, nullptr);
   // Only the single path (0), which stops right away.
   EXPECT_EQ(out.size(), 1u);
 }
@@ -278,7 +337,7 @@ TEST(PathEngineTest, WithoutReplacementNeverRepeatsItems) {
   PathEngine engine(&dist, &policy, &hasher, options);
   SparseVector x = SparseVector::Of({0, 1, 2});
   std::vector<uint64_t> out;
-  engine.ComputeFilters(x.span(), 0, &out, nullptr);
+  Filters(engine, x.span(), 0, &out, nullptr);
   EXPECT_TRUE(out.empty());
 }
 
@@ -293,7 +352,7 @@ TEST(PathEngineTest, WithReplacementCanRepeat) {
   PathEngine engine(&dist, &policy, &hasher, options);
   SparseVector x = SparseVector::Of({0, 1, 2});
   std::vector<uint64_t> out;
-  engine.ComputeFilters(x.span(), 0, &out, nullptr);
+  Filters(engine, x.span(), 0, &out, nullptr);
   // 3^10 paths all taken with threshold 1.
   EXPECT_EQ(out.size(), static_cast<size_t>(std::pow(3, 10)));
 }
@@ -309,7 +368,7 @@ TEST(PathEngineTest, FixedDepthStopRule) {
   PathEngine engine(&dist, &policy, &hasher, options);
   SparseVector x = SparseVector::Of({0, 1, 2, 3, 4});
   std::vector<uint64_t> out;
-  engine.ComputeFilters(x.span(), 0, &out, nullptr);
+  Filters(engine, x.span(), 0, &out, nullptr);
   EXPECT_EQ(out.size(), 25u);  // 5^2 ordered pairs with replacement
 }
 
@@ -333,7 +392,7 @@ TEST(PathEngineTest, ThresholdScalesFilterCount) {
     double total = 0;
     for (uint32_t rep = 0; rep < 50; ++rep) {
       std::vector<uint64_t> out;
-      engine.ComputeFilters(x.span(), rep, &out, nullptr);
+      Filters(engine, x.span(), rep, &out, nullptr);
       total += static_cast<double>(out.size());
     }
     return total / 50.0;
@@ -358,7 +417,7 @@ TEST(PathEngineTest, CapTruncatesAndReports) {
   SparseVector x = SparseVector::FromSorted(ids);
   std::vector<uint64_t> out;
   PathGenStats stats;
-  engine.ComputeFilters(x.span(), 0, &out, &stats);
+  Filters(engine, x.span(), 0, &out, &stats);
   EXPECT_TRUE(stats.cap_hit);
   EXPECT_LE(out.size(), 1001u);
 }
@@ -377,7 +436,7 @@ TEST(PathEngineTest, StatsCountNodesAndDraws) {
   SparseVector x = SparseVector::FromSorted(ids);
   std::vector<uint64_t> out;
   PathGenStats stats;
-  engine.ComputeFilters(x.span(), 0, &out, &stats);
+  Filters(engine, x.span(), 0, &out, &stats);
   EXPECT_GT(stats.nodes_expanded, 0u);
   EXPECT_GE(stats.draws, stats.nodes_expanded);  // >= |x| draws per node
   EXPECT_EQ(stats.filters_emitted, out.size());
@@ -407,9 +466,9 @@ TEST(PathEngineTest, SharedItemsYieldSharedFilters) {
   size_t shared_xy = 0, shared_xz = 0;
   for (uint32_t rep = 0; rep < 30; ++rep) {
     std::vector<uint64_t> fx, fy, fz;
-    engine.ComputeFilters(x.span(), rep, &fx, nullptr);
-    engine.ComputeFilters(y.span(), rep, &fy, nullptr);
-    engine.ComputeFilters(z.span(), rep, &fz, nullptr);
+    Filters(engine, x.span(), rep, &fx, nullptr);
+    Filters(engine, y.span(), rep, &fy, nullptr);
+    Filters(engine, z.span(), rep, &fz, nullptr);
     std::set<uint64_t> sx(fx.begin(), fx.end());
     for (uint64_t k : fy) shared_xy += sx.count(k);
     for (uint64_t k : fz) shared_xz += sx.count(k);
@@ -448,7 +507,7 @@ TEST(PathEngineTest, FusedAllRepsMatchesPerRepByteForByte) {
     for (uint32_t rep = 0; rep < reps; ++rep) {
       std::vector<uint64_t> single;
       PathGenStats stats;
-      engine.ComputeFilters(x.span(), rep, &single, &stats);
+      Filters(engine, x.span(), rep, &single, &stats);
       emitted += stats.filters_emitted;
       ASSERT_EQ(offsets[rep + 1] - offsets[rep], single.size()) << rep;
       for (size_t i = 0; i < single.size(); ++i) {
@@ -650,6 +709,165 @@ TEST(PathEngineTest, KernelSkipsItemsOutsideTheUniverse) {
       ExpectKernelMatchesReference(dist, policy, hasher, options, outside, 2);
   EXPECT_EQ(none.draws, 0u);
   EXPECT_EQ(none.filters_emitted, 0u);
+}
+
+TEST(PathEngineTest, KernelDispatchClampsAndNames) {
+  EXPECT_STREQ(PathKernelName(PathKernel::kScalar), "scalar");
+  EXPECT_STREQ(PathKernelName(PathKernel::kAvx2), "avx2");
+  EXPECT_STREQ(PathKernelName(PathKernel::kAvx512), "avx512");
+  const PathKernel best = DetectPathKernel();
+  EXPECT_EQ(ActivePathKernel(), best);
+  std::printf("detected path kernel: %s\n", PathKernelName(best));
+  {
+    // Scalar is always available; a request above the CPU's best clamps
+    // to it, and the scope restores what was active.
+    ScopedPathKernel scalar(PathKernel::kScalar);
+    EXPECT_EQ(ActivePathKernel(), PathKernel::kScalar);
+    EXPECT_EQ(SetPathKernel(PathKernel::kAvx512), best);
+    EXPECT_EQ(ActivePathKernel(), best);
+    EXPECT_EQ(SetPathKernel(PathKernel::kScalar), PathKernel::kScalar);
+  }
+  EXPECT_EQ(ActivePathKernel(), best);
+  const std::vector<PathKernel> kernels = AvailableKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front(), PathKernel::kScalar);
+  EXPECT_EQ(kernels.back(), best);
+}
+
+// About two and a half children per node, with a threshold that varies
+// by item and depth, so neighbouring lanes of a block hold different
+// bounds at every level.
+class SpreadPolicy : public ThresholdPolicy {
+ public:
+  double Threshold(size_t size, int depth, ItemId item) const override {
+    const double weight =
+        1.0 + static_cast<double>((item + static_cast<ItemId>(depth)) % 4);
+    return weight / (static_cast<double>(size) + 1.0);
+  }
+};
+
+TEST(PathEngineTest, KernelMatchesReferenceAtLaneAndWordEdges) {
+  // In-universe counts from the smallest node the accept pass takes (9),
+  // through partial and full last blocks of 4 and 8 lanes (12, 15, 16),
+  // to each side of a 64-item mask word, with items outside the universe
+  // interleaved.
+  auto dist = UniformProbabilities(300, 0.4).value();
+  SpreadPolicy policy;
+  for (size_t m : {9, 12, 15, 16, 63, 64, 65, 129}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    std::vector<ItemId> x;
+    for (size_t k = 0; k < m; ++k) {
+      x.push_back(static_cast<ItemId>((k * 37) % 300));
+      if (k % 16 == 5) x.push_back(static_cast<ItemId>(300 + k));
+    }
+    for (HashEngine hash : {HashEngine::kMixer, HashEngine::kPairwise}) {
+      SCOPED_TRACE(hash == HashEngine::kMixer ? "mixer" : "pairwise");
+      PathHasher hasher(83, 12, hash);
+      for (bool without_replacement : {true, false}) {
+        SCOPED_TRACE(without_replacement ? "no replacement" : "replacement");
+        PathEngineOptions options;
+        options.log_n = std::log(200.0);
+        options.max_depth = 8;
+        options.without_replacement = without_replacement;
+        const PathGenStats sum = ExpectKernelMatchesReference(
+            dist, policy, hasher, options, x, 3);
+        EXPECT_GT(sum.draws, 0u);
+      }
+    }
+  }
+}
+
+TEST(PathEngineTest, KernelMatchesReferenceWhenCapStopsMidBlock) {
+  // Every draw accepts, paths of three items, without replacement. The
+  // arena holds the root and both full levels, 1 + m^2 nodes, before
+  // level 2 emits; its first m - 2 nodes emit m - 2 filters each. The
+  // cap then stops node (0, m - 1) right after item `stop`, inside a
+  // block, with its path's items 0 and m - 1 on either side of the stop.
+  auto dist = UniformProbabilities(100, 0.5).value();
+  FixedPolicy policy(1.0);
+  PathHasher hasher(89, 8);
+  for (const auto& [m, stop] : {std::pair<size_t, size_t>{20, 11},
+                                std::pair<size_t, size_t>{70, 67}}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    std::vector<ItemId> x(m);
+    for (size_t k = 0; k < m; ++k) x[k] = static_cast<ItemId>(k);
+    const size_t per_rep = (m - 2) * (m - 2) + stop;
+    PathEngineOptions options;
+    options.stop_rule = StopRule::kFixedDepth;
+    options.fixed_depth = 3;
+    options.max_paths = 1 + m * m + per_rep;
+    const PathGenStats sum =
+        ExpectKernelMatchesReference(dist, policy, hasher, options, x, 2);
+    EXPECT_TRUE(sum.cap_hit);
+    EXPECT_EQ(sum.filters_emitted, 2 * per_rep);
+  }
+}
+
+TEST(PathEngineTest, KernelMatchesReferenceWithRepeatsAcrossAWord) {
+  // Copies of one item on both sides of the 64-item word boundary: once
+  // the item is on the path, every copy is skipped and makes no draw.
+  auto dist = UniformProbabilities(80, 0.4).value();
+  SpreadPolicy policy;
+  std::vector<ItemId> x;
+  for (ItemId i = 0; i < 63; ++i) x.push_back(i);
+  x.insert(x.end(), {7, 7, 63, 63, 62, 0, 64, 65, 7});
+  for (HashEngine hash : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    SCOPED_TRACE(hash == HashEngine::kMixer ? "mixer" : "pairwise");
+    PathHasher hasher(97, 12, hash);
+    for (bool without_replacement : {true, false}) {
+      SCOPED_TRACE(without_replacement ? "no replacement" : "replacement");
+      PathEngineOptions options;
+      options.log_n = std::log(300.0);
+      options.max_depth = 8;
+      options.without_replacement = without_replacement;
+      ExpectKernelMatchesReference(dist, policy, hasher, options, x, 3);
+    }
+  }
+}
+
+TEST(PathEngineTest, PreparedVectorGrowsAnyRepetitionAndHoldsNothingStale) {
+  // Repetitions grown out of order from one prepared state equal the
+  // all-repetition groups; so do those of a shorter vector prepared into
+  // the same state afterwards (its own |x|, thresholds and padding).
+  auto dist = UniformProbabilities(300, 0.4).value();
+  SpreadPolicy policy;
+  const std::vector<ItemId> longer = [] {
+    std::vector<ItemId> ids;
+    for (ItemId i = 0; i < 129; ++i) ids.push_back((i * 7) % 300);
+    return ids;
+  }();
+  const std::vector<ItemId> shorter = {3,  301, 9,  27, 81, 243, 14,
+                                       42, 126, 5,  15, 45, 135};
+  for (HashEngine hash : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    SCOPED_TRACE(hash == HashEngine::kMixer ? "mixer" : "pairwise");
+    PathHasher hasher(101, 12, hash);
+    PathEngineOptions options;
+    options.log_n = std::log(200.0);
+    options.max_depth = 8;
+    PathEngine engine(&dist, &policy, &hasher, options);
+    for (PathKernel kernel : AvailableKernels()) {
+      ScopedPathKernel forced(kernel);
+      SCOPED_TRACE(std::string("kernel ") +
+                   PathKernelName(ActivePathKernel()));
+      PreparedVector prepared;
+      for (const std::vector<ItemId>* x : {&longer, &shorter}) {
+        SCOPED_TRACE("|x| = " + std::to_string(x->size()));
+        std::vector<uint64_t> all;
+        std::vector<size_t> offsets;
+        engine.ComputeFiltersAllReps(*x, 5, &all, &offsets, nullptr);
+        ASSERT_EQ(offsets.size(), 6u);
+        engine.Prepare(*x, &prepared);
+        for (uint32_t rep : {4u, 0u, 2u}) {
+          SCOPED_TRACE("rep " + std::to_string(rep));
+          const std::vector<uint64_t> group(all.begin() + offsets[rep],
+                                            all.begin() + offsets[rep + 1]);
+          std::vector<uint64_t> keys;
+          engine.ComputeFilters(&prepared, rep, &keys, nullptr);
+          EXPECT_EQ(keys, group);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

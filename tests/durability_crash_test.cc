@@ -39,6 +39,7 @@
 #include "durability/wal.h"
 #include "index_oracle.h"
 #include "maintenance/service.h"
+#include "obs/metrics.h"
 #include "reference_index.h"
 #include "test_paths.h"
 #include "util/random.h"
@@ -332,10 +333,14 @@ TEST_F(DurabilityRecoveryTest, CheckpointFoldsLogIntoSnapshot) {
     EXPECT_EQ(index.num_checkpoints(), 1u);
     ASSERT_TRUE(index.Close().ok());
   }
+  obs::Histogram* const replay_ns =
+      obs::MetricsRegistry::Global().GetHistogram("recovery.replay_ns");
+  const uint64_t replays_before = replay_ns->Count();
   DurableIndex reopened;
   RecoveryStats stats;
   ASSERT_TRUE(reopened.Open(&data_, &dist_, Options(), durable, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(replay_ns->Count() - replays_before, 1u);  // one per recovery
   // Only the post-checkpoint tail replays.
   EXPECT_EQ(stats.replayed, script.size() - 15);
   EXPECT_EQ(stats.next_seq, script.size() + 1);  // seqs survive truncation

@@ -25,6 +25,7 @@
 
 #include "durability/fault_file.h"
 #include "durability/wal.h"
+#include "obs/metrics.h"
 #include "test_paths.h"
 #include "util/random.h"
 
@@ -285,6 +286,12 @@ class WalSyncPolicyTest : public ::testing::Test {
 TEST_F(WalSyncPolicyTest, AlwaysSyncsEveryAppend) {
   FaultFile* file = nullptr;
   auto writer = OpenFaulty(SyncPolicy::kAlways, &file);
+  obs::Counter* const fsyncs =
+      obs::MetricsRegistry::Global().GetCounter("wal.fsyncs");
+  obs::Histogram* const fsync_ns =
+      obs::MetricsRegistry::Global().GetHistogram("wal.fsync_ns");
+  const uint64_t fsyncs_before = fsyncs->Value();
+  const uint64_t timed_before = fsync_ns->Count();
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
         writer->Append(WalRecord::Type::kInsert, 10 + i, items_).ok());
@@ -294,6 +301,9 @@ TEST_F(WalSyncPolicyTest, AlwaysSyncsEveryAppend) {
     EXPECT_EQ(writer->last_synced_seq(), static_cast<uint64_t>(i + 1));
   }
   EXPECT_EQ(file->num_syncs(), 8u);  // dedicated fsync per ack, no sharing
+  // Every fsync is timed: the histogram's count moves with wal.fsyncs.
+  EXPECT_EQ(fsyncs->Value() - fsyncs_before, 8u);
+  EXPECT_EQ(fsync_ns->Count() - timed_before, 8u);
 }
 
 TEST_F(WalSyncPolicyTest, GroupSyncsBeforeAck) {

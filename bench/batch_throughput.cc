@@ -14,9 +14,13 @@
 // one-thread batch's verifications and the candidates its size bound
 // skipped. path_ns_per_draw (advisory) times one ComputeAllFilters pass
 // over the query batch. The same pass under each filter kernel the CPU
-// has must make the scalar kernel's keys, offsets and draws:
-// path_kernels_identical (stable) reads 0 and the run exits 2 otherwise,
-// as for results_identical.
+// has must make the scalar kernel's keys, offsets and draws, over the
+// query batch and over a set of long vectors (at least 16 in-universe
+// items each, so every node goes through the kernels' accept pass; the
+// queries hold 2.4 items on average and nearly all take the one-pass
+// path): path_kernels_identical (stable) reads 0 and the run exits 2
+// otherwise, as for results_identical. path_ns_per_draw_long_KERNEL
+// (advisory) times each kernel's pass over the long vectors.
 //
 // Flags: --n <dataset> --queries <batch> --alpha <corr> --threads <list>
 //        --rounds <timed repetitions> --json <file> (see bench_util.h)
@@ -26,8 +30,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -215,45 +221,67 @@ int Run(int argc, char** argv) {
   }
   table.Print();
 
-  // The kernel alone: every repetition of every query, best round.
+  // The kernel alone: every repetition of every vector of a set under
+  // the installed kernel, best round; ns per draw and the draws.
   std::vector<uint64_t> keys;
   std::vector<size_t> offsets;
-  double best_kernel_seconds = 0.0;
-  size_t kernel_draws = 0;
-  for (int round = 0; round < std::max(1, config.rounds); ++round) {
-    kernel_draws = 0;
-    Timer timer;
-    for (VectorId id = 0; id < queries.size(); ++id) {
-      PathGenStats gen;
-      index.family().ComputeAllFilters(queries.Get(id), &keys, &offsets, &gen);
-      kernel_draws += gen.draws;
+  auto time_kernel = [&](const Dataset& vectors) {
+    double best_seconds = 0.0;
+    size_t draws = 0;
+    for (int round = 0; round < std::max(1, config.rounds); ++round) {
+      draws = 0;
+      Timer timer;
+      for (VectorId id = 0; id < vectors.size(); ++id) {
+        PathGenStats gen;
+        index.family().ComputeAllFilters(vectors.Get(id), &keys, &offsets,
+                                         &gen);
+        draws += gen.draws;
+      }
+      const double seconds = timer.ElapsedSeconds();
+      if (round == 0 || seconds < best_seconds) best_seconds = seconds;
     }
-    const double seconds = timer.ElapsedSeconds();
-    if (round == 0 || seconds < best_kernel_seconds) {
-      best_kernel_seconds = seconds;
-    }
-  }
-  const double ns_per_draw =
-      kernel_draws > 0
-          ? best_kernel_seconds * 1e9 / static_cast<double>(kernel_draws)
-          : 0.0;
+    const double ns =
+        draws > 0 ? best_seconds * 1e9 / static_cast<double>(draws) : 0.0;
+    return std::pair{ns, draws};
+  };
+  const auto [ns_per_draw, kernel_draws] = time_kernel(queries);
   bench::Note("filter kernel: " + bench::Fmt(ns_per_draw, 2) +
               " ns/draw over " + std::to_string(kernel_draws) + " draws");
   reporter.Metric("path_ns_per_draw", ns_per_draw, /*stable=*/false, "ns");
 
+  // Long vectors: each the union of random dataset vectors until it
+  // holds at least 16 items, so every node it grows takes the two-pass
+  // path under a vector kernel.
+  constexpr size_t kLongVectors = 500;
+  Dataset long_vectors;
+  std::vector<ItemId> long_items;
+  for (size_t i = 0; i < kLongVectors; ++i) {
+    long_items.clear();
+    while (long_items.size() < 16) {
+      const auto x =
+          data.Get(static_cast<VectorId>(rng.NextBounded(data.size())));
+      long_items.insert(long_items.end(), x.begin(), x.end());
+      std::sort(long_items.begin(), long_items.end());
+      long_items.erase(std::unique(long_items.begin(), long_items.end()),
+                       long_items.end());
+    }
+    long_vectors.Add(std::span<const ItemId>(long_items));
+  }
+
   // Every kernel the CPU has makes the scalar kernel's keys, offsets and
-  // draws on the same pass.
+  // draws on the same passes, over the queries and the long vectors.
   struct KernelOutput {
     std::vector<uint64_t> keys;
     std::vector<size_t> offsets;
     size_t draws = 0;
     bool operator==(const KernelOutput&) const = default;
   };
-  auto kernel_output = [&] {
+  auto kernel_output = [&](const Dataset& vectors) {
     KernelOutput output;
-    for (VectorId id = 0; id < queries.size(); ++id) {
+    for (VectorId id = 0; id < vectors.size(); ++id) {
       PathGenStats gen;
-      index.family().ComputeAllFilters(queries.Get(id), &keys, &offsets, &gen);
+      index.family().ComputeAllFilters(vectors.Get(id), &keys, &offsets,
+                                       &gen);
       output.keys.insert(output.keys.end(), keys.begin(), keys.end());
       output.offsets.insert(output.offsets.end(), offsets.begin(),
                             offsets.end());
@@ -262,15 +290,30 @@ int Run(int argc, char** argv) {
     return output;
   };
   const PathKernel dispatched = ActivePathKernel();
-  SetPathKernel(PathKernel::kScalar);
-  const KernelOutput scalar_output = kernel_output();
   bool kernels_identical = true;
-  for (PathKernel kernel : {PathKernel::kAvx2, PathKernel::kAvx512}) {
+  KernelOutput scalar_queries;
+  KernelOutput scalar_long;
+  for (PathKernel kernel :
+       {PathKernel::kScalar, PathKernel::kAvx2, PathKernel::kAvx512}) {
     if (SetPathKernel(kernel) != kernel) continue;
-    const bool identical = kernel_output() == scalar_output;
+    const std::string name = PathKernelName(kernel);
+    const auto [ns, draws] = time_kernel(long_vectors);
+    bench::Note("filter kernel " + name + ": " + bench::Fmt(ns, 2) +
+                " ns/draw over " + std::to_string(draws) + " draws of " +
+                std::to_string(long_vectors.size()) + " vectors of 16+ items");
+    reporter.Metric("path_ns_per_draw_long_" + name, ns, /*stable=*/false,
+                    "ns");
+    if (kernel == PathKernel::kScalar) {
+      scalar_queries = kernel_output(queries);
+      scalar_long = kernel_output(long_vectors);
+      continue;
+    }
+    const bool identical = kernel_output(queries) == scalar_queries &&
+                           kernel_output(long_vectors) == scalar_long;
     kernels_identical = kernels_identical && identical;
-    bench::Note(std::string("filter kernel ") + PathKernelName(kernel) +
-                (identical ? ": same keys and draws as scalar"
+    bench::Note("filter kernel " + name +
+                (identical ? ": same keys and draws as scalar on the queries "
+                             "and the long vectors"
                            : ": DIFFERS from scalar"));
   }
   SetPathKernel(dispatched);

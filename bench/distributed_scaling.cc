@@ -358,7 +358,8 @@ int Run(int argc, char** argv) {
     // (fewer frames) from what pipelining buys (fewer synchronous waits
     // over the same frames). "wire KB" counts probe-phase frame bytes
     // both directions; "ship KB" is the one-time handshake + assignment
-    // traffic (the duplication factor in bytes).
+    // traffic: the lists that can pair in a self-join and the vectors
+    // they reference (a self-join never ships the one-id lists).
     Banner("transport = " + config.transport + " (batch " +
            Fmt(config.probe_batch) + " pipelined x" + Fmt(config.pipeline) +
            " vs strict vs unbatched)");

@@ -723,8 +723,13 @@ int ReportJoinOutput(const Flags& flags, const JoinOptions& options,
                 static_cast<double>(stats.wire_bytes_received) / 1e3,
                 stats.probe_batches_sent, stats.probe_round_trips,
                 options.pipeline);
+    // The smoke test reads both lines after killing a worker: each ship
+    // and re-ship is a reassignment on the worker that applied it.
+    if (stats.deferred_ships > 0) {
+      std::printf("shipped one-id lists %zu time(s) after the attach\n",
+                  stats.deferred_ships);
+    }
     if (stats.worker_recoveries > 0) {
-      // The smoke test greps for this line after killing a worker.
       std::printf("recovered %zu worker(s), replayed %zu batch(es)\n",
                   stats.worker_recoveries, stats.replayed_batches);
     }

@@ -34,6 +34,17 @@ namespace {
 
 using distributed_internal::RoutedProbes;
 
+/// Whether list \p k of a Build-path worker's \p slice can pair in a
+/// self-join, so the attach ships it (AttachRemote). A light key's
+/// slice is its whole list, which pairs when it holds two or more ids;
+/// a heavy key's slice pairs through the keys a self-join ships,
+/// whatever its length. Every other list holds one id.
+bool PairingList(const FilterTable& slice, size_t k,
+                 const PartitionPlan& plan) {
+  return slice.postings_at(k).size() >= 2 ||
+         plan.heavy.contains(slice.key_at(k));
+}
+
 /// Packs a (left, right) pair for the cross-worker merge dedup.
 uint64_t PairKey(VectorId left, VectorId right) {
   return (static_cast<uint64_t>(left) << 32) | right;
@@ -128,10 +139,13 @@ RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
 /// above it, and ships key k of x to o only when o's slice of k does not
 /// hold x but holds an id above it: a heavy key's other slices, or a
 /// frozen file's other shards. Any other key would only make o scan a
-/// list and skip every entry. The requests carry x's items only when
-/// o's slices reference no copy of x. The coordinator's slices ascend
-/// by VectorId within a list, so the probes a list can still pair with
-/// are those below its last id. Keys go out in slice order (worker by
+/// list and skip every entry. The requests carry x's items only when no
+/// list o holds from the attach on references x: a remote worker of a
+/// Build gets its pairing lists (PairingList) at the attach and its
+/// one-id lists only at the first R-S join, and the route, computed once
+/// per build, must hold before and after. The coordinator's slices
+/// ascend by VectorId within a list, so the probes a list can still pair
+/// with are those below its last id. Keys go out in slice order (worker by
 /// worker, ascending key within each slice). One pass over the postings
 /// counts each request's keys; a second fills them into exactly sized
 /// vectors. A plan with no heavy key and no broadcast ships none, so it
@@ -139,8 +153,9 @@ RoutedProbes RouteThroughKernel(const Dataset& left, size_t begin,
 RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
                              const std::vector<JoinWorker>& workers) {
   const size_t worker_count = workers.size();
-  // held[id * W + w]: kStores when w's slices reference id, kPairs when
-  // a list of w holds id and an id above it.
+  // held[id * W + w]: kStores when a list w holds from the attach on (a
+  // pairing list, or any list of a frozen shard) references id, kPairs
+  // when a list of w holds id and an id above it.
   constexpr uint8_t kStores = 1;
   constexpr uint8_t kPairs = 2;
   std::vector<uint8_t> held(data.size() * worker_count, 0);
@@ -148,9 +163,11 @@ RoutedProbes RouteFromSlices(const Dataset& data, const PartitionPlan& plan,
     const FilterTable& table = workers[w].table();
     for (size_t k = 0; k < table.num_keys(); ++k) {
       const std::span<const VectorId> postings = table.postings_at(k);
+      const uint8_t stores =
+          plan.broadcast || PairingList(table, k, plan) ? kStores : 0;
       for (VectorId id : postings) {
         held[id * worker_count + w] |=
-            id < postings.back() ? kStores | kPairs : kStores;
+            id < postings.back() ? kStores | kPairs : stores;
       }
     }
   }
@@ -305,16 +322,16 @@ Result<std::vector<FilterTable>> CutSlices(const FilterTable& table,
 DistributedJoin::~DistributedJoin() { DetachRemote(); }
 
 std::pair<wire::Frame, wire::AssignmentAckFrame>
-DistributedJoin::AssignmentFrame(size_t w, uint32_t epoch) const {
-  const JoinWorker& worker = workers_[w];
+DistributedJoin::AssignmentFrame(size_t w, uint32_t epoch,
+                                 Lists lists) const {
+  const FilterTable& table = workers_[w].table();
+  const bool pairing = lists == Lists::kPairing;
   wire::AssignmentAckFrame expected;
-  expected.epoch = epoch;
-  expected.num_keys = worker.num_keys();
-  expected.num_entries = worker.num_entries();
-  expected.distinct_vectors = worker.distinct_vectors();
-  return {wire::EncodeAssignment(worker.table(), *data_, threshold_,
-                                 options_.index.verify_measure, epoch),
-          expected};
+  wire::Frame frame = wire::EncodeAssignment(
+      table, *data_, threshold_, options_.index.verify_measure, epoch,
+      [&](size_t k) { return PairingList(table, k, plan_) == pairing; },
+      &expected);
+  return {std::move(frame), expected};
 }
 
 Status DistributedJoin::AttachRemote(
@@ -334,12 +351,13 @@ Status DistributedJoin::AttachRemote(
         std::to_string(connections.size()) + " connections)");
   }
   const uint32_t num_workers = static_cast<uint32_t>(workers_.size());
-  // A built coordinator ships each worker its slices. A frozen one sends
-  // a ShardAssignment naming the shard instead — the worker pre-mapped
+  // A built coordinator ships each worker its pairing lists; the one-id
+  // lists follow at the first R-S join. A frozen one sends a
+  // ShardAssignment naming the shard instead — the worker pre-mapped
   // the byte-identical file — and expects the ack to carry what this
   // coordinator's own mapping records for that shard.
   auto assignment = [&](size_t w) {
-    if (!frozen()) return AssignmentFrame(w, 0);
+    if (!frozen()) return AssignmentFrame(w, 0, Lists::kPairing);
     wire::ShardAssignmentFrame shard;
     shard.num_shards = num_workers;
     shard.shard_index = static_cast<uint32_t>(w);
@@ -385,6 +403,7 @@ Status DistributedJoin::AttachRemote(
   session_of_worker_.resize(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) session_of_worker_[w] = w;
   session_alive_.assign(sessions_.size(), true);
+  one_id_shipped_.assign(workers_.size(), frozen() ? 1 : 0);
   return Status::OK();
 }
 
@@ -393,9 +412,11 @@ void DistributedJoin::DetachRemote() {
   sessions_.clear();
   session_of_worker_.clear();
   session_alive_.clear();
+  one_id_shipped_.clear();
 }
 
 WireStats DistributedJoin::RemoteWireTotals() const {
+  std::lock_guard<std::mutex> lock(remote_mutex_);
   WireStats totals;
   for (const auto& session : sessions_) {
     const WireStats& stats = session.stats();
@@ -594,6 +615,11 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     return Status::InvalidArgument("DistributedJoin::Build must succeed "
                                    "before joining");
   }
+  // A remote join holds the sessions until its wire accounting is done:
+  // a session is one ordered stream of frames, so concurrent joins take
+  // turns. In-process joins share no mutable state and run side by side.
+  std::unique_lock<std::mutex> remote_turn(remote_mutex_, std::defer_lock);
+  if (remote()) remote_turn.lock();
   Timer probe_timer;
   const int num_workers = this->num_workers();
   const size_t worker_count = static_cast<size_t>(num_workers);
@@ -672,6 +698,23 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     worker_seconds[w] += timer.ElapsedSeconds();
     return Status::OK();
   };
+  // An R-S probe pairs with a list's only id too, so before an R-S join
+  // serves worker w over `session`, it ships w's one-id lists there as
+  // an Assignment at the next epoch unless the session holds them
+  // already (the attach and a recovery ship only pairing lists).
+  std::vector<size_t> deferred_ships(worker_count, 0);
+  auto serve_worker = [&](RemoteWorkerSession& session, size_t w) -> Status {
+    if (!self_join && one_id_shipped_[w] == 0) {
+      const auto [frame, expected] =
+          AssignmentFrame(w, session.epoch() + 1, Lists::kOneId);
+      if (expected.num_keys > 0) {
+        SKEWSEARCH_RETURN_NOT_OK(session.Reassign(frame, expected));
+        deferred_ships[w]++;
+      }
+      one_id_shipped_[w] = 1;
+    }
+    return serve_worker_queue(session, w);
+  };
   auto serve_session = [&](size_t s) {
     if (!session_alive_[s]) {
       if (!session_workers[s].empty()) {
@@ -681,7 +724,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       return;
     }
     for (size_t w : session_workers[s]) {
-      Status served = serve_worker_queue(sessions_[s], w);
+      Status served = serve_worker(sessions_[s], w);
       if (!served.ok()) {
         session_status[s] = served;
         return;
@@ -762,12 +805,13 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
                          for (size_t u = from; u < to; ++u) serve_unit(u);
                        });
     // Phase 2b — recovery (remote only). A failed session means its
-    // worker died mid-join: close it out, re-derive every slice it held
-    // (AssignmentFrame is a pure function of the deterministic plan and
-    // the build-side data — nothing about the dead worker is needed),
-    // re-ship them to the lowest-id surviving session, and drain each
-    // transferred queue's unanswered suffix there through the same
-    // pipelined serve_worker_queue as the first pass. The merge's dedup
+    // worker died mid-join: close it out, re-derive the pairing lists of
+    // every worker it held (AssignmentFrame is a pure function of the
+    // deterministic plan and the build-side data — nothing about the
+    // dead worker is needed), re-ship them to the lowest-id surviving
+    // session, and drain each transferred queue's unanswered suffix
+    // there through the same serve_worker as the first pass, which in an
+    // R-S join ships the worker's one-id lists first. The merge's dedup
     // and the canonical sort make replayed and merged-table responses
     // invisible in the output, so a recovered join stays byte-identical.
     // Runs strictly after the fan-out: a session is driven by one thread
@@ -807,11 +851,12 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
           const size_t w = orphaned[next_orphan];
           const size_t sent_before = batches_sent[w];
           const auto [frame, expected] =
-              AssignmentFrame(w, session.epoch() + 1);
+              AssignmentFrame(w, session.epoch() + 1, Lists::kPairing);
           Status recovered = session.Reassign(frame, expected);
           if (recovered.ok()) {
             session_of_worker_[w] = s;
-            recovered = serve_worker_queue(session, w);
+            one_id_shipped_[w] = 0;  // s holds none of w's one-id lists
+            recovered = serve_worker(session, w);
           }
           replayed_batches += batches_sent[w] - sent_before;
           if (!recovered.ok()) {
@@ -889,6 +934,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     }
     local.worker_recoveries = worker_recoveries;
     local.replayed_batches = replayed_batches;
+    for (size_t ships : deferred_ships) local.deferred_ships += ships;
   }
   local.pairs = out.size();
   local.heavy_keys = plan_.num_heavy_keys();
@@ -922,6 +968,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       registry.GetCounter("join.recoveries");
   static obs::Counter* const replayed_metric =
       registry.GetCounter("join.replayed_batches");
+  static obs::Counter* const deferred_ships_metric =
+      registry.GetCounter("join.deferred_ships");
   static obs::Counter* const bytes_sent_metric =
       registry.GetCounter("join.wire.bytes_sent");
   static obs::Counter* const bytes_received_metric =
@@ -947,6 +995,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   trips_metric->Increment(local.probe_round_trips);
   recoveries_metric->Increment(local.worker_recoveries);
   replayed_metric->Increment(local.replayed_batches);
+  deferred_ships_metric->Increment(local.deferred_ships);
   bytes_sent_metric->Increment(local.wire_bytes_sent);
   bytes_received_metric->Increment(local.wire_bytes_received);
   uint64_t max_probes = 0;

@@ -105,7 +105,10 @@ struct WorkerLoad {
   int worker = 0;
   size_t keys = 0;            ///< distinct keys (slices) owned
   size_t entries = 0;         ///< posting entries owned
-  size_t vectors = 0;         ///< distinct build vectors referenced
+  /// Distinct build vectors the worker's slices reference. A remote
+  /// worker gets only those its pairing lists reference at the attach
+  /// (AttachRemote), and the rest with its one-id lists.
+  size_t vectors = 0;
   size_t probes = 0;          ///< probe requests received
   size_t candidates = 0;      ///< posting entries scanned
   size_t verifications = 0;   ///< similarity computations
@@ -121,8 +124,10 @@ struct DistributedJoinStats {
   size_t heavy_keys = 0;              ///< keys the planner split
   size_t replicated_slices = 0;       ///< total heavy-slice assignments
   size_t cross_worker_duplicates = 0; ///< pairs dropped by the merge dedup
-  /// Sum over workers of distinct build vectors referenced, over n: the
-  /// data shipped to workers relative to one copy of the dataset.
+  /// Sum over workers of distinct build vectors their slices reference,
+  /// over n: the data that holding every slice copies, relative to one
+  /// copy of the dataset. An attach ships less: only the vectors of the
+  /// lists that can pair (AttachRemote).
   double duplication_factor = 1.0;
   /// Average number of workers a probe contacts: requests over probes
   /// with at least one item. A self-join sends no request where no key
@@ -157,6 +162,13 @@ struct DistributedJoinStats {
   /// Workers whose posting slices were re-shipped to a survivor after
   /// their session died mid-join (0 on a clean join).
   size_t worker_recoveries = 0;
+  /// Remote serving only: workers whose one-id lists this join shipped,
+  /// each as an Assignment at its session's epoch + 1. The first R-S
+  /// join after an attach ships every worker's that has any, and one
+  /// after a recovery those of each worker it moved; a self-join ships
+  /// none. A worker applies each ship as a reassignment, so the
+  /// workers' reassignments sum to the recoveries plus these.
+  size_t deferred_ships = 0;
   /// ProbeBatch frames re-sent to a survivor because the original
   /// session died before acknowledging them.
   size_t replayed_batches = 0;
@@ -175,7 +187,10 @@ struct RoutedProbes;
 /// Build() once over the indexed side, then Join()/SelfJoin() any number
 /// of times. The build-side dataset and distribution are borrowed and
 /// must outlive the coordinator. It owns one ThreadPool per build, so
-/// no join starts a thread; concurrent joins take turns on the pool.
+/// no join starts a thread; concurrent joins take turns on the pool,
+/// and remote joins take turns on the sessions: each holds them from
+/// its first frame to its wire accounting, recovery and any deferred
+/// ship included.
 class DistributedJoin {
  public:
   DistributedJoin() = default;
@@ -227,10 +242,12 @@ class DistributedJoin {
   /// ships key k only when o's slice of k does not hold i. Each list is
   /// scanned whole, as a shipped key's is, so the candidates and
   /// verifications are those of shipping every key to every owner with
-  /// an id above i, and a probe with no larger neighbour sends nothing. The route is computed at
-  /// the first SelfJoin after a build and reused; a worker, in-process
-  /// or remote, builds its occurrence index (JoinWorker) at its first
-  /// self-join probe.
+  /// an id above i, and a probe with no larger neighbour sends nothing.
+  /// The route is computed at the first SelfJoin after a build and
+  /// reused; a worker, in-process or remote, builds its occurrence index
+  /// (JoinWorker) at its first self-join probe. A list of one id pairs
+  /// nothing here, so a remote self-join never needs the one-id lists
+  /// the attach leaves behind (AttachRemote).
   Result<std::vector<JoinPair>> SelfJoin(
       DistributedJoinStats* stats = nullptr) const;
 
@@ -240,10 +257,17 @@ class DistributedJoin {
   /// assignment (transport/session.h) on every connection before it
   /// waits for any AssignmentAck, so the workers validate and adopt
   /// their slices side by side, then cross-checks the acks in worker
-  /// order. After Build() it ships each worker its posting slices and
-  /// the build vectors they reference. After BuildFromFrozen() it sends
-  /// a tiny ShardAssignment naming the shard instead — the workers must
-  /// have pre-mapped the byte-identical SKF2 file (`join-worker
+  /// order. After Build() it ships each worker, at epoch 0, the lists of
+  /// its slices that can pair in a self-join, its *pairing lists* (a key
+  /// whose whole list holds two or more ids, or a heavy key's slice),
+  /// and the build vectors they reference. A list of one id pairs
+  /// nothing in a self-join, so the worker's *one-id lists* wait: the
+  /// first R-S join that reaches its session ships them, with the
+  /// vectors they reference, as an Assignment at the session's next
+  /// epoch, which the worker merges into its table
+  /// (DistributedJoinStats::deferred_ships). After BuildFromFrozen() it
+  /// sends a tiny ShardAssignment naming the shard instead — the workers
+  /// must have pre-mapped the byte-identical SKF2 file (`join-worker
   /// --shard-file`) — and checks the acked counters against this
   /// coordinator's own mapping. Requires a successful build; on any
   /// failure every already-started session is shut down and the
@@ -252,9 +276,10 @@ class DistributedJoin {
   /// them in flight per worker, and merges exactly as in-process serving
   /// does — the output stays byte-identical across transports. If a
   /// slice session dies mid-join the coordinator re-derives the lost
-  /// worker's slices (AssignmentFrame is a pure function of the
-  /// deterministic plan), re-ships them to a surviving session, drains
-  /// the unacknowledged suffix of the lost queue there through the same
+  /// worker's pairing lists (AssignmentFrame is a pure function of the
+  /// deterministic plan), re-ships them to a surviving session, which
+  /// an R-S join follows with the worker's one-id lists, drains the
+  /// unacknowledged suffix of the lost queue there through the same
   /// pipelined drain, and still completes with byte-identical output.
   /// The survivor pairs each replayed self-join probe against every list
   /// it now holds, so its work counters exceed a clean join's, and the
@@ -289,7 +314,8 @@ class DistributedJoin {
   const FilterFamily& family() const { return family_; }
   double threshold() const { return threshold_; }
 
-  /// Sum over workers of distinct referenced vectors, over n.
+  /// Sum over workers of distinct vectors their slices reference, over
+  /// n (DistributedJoinStats::duplication_factor).
   double DuplicationFactor() const;
 
  private:
@@ -301,12 +327,19 @@ class DistributedJoin {
   Result<std::vector<JoinPair>> JoinImpl(const Dataset& left, bool self_join,
                                          DistributedJoinStats* stats) const;
 
-  /// The Assignment frame shipping worker \p w's slices and the build
+  /// Which lists of a worker's slices an Assignment ships.
+  enum class Lists {
+    kPairing,  ///< those that can pair in a self-join: at the attach
+    kOneId,    ///< the others, of one id each: at the first R-S join
+  };
+
+  /// The Assignment frame shipping worker \p w's \p lists and the build
   /// vectors they reference, at session epoch \p epoch, with the
-  /// AssignmentAck it must draw: the epoch and the worker's own key,
-  /// entry and vector counts.
+  /// AssignmentAck it must draw: the epoch and the key, entry and vector
+  /// counts of what it ships. The lists are chosen while encoding, so no
+  /// second copy of the slices is made.
   std::pair<wire::Frame, wire::AssignmentAckFrame> AssignmentFrame(
-      size_t w, uint32_t epoch) const;
+      size_t w, uint32_t epoch, Lists lists) const;
 
   const Dataset* data_ = nullptr;
   const ProductDistribution* dist_ = nullptr;
@@ -320,6 +353,10 @@ class DistributedJoin {
   /// The pool Build/BuildFromFrozen create and every join's route and
   /// fan-out run on; null until a build succeeds.
   std::unique_ptr<ThreadPool> pool_;
+  /// Held by a remote join from its first frame to its wire accounting,
+  /// and by RemoteWireTotals: it guards the sessions and the three
+  /// vectors below while joins run.
+  mutable std::mutex remote_mutex_;
   /// Remote sessions, one per worker when attached. Mutable because
   /// serving a (logically const) join drives the connection state; each
   /// session is driven by exactly one thread of the probe fan-out.
@@ -332,6 +369,11 @@ class DistributedJoin {
   /// False once a session died (its fd is closed, its slices
   /// re-shipped); dead sessions are skipped by every later join.
   mutable std::vector<bool> session_alive_;
+  /// Per worker: 1 once the session holding its slices holds its one-id
+  /// lists too (from the attach on for a frozen worker, which maps its
+  /// whole shard). A byte each, not a bit: during a join's fan-out the
+  /// thread serving worker w's session writes element w.
+  mutable std::vector<uint8_t> one_id_shipped_;
   /// SelfJoinRoute's cache; null until the first self-join of a build.
   mutable std::mutex self_route_mutex_;
   mutable std::shared_ptr<const distributed_internal::RoutedProbes>

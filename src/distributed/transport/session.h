@@ -9,14 +9,16 @@
 //      version both sides support, or an Error frame when the ranges
 //      are disjoint.
 //   2. Assignments — an Assignment at epoch 0 ships the worker's
-//      posting slices, over positions, and the build-side vectors they
-//      reference as columnar arrays (or a ShardAssignment names a shard
-//      of a frozen file the worker mapped); the worker validates the
-//      arrays, adopts them as its table (WorkerState below) and answers
-//      AssignmentAck with the epoch and counters the coordinator
-//      cross-checks, so a corrupted or misrouted assignment fails
-//      instead of silently dropping pairs. Recovery re-ships a lost
-//      worker's slices as an Assignment at the next epoch, merged in.
+//      posting lists that can pair in a self-join, over positions, and
+//      the build-side vectors they reference as columnar arrays (or a
+//      ShardAssignment names a shard of a frozen file the worker
+//      mapped); the worker validates the arrays, adopts them as its
+//      table (WorkerState below) and answers AssignmentAck with the
+//      epoch and counters the coordinator cross-checks, so a corrupted
+//      or misrouted assignment fails instead of silently dropping
+//      pairs. An Assignment at the next epoch is merged in: the first
+//      R-S join ships the worker's one-id lists that way, and recovery
+//      a lost worker's pairing lists.
 //   3. Probes — ProbeBatch frames answered by ResponseBatch frames
 //      (responses in request order, one per request), until Shutdown
 //      ends the session in an orderly way. A self-join request names
@@ -112,7 +114,8 @@ class RemoteWorkerSession {
   /// response would be mistaken for a batch answer otherwise).
   Result<wire::StatsFrame> QueryStats();
 
-  /// Re-ships a lost worker's slices to this (surviving) worker:
+  /// Ships this worker more lists (a deferred ship of one-id lists, or
+  /// a lost worker's re-shipped pairing lists on a survivor):
   /// sends \p assignment, an Assignment frame at epoch() + 1, waits for
   /// the AssignmentAck and cross-checks it against \p expected, as
   /// Acknowledge does. Fails with InvalidArgument, sending nothing, when a
@@ -158,11 +161,12 @@ class RemoteWorkerSession {
 /// The first Apply adopts the shipped arrays as they arrived: the table
 /// is FilterTable::AdoptArrays over the shipped keys, offsets and
 /// positions, and the vectors are stored in shipped order, so a shipped
-/// position is a stored one. A later Apply (a re-ship at the next
-/// epoch) keeps every held vector where it is and appends the others,
-/// maps the shipped positions to stored ones through one array (one
-/// id-map lookup per re-shipped vector), and builds the table anew with
-/// FilterTable::Build over the held pairs and the mapped shipped ones.
+/// position is a stored one. A later Apply (at the next epoch: the
+/// worker's one-id lists, or a lost worker's pairing lists) merges the
+/// held and the shipped vectors by VectorId, maps held and shipped
+/// positions to merged ones through one array each, and builds the
+/// table anew with FilterTable::Build over the held pairs and the
+/// mapped shipped ones.
 /// Either way the table equals FilterTable::Build over every applied
 /// (key, stored position) pair.
 /// ServeConnection keeps one per session; it is not thread-safe.

@@ -229,14 +229,26 @@ Status DecodeHelloAck(const Frame& frame, HelloAckFrame* out) {
 }
 
 Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
-                       double threshold, Measure measure, uint32_t epoch) {
-  const std::span<const uint32_t> offsets = slice.offsets_span();
-  const std::span<const VectorId> ids = slice.ids_span();
+                       double threshold, Measure measure, uint32_t epoch,
+                       const std::function<bool(size_t)>& ships_list,
+                       AssignmentAckFrame* shipped) {
+  // The lists that go, as indexes into the slice, and their positions.
+  std::vector<uint32_t> lists;
+  size_t num_positions = 0;
+  for (size_t k = 0; k < slice.num_keys(); ++k) {
+    if (ships_list && !ships_list(k)) continue;
+    lists.push_back(static_cast<uint32_t>(k));
+    num_positions += slice.postings_at(k).size();
+  }
   // One bit per build vector marks the referenced ones. A vector's
   // position is its rank among them: rank[w] counts the marked ids
   // below word w, and a popcount adds those below it in its word.
   std::vector<uint64_t> marked((build.size() + 63) / 64, 0);
-  for (VectorId id : ids) marked[id / 64] |= uint64_t{1} << (id % 64);
+  for (uint32_t k : lists) {
+    for (VectorId id : slice.postings_at(k)) {
+      marked[id / 64] |= uint64_t{1} << (id % 64);
+    }
+  }
   std::vector<uint32_t> rank(marked.size());
   std::vector<VectorId> referenced;
   size_t num_items = 0;
@@ -252,10 +264,9 @@ Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
 
   // Past the fixed fields a key takes 12 bytes with its count, a vector
   // 8 with its item count, and a position or an item 4.
-  const size_t num_keys = slice.num_keys();
-  size_t bytes = kAssignmentFixedBytes + num_keys * kMinKeyBytes;
+  size_t bytes = kAssignmentFixedBytes + lists.size() * kMinKeyBytes;
   bytes += referenced.size() * kMinVectorBytes;
-  bytes += (ids.size() + num_items) * sizeof(uint32_t);
+  bytes += (num_positions + num_items) * sizeof(uint32_t);
   std::vector<uint8_t> payload(bytes);
   uint8_t* out = payload.data();
   auto put = [&out](const void* data, size_t bytes) {
@@ -270,12 +281,18 @@ Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
   put(&threshold, sizeof(threshold));
   const auto measure_byte = static_cast<uint8_t>(measure);
   put(&measure_byte, 1);
-  put_u32(num_keys);
-  put(slice.keys_span().data(), num_keys * sizeof(uint64_t));
-  for (size_t k = 0; k < num_keys; ++k) put_u32(offsets[k + 1] - offsets[k]);
-  for (VectorId id : ids) {
-    const uint64_t below = marked[id / 64] & ((uint64_t{1} << (id % 64)) - 1);
-    put_u32(rank[id / 64] + static_cast<size_t>(std::popcount(below)));
+  put_u32(lists.size());
+  for (uint32_t k : lists) {
+    const uint64_t key = slice.key_at(k);
+    put(&key, sizeof(key));
+  }
+  for (uint32_t k : lists) put_u32(slice.postings_at(k).size());
+  for (uint32_t k : lists) {
+    for (VectorId id : slice.postings_at(k)) {
+      const uint64_t below =
+          marked[id / 64] & ((uint64_t{1} << (id % 64)) - 1);
+      put_u32(rank[id / 64] + static_cast<size_t>(std::popcount(below)));
+    }
   }
   put_u32(referenced.size());
   put(referenced.data(), referenced.size() * sizeof(VectorId));
@@ -285,6 +302,12 @@ Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
     put(items.data(), items.size() * sizeof(ItemId));
   }
   assert(out == payload.data() + payload.size());
+  if (shipped != nullptr) {
+    shipped->epoch = epoch;
+    shipped->num_keys = lists.size();
+    shipped->num_entries = num_positions;
+    shipped->distinct_vectors = referenced.size();
+  }
   return {FrameType::kAssignment, std::move(payload)};
 }
 

@@ -25,6 +25,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -301,13 +302,18 @@ struct ErrorFrame {
 Frame EncodeHello(const HelloFrame& hello);
 Frame EncodeHelloAck(const HelloAckFrame& ack);
 /// The Assignment shipping \p slice, a posting table over \p build's
-/// VectorIds, with the vectors it references. Written in one pass per
-/// array into a payload sized up front: a bitmap over \p build marks
-/// the referenced ids, and each posting id is written as its rank
-/// among them.
+/// VectorIds, with the vectors it references. When \p ships_list is
+/// set, only the lists k of \p slice it holds true for go, with only the
+/// vectors they reference, so a caller ships part of a slice without
+/// copying it. Written in one pass per array into a payload sized up
+/// front: a bitmap over \p build marks the referenced ids, and each
+/// posting id is written as its rank among them. \p shipped, if
+/// non-null, receives the epoch and the counts of what the frame ships:
+/// the AssignmentAck a worker that applies it answers.
 Frame EncodeAssignment(const FilterTable& slice, const Dataset& build,
-                       double threshold, Measure measure,
-                       uint32_t epoch = 0);
+                       double threshold, Measure measure, uint32_t epoch = 0,
+                       const std::function<bool(size_t)>& ships_list = {},
+                       AssignmentAckFrame* shipped = nullptr);
 Frame EncodeAssignmentAck(const AssignmentAckFrame& ack);
 Frame EncodeProbeBatch(std::span<const ProbeRequest> batch,
                        uint32_t epoch = 0, uint64_t seq = 0);

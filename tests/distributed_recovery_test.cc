@@ -44,8 +44,30 @@ TEST(DistributedRecoveryTest, WorkerDeathMidJoinRecoversByteIdentical) {
   // remap persists, so the next join runs on the reduced pool.
   test::JoinOracle(test::ZipfJoinConfig(71, 140))
       .Check(test::kW2 | test::kW7 | test::kAutoHeavy | test::kForcedHeavy |
+             test::kPairHeavy | test::kBuild | test::kLoopback1 |
+             test::kLoopback16 | test::kKill | test::kSelfJoin);
+}
+
+TEST(DistributedRecoveryTest, WorkerLostAtItsDeferredShipRecovers) {
+  // The attach ships each worker's pairing lists; the first R-S join
+  // ships its one-id lists. Worker 1 is dropped when that ship is sent,
+  // before any of its batches: a survivor takes its pairing lists, then
+  // its one-id lists, and serves its whole queue, alone or after a
+  // self-join on the same attachment.
+  test::JoinOracle(test::ZipfJoinConfig(77, 140))
+      .Check(test::kW2 | test::kW7 | test::kAutoHeavy | test::kPairHeavy |
              test::kBuild | test::kLoopback1 | test::kLoopback16 |
-             test::kKill | test::kSelfJoin);
+             test::kShipKill | test::kRSJoin | test::kSequence);
+}
+
+TEST(DistributedRecoveryTest, SurvivorOfASelfJoinTakesTheOneIdListsLater) {
+  // Worker 1 dies in the first join of self, R-S, self, R-S. The
+  // recovery re-ships only its pairing lists, so the survivor gets its
+  // one-id lists in the R-S join that follows, with its own.
+  test::JoinOracle(test::ZipfJoinConfig(79, 140))
+      .Check(test::kW2 | test::kW7 | test::kAutoHeavy | test::kPairHeavy |
+             test::kBuild | test::kLoopback1 | test::kLoopback16 |
+             test::kKill | test::kSequence);
 }
 
 TEST(DistributedRecoveryTest, SurvivorPairsReshippedListsByVectorId) {

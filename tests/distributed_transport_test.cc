@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -471,9 +473,11 @@ TEST(DistributedTransportTest, WorkerAcceptsAssignmentsOnlyAtTheNextEpoch) {
   EXPECT_EQ(worker.stats().batches, 1u);
 }
 
-/// Both plans that split keys: the planner's, and every key heavy.
+/// The plans that split keys: the planner's, every key heavy, and every
+/// key of two or more ids heavy (one-id lists light beside heavy slices).
 constexpr uint32_t kSplitPlans = test::kW2 | test::kW7 | test::kAutoHeavy |
-                                 test::kForcedHeavy | test::kBuild;
+                                 test::kForcedHeavy | test::kPairHeavy |
+                                 test::kBuild;
 
 TEST(DistributedTransportTest, LoopbackJoinIdenticalToInProcess) {
   test::JoinOracle(test::ZipfJoinConfig(91, 120))
@@ -498,12 +502,71 @@ TEST(DistributedTransportTest, RemoteRSJoinIdenticalToInProcess) {
       .Check(kSplitPlans | test::kLoopback | test::kClean | test::kRSJoin);
 }
 
+TEST(DistributedTransportTest, RSJoinBeforeAndAfterTheOneIdListsShip) {
+  // Self, R-S, self, R-S on one attachment: the attach ships the pairing
+  // lists, the first R-S join each worker's one-id lists (a deferred
+  // ship), and no other join ships any. Every join equals the
+  // reference, and each worker's table holds all its entries after.
+  test::JoinOracle(test::ZipfJoinConfig(95))
+      .Check(kSplitPlans | test::kAllLight | test::kLoopback16 |
+             test::kLoopbackWhole | test::kClean | test::kDuplicate |
+             test::kSequence);
+}
+
 TEST(DistributedTransportTest, ParallelRemoteServingMatchesSerial) {
   // A remote cell drives each session from its own slot of a 4-thread
   // pool; the merge must stay deterministic (this is the TSan target).
   test::JoinOracle(test::ZipfJoinConfig(97, 120))
       .Check(kSplitPlans | test::kLoopback16 | test::kTcp16 | test::kClean |
              test::kEveryJoin);
+}
+
+TEST(DistributedTransportTest, ConcurrentRemoteJoinsTakeTurnsOnSessions) {
+  // Two threads run self-joins and R-S joins on one loopback-attached
+  // coordinator: at threads 1, where the one-slot pool runs the fan-out
+  // inline, and at W = 1, a fan-out of one unit, which runs inline too.
+  // A session is one ordered stream of frames, and the first R-S join
+  // ships each worker's one-id lists, so the joins must take turns on
+  // the sessions: every join returns the reference pairs.
+  test::JoinOracle oracle(test::ZipfJoinConfig(93, 120));
+  for (const auto& [workers, threads] : {std::pair{2, 1}, std::pair{1, 4}}) {
+    SCOPED_TRACE("W = " + std::to_string(workers) + ", threads " +
+                 std::to_string(threads));
+    DistributedJoinOptions options = oracle.family();
+    options.workers = workers;
+    options.threads = threads;
+    options.probe_batch = 16;
+    std::deque<HostedWorker> hosts;  // outlives the coordinator
+    DistributedJoin join;
+    ASSERT_TRUE(join.Build(&oracle.data(), &oracle.dist(), options).ok());
+    std::vector<std::unique_ptr<FrameConnection>> connections;
+    for (int w = 0; w < workers; ++w) {
+      connections.push_back(hosts.emplace_back().Connect());
+    }
+    ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+    // Thread t runs joins t, t + 2, ...: self-joins at even indexes.
+    constexpr size_t kJoins = 16;
+    std::vector<Result<std::vector<JoinPair>>> got(kJoins,
+                                                   std::vector<JoinPair>());
+    auto run = [&](size_t first) {
+      for (size_t i = first; i < kJoins; i += 2) {
+        got[i] = i % 4 < 2 ? join.SelfJoin() : join.Join(oracle.left());
+      }
+    };
+    std::thread other(run, 1);
+    run(0);
+    other.join();
+    for (size_t i = 0; i < kJoins; ++i) {
+      SCOPED_TRACE("join " + std::to_string(i));
+      ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+      test::ExpectSamePairs(oracle.reference(i % 4 < 2), *got[i]);
+    }
+    join.DetachRemote();
+    for (HostedWorker& host : hosts) {
+      host.Join();
+      EXPECT_TRUE(host.status().ok()) << host.status().ToString();
+    }
+  }
 }
 
 TEST(DistributedTransportTest, AttachRemoteValidatesPreconditions) {

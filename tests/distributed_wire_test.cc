@@ -248,6 +248,46 @@ TEST(DistributedWireTest, AssignmentRandomizedRoundTrip) {
     WorkerState state(0);
     const Status applied = state.Apply(std::move(decoded));
     EXPECT_TRUE(applied.ok()) << applied.ToString();
+
+    // Shipped in two parts, the odd lists and then the others at the
+    // next epoch: each part ships its lists and only the vectors they
+    // reference, counts what it ships, and the two applied make the
+    // table the whole slice makes.
+    auto odd = [](size_t k) { return k % 2 == 1; };
+    Slice part = slice;
+    std::vector<Posting> postings;
+    for (size_t k = 1; k < slice.table.num_keys(); k += 2) {
+      for (VectorId id : slice.table.postings_at(k)) {
+        postings.push_back({slice.table.key_at(k), id});
+      }
+    }
+    part.table = FilterTable::Build(std::move(postings));
+    AssignmentAckFrame shipped;
+    const Frame first = EncodeAssignment(slice.table, slice.build,
+                                         slice.threshold, slice.measure, 0,
+                                         odd, &shipped);
+    Assignment first_decoded;
+    ASSERT_TRUE(DecodeAssignment(first, &first_decoded).ok());
+    ExpectShipsSlice(first_decoded, part, first.payload.size());
+    EXPECT_EQ(shipped.epoch, 0u);
+    EXPECT_EQ(shipped.num_keys, part.table.num_keys());
+    EXPECT_EQ(shipped.num_entries, part.table.num_pairs());
+    EXPECT_EQ(shipped.distinct_vectors, first_decoded.vector_ids.size());
+    const Frame second = EncodeAssignment(
+        slice.table, slice.build, slice.threshold, slice.measure, 1,
+        [&](size_t k) { return !odd(k); });
+    Assignment second_decoded;
+    ASSERT_TRUE(DecodeAssignment(second, &second_decoded).ok());
+    WorkerState split(0);
+    ASSERT_TRUE(split.Apply(std::move(first_decoded)).ok());
+    ASSERT_TRUE(split.Apply(std::move(second_decoded)).ok());
+    const FilterTable& whole = state.worker()->table();
+    const FilterTable& merged = split.worker()->table();
+    EXPECT_EQ(split.original_ids(), state.original_ids());
+    EXPECT_TRUE(std::ranges::equal(merged.keys_span(), whole.keys_span()));
+    EXPECT_TRUE(
+        std::ranges::equal(merged.offsets_span(), whole.offsets_span()));
+    EXPECT_TRUE(std::ranges::equal(merged.ids_span(), whole.ids_span()));
   }
 }
 

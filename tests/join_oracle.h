@@ -8,7 +8,9 @@
 // each of five axes:
 //
 //   plan     W = 1, 2 or 7; heavy keys split by the planner, every key
-//            heavy (heavy_threshold 1), or none;
+//            heavy (heavy_threshold 1), every key of two or more ids
+//            heavy (heavy_threshold 2, so a worker holds one-id lists
+//            beside heavy slices), or none;
 //   build    Build, or BuildFromFrozen over an SKF2 file of K = 1 or 3
 //            shards, which fixes the plan: W = K, every key broadcast;
 //   serving  in-process on 1 or 4 threads; remote workers over loopback
@@ -17,20 +19,31 @@
 //            SelfSimilarityJoin/SimilarityJoin, in-process on 1 thread
 //            or against TCP endpoints driven from 4;
 //   fault    remote only: none; worker 1 drops its connection after its
-//            first batch (ServeOptions::fail_after_batches); every
-//            worker's first ProbeBatch delivered twice, the repeat's
-//            response checked byte for byte and swallowed;
-//   join     the self-join or the R-S join.
+//            first batch (ServeOptions::fail_after_batches); worker 1
+//            dropped when the coordinator sends it an Assignment after
+//            the attach (ShipDroppingConnection: a Build, an R-S join
+//            and loopback); every worker's first ProbeBatch delivered
+//            twice, the repeat's response checked byte for byte and
+//            swallowed;
+//   join     the self-join, the R-S join, or, over loopback, the
+//            sequence self, R-S, self, R-S on one attachment, so each
+//            join runs both before and after the first R-S join ships
+//            the workers' one-id lists.
 //
 // A cell without a kill also does the work the reference pairing
 // (reference_pairing.h) predicts for its plan and join: each owner's
 // requests, candidates and verifications, the shipped keys, the route's
-// kernel draws and the fan-out. A kill surfaces in the join that loses
-// worker 1 or, when that worker's first batch was its last, in the next
-// one: over the two joins a Build recovers once onto a survivor, the
-// join after the recovery has nothing left to recover, and both return
-// the reference pairs; a frozen build, with nothing to re-ship, fails
-// cleanly.
+// kernel draws and the fan-out. Its first R-S join ships each remote
+// worker's one-id lists, if it has any, and no other join ships any. A
+// kill surfaces in the join that loses worker 1 or, when that worker's
+// first batch was its last, in the next one (a single join runs twice):
+// over the joins a Build recovers once onto a survivor, the joins after
+// the recovery have nothing left to recover, and all return the
+// reference pairs; a frozen build, with nothing to re-ship, fails
+// cleanly. Whatever the fault, the workers apply, after their attach,
+// one Assignment per recovery and one per deferred ship, and a worker's
+// table holds the entries of its pairing lists until an R-S join has
+// run on it and all its entries after.
 //
 // DistributedJoinOracleTest (join_oracle_test.cc) checks every cell of
 // every configuration; a row of another suite checks the cells of its
@@ -128,23 +141,27 @@ enum JoinCell : uint32_t {
   kDuplicate = 1u << 21,
   kSelfJoin = 1u << 22,
   kRSJoin = 1u << 23,
+  kSequence = 1u << 24,  ///< self, R-S, self, R-S on one attachment
+  kShipKill = 1u << 25,  ///< worker 1 dropped at a deferred ship
+  kPairHeavy = 1u << 26,  ///< heavy_threshold 2: one-id lists stay light
 
   kEveryW = kW1 | kW2 | kW7,
-  kEveryHeavy = kAutoHeavy | kForcedHeavy | kAllLight,
+  kEveryHeavy = kAutoHeavy | kForcedHeavy | kPairHeavy | kAllLight,
   kEveryBuild = kBuild | kFrozen1 | kFrozen3,
   kLoopback = kLoopback1 | kLoopback16 | kLoopbackWhole,
   kTcp = kTcp1 | kTcp16 | kTcpWhole,
   kRemote = kLoopback | kTcp,
   kEveryServing = kInProcess | kThreaded | kRemote | kOneShot | kOneShotTcp,
-  kEveryFault = kClean | kKill | kDuplicate,
-  kEveryJoin = kSelfJoin | kRSJoin,
-  kEveryJoinCell = (1u << 24) - 1,
+  kEveryFault = kClean | kKill | kDuplicate | kShipKill,
+  kEveryJoin = kSelfJoin | kRSJoin | kSequence,
+  kEveryJoinCell = (1u << 27) - 1,
 };
 
 inline const char* JoinCellName(uint32_t bit) {
   switch (bit) {
     case kAutoHeavy: return "heavy keys split by the planner";
     case kForcedHeavy: return "every key heavy";
+    case kPairHeavy: return "every key of two or more ids heavy";
     case kAllLight: return "no key heavy";
     case kInProcess: return "in-process on 1 thread";
     case kThreaded: return "in-process on 4 threads";
@@ -159,8 +176,10 @@ inline const char* JoinCellName(uint32_t bit) {
     case kClean: return "no fault";
     case kKill: return "worker 1 killed after its first batch";
     case kDuplicate: return "first batches delivered twice";
+    case kShipKill: return "worker 1 dropped at its first deferred ship";
     case kSelfJoin: return "self-join";
     case kRSJoin: return "R-S join";
+    case kSequence: return "self, R-S, self, R-S";
     default: return "?";
   }
 }
@@ -206,6 +225,41 @@ class RepeatingConnection : public FrameConnection {
   std::unique_ptr<FrameConnection> inner_;
   Record* record_;
   bool swallow_ = false;
+};
+
+/// A coordinator-side connection that drops its worker, as a crash
+/// would, when the coordinator sends it an Assignment at epoch 1 or
+/// later: that frame never arrives, the send fails, and so does every
+/// later use. The attach ships at epoch 0, so the frame it drops is the
+/// first R-S join's deferred ship of the worker's one-id lists.
+class ShipDroppingConnection : public FrameConnection {
+ public:
+  explicit ShipDroppingConnection(std::unique_ptr<FrameConnection> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Send(const wire::Frame& frame) override {
+    wire::Assignment assignment;
+    uint32_t epoch = 0;
+    if (frame.type == wire::FrameType::kAssignment &&
+        wire::DecodeAssignment(frame, &assignment, &epoch).ok() &&
+        epoch >= 1) {
+      inner_->Close();
+      return Status::IOError("worker dropped at an Assignment at epoch " +
+                             std::to_string(epoch));
+    }
+    const Status sent = inner_->Send(frame);
+    stats_ = inner_->stats();
+    return sent;
+  }
+  Status Receive(wire::Frame* frame) override {
+    const Status received = inner_->Receive(frame);
+    stats_ = inner_->stats();
+    return received;
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<FrameConnection> inner_;
 };
 
 /// \brief One configuration's data and reference joins, and the cells
@@ -292,11 +346,28 @@ class JoinOracle {
           for (uint32_t serving : Bits(cells & kEveryServing)) {
             for (uint32_t fault : Bits(cells & kEveryFault)) {
               for (uint32_t join : Bits(cells & kEveryJoin)) {
+                // Faults need a remote serving and a kill a second
+                // worker. The deferred-ship cells (a sequence, a ship
+                // kill) run over loopback: every TCP R-S cell ships the
+                // one-id lists too, and each TCP cell leaves its
+                // sockets in TIME_WAIT, which CI's repeated runs pile
+                // up. A frozen build ships nothing after its attach and
+                // a self-join no one-id list, so nothing drops worker 1
+                // there.
                 if ((fault != kClean && !(serving & kRemote)) ||
-                    (fault == kKill && workers < 2)) {
+                    (Kills(fault) && workers < 2) ||
+                    ((join == kSequence || fault == kShipKill) &&
+                     !(serving & kLoopback)) ||
+                    (fault == kShipKill &&
+                     (shards > 0 || join == kSelfJoin))) {
                   continue;
                 }
                 const Cell cell{shards, workers, heavy, serving, fault, join};
+                // A plan without one-id lists on worker 1 (every key
+                // heavy) ships it nothing after the attach.
+                if (fault == kShipKill && !Plan(cell).has_one_id_lists[1]) {
+                  continue;
+                }
                 const DistributedJoinOptions options = Options(cell);
                 Run(cell, &coordinators[{options.threads,
                                          options.probe_batch}]);
@@ -316,6 +387,10 @@ class JoinOracle {
     int workers;
     uint32_t heavy, serving, fault, join;
   };
+
+  static bool Kills(uint32_t fault) {
+    return fault == kKill || fault == kShipKill;
+  }
 
   static std::vector<uint32_t> Bits(uint32_t mask) {
     std::vector<uint32_t> bits;
@@ -377,6 +452,7 @@ class JoinOracle {
     DistributedJoinOptions options = config_.family;
     options.workers = c.workers;
     options.heavy_threshold = c.heavy == kForcedHeavy ? 1
+                              : c.heavy == kPairHeavy ? 2
                               : c.heavy == kAllLight  ? data_.size() * 1000
                                                       : 0;
     options.threads = c.serving & (kThreaded | kRemote | kOneShotTcp) ? 4 : 1;
@@ -399,22 +475,46 @@ class JoinOracle {
     ReferencePairing self_join;
     ReferencePairing rs_join;
     double duplication_factor = 0.0;
+    /// Per worker, the entries an attach ships: a frozen shard's all, a
+    /// Build's lists that can pair in a self-join (the key's whole list
+    /// holds two or more ids, or the key is heavy).
+    std::vector<size_t> pairing_entries;
+    /// Per worker, whether it also holds one-id lists, which the first
+    /// R-S join after an attach ships.
+    std::vector<bool> has_one_id_lists;
   };
   const PlanFacts& Plan(const Cell& c) {
     auto [it, fresh] =
         plans_.try_emplace(std::make_tuple(c.shards, c.workers, c.heavy));
     DistributedJoin join;
     if (fresh && Build(&join, c).ok()) {
-      it->second = {PairByReference(join, data_),
-                    PairByReference(join, data_, &left_),
-                    join.DuplicationFactor()};
+      PlanFacts& facts = it->second;
+      facts.self_join = PairByReference(join, data_);
+      facts.rs_join = PairByReference(join, data_, &left_);
+      facts.duplication_factor = join.DuplicationFactor();
+      for (int w = 0; w < join.num_workers(); ++w) {
+        const FilterTable& table = join.worker(w).table();
+        size_t pairing = 0;
+        bool one_id = false;
+        for (size_t k = 0; k < table.num_keys(); ++k) {
+          const size_t size = table.postings_at(k).size();
+          if (join.frozen() || size >= 2 ||
+              join.plan().heavy.contains(table.key_at(k))) {
+            pairing += size;
+          } else {
+            one_id = true;
+          }
+        }
+        facts.pairing_entries.push_back(pairing);
+        facts.has_one_id_lists.push_back(one_id);
+      }
     }
     return it->second;
   }
 
-  /// The counters every cell without a kill reports.
-  void ExpectStats(const Cell& c, const DistributedJoinStats& stats,
-                   size_t pairs) {
+  /// The counters every join of a cell without a kill reports.
+  void ExpectStats(const Cell& c, bool self,
+                   const DistributedJoinStats& stats, size_t pairs) {
     EXPECT_EQ(stats.pairs, pairs);
     EXPECT_EQ(stats.workers.size(), static_cast<size_t>(c.workers));
     if (c.shards > 0 || c.heavy == kAllLight) {
@@ -426,13 +526,13 @@ class JoinOracle {
     } else if (c.workers > 1) {  // key slices share vectors
       EXPECT_GE(stats.duplication_factor, 1.0);
     }
-    if (c.heavy == kForcedHeavy && c.workers > 1) {
+    if ((c.heavy & (kForcedHeavy | kPairHeavy)) && c.workers > 1) {
       EXPECT_GT(stats.heavy_keys, 0u);
       EXPECT_GT(stats.replicated_slices, stats.heavy_keys);
     }
     const PlanFacts& plan = Plan(c);
     EXPECT_EQ(stats.duplication_factor, plan.duplication_factor);
-    ExpectPairing(c.join == kSelfJoin ? plan.self_join : plan.rs_join, stats);
+    ExpectPairing(self ? plan.self_join : plan.rs_join, stats);
     if (!(c.serving & (kRemote | kOneShotTcp))) return;
     EXPECT_EQ(stats.worker_recoveries, 0u);
     EXPECT_EQ(stats.replayed_batches, 0u);
@@ -440,7 +540,7 @@ class JoinOracle {
     EXPECT_GT(stats.wire_bytes_received, 0u);
     // At most one exposed round trip per worker per chunk: the drain.
     EXPECT_GE(stats.probe_round_trips, 1u);
-    EXPECT_LE(stats.probe_round_trips, Chunks(c) * c.workers);
+    EXPECT_LE(stats.probe_round_trips, Chunks(self) * c.workers);
     size_t requests = 0;
     size_t reached = 0;  // workers some probe reaches
     for (const WorkerLoad& load : stats.workers) {
@@ -452,23 +552,35 @@ class JoinOracle {
     } else if (Options(c).probe_batch == 0) {
       // One frame per chunk to each worker reached: the R-S chunks hold
       // the same probes.
-      EXPECT_EQ(stats.probe_batches_sent, Chunks(c) * reached);
+      EXPECT_EQ(stats.probe_batches_sent, Chunks(self) * reached);
       EXPECT_EQ(stats.probe_round_trips, stats.probe_batches_sent);
     }
   }
 
-  size_t Chunks(const Cell& c) const {
+  /// The deferred ships of the first R-S join after an attach: one per
+  /// worker with one-id lists.
+  size_t FirstShips(const Cell& c) {
+    return static_cast<size_t>(
+        std::ranges::count(Plan(c).has_one_id_lists, true));
+  }
+
+  size_t Chunks(bool self) const {
     const size_t chunk = distributed_internal::kRouteChunk;
-    return c.join == kSelfJoin ? 1 : (left_.size() + chunk - 1) / chunk;
+    return self ? 1 : (left_.size() + chunk - 1) / chunk;
   }
 
   /// Runs \p c on \p coordinator, built for its plan and serving at
   /// first use (a one-shot cell builds its own).
   void Run(const Cell& c, std::unique_ptr<DistributedJoin>* coordinator) {
     SCOPED_TRACE(Where(c));
-    const bool self = c.join == kSelfJoin;
     const bool remote = (c.serving & kRemote) != 0;
-    const std::vector<JoinPair>& want = reference(self);
+    const bool kill = Kills(c.fault);
+    // The cell's joins in turn, true for a self-join. A kill may surface
+    // only in the join after the one that loses the worker, so a single
+    // join runs twice.
+    std::vector<bool> joins = {c.join == kSelfJoin};
+    if (c.join == kSequence) joins = {true, false, true, false};
+    if (kill && joins.size() == 1) joins.push_back(joins[0]);
     ServeOptions serve;
     if (c.shards > 0) {
       serve.frozen_file = Frozen(c.shards).second.get();
@@ -483,6 +595,7 @@ class JoinOracle {
     }
     DistributedJoinStats stats;
     if (c.serving & (kOneShot | kOneShotTcp)) {
+      const bool self = joins[0];
       JoinOptions one_shot;
       static_cast<DistributedJoinOptions&>(one_shot) = Options(c);
       one_shot.workers = c.shards > 0 || c.workers == 1 ? 0 : c.workers;
@@ -493,8 +606,10 @@ class JoinOracle {
       auto got = self ? SelfSimilarityJoin(data_, dist_, one_shot, &stats)
                       : SimilarityJoin(left_, data_, dist_, one_shot, &stats);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSamePairs(want, *got);
-      ExpectStats(c, stats, got->size());
+      ExpectSamePairs(reference(self), *got);
+      ExpectStats(c, self, stats, got->size());
+      EXPECT_EQ(stats.deferred_ships,
+                c.serving == kOneShotTcp && !self ? FirstShips(c) : 0u);
       for (HostedWorker& host : hosts) {
         host.Join();
         EXPECT_TRUE(host.status().ok()) << host.status().ToString();
@@ -524,79 +639,113 @@ class JoinOracle {
           connections.back() = std::make_unique<RepeatingConnection>(
               std::move(connections.back()), &repeats[w]);
         }
+        if (c.fault == kShipKill && w == 1) {
+          connections.back() = std::make_unique<ShipDroppingConnection>(
+              std::move(connections.back()));
+        }
       }
       ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
     }
-    auto run = [&](DistributedJoinStats* s) {
+    auto run = [&](bool self, DistributedJoinStats* s) {
       return self ? join.SelfJoin(s) : join.Join(left_, s);
     };
     size_t recoveries = 0;
-    if (c.fault == kKill) {
-      bool failed = false;
-      for (int round = 0; round < 2 && !failed; ++round) {
-        auto got = run(&stats);
-        if (c.shards > 0 && !got.ok()) {
-          failed = true;
-          EXPECT_TRUE(got.status().IsIOError()) << got.status().ToString();
-          EXPECT_NE(got.status().ToString().find("cannot be re-shipped"),
-                    std::string::npos)
-              << got.status().ToString();
-          continue;
-        }
-        ASSERT_TRUE(got.ok()) << "round " << round << ": "
-                              << got.status().ToString();
-        ExpectSamePairs(want, *got);
+    size_t deferred_ships = 0;
+    bool rs_ran = false;  // an R-S join has shipped the one-id lists
+    std::vector<size_t> probes(static_cast<size_t>(c.workers), 0);
+    bool failed = false;
+    for (size_t round = 0; round < joins.size() && !failed; ++round) {
+      SCOPED_TRACE("join " + std::to_string(round));
+      const bool self = joins[round];
+      auto got = run(self, &stats);
+      if (kill && c.shards > 0 && !got.ok()) {
+        failed = true;
+        EXPECT_TRUE(got.status().IsIOError()) << got.status().ToString();
+        EXPECT_NE(got.status().ToString().find("cannot be re-shipped"),
+                  std::string::npos)
+            << got.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSamePairs(reference(self), *got);
+      if (kill) {
         if (recoveries > 0) {  // the remap persists: nothing to recover
-          EXPECT_EQ(stats.worker_recoveries, 0u) << "round " << round;
-          EXPECT_EQ(stats.replayed_batches, 0u) << "round " << round;
+          EXPECT_EQ(stats.worker_recoveries, 0u);
+          EXPECT_EQ(stats.replayed_batches, 0u);
         }
-        recoveries += stats.worker_recoveries;
         EXPECT_GE(stats.replayed_batches, stats.worker_recoveries);
         EXPECT_GE(stats.probe_batches_sent, stats.replayed_batches);
         EXPECT_LE(stats.probe_round_trips,
-                  Chunks(c) * c.workers + stats.worker_recoveries);
+                  Chunks(self) * c.workers + stats.worker_recoveries);
+      } else {
+        ExpectStats(c, self, stats, got->size());
+        // The attach ships the pairing lists, and the first R-S join
+        // after it each worker's one-id lists.
+        EXPECT_EQ(stats.deferred_ships,
+                  remote && !self && !rs_ran ? FirstShips(c) : 0u);
+        for (size_t w = 0; w < probes.size(); ++w) {
+          probes[w] += stats.workers[w].probes;
+        }
       }
+      recoveries += stats.worker_recoveries;
+      deferred_ships += stats.deferred_ships;
+      rs_ran = rs_ran || !self;
+    }
+    if (kill) {
       EXPECT_EQ(failed, c.shards > 0);
       EXPECT_EQ(recoveries, c.shards > 0 ? 0u : 1u);
-    } else {
-      auto got = run(&stats);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSamePairs(want, *got);
-      ExpectStats(c, stats, got->size());
     }
     if (!remote) return;
     EXPECT_GE(join.RemoteWireTotals().bytes_sent, stats.wire_bytes_sent);
     join.DetachRemote();
     size_t reassignments = 0;
     size_t repeated = 0;
+    size_t survivor_entries = 0;
     for (size_t w = 0; w < hosts.size(); ++w) {
       hosts[w].Join();
       const Status& status = hosts[w].status();
-      if (c.fault == kKill && w == 1) {
-        EXPECT_TRUE(status.IsAborted()) << status.ToString();
+      // A killed worker counts the ship it applied before it died, if
+      // any; one dropped at a ship never applied it.
+      reassignments += hosts[w].stats().reassignments;
+      if (kill && w == 1) {
+        EXPECT_TRUE(c.fault == kKill ? status.IsAborted() : !status.ok())
+            << status.ToString();
         continue;
       }
       EXPECT_TRUE(status.ok()) << "worker " << w << ": " << status.ToString();
-      reassignments += hosts[w].stats().reassignments;
       repeated += repeats[w].repeated;
       EXPECT_FALSE(repeats[w].differed) << "worker " << w;
-      if (c.fault == kKill || w >= stats.workers.size()) continue;
-      // The session's table is the slice it was sent and, unless a batch
-      // came twice, it answered what was routed to it.
+      survivor_entries += hosts[w].stats().posting_entries;
+      if (kill || w >= stats.workers.size()) continue;
+      // The session's table is what it was sent: its pairing lists, and
+      // its one-id lists too once an R-S join ran. Unless a batch came
+      // twice, it answered what was routed to it.
       EXPECT_EQ(hosts[w].stats().posting_entries,
-                join.worker(static_cast<int>(w)).num_entries())
+                rs_ran ? join.worker(static_cast<int>(w)).num_entries()
+                       : Plan(c).pairing_entries[w])
           << "worker " << w;
       if (c.fault == kClean) {
-        EXPECT_EQ(hosts[w].stats().probes, stats.workers[w].probes)
-            << "worker " << w;
+        EXPECT_EQ(hosts[w].stats().probes, probes[w]) << "worker " << w;
       }
     }
-    EXPECT_EQ(reassignments, recoveries);
+    EXPECT_EQ(reassignments, recoveries + deferred_ships);
     EXPECT_EQ(repeated > 0, c.fault == kDuplicate);
-    if (c.fault == kKill) return;
-    auto local = run(nullptr);  // detached, the same coordinator serves
+    if (kill) {
+      // The survivors hold every worker's pairing lists, and once an R-S
+      // join ran every worker's one-id lists too, the lost worker's
+      // included: each list on one survivor.
+      if (c.shards > 0) return;
+      size_t entries = 0;
+      for (int w = 0; w < c.workers; ++w) {
+        entries += rs_ran ? join.worker(w).num_entries()
+                          : Plan(c).pairing_entries[static_cast<size_t>(w)];
+      }
+      EXPECT_EQ(survivor_entries, entries);
+      return;
+    }
+    auto local = run(joins.back(), nullptr);  // detached, in-process
     ASSERT_TRUE(local.ok()) << local.status().ToString();
-    ExpectSamePairs(want, *local);
+    ExpectSamePairs(reference(joins.back()), *local);
   }
 
   JoinOracleConfig config_;

@@ -10,8 +10,8 @@
 # what crosses the wire). Along the way the workers are scraped live
 # with `join-stats` (the stats surface of docs/OBSERVABILITY.md):
 # mid-join while both coordinators are in flight, after round 1 to
-# assert nonzero batch counters, and after the kill round to assert a
-# survivor counted the reassignment.
+# assert nonzero batch counters, and after the kill round to assert the
+# survivors counted every deferred ship and re-ship they applied.
 #
 # Usage: tools/distributed_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -198,16 +198,28 @@ if ! diff -u "$TMP/rs_single.txt" "$TMP/rs_tcp.txt"; then
   exit 1
 fi
 
-# The survivor that adopted the dead worker's slices must have counted
-# the reassignment — scrape both live workers and require it somewhere.
+# A worker counts every Assignment after its attach as a reassignment:
+# the R-S join's deferred ship of its one-id lists, and a recovery's
+# re-ship of a lost worker's pairing lists, which that join follows
+# with the lost worker's one-id lists. The coordinator printed both
+# counts; the rigged worker applied its own deferred ship before it
+# died, so the survivors must have counted every other one.
+deferred="$(sed -n 's/^shipped one-id lists \([0-9]*\) time(s).*/\1/p' \
+  "$TMP/coord_recovery.log")"
+recovered="$(sed -n 's/^recovered \([0-9]*\) worker(s).*/\1/p' \
+  "$TMP/coord_recovery.log")"
 reassign1="$(scrape_counter "127.0.0.1:$PORT1" worker.reassignments)"
 reassign2="$(scrape_counter "127.0.0.1:$PORT2" worker.reassignments)"
-if [ "$((reassign1 + reassign2))" -lt 1 ]; then
-  echo "FAIL: no surviving worker counted a reassignment after the kill" \
-    "round (worker1=$reassign1 worker2=$reassign2)" >&2
+if [ -z "$deferred" ] || [ "${recovered:-0}" -lt 1 ] ||
+  [ "$((reassign1 + reassign2))" -ne "$((deferred - 1 + recovered))" ]; then
+  echo "FAIL: survivors counted $((reassign1 + reassign2)) reassignment(s)" \
+    "(worker1=$reassign1 worker2=$reassign2); the coordinator shipped" \
+    "one-id lists ${deferred:-0} time(s) and recovered ${recovered:-0}" \
+    "worker(s), one ship of which went to the rigged worker" >&2
   exit 1
 fi
-echo "reassignment visible in survivor stats (worker1=$reassign1 worker2=$reassign2)"
+echo "survivors counted $((reassign1 + reassign2)) reassignment(s):" \
+  "$((deferred - 1)) deferred ship(s) and $recovered recovery re-ship(s)"
 
 # The rigged worker must be gone on its own, with the distinct
 # die-after-batches exit code (3) — not killed by our cleanup.

@@ -31,8 +31,10 @@ namespace skewsearch {
 /// `workers` defaults to 0 here: the join runs W = max(1, workers)
 /// in-process workers, so the default is one worker, serial. `threads`
 /// sizes the build and the fan-out pool as in DistributedJoin, which
-/// rejects a nonzero `index.build_threads`; to probe in parallel, ask
-/// for W > 1. The output is identical for every W.
+/// rejects a nonzero `index.build_threads`; to probe in parallel
+/// in-process, ask for W > 1 and `threads` > 1. Remote workers
+/// (`remote_workers`) serve side by side at any `threads`. The output
+/// is identical for every W.
 struct JoinOptions : DistributedJoinOptions {
   JoinOptions() { workers = 0; }
 

@@ -638,12 +638,14 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   // W machines.
   // With remote sessions attached the same queues ship as ProbeBatch
   // frames instead (at most probe_batch requests per frame, up to
-  // `pipeline` frames in flight per worker), so batch boundaries, the
+  // `pipeline` frames in flight per session), so batch boundaries, the
   // window and the transport never influence which responses come back
   // — only how many frames it took and how much latency was exposed.
-  // The fan-out parallelizes over *sessions*, not workers: after a
-  // recovery one session can hold several workers' slices, and a
-  // FrameConnection takes exactly one driver thread.
+  // The remote fan-out hands each pool slot a range of *sessions*, not
+  // workers: after a recovery one session can hold several workers'
+  // slices, and a FrameConnection is used by one thread at a time. A
+  // slot keeps every session of its range busy at once (drain below),
+  // so the remote workers compute side by side at any thread count.
   const bool serve_remote = !sessions_.empty();
   const size_t num_sessions = sessions_.size();
   std::vector<std::vector<ProbeResponse>> responses(worker_count);
@@ -657,77 +659,110 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     wire_before[s] = sessions_[s].stats();
   }
   const size_t window = std::max<size_t>(1, options_.pipeline);
-  // Ships worker w's queue over `session` from its first unanswered
-  // request on, keeping up to `window` batches in flight.
-  // ReceiveResponses validates arrival order, so responses[w] is always
-  // the answered prefix of queues[w] — which is where a recovery replay
-  // on a survivor resumes, through this same drain. A response whose
-  // matches break the join contract fails the session like a lost
-  // connection, so recovery replays it on a survivor.
-  auto serve_worker_queue = [&](RemoteWorkerSession& session,
-                                size_t w) -> Status {
+  std::vector<size_t> deferred_ships(worker_count, 0);
+  // Where a session stands in a drain: the worker it serves (an index
+  // into session_workers[s]), that worker's next unsent request, and
+  // when the worker's first batch went out.
+  struct Cursor {
+    size_t held = 0;
+    size_t next = 0;
+    bool started = false;
     Timer timer;
-    auto& out = responses[w];
-    const auto& queue = chunk->queues[w];
-    out.reserve(queue.size());
-    const size_t batch =
-        options_.probe_batch == 0 ? std::max<size_t>(queue.size(), 1)
-                                  : options_.probe_batch;
-    size_t next = out.size();
-    while (next < queue.size() || session.in_flight() > 0) {
-      while (session.in_flight() < window && next < queue.size()) {
-        const size_t count = std::min(batch, queue.size() - next);
+  };
+  // Tops session s up to `window` batches in flight; returns with a
+  // batch in flight or every worker s holds served. It moves on to s's
+  // next worker only once nothing is in flight, since Reassign needs an
+  // idle session: an R-S probe pairs with a list's only id too, so
+  // before an R-S join serves worker w it ships w's one-id lists as an
+  // Assignment at the next epoch, unless s holds them already (the
+  // attach and a recovery ship only pairing lists). A worker's queue
+  // starts at its first unanswered request, which is where a recovery
+  // replay on a survivor resumes.
+  auto refill = [&](size_t s, Cursor& cursor) -> Status {
+    RemoteWorkerSession& session = sessions_[s];
+    const std::vector<size_t>& held = session_workers[s];
+    while (cursor.held < held.size()) {
+      const size_t w = held[cursor.held];
+      const auto& queue = chunk->queues[w];
+      if (!cursor.started) {
+        if (!self_join && one_id_shipped_[w] == 0) {
+          const auto [frame, expected] =
+              AssignmentFrame(w, session.epoch() + 1, Lists::kOneId);
+          if (expected.num_keys > 0) {
+            SKEWSEARCH_RETURN_NOT_OK(session.Reassign(frame, expected));
+            deferred_ships[w]++;
+          }
+          one_id_shipped_[w] = 1;
+        }
+        responses[w].reserve(queue.size());
+        cursor.next = responses[w].size();
+        cursor.started = true;
+        cursor.timer.Restart();
+      }
+      const size_t batch =
+          options_.probe_batch == 0 ? std::max<size_t>(queue.size(), 1)
+                                    : options_.probe_batch;
+      while (session.in_flight() < window && cursor.next < queue.size()) {
+        const size_t count = std::min(batch, queue.size() - cursor.next);
         SKEWSEARCH_RETURN_NOT_OK(session.SendProbeBatch(
-            std::span<const ProbeRequest>(queue.data() + next, count)));
-        next += count;
+            std::span<const ProbeRequest>(queue.data() + cursor.next, count)));
+        cursor.next += count;
         batches_sent[w]++;
       }
-      // A receive with nothing queued up behind it exposes the full
-      // round trip; every other receive hides behind the batch the
-      // worker is already computing.
-      if (session.in_flight() == 1) exposed_trips[w]++;
-      Result<std::vector<ProbeResponse>> answered =
-          session.ReceiveResponses();
-      if (!answered.ok()) return answered.status();
-      for (ProbeResponse& response : *answered) {
-        SKEWSEARCH_RETURN_NOT_OK(
-            CheckMatches(queue[out.size()], response, data_->size(), w));
-        out.push_back(std::move(response));
-      }
+      if (session.in_flight() > 0) return Status::OK();
+      worker_seconds[w] += cursor.timer.ElapsedSeconds();
+      cursor.held++;
+      cursor.started = false;
     }
-    worker_seconds[w] += timer.ElapsedSeconds();
     return Status::OK();
   };
-  // An R-S probe pairs with a list's only id too, so before an R-S join
-  // serves worker w over `session`, it ships w's one-id lists there as
-  // an Assignment at the next epoch unless the session holds them
-  // already (the attach and a recovery ship only pairing lists).
-  std::vector<size_t> deferred_ships(worker_count, 0);
-  auto serve_worker = [&](RemoteWorkerSession& session, size_t w) -> Status {
-    if (!self_join && one_id_shipped_[w] == 0) {
-      const auto [frame, expected] =
-          AssignmentFrame(w, session.epoch() + 1, Lists::kOneId);
-      if (expected.num_keys > 0) {
-        SKEWSEARCH_RETURN_NOT_OK(session.Reassign(frame, expected));
-        deferred_ships[w]++;
-      }
-      one_id_shipped_[w] = 1;
+  // Receives session s's oldest response batch and refills s.
+  // ReceiveResponses validates arrival order, so responses[w] is always
+  // the answered prefix of queues[w]. A response whose matches break
+  // the join contract fails the session like a lost connection, so
+  // recovery replays it on a survivor.
+  auto receive = [&](size_t s, Cursor& cursor) -> Status {
+    RemoteWorkerSession& session = sessions_[s];
+    const size_t w = session_workers[s][cursor.held];
+    // A receive with nothing queued up behind it exposes the full
+    // round trip; every other receive hides behind the batch the
+    // worker is already computing.
+    if (session.in_flight() == 1) exposed_trips[w]++;
+    Result<std::vector<ProbeResponse>> answered = session.ReceiveResponses();
+    if (!answered.ok()) return answered.status();
+    auto& out = responses[w];
+    for (ProbeResponse& response : *answered) {
+      SKEWSEARCH_RETURN_NOT_OK(CheckMatches(chunk->queues[w][out.size()],
+                                            response, data_->size(), w));
+      out.push_back(std::move(response));
     }
-    return serve_worker_queue(session, w);
+    return refill(s, cursor);
   };
-  auto serve_session = [&](size_t s) {
-    if (!session_alive_[s]) {
-      if (!session_workers[s].empty()) {
+  // Drains sessions [first, last) from one thread: tops each up, then
+  // receives their batches in round-robin order until none has one in
+  // flight, so every worker computes while the others' answers are
+  // read. Each session sends and receives the frames it would if served
+  // alone. A failed session is left where it stopped, with its status
+  // set, and the others go on.
+  auto drain = [&](size_t first, size_t last) {
+    std::vector<Cursor> cursors(last - first);
+    for (size_t s = first; s < last; ++s) {
+      if (session_alive_[s]) {
+        session_status[s] = refill(s, cursors[s - first]);
+      } else if (!session_workers[s].empty()) {
         session_status[s] =
             Status::IOError("session died in an earlier join");
       }
-      return;
     }
-    for (size_t w : session_workers[s]) {
-      Status served = serve_worker(sessions_[s], w);
-      if (!served.ok()) {
-        session_status[s] = served;
-        return;
+    for (bool waiting = true; waiting;) {
+      waiting = false;
+      for (size_t s = first; s < last; ++s) {
+        if (!session_alive_[s] || !session_status[s].ok() ||
+            sessions_[s].in_flight() == 0) {
+          continue;
+        }
+        waiting = true;
+        session_status[s] = receive(s, cursors[s - first]);
       }
     }
   };
@@ -744,14 +779,6 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       out.push_back(worker.Probe(request, &scratches[w]));
     }
     worker_seconds[w] += timer.ElapsedSeconds();
-  };
-  const size_t fanout_units = serve_remote ? num_sessions : worker_count;
-  auto serve_unit = [&](size_t u) {
-    if (serve_remote) {
-      serve_session(u);
-    } else {
-      serve_local(u);
-    }
   };
 
   DistributedJoinStats local;
@@ -800,20 +827,30 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     for (size_t w = 0; serve_remote && w < worker_count; ++w) {
       session_workers[session_of_worker_[w]].push_back(w);
     }
-    pool_->ParallelFor(fanout_units, /*grain=*/1,
-                       [&](size_t from, size_t to, int /*slot*/) {
-                         for (size_t u = from; u < to; ++u) serve_unit(u);
-                       });
+    if (serve_remote) {
+      // One range of sessions per pool slot: at threads 1 one slot
+      // drives every session, and at threads >= sessions each drives one.
+      const size_t slots = static_cast<size_t>(pool_->num_threads());
+      pool_->ParallelFor(
+          num_sessions, (num_sessions + slots - 1) / slots,
+          [&](size_t from, size_t to, int /*slot*/) { drain(from, to); });
+    } else {
+      pool_->ParallelFor(worker_count, /*grain=*/1,
+                         [&](size_t from, size_t to, int /*slot*/) {
+                           for (size_t w = from; w < to; ++w) serve_local(w);
+                         });
+    }
     // Phase 2b — recovery (remote only). A failed session means its
     // worker died mid-join: close it out, re-derive the pairing lists of
     // every worker it held (AssignmentFrame is a pure function of the
     // deterministic plan and the build-side data — nothing about the
     // dead worker is needed), re-ship them to the lowest-id surviving
     // session, and drain each transferred queue's unanswered suffix
-    // there through the same serve_worker as the first pass, which in an
-    // R-S join ships the worker's one-id lists first. The merge's dedup
-    // and the canonical sort make replayed and merged-table responses
-    // invisible in the output, so a recovered join stays byte-identical.
+    // there through the same drain as the first pass, on that one
+    // session, which in an R-S join ships the worker's one-id lists
+    // first. The merge's dedup and the canonical sort make replayed and
+    // merged-table responses invisible in the output, so a recovered
+    // join stays byte-identical.
     // Runs strictly after the fan-out: a session is driven by one thread
     // at a time.
     if (serve_remote) {
@@ -856,7 +893,10 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
           if (recovered.ok()) {
             session_of_worker_[w] = s;
             one_id_shipped_[w] = 0;  // s holds none of w's one-id lists
-            recovered = serve_worker(session, w);
+            // s served its own workers in the fan-out; now it serves w.
+            session_workers[s] = {w};
+            drain(s, s + 1);
+            recovered = session_status[s];
           }
           replayed_batches += batches_sent[w] - sent_before;
           if (!recovered.ok()) {

@@ -6,15 +6,16 @@
 // PartitionPlanner for a skew-aware key partition, hands each JoinWorker
 // its posting slices, and then drives the join as pure message passing:
 // it routes one ProbeRequest per (probe, worker) that can pair there,
-// fans the per-worker queues out over its thread pool, and merges the
-// ProbeResponses — deduplicating pairs that surfaced on more than one
-// worker. Filter keys are a pure function of seed x repetition x
-// vector, so a self-join's candidates already sit together in the
-// build's posting lists, and, as in LSF-Join, each worker pairs a
-// probe inside the lists it holds that hold the probe: a self-join
-// request names the probe and carries only the keys of lists on that
-// worker that do not hold it (a heavy key's other slices, a frozen
-// file's other shards) and the probe's items only when the worker
+// fans the per-worker queues out over its thread pool (remote sessions a
+// range per pool slot, each slot keeping every session of its range busy
+// at once), and merges the ProbeResponses — deduplicating pairs that
+// surfaced on more than one worker. Filter keys are a pure function of
+// seed x repetition x vector, so a self-join's candidates already sit
+// together in the build's posting lists, and, as in LSF-Join, each
+// worker pairs a probe inside the lists it holds that hold the probe: a
+// self-join request names the probe and carries only the keys of lists
+// on that worker that do not hold it (a heavy key's other slices, a
+// frozen file's other shards) and the probe's items only when the worker
 // stores no copy. That route is a pure function of the slices, computed
 // once per build. An R-S join's probes are not in the table: the filter
 // kernel computes their keys once each, and every key goes to each of
@@ -78,9 +79,11 @@ struct DistributedJoinOptions {
   size_t heavy_threshold = 0;
 
   /// Slots of the coordinator's thread pool, which Build creates and
-  /// every join reuses (<= 1 = the calling thread alone). Workers are
-  /// driven one per pool slot either way, so the thread count never
-  /// changes results.
+  /// every join reuses (<= 1 = the calling thread alone). A slot serves
+  /// one in-process worker at a time. Remote sessions are split into one
+  /// contiguous range per slot, and a slot keeps every session of its
+  /// range busy at once, so at any thread count the remote workers
+  /// compute side by side. The thread count never changes results.
   int threads = 0;
 
   /// Remote serving only (AttachRemote): maximum ProbeRequests shipped
@@ -92,11 +95,12 @@ struct DistributedJoinOptions {
   size_t probe_batch = 256;
 
   /// Remote serving only: maximum ProbeBatch frames in flight per
-  /// worker. At the default 2 the coordinator ships the next batch
-  /// while the worker still computes the previous one, hiding the
-  /// round trip behind service time; 1 restores strict send-then-wait
-  /// serving. Responses always arrive in send order, so the window
-  /// size is invisible in the output.
+  /// session. At the default 2 the coordinator ships a session's next
+  /// batch while its worker still computes the previous one, hiding the
+  /// round trip behind service time; at 1 each session waits for a
+  /// batch's answer before it sends the next, while the sessions still
+  /// serve side by side. Responses always arrive in send order, so the
+  /// window size is invisible in the output.
   size_t pipeline = 2;
 };
 
@@ -113,7 +117,10 @@ struct WorkerLoad {
   size_t candidates = 0;      ///< posting entries scanned
   size_t verifications = 0;   ///< similarity computations
   size_t pairs = 0;           ///< pairs emitted (before cross-worker dedup)
-  double probe_seconds = 0.0; ///< busy time in the probe phase
+  /// In-process: the time spent probing the worker's queue. Remote: the
+  /// span from the worker's first batch to its last response, summed
+  /// over chunks; the spans of workers on different sessions overlap.
+  double probe_seconds = 0.0;
 };
 
 /// \brief Coordinator-side counters of a distributed join.
@@ -273,13 +280,15 @@ class DistributedJoin {
   /// failure every already-started session is shut down and the
   /// coordinator stays in-process. The probe phase then ships batches
   /// of at most `probe_batch` requests per frame, up to `pipeline` of
-  /// them in flight per worker, and merges exactly as in-process serving
-  /// does — the output stays byte-identical across transports. If a
-  /// slice session dies mid-join the coordinator re-derives the lost
-  /// worker's pairing lists (AssignmentFrame is a pure function of the
-  /// deterministic plan), re-ships them to a surviving session, which
-  /// an R-S join follows with the worker's one-id lists, drains the
-  /// unacknowledged suffix of the lost queue there through the same
+  /// them in flight per session, each pool slot filling the windows of
+  /// all its sessions before it waits on any one, and merges exactly as
+  /// in-process serving does — the output stays byte-identical across
+  /// transports. If a slice session dies mid-join, the other sessions
+  /// are still served to the end, and then the coordinator re-derives
+  /// the lost worker's pairing lists (AssignmentFrame is a pure function
+  /// of the deterministic plan), re-ships them to a surviving session,
+  /// which an R-S join follows with the worker's one-id lists, drains
+  /// the unacknowledged suffix of the lost queue there through the same
   /// pipelined drain, and still completes with byte-identical output.
   /// The survivor pairs each replayed self-join probe against every list
   /// it now holds, so its work counters exceed a clean join's, and the

@@ -3,7 +3,8 @@
 // the rows of the join oracle (join_oracle.h) that claim the identity:
 // a DistributedJoin served by remote workers (loopback or real sockets)
 // produces output byte-identical to the reference join
-// (reference_join.h), for any probe batch size.
+// (reference_join.h), for any probe batch size; and the order in which
+// one coordinator thread ships its sessions' first batches.
 // The suite name starts with "Distributed" so CI's TSan matrix picks
 // it up (worker threads + sockets are exactly what TSan should watch).
 
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -514,11 +516,116 @@ TEST(DistributedTransportTest, RSJoinBeforeAndAfterTheOneIdListsShip) {
 }
 
 TEST(DistributedTransportTest, ParallelRemoteServingMatchesSerial) {
-  // A remote cell drives each session from its own slot of a 4-thread
-  // pool; the merge must stay deterministic (this is the TSan target).
+  // A remote cell drives its sessions from a 4-thread pool, a range of
+  // them per slot (one each at W = 2, up to two at W = 7); the merge
+  // must stay deterministic (this is the TSan target).
   test::JoinOracle(test::ZipfJoinConfig(97, 120))
       .Check(kSplitPlans | test::kLoopback16 | test::kTcp16 | test::kClean |
              test::kEveryJoin);
+}
+
+/// A coordinator-side connection that appends (session, frame type) to
+/// a log every session of one coordinator shares, for each frame it
+/// sends or receives.
+class FrameLoggingConnection : public FrameConnection {
+ public:
+  struct Entry {
+    size_t session;
+    wire::FrameType type;
+  };
+  struct Log {
+    std::mutex mutex;
+    std::vector<Entry> entries;
+  };
+  FrameLoggingConnection(std::unique_ptr<FrameConnection> inner,
+                         size_t session, Log* log)
+      : inner_(std::move(inner)), session_(session), log_(log) {}
+
+  Status Send(const wire::Frame& frame) override {
+    const Status sent = inner_->Send(frame);
+    if (sent.ok()) Append(frame.type);
+    stats_ = inner_->stats();
+    return sent;
+  }
+  Status Receive(wire::Frame* frame) override {
+    const Status received = inner_->Receive(frame);
+    if (received.ok()) Append(frame->type);
+    stats_ = inner_->stats();
+    return received;
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  void Append(wire::FrameType type) {
+    std::lock_guard<std::mutex> lock(log_->mutex);
+    log_->entries.push_back({session_, type});
+  }
+
+  std::unique_ptr<FrameConnection> inner_;
+  size_t session_;
+  Log* log_;
+};
+
+TEST(DistributedTransportTest, OneThreadFillsEverySessionBeforeItWaits) {
+  // At threads 1 one coordinator thread drives both sessions. Before it
+  // receives any ResponseBatch it has sent each session min(pipeline,
+  // that session's batches) ProbeBatch frames, so both workers compute
+  // at once. A coordinator that drains one session before it serves the
+  // next sends the second nothing until the first is answered. The R-S
+  // join probes with the build side, one chunk of probes, and is the
+  // attachment's first, so each session gets its one-id lists first.
+  test::JoinOracle oracle(test::ZipfJoinConfig(93, 120));
+  DistributedJoinOptions options = oracle.family();
+  options.workers = 2;
+  options.threads = 1;
+  options.pipeline = 2;
+  options.probe_batch = 4;
+  std::deque<HostedWorker> hosts;  // outlives the coordinator
+  DistributedJoin join;
+  ASSERT_TRUE(join.Build(&oracle.data(), &oracle.dist(), options).ok());
+  FrameLoggingConnection::Log log;
+  std::vector<std::unique_ptr<FrameConnection>> connections;
+  for (size_t s = 0; s < 2; ++s) {
+    connections.push_back(std::make_unique<FrameLoggingConnection>(
+        hosts.emplace_back().Connect(), s, &log));
+  }
+  ASSERT_TRUE(join.AttachRemote(std::move(connections)).ok());
+  for (const bool self : {true, false}) {
+    SCOPED_TRACE(self ? "self-join" : "R-S join");
+    log.entries.clear();
+    DistributedJoinStats stats;
+    auto got = self ? join.SelfJoin(&stats) : join.Join(oracle.data(), &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto reference = test::ReferenceJoin(self ? nullptr : &oracle.data(),
+                                         oracle.data(), oracle.dist(),
+                                         oracle.family());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    test::ExpectSamePairs(*reference, *got);
+    EXPECT_EQ(stats.deferred_ships, self ? 0u : 2u);
+    // Per session: ProbeBatch frames sent before the join's first
+    // ResponseBatch arrived, and in all.
+    size_t before[2] = {0, 0};
+    size_t total[2] = {0, 0};
+    bool answered = false;
+    for (const FrameLoggingConnection::Entry& entry : log.entries) {
+      if (entry.type == wire::FrameType::kResponseBatch) answered = true;
+      if (entry.type != wire::FrameType::kProbeBatch) continue;
+      total[entry.session]++;
+      if (!answered) before[entry.session]++;
+    }
+    EXPECT_TRUE(answered);
+    EXPECT_EQ(total[0] + total[1], stats.probe_batches_sent);
+    for (size_t s = 0; s < 2; ++s) {
+      EXPECT_GE(total[s], options.pipeline) << "session " << s;
+      EXPECT_EQ(before[s], std::min(options.pipeline, total[s]))
+          << "session " << s;
+    }
+  }
+  join.DetachRemote();
+  for (HostedWorker& host : hosts) {
+    host.Join();
+    EXPECT_TRUE(host.status().ok()) << host.status().ToString();
+  }
 }
 
 TEST(DistributedTransportTest, ConcurrentRemoteJoinsTakeTurnsOnSessions) {

@@ -15,7 +15,9 @@
 //            shards, which fixes the plan: W = K, every key broadcast;
 //   serving  in-process on 1 or 4 threads; remote workers over loopback
 //            or TCP at probe_batch 1, 16 or 0 (the whole queue), their
-//            sessions driven from 4 threads; the one-shot
+//            sessions driven from 4 threads, or at probe_batch 16 from
+//            1 thread, which serves every session at once (over TCP
+//            for the clean and kill faults only); the one-shot
 //            SelfSimilarityJoin/SimilarityJoin, in-process on 1 thread
 //            or against TCP endpoints driven from 4;
 //   fault    remote only: none; worker 1 drops its connection after its
@@ -144,17 +146,19 @@ enum JoinCell : uint32_t {
   kSequence = 1u << 24,  ///< self, R-S, self, R-S on one attachment
   kShipKill = 1u << 25,  ///< worker 1 dropped at a deferred ship
   kPairHeavy = 1u << 26,  ///< heavy_threshold 2: one-id lists stay light
+  kLoopbackOneThread = 1u << 27,
+  kTcpOneThread = 1u << 28,
 
   kEveryW = kW1 | kW2 | kW7,
   kEveryHeavy = kAutoHeavy | kForcedHeavy | kPairHeavy | kAllLight,
   kEveryBuild = kBuild | kFrozen1 | kFrozen3,
-  kLoopback = kLoopback1 | kLoopback16 | kLoopbackWhole,
-  kTcp = kTcp1 | kTcp16 | kTcpWhole,
+  kLoopback = kLoopback1 | kLoopback16 | kLoopbackWhole | kLoopbackOneThread,
+  kTcp = kTcp1 | kTcp16 | kTcpWhole | kTcpOneThread,
   kRemote = kLoopback | kTcp,
   kEveryServing = kInProcess | kThreaded | kRemote | kOneShot | kOneShotTcp,
   kEveryFault = kClean | kKill | kDuplicate | kShipKill,
   kEveryJoin = kSelfJoin | kRSJoin | kSequence,
-  kEveryJoinCell = (1u << 27) - 1,
+  kEveryJoinCell = (1u << 29) - 1,
 };
 
 inline const char* JoinCellName(uint32_t bit) {
@@ -171,6 +175,8 @@ inline const char* JoinCellName(uint32_t bit) {
     case kTcp1: return "TCP, probe_batch 1";
     case kTcp16: return "TCP, probe_batch 16";
     case kTcpWhole: return "TCP, probe_batch 0";
+    case kLoopbackOneThread: return "loopback, probe_batch 16, 1 thread";
+    case kTcpOneThread: return "TCP, probe_batch 16, 1 thread";
     case kOneShot: return "one-shot on 1 thread";
     case kOneShotTcp: return "one-shot against TCP endpoints, 4 threads";
     case kClean: return "no fault";
@@ -348,18 +354,20 @@ class JoinOracle {
               for (uint32_t join : Bits(cells & kEveryJoin)) {
                 // Faults need a remote serving and a kill a second
                 // worker. The deferred-ship cells (a sequence, a ship
-                // kill) run over loopback: every TCP R-S cell ships the
-                // one-id lists too, and each TCP cell leaves its
-                // sockets in TIME_WAIT, which CI's repeated runs pile
-                // up. A frozen build ships nothing after its attach and
-                // a self-join no one-id list, so nothing drops worker 1
-                // there.
+                // kill) run over loopback, and TCP from one thread takes
+                // the clean and kill faults only: every TCP R-S cell
+                // ships the one-id lists too, and each TCP cell leaves
+                // its sockets in TIME_WAIT, which CI's repeated runs
+                // pile up. A frozen build ships nothing after its attach
+                // and a self-join no one-id list, so nothing drops
+                // worker 1 there.
                 if ((fault != kClean && !(serving & kRemote)) ||
                     (Kills(fault) && workers < 2) ||
                     ((join == kSequence || fault == kShipKill) &&
                      !(serving & kLoopback)) ||
                     (fault == kShipKill &&
-                     (shards > 0 || join == kSelfJoin))) {
+                     (shards > 0 || join == kSelfJoin)) ||
+                    (serving == kTcpOneThread && fault == kDuplicate)) {
                   continue;
                 }
                 const Cell cell{shards, workers, heavy, serving, fault, join};
@@ -455,9 +463,13 @@ class JoinOracle {
                               : c.heavy == kPairHeavy ? 2
                               : c.heavy == kAllLight  ? data_.size() * 1000
                                                       : 0;
-    options.threads = c.serving & (kThreaded | kRemote | kOneShotTcp) ? 4 : 1;
+    constexpr uint32_t kOneThread = kLoopbackOneThread | kTcpOneThread;
+    options.threads =
+        c.serving & (kThreaded | kRemote | kOneShotTcp) & ~kOneThread ? 4 : 1;
     if (c.serving & (kLoopback1 | kTcp1)) options.probe_batch = 1;
-    if (c.serving & (kLoopback16 | kTcp16)) options.probe_batch = 16;
+    if (c.serving & (kLoopback16 | kTcp16 | kOneThread)) {
+      options.probe_batch = 16;
+    }
     if (c.serving & (kLoopbackWhole | kTcpWhole)) options.probe_batch = 0;
     return options;
   }

@@ -9,6 +9,13 @@
 // SIMD kernel beats the scalar reference by at least X on the balanced
 // regimes — the CI Release leg passes 1.5.
 //
+// A verification regime shaped like a self-join's (join-topics: lists
+// of about 40 items that mostly share a few, 3% of them enough to pass)
+// times IntersectSizeAtLeast at need 0 and at the MinOverlap of
+// Braun-Blanquet 0.615, where most pairs stop early. Under every kernel
+// the CPU has, the threshold-aware count must be exact when it reaches
+// its need and below it otherwise; kernels_agree folds that in.
+//
 // Flags: --json FILE            write metrics JSON (see bench_util.h)
 //        --require-speedup X    exit nonzero unless min balanced
 //                               speedup >= X
@@ -23,6 +30,7 @@
 #include "bench_util.h"
 #include "data/sparse_vector.h"
 #include "sim/intersect.h"
+#include "sim/measures.h"
 #include "util/random.h"
 
 namespace skewsearch {
@@ -37,6 +45,62 @@ std::vector<ItemId> MakeSorted(size_t count, ItemId universe, uint64_t seed) {
   }
   SparseVector v = SparseVector::FromIds(std::move(ids));
   return v.ids();
+}
+
+// A pair of the verification regime: a holds about 36-44 items of a
+// 4,000-item universe, and b about as many, `shared` of them from a.
+struct Pair {
+  std::vector<ItemId> a;
+  std::vector<ItemId> b;
+  size_t need = 0;  // MinOverlap at Braun-Blanquet 0.615
+};
+
+std::vector<Pair> VerificationPairs(size_t count, uint64_t seed) {
+  constexpr ItemId kUniverse = 4000;
+  Rng rng(seed);
+  std::vector<Pair> pairs(count);
+  for (Pair& pair : pairs) {
+    const size_t size_a = 36 + rng.NextBounded(9);
+    const size_t size_b = 36 + rng.NextBounded(9);
+    pair.a = MakeSorted(size_a, kUniverse, rng.NextUint64());
+    // Three pairs in a hundred share most of their items, the rest a
+    // few: about the self-join's verify yield.
+    const size_t shared = rng.NextBounded(100) < 3
+                              ? size_b - rng.NextBounded(4)
+                              : 1 + rng.NextBounded(6);
+    std::vector<ItemId> b = pair.a;
+    rng.Shuffle(&b);
+    b.resize(std::min(shared, b.size()));
+    while (b.size() < size_b) {
+      b.push_back(static_cast<ItemId>(rng.NextBounded(kUniverse)));
+    }
+    pair.b = SparseVector::FromIds(std::move(b)).ids();
+    pair.need = MinOverlap(Measure::kBraunBlanquet, pair.a.size(),
+                           pair.b.size(), 0.615);
+  }
+  return pairs;
+}
+
+// True when IntersectSizeAtLeast(a, b, need) keeps its contract under
+// every kernel the CPU has at need 0, \p need, c and c + 1 (c the merge's
+// count): c when c >= need, a count below need otherwise. Restores the
+// active kernel.
+bool AtLeastAgrees(std::span<const ItemId> a, std::span<const ItemId> b,
+                   size_t need) {
+  const size_t count = IntersectSizeMerge(a, b);
+  const IntersectKernel active = ActiveIntersectKernel();
+  bool agree = true;
+  for (IntersectKernel kernel : {IntersectKernel::kScalar,
+                                 IntersectKernel::kSse2,
+                                 IntersectKernel::kAvx2}) {
+    if (SetIntersectKernel(kernel) != kernel) continue;
+    for (size_t at : {size_t{0}, need, count, count + 1}) {
+      const size_t got = IntersectSizeAtLeast(a, b, at);
+      agree = agree && (count >= at ? got == count : got < at);
+    }
+  }
+  SetIntersectKernel(active);
+  return agree;
 }
 
 int Run(int argc, char** argv) {
@@ -65,7 +129,8 @@ int Run(int argc, char** argv) {
     auto b = MakeSorted(size, static_cast<ItemId>(size * 16), 2 * size + 2);
     const size_t expect = IntersectSizeScalar(a, b);
     all_agree = all_agree && IntersectSize(a, b) == expect &&
-                IntersectSizeGalloping(a, b) == expect;
+                IntersectSizeGalloping(a, b) == expect &&
+                AtLeastAgrees(a, b, expect / 2);
     const double scalar_ns =
         bench::NsPerOp([&] { bench::DoNotOptimize(IntersectSizeScalar(a, b)); });
     const double kernel_ns =
@@ -107,6 +172,35 @@ int Run(int argc, char** argv) {
                     /*stable=*/false, "ns");
   }
   asym.Print();
+
+  // Verification regime: one call per pair, as a self-join worker
+  // verifies its candidates.
+  const std::vector<Pair> pairs = VerificationPairs(1024, 17);
+  size_t passing = 0;
+  for (const Pair& pair : pairs) {
+    passing += IntersectSizeMerge(pair.a, pair.b) >= pair.need;
+    all_agree = all_agree && AtLeastAgrees(pair.a, pair.b, pair.need);
+  }
+  auto per_pair_ns = [&](bool bounded) {
+    return bench::NsPerOp([&] {
+             for (const Pair& pair : pairs) {
+               bench::DoNotOptimize(IntersectSizeAtLeast(
+                   pair.a, pair.b, bounded ? pair.need : 0));
+             }
+           }) /
+           static_cast<double>(pairs.size());
+  };
+  const double whole_ns = per_pair_ns(false);
+  const double bounded_ns = per_pair_ns(true);
+  bench::Table verify({"pairs", "passing", "need_0_ns", "min_overlap_ns",
+                       "speedup"});
+  verify.AddRow({bench::Fmt(pairs.size()), bench::Fmt(passing),
+                 bench::Fmt(whole_ns, 1), bench::Fmt(bounded_ns, 1),
+                 bench::Fmt(whole_ns / bounded_ns, 2)});
+  verify.Print();
+  reporter.Metric("at_least_ns_0", whole_ns, /*stable=*/false, "ns");
+  reporter.Metric("at_least_ns_min_overlap", bounded_ns, /*stable=*/false,
+                  "ns");
 
   reporter.Metric("kernels_agree", all_agree ? 1.0 : 0.0, /*stable=*/true,
                   "bool");

@@ -41,6 +41,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/brute_force.h"
+#include "sim/intersect.h"
 #include "sim/measures.h"
 #include "util/containers.h"
 #include "util/timer.h"
@@ -105,9 +106,12 @@ int BindFamilies(size_t num_shards, const ViewAt& view_at, Scratch* scratch) {
 
 /// Scans one shard's postings of \p keys (one repetition) until the
 /// first live candidate that passes the shard family's verify threshold.
-/// A candidate whose size rules the threshold out is counted in
-/// `size_skips` and not verified; it could not have passed, so the
-/// first hit is the one verifying every candidate finds.
+/// A candidate whose size rules the threshold out (MinOverlap) is
+/// counted in `size_skips` and not verified; it could not have passed,
+/// so the first hit is the one verifying every candidate finds. A
+/// verification stops once the threshold is out of reach
+/// (IntersectSizeAtLeast) and otherwise counts exactly, so a hit and its
+/// similarity are Similarity()'s.
 template <typename View>
 RepHit ScanRep(const View& view, std::span<const ItemId> query,
                const std::vector<uint64_t>& keys, PostingSet<VectorId>* seen,
@@ -122,14 +126,18 @@ RepHit ScanRep(const View& view, std::span<const ItemId> query,
       if (!seen->insert(id).second) return false;
       const std::span<const ItemId> items = view.Items(id);
       if (items.empty()) return false;
-      if (!SizesCanReach(measure, query.size(), items.size(), threshold)) {
+      const size_t need =
+          MinOverlap(measure, query.size(), items.size(), threshold);
+      if (need > std::min(query.size(), items.size())) {
         stats->size_skips++;
         return false;
       }
       stats->verifications++;
-      const double sim = Similarity(measure, query, items);
-      if (sim < threshold) return false;
-      hit = RepHit{true, ki, phase, id, sim};
+      const size_t overlap = IntersectSizeAtLeast(query, items, need);
+      if (overlap < need) return false;
+      hit = RepHit{true, ki, phase, id,
+                   SimilarityFromCounts(measure, query.size(), items.size(),
+                                        overlap)};
       return true;
     });
     if (stop) break;
@@ -273,14 +281,18 @@ std::vector<Match> AllMatches(std::span<const ItemId> query, double threshold,
           if (!seen.insert(id).second) return false;
           const std::span<const ItemId> items = view.Items(id);
           if (items.empty()) return false;
-          if (!SizesCanReach(measure, query.size(), items.size(),
-                             threshold)) {
+          const size_t need =
+              MinOverlap(measure, query.size(), items.size(), threshold);
+          if (need > std::min(query.size(), items.size())) {
             local.size_skips++;
             return false;
           }
           local.verifications++;
-          const double sim = Similarity(measure, query, items);
-          if (sim >= threshold) out.push_back({id, sim});
+          const size_t overlap = IntersectSizeAtLeast(query, items, need);
+          if (overlap >= need) {
+            out.push_back({id, SimilarityFromCounts(measure, query.size(),
+                                                    items.size(), overlap)});
+          }
           return false;
         });
       }

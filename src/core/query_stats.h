@@ -20,7 +20,7 @@ struct QueryStats {
   size_t verifications = 0;        ///< full similarity computations
   size_t size_skips = 0;           ///< distinct live candidates whose
                                    ///< sizes alone rule out the threshold
-                                   ///< (SizesCanReach), so not verified
+                                   ///< (MinOverlap), so not verified
   double seconds = 0.0;
 };
 

@@ -114,7 +114,9 @@ struct WorkerLoad {
   /// (AttachRemote), and the rest with its one-id lists.
   size_t vectors = 0;
   size_t probes = 0;          ///< probe requests received
-  size_t candidates = 0;      ///< posting entries scanned
+  /// The entries of the posting lists its requests reach; a self-join
+  /// list's part at or below the probe counts, though it is not read.
+  size_t candidates = 0;
   size_t verifications = 0;   ///< similarity computations
   size_t pairs = 0;           ///< pairs emitted (before cross-worker dedup)
   /// In-process: the time spent probing the worker's queue. Remote: the
@@ -126,7 +128,7 @@ struct WorkerLoad {
 /// \brief Coordinator-side counters of a distributed join.
 struct DistributedJoinStats {
   size_t pairs = 0;
-  size_t candidates = 0;
+  size_t candidates = 0;  ///< the workers' WorkerLoad::candidates, summed
   size_t verifications = 0;
   size_t heavy_keys = 0;              ///< keys the planner split
   size_t replicated_slices = 0;       ///< total heavy-slice assignments
@@ -246,8 +248,9 @@ class DistributedJoin {
   /// the threshold. Runs no filter kernel. Worker o gets a request for
   /// probe i when one of its lists of i's keys holds an id above i: o
   /// pairs i itself in each such list that holds i, and the request
-  /// ships key k only when o's slice of k does not hold i. Each list is
-  /// scanned whole, as a shipped key's is, so the candidates and
+  /// ships key k only when o's slice of k does not hold i. Each list
+  /// counts whole in the candidates, as a shipped key's does, though o
+  /// reads a list that holds i only after i, so the candidates and
   /// verifications are those of shipping every key to every owner with
   /// an id above i, and a probe with no larger neighbour sends nothing.
   /// The route is computed at the first SelfJoin after a build and

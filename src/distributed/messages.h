@@ -68,11 +68,13 @@ struct ProbeResponse {
   /// coordinator dedups cross-worker).
   std::vector<Match> matches;
 
-  /// Posting entries scanned while answering.
+  /// The entries of the posting lists this request reaches. A
+  /// self-join list's part at or below the probe still counts, though
+  /// the worker skips it without reading it.
   uint64_t candidates = 0;
 
   /// Intersections computed: the distinct candidates left after the
-  /// self-join exclusion and the size bound (SizesCanReach).
+  /// self-join exclusion and the size bound (MinOverlap).
   uint64_t verifications = 0;
 };
 

@@ -5,6 +5,8 @@
 #include <span>
 #include <utility>
 
+#include "sim/intersect.h"
+
 namespace skewsearch {
 
 uint32_t ProbeScratch::NextStamp(size_t positions) {
@@ -39,24 +41,30 @@ const JoinWorker::Occurrences& JoinWorker::occurrences() const {
   std::call_once(occurrences_->built, [this] {
     Occurrences& index = occurrences_->index;
     index.offsets.assign(build_data_->size() + 1, 0);
+    index.list_entries.assign(build_data_->size(), 0);
     // Positions ascend with VectorIds, so a list's last position holds
     // its largest id.
+    const std::span<const uint32_t> bounds = table_.offsets_span();
+    const std::span<const VectorId> ids = table_.ids_span();
     for (size_t k = 0; k < table_.num_keys(); ++k) {
-      const std::span<const VectorId> postings = table_.postings_at(k);
-      for (VectorId position : postings) {
-        if (position < postings.back()) index.offsets[position + 1]++;
+      const uint32_t end = bounds[k + 1];
+      for (uint32_t e = bounds[k]; e < end; ++e) {
+        if (ids[e] < ids[end - 1]) {
+          index.offsets[ids[e] + 1]++;
+          index.list_entries[ids[e]] += end - bounds[k];
+        }
       }
     }
     std::partial_sum(index.offsets.begin(), index.offsets.end(),
                      index.offsets.begin());
-    index.lists.resize(index.offsets.back());
+    index.suffixes.resize(index.offsets.back());
     std::vector<uint32_t> cursor(index.offsets.begin(),
                                  index.offsets.end() - 1);
     for (size_t k = 0; k < table_.num_keys(); ++k) {
-      const std::span<const VectorId> postings = table_.postings_at(k);
-      for (VectorId position : postings) {
-        if (position < postings.back()) {
-          index.lists[cursor[position]++] = static_cast<uint32_t>(k);
+      const uint32_t end = bounds[k + 1];
+      for (uint32_t e = bounds[k]; e < end; ++e) {
+        if (ids[e] < ids[end - 1]) {
+          index.suffixes[cursor[ids[e]]++] = {e + 1, end};
         }
       }
     }
@@ -85,48 +93,56 @@ ProbeResponse JoinWorker::Probe(const ProbeRequest& request,
   std::span<const ItemId> query = request.items;
   // In a self-join, the positions below `below` hold the ids at or
   // below the probe, and the probe's own lists are those holding it and
-  // an id above it.
+  // an id above it: their entries count whole, and only the ranges
+  // after the probe's postings are read.
   size_t below = 0;
-  std::span<const uint32_t> lists;
+  std::span<const Occurrences::Suffix> suffixes;
   if (request.exclude_left_and_below) {
     below = PositionsUpTo(request.left);
     const auto position = static_cast<VectorId>(below - 1);
     if (below > 0 && OriginalId(position) == request.left) {
       const Occurrences& index = occurrences();
       if (query.empty()) query = build_data_->Get(position);
-      lists = std::span<const uint32_t>(index.lists)
-                  .subspan(index.offsets[position],
-                           index.offsets[position + 1] -
-                               index.offsets[position]);
+      suffixes = std::span<const Occurrences::Suffix>(index.suffixes)
+                     .subspan(index.offsets[position],
+                              index.offsets[position + 1] -
+                                  index.offsets[position]);
+      response.candidates += index.list_entries[position];
     }
   }
   // Same candidate-collection semantics as QueryAll: dedup ids across
-  // every list (and repetition), then verify each survivor once,
-  // counting every posting entry scanned. The self-join exclusion and
-  // the size bound run before verification, so a candidate at or below
-  // the probe, or one too small or too large to reach the threshold,
-  // costs no intersection.
+  // every list (and repetition), then verify each survivor once. The
+  // self-join exclusion and the size bound run before verification, so
+  // a candidate at or below the probe, or one too small or too large to
+  // reach the threshold, costs no intersection, and an intersection
+  // stops once the threshold is out of reach.
   const uint32_t stamp = scratch->NextStamp(build_data_->size());
   uint32_t* const stamps = scratch->stamps_.data();
-  auto scan = [&](std::span<const VectorId> postings) {
-    response.candidates += postings.size();
-    for (VectorId position : postings) {
-      if (stamps[position] == stamp) continue;
-      stamps[position] = stamp;
-      if (position < below) continue;
-      const std::span<const ItemId> items = build_data_->Get(position);
-      if (!SizesCanReach(measure_, query.size(), items.size(), threshold_)) {
-        continue;
-      }
-      response.verifications++;
-      const double sim = Similarity(measure_, query, items);
-      if (sim >= threshold_) {
-        response.matches.push_back({OriginalId(position), sim});
-      }
+  auto visit = [&](VectorId position) {
+    if (position < below || stamps[position] == stamp) return;
+    stamps[position] = stamp;
+    const std::span<const ItemId> items = build_data_->Get(position);
+    const size_t need =
+        MinOverlap(measure_, query.size(), items.size(), threshold_);
+    if (need > std::min(query.size(), items.size())) return;
+    response.verifications++;
+    const size_t overlap = IntersectSizeAtLeast(query, items, need);
+    if (overlap >= need) {
+      response.matches.push_back(
+          {OriginalId(position),
+           SimilarityFromCounts(measure_, query.size(), items.size(),
+                                overlap)});
     }
   };
-  for (uint32_t list : lists) scan(table_.postings_at(list));
-  for (uint64_t key : request.keys) scan(table_.Lookup(key));
+  const std::span<const VectorId> ids = table_.ids_span();
+  for (const Occurrences::Suffix& suffix : suffixes) {
+    for (uint32_t e = suffix.begin; e < suffix.end; ++e) visit(ids[e]);
+  }
+  for (uint64_t key : request.keys) {
+    const std::span<const VectorId> postings = table_.Lookup(key);
+    response.candidates += postings.size();
+    for (VectorId position : postings) visit(position);
+  }
   return response;
 }
 

@@ -96,17 +96,22 @@ class JoinWorker {
 
   /// Answers one probe and returns the matches reaching the threshold.
   /// An R-S request (exclude_left_and_below false) looks up each of its
-  /// keys. A self-join request first scans every list of this table
-  /// that holds the probe and an id above it, found through the
-  /// occurrence index, then looks up its keys, which name lists here
-  /// that do not hold the probe; empty items mean this worker's stored
-  /// copy of the probe, which must exist (Stores). Each list is scanned
-  /// whole, and each distinct candidate is skipped when it is at or
-  /// below the probe in a self-join (one position bound per probe) or
-  /// when its size rules the threshold out (SizesCanReach), and
-  /// verified otherwise. Dedups by
-  /// stamping \p scratch, so no entry is hashed; \p scratch may be
-  /// reused for any worker's next probe.
+  /// keys. A self-join request first reads every list of this table
+  /// that holds the probe and an id above it, from just after the
+  /// probe's posting on (the occurrence index stores those ranges), then
+  /// looks up its keys, which name lists here that do not hold the
+  /// probe; empty items mean this worker's stored copy of the probe,
+  /// which must exist (Stores). A looked-up list is read whole. Each
+  /// distinct candidate is skipped when it is at or below the probe in
+  /// a self-join (one position bound per probe: a list may hold the
+  /// probe twice, and a looked-up list ids below it) or when its size
+  /// rules the threshold out (MinOverlap), and verified otherwise, by
+  /// an intersection that stops once the threshold is out of reach
+  /// (IntersectSizeAtLeast). `candidates` counts every entry of each
+  /// list reached, the part of a list at or below the probe included,
+  /// though it is never read. Dedups by stamping \p scratch, so no
+  /// entry is hashed; \p scratch may be reused for any worker's next
+  /// probe.
   ProbeResponse Probe(const ProbeRequest& request,
                       ProbeScratch* scratch) const;
 
@@ -135,14 +140,23 @@ class JoinWorker {
 
  private:
   /// What a self-join probe reads besides the table, derived from it
-  /// once. Position p's lists are lists[offsets[p] .. offsets[p + 1]):
-  /// one entry (a list index, 4 bytes) per posting of p in a list that
-  /// also holds a larger VectorId, so a probe reaches only lists where
-  /// an id above it can pair. Positions ascend with VectorIds, so a
-  /// list's largest VectorId is its last entry's.
+  /// once. Position p's suffixes are suffixes[offsets[p] ..
+  /// offsets[p + 1]): one per posting of p in a list that also holds a
+  /// larger VectorId, the [begin, end) range of the table's ids after
+  /// that posting (8 bytes), so a probe reaches only lists where an id
+  /// above it can pair and reads none of a list's ids below it.
+  /// list_entries[p] sums the whole lengths of those lists, one term
+  /// per suffix: the entries a probe of p reports scanned. Positions
+  /// ascend with VectorIds, so a list's largest VectorId is its last
+  /// entry's.
   struct Occurrences {
+    struct Suffix {
+      uint32_t begin;
+      uint32_t end;
+    };
     std::vector<uint32_t> offsets;
-    std::vector<uint32_t> lists;
+    std::vector<Suffix> suffixes;
+    std::vector<uint64_t> list_entries;
   };
   struct LazyOccurrences {
     std::once_flag built;

@@ -9,12 +9,15 @@
 #endif
 
 namespace skewsearch {
+namespace {
 
-size_t IntersectSizeMerge(std::span<const ItemId> a,
-                          std::span<const ItemId> b) {
-  size_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
+// The linear merge from (i, j) on, adding to count. It stops with a
+// count below need once fewer than need - count items are left in one
+// list (see IntersectSizeAtLeast); at need 0 the check folds away.
+size_t MergeFrom(std::span<const ItemId> a, std::span<const ItemId> b,
+                 size_t i, size_t j, size_t count, size_t need) {
+  const size_t na = a.size(), nb = b.size();
+  while (i < na && j < nb) {
     if (a[i] < b[j]) {
       ++i;
     } else if (a[i] > b[j]) {
@@ -24,16 +27,18 @@ size_t IntersectSizeMerge(std::span<const ItemId> a,
       ++i;
       ++j;
     }
+    if (count + std::min(na - i, nb - j) < need) break;
   }
   return count;
 }
 
-size_t IntersectSizeGalloping(std::span<const ItemId> a,
-                              std::span<const ItemId> b) {
+size_t GallopingImpl(std::span<const ItemId> a, std::span<const ItemId> b,
+                     size_t need) {
   if (a.size() > b.size()) std::swap(a, b);
   size_t count = 0;
   size_t lo = 0;
-  for (ItemId needle : a) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    const ItemId needle = a[k];
     // Exponential search for needle in b[lo..).
     size_t step = 1;
     size_t hi = lo;
@@ -48,13 +53,13 @@ size_t IntersectSizeGalloping(std::span<const ItemId> a,
     if (lo < b.size() && b[lo] == needle) {
       ++count;
       ++lo;
+    } else if (count + std::min(a.size() - k - 1, b.size() - lo) < need) {
+      break;
     }
     if (lo >= b.size()) break;
   }
   return count;
 }
-
-namespace {
 
 #if SKEWSEARCH_INTERSECT_X86
 
@@ -62,8 +67,11 @@ namespace {
 // against every rotation of the b-block, popcount the match mask, then
 // advance the block with the smaller maximum (both on a tie). Sorted
 // duplicate-free inputs make each matching pair visible in exactly one
-// block pairing, so the count is exact.
-size_t Sse2Impl(std::span<const ItemId> a, std::span<const ItemId> b) {
+// block pairing, so the count is exact. Items behind the cursors are
+// never compared again, so the matches left number at most
+// min(na - i, nb - j), as in the merge.
+size_t Sse2Impl(std::span<const ItemId> a, std::span<const ItemId> b,
+                size_t need) {
   size_t count = 0;
   size_t i = 0, j = 0;
   const size_t na = a.size(), nb = b.size();
@@ -85,15 +93,17 @@ size_t Sse2Impl(std::span<const ItemId> a, std::span<const ItemId> b) {
     const ItemId bmax = b[j + 3];
     if (amax <= bmax) i += 4;
     if (bmax <= amax) j += 4;
+    if (count + std::min(na - i, nb - j) < need) return count;
   }
-  return count + IntersectSizeMerge(a.subspan(i), b.subspan(j));
+  return MergeFrom(a, b, i, j, count, need);
 }
 
 // 8-wide AVX2 variant: the b-block is compared under all 8 cross-lane
 // rotations (permutevar8x32). Compiled with a per-function target so the
 // translation unit itself stays baseline; only runs after detection.
 __attribute__((target("avx2"))) size_t Avx2Impl(std::span<const ItemId> a,
-                                                std::span<const ItemId> b) {
+                                                std::span<const ItemId> b,
+                                                size_t need) {
   size_t count = 0;
   size_t i = 0, j = 0;
   const size_t na = a.size(), nb = b.size();
@@ -117,8 +127,9 @@ __attribute__((target("avx2"))) size_t Avx2Impl(std::span<const ItemId> a,
     const ItemId bmax = b[j + 7];
     if (amax <= bmax) i += 8;
     if (bmax <= amax) j += 8;
+    if (count + std::min(na - i, nb - j) < need) return count;
   }
-  return count + IntersectSizeMerge(a.subspan(i), b.subspan(j));
+  return MergeFrom(a, b, i, j, count, need);
 }
 
 #endif  // SKEWSEARCH_INTERSECT_X86
@@ -161,6 +172,16 @@ IntersectKernel SetIntersectKernel(IntersectKernel kernel) {
   return kernel;
 }
 
+size_t IntersectSizeMerge(std::span<const ItemId> a,
+                          std::span<const ItemId> b) {
+  return MergeFrom(a, b, 0, 0, 0, 0);
+}
+
+size_t IntersectSizeGalloping(std::span<const ItemId> a,
+                              std::span<const ItemId> b) {
+  return GallopingImpl(a, b, 0);
+}
+
 size_t IntersectSizeScalar(std::span<const ItemId> a,
                            std::span<const ItemId> b) {
   const size_t small = std::min(a.size(), b.size());
@@ -172,7 +193,7 @@ size_t IntersectSizeScalar(std::span<const ItemId> a,
 size_t IntersectSizeSse2(std::span<const ItemId> a,
                          std::span<const ItemId> b) {
 #if SKEWSEARCH_INTERSECT_X86
-  return Sse2Impl(a, b);
+  return Sse2Impl(a, b, 0);
 #else
   return IntersectSizeScalar(a, b);
 #endif
@@ -181,28 +202,36 @@ size_t IntersectSizeSse2(std::span<const ItemId> a,
 size_t IntersectSizeAvx2(std::span<const ItemId> a,
                          std::span<const ItemId> b) {
 #if SKEWSEARCH_INTERSECT_X86
-  if (__builtin_cpu_supports("avx2")) return Avx2Impl(a, b);
-  return Sse2Impl(a, b);
+  if (__builtin_cpu_supports("avx2")) return Avx2Impl(a, b, 0);
+  return Sse2Impl(a, b, 0);
 #else
   return IntersectSizeScalar(a, b);
 #endif
 }
 
-size_t IntersectSize(std::span<const ItemId> a, std::span<const ItemId> b) {
+size_t IntersectSizeAtLeast(std::span<const ItemId> a,
+                            std::span<const ItemId> b, size_t need) {
   const size_t small = std::min(a.size(), b.size());
   const size_t large = std::max(a.size(), b.size());
   // Heavily asymmetric pairs stay on galloping: O(small log large) beats
   // any linear block scan once the lists differ by an order of magnitude.
-  if (small * 16 < large) return IntersectSizeGalloping(a, b);
+  if (small * 16 < large) return GallopingImpl(a, b, need);
+#if SKEWSEARCH_INTERSECT_X86
+  // SetIntersectKernel never installs a kernel the CPU lacks.
   switch (ActiveKernelRef()) {
     case IntersectKernel::kScalar:
-      return IntersectSizeMerge(a, b);
+      break;
     case IntersectKernel::kSse2:
-      return IntersectSizeSse2(a, b);
+      return Sse2Impl(a, b, need);
     case IntersectKernel::kAvx2:
-      return IntersectSizeAvx2(a, b);
+      return Avx2Impl(a, b, need);
   }
-  return IntersectSizeMerge(a, b);
+#endif
+  return MergeFrom(a, b, 0, 0, 0, need);
+}
+
+size_t IntersectSize(std::span<const ItemId> a, std::span<const ItemId> b) {
+  return IntersectSizeAtLeast(a, b, 0);
 }
 
 }  // namespace skewsearch

@@ -6,8 +6,9 @@
 // One module holds the scalar merge and galloping references, the
 // branch-lean SIMD block kernels — SSE2 (baseline on x86-64) and AVX2
 // (runtime-detected) — and IntersectSize, the dispatch every caller
-// uses. Every kernel returns the merge's count on every input; the tests
-// assert this over randomized size, overlap and alignment regimes.
+// uses. Every kernel returns the merge's count on every input, and the
+// threshold-aware IntersectSizeAtLeast runs the same kernels; the tests
+// assert both over randomized size, overlap and alignment regimes.
 
 #ifndef SKEWSEARCH_SIM_INTERSECT_H_
 #define SKEWSEARCH_SIM_INTERSECT_H_
@@ -45,8 +46,21 @@ IntersectKernel SetIntersectKernel(IntersectKernel kernel);
 /// Intersection count, the dispatch: galloping when one list is more
 /// than 16 times the other, otherwise the active kernel. Inputs must be
 /// sorted and duplicate-free (the SparseVector invariant). Equal to
-/// IntersectSizeMerge for every input.
+/// IntersectSizeMerge for every input; IntersectSizeAtLeast at need 0.
 size_t IntersectSize(std::span<const ItemId> a, std::span<const ItemId> b);
+
+/// The intersection count when it is at least \p need, and some count
+/// below \p need otherwise: IntersectSize's dispatch and kernels, each
+/// of which stops as soon as its count so far plus min(|a| - i,
+/// |b| - j) is below \p need, where i and j are the items of a and b
+/// it has passed. The result is exact whenever it reaches \p need: an
+/// item is never compared again once passed, and each item left can
+/// match at most once, so that sum is an upper bound on the final
+/// count, and a kernel that stops could never have reached \p need.
+/// With need = MinOverlap(...) (sim/measures.h), a verifier rejects a
+/// pair that cannot reach its threshold without counting it whole.
+size_t IntersectSizeAtLeast(std::span<const ItemId> a,
+                            std::span<const ItemId> b, size_t need);
 
 /// Linear merge intersection count; O(|a| + |b|). Best when sizes are
 /// comparable.

@@ -28,6 +28,48 @@ double SimilarityFromCounts(Measure measure, size_t size_a, size_t size_b,
   return 0.0;
 }
 
+size_t MinOverlap(Measure measure, size_t size_a, size_t size_b,
+                  double threshold) {
+  const size_t most = std::min(size_a, size_b);
+  const double a = static_cast<double>(size_a);
+  const double b = static_cast<double>(size_b);
+  // The real overlap at which the measure equals the threshold.
+  const double guess = [&] {
+    switch (measure) {
+      case Measure::kBraunBlanquet:
+        return threshold * std::max(a, b);
+      case Measure::kJaccard:
+        return threshold * (a + b) / (1.0 + threshold);
+      case Measure::kDice:
+        return threshold * (a + b) / 2.0;
+      case Measure::kOverlap:
+        return threshold * std::min(a, b);
+      case Measure::kCosine:
+        return threshold * std::sqrt(a * b);
+    }
+    return 0.0;
+  }();
+  size_t overlap = most + 1;
+  if (!(guess > 0.0)) {
+    overlap = 0;
+  } else if (guess <= static_cast<double>(most)) {
+    overlap = static_cast<size_t>(std::ceil(guess));
+  }
+  // Rounding can leave the guess off by one either way; the measure
+  // itself decides.
+  while (overlap > 0 &&
+         SimilarityFromCounts(measure, size_a, size_b, overlap - 1) >=
+             threshold) {
+    --overlap;
+  }
+  while (overlap <= most &&
+         !(SimilarityFromCounts(measure, size_a, size_b, overlap) >=
+           threshold)) {
+    ++overlap;
+  }
+  return overlap;
+}
+
 namespace {
 
 double Compute(Measure measure, std::span<const ItemId> a,

@@ -51,11 +51,27 @@ double SimilarityFromCounts(Measure measure, size_t size_a, size_t size_b,
 /// Similarity() does, so a pair it rules out fails Similarity() >=
 /// \p threshold too: skipping such a pair is exact. For Braun-Blanquet
 /// it reads min(size_a, size_b) / max(size_a, size_b) >= threshold.
+/// The query driver and the join worker decide through MinOverlap,
+/// which the tests check against this.
 inline bool SizesCanReach(Measure measure, size_t size_a, size_t size_b,
                           double threshold) {
   return SimilarityFromCounts(measure, size_a, size_b,
                               std::min(size_a, size_b)) >= threshold;
 }
+
+/// The smallest overlap |a n b| at which sets of \p size_a and \p size_b
+/// items reach \p threshold, or min(size_a, size_b) + 1 when none does,
+/// so SizesCanReach is exactly MinOverlap(...) <= min(size_a, size_b).
+/// The measure's inverse gives a first guess, and SimilarityFromCounts,
+/// the function Similarity() ends in, moves it to the exact answer: every
+/// measure is non-decreasing in the overlap, also in IEEE arithmetic, so
+/// SimilarityFromCounts(measure, size_a, size_b, c) >= \p threshold
+/// exactly when c >= MinOverlap(...), ties included. A verifier that
+/// counts with IntersectSizeAtLeast(a, b, MinOverlap(...)) (sim/intersect.h)
+/// therefore accepts the pairs Similarity(...) >= \p threshold accepts,
+/// and its exact count gives the same similarity bits.
+size_t MinOverlap(Measure measure, size_t size_a, size_t size_b,
+                  double threshold);
 
 /// Empirical Pearson (phi) correlation of two boolean vectors in a universe
 /// of size d: (n11 * n00 - n10 * n01) / sqrt(row/col margins). This is the

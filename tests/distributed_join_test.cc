@@ -6,12 +6,15 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/frozen_shard.h"
 #include "core/index_io.h"
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
+#include "distributed/transport/session.h"
+#include "distributed/transport/wire.h"
 #include "join_oracle.h"
 #include "test_paths.h"
 
@@ -595,6 +598,67 @@ TEST(DistributedJoinTest, WorkerProbedFromFourThreadsMatchesASerialPass) {
   }
   EXPECT_GT(others, 0u) << "the row needs pairs";
   EXPECT_GT(self_pairs, 0u) << "the row needs self-join pairs";
+}
+
+TEST(DistributedJoinTest, SelfJoinProbeReadsOnlyIdsAboveTheProbe) {
+  // Twelve copies of one vector, so every pair reaches the threshold,
+  // and a table by hand around probe 4: key 10 holds ids below it, the
+  // probe twice (a duplicate (key, id) pair, as Freeze keeps them) and
+  // ids above it; key 20 holds it once; keys 30 and 50 end in it, once
+  // and twice, so they pair nothing; the request ships key 40, which
+  // does not hold it. Ids 0, 2, 5, 8 and 11 are in no list, so a
+  // shipped worker's positions are not the ids. Served either way, the
+  // probe answers each id above it once, none at or below it, and
+  // counts the whole of every list it reaches: key 10 once per posting
+  // of the probe, 6 + 6 + 3 + 3 entries.
+  Dataset data;
+  for (int copy = 0; copy < 12; ++copy) data.Add(SparseVector::Of({1, 2, 3}));
+  const std::vector<std::pair<uint64_t, std::vector<VectorId>>> lists = {
+      {10, {1, 3, 4, 4, 6, 9}},
+      {20, {3, 4, 7}},
+      {30, {1, 4}},
+      {40, {3, 6, 10}},
+      {50, {4, 4}}};
+  std::vector<Posting> postings;
+  for (const auto& [key, ids] : lists) {
+    for (VectorId id : ids) postings.push_back({key, id});
+  }
+  const FilterTable table = FilterTable::Build(postings);
+  ProbeRequest request;
+  request.left = 4;
+  request.exclude_left_and_below = true;
+  request.keys = {40};
+  auto expect_answer = [&](const JoinWorker& worker) {
+    ProbeScratch scratch;
+    const ProbeResponse response = worker.Probe(request, &scratch);
+    std::vector<VectorId> answered;
+    for (const Match& match : response.matches) {
+      answered.push_back(match.id);
+      EXPECT_EQ(match.similarity, 1.0);
+    }
+    std::sort(answered.begin(), answered.end());
+    EXPECT_EQ(answered, (std::vector<VectorId>{6, 7, 9, 10}));
+    EXPECT_EQ(response.verifications, 4u);
+    EXPECT_EQ(response.candidates, 18u);
+  };
+  {
+    SCOPED_TRACE("in-process: positions are ids");
+    expect_answer(
+        JoinWorker(0, FilterTable::Build(postings), &data, 0.8,
+                   Measure::kBraunBlanquet));
+  }
+  SCOPED_TRACE("shipped: positions are ranks among the listed ids");
+  wire::Assignment assignment;
+  ASSERT_TRUE(wire::DecodeAssignment(
+                  wire::EncodeAssignment(table, data, 0.8,
+                                         Measure::kBraunBlanquet),
+                  &assignment)
+                  .ok());
+  WorkerState state(0);
+  ASSERT_TRUE(state.Apply(std::move(assignment)).ok());
+  ASSERT_EQ(state.original_ids(),
+            (std::vector<VectorId>{1, 3, 4, 6, 7, 9, 10}));
+  expect_answer(*state.worker());
 }
 
 TEST(DistributedJoinTest, RSJoinServesItsProbesInChunks) {

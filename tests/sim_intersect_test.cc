@@ -5,7 +5,8 @@
 // to the scalar reference on every input, randomized across size,
 // overlap, and alignment regimes, plus the degenerate shapes (empty,
 // single element, no overlap, full overlap) where block kernels
-// typically go wrong.
+// typically go wrong. IntersectSizeAtLeast runs under every kernel on
+// the same inputs, at needs around the true count.
 
 #include "sim/intersect.h"
 
@@ -14,6 +15,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/sparse_vector.h"
@@ -103,8 +106,40 @@ std::vector<ItemId> MakeSorted(size_t count, ItemId universe, Rng* rng) {
   return SparseVector::FromIds(std::move(ids)).ids();
 }
 
+// IntersectSizeAtLeast on (a, b) and (b, a) under every kernel the CPU
+// has, each installed by SetIntersectKernel and the active one restored
+// afterwards, at need 0, 1, c - 1, c, c + 1, min and min + 1, where c is
+// the true count: each call returns c when c >= need, and a count below
+// need otherwise.
+void ExpectAtLeastHolds(std::span<const ItemId> a, std::span<const ItemId> b) {
+  const size_t count = IntersectSizeMerge(a, b);
+  const size_t most = std::min(a.size(), b.size());
+  const IntersectKernel active = ActiveIntersectKernel();
+  for (IntersectKernel kernel : {IntersectKernel::kScalar,
+                                 IntersectKernel::kSse2,
+                                 IntersectKernel::kAvx2}) {
+    if (SetIntersectKernel(kernel) != kernel) continue;  // the CPU lacks it
+    SCOPED_TRACE(IntersectKernelName(kernel));
+    for (size_t need : {size_t{0}, size_t{1}, count == 0 ? 0 : count - 1,
+                        count, count + 1, most, most + 1}) {
+      SCOPED_TRACE("need " + std::to_string(need) + ", count " +
+                   std::to_string(count));
+      for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+        const size_t got = IntersectSizeAtLeast(x, y, need);
+        if (count >= need) {
+          EXPECT_EQ(got, count);
+        } else {
+          EXPECT_LT(got, need);
+        }
+      }
+    }
+  }
+  SetIntersectKernel(active);
+}
+
 void ExpectAllKernelsAgree(std::span<const ItemId> a,
                            std::span<const ItemId> b) {
+  ExpectAtLeastHolds(a, b);
   const size_t expect = IntersectSizeMerge(a, b);
   EXPECT_EQ(IntersectSizeScalar(a, b), expect);
   EXPECT_EQ(IntersectSizeSse2(a, b), expect);
@@ -176,6 +211,7 @@ TEST(IntersectKernelsTest, AlignmentRegimes) {
       EXPECT_EQ(IntersectSizeSse2(sa, sb), expect);
       EXPECT_EQ(IntersectSizeAvx2(sa, sb), expect);
       EXPECT_EQ(IntersectSize(sa, sb), expect);
+      ExpectAtLeastHolds(sa, sb);
     }
   }
 }

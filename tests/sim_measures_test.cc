@@ -63,9 +63,12 @@ TEST(MeasuresTest, FromCountsMatches) {
 TEST(MeasuresTest, SizesCanReachNeverSkipsAPairThatCouldPass) {
   // Every size pair in [0, 64]^2 of every measure, against every value
   // the measure takes at those sizes (each overlap up to the smaller
-  // size) and the doubles just either side of it. SizesCanReach and both
-  // conditions below are step functions of the threshold that only step
-  // at those values, so this covers every threshold, the ties included.
+  // size) and the doubles just either side of it. SizesCanReach,
+  // MinOverlap and the conditions below are step functions of the
+  // threshold that only step at those values, so this covers every
+  // threshold, the ties included. MinOverlap must be the smallest
+  // overlap that reaches the threshold, or the smaller size + 1 when
+  // none does, so SizesCanReach is exactly MinOverlap <= that size.
   constexpr size_t kMaxSize = 64;
   for (Measure m : {Measure::kBraunBlanquet, Measure::kJaccard,
                     Measure::kDice, Measure::kOverlap, Measure::kCosine}) {
@@ -98,11 +101,17 @@ TEST(MeasuresTest, SizesCanReachNeverSkipsAPairThatCouldPass) {
                                 static_cast<double>(std::max(a, b));
             ok = ok && can == (ratio >= t);
           }
+          const size_t need = MinOverlap(m, a, b, t);
+          ok = ok && need <= most + 1 && can == (need <= most);
+          ok = ok && (need > most || SimilarityFromCounts(m, a, b, need) >= t);
+          ok = ok &&
+               (need == 0 || !(SimilarityFromCounts(m, a, b, need - 1) >= t));
           if (!ok && failures++ == 0) {
             first_failure = "sizes " + std::to_string(a) + ", " +
                             std::to_string(b) + ", threshold " +
                             std::to_string(t) + ": can reach " +
-                            std::to_string(can);
+                            std::to_string(can) + ", min overlap " +
+                            std::to_string(need);
           }
         }
       }
